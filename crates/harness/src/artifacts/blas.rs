@@ -28,8 +28,7 @@ fn star_gflops(
     fidelity: Fidelity,
 ) -> Result<f64> {
     let (profile, lock) = default_stack();
-    let placements =
-        scheme.resolve(machine, nranks).expect("blas figures use placeable configurations");
+    let placements = scheme.resolve(machine, nranks)?;
     let mut world = CommWorld::new(machine, placements, profile, lock);
     let flops_per_rank = match kernel {
         Kernel::Daxpy => {
@@ -159,6 +158,22 @@ pub fn figure7(fidelity: Fidelity) -> Result<Vec<Table>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unplaceable_rank_count_is_a_typed_error() {
+        // DMZ has four cores: a fifth rank cannot be placed.
+        let systems = Systems::new();
+        let err = star_gflops(
+            &systems.dmz,
+            Scheme::TwoMpiLocalAlloc,
+            5,
+            Kernel::Daxpy,
+            1000,
+            BlasVariant::Acml,
+            Fidelity::Quick,
+        );
+        assert!(err.is_err(), "{err:?}");
+    }
 
     #[test]
     fn figure6_dgemm_scales_and_figure4_daxpy_does_not() {

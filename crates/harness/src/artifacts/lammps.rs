@@ -12,7 +12,7 @@ use corescope_smpi::CommWorld;
 
 fn time(machine: &Machine, bench: LammpsBenchmark, n: usize) -> Result<f64> {
     let (profile, lock) = default_stack();
-    let placements = Scheme::Default.resolve(machine, n).expect("counts fit the machine");
+    let placements = Scheme::Default.resolve(machine, n)?;
     let mut w = CommWorld::new(machine, placements, profile, lock);
     bench.append_run(&mut w);
     Ok(w.run()?.makespan)
@@ -72,6 +72,12 @@ pub fn table11(_fidelity: Fidelity) -> Result<Vec<Table>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unplaceable_rank_count_is_a_typed_error() {
+        let systems = Systems::new();
+        assert!(time(&systems.dmz, LammpsBenchmark::all()[0], 5).is_err());
+    }
 
     #[test]
     fn table10_chain_is_superlinear_lj_is_not() {

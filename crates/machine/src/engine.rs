@@ -4,15 +4,13 @@
 //! Compute phases and messages become fluid flows over shared resources
 //! (memory controllers and directed HyperTransport links); whenever the
 //! active flow set changes, per-flow rates are re-solved with max-min
-//! fairness ([`crate::flow::solve_maxmin`]) and completion events are
-//! recomputed.
+//! fairness (one [`crate::flow::Solver`] per run) and completion events
+//! are recomputed.
 
 use crate::cache;
 use crate::error::{Error, Result};
 use crate::faults::{FaultKind, FaultPlan};
-use crate::flow::{
-    solve_maxmin, solve_maxmin_attributed, Bottleneck, FlowSpec, ResourceIndex, ResourceTable,
-};
+use crate::flow::{Bottleneck, FlowSpec, ResourceIndex, ResourceTable, Solver};
 use crate::ids::{CoreId, LinkId, RankId, SocketId};
 use crate::memory::MemoryLayout;
 use crate::program::{ComputePhase, MessageCost, Op, Program};
@@ -25,8 +23,8 @@ use crate::Machine;
 
 pub use crate::metrics::{RunMetrics, RunReport};
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Where a rank runs and where its pages live.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,6 +70,11 @@ pub struct Engine<'m> {
     /// Machine-wide coherence-probe fabric (all DRAM traffic shares it on
     /// multi-socket machines).
     probe_index: Option<ResourceIndex>,
+    /// Routes of memory traffic (compute phases, checkpoint writes) from a
+    /// core's socket to a NUMA node's controller.
+    phase_routes: RouteTable,
+    /// Routes of message payloads between two ranks' sockets.
+    transfer_routes: RouteTable,
     max_events: usize,
     time_budget: Option<f64>,
     zero_progress_limit: usize,
@@ -92,12 +95,12 @@ impl<'m> Engine<'m> {
     pub fn new(machine: &'m Machine) -> Self {
         let mut resources = ResourceTable::new();
         let spec = machine.spec();
-        let mc_index = machine
+        let mc_index: Vec<ResourceIndex> = machine
             .sockets()
             .map(|s| resources.add(format!("mc:{s}"), spec.memory_of(s.index()).controller_bw))
             .collect();
         let topo = machine.topology();
-        let link_index = (0..topo.num_links())
+        let link_index: Vec<ResourceIndex> = (0..topo.num_links())
             .map(|l| {
                 let (a, b) = topo.link_endpoints(LinkId::new(l));
                 let bw = spec.link_of(topo.edge_of(LinkId::new(l))).bandwidth;
@@ -106,12 +109,30 @@ impl<'m> Engine<'m> {
             .collect();
         let probe_index = (machine.num_compute_sockets() > 1)
             .then(|| resources.add("coherence-probe", spec.coherence.probe_capacity));
+        // Memory traffic: the node's controller, the links to it, then the
+        // probe fabric.
+        let phase_routes = RouteTable::new(machine, |_, dst, links, route| {
+            route.push(mc_index[dst.index()]);
+            route.extend(links.iter().map(|l| link_index[l.index()]));
+            route.extend(probe_index);
+        });
+        // Shared-memory copies read the source socket's controller, cross
+        // the links, write the destination's controller, and probe the
+        // fabric like any other coherent memory access.
+        let transfer_routes = RouteTable::new(machine, |src, dst, links, route| {
+            route.push(mc_index[src.index()]);
+            route.extend(links.iter().map(|l| link_index[l.index()]));
+            route.push(mc_index[dst.index()]);
+            route.extend(probe_index);
+        });
         Self {
             machine,
             resources,
             mc_index,
             link_index,
             probe_index,
+            phase_routes,
+            transfer_routes,
             max_events: 20_000_000,
             time_budget: None,
             zero_progress_limit: 50_000,
@@ -397,6 +418,139 @@ enum ResolvedFault {
     },
 }
 
+/// Resource routes for every ordered pair of sockets, built once per
+/// engine. Routes depend only on the fixed topology — faults change
+/// capacities, never routes — so flow starts look them up instead of
+/// walking the routing tables.
+#[derive(Debug, Clone)]
+struct RouteTable {
+    sockets: usize,
+    /// Every pair's route, concatenated.
+    flat: Vec<ResourceIndex>,
+    /// Pair `src * sockets + dst`'s slice of `flat`, or `None` when the
+    /// topology has no path between the two sockets.
+    spans: Vec<Option<(usize, usize)>>,
+}
+
+impl RouteTable {
+    /// Builds the table; `build(src, dst, links, route)` appends the
+    /// resources for one pair, given the directed links between them.
+    fn new(
+        machine: &Machine,
+        mut build: impl FnMut(SocketId, SocketId, &[LinkId], &mut Vec<ResourceIndex>),
+    ) -> Self {
+        let sockets = machine.num_sockets();
+        let mut flat = Vec::new();
+        let mut spans = Vec::with_capacity(sockets * sockets);
+        for src in machine.sockets() {
+            for dst in machine.sockets() {
+                spans.push(machine.topology().route(src, dst).ok().map(|links| {
+                    let start = flat.len();
+                    build(src, dst, &links, &mut flat);
+                    (start, flat.len())
+                }));
+            }
+        }
+        Self { sockets, flat, spans }
+    }
+
+    /// The route from `src` to `dst`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Disconnected`] when the topology has no path.
+    fn get(&self, src: SocketId, dst: SocketId) -> Result<&[ResourceIndex]> {
+        match self.spans[src.index() * self.sockets + dst.index()] {
+            Some((start, end)) => Ok(&self.flat[start..end]),
+            None => Err(Error::Disconnected { src: src.index(), dst: dst.index() }),
+        }
+    }
+}
+
+/// Unmatched sends (transfer indices) or receives (rank indices) for one
+/// `(src, dst, tag)` key, in posting order. Nearly every key holds a
+/// single entry — tags are fresh per message — so that case is stored
+/// inline.
+#[derive(Debug, Clone)]
+enum MatchQueue {
+    One(usize),
+    Many(VecDeque<usize>),
+}
+
+/// Multiply-rotate hasher for the integer matching keys. The keys are
+/// rank indices and message tags from the simulated programs, never
+/// bytes from outside the process, so SipHash's flooding resistance buys
+/// nothing here.
+#[derive(Debug, Clone, Copy, Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.add(word);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.add(word as u64);
+    }
+}
+
+/// Unmatched operations per `(src, dst, tag)`. A key is removed as soon
+/// as its queue empties, so the map holds only what is outstanding.
+type MatchMap = HashMap<(usize, usize, u64), MatchQueue, BuildHasherDefault<KeyHasher>>;
+
+/// Appends `value` to `key`'s FIFO.
+fn push_match(map: &mut MatchMap, key: (usize, usize, u64), value: usize) {
+    use std::collections::hash_map::Entry;
+    match map.entry(key) {
+        Entry::Vacant(slot) => {
+            slot.insert(MatchQueue::One(value));
+        }
+        Entry::Occupied(mut slot) => match slot.get_mut() {
+            MatchQueue::One(first) => {
+                let first = *first;
+                slot.insert(MatchQueue::Many(VecDeque::from([first, value])));
+            }
+            MatchQueue::Many(queue) => queue.push_back(value),
+        },
+    }
+}
+
+/// Pops the oldest entry of `key`'s FIFO, removing the key once empty.
+fn pop_match(map: &mut MatchMap, key: (usize, usize, u64)) -> Option<usize> {
+    use std::collections::hash_map::Entry;
+    let Entry::Occupied(mut slot) = map.entry(key) else { return None };
+    match slot.get_mut() {
+        MatchQueue::One(value) => {
+            let value = *value;
+            slot.remove();
+            Some(value)
+        }
+        MatchQueue::Many(queue) => {
+            let value = queue.pop_front();
+            if queue.is_empty() {
+                slot.remove();
+            }
+            value
+        }
+    }
+}
+
 /// An op span still in progress on one rank (trace-only state).
 #[derive(Debug, Clone)]
 struct OpenSpan {
@@ -524,11 +678,10 @@ struct SimSnapshot {
     status: Vec<Status>,
     finish: Vec<f64>,
     flows: Vec<Option<ActiveFlow>>,
-    live_flows: usize,
     transfers: Vec<Transfer>,
     starting_transfers: Vec<usize>,
-    pending_sends: HashMap<(usize, usize, u64), VecDeque<usize>>,
-    pending_recvs: HashMap<(usize, usize, u64), VecDeque<usize>>,
+    pending_sends: MatchMap,
+    pending_recvs: MatchMap,
     barrier_arrived: usize,
 }
 
@@ -550,18 +703,19 @@ struct Sim<'a, 'm> {
     status: Vec<Status>,
     finish: Vec<f64>,
     flows: Vec<Option<ActiveFlow>>,
-    live_flows: usize,
     transfers: Vec<Transfer>,
     /// Transfers in the `Starting` state (the only ones with a timer), so
     /// the event scan does not walk the full transfer history.
     starting_transfers: Vec<usize>,
     /// FIFO of unmatched send transfer-indices per (src, dst, tag).
-    pending_sends: HashMap<(usize, usize, u64), VecDeque<usize>>,
+    pending_sends: MatchMap,
     /// FIFO of unmatched receives per (src, dst, tag).
-    pending_recvs: HashMap<(usize, usize, u64), VecDeque<usize>>,
+    pending_recvs: MatchMap,
     barrier_arrived: usize,
     metrics: RunMetrics,
     rates_dirty: bool,
+    /// Rate-solver scratch, reused by every solve of the run.
+    solver: Solver,
     /// `None` when tracing is off: the hot loop then skips every trace
     /// hook without allocating.
     trace: Option<Box<TraceState>>,
@@ -599,14 +753,14 @@ impl<'a, 'm> Sim<'a, 'm> {
             status: vec![Status::Ready; n],
             finish: vec![0.0; n],
             flows: Vec::new(),
-            live_flows: 0,
             transfers: Vec::new(),
             starting_transfers: Vec::new(),
-            pending_sends: HashMap::new(),
-            pending_recvs: HashMap::new(),
+            pending_sends: MatchMap::default(),
+            pending_recvs: MatchMap::default(),
             barrier_arrived: 0,
             metrics: RunMetrics::new(n, engine.resources.len()),
             rates_dirty: false,
+            solver: Solver::new(),
             trace: trace.is_on().then(|| {
                 Box::new(TraceState {
                     intervals: Vec::new(),
@@ -679,19 +833,6 @@ impl<'a, 'm> Sim<'a, 'm> {
                     budget: self.engine.max_events,
                     at_time: self.now,
                 });
-            }
-
-            if self.metrics.events.is_multiple_of(1000)
-                && std::env::var_os("CORESCOPE_TRACE").is_some()
-            {
-                eprintln!(
-                    "[trace] event {} t={:.9} live_flows={} statuses={:?} flows={:?}",
-                    self.metrics.events,
-                    self.now,
-                    self.live_flows,
-                    &self.status,
-                    self.flows.iter().flatten().map(|f| (f.remaining, f.rate)).collect::<Vec<_>>()
-                );
             }
             let Some(app_next) = self.next_event_time() else {
                 // Deliberately checked before merging the checkpoint
@@ -942,18 +1083,17 @@ impl<'a, 'm> Sim<'a, 'm> {
     }
 
     fn dispatch(&mut self, rank: usize) -> Result<()> {
-        let ops = self.programs[rank].ops();
-        if self.pc[rank] >= ops.len() {
+        let programs = self.programs;
+        let Some(op) = programs[rank].ops().get(self.pc[rank]) else {
             self.trace_close_span(rank);
             self.status[rank] = Status::Done;
             self.finish[rank] = self.now;
             return Ok(());
-        }
-        let op = ops[self.pc[rank]].clone();
+        };
         self.pc[rank] += 1;
-        self.trace_open_span(rank, &op);
-        match op {
-            Op::Compute(phase) => self.start_phase(rank, &phase)?,
+        self.trace_open_span(rank, op);
+        match *op {
+            Op::Compute(ref phase) => self.start_phase(rank, phase)?,
             Op::Delay(seconds) => {
                 if seconds > 0.0 {
                     self.status[rank] = Status::Waiting { until: self.now + seconds };
@@ -1020,18 +1160,12 @@ impl<'a, 'm> Sim<'a, 'm> {
                 if bytes <= EPS_BYTES {
                     continue;
                 }
-                let mut route = vec![self.engine.mc_index[node.index()]];
-                let dst_socket = machine.socket_of_node(node);
-                for link in machine.topology().route(src_socket, dst_socket)? {
-                    route.push(self.engine.link_index[link.index()]);
-                }
-                if let Some(probe) = self.engine.probe_index {
-                    route.push(probe);
-                }
-                self.check_route(&route)?;
+                let route =
+                    self.engine.phase_routes.get(src_socket, machine.socket_of_node(node))?;
+                self.check_route(route)?;
                 self.add_flow(ActiveFlow {
                     owner: FlowOwner::Phase(rank),
-                    spec: FlowSpec::new(route, demand.self_cap * frac),
+                    spec: FlowSpec::new(route.to_vec(), demand.self_cap * frac),
                     initial: bytes,
                     remaining: bytes,
                     rate: 0.0,
@@ -1077,13 +1211,12 @@ impl<'a, 'm> Sim<'a, 'm> {
 
         // Match an already-posted receive, if any.
         let key = (rank, dst, tag);
-        let matched = self.pending_recvs.get_mut(&key).and_then(|q| q.pop_front()).is_some();
-        if matched {
+        if pop_match(&mut self.pending_recvs, key).is_some() {
             let at = (self.now + cost.setup).max(self.now);
             self.transfers[idx].state = TransferState::Starting { at };
             self.starting_transfers.push(idx);
         } else {
-            self.pending_sends.entry(key).or_default().push_back(idx);
+            push_match(&mut self.pending_sends, key, idx);
         }
 
         if cost.rendezvous {
@@ -1103,8 +1236,7 @@ impl<'a, 'm> Sim<'a, 'm> {
             )));
         }
         let key = (src, rank, tag);
-        let send = self.pending_sends.get_mut(&key).and_then(|q| q.pop_front());
-        match send {
+        match pop_match(&mut self.pending_sends, key) {
             Some(t) => {
                 let begin =
                     (self.transfers[t].send_post + self.transfers[t].cost.setup).max(self.now);
@@ -1118,7 +1250,7 @@ impl<'a, 'm> Sim<'a, 'm> {
                 }
             }
             None => {
-                self.pending_recvs.entry(key).or_default().push_back(rank);
+                push_match(&mut self.pending_recvs, key, rank);
                 self.status[rank] = Status::RecvBlocked;
             }
         }
@@ -1139,16 +1271,7 @@ impl<'a, 'm> Sim<'a, 'm> {
         }
         let s_src = machine.socket_of(self.placements[src].core);
         let s_dst = machine.socket_of(self.placements[dst].core);
-        let mut route = vec![self.engine.mc_index[s_src.index()]];
-        for link in machine.topology().route(s_src, s_dst)? {
-            route.push(self.engine.link_index[link.index()]);
-        }
-        route.push(self.engine.mc_index[s_dst.index()]);
-        if let Some(probe) = self.engine.probe_index {
-            // Shared-memory copies are coherent traffic: they probe the
-            // fabric like any other memory access.
-            route.push(probe);
-        }
+        let route = self.engine.transfer_routes.get(s_src, s_dst)?;
         // A transfer asked to start over a severed link goes back to the
         // retry queue instead of erroring — the sender cannot know the
         // path is down until its failure detector fires.
@@ -1164,7 +1287,7 @@ impl<'a, 'm> Sim<'a, 'm> {
         }
         let flow = self.add_flow(ActiveFlow {
             owner: FlowOwner::Transfer(t),
-            spec: FlowSpec::new(route, cap.min(1e12)),
+            spec: FlowSpec::new(route.to_vec(), cap.min(1e12)),
             initial: bytes,
             remaining: bytes,
             rate: 0.0,
@@ -1194,7 +1317,6 @@ impl<'a, 'm> Sim<'a, 'm> {
 
     fn add_flow(&mut self, flow: ActiveFlow) -> usize {
         self.rates_dirty = true;
-        self.live_flows += 1;
         if let Some(slot) = self.flows.iter().position(Option::is_none) {
             self.flows[slot] = Some(flow);
             slot
@@ -1214,38 +1336,30 @@ impl<'a, 'm> Sim<'a, 'm> {
         Ok(())
     }
 
+    /// Re-solves every live flow's rate. The solver sees the live flows
+    /// in slot order and returns rates in the same order, so they are
+    /// written back by walking the occupied slots again.
     fn resolve_rates(&mut self) -> Result<()> {
         self.rates_dirty = false;
-        let mut index = Vec::with_capacity(self.live_flows);
-        let mut specs = Vec::with_capacity(self.live_flows);
-        for (i, f) in self.flows.iter().enumerate() {
-            if let Some(f) = f {
-                index.push(i);
-                specs.push(f.spec.clone());
-            }
-        }
-        // The traced path uses the attributed solver; both go through the
+        let specs = self.flows.iter().flatten().map(|f| &f.spec);
+        // The traced path uses the attributed solve; both go through the
         // same progressive-filling arithmetic, so the rates are
         // bit-identical and tracing cannot perturb the simulation.
-        let rates = if let Some(trace) = self.trace.as_deref_mut() {
-            let (rates, attribution) = solve_maxmin_attributed(&self.resources, &specs)?;
+        if let Some(trace) = self.trace.as_deref_mut() {
+            let (rates, attribution) = self.solver.solve_attributed(&self.resources, specs)?;
             trace.flow_bottleneck.clear();
             trace.flow_bottleneck.resize(self.flows.len(), Bottleneck::FlowCap);
-            for (&slot, &b) in index.iter().zip(attribution.iter()) {
+            let live =
+                self.flows.iter_mut().enumerate().filter_map(|(i, f)| Some((i, f.as_mut()?)));
+            for ((slot, f), (&rate, &b)) in live.zip(rates.iter().zip(attribution)) {
+                f.rate = rate;
                 trace.flow_bottleneck[slot] = b;
             }
-            rates
         } else {
-            solve_maxmin(&self.resources, &specs)?
-        };
-        for (slot, rate) in index.into_iter().zip(rates) {
-            // `index` was collected from occupied slots above and nothing
-            // vacates `self.flows` in between, so every slot is still live.
-            let Some(f) = self.flows[slot].as_mut() else {
-                debug_assert!(false, "rate solved for a vacated flow slot");
-                continue;
-            };
-            f.rate = rate;
+            let rates = self.solver.solve(&self.resources, specs)?;
+            for (f, &rate) in self.flows.iter_mut().flatten().zip(rates) {
+                f.rate = rate;
+            }
         }
         Ok(())
     }
@@ -1307,7 +1421,6 @@ impl<'a, 'm> Sim<'a, 'm> {
                 continue;
             }
             let Some(flow) = self.flows[slot].take() else { continue };
-            self.live_flows -= 1;
             self.rates_dirty = true;
             // Charge what the flow actually moved, not its nominal size —
             // `remaining` holds a sub-epsilon residue at completion, and
@@ -1423,21 +1536,15 @@ impl<'a, 'm> Sim<'a, 'm> {
                 if bytes <= EPS_BYTES {
                     continue;
                 }
-                let mut route = vec![self.engine.mc_index[node.index()]];
-                let dst_socket = machine.socket_of_node(node);
-                for link in machine.topology().route(src_socket, dst_socket)? {
-                    route.push(self.engine.link_index[link.index()]);
-                }
-                if let Some(probe) = self.engine.probe_index {
-                    route.push(probe);
-                }
+                let route =
+                    self.engine.phase_routes.get(src_socket, machine.socket_of_node(node))?;
                 if route.iter().any(|&r| self.resources.get(r).capacity <= 0.0) {
                     self.next_ckpt_at = Some(self.now + policy.interval);
                     return Ok(());
                 }
                 new_flows.push(ActiveFlow {
                     owner: FlowOwner::Checkpoint(rank),
-                    spec: FlowSpec::new(route, demand.self_cap * frac),
+                    spec: FlowSpec::new(route.to_vec(), demand.self_cap * frac),
                     initial: bytes,
                     remaining: bytes,
                     rate: 0.0,
@@ -1493,7 +1600,6 @@ impl<'a, 'm> Sim<'a, 'm> {
             status: self.status.clone(),
             finish: self.finish.clone(),
             flows: self.flows.clone(),
-            live_flows: self.live_flows,
             transfers: self.transfers.clone(),
             starting_transfers: self.starting_transfers.clone(),
             pending_sends: self.pending_sends.clone(),
@@ -1532,7 +1638,6 @@ impl<'a, 'm> Sim<'a, 'm> {
         self.status = snap.status;
         self.finish = snap.finish;
         self.flows = snap.flows;
-        self.live_flows = snap.live_flows;
         self.transfers = snap.transfers;
         self.starting_transfers = snap.starting_transfers;
         self.pending_sends = snap.pending_sends;
@@ -1597,7 +1702,6 @@ impl<'a, 'm> Sim<'a, 'm> {
                 continue;
             }
             let Some(flow) = self.flows[slot].take() else { continue };
-            self.live_flows -= 1;
             self.rates_dirty = true;
             // Bytes that crossed before the cut really moved; the
             // retransmit resends the full payload on top of them.

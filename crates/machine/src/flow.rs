@@ -67,11 +67,6 @@ impl ResourceTable {
     pub fn set_capacity(&mut self, index: ResourceIndex, capacity: f64) {
         self.resources[index].capacity = capacity;
     }
-
-    /// Capacities as a slice-compatible vector.
-    pub fn capacities(&self) -> Vec<f64> {
-        self.resources.iter().map(|r| r.capacity).collect()
-    }
 }
 
 /// A flow demand handed to the solver.
@@ -123,7 +118,9 @@ const REL_EPS: f64 = 1e-9;
 /// Returns [`Error::InvalidSpec`] if a flow references a resource outside
 /// the table or has a non-finite cap.
 pub fn solve_maxmin(table: &ResourceTable, flows: &[FlowSpec]) -> Result<Vec<f64>> {
-    solve_inner(table, flows, None)
+    let mut solver = Solver::new();
+    solver.solve(table, flows)?;
+    Ok(solver.rates)
 }
 
 /// Like [`solve_maxmin`], also reporting which limit froze each flow.
@@ -139,144 +136,217 @@ pub fn solve_maxmin_attributed(
     table: &ResourceTable,
     flows: &[FlowSpec],
 ) -> Result<(Vec<f64>, Vec<Bottleneck>)> {
-    let mut attribution = vec![Bottleneck::FlowCap; flows.len()];
-    let rates = solve_inner(table, flows, Some(&mut attribution))?;
-    Ok((rates, attribution))
+    let mut solver = Solver::new();
+    solver.solve_attributed(table, flows)?;
+    Ok((solver.rates, solver.attribution))
 }
 
-fn solve_inner(
-    table: &ResourceTable,
-    flows: &[FlowSpec],
-    mut attribution: Option<&mut Vec<Bottleneck>>,
-) -> Result<Vec<f64>> {
-    let caps = table.capacities();
-    for (i, f) in flows.iter().enumerate() {
-        if !f.cap.is_finite() || f.cap < 0.0 {
-            return Err(Error::InvalidSpec(format!("flow {i} has invalid cap {}", f.cap)));
-        }
-        for &r in &f.route {
-            if r >= caps.len() {
-                return Err(Error::InvalidSpec(format!(
-                    "flow {i} references resource {r} outside table of {}",
-                    caps.len()
-                )));
+/// Progressive-filling max-min solver with reusable scratch buffers.
+///
+/// The engine re-solves rates on every change to its active flow set, so
+/// it keeps one `Solver` per run: after the first few solves the buffers
+/// have grown to the run's largest problem and a solve allocates nothing.
+/// Flows are borrowed, never cloned. [`solve_maxmin`] and
+/// [`solve_maxmin_attributed`] are one-shot wrappers over the same
+/// arithmetic, so a reused solver returns bit-identical rates.
+#[derive(Debug, Clone, Default)]
+pub struct Solver {
+    caps: Vec<f64>,
+    remaining: Vec<f64>,
+    /// Count of unfixed flows using each resource.
+    usage: Vec<usize>,
+    fixed: Vec<bool>,
+    rates: Vec<f64>,
+    attribution: Vec<Bottleneck>,
+}
+
+impl Solver {
+    /// Creates a solver with empty scratch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Solves max-min fair rates for `flows` over `table`, exactly as
+    /// [`solve_maxmin`] does, and returns them in iteration order. The
+    /// iterator is walked several times per filling round, so it must be
+    /// cheap to clone.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`solve_maxmin`].
+    pub fn solve<'f, I>(&mut self, table: &ResourceTable, flows: I) -> Result<&[f64]>
+    where
+        I: IntoIterator<Item = &'f FlowSpec>,
+        I::IntoIter: Clone,
+    {
+        self.fill(table, flows.into_iter(), false)?;
+        Ok(&self.rates)
+    }
+
+    /// Like [`Solver::solve`], also reporting which limit froze each flow
+    /// (see [`solve_maxmin_attributed`]).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`solve_maxmin`].
+    pub fn solve_attributed<'f, I>(
+        &mut self,
+        table: &ResourceTable,
+        flows: I,
+    ) -> Result<(&[f64], &[Bottleneck])>
+    where
+        I: IntoIterator<Item = &'f FlowSpec>,
+        I::IntoIter: Clone,
+    {
+        self.fill(table, flows.into_iter(), true)?;
+        Ok((&self.rates, &self.attribution))
+    }
+
+    fn fill<'f>(
+        &mut self,
+        table: &ResourceTable,
+        flows: impl Iterator<Item = &'f FlowSpec> + Clone,
+        attribute: bool,
+    ) -> Result<()> {
+        let Self { caps, remaining, usage, fixed, rates, attribution } = self;
+        caps.clear();
+        caps.extend(table.resources.iter().map(|r| r.capacity));
+        let mut n = 0;
+        for (i, f) in flows.clone().enumerate() {
+            if !f.cap.is_finite() || f.cap < 0.0 {
+                return Err(Error::InvalidSpec(format!("flow {i} has invalid cap {}", f.cap)));
             }
-        }
-    }
-
-    let n = flows.len();
-    let mut rates = vec![0.0; n];
-    if n == 0 {
-        return Ok(rates);
-    }
-
-    let mut fixed = vec![false; n];
-    let mut remaining = caps.clone();
-    // Count of unfixed flows using each resource. A flow listing the same
-    // resource twice consumes it twice (e.g. a hairpin route) — count
-    // multiplicity.
-    let mut usage = vec![0usize; caps.len()];
-    for f in flows {
-        for &r in &f.route {
-            usage[r] += 1;
-        }
-    }
-
-    let mut unfixed = n;
-    // Immediately freeze exactly-zero-cap flows. Tiny-but-positive caps
-    // are real rate limits and must survive to the filling loop — an
-    // absolute epsilon here silently zero-rated a 1 B/s flow whenever a
-    // GB/s resource shared the table.
-    for (i, f) in flows.iter().enumerate() {
-        if f.cap <= 0.0 {
-            fixed[i] = true;
-            unfixed -= 1;
             for &r in &f.route {
-                usage[r] -= 1;
-            }
-        }
-    }
-
-    while unfixed > 0 {
-        // Smallest headroom: either a resource's fair increment or a
-        // flow's distance to its own cap.
-        let mut inc = f64::INFINITY;
-        for (r, &rem) in remaining.iter().enumerate() {
-            if usage[r] > 0 {
-                inc = inc.min(rem.max(0.0) / usage[r] as f64);
-            }
-        }
-        for (i, f) in flows.iter().enumerate() {
-            if !fixed[i] {
-                inc = inc.min(f.cap - rates[i]);
-            }
-        }
-        debug_assert!(inc.is_finite(), "at least one limit must apply");
-        let inc = inc.max(0.0);
-
-        // Ramp all unfixed flows by `inc`.
-        for (i, f) in flows.iter().enumerate() {
-            if !fixed[i] {
-                rates[i] += inc;
-                for &r in &f.route {
-                    remaining[r] -= inc;
+                if r >= caps.len() {
+                    return Err(Error::InvalidSpec(format!(
+                        "flow {i} references resource {r} outside table of {}",
+                        caps.len()
+                    )));
                 }
             }
+            n += 1;
         }
 
-        // Freeze flows at their cap or on a saturated resource. Slack is
-        // relative to the cap being compared against (zero-capacity
-        // resources still satisfy `0 <= 0`).
-        let mut froze_any = false;
-        for (i, f) in flows.iter().enumerate() {
-            if fixed[i] {
-                continue;
-            }
-            let at_cap = f.cap - rates[i] <= f.cap * REL_EPS;
-            // When both limits bind in the same round, attribute the
-            // freeze to a saturated shared resource — contention is the
-            // informative cause — and among saturated route resources
-            // pick the most contended one (highest unfixed-flow count).
-            let mut saturated: Option<ResourceIndex> = None;
+        rates.clear();
+        rates.resize(n, 0.0);
+        attribution.clear();
+        if attribute {
+            attribution.resize(n, Bottleneck::FlowCap);
+        }
+        if n == 0 {
+            return Ok(());
+        }
+
+        fixed.clear();
+        fixed.resize(n, false);
+        remaining.clear();
+        remaining.extend_from_slice(caps);
+        // A flow listing the same resource twice consumes it twice (e.g. a
+        // hairpin route) — count multiplicity.
+        usage.clear();
+        usage.resize(caps.len(), 0);
+        for f in flows.clone() {
             for &r in &f.route {
-                if remaining[r] <= caps[r] * REL_EPS {
-                    let more_contended = saturated.is_none_or(|s| usage[r] > usage[s]);
-                    if more_contended {
-                        saturated = Some(r);
-                    }
-                }
+                usage[r] += 1;
             }
-            if at_cap || saturated.is_some() {
+        }
+
+        let mut unfixed = n;
+        // Immediately freeze exactly-zero-cap flows. Tiny-but-positive caps
+        // are real rate limits and must survive to the filling loop — an
+        // absolute epsilon here silently zero-rated a 1 B/s flow whenever a
+        // GB/s resource shared the table.
+        for (i, f) in flows.clone().enumerate() {
+            if f.cap <= 0.0 {
                 fixed[i] = true;
                 unfixed -= 1;
-                froze_any = true;
                 for &r in &f.route {
                     usage[r] -= 1;
                 }
-                if let Some(attr) = attribution.as_deref_mut() {
-                    attr[i] = match saturated {
-                        Some(r) => Bottleneck::Resource(r),
-                        None => Bottleneck::FlowCap,
-                    };
-                }
             }
         }
-        debug_assert!(froze_any, "progressive filling must freeze at least one flow");
-        if !froze_any {
-            // Defensive: avoid an infinite loop under pathological
-            // floating-point behaviour by freezing everything.
-            for (i, f) in flows.iter().enumerate() {
+
+        while unfixed > 0 {
+            // Smallest headroom: either a resource's fair increment or a
+            // flow's distance to its own cap.
+            let mut inc = f64::INFINITY;
+            for (r, &rem) in remaining.iter().enumerate() {
+                if usage[r] > 0 {
+                    inc = inc.min(rem.max(0.0) / usage[r] as f64);
+                }
+            }
+            for (i, f) in flows.clone().enumerate() {
                 if !fixed[i] {
+                    inc = inc.min(f.cap - rates[i]);
+                }
+            }
+            debug_assert!(inc.is_finite(), "at least one limit must apply");
+            let inc = inc.max(0.0);
+
+            // Ramp all unfixed flows by `inc`.
+            for (i, f) in flows.clone().enumerate() {
+                if !fixed[i] {
+                    rates[i] += inc;
+                    for &r in &f.route {
+                        remaining[r] -= inc;
+                    }
+                }
+            }
+
+            // Freeze flows at their cap or on a saturated resource. Slack
+            // is relative to the cap being compared against (zero-capacity
+            // resources still satisfy `0 <= 0`).
+            let mut froze_any = false;
+            for (i, f) in flows.clone().enumerate() {
+                if fixed[i] {
+                    continue;
+                }
+                let at_cap = f.cap - rates[i] <= f.cap * REL_EPS;
+                // When both limits bind in the same round, attribute the
+                // freeze to a saturated shared resource — contention is the
+                // informative cause — and among saturated route resources
+                // pick the most contended one (highest unfixed-flow count).
+                let mut saturated: Option<ResourceIndex> = None;
+                for &r in &f.route {
+                    if remaining[r] <= caps[r] * REL_EPS {
+                        let more_contended = saturated.is_none_or(|s| usage[r] > usage[s]);
+                        if more_contended {
+                            saturated = Some(r);
+                        }
+                    }
+                }
+                if at_cap || saturated.is_some() {
                     fixed[i] = true;
                     unfixed -= 1;
+                    froze_any = true;
                     for &r in &f.route {
                         usage[r] -= 1;
+                    }
+                    if attribute {
+                        attribution[i] = match saturated {
+                            Some(r) => Bottleneck::Resource(r),
+                            None => Bottleneck::FlowCap,
+                        };
+                    }
+                }
+            }
+            debug_assert!(froze_any, "progressive filling must freeze at least one flow");
+            if !froze_any {
+                // Defensive: avoid an infinite loop under pathological
+                // floating-point behaviour by freezing everything.
+                for (i, f) in flows.clone().enumerate() {
+                    if !fixed[i] {
+                        fixed[i] = true;
+                        unfixed -= 1;
+                        for &r in &f.route {
+                            usage[r] -= 1;
+                        }
                     }
                 }
             }
         }
+        Ok(())
     }
-    Ok(rates)
 }
 
 #[cfg(test)]
