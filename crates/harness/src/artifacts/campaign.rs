@@ -84,8 +84,12 @@ fn store_err(context: &str, e: impl std::fmt::Display) -> Error {
 /// `dir`, flushes, and returns (aggregate table, engine runs, skipped).
 fn run_campaign(dir: &Path, todo: &[Scenario], jobs: usize) -> Result<(Table, usize, usize)> {
     let sink = Arc::new(StoreSink::open(dir).map_err(|e| store_err("opening the store", e))?);
-    let remaining: Vec<Scenario> =
-        todo.iter().filter(|s| !sink.contains(s.digest())).cloned().collect();
+    let remaining: Vec<Scenario> = todo
+        .iter()
+        .zip(Scenario::digests(todo))
+        .filter(|(_, digest)| !sink.contains(*digest))
+        .map(|(s, _)| s.clone())
+        .collect();
     let skipped = todo.len() - remaining.len();
     let sched = Scheduler::new(jobs).with_store(Arc::clone(&sink));
     for outcome in sched.run_batch(&remaining) {

@@ -227,7 +227,7 @@ impl ResultCache {
         if let Ok(map) = self.memory.lock() {
             if let Some(hit) = map.get(&digest.0) {
                 self.counters.hits_memory.fetch_add(1, Ordering::Relaxed);
-                return Some((hit.clone(), CacheTier::Memory));
+                return Some((*hit, CacheTier::Memory));
             }
         }
         if let Some(path) = self.entry_path(digest) {
@@ -235,7 +235,7 @@ impl ResultCache {
                 Ok(Some(result)) => {
                     self.counters.hits_disk.fetch_add(1, Ordering::Relaxed);
                     if let Ok(mut map) = self.memory.lock() {
-                        map.insert(digest.0, result.clone());
+                        map.insert(digest.0, result);
                     }
                     return Some((result, CacheTier::Disk));
                 }
@@ -256,7 +256,7 @@ impl ResultCache {
     /// Stores a fresh result in memory and (best-effort) on disk.
     pub fn put(&self, digest: Digest, result: &ScenarioResult) {
         if let Ok(mut map) = self.memory.lock() {
-            map.insert(digest.0, result.clone());
+            map.insert(digest.0, *result);
         }
         if let Some(path) = self.entry_path(digest) {
             if write_entry(&path, result).is_err() {
@@ -307,7 +307,7 @@ impl ResultCache {
                         // Published while we raced for the lock.
                         drop(ComputeLock { path: lock_path });
                         if let Ok(mut map) = self.memory.lock() {
-                            map.insert(digest.0, result.clone());
+                            map.insert(digest.0, result);
                         }
                         self.counters.hits_disk.fetch_add(1, Ordering::Relaxed);
                         return ComputeClaim::Published(result);
@@ -319,7 +319,7 @@ impl ResultCache {
                     match read_entry(&path) {
                         Ok(Some(result)) => {
                             if let Ok(mut map) = self.memory.lock() {
-                                map.insert(digest.0, result.clone());
+                                map.insert(digest.0, result);
                             }
                             self.counters.hits_disk.fetch_add(1, Ordering::Relaxed);
                             return ComputeClaim::Published(result);

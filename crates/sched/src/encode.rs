@@ -18,6 +18,12 @@
 //! cryptographic, but cache keys here defend against *accidental*
 //! collision, not an adversary; 128 bits over kilobyte-scale inputs makes
 //! accidental collision astronomically unlikely.
+//!
+//! The encoder never materializes the byte stream: each byte is folded
+//! into the FNV state as it is written. FNV-1a is a left fold over the
+//! bytes, so the state after a prefix is all the prefix contributes —
+//! [`Encoder::resume`] continues from a saved [`Encoder::digest`] and
+//! yields exactly the digest of the concatenated stream.
 
 use std::fmt;
 
@@ -52,31 +58,55 @@ impl fmt::Display for Digest {
     }
 }
 
-/// Canonical byte encoder: append-only, field-tagged, length-prefixed.
-#[derive(Debug, Default)]
+/// Canonical byte encoder: append-only, field-tagged, length-prefixed,
+/// hashed as it goes.
+#[derive(Debug, Clone)]
 pub struct Encoder {
-    bytes: Vec<u8>,
+    state: u128,
+}
+
+impl Default for Encoder {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Encoder {
     /// An empty encoder.
     pub fn new() -> Self {
-        Self::default()
+        Self { state: FNV_OFFSET }
+    }
+
+    /// An encoder that continues the stream whose bytes so far hash to
+    /// `prefix` (a previous [`Encoder::digest`]): the final digest equals
+    /// that of one encoder fed the prefix and then everything written
+    /// here.
+    pub fn resume(prefix: Digest) -> Self {
+        Self { state: prefix.0 }
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut h = self.state;
+        for &b in bytes {
+            h ^= b as u128;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        self.state = h;
     }
 
     fn raw_u64(&mut self, v: u64) {
-        self.bytes.extend_from_slice(&v.to_be_bytes());
+        self.write(&v.to_be_bytes());
     }
 
     fn name(&mut self, name: &str) {
         self.raw_u64(name.len() as u64);
-        self.bytes.extend_from_slice(name.as_bytes());
+        self.write(name.as_bytes());
     }
 
     /// A named unsigned integer field.
     pub fn u64(&mut self, name: &str, v: u64) -> &mut Self {
         self.name(name);
-        self.bytes.push(b'u');
+        self.write(b"u");
         self.raw_u64(v);
         self
     }
@@ -91,26 +121,26 @@ impl Encoder {
     /// exact.
     pub fn f64(&mut self, name: &str, v: f64) -> &mut Self {
         self.name(name);
-        self.bytes.push(b'f');
-        self.bytes.extend_from_slice(&v.to_bits().to_be_bytes());
+        self.write(b"f");
+        self.raw_u64(v.to_bits());
         self
     }
 
     /// A named string field.
     pub fn str(&mut self, name: &str, v: &str) -> &mut Self {
         self.name(name);
-        self.bytes.push(b's');
+        self.write(b"s");
         self.raw_u64(v.len() as u64);
-        self.bytes.extend_from_slice(v.as_bytes());
+        self.write(v.as_bytes());
         self
     }
 
     /// A named enum-discriminant field: the variant's stable key string.
     pub fn tag(&mut self, name: &str, variant: &str) -> &mut Self {
         self.name(name);
-        self.bytes.push(b't');
+        self.write(b"t");
         self.raw_u64(variant.len() as u64);
-        self.bytes.extend_from_slice(variant.as_bytes());
+        self.write(variant.as_bytes());
         self
     }
 
@@ -119,24 +149,14 @@ impl Encoder {
     /// bleeding into one another.
     pub fn list(&mut self, name: &str, len: usize) -> &mut Self {
         self.name(name);
-        self.bytes.push(b'l');
+        self.write(b"l");
         self.raw_u64(len as u64);
         self
     }
 
-    /// The canonical bytes accumulated so far.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// 128-bit FNV-1a over the canonical bytes.
+    /// 128-bit FNV-1a over the canonical bytes written so far.
     pub fn digest(&self) -> Digest {
-        let mut h = FNV_OFFSET;
-        for &b in &self.bytes {
-            h ^= b as u128;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        Digest(h)
+        Digest(self.state)
     }
 }
 
@@ -202,6 +222,47 @@ mod tests {
             e.f64("v", -0.0);
         });
         assert_ne!(pos, neg);
+    }
+
+    #[test]
+    fn resuming_from_a_prefix_digest_matches_one_stream() {
+        let whole = digest_of(|e| {
+            e.str("name", "dmz").usize("ranks", 4).f64("bytes", 1.5e9);
+        });
+        let prefix = digest_of(|e| {
+            e.str("name", "dmz");
+        });
+        let mut rest = Encoder::resume(prefix);
+        rest.usize("ranks", 4).f64("bytes", 1.5e9);
+        assert_eq!(rest.digest(), whole);
+        assert_eq!(Encoder::resume(prefix).digest(), prefix);
+        assert_eq!(Encoder::new().digest(), Digest(FNV_OFFSET));
+    }
+
+    #[test]
+    fn streaming_matches_fnv_over_the_canonical_bytes() {
+        // The byte layout, spelled out: name-length ‖ name ‖ type byte ‖
+        // payload, big-endian. Hashing it in one pass must agree with the
+        // streaming encoder.
+        let mut bytes: Vec<u8> = Vec::new();
+        bytes.extend_from_slice(&1u64.to_be_bytes());
+        bytes.extend_from_slice(b"k");
+        bytes.push(b's');
+        bytes.extend_from_slice(&2u64.to_be_bytes());
+        bytes.extend_from_slice(b"ab");
+        bytes.extend_from_slice(&1u64.to_be_bytes());
+        bytes.extend_from_slice(b"v");
+        bytes.push(b'f');
+        bytes.extend_from_slice(&(-0.0f64).to_bits().to_be_bytes());
+        let mut h = FNV_OFFSET;
+        for b in bytes {
+            h ^= b as u128;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        let streamed = digest_of(|e| {
+            e.str("k", "ab").f64("v", -0.0);
+        });
+        assert_eq!(streamed, Digest(h));
     }
 
     #[test]

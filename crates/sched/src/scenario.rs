@@ -39,6 +39,7 @@ use corescope_machine::{
 };
 use corescope_smpi::{CommWorld, LockLayer, MpiImpl};
 use corescope_topo::Generation;
+use std::collections::HashMap;
 
 /// The evaluation machines: the paper's Table 1 systems plus the
 /// modern `corescope-topo` generations.
@@ -1034,18 +1035,37 @@ impl Scenario {
     /// The canonical content digest: [`crate::ENGINE_TAG`] plus every
     /// field, with the machine's *full spec* (not just its name) folded
     /// in so a spec change orphans stale entries.
+    ///
+    /// The byte stream is a `(system, params)` prefix followed by the
+    /// per-scenario suffix; [`Scenario::digests`] hashes each distinct
+    /// prefix once per batch and resumes every suffix from it.
     pub fn digest(&self) -> Digest {
-        let mut enc = Encoder::new();
-        enc.str("engine", crate::ENGINE_TAG);
-        encode_machine_spec(&mut enc, &self.system.spec_with(&self.params));
-        // The spec covers the machine-side parameters; fold every calib
-        // field in explicitly as well so the MPI/placement parameters
-        // (and any future field the spec does not surface) are
-        // guaranteed to separate digests.
-        enc.list("calib", CalibParams::FIELDS.len());
-        for field in &CalibParams::FIELDS {
-            enc.f64(field.name, field.read(&self.params));
-        }
+        self.digest_after(digest_prefix(self.system, &self.params))
+    }
+
+    /// [`Scenario::digest`] for every scenario of a batch, in order. The
+    /// prefix — engine tag, full machine spec and calibration point, the
+    /// bulk of the encoded bytes — is computed once per distinct
+    /// `(system, params)` pair in the batch. Params are keyed by bit
+    /// pattern, matching the encoding, so `0.0` and `-0.0` never share a
+    /// prefix.
+    pub fn digests(batch: &[Scenario]) -> Vec<Digest> {
+        let mut prefixes: HashMap<(System, ParamBits), Digest> = HashMap::new();
+        batch
+            .iter()
+            .map(|s| {
+                let prefix = *prefixes
+                    .entry((s.system, param_bits(&s.params)))
+                    .or_insert_with(|| digest_prefix(s.system, &s.params));
+                s.digest_after(prefix)
+            })
+            .collect()
+    }
+
+    /// The per-scenario suffix of the digest stream, resumed from the
+    /// `(system, params)` prefix state.
+    fn digest_after(&self, prefix: Digest) -> Digest {
+        let mut enc = Encoder::resume(prefix);
         enc.tag("system", self.system.key())
             .tag("fidelity", self.fidelity.key())
             .usize("nranks", self.nranks)
@@ -1278,6 +1298,31 @@ impl Scenario {
     }
 }
 
+/// Every calibration field's bit pattern: the memo key for a digest
+/// prefix.
+type ParamBits = [u64; CalibParams::FIELDS.len()];
+
+fn param_bits(params: &CalibParams) -> ParamBits {
+    std::array::from_fn(|i| CalibParams::FIELDS[i].read(params).to_bits())
+}
+
+/// The digest stream's `(system, params)` prefix: the engine tag, the
+/// machine's full spec and every calibration field.
+fn digest_prefix(system: System, params: &CalibParams) -> Digest {
+    let mut enc = Encoder::new();
+    enc.str("engine", crate::ENGINE_TAG);
+    encode_machine_spec(&mut enc, &system.spec_with(params));
+    // The spec covers the machine-side parameters; fold every calib
+    // field in explicitly as well so the MPI/placement parameters (and
+    // any future field the spec does not surface) are guaranteed to
+    // separate digests.
+    enc.list("calib", CalibParams::FIELDS.len());
+    for field in &CalibParams::FIELDS {
+        enc.f64(field.name, field.read(params));
+    }
+    enc.digest()
+}
+
 fn encode_machine_spec(enc: &mut Encoder, spec: &MachineSpec) {
     enc.str("spec.name", &spec.name);
     enc.list("spec.sockets", spec.sockets.len());
@@ -1329,7 +1374,7 @@ fn encode_machine_spec(enc: &mut Encoder, spec: &MachineSpec) {
 /// The cacheable outcome of one scenario run: the makespan plus the
 /// scalar metrics the sweeps post-process. Per-rank vectors stay out —
 /// artifacts that need them run the engine directly (e.g. traced runs).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioResult {
     /// Simulated makespan in seconds.
     pub makespan: f64,

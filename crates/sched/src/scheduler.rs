@@ -24,13 +24,16 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// A finished scenario: the result plus where it came from.
-#[derive(Debug, Clone, PartialEq)]
+/// A finished scenario: the result, where it came from, and the digest
+/// it was looked up under.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Completed {
     /// The (possibly cached) engine result.
     pub result: ScenarioResult,
     /// Which tier satisfied the request.
     pub tier: CacheTier,
+    /// The scenario's content digest ([`Scenario::digest`]).
+    pub digest: Digest,
 }
 
 /// Outcome of one scenario in a shed-aware batch
@@ -237,32 +240,18 @@ impl Scheduler {
         shed: impl Fn(usize) -> bool + Sync,
     ) -> Vec<BatchOutcome> {
         self.scenarios.fetch_add(scenarios.len(), Ordering::Relaxed);
-        let digests: Vec<Digest> = scenarios.iter().map(Scenario::digest).collect();
-
-        // Collapse duplicate digests: `unique[k]` is the index of the
-        // first scenario with that digest; `owner_of[i]` maps every input
-        // to its unique job.
-        let mut job_of_digest: HashMap<u128, usize> = HashMap::new();
-        let mut unique: Vec<usize> = Vec::new();
-        let mut owner_of: Vec<usize> = Vec::with_capacity(scenarios.len());
-        for digest in &digests {
-            let next = unique.len();
-            let job = *job_of_digest.entry(digest.0).or_insert(next);
-            if job == next {
-                unique.push(owner_of.len());
-            }
-            owner_of.push(job);
-        }
-        self.deduped.fetch_add(scenarios.len() - unique.len(), Ordering::Relaxed);
+        let digests = Scenario::digests(scenarios);
+        let jobs = BatchJobs::new(&digests);
+        self.deduped.fetch_add(scenarios.len() - jobs.len(), Ordering::Relaxed);
 
         // `None` = shed before dispatch.
         let unique_outcomes: Vec<Option<Result<Completed>>> =
-            executor::run_ordered(self.jobs, unique, |&first| {
-                let job = owner_of[first];
-                let all_shed = (0..scenarios.len()).filter(|&i| owner_of[i] == job).all(&shed);
-                if all_shed {
+            executor::run_ordered(self.jobs, (0..jobs.len()).collect(), |&job| {
+                let members = jobs.members(job);
+                if members.iter().all(|&i| shed(i)) {
                     None
                 } else {
+                    let first = members[0];
                     Some(self.run_single(&scenarios[first], digests[first]))
                 }
             });
@@ -273,19 +262,17 @@ impl Scheduler {
             sink.flush();
         }
 
-        owner_of
-            .iter()
-            .enumerate()
-            .map(|(i, &job)| match &unique_outcomes[job] {
+        (0..scenarios.len())
+            .map(|i| match &unique_outcomes[jobs.owner_of(i)] {
                 None => {
                     self.shed.fetch_add(1, Ordering::Relaxed);
                     BatchOutcome::Shed
                 }
                 Some(Ok(completed)) => {
-                    let mut completed = completed.clone();
+                    let mut completed = *completed;
                     // Every input after the first with a given digest was
                     // folded into that first one's run.
-                    if is_duplicate(&owner_of, i) {
+                    if !jobs.is_first(i) {
                         completed.tier = CacheTier::InFlight;
                     }
                     BatchOutcome::Done(completed)
@@ -330,7 +317,7 @@ impl Scheduler {
                 CacheTier::Memory => self.hits_memory.fetch_add(1, Ordering::Relaxed),
                 _ => self.hits_disk.fetch_add(1, Ordering::Relaxed),
             };
-            return Ok(Completed { result, tier });
+            return Ok(Completed { result, tier, digest });
         }
 
         // Claim the flight or join an existing one.
@@ -359,8 +346,8 @@ impl Scheduler {
                 match self.cache.claim_compute(digest) {
                     ComputeClaim::Published(result) => {
                         self.hits_disk.fetch_add(1, Ordering::Relaxed);
-                        guard.complete(Ok(result.clone()));
-                        Ok(Completed { result, tier: CacheTier::Disk })
+                        guard.complete(Ok(result));
+                        Ok(Completed { result, tier: CacheTier::Disk, digest })
                     }
                     ComputeClaim::Owner(lock) => {
                         self.engine_runs.fetch_add(1, Ordering::Relaxed);
@@ -370,13 +357,13 @@ impl Scheduler {
                         }
                         drop(lock); // release only after the entry is published
                         guard.complete(outcome.clone());
-                        outcome.map(|result| Completed { result, tier: CacheTier::Miss })
+                        outcome.map(|result| Completed { result, tier: CacheTier::Miss, digest })
                     }
                 }
             }
             Err(flight) => {
                 self.in_flight_waits.fetch_add(1, Ordering::Relaxed);
-                flight.wait().map(|result| Completed { result, tier: CacheTier::InFlight })
+                flight.wait().map(|result| Completed { result, tier: CacheTier::InFlight, digest })
             }
         }
     }
@@ -427,8 +414,65 @@ impl Scheduler {
     }
 }
 
-fn is_duplicate(owner_of: &[usize], i: usize) -> bool {
-    owner_of.iter().take(i).any(|&j| j == owner_of[i])
+/// A batch's inputs grouped by digest, built in O(n): one job per
+/// distinct digest, numbered in order of first appearance. Each job's
+/// member inputs sit in compressed-sparse-row form: job `k` owns
+/// `order[start[k]..start[k + 1]]`, in ascending input order.
+#[derive(Debug)]
+struct BatchJobs {
+    owner_of: Vec<usize>,
+    start: Vec<usize>,
+    order: Vec<usize>,
+}
+
+impl BatchJobs {
+    fn new(digests: &[Digest]) -> Self {
+        let mut job_of_digest: HashMap<u128, usize> = HashMap::new();
+        let owner_of: Vec<usize> = digests
+            .iter()
+            .map(|d| {
+                let next = job_of_digest.len();
+                *job_of_digest.entry(d.0).or_insert(next)
+            })
+            .collect();
+        // Counting sort of inputs by job: count, prefix-sum, then place
+        // inputs in ascending order so each job's first member leads.
+        let mut start = vec![0usize; job_of_digest.len() + 1];
+        for &job in &owner_of {
+            start[job + 1] += 1;
+        }
+        for k in 0..job_of_digest.len() {
+            start[k + 1] += start[k];
+        }
+        let mut next = start.clone();
+        let mut order = vec![0usize; owner_of.len()];
+        for (i, &job) in owner_of.iter().enumerate() {
+            order[next[job]] = i;
+            next[job] += 1;
+        }
+        Self { owner_of, start, order }
+    }
+
+    /// Number of distinct digests.
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// The job input `i` folds into.
+    fn owner_of(&self, i: usize) -> usize {
+        self.owner_of[i]
+    }
+
+    /// Job `job`'s inputs, ascending; the first one runs the job.
+    fn members(&self, job: usize) -> &[usize] {
+        &self.order[self.start[job]..self.start[job + 1]]
+    }
+
+    /// Whether input `i` is its job's first member (later members are
+    /// folded duplicates).
+    fn is_first(&self, i: usize) -> bool {
+        self.members(self.owner_of[i])[0] == i
+    }
 }
 
 #[cfg(test)]
@@ -587,6 +631,139 @@ mod tests {
         assert_eq!(sink.rows_recorded(), 1, "{}", sink.summary());
         assert_eq!(sink.rows().unwrap().len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Checks `jobs` against `digests` in O(n): jobs are numbered by
+    /// first appearance, members are ascending and share one digest,
+    /// and every input appears in exactly its owner's member list.
+    fn assert_grouping(digests: &[Digest], jobs: &BatchJobs) {
+        let mut seen = 0usize;
+        let mut job_digest: Vec<Digest> = Vec::new();
+        for (i, d) in digests.iter().enumerate() {
+            let job = jobs.owner_of(i);
+            if job == job_digest.len() {
+                job_digest.push(*d);
+                assert!(jobs.is_first(i), "input {i} opens job {job}");
+            } else {
+                assert!(job < job_digest.len(), "job {job} numbered out of order");
+                assert!(!jobs.is_first(i), "input {i} is a twin of job {job}");
+            }
+            assert_eq!(job_digest[job], *d, "input {i} folded into the wrong job");
+        }
+        assert_eq!(jobs.len(), job_digest.len());
+        for job in 0..jobs.len() {
+            let members = jobs.members(job);
+            assert!(members.windows(2).all(|w| w[0] < w[1]), "job {job} members unsorted");
+            assert!(members.iter().all(|&i| jobs.owner_of(i) == job));
+            seen += members.len();
+        }
+        assert_eq!(seen, digests.len());
+    }
+
+    /// SplitMix64: a seeded, dependency-free stream for synthetic digests.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn synthetic(k: u64) -> Digest {
+        let mut state = k;
+        Digest(((splitmix(&mut state) as u128) << 64) | splitmix(&mut state) as u128)
+    }
+
+    #[test]
+    fn batch_jobs_scale_linearly_to_a_million_inputs() {
+        const N: usize = 1_000_000;
+        // All distinct: a million one-member jobs.
+        let distinct: Vec<Digest> = (0..N as u64).map(synthetic).collect();
+        let jobs = BatchJobs::new(&distinct);
+        assert_eq!(jobs.len(), N);
+        assert_grouping(&distinct, &jobs);
+
+        // All equal: one job holding every input.
+        let equal = vec![synthetic(7); N];
+        let jobs = BatchJobs::new(&equal);
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(jobs.members(0).len(), N);
+        assert_grouping(&equal, &jobs);
+
+        // 10^5 distinct digests, each repeated 10 times, shuffled.
+        let mut repeated: Vec<Digest> = (0..N as u64).map(|i| synthetic(i % 100_000)).collect();
+        let mut state = 2006;
+        for i in (1..repeated.len()).rev() {
+            repeated.swap(i, (splitmix(&mut state) % (i as u64 + 1)) as usize);
+        }
+        let jobs = BatchJobs::new(&repeated);
+        assert_eq!(jobs.len(), 100_000);
+        assert!((0..jobs.len()).all(|job| jobs.members(job).len() == 10));
+        assert_grouping(&repeated, &jobs);
+    }
+
+    proptest::proptest! {
+        /// The linear grouping agrees with the quadratic definition:
+        /// owner = rank of the digest among first appearances, twin = an
+        /// earlier input with the same digest.
+        #[test]
+        fn batch_jobs_match_the_naive_definition(
+            raw in proptest::collection::vec(0u8..6, 0..48),
+        ) {
+            let digests: Vec<Digest> = raw.iter().map(|&b| Digest(b as u128)).collect();
+            let jobs = BatchJobs::new(&digests);
+            let mut firsts: Vec<Digest> = Vec::new();
+            for (i, d) in digests.iter().enumerate() {
+                let earlier = digests[..i].contains(d);
+                if !earlier {
+                    firsts.push(*d);
+                }
+                let owner = firsts.iter().position(|f| f == d).unwrap();
+                proptest::prop_assert_eq!(jobs.owner_of(i), owner);
+                proptest::prop_assert_eq!(jobs.is_first(i), !earlier);
+            }
+            proptest::prop_assert_eq!(jobs.len(), firsts.len());
+            for (job, first) in firsts.iter().enumerate() {
+                let naive: Vec<usize> = (0..digests.len()).filter(|&i| digests[i] == *first).collect();
+                proptest::prop_assert_eq!(jobs.members(job), naive.as_slice());
+            }
+        }
+    }
+
+    #[test]
+    fn shed_predicate_is_consulted_at_most_once_per_input() {
+        use std::sync::atomic::AtomicUsize;
+        let sched = Scheduler::new(2);
+        // Jobs: {0, 1} all shed, {2, 3} half shed, {4} never shed.
+        let batch = vec![bsp(3), bsp(3), bsp(5), bsp(5), bsp(7)];
+        let calls: Vec<AtomicUsize> = batch.iter().map(|_| AtomicUsize::new(0)).collect();
+        let out = sched.run_batch_where(&batch, |i| {
+            calls[i].fetch_add(1, Ordering::Relaxed);
+            i <= 2
+        });
+        for (i, c) in calls.iter().enumerate() {
+            assert!(c.load(Ordering::Relaxed) <= 1, "input {i} consulted {c:?} times");
+        }
+        assert_eq!(out[0], BatchOutcome::Shed);
+        assert_eq!(out[1], BatchOutcome::Shed);
+        let (BatchOutcome::Done(a), BatchOutcome::Done(b)) = (&out[2], &out[3]) else {
+            panic!("a job with one live twin runs: {out:?}");
+        };
+        assert_eq!((a.tier, b.tier), (CacheTier::Miss, CacheTier::InFlight));
+        assert_eq!(a.digest, batch[2].digest());
+        assert!(matches!(out[4], BatchOutcome::Done(_)));
+        let stats = sched.stats();
+        assert_eq!((stats.engine_runs, stats.shed, stats.deduped), (2, 2, 2), "{stats:?}");
+    }
+
+    #[test]
+    fn completed_carries_the_scenario_digest() {
+        let sched = Scheduler::new(1);
+        let batch = vec![bsp(2), bsp(4), bsp(2)];
+        for (scenario, done) in batch.iter().zip(sched.run_batch(&batch)) {
+            assert_eq!(done.unwrap().digest, scenario.digest());
+        }
+        assert_eq!(sched.run_one(&batch[1]).unwrap().digest, batch[1].digest());
     }
 
     #[test]

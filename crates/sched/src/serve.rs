@@ -31,8 +31,8 @@ use crate::json::{self, Value};
 use crate::scenario::Scenario;
 use crate::scheduler::{BatchOutcome, Scheduler};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -356,7 +356,7 @@ impl Server {
                     BatchOutcome::Done(completed) => format!(
                         "{{\"ok\":true,\"digest\":\"{}\",\"cache\":\"{}\",\
                          \"batch_ms\":{},\"result\":{}}}",
-                        scenarios[index].digest(),
+                        completed.digest,
                         completed.tier.key(),
                         json::num(batch_ms),
                         completed.result.to_json()
@@ -429,7 +429,8 @@ impl Server {
                     let mut stream = stream;
                     let _ =
                         writeln!(stream, "{}", overload_line("overloaded", self.retry_after_ms()));
-                    continue; // dropping the stream closes it
+                    close_without_reset(&stream);
+                    continue;
                 }
                 scope.spawn(move || {
                     if let Err(e) = self.handle_client(stream, &peer.ip().to_string()) {
@@ -445,13 +446,15 @@ impl Server {
         Ok(())
     }
 
-    fn handle_client(&self, stream: std::net::TcpStream, peer: &str) -> std::io::Result<()> {
+    fn handle_client(&self, stream: TcpStream, peer: &str) -> std::io::Result<()> {
         // The read timeout is the drain latency bound: a idle or
         // slow-loris connection notices shutdown within ~100ms.
         stream.set_read_timeout(Some(Duration::from_millis(100)))?;
         let reader = BufReader::new(stream.try_clone()?);
         let mut writer = stream;
-        self.serve_io(reader, &mut writer, peer)
+        let served = self.serve_io(reader, &mut writer, peer);
+        close_without_reset(&writer);
+        served
     }
 
     /// Global admission then per-peer quota; both are released in
@@ -581,6 +584,35 @@ fn error_line_compat(message: &str) -> String {
 /// A shed response carrying the back-off hint.
 fn overload_line(kind: &str, retry_after_ms: u64) -> String {
     format!("{{\"ok\":false,\"kind\":\"{kind}\",\"retry_after_ms\":{retry_after_ms}}}")
+}
+
+/// Most bytes [`close_without_reset`] discards before giving up.
+const CLOSE_DRAIN_LIMIT: usize = 1 << 20;
+
+/// Ends a client connection with a FIN, not a reset. Closing a socket
+/// whose receive queue still holds unread bytes makes the kernel send a
+/// RST, and the peer then reads `ECONNRESET` instead of EOF — losing any
+/// response lines it had not read yet. That happens whenever the server
+/// stops reading first: a shutdown seen before a connection's first
+/// read, a slow-loris partial line, a rejected excess client. So: send
+/// FIN, then discard whatever the client has already sent (nonblocking
+/// and bounded, so a flooding client cannot pin the thread) before the
+/// socket drops.
+fn close_without_reset(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    if stream.set_nonblocking(true).is_err() {
+        return;
+    }
+    let mut scratch = [0u8; 4096];
+    let mut drained = 0;
+    while drained < CLOSE_DRAIN_LIMIT {
+        match (&*stream).read(&mut scratch) {
+            Ok(0) => break,
+            Ok(n) => drained += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
 }
 
 /// Reads one `\n`-terminated line of at most `max` bytes. Longer lines
@@ -786,5 +818,23 @@ mod tests {
         let line = server.summary();
         assert!(line.starts_with("serve: connections 0, requests 2, responses 2"), "{line}");
         assert!(line.contains("overloaded 1"), "{line}");
+    }
+
+    #[test]
+    fn closing_with_unread_bytes_sends_fin_not_reset() {
+        // The server stops reading before the client's partial line is
+        // consumed (e.g. shutdown seen before the connection's first
+        // read): the client must still see a clean EOF, not ECONNRESET.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client.write_all(b"{\"system\":").unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        server_side.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut queued = [0u8; 16];
+        while server_side.peek(&mut queued).unwrap() < 10 {}
+        close_without_reset(&server_side);
+        drop(server_side);
+        let mut tail = Vec::new();
+        assert_eq!(client.read_to_end(&mut tail).unwrap(), 0, "{tail:?}");
     }
 }

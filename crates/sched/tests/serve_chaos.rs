@@ -8,11 +8,13 @@
 use corescope_sched::{Scenario, Scheduler, ServeConfig, Server, System, Workload};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Runs `body` on its own thread and panics if it does not finish within
-/// `secs` — the no-hang guarantee, enforced mechanically.
+/// `secs` — the no-hang guarantee, enforced mechanically. A body that
+/// panics re-raises its own panic here rather than reading as a hang.
 fn watchdog<T: Send + 'static>(secs: u64, body: impl FnOnce() -> T + Send + 'static) -> T {
     let (tx, rx) = std::sync::mpsc::channel();
     let worker = std::thread::spawn(move || {
@@ -23,7 +25,13 @@ fn watchdog<T: Send + 'static>(secs: u64, body: impl FnOnce() -> T + Send + 'sta
             let _ = worker.join();
             value
         }
-        Err(_) => panic!("watchdog: test body still running after {secs}s — service hung"),
+        Err(RecvTimeoutError::Disconnected) => match worker.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("the body either sends its value or panics"),
+        },
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("watchdog: test body still running after {secs}s — service hung")
+        }
     }
 }
 
