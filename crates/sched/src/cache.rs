@@ -1,5 +1,12 @@
 //! Content-addressed result cache: in-memory always, on-disk optionally.
 //!
+//! The memory tier is bounded: two generations of at most `GENERATION`
+//! entries each. A lookup that hits the older generation moves the entry
+//! to the newer one; when the newer one fills, the older one is dropped
+//! and the newer one takes its place. A long-running service therefore
+//! holds at most `2 × GENERATION` results, while anything read at least
+//! once per generation stays resident.
+//!
 //! Keys are scenario digests (see [`crate::scenario::Scenario::digest`]),
 //! which already fold in [`crate::ENGINE_TAG`]; the disk layout repeats
 //! the tag as a directory level (`<root>/<tag>/<digest>.json`) so stale
@@ -89,12 +96,60 @@ impl Drop for ComputeLock {
 /// outside any legitimate hold time.
 const DEFAULT_LOCK_TIMEOUT: Duration = Duration::from_secs(120);
 
+/// Entries the newer memory generation holds before it rotates. It sits
+/// above the largest working set that relies on memory hits: `replay`'s
+/// 5,000 distinct scenarios and the 1,417 hits of a warm `repro --quick`
+/// pass both fit in one generation, so none of them is ever evicted.
+const GENERATION: usize = 8192;
+
+/// The bounded memory tier: two generations, newest first.
+#[derive(Debug)]
+struct Generations {
+    current: HashMap<u128, ScenarioResult>,
+    previous: HashMap<u128, ScenarioResult>,
+    /// Size at which `current` rotates: [`GENERATION`], smaller in tests.
+    limit: usize,
+}
+
+impl Generations {
+    fn new(limit: usize) -> Self {
+        Self { current: HashMap::new(), previous: HashMap::new(), limit }
+    }
+
+    /// Looks `key` up; a hit in `previous` moves the entry to `current`.
+    /// Returns the result and how many entries a rotation evicted.
+    fn get(&mut self, key: u128) -> Option<(ScenarioResult, usize)> {
+        if let Some(hit) = self.current.get(&key) {
+            return Some((*hit, 0));
+        }
+        let hit = self.previous.remove(&key)?;
+        Some((hit, self.insert(key, hit)))
+    }
+
+    /// The one insert path. A key lives in at most one generation; when
+    /// `current` reaches the limit it becomes `previous` and the old
+    /// `previous` is dropped. Returns how many entries that dropped.
+    fn insert(&mut self, key: u128, result: ScenarioResult) -> usize {
+        self.previous.remove(&key);
+        self.current.insert(key, result);
+        if self.current.len() < self.limit {
+            return 0;
+        }
+        // Swap and clear rather than reallocate: both maps keep their
+        // capacity, so a steady-state service stops allocating here.
+        std::mem::swap(&mut self.current, &mut self.previous);
+        let evicted = self.current.len();
+        self.current.clear();
+        evicted
+    }
+}
+
 /// Where a cache lookup was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheTier {
     /// Not cached: the engine ran.
     Miss,
-    /// Served from the in-memory map.
+    /// Served from the in-memory tier.
     Memory,
     /// Served from `results/.cache` (and promoted to memory).
     Disk,
@@ -125,6 +180,7 @@ struct Counters {
     corrupt_entries: AtomicUsize,
     unwritable: AtomicUsize,
     lock_takeovers: AtomicUsize,
+    evicted: AtomicUsize,
 }
 
 /// A snapshot of cache activity.
@@ -146,13 +202,17 @@ pub struct CacheStats {
     pub unwritable: usize,
     /// Stale cross-process locks reclaimed from crashed owners.
     pub lock_takeovers: usize,
+    /// Results dropped from memory when the older generation rotated
+    /// out. A later lookup of one of them falls through to disk (or
+    /// reruns the engine on a memory-only cache).
+    pub evicted: usize,
 }
 
 /// The two-tier result cache. All methods take `&self`; the cache is
 /// shared across executor workers by reference.
 #[derive(Debug)]
 pub struct ResultCache {
-    memory: Mutex<HashMap<u128, ScenarioResult>>,
+    memory: Mutex<Generations>,
     disk_root: Option<PathBuf>,
     lock_timeout: Duration,
     counters: Counters,
@@ -162,7 +222,7 @@ impl ResultCache {
     /// An in-memory-only cache.
     pub fn in_memory() -> Self {
         Self {
-            memory: Mutex::new(HashMap::new()),
+            memory: Mutex::new(Generations::new(GENERATION)),
             disk_root: None,
             lock_timeout: DEFAULT_LOCK_TIMEOUT,
             counters: Counters::default(),
@@ -174,7 +234,7 @@ impl ResultCache {
     /// created lazily on first store.
     pub fn on_disk(root: impl Into<PathBuf>) -> Self {
         Self {
-            memory: Mutex::new(HashMap::new()),
+            memory: Mutex::new(Generations::new(GENERATION)),
             disk_root: Some(root.into()),
             lock_timeout: DEFAULT_LOCK_TIMEOUT,
             counters: Counters::default(),
@@ -221,22 +281,30 @@ impl ResultCache {
         self.tag_dir().map(|dir| dir.join(format!("{}.json", digest.hex())))
     }
 
+    /// Stores `result` in the memory tier, counting what a generation
+    /// rotation evicts. Every memory insert goes through here.
+    fn insert(&self, digest: Digest, result: ScenarioResult) {
+        if let Ok(mut memory) = self.memory.lock() {
+            let evicted = memory.insert(digest.0, result);
+            self.counters.evicted.fetch_add(evicted, Ordering::Relaxed);
+        }
+    }
+
     /// Looks a digest up, reporting which tier answered. A disk hit is
     /// promoted into memory.
     pub fn get(&self, digest: Digest) -> Option<(ScenarioResult, CacheTier)> {
-        if let Ok(map) = self.memory.lock() {
-            if let Some(hit) = map.get(&digest.0) {
+        if let Ok(mut memory) = self.memory.lock() {
+            if let Some((hit, evicted)) = memory.get(digest.0) {
+                self.counters.evicted.fetch_add(evicted, Ordering::Relaxed);
                 self.counters.hits_memory.fetch_add(1, Ordering::Relaxed);
-                return Some((*hit, CacheTier::Memory));
+                return Some((hit, CacheTier::Memory));
             }
         }
         if let Some(path) = self.entry_path(digest) {
             match read_entry(&path) {
                 Ok(Some(result)) => {
                     self.counters.hits_disk.fetch_add(1, Ordering::Relaxed);
-                    if let Ok(mut map) = self.memory.lock() {
-                        map.insert(digest.0, result);
-                    }
+                    self.insert(digest, result);
                     return Some((result, CacheTier::Disk));
                 }
                 Ok(None) => {}
@@ -255,9 +323,7 @@ impl ResultCache {
 
     /// Stores a fresh result in memory and (best-effort) on disk.
     pub fn put(&self, digest: Digest, result: &ScenarioResult) {
-        if let Ok(mut map) = self.memory.lock() {
-            map.insert(digest.0, *result);
-        }
+        self.insert(digest, *result);
         if let Some(path) = self.entry_path(digest) {
             if write_entry(&path, result).is_err() {
                 self.counters.disk_errors.fetch_add(1, Ordering::Relaxed);
@@ -306,9 +372,7 @@ impl ResultCache {
                     if let Ok(Some(result)) = read_entry(&path) {
                         // Published while we raced for the lock.
                         drop(ComputeLock { path: lock_path });
-                        if let Ok(mut map) = self.memory.lock() {
-                            map.insert(digest.0, result);
-                        }
+                        self.insert(digest, result);
                         self.counters.hits_disk.fetch_add(1, Ordering::Relaxed);
                         return ComputeClaim::Published(result);
                     }
@@ -318,9 +382,7 @@ impl ResultCache {
                     std::thread::sleep(poll);
                     match read_entry(&path) {
                         Ok(Some(result)) => {
-                            if let Ok(mut map) = self.memory.lock() {
-                                map.insert(digest.0, result);
-                            }
+                            self.insert(digest, result);
                             self.counters.hits_disk.fetch_add(1, Ordering::Relaxed);
                             return ComputeClaim::Published(result);
                         }
@@ -359,6 +421,7 @@ impl ResultCache {
             corrupt_entries: self.counters.corrupt_entries.load(Ordering::Relaxed),
             unwritable: self.counters.unwritable.load(Ordering::Relaxed),
             lock_takeovers: self.counters.lock_takeovers.load(Ordering::Relaxed),
+            evicted: self.counters.evicted.load(Ordering::Relaxed),
         }
     }
 }
@@ -708,6 +771,132 @@ mod tests {
         match cache.claim_compute(Digest(1)) {
             ComputeClaim::Owner(None) => {}
             other => panic!("memory-only cache has no disk lock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn memory_tier_is_bounded_and_counts_evictions() {
+        let cache = ResultCache::in_memory();
+        let n = 3 * GENERATION;
+        for key in 0..n {
+            cache.put(Digest(key as u128), &result(key as f64));
+        }
+        let memory = cache.memory.lock().unwrap();
+        let held = memory.current.len() + memory.previous.len();
+        assert!(held <= 2 * GENERATION, "{held} entries held");
+        assert_eq!(cache.stats().evicted, n - held);
+    }
+
+    #[test]
+    fn the_most_recent_generation_of_entries_are_memory_hits() {
+        // Offsets put the newest GENERATION keys on both sides of a
+        // rotation, and exactly on one.
+        for extra in [0, 1, GENERATION / 2, GENERATION - 1] {
+            let cache = ResultCache::in_memory();
+            let n = 2 * GENERATION + extra;
+            for key in 0..n {
+                cache.put(Digest(key as u128), &result(key as f64));
+            }
+            for key in n - GENERATION..n {
+                let (hit, tier) = cache.get(Digest(key as u128)).unwrap();
+                assert_eq!((hit, tier), (result(key as f64), CacheTier::Memory), "key {key}");
+            }
+            assert_eq!(cache.stats().misses, 0, "extra {extra}");
+        }
+    }
+
+    #[test]
+    fn an_entry_read_once_per_generation_survives_every_rotation() {
+        let cache = ResultCache::in_memory();
+        let hot = Digest(u128::MAX);
+        cache.put(hot, &result(0.5));
+        let mut fresh = 0u128;
+        for round in 0..10 {
+            for _ in 0..GENERATION {
+                cache.put(Digest(fresh), &result(1.0));
+                fresh += 1;
+            }
+            assert_eq!(cache.get(hot).unwrap(), (result(0.5), CacheTier::Memory), "round {round}");
+        }
+        assert!(cache.stats().evicted > 0, "the rounds must actually rotate");
+    }
+
+    #[test]
+    fn an_evicted_disk_entry_is_a_disk_hit_then_a_memory_hit() {
+        let root = tmpdir("evicted");
+        let cache = ResultCache::on_disk(&root);
+        let d = Digest(u128::MAX);
+        cache.put(d, &result(6.0));
+        assert_eq!(cache.get(d).unwrap().1, CacheTier::Memory);
+        // Rotate `d` out of both generations through the memory-only
+        // insert path, so the filler writes no entry files.
+        for key in 0..2 * GENERATION {
+            cache.insert(Digest(key as u128), result(1.0));
+        }
+        assert!(cache.stats().evicted > 0);
+        assert_eq!(cache.get(d).unwrap(), (result(6.0), CacheTier::Disk));
+        assert_eq!(cache.get(d).unwrap(), (result(6.0), CacheTier::Memory));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The naive model of the memory tier: two association lists.
+    struct Model {
+        current: Vec<(u128, ScenarioResult)>,
+        previous: Vec<(u128, ScenarioResult)>,
+        limit: usize,
+        evicted: usize,
+    }
+
+    impl Model {
+        fn insert(&mut self, key: u128, value: ScenarioResult) {
+            self.previous.retain(|&(k, _)| k != key);
+            self.current.retain(|&(k, _)| k != key);
+            self.current.push((key, value));
+            if self.current.len() == self.limit {
+                self.evicted += self.previous.len();
+                self.previous = std::mem::take(&mut self.current);
+            }
+        }
+
+        fn get(&mut self, key: u128) -> Option<ScenarioResult> {
+            if let Some(&(_, hit)) = self.current.iter().find(|&&(k, _)| k == key) {
+                return Some(hit);
+            }
+            let &(_, hit) = self.previous.iter().find(|&&(k, _)| k == key)?;
+            self.insert(key, hit);
+            Some(hit)
+        }
+    }
+
+    proptest::proptest! {
+        /// The two generations agree with the naive model over random
+        /// get/put sequences on a tiny limit, so rotations happen often.
+        #[test]
+        fn generations_match_a_naive_two_map_model(
+            limit in 1usize..5,
+            ops in proptest::collection::vec((0u8..2, 0u8..12), 0..200),
+        ) {
+            let mut tier = Generations::new(limit);
+            let mut model =
+                Model { current: Vec::new(), previous: Vec::new(), limit, evicted: 0 };
+            let mut evicted = 0;
+            for (step, (op, key)) in ops.into_iter().enumerate() {
+                let key = u128::from(key);
+                if op == 0 {
+                    let got = tier.get(key).map(|(hit, dropped)| {
+                        evicted += dropped;
+                        hit
+                    });
+                    proptest::prop_assert_eq!(got, model.get(key));
+                } else {
+                    let value = result(step as f64);
+                    evicted += tier.insert(key, value);
+                    model.insert(key, value);
+                }
+                proptest::prop_assert_eq!(tier.current.len(), model.current.len());
+                proptest::prop_assert_eq!(tier.previous.len(), model.previous.len());
+                proptest::prop_assert_eq!(evicted, model.evicted);
+            }
         }
     }
 

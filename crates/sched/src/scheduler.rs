@@ -394,7 +394,7 @@ impl Scheduler {
         let mut line = format!(
             "sched: scenarios {}, engine runs {}, cache hits {} (memory {}, disk {}), \
              deduped {}, in-flight waits {}, errors {}, shed {}, disk errors {}, \
-             corrupt entries {}",
+             corrupt entries {}, evicted {}",
             s.scenarios,
             s.engine_runs,
             s.hits_memory + s.hits_disk,
@@ -406,6 +406,7 @@ impl Scheduler {
             s.shed,
             s.disk_errors,
             s.corrupt_entries,
+            self.cache.stats().evicted,
         );
         if self.store.is_some() {
             line.push_str(&format!(", store errors {}", s.store_errors));
@@ -773,5 +774,6 @@ mod tests {
         let line = sched.summary();
         assert!(line.contains("engine runs 1"), "{line}");
         assert!(line.starts_with("sched: scenarios 1"), "{line}");
+        assert!(line.ends_with("evicted 0"), "{line}");
     }
 }

@@ -267,7 +267,9 @@ impl Server {
 
     /// Runs one gathered chunk through parse → admission → quota →
     /// deadline → dispatch and writes one response line per item, in
-    /// input order.
+    /// input order. The whole chunk's replies go out in one `write_all`:
+    /// per-line writes on a socket send small segments that Nagle and
+    /// the client's delayed ACK hold back for tens of milliseconds.
     fn process_chunk(
         &self,
         chunk: &[(Item, Instant)],
@@ -349,6 +351,7 @@ impl Server {
         });
         let batch_ms = started.elapsed().as_secs_f64() * 1e3;
 
+        let mut reply = String::new();
         for slot in slots {
             let line = match slot {
                 Slot::Ready(line) => line,
@@ -385,15 +388,20 @@ impl Server {
                     }
                 }
             };
-            writeln!(out, "{line}")?;
-            self.counters.responses.fetch_add(1, Ordering::Relaxed);
+            reply.push_str(&line);
+            reply.push('\n');
         }
-        out.flush()?;
+        let written = out.write_all(reply.as_bytes()).and_then(|()| out.flush());
+        if written.is_ok() {
+            self.counters.responses.fetch_add(chunk.len(), Ordering::Relaxed);
+        }
+        // Release even when the client is gone: its permits must not
+        // count against the admission gates forever.
         self.release(peer, admitted);
         if admitted > 0 {
             self.note_service_time(started.elapsed(), admitted);
         }
-        Ok(())
+        written
     }
 
     /// Accepts TCP clients until shutdown, one thread per connection, and
@@ -426,9 +434,8 @@ impl Server {
                 if self.clients.fetch_add(1, Ordering::Relaxed) >= self.config.max_clients {
                     self.clients.fetch_sub(1, Ordering::Relaxed);
                     self.counters.rejected_clients.fetch_add(1, Ordering::Relaxed);
-                    let mut stream = stream;
-                    let _ =
-                        writeln!(stream, "{}", overload_line("overloaded", self.retry_after_ms()));
+                    let line = overload_line("overloaded", self.retry_after_ms()) + "\n";
+                    let _ = (&stream).write_all(line.as_bytes());
                     close_without_reset(&stream);
                     continue;
                 }
@@ -447,9 +454,13 @@ impl Server {
     }
 
     fn handle_client(&self, stream: TcpStream, peer: &str) -> std::io::Result<()> {
-        // The read timeout is the drain latency bound: a idle or
+        // The read timeout is the drain latency bound: an idle or
         // slow-loris connection notices shutdown within ~100ms.
         stream.set_read_timeout(Some(Duration::from_millis(100)))?;
+        // Each chunk's replies leave in one write, so Nagle has nothing
+        // to coalesce; left on, it would hold a chunk's trailing segment
+        // until the client's delayed ACK of the one before it.
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         let mut writer = stream;
         let served = self.serve_io(reader, &mut writer, peer);
@@ -704,6 +715,67 @@ mod tests {
         assert!(lines[1].contains("\"kind\":\"bad-request\""));
         assert!(lines[2].starts_with("{\"ok\":true,\"digest\":"));
         assert_eq!(server.stats().responses, 3);
+    }
+
+    /// A writer that records every `write` call separately.
+    #[derive(Default)]
+    struct WriteLog {
+        writes: Vec<Vec<u8>>,
+        fail: bool,
+    }
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.fail {
+                return Err(ErrorKind::BrokenPipe.into());
+            }
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_chunk_is_answered_with_one_write_in_input_order() {
+        let server = server(ServeConfig { max_line_bytes: 256, ..ServeConfig::default() });
+        let flood = "x".repeat(1000);
+        let input = format!("{BSP}\nnot json\n{flood}\n{{\"artifact\":\"t1\"}}\n");
+        let mut out = WriteLog::default();
+        server.serve_io(Cursor::new(input.into_bytes()), &mut out, "test").unwrap();
+        assert_eq!(out.writes.len(), 1, "one write per chunk");
+        let text = String::from_utf8(out.writes.remove(0)).unwrap();
+        let lines: Vec<&str> = text.split_terminator('\n').collect();
+        assert_eq!(lines.len(), 4, "{text}");
+        // The scenario reply is exact up to its batch wall time.
+        let scenario = Scenario::from_json(&json::parse(BSP).unwrap()).unwrap();
+        let head = format!(
+            "{{\"ok\":true,\"digest\":\"{}\",\"cache\":\"miss\",\"batch_ms\":",
+            scenario.digest()
+        );
+        let tail = format!(",\"result\":{}}}", scenario.run().unwrap().to_json());
+        assert!(lines[0].starts_with(&head) && lines[0].ends_with(&tail), "{}", lines[0]);
+        let parse_error = json::parse_bytes(b"not json").unwrap_err();
+        assert_eq!(lines[1], error_line("bad-request", &parse_error));
+        assert_eq!(lines[2], error_line("too-large", "request line exceeds 256 bytes"));
+        assert_eq!(
+            lines[3],
+            error_line("bad-request", "artifact requests are not supported by this server")
+        );
+        assert_eq!(server.stats().responses, 4);
+    }
+
+    #[test]
+    fn a_failed_reply_write_still_releases_its_permits() {
+        let server = server(ServeConfig::default());
+        let mut out = WriteLog { fail: true, ..WriteLog::default() };
+        let input = format!("{BSP}\n{BSP}\n");
+        assert!(server.serve_io(Cursor::new(input.into_bytes()), &mut out, "gone").is_err());
+        assert_eq!(server.inflight.load(Ordering::Relaxed), 0);
+        assert!(server.peers.lock().unwrap().is_empty());
+        assert_eq!(server.stats().responses, 0);
     }
 
     #[test]
