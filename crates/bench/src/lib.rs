@@ -1,8 +1,7 @@
 //! # corescope-bench
 //!
-//! Criterion benches (one group per artifact family) and the `repro`
-//! binary that regenerates every table and figure of the paper. See
-//! `benches/` and `src/bin/repro.rs`.
+//! The `repro` binary that regenerates every table and figure of the
+//! paper (`src/bin/repro.rs`), plus the service and benchmark binaries.
 //!
 //! Also home to [`validate_chrome_trace`], a serde-free sanity check for
 //! the Chrome-trace JSON that `repro --trace` emits — CI runs it on the

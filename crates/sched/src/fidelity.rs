@@ -1,5 +1,5 @@
 //! Fidelity levels: full paper-scale runs vs. reduced sweeps for quick
-//! checks and Criterion benches.
+//! checks and benchmarks.
 //!
 //! Lives in `corescope-sched` (re-exported by `corescope-harness`)
 //! because fidelity is part of a [`crate::Scenario`]'s identity: a quick

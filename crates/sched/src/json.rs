@@ -42,13 +42,15 @@ impl Value {
     }
 
     /// The number as a non-negative integer, if it is one exactly.
+    ///
+    /// Numbers parse to `f64`, which holds every integer below 2^53
+    /// exactly. From 2^53 on, a parsed value may be a neighbour of the
+    /// integer that was sent (`9007199254740993` reads as `…992`), so
+    /// those are rejected rather than silently rounded.
     pub fn as_usize(&self) -> Option<usize> {
+        const EXACT_BELOW: f64 = 9_007_199_254_740_992.0; // 2^53
         let n = self.as_f64()?;
-        if n.fract() == 0.0 && (0.0..=(u64::MAX as f64)).contains(&n) {
-            Some(n as usize)
-        } else {
-            None
-        }
+        (n.fract() == 0.0 && (0.0..EXACT_BELOW).contains(&n)).then_some(n as usize)
     }
 
     /// The string, if this is one.
@@ -384,5 +386,10 @@ mod tests {
         assert_eq!(Value::Num(4.5).as_usize(), None);
         assert_eq!(Value::Num(-1.0).as_usize(), None);
         assert_eq!(Value::Str("4".into()).as_usize(), None);
+        let below = parse("9007199254740991").unwrap();
+        assert_eq!(below.as_usize(), Some(9_007_199_254_740_991));
+        for text in ["9007199254740992", "9007199254740993", "18446744073709551616"] {
+            assert_eq!(parse(text).unwrap().as_usize(), None, "{text}");
+        }
     }
 }

@@ -40,6 +40,7 @@ use corescope_machine::{
 use corescope_smpi::{CommWorld, LockLayer, MpiImpl};
 use corescope_topo::Generation;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// The evaluation machines: the paper's Table 1 systems plus the
 /// modern `corescope-topo` generations.
@@ -234,56 +235,170 @@ fn lock_parse(s: &str) -> Option<LockLayer> {
     [LockLayer::SysV, LockLayer::USysV].into_iter().find(|l| l.key() == s)
 }
 
-fn stream_kernel_key(kernel: StreamKernel) -> &'static str {
-    match kernel {
-        StreamKernel::Copy => "copy",
-        StreamKernel::Scale => "scale",
-        StreamKernel::Add => "add",
-        StreamKernel::Triad => "triad",
+/// One leaf field of a codec table: how a value is folded into the
+/// digest stream, rendered as a JSON value, and parsed back.
+trait Leaf: Sized {
+    /// What a parse error says the field must hold.
+    const EXPECTED: &'static str;
+    fn encode(self, name: &str, enc: &mut Encoder);
+    fn render(self, out: &mut String);
+    fn parse(v: &Value) -> Option<Self>;
+}
+
+impl Leaf for usize {
+    const EXPECTED: &'static str = "an integer below 2^53";
+    fn encode(self, name: &str, enc: &mut Encoder) {
+        enc.usize(name, self);
+    }
+    fn render(self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn parse(v: &Value) -> Option<Self> {
+        v.as_usize()
     }
 }
 
-fn stream_kernel_parse(s: &str) -> Option<StreamKernel> {
-    [StreamKernel::Copy, StreamKernel::Scale, StreamKernel::Add, StreamKernel::Triad]
-        .into_iter()
-        .find(|&k| stream_kernel_key(k) == s)
-}
-
-fn blas_key(variant: BlasVariant) -> &'static str {
-    match variant {
-        BlasVariant::Acml => "acml",
-        BlasVariant::Vanilla => "vanilla",
+impl Leaf for u64 {
+    const EXPECTED: &'static str = usize::EXPECTED;
+    fn encode(self, name: &str, enc: &mut Encoder) {
+        enc.u64(name, self);
+    }
+    fn render(self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn parse(v: &Value) -> Option<Self> {
+        v.as_usize().map(|n| n as u64)
     }
 }
 
-fn blas_parse(s: &str) -> Option<BlasVariant> {
-    [BlasVariant::Acml, BlasVariant::Vanilla].into_iter().find(|&v| blas_key(v) == s)
-}
-
-fn cg_class_key(class: CgClass) -> &'static str {
-    match class {
-        CgClass::S => "s",
-        CgClass::A => "a",
-        CgClass::B => "b",
-        CgClass::C => "c",
+impl Leaf for f64 {
+    const EXPECTED: &'static str = "a number";
+    fn encode(self, name: &str, enc: &mut Encoder) {
+        enc.f64(name, self);
+    }
+    fn render(self, out: &mut String) {
+        out.push_str(&json::num(self));
+    }
+    fn parse(v: &Value) -> Option<Self> {
+        v.as_f64()
     }
 }
 
-fn cg_class_parse(s: &str) -> Option<CgClass> {
-    [CgClass::S, CgClass::A, CgClass::B, CgClass::C].into_iter().find(|&c| cg_class_key(c) == s)
+/// Machine ids travel as their plain index.
+macro_rules! id_leaves {
+    ($($id:ident),+) => {$(
+        impl Leaf for $id {
+            const EXPECTED: &'static str = usize::EXPECTED;
+            fn encode(self, name: &str, enc: &mut Encoder) {
+                self.index().encode(name, enc);
+            }
+            fn render(self, out: &mut String) {
+                self.index().render(out);
+            }
+            fn parse(v: &Value) -> Option<Self> {
+                usize::parse(v).map($id::new)
+            }
+        }
+    )+};
 }
 
-fn ft_class_key(class: FtClass) -> &'static str {
-    match class {
-        FtClass::S => "s",
-        FtClass::A => "a",
-        FtClass::B => "b",
-        FtClass::C => "c",
-    }
+id_leaves!(LinkId, SocketId, RankId);
+
+/// Field-level enums travel as a stable lowercase key: a digest tag and
+/// a JSON string.
+macro_rules! keyed_leaves {
+    ($($ty:ident { $($variant:ident = $key:literal),+ $(,)? })+) => {$(
+        impl Leaf for $ty {
+            const EXPECTED: &'static str = concat!("one of" $(, " \"", $key, "\"")+);
+            fn encode(self, name: &str, enc: &mut Encoder) {
+                enc.tag(name, match self { $($ty::$variant => $key),+ });
+            }
+            fn render(self, out: &mut String) {
+                let key = match self { $($ty::$variant => $key),+ };
+                let _ = write!(out, "\"{key}\"");
+            }
+            fn parse(v: &Value) -> Option<Self> {
+                match v.as_str()? {
+                    $($key => Some($ty::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+    )+};
 }
 
-fn ft_class_parse(s: &str) -> Option<FtClass> {
-    [FtClass::S, FtClass::A, FtClass::B, FtClass::C].into_iter().find(|&c| ft_class_key(c) == s)
+keyed_leaves! {
+    StreamKernel { Copy = "copy", Scale = "scale", Add = "add", Triad = "triad" }
+    BlasVariant { Acml = "acml", Vanilla = "vanilla" }
+    CgClass { S = "s", A = "a", B = "b", C = "c" }
+    FtClass { S = "s", A = "a", B = "b", C = "c" }
+}
+
+/// Reads field `name` of a `what` of kind `kind`; the error names all
+/// three.
+fn field<T: Leaf>(v: &Value, what: &str, kind: &str, name: &str) -> std::result::Result<T, String> {
+    v.get(name)
+        .and_then(T::parse)
+        .ok_or_else(|| format!("{what} '{kind}' needs \"{name}\": {}", T::EXPECTED))
+}
+
+/// A scenario enum whose variants are listed in a [`codec_table!`].
+trait KindCodec: Sized {
+    /// Stable lowercase kind key (JSON and encoding).
+    fn kind(&self) -> &'static str;
+    /// Folds every field into the digest stream, in table order.
+    fn encode_fields(&self, enc: &mut Encoder);
+    /// Appends `,"field":value` for every field, in table order.
+    fn render_fields(&self, out: &mut String);
+    /// Parses a JSON object holding a `"kind"` key and that kind's
+    /// fields.
+    fn parse(v: &Value) -> std::result::Result<Self, String>;
+}
+
+/// Generates [`KindCodec`] for an enum from one line per variant:
+/// `Variant = "kind-key" { field, field, … }`. The field list is the
+/// digest order and the JSON key order, and each field's name is both
+/// its digest name and its JSON key. Every pattern lists every field
+/// with no `..`, so a line that misses a field does not compile.
+macro_rules! codec_table {
+    ($ty:ident as $what:literal {
+        $($variant:ident = $key:literal { $($field:ident),* })+
+    }) => {
+        impl KindCodec for $ty {
+            fn kind(&self) -> &'static str {
+                match self {
+                    $($ty::$variant { $($field: _),* } => $key,)+
+                }
+            }
+
+            fn encode_fields(&self, enc: &mut Encoder) {
+                match *self {
+                    $($ty::$variant { $($field),* } => {
+                        $($field.encode(stringify!($field), enc);)*
+                    })+
+                }
+            }
+
+            fn render_fields(&self, out: &mut String) {
+                match *self {
+                    $($ty::$variant { $($field),* } => {$(
+                        out.push_str(concat!(",\"", stringify!($field), "\":"));
+                        $field.render(out);
+                    )*})+
+                }
+            }
+
+            fn parse(v: &Value) -> std::result::Result<Self, String> {
+                let kind = v.get("kind").and_then(Value::as_str);
+                match kind.ok_or(concat!($what, " needs a \"kind\""))? {
+                    $($key => Ok($ty::$variant {
+                        $($field: field(v, $what, $key, stringify!($field))?),*
+                    }),)+
+                    other => Err(format!(concat!("unknown ", $what, " kind '{}'"), other)),
+                }
+            }
+        }
+    };
 }
 
 /// The workload appended to the world — every parameter fully resolved
@@ -450,30 +565,45 @@ pub enum Workload {
     },
 }
 
+codec_table!(Workload as "workload" {
+    Bsp = "bsp" { steps, flops_per_step, bytes_per_step, sync_bytes }
+    StreamSingle = "stream-single" { kernel, elements_per_rank, sweeps }
+    StreamStar = "stream-star" { kernel, elements_per_rank, sweeps }
+    Hpl = "hpl" { n, nb, dgemm_efficiency }
+    DgemmSingle = "dgemm-single" { n, reps, variant }
+    DgemmStar = "dgemm-star" { n, reps, variant }
+    FftSingle = "fft-single" { points_per_rank, reps }
+    FftStar = "fft-star" { points_per_rank, reps }
+    RandomAccessSingle = "randomaccess-single" { table_words_per_rank, updates_per_rank }
+    RandomAccessStar = "randomaccess-star" { table_words_per_rank, updates_per_rank }
+    RandomAccessMpi = "randomaccess-mpi" { table_words_per_rank, updates_per_rank }
+    Ptrans = "ptrans" { n, reps, block_bytes }
+    PingPong = "pingpong" { bytes, reps }
+    NasCg = "nas-cg" { class }
+    NasFt = "nas-ft" { class }
+    DaxpySingle = "daxpy-single" { n, reps, variant }
+    DaxpyStar = "daxpy-star" { n, reps, variant }
+    XsLookupSingle = "xslookup-single" { grid_points, nuclides, lookups_per_rank }
+    XsLookupStar = "xslookup-star" { grid_points, nuclides, lookups_per_rank }
+});
+
+codec_table!(FaultKind as "fault" {
+    LinkDegrade = "link-degrade" { link, factor }
+    LinkRestore = "link-restore" { link }
+    ControllerThrottle = "controller-throttle" { socket, factor }
+    ControllerRestore = "controller-restore" { socket }
+    ProbeBrownout = "probe-brownout" { factor }
+    ProbeRestore = "probe-restore" {}
+    RankStall = "rank-stall" { rank }
+    RankResume = "rank-resume" { rank }
+    RankKill = "rank-kill" { rank }
+    LinkFail = "link-fail" { link }
+});
+
 impl Workload {
     /// Stable lowercase kind key (JSON and encoding).
     pub fn kind(&self) -> &'static str {
-        match self {
-            Workload::Bsp { .. } => "bsp",
-            Workload::StreamSingle { .. } => "stream-single",
-            Workload::StreamStar { .. } => "stream-star",
-            Workload::Hpl { .. } => "hpl",
-            Workload::DgemmSingle { .. } => "dgemm-single",
-            Workload::DgemmStar { .. } => "dgemm-star",
-            Workload::FftSingle { .. } => "fft-single",
-            Workload::FftStar { .. } => "fft-star",
-            Workload::RandomAccessSingle { .. } => "randomaccess-single",
-            Workload::RandomAccessStar { .. } => "randomaccess-star",
-            Workload::RandomAccessMpi { .. } => "randomaccess-mpi",
-            Workload::Ptrans { .. } => "ptrans",
-            Workload::PingPong { .. } => "pingpong",
-            Workload::NasCg { .. } => "nas-cg",
-            Workload::NasFt { .. } => "nas-ft",
-            Workload::DaxpySingle { .. } => "daxpy-single",
-            Workload::DaxpyStar { .. } => "daxpy-star",
-            Workload::XsLookupSingle { .. } => "xslookup-single",
-            Workload::XsLookupStar { .. } => "xslookup-star",
-        }
+        KindCodec::kind(self)
     }
 
     /// The smallest world this workload makes sense in.
@@ -569,334 +699,6 @@ impl Workload {
         }
         Ok(())
     }
-
-    fn encode(&self, enc: &mut Encoder) {
-        enc.tag("workload", self.kind());
-        match *self {
-            Workload::Bsp { steps, flops_per_step, bytes_per_step, sync_bytes } => {
-                enc.usize("steps", steps)
-                    .f64("flops_per_step", flops_per_step)
-                    .f64("bytes_per_step", bytes_per_step)
-                    .f64("sync_bytes", sync_bytes);
-            }
-            Workload::StreamSingle { kernel, elements_per_rank, sweeps }
-            | Workload::StreamStar { kernel, elements_per_rank, sweeps } => {
-                enc.tag("kernel", stream_kernel_key(kernel))
-                    .usize("elements_per_rank", elements_per_rank)
-                    .usize("sweeps", sweeps);
-            }
-            Workload::Hpl { n, nb, dgemm_efficiency } => {
-                enc.usize("n", n).usize("nb", nb).f64("dgemm_efficiency", dgemm_efficiency);
-            }
-            Workload::DgemmSingle { n, reps, variant }
-            | Workload::DgemmStar { n, reps, variant } => {
-                enc.usize("n", n).usize("reps", reps).tag("variant", blas_key(variant));
-            }
-            Workload::FftSingle { points_per_rank, reps }
-            | Workload::FftStar { points_per_rank, reps } => {
-                enc.usize("points_per_rank", points_per_rank).usize("reps", reps);
-            }
-            Workload::RandomAccessSingle { table_words_per_rank, updates_per_rank }
-            | Workload::RandomAccessStar { table_words_per_rank, updates_per_rank }
-            | Workload::RandomAccessMpi { table_words_per_rank, updates_per_rank } => {
-                enc.u64("table_words_per_rank", table_words_per_rank)
-                    .u64("updates_per_rank", updates_per_rank);
-            }
-            Workload::Ptrans { n, reps, block_bytes } => {
-                enc.usize("n", n).usize("reps", reps).f64("block_bytes", block_bytes);
-            }
-            Workload::PingPong { bytes, reps } => {
-                enc.f64("bytes", bytes).usize("reps", reps);
-            }
-            Workload::NasCg { class } => {
-                enc.tag("class", cg_class_key(class));
-            }
-            Workload::NasFt { class } => {
-                enc.tag("class", ft_class_key(class));
-            }
-            Workload::DaxpySingle { n, reps, variant }
-            | Workload::DaxpyStar { n, reps, variant } => {
-                enc.usize("n", n).usize("reps", reps).tag("variant", blas_key(variant));
-            }
-            Workload::XsLookupSingle { grid_points, nuclides, lookups_per_rank }
-            | Workload::XsLookupStar { grid_points, nuclides, lookups_per_rank } => {
-                enc.u64("grid_points", grid_points)
-                    .u64("nuclides", nuclides)
-                    .u64("lookups_per_rank", lookups_per_rank);
-            }
-        }
-    }
-
-    fn to_json(&self) -> String {
-        let kind = self.kind();
-        match *self {
-            Workload::Bsp { steps, flops_per_step, bytes_per_step, sync_bytes } => format!(
-                "{{\"kind\":\"{kind}\",\"steps\":{steps},\"flops_per_step\":{},\
-                 \"bytes_per_step\":{},\"sync_bytes\":{}}}",
-                json::num(flops_per_step),
-                json::num(bytes_per_step),
-                json::num(sync_bytes),
-            ),
-            Workload::StreamSingle { kernel, elements_per_rank, sweeps }
-            | Workload::StreamStar { kernel, elements_per_rank, sweeps } => format!(
-                "{{\"kind\":\"{kind}\",\"kernel\":\"{}\",\"elements_per_rank\":{elements_per_rank},\
-                 \"sweeps\":{sweeps}}}",
-                stream_kernel_key(kernel),
-            ),
-            Workload::Hpl { n, nb, dgemm_efficiency } => format!(
-                "{{\"kind\":\"{kind}\",\"n\":{n},\"nb\":{nb},\"dgemm_efficiency\":{}}}",
-                json::num(dgemm_efficiency),
-            ),
-            Workload::DgemmSingle { n, reps, variant }
-            | Workload::DgemmStar { n, reps, variant } => {
-                format!(
-                    "{{\"kind\":\"{kind}\",\"n\":{n},\"reps\":{reps},\"variant\":\"{}\"}}",
-                    blas_key(variant),
-                )
-            }
-            Workload::FftSingle { points_per_rank, reps }
-            | Workload::FftStar { points_per_rank, reps } => format!(
-                "{{\"kind\":\"{kind}\",\"points_per_rank\":{points_per_rank},\"reps\":{reps}}}"
-            ),
-            Workload::RandomAccessSingle { table_words_per_rank, updates_per_rank }
-            | Workload::RandomAccessStar { table_words_per_rank, updates_per_rank }
-            | Workload::RandomAccessMpi { table_words_per_rank, updates_per_rank } => format!(
-                "{{\"kind\":\"{kind}\",\"table_words_per_rank\":{table_words_per_rank},\
-                 \"updates_per_rank\":{updates_per_rank}}}"
-            ),
-            Workload::Ptrans { n, reps, block_bytes } => format!(
-                "{{\"kind\":\"{kind}\",\"n\":{n},\"reps\":{reps},\"block_bytes\":{}}}",
-                json::num(block_bytes),
-            ),
-            Workload::PingPong { bytes, reps } => {
-                format!("{{\"kind\":\"{kind}\",\"bytes\":{},\"reps\":{reps}}}", json::num(bytes))
-            }
-            Workload::NasCg { class } => {
-                format!("{{\"kind\":\"{kind}\",\"class\":\"{}\"}}", cg_class_key(class))
-            }
-            Workload::NasFt { class } => {
-                format!("{{\"kind\":\"{kind}\",\"class\":\"{}\"}}", ft_class_key(class))
-            }
-            Workload::DaxpySingle { n, reps, variant }
-            | Workload::DaxpyStar { n, reps, variant } => {
-                format!(
-                    "{{\"kind\":\"{kind}\",\"n\":{n},\"reps\":{reps},\"variant\":\"{}\"}}",
-                    blas_key(variant),
-                )
-            }
-            Workload::XsLookupSingle { grid_points, nuclides, lookups_per_rank }
-            | Workload::XsLookupStar { grid_points, nuclides, lookups_per_rank } => format!(
-                "{{\"kind\":\"{kind}\",\"grid_points\":{grid_points},\"nuclides\":{nuclides},\
-                 \"lookups_per_rank\":{lookups_per_rank}}}"
-            ),
-        }
-    }
-
-    fn from_json(v: &Value) -> std::result::Result<Workload, String> {
-        let kind = v.get("kind").and_then(Value::as_str).ok_or("workload needs a \"kind\"")?;
-        let f = |key: &str| {
-            v.get(key).and_then(Value::as_f64).ok_or(format!("workload needs number \"{key}\""))
-        };
-        let u = |key: &str| {
-            v.get(key).and_then(Value::as_usize).ok_or(format!("workload needs integer \"{key}\""))
-        };
-        Ok(match kind {
-            "bsp" => Workload::Bsp {
-                steps: u("steps")?,
-                flops_per_step: f("flops_per_step")?,
-                bytes_per_step: f("bytes_per_step")?,
-                sync_bytes: f("sync_bytes")?,
-            },
-            "stream-single" | "stream-star" => {
-                let kernel = v
-                    .get("kernel")
-                    .and_then(Value::as_str)
-                    .and_then(stream_kernel_parse)
-                    .ok_or("bad stream \"kernel\"")?;
-                let elements_per_rank = u("elements_per_rank")?;
-                let sweeps = u("sweeps")?;
-                if kind == "stream-single" {
-                    Workload::StreamSingle { kernel, elements_per_rank, sweeps }
-                } else {
-                    Workload::StreamStar { kernel, elements_per_rank, sweeps }
-                }
-            }
-            "hpl" => {
-                Workload::Hpl { n: u("n")?, nb: u("nb")?, dgemm_efficiency: f("dgemm_efficiency")? }
-            }
-            "dgemm-single" | "dgemm-star" => {
-                let variant = v
-                    .get("variant")
-                    .and_then(Value::as_str)
-                    .and_then(blas_parse)
-                    .ok_or("bad dgemm \"variant\"")?;
-                let (n, reps) = (u("n")?, u("reps")?);
-                if kind == "dgemm-single" {
-                    Workload::DgemmSingle { n, reps, variant }
-                } else {
-                    Workload::DgemmStar { n, reps, variant }
-                }
-            }
-            "fft-single" => {
-                Workload::FftSingle { points_per_rank: u("points_per_rank")?, reps: u("reps")? }
-            }
-            "fft-star" => {
-                Workload::FftStar { points_per_rank: u("points_per_rank")?, reps: u("reps")? }
-            }
-            "randomaccess-single" | "randomaccess-star" | "randomaccess-mpi" => {
-                let table_words_per_rank = u("table_words_per_rank")? as u64;
-                let updates_per_rank = u("updates_per_rank")? as u64;
-                match kind {
-                    "randomaccess-single" => {
-                        Workload::RandomAccessSingle { table_words_per_rank, updates_per_rank }
-                    }
-                    "randomaccess-star" => {
-                        Workload::RandomAccessStar { table_words_per_rank, updates_per_rank }
-                    }
-                    _ => Workload::RandomAccessMpi { table_words_per_rank, updates_per_rank },
-                }
-            }
-            "ptrans" => {
-                Workload::Ptrans { n: u("n")?, reps: u("reps")?, block_bytes: f("block_bytes")? }
-            }
-            "pingpong" => Workload::PingPong { bytes: f("bytes")?, reps: u("reps")? },
-            "nas-cg" => Workload::NasCg {
-                class: v
-                    .get("class")
-                    .and_then(Value::as_str)
-                    .and_then(cg_class_parse)
-                    .ok_or("bad nas-cg \"class\" (s|a|b|c)")?,
-            },
-            "nas-ft" => Workload::NasFt {
-                class: v
-                    .get("class")
-                    .and_then(Value::as_str)
-                    .and_then(ft_class_parse)
-                    .ok_or("bad nas-ft \"class\" (s|a|b|c)")?,
-            },
-            "xslookup-single" | "xslookup-star" => {
-                let grid_points = u("grid_points")? as u64;
-                let nuclides = u("nuclides")? as u64;
-                let lookups_per_rank = u("lookups_per_rank")? as u64;
-                if kind == "xslookup-single" {
-                    Workload::XsLookupSingle { grid_points, nuclides, lookups_per_rank }
-                } else {
-                    Workload::XsLookupStar { grid_points, nuclides, lookups_per_rank }
-                }
-            }
-            "daxpy-single" | "daxpy-star" => {
-                let variant = v
-                    .get("variant")
-                    .and_then(Value::as_str)
-                    .and_then(blas_parse)
-                    .ok_or("bad daxpy \"variant\"")?;
-                let (n, reps) = (u("n")?, u("reps")?);
-                if kind == "daxpy-single" {
-                    Workload::DaxpySingle { n, reps, variant }
-                } else {
-                    Workload::DaxpyStar { n, reps, variant }
-                }
-            }
-            other => return Err(format!("unknown workload kind '{other}'")),
-        })
-    }
-}
-
-fn fault_kind_key(kind: &FaultKind) -> &'static str {
-    match kind {
-        FaultKind::LinkDegrade { .. } => "link-degrade",
-        FaultKind::LinkRestore { .. } => "link-restore",
-        FaultKind::ControllerThrottle { .. } => "controller-throttle",
-        FaultKind::ControllerRestore { .. } => "controller-restore",
-        FaultKind::ProbeBrownout { .. } => "probe-brownout",
-        FaultKind::ProbeRestore => "probe-restore",
-        FaultKind::RankStall { .. } => "rank-stall",
-        FaultKind::RankResume { .. } => "rank-resume",
-        FaultKind::RankKill { .. } => "rank-kill",
-        FaultKind::LinkFail { .. } => "link-fail",
-    }
-}
-
-fn encode_fault(enc: &mut Encoder, event: &FaultEvent) {
-    enc.f64("at", event.at).tag("kind", fault_kind_key(&event.kind));
-    match event.kind {
-        FaultKind::LinkDegrade { link, factor } => {
-            enc.usize("link", link.index()).f64("factor", factor);
-        }
-        FaultKind::LinkRestore { link } | FaultKind::LinkFail { link } => {
-            enc.usize("link", link.index());
-        }
-        FaultKind::ControllerThrottle { socket, factor } => {
-            enc.usize("socket", socket.index()).f64("factor", factor);
-        }
-        FaultKind::ControllerRestore { socket } => {
-            enc.usize("socket", socket.index());
-        }
-        FaultKind::ProbeBrownout { factor } => {
-            enc.f64("factor", factor);
-        }
-        FaultKind::ProbeRestore => {}
-        FaultKind::RankStall { rank }
-        | FaultKind::RankResume { rank }
-        | FaultKind::RankKill { rank } => {
-            enc.usize("rank", rank.index());
-        }
-    }
-}
-
-fn fault_to_json(event: &FaultEvent) -> String {
-    let head =
-        format!("{{\"at\":{},\"kind\":\"{}\"", json::num(event.at), fault_kind_key(&event.kind));
-    let tail = match event.kind {
-        FaultKind::LinkDegrade { link, factor } => {
-            format!(",\"link\":{},\"factor\":{}", link.index(), json::num(factor))
-        }
-        FaultKind::LinkRestore { link } | FaultKind::LinkFail { link } => {
-            format!(",\"link\":{}", link.index())
-        }
-        FaultKind::ControllerThrottle { socket, factor } => {
-            format!(",\"socket\":{},\"factor\":{}", socket.index(), json::num(factor))
-        }
-        FaultKind::ControllerRestore { socket } => format!(",\"socket\":{}", socket.index()),
-        FaultKind::ProbeBrownout { factor } => format!(",\"factor\":{}", json::num(factor)),
-        FaultKind::ProbeRestore => String::new(),
-        FaultKind::RankStall { rank }
-        | FaultKind::RankResume { rank }
-        | FaultKind::RankKill { rank } => format!(",\"rank\":{}", rank.index()),
-    };
-    format!("{head}{tail}}}")
-}
-
-fn fault_from_json(v: &Value) -> std::result::Result<FaultEvent, String> {
-    let at = v.get("at").and_then(Value::as_f64).ok_or("fault needs number \"at\"")?;
-    let kind = v.get("kind").and_then(Value::as_str).ok_or("fault needs \"kind\"")?;
-    let f = |key: &str| {
-        v.get(key).and_then(Value::as_f64).ok_or(format!("fault needs number \"{key}\""))
-    };
-    let u = |key: &str| {
-        v.get(key).and_then(Value::as_usize).ok_or(format!("fault needs integer \"{key}\""))
-    };
-    let kind = match kind {
-        "link-degrade" => {
-            FaultKind::LinkDegrade { link: LinkId::new(u("link")?), factor: f("factor")? }
-        }
-        "link-restore" => FaultKind::LinkRestore { link: LinkId::new(u("link")?) },
-        "link-fail" => FaultKind::LinkFail { link: LinkId::new(u("link")?) },
-        "controller-throttle" => FaultKind::ControllerThrottle {
-            socket: SocketId::new(u("socket")?),
-            factor: f("factor")?,
-        },
-        "controller-restore" => {
-            FaultKind::ControllerRestore { socket: SocketId::new(u("socket")?) }
-        }
-        "probe-brownout" => FaultKind::ProbeBrownout { factor: f("factor")? },
-        "probe-restore" => FaultKind::ProbeRestore,
-        "rank-stall" => FaultKind::RankStall { rank: RankId::new(u("rank")?) },
-        "rank-resume" => FaultKind::RankResume { rank: RankId::new(u("rank")?) },
-        "rank-kill" => FaultKind::RankKill { rank: RankId::new(u("rank")?) },
-        other => return Err(format!("unknown fault kind '{other}'")),
-    };
-    Ok(FaultEvent { at, kind })
 }
 
 /// One fully-specified engine run.
@@ -1072,10 +874,12 @@ impl Scenario {
             .tag("placement", self.placement.key())
             .tag("mpi", mpi_key(self.mpi))
             .tag("lock", self.lock.key());
-        self.workload.encode(&mut enc);
+        enc.tag("workload", self.workload.kind());
+        self.workload.encode_fields(&mut enc);
         enc.list("faults", self.faults.events().len());
         for event in self.faults.events() {
-            encode_fault(&mut enc, event);
+            enc.f64("at", event.at).tag("kind", event.kind.kind());
+            event.kind.encode_fields(&mut enc);
         }
         match &self.recovery {
             None => {
@@ -1136,18 +940,26 @@ impl Scenario {
     pub fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"system\":\"{}\",\"fidelity\":\"{}\",\"nranks\":{},\"placement\":\"{}\",\
-             \"mpi\":\"{}\",\"lock\":\"{}\",\"workload\":{}",
+             \"mpi\":\"{}\",\"lock\":\"{}\",\"workload\":{{\"kind\":\"{}\"",
             self.system.key(),
             self.fidelity.key(),
             self.nranks,
             self.placement.key(),
             mpi_key(self.mpi),
             self.lock.key(),
-            self.workload.to_json(),
+            self.workload.kind(),
         );
+        self.workload.render_fields(&mut out);
+        out.push('}');
+        for (i, event) in self.faults.events().iter().enumerate() {
+            out.push_str(if i == 0 { ",\"faults\":[" } else { "," });
+            let _ =
+                write!(out, "{{\"at\":{},\"kind\":\"{}\"", json::num(event.at), event.kind.kind());
+            event.kind.render_fields(&mut out);
+            out.push('}');
+        }
         if !self.faults.events().is_empty() {
-            let events: Vec<String> = self.faults.events().iter().map(fault_to_json).collect();
-            out.push_str(&format!(",\"faults\":[{}]", events.join(",")));
+            out.push(']');
         }
         if let Some(p) = &self.recovery {
             let target = match p.target {
@@ -1217,11 +1029,12 @@ impl Scenario {
             Some(l) => l.as_str().and_then(lock_parse).ok_or("bad \"lock\" (sysv|usysv)")?,
         };
         let workload =
-            Workload::from_json(v.get("workload").ok_or("scenario needs a \"workload\" object")?)?;
+            Workload::parse(v.get("workload").ok_or("scenario needs a \"workload\" object")?)?;
         let mut faults = FaultPlan::new();
         if let Some(list) = v.get("faults") {
             for event in list.as_arr().ok_or("\"faults\" must be an array")? {
-                faults.push(fault_from_json(event)?);
+                let kind = FaultKind::parse(event)?;
+                faults.push(FaultEvent { at: field(event, "fault", kind.kind(), "at")?, kind });
             }
         }
         let recovery = match v.get("recovery") {
@@ -1583,39 +1396,6 @@ mod tests {
     }
 
     #[test]
-    fn workload_json_round_trips_every_kind() {
-        let workloads = vec![
-            Workload::Bsp { steps: 2, flops_per_step: 1e6, bytes_per_step: 2e6, sync_bytes: 8.0 },
-            Workload::StreamSingle {
-                kernel: StreamKernel::Triad,
-                elements_per_rank: 1000,
-                sweeps: 2,
-            },
-            Workload::StreamStar { kernel: StreamKernel::Copy, elements_per_rank: 1000, sweeps: 2 },
-            Workload::Hpl { n: 256, nb: 32, dgemm_efficiency: 0.85 },
-            Workload::DgemmSingle { n: 100, reps: 1, variant: BlasVariant::Acml },
-            Workload::DgemmStar { n: 100, reps: 1, variant: BlasVariant::Vanilla },
-            Workload::FftSingle { points_per_rank: 1024, reps: 1 },
-            Workload::FftStar { points_per_rank: 1024, reps: 1 },
-            Workload::RandomAccessSingle { table_words_per_rank: 512, updates_per_rank: 64 },
-            Workload::RandomAccessStar { table_words_per_rank: 512, updates_per_rank: 64 },
-            Workload::RandomAccessMpi { table_words_per_rank: 512, updates_per_rank: 64 },
-            Workload::Ptrans { n: 64, reps: 1, block_bytes: 1e5 },
-            Workload::PingPong { bytes: 1024.0, reps: 3 },
-            Workload::NasCg { class: CgClass::A },
-            Workload::NasFt { class: FtClass::B },
-            Workload::DaxpySingle { n: 1000, reps: 2, variant: BlasVariant::Acml },
-            Workload::DaxpyStar { n: 1000, reps: 2, variant: BlasVariant::Vanilla },
-            Workload::XsLookupSingle { grid_points: 4096, nuclides: 16, lookups_per_rank: 1024 },
-            Workload::XsLookupStar { grid_points: 4096, nuclides: 16, lookups_per_rank: 1024 },
-        ];
-        for w in workloads {
-            let parsed = Workload::from_json(&json::parse(&w.to_json()).unwrap()).unwrap();
-            assert_eq!(parsed, w, "{}", w.kind());
-        }
-    }
-
-    #[test]
     fn digest_separates_every_calibration_field() {
         let base = bsp(System::Dmz, 4);
         let d0 = base.digest();
@@ -1767,5 +1547,17 @@ mod tests {
             json::parse(r#"{"system":"dmz","nranks":2,"workload":{"kind":"nope"}}"#).unwrap();
         let err = Scenario::from_json(&bad_workload).unwrap_err();
         assert!(err.contains("nope"), "{err}");
+    }
+
+    #[test]
+    fn integers_an_f64_cannot_hold_exactly_are_rejected() {
+        let request = json::parse(
+            r#"{"system":"dmz","nranks":2,"workload":{"kind":"randomaccess-single",
+                "table_words_per_rank":1024,"updates_per_rank":9007199254740993}}"#,
+        )
+        .unwrap();
+        let err = Scenario::from_json(&request).unwrap_err();
+        assert!(err.contains("'randomaccess-single'"), "{err}");
+        assert!(err.contains("\"updates_per_rank\""), "{err}");
     }
 }
