@@ -4,16 +4,17 @@
 //! each multi-core processor, and MPI for communication both between
 //! processor sockets and between system nodes might be a high-performance
 //! alternative". The paper never measures it — this artifact does, on the
-//! simulated Longs system, for NAS CG and FT at 16 cores.
+//! simulated Longs system, for NAS CG and FT at 16 cores. The four runs
+//! are [`Workload::NasCg`]/[`Workload::NasFt`] and their hybrid variants,
+//! in one batch through the [`Scheduler`].
 
-use crate::context::default_stack;
+use super::nas::classes;
+use crate::context::{app_scenario, makespans};
 use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
-use corescope_kernels::cg::{CgClass, NasCg};
-use corescope_kernels::nasft::{FtClass, NasFt};
-use corescope_machine::{systems, Machine, Result};
-use corescope_smpi::CommWorld;
+use corescope_machine::Result;
+use corescope_sched::{Scheduler, System, Workload};
 
 /// Compares pure MPI (16 ranks) against hybrid (8 processes × 2 threads)
 /// for NAS CG and FT on Longs.
@@ -21,39 +22,26 @@ use corescope_smpi::CommWorld;
 /// # Errors
 ///
 /// Propagates engine errors.
-pub fn extra1(fidelity: Fidelity) -> Result<Vec<Table>> {
-    let machine = Machine::new(systems::longs());
-    let (profile, lock) = default_stack();
-    let cg = match fidelity {
-        Fidelity::Full => CgClass::B,
-        Fidelity::Quick => CgClass::A,
-    };
-    let ft = match fidelity {
-        Fidelity::Full => FtClass::B,
-        Fidelity::Quick => FtClass::A,
-    };
-
-    let run = |hybrid: bool, kernel: &str| -> Result<f64> {
-        let placements = Scheme::TwoMpiLocalAlloc.resolve(&machine, 16)?;
-        let mut world = CommWorld::new(&machine, placements, profile.clone(), lock);
-        match (kernel, hybrid) {
-            ("CG", false) => NasCg { class: cg }.append_run(&mut world),
-            ("CG", true) => NasCg { class: cg }.append_run_hybrid(&mut world, 2),
-            ("FT", false) => NasFt { class: ft }.append_run(&mut world),
-            ("FT", true) => NasFt { class: ft }.append_run_hybrid(&mut world, 2),
-            _ => unreachable!("kernel is CG or FT"),
-        }
-        Ok(world.run()?.makespan)
-    };
+pub fn extra1(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
+    let (cg, ft) = classes(fidelity);
+    let kernels = [
+        ("CG", Workload::NasCg { class: cg }, Workload::NasCgHybrid { class: cg, threads: 2 }),
+        ("FT", Workload::NasFt { class: ft }, Workload::NasFtHybrid { class: ft, threads: 2 }),
+    ];
+    let batch: Vec<_> = kernels
+        .iter()
+        .flat_map(|(_, pure, hybrid)| [pure, hybrid])
+        .map(|w| app_scenario(System::Longs, 16, Scheme::TwoMpiLocalAlloc, w.clone(), fidelity))
+        .collect();
+    let times = makespans(sched, &batch)?;
 
     let mut table = Table::with_columns(
         "Extra X1: hybrid (OpenMP-in-socket + MPI) vs pure MPI, Longs 16 cores (seconds)",
         &["Kernel", "Pure MPI", "Hybrid 8x2", "Hybrid speedup"],
     );
-    for kernel in ["CG", "FT"] {
-        let pure = run(false, kernel)?;
-        let hybrid = run(true, kernel)?;
-        table.push_row(kernel, vec![Cell::num(pure), Cell::num(hybrid), Cell::num(pure / hybrid)]);
+    for ((kernel, ..), t) in kernels.iter().zip(times.chunks(2)) {
+        let (pure, hybrid) = (t[0], t[1]);
+        table.push_row(*kernel, vec![Cell::num(pure), Cell::num(hybrid), Cell::num(pure / hybrid)]);
     }
     Ok(vec![table])
 }
@@ -66,7 +54,7 @@ mod tests {
     fn hybrid_helps_latency_bound_cg() {
         // Fewer, larger messages among half the endpoints: the paper's
         // hypothesis should hold for the reduction-heavy CG.
-        let t = &extra1(Fidelity::Quick).unwrap()[0];
+        let t = &extra1(Fidelity::Quick, &Scheduler::new(1)).unwrap()[0];
         let gain = t.value("CG", "Hybrid speedup").unwrap();
         assert!(gain > 0.97, "hybrid must at least break even for CG, got {gain:.3}");
         // And never catastrophically hurt FT (same total transpose bytes).

@@ -1,72 +1,43 @@
 //! LAMMPS artifacts: Tables 10 (multi-core speedup) and 11 (LJ vs
-//! numactl options).
+//! numactl options). Every run is a [`Workload::Lammps`] scenario
+//! through the [`Scheduler`].
 
-use crate::aggregate::pivot_table;
-use crate::context::{default_stack, scheme_sweep, Systems};
+use crate::context::{scheme_tables, speedup_table};
 use crate::fidelity::Fidelity;
 use crate::report::Table;
-use corescope_affinity::Scheme;
 use corescope_apps::md::LammpsBenchmark;
-use corescope_machine::{Machine, Result};
-use corescope_smpi::CommWorld;
-
-fn time(machine: &Machine, bench: LammpsBenchmark, n: usize) -> Result<f64> {
-    let (profile, lock) = default_stack();
-    let placements = Scheme::Default.resolve(machine, n)?;
-    let mut w = CommWorld::new(machine, placements, profile, lock);
-    bench.append_run(&mut w);
-    Ok(w.run()?.makespan)
-}
+use corescope_machine::Result;
+use corescope_sched::{Scheduler, System, Workload};
 
 /// Table 10: LJ/Chain/EAM speedups (no numactl) across the three systems.
-pub fn table10(_fidelity: Fidelity) -> Result<Vec<Table>> {
-    let systems = Systems::new();
-    let mut rows = Vec::new();
-    for (sys_name, machine, counts) in [
-        ("DMZ", &systems.dmz, vec![2usize, 4]),
-        ("Longs", &systems.longs, vec![2, 4, 8, 16]),
-        ("Tiger", &systems.tiger, vec![2]),
-    ] {
-        let t1: Vec<f64> =
-            LammpsBenchmark::all().iter().map(|&b| time(machine, b, 1)).collect::<Result<_>>()?;
-        for &n in &counts {
-            let mut values = Vec::new();
-            for (i, &b) in LammpsBenchmark::all().iter().enumerate() {
-                values.push(Some(t1[i] / time(machine, b, n)?));
-            }
-            rows.push((format!("{n} {sys_name}"), values));
-        }
-    }
-    Ok(vec![pivot_table(
+/// The benchmarks have a fixed size, so both fidelities run the same
+/// model (the fidelity still tags the scenarios).
+pub fn table10(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
+    Ok(vec![speedup_table(
+        sched,
+        fidelity,
         "Table 10: LAMMPS multi-core speedup (no numactl)",
         &["Cores/system", "LJ", "Chain", "EAM"],
-        &rows,
-    )])
+        &[
+            ("DMZ", System::Dmz, &[2, 4]),
+            ("Longs", System::Longs, &[2, 4, 8, 16]),
+            ("Tiger", System::Tiger, &[2]),
+        ],
+        &LammpsBenchmark::all().map(|bench| Workload::Lammps { bench }),
+    )?])
 }
 
 /// Table 11: the LJ benchmark vs the six schemes on Longs + DMZ.
-pub fn table11(_fidelity: Fidelity) -> Result<Vec<Table>> {
-    let systems = Systems::new();
-    let (profile, lock) = default_stack();
-    let build = |w: &mut CommWorld<'_>, _n: usize| LammpsBenchmark::Lj.append_run(w);
-    let workloads: Vec<(&str, &crate::context::WorkloadFn<'_>)> = vec![("LJ", &build)];
-    let longs = scheme_sweep(
-        "Table 11: numactl options vs LAMMPS LJ, Longs (seconds)",
-        &systems.longs,
-        &[2, 4, 8, 16],
-        &workloads,
-        &profile,
-        lock,
-    )?;
-    let dmz = scheme_sweep(
-        "Table 11 (cont.): numactl options vs LAMMPS LJ, DMZ (seconds)",
-        &systems.dmz,
-        &[2, 4],
-        &workloads,
-        &profile,
-        lock,
-    )?;
-    Ok(vec![longs, dmz])
+pub fn table11(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
+    scheme_tables(
+        sched,
+        fidelity,
+        [
+            "Table 11: numactl options vs LAMMPS LJ, Longs (seconds)",
+            "Table 11 (cont.): numactl options vs LAMMPS LJ, DMZ (seconds)",
+        ],
+        ("LJ", Workload::Lammps { bench: LammpsBenchmark::Lj }),
+    )
 }
 
 #[cfg(test)]
@@ -74,14 +45,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unplaceable_rank_count_is_a_typed_error() {
-        let systems = Systems::new();
-        assert!(time(&systems.dmz, LammpsBenchmark::all()[0], 5).is_err());
-    }
-
-    #[test]
     fn table10_chain_is_superlinear_lj_is_not() {
-        let t = &table10(Fidelity::Quick).unwrap()[0];
+        let t = &table10(Fidelity::Quick, &Scheduler::new(1)).unwrap()[0];
         let chain16 = t.value("16 Longs", "Chain").unwrap();
         let lj16 = t.value("16 Longs", "LJ").unwrap();
         assert!(chain16 > 16.0, "chain speedup {chain16:.1} should be superlinear");
@@ -92,7 +57,7 @@ mod tests {
 
     #[test]
     fn table11_longs_times_are_paper_scale() {
-        let t = &table11(Fidelity::Quick).unwrap()[0];
+        let t = &table11(Fidelity::Quick, &Scheduler::new(1)).unwrap()[0];
         // Paper: 3.82 s at 2 tasks (default), 0.63 s at 16 (Two MPI + LA).
         let t2 = t.value("2 LJ", "Default").unwrap();
         let t16 = t.value("16 LJ", "Two MPI + Local Alloc").unwrap();

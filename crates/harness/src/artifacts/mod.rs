@@ -334,10 +334,10 @@ impl Artifact {
             T6 => Ok(vec![statics::table6()]),
             F2 => stream::figure2(fidelity, sched),
             F3 => stream::figure3(fidelity, sched),
-            F4 => blas::figure4(fidelity),
-            F5 => blas::figure5(fidelity),
-            F6 => blas::figure6(fidelity),
-            F7 => blas::figure7(fidelity),
+            F4 => blas::figure4(fidelity, sched),
+            F5 => blas::figure5(fidelity, sched),
+            F6 => blas::figure6(fidelity, sched),
+            F7 => blas::figure7(fidelity, sched),
             F8 => hpcc::figure8(fidelity, sched),
             F9 => hpcc::figure9(fidelity, sched),
             F10 => stream::figure10(fidelity, sched),
@@ -348,18 +348,18 @@ impl Artifact {
             F15 => imb::figure15(fidelity),
             F16 => imb::figure16(fidelity),
             F17 => imb::figure17(fidelity),
-            T2 => nas::table2(fidelity),
-            T3 => nas::table3(fidelity),
-            T4 => nas::table4(fidelity),
-            T7 => amber::table7(fidelity),
-            T8 => amber::table8(fidelity),
-            T9 => amber::table9(fidelity),
-            T10 => lammps::table10(fidelity),
-            T11 => lammps::table11(fidelity),
-            T12 => pop::table12(fidelity),
-            T13 => pop::table13(fidelity),
-            T14 => pop::table14(fidelity),
-            X1 => hybrid::extra1(fidelity),
+            T2 => nas::table2(fidelity, sched),
+            T3 => nas::table3(fidelity, sched),
+            T4 => nas::table4(fidelity, sched),
+            T7 => amber::table7(fidelity, sched),
+            T8 => amber::table8(fidelity, sched),
+            T9 => amber::table9(fidelity, sched),
+            T10 => lammps::table10(fidelity, sched),
+            T11 => lammps::table11(fidelity, sched),
+            T12 => pop::table12(fidelity, sched),
+            T13 => pop::table13(fidelity, sched),
+            T14 => pop::table14(fidelity, sched),
+            X1 => hybrid::extra1(fidelity, sched),
             X2 => Ok(vec![statics::extra2()]),
             X3 => crate::resilience::extra3(fidelity),
             X4 => bottleneck::extra4(fidelity),

@@ -1,107 +1,70 @@
 //! NAS Parallel Benchmark artifacts: Tables 2, 3 (CG/FT vs numactl
-//! options) and 4 (multi-core speedup).
+//! options) and 4 (multi-core speedup). Every run is a [`Workload::NasCg`]
+//! or [`Workload::NasFt`] scenario through the [`Scheduler`].
 
 use crate::aggregate::pivot_table;
-use crate::context::{default_stack, scheme_sweep, Systems};
+use crate::context::{scheme_table, speedups};
 use crate::fidelity::Fidelity;
 use crate::report::Table;
-use corescope_affinity::Scheme;
-use corescope_kernels::cg::{CgClass, NasCg};
-use corescope_kernels::nasft::{FtClass, NasFt};
-use corescope_machine::{Machine, Result};
-use corescope_smpi::CommWorld;
+use corescope_kernels::cg::CgClass;
+use corescope_kernels::nasft::FtClass;
+use corescope_machine::Result;
+use corescope_sched::{Scheduler, System, Workload};
 
-fn cg_class(fidelity: Fidelity) -> CgClass {
+/// The NAS class a fidelity runs: B at full, A at quick.
+pub(crate) fn classes(fidelity: Fidelity) -> (CgClass, FtClass) {
     match fidelity {
-        Fidelity::Full => CgClass::B,
-        Fidelity::Quick => CgClass::A,
+        Fidelity::Full => (CgClass::B, FtClass::B),
+        Fidelity::Quick => (CgClass::A, FtClass::A),
     }
 }
 
-fn ft_class(fidelity: Fidelity) -> FtClass {
-    match fidelity {
-        Fidelity::Full => FtClass::B,
-        Fidelity::Quick => FtClass::A,
-    }
-}
-
-fn nas_workloads(
-    fidelity: Fidelity,
-) -> Vec<(&'static str, Box<crate::context::WorkloadFn<'static>>)> {
-    let cg = cg_class(fidelity);
-    let ft = ft_class(fidelity);
-    vec![
-        ("CG", Box::new(move |w: &mut CommWorld<'_>, _| NasCg { class: cg }.append_run(w))),
-        ("FT", Box::new(move |w: &mut CommWorld<'_>, _| NasFt { class: ft }.append_run(w))),
-    ]
-}
-
-fn scheme_table(
-    title: &str,
-    machine: &Machine,
-    counts: &[usize],
-    fidelity: Fidelity,
-) -> Result<Table> {
-    let (profile, lock) = default_stack();
-    let workloads = nas_workloads(fidelity);
-    let refs: Vec<(&str, &crate::context::WorkloadFn<'_>)> =
-        workloads.iter().map(|(n, f)| (*n, f.as_ref() as _)).collect();
-    scheme_sweep(title, machine, counts, &refs, &profile, lock)
+fn nas_workloads(fidelity: Fidelity) -> [(&'static str, Workload); 2] {
+    let (cg, ft) = classes(fidelity);
+    [("CG", Workload::NasCg { class: cg }), ("FT", Workload::NasFt { class: ft })]
 }
 
 /// Table 2: CG/FT class B vs the six schemes on Longs.
-pub fn table2(fidelity: Fidelity) -> Result<Vec<Table>> {
-    let systems = Systems::new();
+pub fn table2(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
     Ok(vec![scheme_table(
-        "Table 2: numactl options vs NAS CG/FT, Longs (seconds)",
-        &systems.longs,
-        &[2, 4, 8, 16],
+        sched,
         fidelity,
+        "Table 2: numactl options vs NAS CG/FT, Longs (seconds)",
+        System::Longs,
+        &[2, 4, 8, 16],
+        &nas_workloads(fidelity),
     )?])
 }
 
 /// Table 3: CG/FT class B vs the six schemes on DMZ.
-pub fn table3(fidelity: Fidelity) -> Result<Vec<Table>> {
-    let systems = Systems::new();
+pub fn table3(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
     Ok(vec![scheme_table(
-        "Table 3: numactl options vs NAS CG/FT, DMZ (seconds)",
-        &systems.dmz,
-        &[2, 4],
+        sched,
         fidelity,
+        "Table 3: numactl options vs NAS CG/FT, DMZ (seconds)",
+        System::Dmz,
+        &[2, 4],
+        &nas_workloads(fidelity),
     )?])
 }
 
 /// Table 4: NAS multi-core speedup per core (parallel efficiency relative
 /// to a single-core run; the paper's metric definition is ambiguous — see
 /// EXPERIMENTS.md).
-pub fn table4(fidelity: Fidelity) -> Result<Vec<Table>> {
-    let systems = Systems::new();
-    let (profile, lock) = default_stack();
-    let workloads = nas_workloads(fidelity);
+pub fn table4(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
+    const COUNTS: [usize; 4] = [2, 4, 8, 16];
+    let (names, workloads): (Vec<&str>, Vec<Workload>) =
+        nas_workloads(fidelity).into_iter().unzip();
+    let systems = [("DMZ", System::Dmz), ("Longs", System::Longs), ("Tiger", System::Tiger)];
+    let per_system: Vec<_> = systems
+        .iter()
+        .map(|&(_, system)| speedups(sched, fidelity, system, &workloads, &COUNTS))
+        .collect::<Result<_>>()?;
     let mut rows = Vec::new();
-    for (name, build) in &workloads {
-        for (sys_name, machine) in
-            [("DMZ", &systems.dmz), ("Longs", &systems.longs), ("Tiger", &systems.tiger)]
-        {
-            let t1 = {
-                let placements = Scheme::Default.resolve(machine, 1)?;
-                let mut w = CommWorld::new(machine, placements, profile.clone(), lock);
-                build(&mut w, 1);
-                w.run()?.makespan
-            };
-            let mut values = Vec::new();
-            for n in [2usize, 4, 8, 16] {
-                if n > machine.num_cores() {
-                    values.push(None);
-                    continue;
-                }
-                let placements = Scheme::Default.resolve(machine, n)?;
-                let mut w = CommWorld::new(machine, placements, profile.clone(), lock);
-                build(&mut w, n);
-                let tn = w.run()?.makespan;
-                values.push(Some(t1 / tn / n as f64));
-            }
-            rows.push((format!("{name} {sys_name}"), values));
+    for (w, name) in names.iter().enumerate() {
+        for ((sys_name, _), speedup) in systems.iter().zip(&per_system) {
+            let values = speedup[w].iter().zip(COUNTS).map(|(s, n)| s.map(|s| s / n as f64));
+            rows.push((format!("{name} {sys_name}"), values.collect()));
         }
     }
     Ok(vec![pivot_table(
@@ -114,10 +77,11 @@ pub fn table4(fidelity: Fidelity) -> Result<Vec<Table>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corescope_affinity::Scheme;
 
     #[test]
     fn table2_membind_is_worst_at_scale() {
-        let t = &table2(Fidelity::Quick).unwrap()[0];
+        let t = &table2(Fidelity::Quick, &Scheduler::new(1)).unwrap()[0];
         // Paper: at 8 tasks, One MPI + Membind roughly doubles CG time.
         let la = t.value("8 CG", "One MPI + Local Alloc").unwrap();
         let mb = t.value("8 CG", "One MPI + Membind").unwrap();
@@ -131,7 +95,7 @@ mod tests {
     fn table3_dmz_default_is_near_optimal() {
         // "the default option on the DMZ system is sufficient to obtain
         // near optimal runtimes".
-        let t = &table3(Fidelity::Quick).unwrap()[0];
+        let t = &table3(Fidelity::Quick, &Scheduler::new(1)).unwrap()[0];
         let default = t.value("2 CG", "Default").unwrap();
         let best = Scheme::all()
             .iter()
@@ -142,7 +106,7 @@ mod tests {
 
     #[test]
     fn table4_efficiency_declines_with_cores_on_longs() {
-        let t = &table4(Fidelity::Quick).unwrap()[0];
+        let t = &table4(Fidelity::Quick, &Scheduler::new(1)).unwrap()[0];
         let e2 = t.value("CG Longs", "2 cores").unwrap();
         let e16 = t.value("CG Longs", "16 cores").unwrap();
         assert!(e16 < e2, "efficiency must fall: {e2:.2} -> {e16:.2}");

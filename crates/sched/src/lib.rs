@@ -55,6 +55,8 @@ pub use sink::StoreSink;
 /// Cached results are only sound while the engine maps a scenario to the
 /// same numbers, so this tag MUST be bumped (the `+sched` suffix) on any
 /// change to the simulation semantics of `corescope-machine`,
-/// `corescope-smpi`, `corescope-affinity` or `corescope-kernels` — a bump
-/// orphans every existing cache entry rather than serving stale numbers.
+/// `corescope-smpi`, `corescope-affinity`, `corescope-kernels` or
+/// `corescope-apps` (the AMBER, LAMMPS, POP and xslookup workloads
+/// lower through it) — a bump orphans every existing cache entry rather
+/// than serving stale numbers.
 pub const ENGINE_TAG: &str = "corescope-engine-0.1.0+sched1";

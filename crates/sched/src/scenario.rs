@@ -14,6 +14,8 @@ use crate::encode::{Digest, Encoder};
 use crate::fidelity::Fidelity;
 use crate::json::{self, Value};
 use corescope_affinity::{os_scatter, policy, Scheme};
+use corescope_apps::md::{AmberBenchmark, AmberMethod, LammpsBenchmark};
+use corescope_apps::ocean::PopModel;
 use corescope_apps::xs::{self, TablePlacement};
 use corescope_kernels::blas::{
     append_daxpy_single, append_daxpy_star, append_dgemm_single, append_dgemm_star, BlasVariant,
@@ -332,6 +334,8 @@ keyed_leaves! {
     BlasVariant { Acml = "acml", Vanilla = "vanilla" }
     CgClass { S = "s", A = "a", B = "b", C = "c" }
     FtClass { S = "s", A = "a", B = "b", C = "c" }
+    AmberMethod { Pme = "pme", Gb = "gb" }
+    LammpsBenchmark { Lj = "lj", Chain = "chain", Eam = "eam" }
 }
 
 /// Reads field `name` of a `what` of kind `kind`; the error names all
@@ -563,6 +567,75 @@ pub enum Workload {
         /// Lookups each rank performs.
         lookups_per_rank: u64,
     },
+    /// An AMBER `sander` run: `steps` PME or GB MD steps.
+    Amber {
+        /// Atom count.
+        atoms: usize,
+        /// Electrostatics method.
+        method: AmberMethod,
+        /// PME charge-grid points (unused for GB).
+        grid_points: f64,
+        /// MD steps.
+        steps: usize,
+    },
+    /// Only the FFT part of `steps` AMBER PME steps (what Table 7 times).
+    AmberFftPart {
+        /// Atom count.
+        atoms: usize,
+        /// Electrostatics method.
+        method: AmberMethod,
+        /// PME charge-grid points.
+        grid_points: f64,
+        /// MD steps.
+        steps: usize,
+    },
+    /// A LAMMPS benchmark run.
+    Lammps {
+        /// Which of the three benchmarks.
+        bench: LammpsBenchmark,
+    },
+    /// The baroclinic phases of `steps` POP time steps.
+    PopBaroclinic {
+        /// Horizontal grid x-extent.
+        nx: usize,
+        /// Horizontal grid y-extent.
+        ny: usize,
+        /// Vertical levels.
+        nz: usize,
+        /// Time steps.
+        steps: usize,
+        /// CG iterations per barotropic solve.
+        cg_iterations: usize,
+    },
+    /// The barotropic phases of `steps` POP time steps.
+    PopBarotropic {
+        /// Horizontal grid x-extent.
+        nx: usize,
+        /// Horizontal grid y-extent.
+        ny: usize,
+        /// Vertical levels.
+        nz: usize,
+        /// Time steps.
+        steps: usize,
+        /// CG iterations per barotropic solve.
+        cg_iterations: usize,
+    },
+    /// NAS CG in the hybrid model: one MPI process per `threads` ranks,
+    /// OpenMP threads inside it.
+    NasCgHybrid {
+        /// Problem class.
+        class: CgClass,
+        /// Threads per MPI process; must divide the world size.
+        threads: usize,
+    },
+    /// NAS FT in the hybrid model: one MPI process per `threads` ranks,
+    /// OpenMP threads inside it.
+    NasFtHybrid {
+        /// Problem class.
+        class: FtClass,
+        /// Threads per MPI process; must divide the world size.
+        threads: usize,
+    },
 }
 
 codec_table!(Workload as "workload" {
@@ -585,6 +658,13 @@ codec_table!(Workload as "workload" {
     DaxpyStar = "daxpy-star" { n, reps, variant }
     XsLookupSingle = "xslookup-single" { grid_points, nuclides, lookups_per_rank }
     XsLookupStar = "xslookup-star" { grid_points, nuclides, lookups_per_rank }
+    Amber = "amber" { atoms, method, grid_points, steps }
+    AmberFftPart = "amber-fft-part" { atoms, method, grid_points, steps }
+    Lammps = "lammps" { bench }
+    PopBaroclinic = "pop-baroclinic" { nx, ny, nz, steps, cg_iterations }
+    PopBarotropic = "pop-barotropic" { nx, ny, nz, steps, cg_iterations }
+    NasCgHybrid = "nas-cg-hybrid" { class, threads }
+    NasFtHybrid = "nas-ft-hybrid" { class, threads }
 });
 
 codec_table!(FaultKind as "fault" {
@@ -696,9 +776,37 @@ impl Workload {
                 let params = XsParams { grid_points, nuclides, lookups_per_rank };
                 xs::append_star(world, &params, table_placement(placement, misplacement))?;
             }
+            Workload::Amber { atoms, method, grid_points, steps } => {
+                amber(atoms, method, grid_points, steps).append_run(world);
+            }
+            Workload::AmberFftPart { atoms, method, grid_points, steps } => {
+                let bench = amber(atoms, method, grid_points, steps);
+                for _ in 0..steps {
+                    bench.append_pme_fft_part(world);
+                }
+            }
+            Workload::Lammps { bench } => bench.append_run(world),
+            Workload::PopBaroclinic { nx, ny, nz, steps, cg_iterations } => {
+                PopModel { nx, ny, nz, steps, cg_iterations }.append_baroclinic(world, steps);
+            }
+            Workload::PopBarotropic { nx, ny, nz, steps, cg_iterations } => {
+                PopModel { nx, ny, nz, steps, cg_iterations }.append_barotropic(world, steps);
+            }
+            Workload::NasCgHybrid { class, threads } => {
+                CgKernel { class }.append_run_hybrid(world, threads);
+            }
+            Workload::NasFtHybrid { class, threads } => {
+                FtKernel { class }.append_run_hybrid(world, threads);
+            }
         }
         Ok(())
     }
+}
+
+/// An AMBER benchmark from its inputs; the name is only a label and no
+/// append reads it.
+fn amber(atoms: usize, method: AmberMethod, grid_points: f64, steps: usize) -> AmberBenchmark {
+    AmberBenchmark { name: "", atoms, method, grid_points, steps }
 }
 
 /// One fully-specified engine run.
@@ -825,6 +933,18 @@ impl Scenario {
                 self.workload.kind(),
                 self.nranks
             )));
+        }
+        if let Workload::NasCgHybrid { threads, .. } | Workload::NasFtHybrid { threads, .. } =
+            self.workload
+        {
+            if !self.nranks.is_multiple_of(threads) {
+                return Err(Error::InvalidSpec(format!(
+                    "workload '{}' needs a world size divisible by its {threads} threads, \
+                     scenario has {}",
+                    self.workload.kind(),
+                    self.nranks
+                )));
+            }
         }
         if !self.params.in_bounds() {
             return Err(Error::InvalidSpec(
@@ -1470,17 +1590,37 @@ mod tests {
     }
 
     #[test]
-    fn nas_and_daxpy_workloads_run() {
-        let cg = Scenario::new(System::Dmz, 4, Workload::NasCg { class: CgClass::S });
-        let ft = Scenario::new(System::Dmz, 4, Workload::NasFt { class: FtClass::S });
-        let daxpy = Scenario::new(
-            System::Dmz,
-            4,
+    fn nas_daxpy_and_application_workloads_run() {
+        let pop = PopModel { steps: 2, ..PopModel::x1() };
+        let (nx, ny, nz, steps, cg_iterations) = (pop.nx, pop.ny, pop.nz, 2, pop.cg_iterations);
+        let jac = AmberBenchmark::jac();
+        let (atoms, method, grid_points) = (jac.atoms, jac.method, jac.grid_points);
+        let workloads = [
+            Workload::NasCg { class: CgClass::S },
+            Workload::NasFt { class: FtClass::S },
             Workload::DaxpyStar { n: 10_000, reps: 2, variant: BlasVariant::Vanilla },
-        );
-        for s in [cg, ft, daxpy] {
+            Workload::Amber { atoms, method, grid_points, steps },
+            Workload::AmberFftPart { atoms, method, grid_points, steps },
+            Workload::Lammps { bench: LammpsBenchmark::Chain },
+            Workload::PopBaroclinic { nx, ny, nz, steps, cg_iterations },
+            Workload::PopBarotropic { nx, ny, nz, steps, cg_iterations },
+            Workload::NasCgHybrid { class: CgClass::S, threads: 2 },
+            Workload::NasFtHybrid { class: FtClass::S, threads: 2 },
+        ];
+        for workload in workloads {
+            let s = Scenario::new(System::Dmz, 4, workload);
             let r = s.run().unwrap();
             assert!(r.makespan > 0.0, "{}", s.workload.kind());
+        }
+    }
+
+    #[test]
+    fn hybrid_threads_must_divide_the_world() {
+        for threads in [0, 3] {
+            let s =
+                Scenario::new(System::Dmz, 4, Workload::NasCgHybrid { class: CgClass::S, threads });
+            let err = s.run().unwrap_err().to_string();
+            assert!(err.contains("'nas-cg-hybrid'"), "{err}");
         }
     }
 

@@ -14,6 +14,7 @@
 //! on random mixed batches.
 
 use corescope_affinity::Scheme;
+use corescope_apps::md::{AmberMethod, LammpsBenchmark};
 use corescope_kernels::blas::BlasVariant;
 use corescope_kernels::cg::CgClass;
 use corescope_kernels::nasft::FtClass;
@@ -245,13 +246,84 @@ fn golden_set() -> Vec<(&'static str, Scenario)> {
                     .controller_restore(4e-4, SocketId::new(2)),
             ),
         ),
+        (
+            "longs-amber-quick",
+            Scenario::new(
+                System::Longs,
+                16,
+                Workload::Amber {
+                    atoms: 23_558,
+                    method: AmberMethod::Pme,
+                    grid_points: 262_144.0,
+                    steps: 10,
+                },
+            )
+            .with_fidelity(Fidelity::Quick)
+            .with_placement(Placement::Scheme(Scheme::Default)),
+        ),
+        (
+            "dmz-amber-fft-part",
+            Scenario::new(
+                System::Dmz,
+                4,
+                Workload::AmberFftPart {
+                    atoms: 2_492,
+                    method: AmberMethod::Gb,
+                    grid_points: 1572.5,
+                    steps: 1000,
+                },
+            )
+            .with_placement(Placement::Scheme(Scheme::OneMpiMembind)),
+        ),
+        (
+            "tiger-lammps-eam",
+            Scenario::new(System::Tiger, 2, Workload::Lammps { bench: LammpsBenchmark::Eam })
+                .with_fidelity(Fidelity::Quick),
+        ),
+        (
+            "longs-pop-baroclinic",
+            Scenario::new(
+                System::Longs,
+                8,
+                Workload::PopBaroclinic { nx: 320, ny: 384, nz: 40, steps: 5, cg_iterations: 40 },
+            )
+            .with_placement(Placement::Scheme(Scheme::OneMpiLocalAlloc)),
+        ),
+        (
+            "dmz-pop-barotropic",
+            Scenario::new(
+                System::Dmz,
+                2,
+                Workload::PopBarotropic { nx: 320, ny: 384, nz: 40, steps: 50, cg_iterations: 40 },
+            )
+            .with_lock(LockLayer::SysV),
+        ),
+        (
+            "longs-nas-cg-hybrid",
+            Scenario::new(
+                System::Longs,
+                16,
+                Workload::NasCgHybrid { class: CgClass::A, threads: 2 },
+            )
+            .with_fidelity(Fidelity::Quick),
+        ),
+        (
+            "epyc-nas-ft-hybrid",
+            Scenario::new(
+                System::Epyc,
+                32,
+                Workload::NasFtHybrid { class: FtClass::B, threads: 4 },
+            )
+            .with_mpi(MpiImpl::OpenMpi),
+        ),
     ]
 }
 
 /// Hex digests. The first twelve were recorded before the streaming
-/// encoder and the prefix-shared batch digests existed; the rest before
-/// the workload and fault codecs were generated from one table.
-const GOLDEN: [(&str, &str); 29] = [
+/// encoder and the prefix-shared batch digests existed; the next
+/// seventeen before the workload and fault codecs were generated from
+/// one table; the last seven when the application workloads joined.
+const GOLDEN: [(&str, &str); 36] = [
     ("tiger-bsp", "799be904ba4e2a0e9b6f78a4c4b325ec"),
     ("dmz-bsp", "72d11a50aa65037fce8348ec70da7af3"),
     ("longs-bsp", "fea72965d42165bb5c842789e55147c2"),
@@ -281,11 +353,18 @@ const GOLDEN: [(&str, &str); 29] = [
     ("dmz-xs-single", "5c1d2955c02e11b64406357aef5c8348"),
     ("hbm-xs-star", "2888c14eddd25438aa12d5094eb49082"),
     ("longs-faults-rest", "e992b08963c847847f560a12ea0d18b0"),
+    ("longs-amber-quick", "d9879ceb0e1d41d45558e716e4dafcb9"),
+    ("dmz-amber-fft-part", "ca5dfb246ca43ca92a212308bfd69328"),
+    ("tiger-lammps-eam", "a37fd18a2ed65e2a11bc2179288a3264"),
+    ("longs-pop-baroclinic", "8bdf2d7ad35f1aa88535678b12fe0c65"),
+    ("dmz-pop-barotropic", "9d25dc56c0b982c3d4be8e5dfc0f6eae"),
+    ("longs-nas-cg-hybrid", "b0ab0bee17efb02f171dfed6bea34f0e"),
+    ("epyc-nas-ft-hybrid", "db259e959d03d18998a2334d6b9fd16f"),
 ];
 
 /// [`Scenario::to_json`] of the golden set, recorded alongside the
 /// later digests: the exact bytes a `serve` client sends and receives.
-const WIRE: [(&str, &str); 29] = [
+const WIRE: [(&str, &str); 36] = [
     (
         "tiger-bsp",
         r#"{"system":"tiger","fidelity":"full","nranks":2,"placement":"two_localalloc","mpi":"mpich2","lock":"usysv","workload":{"kind":"bsp","steps":3,"flops_per_step":1000000,"bytes_per_step":1000000,"sync_bytes":8}}"#,
@@ -401,6 +480,34 @@ const WIRE: [(&str, &str); 29] = [
     (
         "longs-faults-rest",
         r#"{"system":"longs","fidelity":"full","nranks":8,"placement":"two_localalloc","mpi":"mpich2","lock":"usysv","workload":{"kind":"bsp","steps":3,"flops_per_step":1000000,"bytes_per_step":1000000,"sync_bytes":8},"faults":[{"at":0.0001,"kind":"link-fail","link":3},{"at":0.00015,"kind":"link-restore","link":3},{"at":0.0002,"kind":"probe-brownout","factor":0.125},{"at":0.00025,"kind":"probe-restore"},{"at":0.0003,"kind":"rank-stall","rank":5},{"at":0.00035,"kind":"rank-resume","rank":5},{"at":0.0004,"kind":"controller-restore","socket":2}]}"#,
+    ),
+    (
+        "longs-amber-quick",
+        r#"{"system":"longs","fidelity":"quick","nranks":16,"placement":"default","mpi":"mpich2","lock":"usysv","workload":{"kind":"amber","atoms":23558,"method":"pme","grid_points":262144,"steps":10}}"#,
+    ),
+    (
+        "dmz-amber-fft-part",
+        r#"{"system":"dmz","fidelity":"full","nranks":4,"placement":"one_membind","mpi":"mpich2","lock":"usysv","workload":{"kind":"amber-fft-part","atoms":2492,"method":"gb","grid_points":1572.5,"steps":1000}}"#,
+    ),
+    (
+        "tiger-lammps-eam",
+        r#"{"system":"tiger","fidelity":"quick","nranks":2,"placement":"two_localalloc","mpi":"mpich2","lock":"usysv","workload":{"kind":"lammps","bench":"eam"}}"#,
+    ),
+    (
+        "longs-pop-baroclinic",
+        r#"{"system":"longs","fidelity":"full","nranks":8,"placement":"one_localalloc","mpi":"mpich2","lock":"usysv","workload":{"kind":"pop-baroclinic","nx":320,"ny":384,"nz":40,"steps":5,"cg_iterations":40}}"#,
+    ),
+    (
+        "dmz-pop-barotropic",
+        r#"{"system":"dmz","fidelity":"full","nranks":2,"placement":"two_localalloc","mpi":"mpich2","lock":"sysv","workload":{"kind":"pop-barotropic","nx":320,"ny":384,"nz":40,"steps":50,"cg_iterations":40}}"#,
+    ),
+    (
+        "longs-nas-cg-hybrid",
+        r#"{"system":"longs","fidelity":"quick","nranks":16,"placement":"two_localalloc","mpi":"mpich2","lock":"usysv","workload":{"kind":"nas-cg-hybrid","class":"a","threads":2}}"#,
+    ),
+    (
+        "epyc-nas-ft-hybrid",
+        r#"{"system":"epyc","fidelity":"full","nranks":32,"placement":"two_localalloc","mpi":"openmpi","lock":"usysv","workload":{"kind":"nas-ft-hybrid","class":"b","threads":4}}"#,
     ),
 ];
 

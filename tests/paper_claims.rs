@@ -1,15 +1,32 @@
 //! End-to-end checks of the paper's headline claims, each exercised
-//! through the full stack (harness -> apps/kernels -> smpi -> affinity ->
-//! machine engine).
+//! through the full stack (harness -> sched -> apps/kernels -> smpi ->
+//! affinity -> machine engine).
+//!
+//! Every test runs its artifacts through one process-wide scheduler, so
+//! a scenario that several tests (or several artifacts) need runs once
+//! and is answered from the result cache afterwards.
 
-use corescope::harness::{Artifact, Fidelity};
+use corescope::harness::{Artifact, Fidelity, Table};
+use corescope_sched::Scheduler;
+use std::sync::OnceLock;
+
+/// Regenerates `artifact` at quick fidelity on the shared scheduler.
+fn run(artifact: Artifact) -> Vec<Table> {
+    static SCHED: OnceLock<Scheduler> = OnceLock::new();
+    let sched = SCHED.get_or_init(|| {
+        Scheduler::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
+    });
+    artifact
+        .run_with(Fidelity::Quick, sched)
+        .unwrap_or_else(|e| panic!("{} failed: {e}", artifact.id()))
+}
 
 /// Abstract: "an appropriate selection of MPI task and memory placement
 /// schemes can result in over 25% performance improvement for key
 /// scientific calculations."
 #[test]
 fn placement_is_worth_over_25_percent_on_key_kernels() {
-    let tables = Artifact::T2.run(Fidelity::Quick).expect("table 2 runs");
+    let tables = run(Artifact::T2);
     let t = &tables[0];
     for row in ["8 CG", "8 FT"] {
         let best = ["Default", "One MPI + Local Alloc", "Two MPI + Local Alloc"]
@@ -32,7 +49,7 @@ fn placement_is_worth_over_25_percent_on_key_kernels() {
 /// performance improvement for full application runs."
 #[test]
 fn applications_see_double_digit_placement_effects() {
-    let tables = Artifact::T13.run(Fidelity::Quick).expect("table 13 runs");
+    let tables = run(Artifact::T13);
     let longs = &tables[0];
     let best = longs.value("8 baroclinic", "One MPI + Local Alloc").expect("localalloc cell");
     let worst = longs.value("8 baroclinic", "One MPI + Membind").expect("membind cell");
@@ -44,7 +61,7 @@ fn applications_see_double_digit_placement_effects() {
 /// scaling on DMZ.
 #[test]
 fn dual_cores_pay_off_on_small_nodes() {
-    let tables = Artifact::T8.run(Fidelity::Quick).expect("table 8 runs");
+    let tables = run(Artifact::T8);
     let t = &tables[0];
     for bench in ["dhfr", "gb_mb", "JAC"] {
         let s4 = t.value("4 DMZ", bench).expect("4-core cell");
@@ -57,14 +74,14 @@ fn dual_cores_pay_off_on_small_nodes() {
 /// exemplified by DGEMM."
 #[test]
 fn eight_socket_node_rewards_cache_locality() {
-    let tables = Artifact::F9.run(Fidelity::Quick).expect("figure 9 runs");
+    let tables = run(Artifact::F9);
     let t = &tables[0];
     // DGEMM: star == single (second core doubles per-socket throughput).
     let dgemm_ratio =
         t.value("usysv", "Single DGEMM").unwrap() / t.value("usysv", "Star DGEMM").unwrap();
     assert!(dgemm_ratio < 1.1, "DGEMM single:star {dgemm_ratio:.2} should be ~1 (cache friendly)");
     // STREAM: single:star per-core ratio is > 2 (figure 10).
-    let stream = &Artifact::F10.run(Fidelity::Quick).expect("figure 10 runs")[0];
+    let stream = &run(Artifact::F10)[0];
     let stream_ratio = stream.value("default", "Single:Star").unwrap();
     assert!(
         stream_ratio > 2.0,
@@ -76,7 +93,7 @@ fn eight_socket_node_rewards_cache_locality() {
 /// bandwidth benefit inside a multi-core processor.
 #[test]
 fn intra_socket_communication_is_fastest() {
-    let tables = Artifact::F16.run(Fidelity::Quick).expect("figure 16 runs");
+    let tables = run(Artifact::F16);
     let t = &tables[0];
     let bound = t.value("1048576", "2 procs, bound 0").unwrap();
     let unbound = t.value("1048576", "2 procs, unbound").unwrap();
@@ -88,7 +105,7 @@ fn intra_socket_communication_is_fastest() {
 /// effect for small messages.
 #[test]
 fn sysv_semaphores_dominate_small_message_latency() {
-    let tables = Artifact::F13.run(Fidelity::Quick).expect("figure 13 runs");
+    let tables = run(Artifact::F13);
     let t = &tables[0];
     let sysv = t.value("sysv", "PingPong").unwrap();
     let usysv = t.value("usysv", "PingPong").unwrap();
@@ -100,9 +117,7 @@ fn sysv_semaphores_dominate_small_message_latency() {
 #[test]
 fn all_artifacts_regenerate() {
     for artifact in Artifact::all() {
-        let tables = artifact
-            .run(Fidelity::Quick)
-            .unwrap_or_else(|e| panic!("{} failed: {e}", artifact.id()));
+        let tables = run(artifact);
         assert!(!tables.is_empty(), "{} produced no tables", artifact.id());
         for table in &tables {
             assert!(table.num_rows() > 0, "{} has an empty table", artifact.id());
