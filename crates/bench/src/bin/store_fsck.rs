@@ -1,4 +1,4 @@
-//! `store_fsck` — verify, repair, compact, and benchmark the crash-safe
+//! `store_fsck` — verify, repair, compact and dump the crash-safe
 //! campaign store (`corescope-store`).
 //!
 //! ```text
@@ -6,7 +6,6 @@
 //! store_fsck <dir> --repair   # make it clean; exit 1 if unrepairable
 //! store_fsck <dir> --compact  # fold duplicates, merge segments
 //! store_fsck <dir> --dump     # canonical CSV of all rows (CI byte-diffs this)
-//! store_fsck --bench [--out <path>]   # write/scan throughput → BENCH_store.json
 //! ```
 //!
 //! Verify prints the typed report lines ([`fsck::FsckReport::lines`]):
@@ -21,54 +20,34 @@
 //! killed-and-resumed campaign's dump must byte-match an uninterrupted
 //! one — the CI kill-resume smoke job relies on exactly that.
 
-use corescope_store::{fsck, Options, Row, Store};
+use corescope_store::{fsck, Store};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 enum Mode {
     Verify,
     Repair,
     Compact,
     Dump,
-    Bench { out: PathBuf },
 }
 
-fn parse_args() -> Result<(Option<PathBuf>, Mode), String> {
+fn parse_args() -> Result<(PathBuf, Mode), String> {
     let mut dir: Option<PathBuf> = None;
-    let mut mode = None;
-    let mut out = PathBuf::from("BENCH_store.json");
-    let mut bench = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    let mut mode = Mode::Verify;
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--repair" => mode = Some(Mode::Repair),
-            "--compact" => mode = Some(Mode::Compact),
-            "--dump" => mode = Some(Mode::Dump),
-            "--bench" => bench = true,
-            "--out" | "-o" => {
-                out = PathBuf::from(args.next().ok_or("--out needs a path")?);
-                if out.is_dir() {
-                    out = out.join("BENCH_store.json");
-                }
-            }
+            "--repair" => mode = Mode::Repair,
+            "--compact" => mode = Mode::Compact,
+            "--dump" => mode = Mode::Dump,
             "--help" | "-h" => {
-                println!(
-                    "usage: store_fsck <dir> [--repair | --compact | --dump]\n\
-                     \x20      store_fsck --bench [--out <path>]"
-                );
+                println!("usage: store_fsck <dir> [--repair | --compact | --dump]");
                 std::process::exit(0);
             }
             other if !other.starts_with('-') => dir = Some(PathBuf::from(other)),
             other => return Err(format!("unknown argument '{other}' (try --help)")),
         }
     }
-    if bench {
-        return Ok((dir, Mode::Bench { out }));
-    }
-    if dir.is_none() {
-        return Err("store directory required (try --help)".to_string());
-    }
-    Ok((dir, mode.unwrap_or(Mode::Verify)))
+    let dir = dir.ok_or("store directory required (try --help)")?;
+    Ok((dir, mode))
 }
 
 /// Canonical CSV of the committed rows: deduplicated (last wins, the
@@ -104,118 +83,24 @@ fn dump(dir: &Path) -> Result<String, String> {
     Ok(out)
 }
 
-fn synthetic_row(i: u64) -> Row {
-    Row {
-        digest: u128::from(i) * 0x9e37_79b9_7f4a_7c15 + 1,
-        system: "dmz".to_string(),
-        fidelity: "quick".to_string(),
-        placement: "localalloc".to_string(),
-        mpi: "mpich2".to_string(),
-        lock: "usysv".to_string(),
-        workload: "bsp".to_string(),
-        nranks: (i % 8 + 1) as u32,
-        makespan: (i as f64).mul_add(1.0e-6, 0.5),
-        events: i * 37,
-        faults_applied: 0,
-        checkpoints_taken: 0,
-        recoveries: 0,
-        retries: i % 3,
-    }
-}
-
-/// Write/scan throughput over a synthetic campaign, with the integrity
-/// gates that make the numbers trustworthy: the store must verify clean
-/// afterwards, a reopen must dedup every digest, and the scan must see
-/// every row back.
-fn bench(out: &Path) -> Result<(), String> {
-    const ROWS: u64 = 50_000;
-    let dir = std::env::temp_dir().join(format!("corescope-store-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let tag = "store-bench";
-    // Modest roll threshold so the bench exercises segment rolling too.
-    let options = Options { roll_bytes: 1 << 20, ..Options::default() };
-
-    let started = Instant::now();
-    {
-        let mut store = Store::open_with(&dir, tag, options.clone()).map_err(|e| e.to_string())?;
-        for i in 0..ROWS {
-            store.append(synthetic_row(i)).map_err(|e| e.to_string())?;
-        }
-        store.flush().map_err(|e| e.to_string())?;
-    }
-    let write_s = started.elapsed().as_secs_f64();
-
-    let started = Instant::now();
-    let scanned = {
-        let store = Store::open_reader(&dir).map_err(|e| e.to_string())?;
-        store.rows().map_err(|e| e.to_string())?.len() as u64
-    };
-    let scan_s = started.elapsed().as_secs_f64();
-
-    // Gate 1: every row must come back.
-    if scanned != ROWS {
-        return Err(format!("scan returned {scanned} of {ROWS} rows"));
-    }
-    // Gate 2: a reopened writer must already contain every digest.
-    {
-        let store = Store::open_with(&dir, tag, options).map_err(|e| e.to_string())?;
-        if store.rows_committed() != ROWS || !store.contains(synthetic_row(ROWS - 1).digest) {
-            return Err("reopen lost committed rows".to_string());
-        }
-    }
-    // Gate 3: the store must verify clean.
-    let report = fsck::verify(&dir).map_err(|e| e.to_string())?;
-    let verify_ok = report.is_clean();
-    let segments = report.segments;
-    let _ = std::fs::remove_dir_all(&dir);
-    if !verify_ok {
-        return Err(format!("bench store failed verify: {:?}", report.lines()));
-    }
-
-    let num = |v: f64| {
-        // Plain decimal, enough digits to compare runs.
-        format!("{v:.6}")
-    };
-    let body = format!(
-        "{{\"bench\":\"store\",\"rows\":{ROWS},\"segments\":{segments},\
-         \"write_s\":{},\"write_rows_per_s\":{},\
-         \"scan_s\":{},\"scan_rows_per_s\":{},\"verify_ok\":{verify_ok}}}\n",
-        num(write_s),
-        num(ROWS as f64 / write_s.max(1e-9)),
-        num(scan_s),
-        num(ROWS as f64 / scan_s.max(1e-9)),
-    );
-    std::fs::write(out, &body).map_err(|e| format!("writing {}: {e}", out.display()))?;
-    print!("{body}");
-    Ok(())
-}
-
-fn run(dir: Option<PathBuf>, mode: Mode) -> Result<i32, String> {
+fn run(dir: &Path, mode: Mode) -> Result<i32, String> {
     match mode {
-        Mode::Bench { out } => {
-            bench(&out)?;
-            Ok(0)
-        }
         Mode::Verify => {
-            let dir = dir.expect("checked in parse_args");
-            let report = fsck::verify(&dir).map_err(|e| e.to_string())?;
+            let report = fsck::verify(dir).map_err(|e| e.to_string())?;
             for line in report.lines() {
                 println!("{line}");
             }
             Ok(i32::from(!report.is_clean()))
         }
         Mode::Repair => {
-            let dir = dir.expect("checked in parse_args");
-            let report = fsck::repair(&dir).map_err(|e| format!("unrepairable: {e}"))?;
+            let report = fsck::repair(dir).map_err(|e| format!("unrepairable: {e}"))?;
             for line in report.lines() {
                 println!("{line}");
             }
             Ok(i32::from(!report.is_clean()))
         }
         Mode::Compact => {
-            let dir = dir.expect("checked in parse_args");
-            let report = fsck::compact(&dir).map_err(|e| e.to_string())?;
+            let report = fsck::compact(dir).map_err(|e| e.to_string())?;
             println!(
                 "compacted segments {} -> {}, rows {} -> {}, bytes {} -> {}",
                 report.segments_before,
@@ -228,8 +113,7 @@ fn run(dir: Option<PathBuf>, mode: Mode) -> Result<i32, String> {
             Ok(0)
         }
         Mode::Dump => {
-            let dir = dir.expect("checked in parse_args");
-            print!("{}", dump(&dir)?);
+            print!("{}", dump(dir)?);
             Ok(0)
         }
     }
@@ -245,7 +129,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    match run(dir, mode) {
+    match run(&dir, mode) {
         Ok(code) => std::process::exit(code),
         Err(e) => {
             eprintln!("store_fsck: {e}");

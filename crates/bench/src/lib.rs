@@ -1,7 +1,8 @@
 //! # corescope-bench
 //!
 //! The `repro` binary that regenerates every table and figure of the
-//! paper (`src/bin/repro.rs`), plus the service and benchmark binaries.
+//! paper (`src/bin/repro.rs`), plus the `corescope-serve` service and the
+//! `store_fsck` store tool.
 //!
 //! Also home to [`validate_chrome_trace`], a serde-free sanity check for
 //! the Chrome-trace JSON that `repro --trace` emits — CI runs it on the

@@ -24,7 +24,7 @@
 //! dedup and the result cache; a warm-cache rerun of this artifact
 //! performs zero engine runs. The emitted tables carry no scheduler
 //! statistics, so output is byte-identical at any `--jobs` count or
-//! cache temperature (`calib_bench` reports the runtime numbers).
+//! cache temperature (the perf ledger's `suite` workload times it).
 
 use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
@@ -49,7 +49,7 @@ pub const PERTURBATION: f64 = 0.25;
 /// rate is proportional to `lookup_mlp / (base latency + lookup_latency)`
 /// and the DMZ/Longs base latencies differ, giving two independent
 /// equations.
-pub const FITTED_AXES: [&str; 4] = ["dram_latency", "ht_bandwidth", "lookup_mlp", "lookup_latency"];
+const FITTED_AXES: [&str; 4] = ["dram_latency", "ht_bandwidth", "lookup_mlp", "lookup_latency"];
 
 /// Fraction of the normalized parameter box stepped by the sensitivity
 /// pass.
@@ -80,7 +80,7 @@ fn axis(name: &str) -> usize {
 }
 
 /// The perturbed starting point the fit must recover from.
-pub fn perturbed_start() -> CalibParams {
+fn perturbed_start() -> CalibParams {
     let mut p = CalibParams::paper_2006();
     p.dram_latency *= 1.0 + PERTURBATION;
     p.ht_bandwidth *= 1.0 - PERTURBATION;
@@ -93,7 +93,7 @@ pub fn perturbed_start() -> CalibParams {
 /// fidelity keeps a 150-evaluation CI budget (the four-axis simplex
 /// needs its 70% Nelder–Mead share uncut to converge; the old two-axis
 /// fit managed in 60), full fidelity doubles it.
-pub fn fit_config(fidelity: Fidelity) -> FitConfig {
+fn fit_config(fidelity: Fidelity) -> FitConfig {
     let budget = match fidelity {
         Fidelity::Full => 300,
         Fidelity::Quick => 150,

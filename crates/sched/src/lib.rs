@@ -58,5 +58,7 @@ pub use sink::StoreSink;
 /// `corescope-smpi`, `corescope-affinity`, `corescope-kernels` or
 /// `corescope-apps` (the AMBER, LAMMPS, POP and xslookup workloads
 /// lower through it) — a bump orphans every existing cache entry rather
-/// than serving stale numbers.
+/// than serving stale numbers. `tests/digests.rs` pins the golden
+/// scenario set's results under this tag and fails when either moves
+/// without the other.
 pub const ENGINE_TAG: &str = "corescope-engine-0.1.0+sched1";

@@ -2,7 +2,7 @@
 //!
 //! The `corescope-serve` binary is a thin CLI over [`Server`]; everything
 //! behavioural lives here so it can be exercised in-process by tests and
-//! the `serve_bench` load generator. The service applies the engine's
+//! the perf ledger's `serve` workload. The service applies the engine's
 //! robustness philosophy — *shed, don't hang; typed errors instead of
 //! watchdog timeouts* — to the serving layer itself. A request passes
 //! four gates, in order:

@@ -9,9 +9,11 @@
 //! the non-uniform HBM spec path), every workload kind, every fault kind,
 //! checkpoint and retry policies and a non-default calibration point. A
 //! second table pins the same set's [`Scenario::to_json`] text: the
-//! `serve` wire form. The property test then checks that the memoized
-//! batch path ([`Scenario::digests`]) agrees with the one-at-a-time path
-//! on random mixed batches.
+//! `serve` wire form. A third pin fingerprints the set's engine results
+//! under [`ENGINE_TAG`], so the tag moves exactly when the results do.
+//! The property test then checks that the memoized batch path
+//! ([`Scenario::digests`]) agrees with the one-at-a-time path on random
+//! mixed batches.
 
 use corescope_affinity::Scheme;
 use corescope_apps::md::{AmberMethod, LammpsBenchmark};
@@ -24,7 +26,7 @@ use corescope_machine::ids::{LinkId, NumaNodeId, RankId, SocketId};
 use corescope_machine::recovery::{CheckpointPolicy, CheckpointTarget, RetryPolicy};
 use corescope_machine::CalibParams;
 use corescope_sched::json::{self, Value};
-use corescope_sched::{Fidelity, Placement, Scenario, System, Workload};
+use corescope_sched::{Encoder, Fidelity, Placement, Scenario, System, Workload, ENGINE_TAG};
 use corescope_smpi::{LockLayer, MpiImpl};
 use proptest::prelude::*;
 
@@ -547,6 +549,56 @@ fn golden_wire_json_parses_back_to_the_same_scenario() {
         let parsed = Scenario::from_json(&json::parse(&scenario.to_json()).unwrap()).unwrap();
         assert_eq!(parsed, scenario, "{label}");
         assert_eq!(parsed.digest(), scenario.digest(), "{label}");
+    }
+}
+
+/// The [`ENGINE_TAG`] the golden set's results were recorded under, and
+/// their fingerprint (see [`results_fingerprint`]).
+const RESULTS: (&str, &str) = ("corescope-engine-0.1.0+sched1", "1f04ae65951a981a7523fefa51589761");
+
+/// Runs the golden set in order and folds every result into one digest:
+/// each `Ok` contributes its makespan's bit pattern and its five counts,
+/// each `Err` a fixed marker (errors are never cached). Three golden
+/// scenarios fail by design (`longs-faults`, `longs-faults-rest`,
+/// `dmz-amber-fft-part`), so `AmberFftPart` has no result coverage here.
+fn results_fingerprint() -> String {
+    let mut enc = Encoder::new();
+    for (_, scenario) in golden_set() {
+        match scenario.run() {
+            Ok(r) => enc
+                .f64("makespan", r.makespan)
+                .usize("events", r.events)
+                .usize("faults_applied", r.faults_applied)
+                .usize("checkpoints_taken", r.checkpoints_taken)
+                .usize("recoveries", r.recoveries)
+                .usize("retries", r.retries),
+            Err(_) => enc.tag("result", "err"),
+        };
+    }
+    enc.digest().hex()
+}
+
+/// Every cache entry and store row is keyed under [`ENGINE_TAG`], so the
+/// tag must change exactly when the engine's results do: results that
+/// move under the pinned tag would be served stale from every existing
+/// cache, and a bump that moves no result orphans them all for nothing.
+#[test]
+fn engine_tag_moves_exactly_when_results_do() {
+    let (pinned_tag, pinned) = RESULTS;
+    let fingerprint = results_fingerprint();
+    if fingerprint == pinned {
+        assert_eq!(
+            ENGINE_TAG, pinned_tag,
+            "ENGINE_TAG moved but no golden result changed: the bump orphans every cache \
+             entry and store row for nothing; revert it"
+        );
+    } else {
+        assert_ne!(
+            ENGINE_TAG, pinned_tag,
+            "golden results moved (fingerprint {pinned} -> {fingerprint}) under the pinned \
+             ENGINE_TAG: bump ENGINE_TAG and re-pin RESULTS"
+        );
+        panic!("results moved with the ENGINE_TAG bump: re-pin RESULTS to {fingerprint}");
     }
 }
 

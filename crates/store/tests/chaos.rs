@@ -386,7 +386,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Any batch of rows round-trips through append/flush/reopen with
-    /// arbitrary flush boundaries, and duplicate digests stay deduped.
+    /// arbitrary flush boundaries across rolled segments, duplicate
+    /// digests stay deduped, and the reopened store verifies clean and
+    /// contains every digest.
     #[test]
     fn prop_rows_round_trip_across_flush_boundaries(
         seed in 0u64..10_000,
@@ -395,7 +397,9 @@ proptest! {
     ) {
         let tmp = TempDir::new(&format!("prop-rt-{seed}-{n}-{flush_every}"));
         let rows: Vec<Row> = (0..n as u64).map(|j| mixed_row(seed, j)).collect();
-        let mut store = Store::open(tmp.path(), TAG).unwrap();
+        // Tiny roll threshold so most cases span several segments.
+        let options = Options { roll_bytes: 160, ..Options::default() };
+        let mut store = Store::open_with(tmp.path(), TAG, options).unwrap();
         for (i, row) in rows.iter().enumerate() {
             prop_assert!(store.append(row.clone()).unwrap());
             prop_assert!(!store.append(row.clone()).unwrap(), "duplicate accepted");
@@ -408,11 +412,17 @@ proptest! {
 
         let store = Store::open(tmp.path(), TAG).unwrap();
         prop_assert!(store.recovery().is_clean());
+        for row in &rows {
+            prop_assert!(store.contains(row.digest), "reopen lost digest {:x}", row.digest);
+        }
         let mut got = store.rows().unwrap();
         let mut want = rows.clone();
         got.sort_by_key(|r| r.digest);
         want.sort_by_key(|r| r.digest);
         prop_assert_eq!(got, want);
+        drop(store);
+        let report = fsck::verify(tmp.path()).unwrap();
+        prop_assert!(report.is_clean(), "{:?}", report.lines());
     }
 
     /// A store truncated at a sampled offset — including inside the
