@@ -10,6 +10,7 @@ use corescope::kernels::stream::{append_star, StreamParams};
 use corescope::machine::{systems, FaultPlan, Machine, TraceConfig};
 use corescope::smpi::{CommWorld, LockLayer, MpiImpl};
 use corescope_bench::validate_chrome_trace;
+use corescope_sched::Encoder;
 
 fn stream_world(machine: &Machine, n: usize) -> CommWorld<'_> {
     let placements = corescope::affinity::Scheme::TwoMpiLocalAlloc.resolve(machine, n).unwrap();
@@ -43,9 +44,22 @@ fn longs_stream_trace_blames_the_probe_fabric() {
     );
 }
 
+/// One digest per distinct traced representative, over its exported
+/// Chrome-trace JSON followed by its utilization CSV. The trace export
+/// is deterministic, so any change to how a representative is lowered
+/// or traced shows up here as a moved digest.
+const TRACE_PINS: [(Artifact, &str); 6] = [
+    (Artifact::F2, "459eb59c5a170ab4c2fb6499ccbbb8df"),
+    (Artifact::F14, "381212bd59bf4603fc977177664bb207"),
+    (Artifact::T2, "09ed89e912b76010aaaacaf1c976165d"),
+    (Artifact::T3, "3d76c5563909d6e857b6f5045b1db2bb"),
+    (Artifact::X3, "d11006786709eacfd251d89d9e4f4043"),
+    (Artifact::X5, "61356fa4302c4e9a15ec531d86f8d02f"),
+];
+
 #[test]
 fn representative_traces_export_valid_chrome_json_and_csv() {
-    for artifact in [Artifact::F2, Artifact::F14, Artifact::T2] {
+    for (artifact, pinned) in TRACE_PINS {
         let bundle = representative_trace(artifact, Fidelity::Quick)
             .unwrap()
             .unwrap_or_else(|| panic!("{} should have a traced representative", artifact.id()));
@@ -59,6 +73,8 @@ fn representative_traces_export_valid_chrome_json_and_csv() {
         for line in lines {
             assert_eq!(line.split(',').count(), header_cols, "ragged CSV for {}", artifact.id());
         }
+        let digest = Encoder::new().str("json", &json).str("csv", &csv).digest().hex();
+        assert_eq!(digest, pinned, "{} trace export moved", artifact.id());
     }
 }
 
