@@ -9,16 +9,13 @@
 //! ([`RunTrace::bottleneck_ranking`]), and *fails* if the top-ranked
 //! cause does not match the paper's narrative.
 
-use crate::context::{default_stack, lam_profile, Systems};
 use crate::fidelity::Fidelity;
-use crate::observe::scatter_local;
+use crate::observe::{cg, pingpong, scatter_stream, traced};
 use crate::report::{Cell, Table};
-use corescope_affinity::Scheme;
-use corescope_kernels::cg::{CgClass, NasCg};
-use corescope_kernels::stream::{append_star, StreamParams};
+use corescope_kernels::cg::CgClass;
 use corescope_machine::trace::AttributedTime;
-use corescope_machine::{Error, FaultPlan, Machine, Result, RunTrace, TraceConfig};
-use corescope_smpi::{CommWorld, LockLayer};
+use corescope_machine::{Error, Result, RunTrace};
+use corescope_sched::{Scenario, System};
 
 /// What the paper says should top the ranking for a workload.
 #[derive(Debug, Clone, Copy)]
@@ -49,119 +46,49 @@ impl Expected {
     }
 }
 
-/// Builds one traced workload on a borrowed machine.
-type BuildWorld = Box<dyn Fn(&Machine) -> Result<CommWorld<'_>>>;
-
 /// One traced workload row.
 struct Row {
     name: &'static str,
-    machine: fn(&Systems) -> &Machine,
     expected: Expected,
-    build: BuildWorld,
-}
-
-fn stream_world(machine: &Machine, nranks: usize, fidelity: Fidelity) -> Result<CommWorld<'_>> {
-    let params = StreamParams { sweeps: fidelity.steps(10).max(2), ..StreamParams::default() };
-    let mut world =
-        CommWorld::new(machine, scatter_local(machine, nranks)?, lam_profile(), LockLayer::USysV);
-    append_star(&mut world, &params);
-    Ok(world)
-}
-
-fn pingpong_world(machine: &Machine, fidelity: Fidelity) -> Result<CommWorld<'_>> {
-    let reps = fidelity.steps(20).max(4);
-    let placements = Scheme::OneMpiLocalAlloc.resolve(machine, 2)?;
-    let (profile, lock) = default_stack();
-    let mut world = CommWorld::new(machine, placements, profile, lock);
-    for _ in 0..reps {
-        world.p2p(0, 1, 8.0);
-        world.p2p(1, 0, 8.0);
-    }
-    Ok(world)
-}
-
-fn cg_world(machine: &Machine, nranks: usize) -> Result<CommWorld<'_>> {
-    // Class A at every fidelity: big enough to be memory-bound, small
-    // enough that the traced run stays cheap.
-    let placements = Scheme::TwoMpiLocalAlloc.resolve(machine, nranks)?;
-    let (profile, lock) = default_stack();
-    let mut world = CommWorld::new(machine, placements, profile, lock);
-    NasCg { class: CgClass::A }.append_run(&mut world);
-    Ok(world)
+    scenario: Scenario,
 }
 
 fn rows(fidelity: Fidelity) -> Vec<Row> {
+    let row = |name, expected, scenario| Row { name, expected, scenario };
+    let stream = |system, nranks| scatter_stream(system, nranks, fidelity);
+    let pingpong = |system| pingpong(system, 8.0, fidelity);
+    // Class A at every fidelity: big enough to be memory-bound, small
+    // enough that the traced run stays cheap.
+    let cg = |system, nranks| cg(system, nranks, CgClass::A, fidelity);
     vec![
         // STREAM (F2/F3). Tiger: one core per socket, nothing shared
         // saturates — each stream rides its own Little's-law cap. DMZ:
         // two cores per socket want 7.3 GB/s of a 4.2 GB/s controller.
         // Longs at >=8 cores: per-socket controllers have headroom but
         // the machine-wide probe fabric is past its ladder capacity.
-        Row {
-            name: "STREAM triad x2, Tiger",
-            machine: |s| &s.tiger,
-            expected: Expected::Exactly("flow-cap"),
-            build: Box::new(move |m| stream_world(m, 2, fidelity)),
-        },
-        Row {
-            name: "STREAM triad x4, DMZ",
-            machine: |s| &s.dmz,
-            expected: Expected::Prefixed("mc:"),
-            build: Box::new(move |m| stream_world(m, 4, fidelity)),
-        },
-        Row {
-            name: "STREAM triad x8, Longs",
-            machine: |s| &s.longs,
-            expected: Expected::Exactly("coherence-probe"),
-            build: Box::new(move |m| stream_world(m, 8, fidelity)),
-        },
-        Row {
-            name: "STREAM triad x16, Longs",
-            machine: |s| &s.longs,
-            expected: Expected::Exactly("coherence-probe"),
-            build: Box::new(move |m| stream_world(m, 16, fidelity)),
-        },
+        row("STREAM triad x2, Tiger", Expected::Exactly("flow-cap"), stream(System::Tiger, 2)),
+        row("STREAM triad x4, DMZ", Expected::Prefixed("mc:"), stream(System::Dmz, 4)),
+        row(
+            "STREAM triad x8, Longs",
+            Expected::Exactly("coherence-probe"),
+            stream(System::Longs, 8),
+        ),
+        row(
+            "STREAM triad x16, Longs",
+            Expected::Exactly("coherence-probe"),
+            stream(System::Longs, 16),
+        ),
         // IMB PingPong at 8 B (F14): the payload drains in nanoseconds;
         // setup gaps and lock delays — software overhead — dominate on
         // every system.
-        Row {
-            name: "PingPong 8 B, Tiger",
-            machine: |s| &s.tiger,
-            expected: Expected::Exactly("mpi-overhead"),
-            build: Box::new(move |m| pingpong_world(m, fidelity)),
-        },
-        Row {
-            name: "PingPong 8 B, DMZ",
-            machine: |s| &s.dmz,
-            expected: Expected::Exactly("mpi-overhead"),
-            build: Box::new(move |m| pingpong_world(m, fidelity)),
-        },
-        Row {
-            name: "PingPong 8 B, Longs",
-            machine: |s| &s.longs,
-            expected: Expected::Exactly("mpi-overhead"),
-            build: Box::new(move |m| pingpong_world(m, fidelity)),
-        },
+        row("PingPong 8 B, Tiger", Expected::Exactly("mpi-overhead"), pingpong(System::Tiger)),
+        row("PingPong 8 B, DMZ", Expected::Exactly("mpi-overhead"), pingpong(System::Dmz)),
+        row("PingPong 8 B, Longs", Expected::Exactly("mpi-overhead"), pingpong(System::Longs)),
         // NAS CG (T2/T3): report-only — the mix shifts with rank count
         // and machine, which is exactly what the ranking shows.
-        Row {
-            name: "NAS CG-A x2, Tiger",
-            machine: |s| &s.tiger,
-            expected: Expected::Any,
-            build: Box::new(move |m| cg_world(m, 2)),
-        },
-        Row {
-            name: "NAS CG-A x4, DMZ",
-            machine: |s| &s.dmz,
-            expected: Expected::Any,
-            build: Box::new(move |m| cg_world(m, 4)),
-        },
-        Row {
-            name: "NAS CG-A x8, Longs",
-            machine: |s| &s.longs,
-            expected: Expected::Any,
-            build: Box::new(move |m| cg_world(m, 8)),
-        },
+        row("NAS CG-A x2, Tiger", Expected::Any, cg(System::Tiger, 2)),
+        row("NAS CG-A x4, DMZ", Expected::Any, cg(System::Dmz, 4)),
+        row("NAS CG-A x8, Longs", Expected::Any, cg(System::Longs, 8)),
     ]
 }
 
@@ -170,14 +97,8 @@ fn attribution_violation(row: &str, what: impl std::fmt::Display) -> Error {
 }
 
 /// Runs one row traced and returns its trace and ranking.
-fn traced_ranking(systems: &Systems, row: &Row) -> Result<(RunTrace, Vec<AttributedTime>)> {
-    let machine = (row.machine)(systems);
-    let world = (row.build)(machine)?;
-    let observed = world.observe(&FaultPlan::new(), TraceConfig::on());
-    observed.result?;
-    let trace = observed
-        .trace
-        .ok_or_else(|| Error::InvalidSpec("traced run produced no trace".to_string()))?;
+fn traced_ranking(row: &Row) -> Result<(RunTrace, Vec<AttributedTime>)> {
+    let trace = traced(&row.scenario)?;
     let ranking = trace.bottleneck_ranking();
     if ranking.is_empty() {
         return Err(attribution_violation(row.name, "empty bottleneck ranking"));
@@ -193,13 +114,12 @@ fn traced_ranking(systems: &Systems, row: &Row) -> Result<(RunTrace, Vec<Attribu
 /// workload's top-ranked bottleneck contradicts the paper's narrative
 /// (that is the point: the artifact doubles as an attribution check).
 pub fn extra4(fidelity: Fidelity) -> Result<Vec<Table>> {
-    let systems = Systems::new();
     let mut table = Table::with_columns(
         "Extra X4: time-resolved bottleneck attribution (share of attributed+overhead time)",
         &["Workload", "Top bottleneck", "Share", "Runner-up", "Saturated frac", "Makespan (s)"],
     );
     for row in rows(fidelity) {
-        let (trace, ranking) = traced_ranking(&systems, &row)?;
+        let (trace, ranking) = traced_ranking(&row)?;
         let top = &ranking[0];
         if !row.expected.matches(&top.label) {
             return Err(attribution_violation(

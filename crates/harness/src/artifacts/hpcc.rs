@@ -7,7 +7,7 @@
 //! helper columns and Figure 13's latency probes use bespoke kernel
 //! helpers that need raw placements, so they stay direct engine calls.
 
-use crate::context::{lam_profile, Systems};
+use crate::context::Systems;
 use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use crate::runtime::RuntimeOption;
@@ -193,7 +193,7 @@ pub fn figure12(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
         // The ring/pingpong helpers need raw placements, so they bypass
         // the scheduler (they are cheap point probes, not sweeps).
         let placements = option.scheme().resolve(machine, 16)?;
-        let profile = lam_profile();
+        let profile = MpiImpl::Lam.profile();
         let ring = ring_bandwidth(machine, &placements, &profile, option.lock(), reps)?;
         let pp = pingpong_bandwidth(machine, &placements, &profile, option.lock(), 2e6, reps)?;
         table.push_row(
@@ -219,7 +219,7 @@ pub fn figure13(fidelity: Fidelity) -> Result<Vec<Table>> {
     );
     for option in RuntimeOption::all() {
         let placements = option.scheme().resolve(machine, 16)?;
-        let profile = lam_profile();
+        let profile = MpiImpl::Lam.profile();
         let pp = pingpong_time(machine, &placements, &profile, option.lock(), 8.0, reps)?;
         let ring = ring_latency(machine, &placements, &profile, option.lock(), reps)?;
         table.push_row(option.name(), vec![Cell::num(pp * 1e6), Cell::num(ring * 1e6)]);

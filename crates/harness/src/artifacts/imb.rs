@@ -22,15 +22,15 @@ fn reps(fidelity: Fidelity, bytes: f64) -> usize {
 
 /// Figures 14/15 placements: two unbound processes (the OS scatters them
 /// across the two sockets).
-fn unbound2(machine: &Machine) -> Vec<RankPlacement> {
-    Scheme::Default.resolve(machine, 2).expect("dmz places 2 ranks")
+fn unbound2(machine: &Machine) -> Result<Vec<RankPlacement>> {
+    Scheme::Default.resolve(machine, 2)
 }
 
 /// Figure 14: PingPong latency and bandwidth across MPICH2/LAM/OpenMPI.
 pub fn figure14(fidelity: Fidelity) -> Result<Vec<Table>> {
     let systems = Systems::new();
     let machine = &systems.dmz;
-    let placements = unbound2(machine);
+    let placements = unbound2(machine)?;
     let mut latency = Table::with_columns(
         "Figure 14a: IMB PingPong latency, DMZ (microseconds)",
         &["Bytes", "MPICH2", "LAM", "OpenMPI"],
@@ -67,8 +67,8 @@ pub fn figure14(fidelity: Fidelity) -> Result<Vec<Table>> {
 pub fn figure15(fidelity: Fidelity) -> Result<Vec<Table>> {
     let systems = Systems::new();
     let machine = &systems.dmz;
-    let p2 = unbound2(machine);
-    let p4 = Scheme::Default.resolve(machine, 4).expect("dmz places 4 ranks");
+    let p2 = unbound2(machine)?;
+    let p4 = Scheme::Default.resolve(machine, 4)?;
     let mut table = Table::with_columns(
         "Figure 15: IMB Exchange time per iteration, DMZ (microseconds)",
         &["Bytes", "MPICH2 (2p)", "LAM (2p)", "OpenMPI (2p)", "OpenMPI (4p)"],
@@ -129,7 +129,7 @@ impl Binding {
         }
     }
 
-    fn placements(self, machine: &Machine) -> Vec<RankPlacement> {
+    fn placements(self, machine: &Machine) -> Result<Vec<RankPlacement>> {
         let socket_cores = |s: usize| -> Vec<RankPlacement> {
             (0..2)
                 .map(|c| {
@@ -139,12 +139,10 @@ impl Binding {
                 .collect()
         };
         match self {
-            Binding::BoundSocket0 => socket_cores(0),
-            Binding::BoundSocket1 => socket_cores(1),
+            Binding::BoundSocket0 => Ok(socket_cores(0)),
+            Binding::BoundSocket1 => Ok(socket_cores(1)),
             Binding::Unbound => unbound2(machine),
-            Binding::UnboundParked => {
-                Scheme::Default.resolve(machine, 4).expect("dmz places 4 ranks")
-            }
+            Binding::UnboundParked => Scheme::Default.resolve(machine, 4),
         }
     }
 
@@ -175,7 +173,7 @@ pub fn figure16(fidelity: Fidelity) -> Result<Vec<Table>> {
             let profile = binding.profile();
             let t = pingpong_time(
                 machine,
-                &binding.placements(machine),
+                &binding.placements(machine)?,
                 &profile,
                 LockLayer::USysV,
                 bytes,
@@ -204,7 +202,7 @@ pub fn figure17(fidelity: Fidelity) -> Result<Vec<Table>> {
             let active = 2;
             let t = exchange_time(
                 machine,
-                &binding.placements(machine),
+                &binding.placements(machine)?,
                 &profile,
                 LockLayer::USysV,
                 active,
@@ -214,7 +212,7 @@ pub fn figure17(fidelity: Fidelity) -> Result<Vec<Table>> {
             cells.push(Cell::num(t * 1e6));
         }
         let profile = MpiImpl::OpenMpi.profile();
-        let p4 = Scheme::Default.resolve(machine, 4).expect("dmz places 4 ranks");
+        let p4 = Scheme::Default.resolve(machine, 4)?;
         let t4 = exchange_time(
             machine,
             &p4,

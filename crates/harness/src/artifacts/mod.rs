@@ -361,7 +361,7 @@ impl Artifact {
             T14 => pop::table14(fidelity, sched),
             X1 => hybrid::extra1(fidelity, sched),
             X2 => Ok(vec![statics::extra2()]),
-            X3 => crate::resilience::extra3(fidelity),
+            X3 => crate::resilience::extra3(fidelity, sched),
             X4 => bottleneck::extra4(fidelity),
             X5 => recovery::extra5(fidelity, sched),
             X7 => calibration::extra7(fidelity, sched),

@@ -25,21 +25,21 @@
 //! fault-free baselines, the δ probes, the 4-campaign × 5-interval
 //! sweep) is one [`Scheduler`] batch, so the twenty-plus engine runs fan
 //! out over workers and land in the result cache. The traced
-//! attribution runs (claim 3) need `RunTrace`s, which the scenario IR
-//! deliberately does not cache, so those stay direct engine calls.
+//! attribution runs (claim 3) need `RunTrace`s, which the result cache
+//! deliberately does not hold, so they run the same scenarios through
+//! [`Scenario::observe`], uncached.
 //!
 //! [`FaultKind::RankKill`]: corescope_machine::FaultKind::RankKill
 
-use crate::context::{default_stack, Systems};
 use crate::fidelity::Fidelity;
+use crate::observe::traced;
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
 use corescope_machine::{
-    young_daly_interval, CheckpointPolicy, CheckpointTarget, ComputePhase, Error, FaultPlan,
-    Machine, NumaNodeId, RankId, Result, RunTrace, TraceConfig, TrafficProfile,
+    young_daly_interval, CheckpointPolicy, CheckpointTarget, Error, FaultPlan, NumaNodeId, RankId,
+    Result, RunTrace,
 };
 use corescope_sched::{Placement, Scenario, Scheduler, System, Workload};
-use corescope_smpi::CommWorld;
 
 /// Bounded-recovery guarantee: with kills at MTBF spacing and the best
 /// swept checkpoint interval, the makespan must stay within this factor
@@ -88,9 +88,8 @@ const STEP_BYTES: f64 = 8.0e6;
 /// count so `δ` stays proportionate to the run at every fidelity).
 const CKPT_BYTES: f64 = 1.0e7;
 
-/// The campaign's BSP scenario: the scenario defaults (two MPI per
-/// socket, localalloc, MPICH2, spin locks) are exactly the old
-/// `default_stack()` world.
+/// The campaign's BSP scenario, on the scenario defaults (two MPI per
+/// socket, localalloc, MPICH2 with spin locks).
 fn bsp_scenario(system: System, nranks: usize, fidelity: Fidelity) -> Scenario {
     Scenario::new(
         system,
@@ -103,27 +102,6 @@ fn bsp_scenario(system: System, nranks: usize, fidelity: Fidelity) -> Scenario {
         },
     )
     .with_fidelity(fidelity)
-}
-
-/// Builds the BSP workload as a traced-capable world (claim 3 needs
-/// `observe`, which the scenario/cache path deliberately omits).
-fn bsp_world<'m>(
-    machine: &'m Machine,
-    scheme: Scheme,
-    nranks: usize,
-    fidelity: Fidelity,
-) -> Result<CommWorld<'m>> {
-    let placements = scheme
-        .resolve(machine, nranks)
-        .map_err(|e| Error::InvalidSpec(format!("X5 placement failed: {e}")))?;
-    let (profile, lock) = default_stack();
-    let mut world = CommWorld::new(machine, placements, profile, lock);
-    let phase = ComputePhase::new("bsp-step", STEP_FLOPS, TrafficProfile::stream(STEP_BYTES));
-    for _ in 0..fidelity.steps(BSP_STEPS) {
-        world.compute_all(|_| Some(phase.clone()));
-        world.allreduce(8.0);
-    }
-    Ok(world)
 }
 
 /// Checkpoint payload per rank at this fidelity.
@@ -306,26 +284,6 @@ fn mc_share(trace: &RunTrace) -> f64 {
     share.max(0.0)
 }
 
-/// Runs the DMZ one-rank-per-socket workload traced, optionally under a
-/// checkpoint policy, and returns the memory-controller attribution
-/// share.
-fn shift_mc_share(
-    systems: &Systems,
-    fidelity: Fidelity,
-    policy: Option<CheckpointPolicy>,
-) -> Result<f64> {
-    let mut world = bsp_world(&systems.dmz, Scheme::OneMpiLocalAlloc, 2, fidelity)?;
-    if let Some(policy) = policy {
-        world = world.with_recovery(policy);
-    }
-    let observed = world.observe(&FaultPlan::new(), TraceConfig::on());
-    observed.result?;
-    let trace = observed
-        .trace
-        .ok_or_else(|| Error::InvalidSpec("traced run produced no trace".to_string()))?;
-    Ok(mc_share(&trace))
-}
-
 /// Extra X5: the recovery campaign tables.
 ///
 /// # Errors
@@ -338,8 +296,6 @@ fn shift_mc_share(
 /// membind (that is the point: the artifact doubles as a recovery
 /// check).
 pub fn extra5(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
-    let systems = Systems::new();
-
     let mut sweep_table = Table::with_columns(
         "Extra X5: checkpoint-interval sweep under rank-kill faults (BSP workload)",
         &[
@@ -397,21 +353,14 @@ pub fn extra5(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
     // A membind-style checkpoint store (every rank's checkpoint stream
     // bound to node 0) must tip the controller into being the binding
     // constraint and raise its share of the traced attribution.
-    let base = shift_mc_share(&systems, fidelity, None)?;
-    let free = sched
-        .run_one(
-            &bsp_scenario(System::Dmz, 2, fidelity)
-                .with_placement(Placement::Scheme(Scheme::OneMpiLocalAlloc)),
-        )?
-        .result
-        .makespan;
+    let one_per_socket = bsp_scenario(System::Dmz, 2, fidelity)
+        .with_placement(Placement::Scheme(Scheme::OneMpiLocalAlloc));
+    let base = mc_share(&traced(&one_per_socket)?);
+    let free = sched.run_one(&one_per_socket)?.result.makespan;
     let policy = CheckpointPolicy::new(free / 8.0, ckpt_bytes(fidelity));
-    let own = shift_mc_share(&systems, fidelity, Some(policy.clone()))?;
-    let membind = shift_mc_share(
-        &systems,
-        fidelity,
-        Some(policy.with_target(CheckpointTarget::Node(NumaNodeId::new(0)))),
-    )?;
+    let own = mc_share(&traced(&one_per_socket.clone().with_recovery(policy.clone()))?);
+    let node0 = policy.with_target(CheckpointTarget::Node(NumaNodeId::new(0)));
+    let membind = mc_share(&traced(&one_per_socket.with_recovery(node0))?);
     if membind <= base {
         return Err(recovery_violation(
             "dmz membind checkpoint store",

@@ -6,7 +6,7 @@ use crate::report::Table;
 use corescope_affinity::Scheme;
 use corescope_machine::{systems, Machine, Result};
 use corescope_sched::{Placement, Scenario, Scheduler, System, Workload};
-use corescope_smpi::{LockLayer, MpiImpl, MpiProfile};
+use corescope_smpi::{LockLayer, MpiImpl};
 
 /// The three evaluation systems, built once per artifact run.
 #[derive(Debug)]
@@ -37,8 +37,7 @@ impl Default for Systems {
 }
 
 /// An application-table scenario: `workload` on `nranks` ranks of
-/// `system` under `scheme`, on the paper's MPICH2 + spin-lock stack
-/// ([`default_stack`]).
+/// `system` under `scheme`, on the paper's MPICH2 + spin-lock stack.
 pub(crate) fn app_scenario(
     system: System,
     nranks: usize,
@@ -187,17 +186,6 @@ pub(crate) fn speedup_table(
         }
     }
     Ok(pivot_table(title, columns, &rows))
-}
-
-/// The MPI stack the paper uses for the NAS/application tables (MPICH2
-/// with spin locks).
-pub fn default_stack() -> (MpiProfile, LockLayer) {
-    (MpiImpl::Mpich2.profile(), LockLayer::USysV)
-}
-
-/// The LAM stack used for the HPCC figures.
-pub fn lam_profile() -> MpiProfile {
-    MpiImpl::Lam.profile()
 }
 
 #[cfg(test)]

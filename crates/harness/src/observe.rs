@@ -1,6 +1,11 @@
 //! Trace export: representative traced runs per artifact, Chrome-trace
 //! JSON, and utilization CSV.
 //!
+//! Each representative is a [`Scenario`] run through
+//! [`Scenario::observe`] with tracing on, the same lowering the tables'
+//! cached runs use; the scenario constructors here are shared with the X3
+//! and X4 artifacts.
+//!
 //! `repro --trace <dir>` calls [`representative_trace`] for each
 //! requested artifact, then writes [`chrome_trace_json`] (loadable in
 //! `chrome://tracing` or Perfetto) and [`utilization_csv`] (one row per
@@ -11,16 +16,16 @@
 //! `"i"` instants for fault stamps, and `"M"` metadata for names.
 
 use crate::artifacts::Artifact;
-use crate::context::{default_stack, lam_profile, Systems};
 use crate::fidelity::Fidelity;
-use corescope_affinity::{os_scatter, policy, Scheme};
-use corescope_kernels::cg::{CgClass, NasCg};
-use corescope_kernels::stream::{append_star, StreamParams};
-use corescope_machine::engine::{Observed, RankPlacement};
+use crate::resilience::FaultTarget;
+use corescope_affinity::Scheme;
+use corescope_kernels::cg::CgClass;
+use corescope_kernels::stream::StreamParams;
 use corescope_machine::{
-    CheckpointPolicy, Error, FaultPlan, Machine, RankId, Result, RunTrace, TraceConfig,
+    CheckpointPolicy, Error, FaultPlan, RankId, Result, RunTrace, TraceConfig,
 };
-use corescope_smpi::{CommWorld, LockLayer};
+use corescope_sched::{Placement, Scenario, System, Workload};
+use corescope_smpi::MpiImpl;
 use std::fmt::Write as _;
 
 /// A labelled trace ready for export.
@@ -32,13 +37,35 @@ pub struct TraceBundle {
     pub trace: RunTrace,
 }
 
-/// lmbench-style placements: spread over sockets first (the paper's
-/// core-activation order), memory allocated locally.
-pub(crate) fn scatter_local(machine: &Machine, nranks: usize) -> Result<Vec<RankPlacement>> {
-    Ok(os_scatter(machine, nranks)?
-        .into_iter()
-        .map(|core| RankPlacement::new(core, policy::local(machine, core)))
-        .collect())
+/// STREAM triad on every rank, `fidelity.steps(10).max(2)` sweeps.
+pub(crate) fn stream_star(fidelity: Fidelity) -> Workload {
+    let StreamParams { kernel, elements_per_rank, .. } = StreamParams::default();
+    Workload::StreamStar { kernel, elements_per_rank, sweeps: fidelity.steps(10).max(2) }
+}
+
+/// lmbench-style STREAM: ranks spread over sockets first (the paper's
+/// core-activation order), memory allocated locally, on the LAM stack of
+/// the HPCC figures.
+pub(crate) fn scatter_stream(system: System, nranks: usize, fidelity: Fidelity) -> Scenario {
+    Scenario::new(system, nranks, stream_star(fidelity))
+        .with_fidelity(fidelity)
+        .with_placement(Placement::ScatterLocal)
+        .with_mpi(MpiImpl::Lam)
+}
+
+/// A `bytes` PingPong of `fidelity.steps(20).max(4)` round trips between
+/// two ranks on different sockets.
+pub(crate) fn pingpong(system: System, bytes: f64, fidelity: Fidelity) -> Scenario {
+    let reps = fidelity.steps(20).max(4);
+    Scenario::new(system, 2, Workload::PingPong { bytes, reps })
+        .with_fidelity(fidelity)
+        .with_placement(Placement::Scheme(Scheme::OneMpiLocalAlloc))
+}
+
+/// NAS CG of `class` on the scenario defaults (two MPI per socket,
+/// localalloc, MPICH2 with spin locks).
+pub(crate) fn cg(system: System, nranks: usize, class: CgClass, fidelity: Fidelity) -> Scenario {
+    Scenario::new(system, nranks, Workload::NasCg { class }).with_fidelity(fidelity)
 }
 
 /// Produces the traced run that best represents `artifact`: the workload
@@ -51,115 +78,53 @@ pub(crate) fn scatter_local(machine: &Machine, nranks: usize) -> Result<Vec<Rank
 /// Propagates engine errors from the traced run.
 pub fn representative_trace(artifact: Artifact, fidelity: Fidelity) -> Result<Option<TraceBundle>> {
     use Artifact::*;
-    let systems = Systems::new();
-    let bundle = match artifact {
-        // STREAM bandwidth artifacts: the probe-fabric-bound 16-core
-        // Longs configuration is the paper's headline observation.
-        F2 | F3 | F10 | X4 => Some(traced_stream(&systems.longs, "longs", 16, fidelity)?),
-        // IMB artifacts: a small-message cross-socket PingPong on DMZ.
-        F14 | F15 | F16 | F17 => Some(traced_pingpong(&systems.dmz, "dmz", fidelity)?),
-        // NAS CG tables.
-        T2 => Some(traced_cg(&systems.longs, "longs", 8)?),
-        T3 => Some(traced_cg(&systems.dmz, "dmz", 4)?),
-        // The resilience campaign: a brownout run whose fault stamps
-        // land in the trace as instant events.
-        X3 => Some(traced_faulted_stream(&systems.dmz, "dmz", fidelity)?),
-        // The recovery campaign: a checkpointed run surviving a rank
-        // kill, rollback and downtime stamped into the trace.
-        X5 => Some(traced_recovered_stream(&systems.dmz, "dmz", fidelity)?),
-        _ => None,
-    };
-    Ok(bundle)
-}
-
-/// Unwraps a traced observation, propagating run errors.
-fn finish(label: String, observed: Observed) -> Result<TraceBundle> {
-    observed.result?;
-    let trace = observed
-        .trace
-        .ok_or_else(|| Error::InvalidSpec("traced run produced no trace".to_string()))?;
-    Ok(TraceBundle { label, trace })
-}
-
-fn traced_stream(
-    machine: &Machine,
-    system: &str,
-    nranks: usize,
-    fidelity: Fidelity,
-) -> Result<TraceBundle> {
-    let params = StreamParams { sweeps: fidelity.steps(10).max(2), ..StreamParams::default() };
-    let mut world =
-        CommWorld::new(machine, scatter_local(machine, nranks)?, lam_profile(), LockLayer::USysV);
-    append_star(&mut world, &params);
-    let observed = world.observe(&FaultPlan::new(), TraceConfig::on());
-    finish(format!("STREAM triad x{nranks}, {system}"), observed)
-}
-
-fn traced_pingpong(machine: &Machine, system: &str, fidelity: Fidelity) -> Result<TraceBundle> {
-    let reps = fidelity.steps(20).max(4);
-    let placements = Scheme::OneMpiLocalAlloc.resolve(machine, 2)?;
-    let (profile, lock) = default_stack();
-    let mut world = CommWorld::new(machine, placements, profile, lock);
-    for _ in 0..reps {
-        world.p2p(0, 1, 1024.0);
-        world.p2p(1, 0, 1024.0);
-    }
-    let observed = world.observe(&FaultPlan::new(), TraceConfig::on());
-    finish(format!("IMB PingPong 1 KiB x{reps}, {system} cross-socket"), observed)
-}
-
-fn traced_cg(machine: &Machine, system: &str, nranks: usize) -> Result<TraceBundle> {
     // Class A regardless of fidelity: class B's trace would be tens of
     // megabytes and adds nothing to the bottleneck picture.
-    let placements = Scheme::TwoMpiLocalAlloc.resolve(machine, nranks)?;
-    let (profile, lock) = default_stack();
-    let mut world = CommWorld::new(machine, placements, profile, lock);
-    NasCg { class: CgClass::A }.append_run(&mut world);
-    let observed = world.observe(&FaultPlan::new(), TraceConfig::on());
-    finish(format!("NAS CG class A x{nranks}, {system}"), observed)
+    let cg = |system, nranks| cg(system, nranks, CgClass::A, fidelity);
+    let stream = Scenario::new(System::Dmz, 4, stream_star(fidelity)).with_fidelity(fidelity);
+    let (label, scenario) = match artifact {
+        // STREAM bandwidth artifacts: the probe-fabric-bound 16-core
+        // Longs configuration is the paper's headline observation.
+        F2 | F3 | F10 | X4 => {
+            ("STREAM triad x16, longs".to_string(), scatter_stream(System::Longs, 16, fidelity))
+        }
+        // IMB artifacts: a small-message cross-socket PingPong on DMZ.
+        F14 | F15 | F16 | F17 => (
+            format!("IMB PingPong 1 KiB x{}, dmz cross-socket", fidelity.steps(20).max(4)),
+            pingpong(System::Dmz, 1024.0, fidelity),
+        ),
+        // NAS CG tables.
+        T2 => ("NAS CG class A x8, longs".to_string(), cg(System::Longs, 8)),
+        T3 => ("NAS CG class A x4, dmz".to_string(), cg(System::Dmz, 4)),
+        // The resilience campaign: its STREAM brownout run, whose fault
+        // stamps land in the trace as instant events.
+        X3 => {
+            let healthy = stream.run()?.makespan;
+            let plan = FaultTarget::Controllers.brownout(&System::Dmz.machine(), healthy);
+            ("STREAM triad x4 + controller brownout, dmz".to_string(), stream.with_faults(plan))
+        }
+        // The recovery campaign: a checkpointed run surviving a rank
+        // kill past the halfway mark, its rollback and restart downtime
+        // stamped into the trace as a recovery stamp and a
+        // zero-utilization gap.
+        X5 => {
+            let healthy = stream.run()?.makespan;
+            let policy =
+                CheckpointPolicy::new(healthy / 4.0, 1e7).with_restart_delay(healthy / 50.0);
+            let plan = FaultPlan::new().rank_kill(healthy * 0.6, RankId::new(1));
+            let scenario = stream.with_recovery(policy).with_faults(plan);
+            ("STREAM triad x4 + rank kill & rollback, dmz".to_string(), scenario)
+        }
+        _ => return Ok(None),
+    };
+    Ok(Some(TraceBundle { label, trace: traced(&scenario)? }))
 }
 
-fn traced_faulted_stream(
-    machine: &Machine,
-    system: &str,
-    fidelity: Fidelity,
-) -> Result<TraceBundle> {
-    let params = StreamParams { sweeps: fidelity.steps(10).max(2), ..StreamParams::default() };
-    let placements = Scheme::TwoMpiLocalAlloc.resolve(machine, 4)?;
-    let (profile, lock) = default_stack();
-    let mut world = CommWorld::new(machine, placements, profile, lock);
-    append_star(&mut world, &params);
-    let healthy = world.run()?.makespan;
-    // Controllers at half capacity over the middle quarter, then
-    // restored — the X3 brownout, stamped into the trace.
-    let plan = machine
-        .sockets()
-        .fold(FaultPlan::new(), |p, s| p.controller_throttle(healthy * 0.25, s, 0.5));
-    let plan = machine.sockets().fold(plan, |p, s| p.controller_restore(healthy * 0.5, s));
-    let observed = world.observe(&plan, TraceConfig::on());
-    finish(format!("STREAM triad x4 + controller brownout, {system}"), observed)
-}
-
-fn traced_recovered_stream(
-    machine: &Machine,
-    system: &str,
-    fidelity: Fidelity,
-) -> Result<TraceBundle> {
-    let params = StreamParams { sweeps: fidelity.steps(10).max(2), ..StreamParams::default() };
-    let placements = Scheme::TwoMpiLocalAlloc.resolve(machine, 4)?;
-    let (profile, lock) = default_stack();
-    let mut world = CommWorld::new(machine, placements, profile, lock);
-    append_star(&mut world, &params);
-    let healthy = world.run()?.makespan;
-    // Checkpoint a few times over the run, kill rank 1 past the halfway
-    // mark, and let the rollback (plus visible restart downtime) land in
-    // the trace as a recovery stamp and a zero-utilization gap.
-    let world = world.with_recovery(
-        CheckpointPolicy::new(healthy / 4.0, 1e7).with_restart_delay(healthy / 50.0),
-    );
-    let plan = FaultPlan::new().rank_kill(healthy * 0.6, RankId::new(1));
-    let observed = world.observe(&plan, TraceConfig::on());
-    finish(format!("STREAM triad x4 + rank kill & rollback, {system}"), observed)
+/// Runs `scenario` traced and returns its trace, propagating run errors.
+pub(crate) fn traced(scenario: &Scenario) -> Result<RunTrace> {
+    let observed = scenario.observe(TraceConfig::on())?;
+    observed.result?;
+    observed.trace.ok_or_else(|| Error::InvalidSpec("traced run produced no trace".to_string()))
 }
 
 /// Escapes a string for a JSON string literal.

@@ -18,21 +18,25 @@
 //! double the makespan; and the kill/stall runs must fail with typed
 //! errors ([`Error::RankStalled`], [`Error::ZeroCapacityRoute`]) rather
 //! than hang or complete. Any violation fails the artifact run.
+//!
+//! Each workload is one [`Scenario`]. The healthy and degraded runs of
+//! every campaign go through the scheduler as one batch (and its cache);
+//! the brownout, kill and stall runs add their fault plans to the same
+//! scenario and run traced through [`Scenario::observe`].
 
-use crate::context::{default_stack, Systems};
+use crate::context::makespans;
 use crate::fidelity::Fidelity;
+use crate::observe::{cg, pingpong, stream_star};
 use crate::report::{Cell, Table};
-use corescope_affinity::Scheme;
-use corescope_kernels::cg::{CgClass, NasCg};
-use corescope_kernels::stream::{append_star, StreamParams};
+use corescope_kernels::cg::CgClass;
 use corescope_machine::engine::RunReport;
 use corescope_machine::{Error, FaultPlan, LinkId, Machine, RankId, Result, RunTrace, TraceConfig};
-use corescope_smpi::CommWorld;
+use corescope_sched::{Scenario, Scheduler, System};
 
 /// The resource class a campaign degrades — chosen per workload to match
 /// what actually bounds it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum FaultTarget {
+pub(crate) enum FaultTarget {
     /// Every socket's memory controller (for bandwidth-bound kernels).
     Controllers,
     /// Every directed HyperTransport link (for communication-bound runs).
@@ -59,21 +63,24 @@ impl FaultTarget {
                 .fold(plan, |p, l| p.link_restore(at, LinkId::new(l))),
         }
     }
+
+    /// Half capacity over the middle quarter of a `healthy`-second run,
+    /// then restored.
+    pub(crate) fn brownout(self, machine: &Machine, healthy: f64) -> FaultPlan {
+        let degraded = self.degrade(machine, FaultPlan::new(), healthy * 0.25, 0.5);
+        self.restore(machine, degraded, healthy * 0.5)
+    }
 }
 
-/// One workload under test.
-struct Scenario {
+/// One campaign: a representative workload and the resource class that
+/// bounds it.
+struct Campaign {
     name: &'static str,
-    machine: fn(&Systems) -> &Machine,
-    scheme: Scheme,
-    nranks: usize,
+    scenario: Scenario,
     target: FaultTarget,
-    build: Box<dyn Fn(&mut CommWorld<'_>)>,
 }
 
-fn scenarios(fidelity: Fidelity) -> Vec<Scenario> {
-    let sweeps = fidelity.steps(10).max(2);
-    let reps = fidelity.steps(20).max(4);
+fn campaigns(fidelity: Fidelity) -> Vec<Campaign> {
     // Class S transfers are setup-dominated and barely notice link
     // bandwidth; class A is the smallest class whose exchanges are
     // link-bound enough for the campaign to measure degradation.
@@ -82,39 +89,22 @@ fn scenarios(fidelity: Fidelity) -> Vec<Scenario> {
         Fidelity::Quick => CgClass::A,
     };
     vec![
-        Scenario {
+        Campaign {
             name: "STREAM triad x4 (F2/F3), DMZ",
-            machine: |s| &s.dmz,
-            scheme: Scheme::TwoMpiLocalAlloc,
-            nranks: 4,
+            scenario: Scenario::new(System::Dmz, 4, stream_star(fidelity)).with_fidelity(fidelity),
             target: FaultTarget::Controllers,
-            build: Box::new(move |w| {
-                let params = StreamParams { sweeps, ..StreamParams::default() };
-                append_star(w, &params);
-            }),
         },
-        Scenario {
+        Campaign {
             name: "IMB PingPong 1 MiB (F14), DMZ cross-socket",
-            machine: |s| &s.dmz,
-            scheme: Scheme::OneMpiLocalAlloc,
-            nranks: 2,
+            scenario: pingpong(System::Dmz, 1048576.0, fidelity),
             target: FaultTarget::Links,
-            build: Box::new(move |w| {
-                for _ in 0..reps {
-                    w.p2p(0, 1, 1048576.0);
-                    w.p2p(1, 0, 1048576.0);
-                }
-            }),
         },
-        Scenario {
+        Campaign {
             // CG is memory-bandwidth-bound (the paper's headline result),
             // so its campaign degrades the controllers, not the links.
             name: "NAS CG (T2), Longs x8",
-            machine: |s| &s.longs,
-            scheme: Scheme::TwoMpiLocalAlloc,
-            nranks: 8,
+            scenario: cg(System::Longs, 8, cg_class, fidelity),
             target: FaultTarget::Controllers,
-            build: Box::new(move |w| NasCg { class: cg_class }.append_run(w)),
         },
     ]
 }
@@ -184,32 +174,43 @@ fn check_stamps(scenario: &str, plan: &FaultPlan, trace: Option<&RunTrace>) -> R
     Ok(stamps.len())
 }
 
-fn run_campaign(systems: &Systems, sc: &Scenario) -> Result<CampaignRow> {
-    let machine = (sc.machine)(systems);
-    let placements = sc.scheme.resolve(machine, sc.nranks)?;
-    let (profile, lock) = default_stack();
-    let mut world = CommWorld::new(machine, placements, profile, lock);
-    (sc.build)(&mut world);
+/// Runs every campaign: the healthy and permanently degraded runs of all
+/// of them as one scheduler batch, then each campaign's traced brownout,
+/// kill and stall runs.
+fn run_campaigns(cs: &[Campaign], sched: &Scheduler) -> Result<Vec<CampaignRow>> {
+    let batch: Vec<Scenario> = cs
+        .iter()
+        .flat_map(|c| {
+            // Half capacity for the whole run.
+            let machine = c.scenario.system.machine();
+            let permanent = c.target.degrade(&machine, FaultPlan::new(), 0.0, 0.5);
+            [c.scenario.clone(), c.scenario.clone().with_faults(permanent)]
+        })
+        .collect();
+    let times = makespans(sched, &batch)?;
+    cs.iter().zip(times.chunks(2)).map(|(c, t)| run_campaign(c, t[0], t[1])).collect()
+}
 
-    let healthy = world.run()?.makespan;
+fn run_campaign(c: &Campaign, healthy: f64, degraded: f64) -> Result<CampaignRow> {
+    let machine = c.scenario.system.machine();
     let mut stamped = 0;
     let mut scheduled = 0;
+    // Every faulted run is traced, so the campaign can verify the
+    // *sequence* of faults that fired — not just the bare
+    // `faults_applied` count.
+    let mut observe = |plan: FaultPlan| {
+        let observed = c.scenario.clone().with_faults(plan.clone()).observe(TraceConfig::on())?;
+        stamped += check_stamps(c.name, &plan, observed.trace.as_ref())?;
+        scheduled += plan.events().len();
+        Ok::<_, Error>(observed)
+    };
 
-    // Half capacity during the middle quarter of the healthy run. Traced,
-    // so the campaign can verify the *sequence* of faults that fired —
-    // not just the bare `faults_applied` count.
-    let brownout = sc.target.restore(
-        machine,
-        sc.target.degrade(machine, FaultPlan::new(), healthy * 0.25, 0.5),
-        healthy * 0.5,
-    );
-    let transient_obs = world.observe(&brownout, TraceConfig::on());
-    stamped += check_stamps(sc.name, &brownout, transient_obs.trace.as_ref())?;
-    scheduled += brownout.events().len();
-    let transient_report = transient_obs.result?;
+    // Half capacity during the middle quarter of the healthy run.
+    let brownout = c.target.brownout(&machine, healthy);
+    let transient_report = observe(brownout.clone())?.result?;
     if transient_report.metrics.faults_applied != brownout.events().len() {
         return Err(invariant_violation(
-            sc.name,
+            c.name,
             format!(
                 "faults_applied {} disagrees with the {} stamped events",
                 transient_report.metrics.faults_applied,
@@ -219,13 +220,9 @@ fn run_campaign(systems: &Systems, sc: &Scenario) -> Result<CampaignRow> {
     }
     let transient = transient_report.makespan;
 
-    // Half capacity for the whole run.
-    let permanent = sc.target.degrade(machine, FaultPlan::new(), 0.0, 0.5);
-    let degraded = world.run_with_faults(&permanent)?.makespan;
-
     if !(healthy < transient && transient < degraded) {
         return Err(invariant_violation(
-            sc.name,
+            c.name,
             format!(
                 "brownout makespan must sit strictly between healthy and degraded \
                  (healthy {healthy:.6}, transient {transient:.6}, degraded {degraded:.6})"
@@ -234,7 +231,7 @@ fn run_campaign(systems: &Systems, sc: &Scenario) -> Result<CampaignRow> {
     }
     if degraded > 2.0 * healthy * 1.01 {
         return Err(invariant_violation(
-            sc.name,
+            c.name,
             format!(
                 "halving the bounding resources more than doubled the makespan \
                  ({degraded:.6} vs healthy {healthy:.6})"
@@ -245,30 +242,24 @@ fn run_campaign(systems: &Systems, sc: &Scenario) -> Result<CampaignRow> {
     // Capacity hits zero mid-run, never restored: a typed error, not a
     // hang — and the interrupted run must still stamp its faults and
     // account the traffic it actually moved before dying.
-    let kill_plan = sc.target.degrade(machine, FaultPlan::new(), healthy * 0.25, 0.0);
-    let kill_obs = world.observe(&kill_plan, TraceConfig::on());
-    stamped += check_stamps(sc.name, &kill_plan, kill_obs.trace.as_ref())?;
-    scheduled += kill_plan.events().len();
+    let kill_obs = observe(c.target.degrade(&machine, FaultPlan::new(), healthy * 0.25, 0.0))?;
     let partial: f64 = kill_obs.metrics.resource_bytes.iter().sum();
     if partial <= 0.0 {
         return Err(invariant_violation(
-            sc.name,
+            c.name,
             "a mid-run kill must report the partial resource traffic that moved",
         ));
     }
     let (kill, kill_typed) = fault_outcome(kill_obs.result);
     if !kill_typed {
-        return Err(invariant_violation(sc.name, format!("kill outcome was '{kill}'")));
+        return Err(invariant_violation(c.name, format!("kill outcome was '{kill}'")));
     }
 
     // Rank 0 freezes at t=0, never resumed: likewise a typed error.
-    let stall_plan = FaultPlan::new().rank_stall(0.0, RankId::new(0));
-    let stall_obs = world.observe(&stall_plan, TraceConfig::on());
-    stamped += check_stamps(sc.name, &stall_plan, stall_obs.trace.as_ref())?;
-    scheduled += stall_plan.events().len();
+    let stall_obs = observe(FaultPlan::new().rank_stall(0.0, RankId::new(0)))?;
     let (stall, stall_typed) = fault_outcome(stall_obs.result);
     if !stall_typed {
-        return Err(invariant_violation(sc.name, format!("stall outcome was '{stall}'")));
+        return Err(invariant_violation(c.name, format!("stall outcome was '{stall}'")));
     }
 
     Ok(CampaignRow { healthy, transient, degraded, kill, stall, stamped, scheduled })
@@ -281,8 +272,7 @@ fn run_campaign(systems: &Systems, sc: &Scenario) -> Result<CampaignRow> {
 /// Propagates engine errors, and returns [`Error::InvalidSpec`] when a
 /// bounded-degradation invariant is violated (that is the point: the
 /// artifact doubles as a resilience check).
-pub fn extra3(fidelity: Fidelity) -> Result<Vec<Table>> {
-    let systems = Systems::new();
+pub fn extra3(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
     let mut table = Table::with_columns(
         "Extra X3: fault-injection resilience campaign (seconds; half-capacity faults)",
         &[
@@ -296,10 +286,10 @@ pub fn extra3(fidelity: Fidelity) -> Result<Vec<Table>> {
             "Faults stamped",
         ],
     );
-    for sc in scenarios(fidelity) {
-        let row = run_campaign(&systems, &sc)?;
+    let cs = campaigns(fidelity);
+    for (c, row) in cs.iter().zip(run_campaigns(&cs, sched)?) {
         table.push_row(
-            sc.name,
+            c.name,
             vec![
                 Cell::num_with(row.healthy, 4),
                 Cell::num_with(row.transient, 4),
@@ -320,7 +310,7 @@ mod tests {
 
     #[test]
     fn campaign_runs_and_checks_its_invariants() {
-        let tables = extra3(Fidelity::Quick).unwrap();
+        let tables = extra3(Fidelity::Quick, &Scheduler::new(1)).unwrap();
         let t = &tables[0];
         assert_eq!(t.num_rows(), 3);
         for sc in ["STREAM triad x4 (F2/F3), DMZ", "IMB PingPong 1 MiB (F14), DMZ cross-socket"] {
@@ -337,13 +327,25 @@ mod tests {
     fn stream_campaign_kill_is_a_starvation_stall() {
         // The STREAM scenario kills the controllers with traffic in
         // flight: the typed outcome names the starved rank.
-        let systems = Systems::new();
-        let sc = &scenarios(Fidelity::Quick)[0];
-        let row = run_campaign(&systems, sc).unwrap();
+        let cs = campaigns(Fidelity::Quick);
+        let row = run_campaigns(&cs[..1], &Scheduler::new(1)).unwrap().remove(0);
         assert!(row.kill.starts_with("RankStalled"), "kill outcome: {}", row.kill);
         assert!(row.stall.starts_with("RankStalled"), "stall outcome: {}", row.stall);
         // Brownout (degrade+restore), kill, and stall all stamped fully.
         assert_eq!(row.stamped, row.scheduled);
         assert!(row.scheduled > 0);
+    }
+
+    #[test]
+    fn a_second_campaign_reuses_the_cache() {
+        // Healthy and degraded runs are cached scenarios; the traced
+        // brownout, kill and stall runs bypass the scheduler.
+        let sched = Scheduler::new(1);
+        let cold = extra3(Fidelity::Quick, &sched).unwrap();
+        let runs = sched.stats().engine_runs;
+        assert_eq!(runs, 6, "healthy + degraded for each of three campaigns");
+        let warm = extra3(Fidelity::Quick, &sched).unwrap();
+        assert_eq!(sched.stats().engine_runs, runs, "the second pass runs no engine");
+        assert_eq!(warm[0].to_csv(), cold[0].to_csv());
     }
 }

@@ -33,11 +33,11 @@ use corescope_kernels::stream::{
     append_single as stream_single, append_star as stream_star, StreamKernel, StreamParams,
 };
 use corescope_kernels::xslookup::XsParams;
-use corescope_machine::engine::RankPlacement;
+use corescope_machine::engine::{Observed, RankPlacement};
 use corescope_machine::{
     CalibParams, CheckpointPolicy, CheckpointTarget, ComputePhase, Error, FaultEvent, FaultKind,
     FaultPlan, LinkId, Machine, MachineSpec, NumaNodeId, RankId, Result, RetryPolicy, RunReport,
-    SocketId, TrafficProfile,
+    SocketId, TraceConfig, TrafficProfile,
 };
 use corescope_smpi::{CommWorld, LockLayer, MpiImpl};
 use corescope_topo::Generation;
@@ -1038,6 +1038,21 @@ impl Scenario {
     ///
     /// Propagates placement and engine errors.
     pub fn run(&self) -> Result<ScenarioResult> {
+        Ok(ScenarioResult::from_report(&self.observe(TraceConfig::off())?.result?))
+    }
+
+    /// Runs the scenario on a fresh engine and keeps everything observed
+    /// along the way: the engine outcome, partial metrics when it ends
+    /// in a typed error, and (with [`TraceConfig::on`]) a full
+    /// [`corescope_machine::RunTrace`]. This is the one lowering of a
+    /// scenario to an engine run; [`Scenario::run`] is this with tracing
+    /// off, and tracing never changes the outcome.
+    ///
+    /// # Errors
+    ///
+    /// Returns validation and placement errors; engine errors land in
+    /// [`Observed::result`].
+    pub fn observe(&self, trace: TraceConfig) -> Result<Observed> {
         self.validate()?;
         let machine = self.system.machine_with(&self.params);
         let placements =
@@ -1051,8 +1066,7 @@ impl Scenario {
         if let Some(policy) = &self.retry {
             world = world.with_retry(policy.clone());
         }
-        let report = world.run_with_faults(&self.faults)?;
-        Ok(ScenarioResult::from_report(&report))
+        Ok(world.observe(&self.faults, trace))
     }
 
     /// Renders the scenario as a single-line JSON object (the
@@ -1305,8 +1319,8 @@ fn encode_machine_spec(enc: &mut Encoder, spec: &MachineSpec) {
 }
 
 /// The cacheable outcome of one scenario run: the makespan plus the
-/// scalar metrics the sweeps post-process. Per-rank vectors stay out —
-/// artifacts that need them run the engine directly (e.g. traced runs).
+/// scalar metrics the sweeps post-process. Per-rank vectors and traces
+/// stay out — artifacts that need them call [`Scenario::observe`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioResult {
     /// Simulated makespan in seconds.

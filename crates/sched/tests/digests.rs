@@ -24,9 +24,11 @@ use corescope_kernels::stream::StreamKernel;
 use corescope_machine::faults::FaultPlan;
 use corescope_machine::ids::{LinkId, NumaNodeId, RankId, SocketId};
 use corescope_machine::recovery::{CheckpointPolicy, CheckpointTarget, RetryPolicy};
-use corescope_machine::CalibParams;
+use corescope_machine::{CalibParams, TraceConfig};
 use corescope_sched::json::{self, Value};
-use corescope_sched::{Encoder, Fidelity, Placement, Scenario, System, Workload, ENGINE_TAG};
+use corescope_sched::{
+    Encoder, Fidelity, Placement, Scenario, ScenarioResult, System, Workload, ENGINE_TAG,
+};
 use corescope_smpi::{LockLayer, MpiImpl};
 use proptest::prelude::*;
 
@@ -599,6 +601,31 @@ fn engine_tag_moves_exactly_when_results_do() {
              ENGINE_TAG: bump ENGINE_TAG and re-pin RESULTS"
         );
         panic!("results moved with the ENGINE_TAG bump: re-pin RESULTS to {fingerprint}");
+    }
+}
+
+/// Tracing records attribution on the side and never feeds the solver:
+/// every golden scenario — every workload kind, fault kind and policy —
+/// traced returns exactly what it returns untraced. `Ok` results agree
+/// bit for bit, and `Err` results carry the same message.
+#[test]
+fn tracing_never_changes_a_golden_outcome() {
+    for (name, scenario) in golden_set() {
+        let traced = scenario
+            .observe(TraceConfig::on())
+            .and_then(|observed| observed.result)
+            .map(|report| ScenarioResult::from_report(&report));
+        match (scenario.run(), traced) {
+            (Ok(plain), Ok(traced)) => assert_eq!(
+                (plain.makespan.to_bits(), plain),
+                (traced.makespan.to_bits(), traced),
+                "{name}"
+            ),
+            (Err(plain), Err(traced)) => {
+                assert_eq!(plain.to_string(), traced.to_string(), "{name}");
+            }
+            (plain, traced) => panic!("{name}: untraced {plain:?}, traced {traced:?}"),
+        }
     }
 }
 
