@@ -7,10 +7,17 @@
 //! crosses a saturated resource on which no other flow runs faster. A
 //! reused [`Solver`] must also return exactly what a fresh one-shot solve
 //! returns, however the problems it saw before were shaped.
+//!
+//! [`reference_solve`] is a frozen copy of the straightforward
+//! progressive-filling loop the solver started from. The solver may
+//! reorganise its scratch however it likes, but its rates must stay
+//! bit-equal to the reference and its attribution equal, fresh or reused.
 
 use corescope_machine::flow::{
-    solve_maxmin, solve_maxmin_attributed, FlowSpec, ResourceTable, Solver,
+    solve_maxmin, solve_maxmin_attributed, Bottleneck, FlowSpec, ResourceIndex, ResourceTable,
+    Solver,
 };
+use corescope_machine::Error;
 use proptest::prelude::*;
 
 /// The solver's own relative slack for "at cap" and "saturated".
@@ -159,6 +166,225 @@ proptest! {
 
 fn bits(rates: &[f64]) -> Vec<u64> {
     rates.iter().map(|r| r.to_bits()).collect()
+}
+
+/// The reference progressive-filling solve: every round walks every flow
+/// and every resource of the table, with a `fixed` flag per flow. Returns
+/// the rates and, when `attribute` is set, the bottleneck of each flow.
+fn reference_solve(
+    table: &ResourceTable,
+    flows: &[FlowSpec],
+    attribute: bool,
+) -> Result<(Vec<f64>, Vec<Bottleneck>), Error> {
+    let mut caps: Vec<f64> = Vec::new();
+    let mut remaining: Vec<f64> = Vec::new();
+    let mut usage: Vec<usize> = Vec::new();
+    let mut fixed: Vec<bool> = Vec::new();
+    let mut rates: Vec<f64> = Vec::new();
+    let mut attribution: Vec<Bottleneck> = Vec::new();
+    let flows = flows.iter();
+
+    caps.clear();
+    caps.extend((0..table.len()).map(|r| table.get(r).capacity));
+    let mut n = 0;
+    for (i, f) in flows.clone().enumerate() {
+        if !f.cap.is_finite() || f.cap < 0.0 {
+            return Err(Error::InvalidSpec(format!("flow {i} has invalid cap {}", f.cap)));
+        }
+        for &r in &f.route {
+            if r >= caps.len() {
+                return Err(Error::InvalidSpec(format!(
+                    "flow {i} references resource {r} outside table of {}",
+                    caps.len()
+                )));
+            }
+        }
+        n += 1;
+    }
+
+    rates.clear();
+    rates.resize(n, 0.0);
+    attribution.clear();
+    if attribute {
+        attribution.resize(n, Bottleneck::FlowCap);
+    }
+    if n == 0 {
+        return Ok((rates, attribution));
+    }
+
+    fixed.clear();
+    fixed.resize(n, false);
+    remaining.clear();
+    remaining.extend_from_slice(&caps);
+    // A flow listing the same resource twice consumes it twice (e.g. a
+    // hairpin route) — count multiplicity.
+    usage.clear();
+    usage.resize(caps.len(), 0);
+    for f in flows.clone() {
+        for &r in &f.route {
+            usage[r] += 1;
+        }
+    }
+
+    let mut unfixed = n;
+    // Immediately freeze exactly-zero-cap flows.
+    for (i, f) in flows.clone().enumerate() {
+        if f.cap <= 0.0 {
+            fixed[i] = true;
+            unfixed -= 1;
+            for &r in &f.route {
+                usage[r] -= 1;
+            }
+        }
+    }
+
+    while unfixed > 0 {
+        // Smallest headroom: either a resource's fair increment or a
+        // flow's distance to its own cap.
+        let mut inc = f64::INFINITY;
+        for (r, &rem) in remaining.iter().enumerate() {
+            if usage[r] > 0 {
+                inc = inc.min(rem.max(0.0) / usage[r] as f64);
+            }
+        }
+        for (i, f) in flows.clone().enumerate() {
+            if !fixed[i] {
+                inc = inc.min(f.cap - rates[i]);
+            }
+        }
+        debug_assert!(inc.is_finite(), "at least one limit must apply");
+        let inc = inc.max(0.0);
+
+        // Ramp all unfixed flows by `inc`.
+        for (i, f) in flows.clone().enumerate() {
+            if !fixed[i] {
+                rates[i] += inc;
+                for &r in &f.route {
+                    remaining[r] -= inc;
+                }
+            }
+        }
+
+        // Freeze flows at their cap or on a saturated resource.
+        let mut froze_any = false;
+        for (i, f) in flows.clone().enumerate() {
+            if fixed[i] {
+                continue;
+            }
+            let at_cap = f.cap - rates[i] <= f.cap * REL_EPS;
+            // When both limits bind in the same round, attribute the
+            // freeze to the most contended saturated route resource.
+            let mut saturated: Option<ResourceIndex> = None;
+            for &r in &f.route {
+                if remaining[r] <= caps[r] * REL_EPS {
+                    let more_contended = saturated.is_none_or(|s| usage[r] > usage[s]);
+                    if more_contended {
+                        saturated = Some(r);
+                    }
+                }
+            }
+            if at_cap || saturated.is_some() {
+                fixed[i] = true;
+                unfixed -= 1;
+                froze_any = true;
+                for &r in &f.route {
+                    usage[r] -= 1;
+                }
+                if attribute {
+                    attribution[i] = match saturated {
+                        Some(r) => Bottleneck::Resource(r),
+                        None => Bottleneck::FlowCap,
+                    };
+                }
+            }
+        }
+        debug_assert!(froze_any, "progressive filling must freeze at least one flow");
+        if !froze_any {
+            for (i, f) in flows.clone().enumerate() {
+                if !fixed[i] {
+                    fixed[i] = true;
+                    unfixed -= 1;
+                    for &r in &f.route {
+                        usage[r] -= 1;
+                    }
+                }
+            }
+        }
+    }
+    Ok((rates, attribution))
+}
+
+/// Solves `raw` with `solver` and asserts rates bit-equal to the
+/// reference and attribution equal, or the same error.
+fn check_against_reference(
+    solver: &mut Solver,
+    raw: &RawProblem,
+    attribute: bool,
+) -> Result<(), TestCaseError> {
+    let (table, flows) = build(raw);
+    let (want_rates, want_attr) = reference_solve(&table, &flows, attribute).unwrap();
+    if attribute {
+        let (rates, attribution) = solver.solve_attributed(&table, &flows).unwrap();
+        prop_assert_eq!(bits(rates), bits(&want_rates));
+        prop_assert_eq!(attribution, want_attr.as_slice());
+    } else {
+        let rates = solver.solve(&table, &flows).unwrap();
+        prop_assert_eq!(bits(rates), bits(&want_rates));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A fresh solve reproduces the reference bit for bit.
+    #[test]
+    fn fresh_solves_match_the_reference_bit_for_bit(raw in raw_problem(), attribute in 0u8..2) {
+        check_against_reference(&mut Solver::new(), &raw, attribute == 1)?;
+        let (table, flows) = build(&raw);
+        let (want, want_attr) = reference_solve(&table, &flows, true).unwrap();
+        let (rates, attribution) = solve_maxmin_attributed(&table, &flows).unwrap();
+        prop_assert_eq!(bits(&rates), bits(&want));
+        prop_assert_eq!(attribution, want_attr);
+        prop_assert_eq!(bits(&solve_maxmin(&table, &flows).unwrap()), bits(&want));
+    }
+
+    /// One solver reused across problems whose tables and flow counts
+    /// grow and shrink — with invalid problems mixed in — still matches
+    /// the reference on every valid one: no per-resource scratch leaks
+    /// between solves, and a failed solve leaves nothing behind.
+    #[test]
+    fn reused_solver_matches_the_reference_bit_for_bit(
+        sequence in proptest::collection::vec((raw_problem(), 0u8..2, 0u8..8), 1..16),
+    ) {
+        let mut solver = Solver::new();
+        for (raw, attribute, poison) in &sequence {
+            if *poison == 0 {
+                // An out-of-range route entry fails validation.
+                let (table, mut flows) = build(raw);
+                flows.push(FlowSpec::new(vec![0, table.len()], 1.0));
+                prop_assert!(solver.solve(&table, &flows).is_err());
+            }
+            check_against_reference(&mut solver, raw, *attribute == 1)?;
+        }
+    }
+}
+
+#[test]
+fn invalid_flows_fail_like_the_reference() {
+    let mut table = ResourceTable::new();
+    table.add("r0", 1.0);
+    table.add("r1", 2.0);
+    let cases = [
+        vec![FlowSpec::new(vec![0], 1.0), FlowSpec::new(vec![1, 5], 1.0)],
+        vec![FlowSpec::new(vec![7], f64::NAN), FlowSpec::new(vec![0], -1.0)],
+        vec![FlowSpec::new(vec![0], 1.0), FlowSpec::new(vec![1], f64::INFINITY)],
+    ];
+    for flows in &cases {
+        let want = reference_solve(&table, flows, false).unwrap_err();
+        assert_eq!(Solver::new().solve(&table, flows).unwrap_err(), want);
+        assert_eq!(solve_maxmin_attributed(&table, flows).unwrap_err(), want);
+    }
 }
 
 #[test]
