@@ -146,16 +146,30 @@ pub fn solve_maxmin_attributed(
 /// The engine re-solves rates on every change to its active flow set, so
 /// it keeps one `Solver` per run: after the first few solves the buffers
 /// have grown to the run's largest problem and a solve allocates nothing.
-/// Flows are borrowed, never cloned. [`solve_maxmin`] and
-/// [`solve_maxmin_attributed`] are one-shot wrappers over the same
-/// arithmetic, so a reused solver returns bit-identical rates.
+/// [`solve_maxmin`] and [`solve_maxmin_attributed`] are one-shot wrappers
+/// over the same arithmetic, so a reused solver returns bit-identical
+/// rates.
+///
+/// A solve first gathers each flow's cap and route into flat arrays, then
+/// fills over an ascending list of unfixed flows and touches only the
+/// resources some route uses. Per-resource scratch is sized to the largest
+/// table seen; `usage` is all zero between solves, so a solve initializes
+/// only the entries of the resources it routes over.
 #[derive(Debug, Clone, Default)]
 pub struct Solver {
+    /// Each flow's cap, in input order.
     caps: Vec<f64>,
+    /// Flow `i`'s route is `routes[bounds[i]..bounds[i + 1]]`.
+    bounds: Vec<usize>,
+    routes: Vec<ResourceIndex>,
+    /// Flows not yet frozen, ascending.
+    unfixed: Vec<usize>,
+    /// Resources on some positive-cap flow's route, each listed once.
+    routed: Vec<ResourceIndex>,
+    /// Capacity left per resource (valid for `routed` entries only).
     remaining: Vec<f64>,
     /// Count of unfixed flows using each resource.
     usage: Vec<usize>,
-    fixed: Vec<bool>,
     rates: Vec<f64>,
     attribution: Vec<Bottleneck>,
 }
@@ -167,20 +181,18 @@ impl Solver {
     }
 
     /// Solves max-min fair rates for `flows` over `table`, exactly as
-    /// [`solve_maxmin`] does, and returns them in iteration order. The
-    /// iterator is walked several times per filling round, so it must be
-    /// cheap to clone.
+    /// [`solve_maxmin`] does, and returns them in iteration order.
     ///
     /// # Errors
     ///
     /// Same as [`solve_maxmin`].
-    pub fn solve<'f, I>(&mut self, table: &ResourceTable, flows: I) -> Result<&[f64]>
-    where
-        I: IntoIterator<Item = &'f FlowSpec>,
-        I::IntoIter: Clone,
-    {
-        self.fill(table, flows.into_iter(), false)?;
-        Ok(&self.rates)
+    pub fn solve<'f>(
+        &mut self,
+        table: &ResourceTable,
+        flows: impl IntoIterator<Item = &'f FlowSpec>,
+    ) -> Result<&[f64]> {
+        let flows = flows.into_iter().map(|f| (f.cap, f.route.as_slice()));
+        Ok(self.fill(table, flows, false)?.0)
     }
 
     /// Like [`Solver::solve`], also reporting which limit froze each flow
@@ -189,43 +201,47 @@ impl Solver {
     /// # Errors
     ///
     /// Same as [`solve_maxmin`].
-    pub fn solve_attributed<'f, I>(
+    pub fn solve_attributed<'f>(
         &mut self,
         table: &ResourceTable,
-        flows: I,
-    ) -> Result<(&[f64], &[Bottleneck])>
-    where
-        I: IntoIterator<Item = &'f FlowSpec>,
-        I::IntoIter: Clone,
-    {
-        self.fill(table, flows.into_iter(), true)?;
-        Ok((&self.rates, &self.attribution))
+        flows: impl IntoIterator<Item = &'f FlowSpec>,
+    ) -> Result<(&[f64], &[Bottleneck])> {
+        let flows = flows.into_iter().map(|f| (f.cap, f.route.as_slice()));
+        self.fill(table, flows, true)
     }
 
-    fn fill<'f>(
+    /// Solves for `(cap, route)` pairs and returns the rates in input
+    /// order, plus each flow's bottleneck when `attribute` is set (an
+    /// empty slice otherwise).
+    pub(crate) fn fill<'f>(
         &mut self,
         table: &ResourceTable,
-        flows: impl Iterator<Item = &'f FlowSpec> + Clone,
+        flows: impl IntoIterator<Item = (f64, &'f [ResourceIndex])>,
         attribute: bool,
-    ) -> Result<()> {
-        let Self { caps, remaining, usage, fixed, rates, attribution } = self;
+    ) -> Result<(&[f64], &[Bottleneck])> {
+        let Self { caps, bounds, routes, unfixed, routed, remaining, usage, rates, attribution } =
+            self;
+        let resources = &table.resources;
         caps.clear();
-        caps.extend(table.resources.iter().map(|r| r.capacity));
-        let mut n = 0;
-        for (i, f) in flows.clone().enumerate() {
-            if !f.cap.is_finite() || f.cap < 0.0 {
-                return Err(Error::InvalidSpec(format!("flow {i} has invalid cap {}", f.cap)));
+        routes.clear();
+        bounds.clear();
+        bounds.push(0);
+        for (i, (cap, route)) in flows.into_iter().enumerate() {
+            if !cap.is_finite() || cap < 0.0 {
+                return Err(Error::InvalidSpec(format!("flow {i} has invalid cap {cap}")));
             }
-            for &r in &f.route {
-                if r >= caps.len() {
-                    return Err(Error::InvalidSpec(format!(
-                        "flow {i} references resource {r} outside table of {}",
-                        caps.len()
-                    )));
-                }
+            if let Some(&r) = route.iter().find(|&&r| r >= resources.len()) {
+                return Err(Error::InvalidSpec(format!(
+                    "flow {i} references resource {r} outside table of {}",
+                    resources.len()
+                )));
             }
-            n += 1;
+            caps.push(cap);
+            routes.extend_from_slice(route);
+            bounds.push(routes.len());
         }
+        let n = caps.len();
+        let route = |i: usize| &routes[bounds[i]..bounds[i + 1]];
 
         rates.clear();
         rates.resize(n, 0.0);
@@ -233,119 +249,104 @@ impl Solver {
         if attribute {
             attribution.resize(n, Bottleneck::FlowCap);
         }
-        if n == 0 {
-            return Ok(());
-        }
 
-        fixed.clear();
-        fixed.resize(n, false);
-        remaining.clear();
-        remaining.extend_from_slice(caps);
-        // A flow listing the same resource twice consumes it twice (e.g. a
-        // hairpin route) — count multiplicity.
-        usage.clear();
-        usage.resize(caps.len(), 0);
-        for f in flows.clone() {
-            for &r in &f.route {
+        if usage.len() < resources.len() {
+            usage.resize(resources.len(), 0);
+            remaining.resize(resources.len(), 0.0);
+        }
+        // Exactly-zero-cap flows are frozen from the start and never
+        // count. Tiny-but-positive caps are real rate limits and must
+        // survive to the filling loop — an absolute epsilon here silently
+        // zero-rated a 1 B/s flow whenever a GB/s resource shared the
+        // table. A flow listing the same resource twice consumes it twice
+        // (e.g. a hairpin route) — count multiplicity.
+        unfixed.clear();
+        routed.clear();
+        for (i, &cap) in caps.iter().enumerate() {
+            if cap <= 0.0 {
+                continue;
+            }
+            unfixed.push(i);
+            for &r in route(i) {
+                if usage[r] == 0 {
+                    routed.push(r);
+                    remaining[r] = resources[r].capacity;
+                }
                 usage[r] += 1;
             }
         }
 
-        let mut unfixed = n;
-        // Immediately freeze exactly-zero-cap flows. Tiny-but-positive caps
-        // are real rate limits and must survive to the filling loop — an
-        // absolute epsilon here silently zero-rated a 1 B/s flow whenever a
-        // GB/s resource shared the table.
-        for (i, f) in flows.clone().enumerate() {
-            if f.cap <= 0.0 {
-                fixed[i] = true;
-                unfixed -= 1;
-                for &r in &f.route {
-                    usage[r] -= 1;
-                }
-            }
-        }
-
-        while unfixed > 0 {
+        while !unfixed.is_empty() {
             // Smallest headroom: either a resource's fair increment or a
             // flow's distance to its own cap.
             let mut inc = f64::INFINITY;
-            for (r, &rem) in remaining.iter().enumerate() {
+            for &r in routed.iter() {
                 if usage[r] > 0 {
-                    inc = inc.min(rem.max(0.0) / usage[r] as f64);
+                    inc = inc.min(remaining[r].max(0.0) / usage[r] as f64);
                 }
             }
-            for (i, f) in flows.clone().enumerate() {
-                if !fixed[i] {
-                    inc = inc.min(f.cap - rates[i]);
-                }
+            for &i in unfixed.iter() {
+                inc = inc.min(caps[i] - rates[i]);
             }
             debug_assert!(inc.is_finite(), "at least one limit must apply");
             let inc = inc.max(0.0);
 
             // Ramp all unfixed flows by `inc`.
-            for (i, f) in flows.clone().enumerate() {
-                if !fixed[i] {
-                    rates[i] += inc;
-                    for &r in &f.route {
-                        remaining[r] -= inc;
-                    }
+            for &i in unfixed.iter() {
+                rates[i] += inc;
+                for &r in route(i) {
+                    remaining[r] -= inc;
                 }
             }
 
-            // Freeze flows at their cap or on a saturated resource. Slack
-            // is relative to the cap being compared against (zero-capacity
-            // resources still satisfy `0 <= 0`).
-            let mut froze_any = false;
-            for (i, f) in flows.clone().enumerate() {
-                if fixed[i] {
-                    continue;
-                }
-                let at_cap = f.cap - rates[i] <= f.cap * REL_EPS;
+            // Freeze flows at their cap or on a saturated resource, in
+            // flow order. Slack is relative to the cap being compared
+            // against (zero-capacity resources still satisfy `0 <= 0`).
+            let before = unfixed.len();
+            unfixed.retain(|&i| {
+                let cap = caps[i];
+                let at_cap = cap - rates[i] <= cap * REL_EPS;
                 // When both limits bind in the same round, attribute the
                 // freeze to a saturated shared resource — contention is the
                 // informative cause — and among saturated route resources
-                // pick the most contended one (highest unfixed-flow count).
+                // pick the most contended one (highest unfixed-flow count,
+                // counted after the flows frozen earlier in this pass).
                 let mut saturated: Option<ResourceIndex> = None;
-                for &r in &f.route {
-                    if remaining[r] <= caps[r] * REL_EPS {
+                for &r in route(i) {
+                    if remaining[r] <= resources[r].capacity * REL_EPS {
                         let more_contended = saturated.is_none_or(|s| usage[r] > usage[s]);
                         if more_contended {
                             saturated = Some(r);
                         }
                     }
                 }
-                if at_cap || saturated.is_some() {
-                    fixed[i] = true;
-                    unfixed -= 1;
-                    froze_any = true;
-                    for &r in &f.route {
-                        usage[r] -= 1;
-                    }
-                    if attribute {
-                        attribution[i] = match saturated {
-                            Some(r) => Bottleneck::Resource(r),
-                            None => Bottleneck::FlowCap,
-                        };
-                    }
+                if !at_cap && saturated.is_none() {
+                    return true;
                 }
-            }
-            debug_assert!(froze_any, "progressive filling must freeze at least one flow");
-            if !froze_any {
+                for &r in route(i) {
+                    usage[r] -= 1;
+                }
+                if attribute {
+                    attribution[i] = match saturated {
+                        Some(r) => Bottleneck::Resource(r),
+                        None => Bottleneck::FlowCap,
+                    };
+                }
+                false
+            });
+            debug_assert!(unfixed.len() < before, "progressive filling must freeze a flow");
+            if unfixed.len() == before {
                 // Defensive: avoid an infinite loop under pathological
                 // floating-point behaviour by freezing everything.
-                for (i, f) in flows.clone().enumerate() {
-                    if !fixed[i] {
-                        fixed[i] = true;
-                        unfixed -= 1;
-                        for &r in &f.route {
-                            usage[r] -= 1;
-                        }
+                for &i in unfixed.iter() {
+                    for &r in route(i) {
+                        usage[r] -= 1;
                     }
                 }
+                unfixed.clear();
             }
         }
-        Ok(())
+        Ok((rates, attribution))
     }
 }
 
