@@ -9,21 +9,30 @@
 //!
 //! Keys are scenario digests (see [`crate::scenario::Scenario::digest`]),
 //! which already fold in [`crate::ENGINE_TAG`]; the disk layout repeats
-//! the tag as a directory level (`<root>/<tag>/<digest>.json`) so stale
+//! the tag as a directory level (`<root>/<tag>/<digest>.css`) so stale
 //! engines' entries are orphaned wholesale and a `results/.cache` wipe of
 //! one tag cannot touch another's.
+//!
+//! Each disk entry is a one-frame store segment in the campaign store's
+//! format ([`corescope_store::frame`]): the segment header naming the
+//! engine tag, then one CRC frame holding one row with the digest and
+//! the result scalars (axis strings empty). A reader checks the tag, the
+//! frame CRC, that nothing follows the frame, and that the row's digest
+//! is the one in the file name, so a flipped bit, a torn file, another
+//! engine's entry or an entry copied under another name is a miss.
 //!
 //! Failure policy: the cache is an accelerator, never a correctness
 //! dependency. Disk errors (unwritable directory, corrupt entry, partial
 //! file from a killed process) degrade to a miss; they are counted, not
-//! propagated. Writes go through a temp file + rename so readers never
-//! observe a half-written entry.
+//! propagated. Writes go through [`lockfile::publish`] (temp file +
+//! rename, no fsync) so readers never observe a half-written entry.
 
 use crate::encode::Digest;
-use crate::json;
 use crate::scenario::ScenarioResult;
+use crate::sink::{result_row, row_result};
+use corescope_store::frame;
+use corescope_store::lockfile::{self, LockError, LockFile};
 use std::collections::HashMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -40,25 +49,12 @@ pub enum CacheError {
         /// The underlying OS error text.
         reason: String,
     },
-    /// An entry exists but cannot be decoded.
-    Corrupt {
-        /// The entry file.
-        path: PathBuf,
-        /// What was wrong with it.
-        reason: String,
-    },
 }
 
 impl std::fmt::Display for CacheError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CacheError::Unwritable { dir, reason } => {
-                write!(f, "cache directory {} is not writable: {reason}", dir.display())
-            }
-            CacheError::Corrupt { path, reason } => {
-                write!(f, "corrupt cache entry {}: {reason}", path.display())
-            }
-        }
+        let CacheError::Unwritable { dir, reason } = self;
+        write!(f, "cache directory {} is not writable: {reason}", dir.display())
     }
 }
 
@@ -72,29 +68,11 @@ pub enum ComputeClaim {
     /// We own the computation. `None` means no disk lock is held (cache
     /// is memory-only, or locking failed and we fall back to computing —
     /// the cache is an accelerator, never a correctness dependency).
-    Owner(Option<ComputeLock>),
+    /// Dropping the lock releases it.
+    Owner(Option<LockFile>),
     /// Another process computed and published the entry while we waited.
     Published(ScenarioResult),
 }
-
-/// An owned `.lock` sentinel next to a cache entry. Dropping it releases
-/// the lock; crashed owners are handled by stale-lock takeover in
-/// [`ResultCache::claim_compute`].
-#[derive(Debug)]
-pub struct ComputeLock {
-    path: PathBuf,
-}
-
-impl Drop for ComputeLock {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-/// How long a `.lock` may sit unmodified before waiters treat its owner
-/// as dead and take over. Engine runs are sub-second; two minutes is far
-/// outside any legitimate hold time.
-const DEFAULT_LOCK_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Entries the newer memory generation holds before it rotates. It sits
 /// above the largest working set that relies on memory hits: `replay`'s
@@ -224,7 +202,7 @@ impl ResultCache {
         Self {
             memory: Mutex::new(Generations::new(GENERATION)),
             disk_root: None,
-            lock_timeout: DEFAULT_LOCK_TIMEOUT,
+            lock_timeout: lockfile::LOCK_TIMEOUT,
             counters: Counters::default(),
         }
     }
@@ -236,7 +214,7 @@ impl ResultCache {
         Self {
             memory: Mutex::new(Generations::new(GENERATION)),
             disk_root: Some(root.into()),
-            lock_timeout: DEFAULT_LOCK_TIMEOUT,
+            lock_timeout: lockfile::LOCK_TIMEOUT,
             counters: Counters::default(),
         }
     }
@@ -264,9 +242,10 @@ impl ResultCache {
         Ok(cache)
     }
 
-    /// Overrides how long a cross-process `.lock` may sit unmodified
-    /// before waiters assume its owner died and take it over. Tests use
-    /// tiny timeouts; production keeps the generous default.
+    /// Overrides the age after which a `.lock` whose owner's liveness
+    /// cannot be checked is taken over (see [`lockfile`]; a dead owner's
+    /// pid is taken over at once, a live owner's never). It also paces
+    /// the waiters' polling. Tests use tiny timeouts.
     pub fn with_lock_timeout(mut self, timeout: Duration) -> Self {
         self.lock_timeout = timeout.max(Duration::from_millis(1));
         self
@@ -278,7 +257,7 @@ impl ResultCache {
     }
 
     fn entry_path(&self, digest: Digest) -> Option<PathBuf> {
-        self.tag_dir().map(|dir| dir.join(format!("{}.json", digest.hex())))
+        self.tag_dir().map(|dir| dir.join(format!("{}.css", digest.hex())))
     }
 
     /// Stores `result` in the memory tier, counting what a generation
@@ -301,17 +280,16 @@ impl ResultCache {
             }
         }
         if let Some(path) = self.entry_path(digest) {
-            match read_entry(&path) {
+            match read_entry(&path, digest) {
                 Ok(Some(result)) => {
                     self.counters.hits_disk.fetch_add(1, Ordering::Relaxed);
                     self.insert(digest, result);
                     return Some((result, CacheTier::Disk));
                 }
                 Ok(None) => {}
-                Err(_) => {
-                    // Every read_entry failure means bytes were present
-                    // but untrustworthy — count the corruption as well
-                    // as the degradation to a miss.
+                Err(()) => {
+                    // Bytes were present but untrustworthy: count the
+                    // corruption as well as the degradation to a miss.
                     self.counters.disk_errors.fetch_add(1, Ordering::Relaxed);
                     self.counters.corrupt_entries.fetch_add(1, Ordering::Relaxed);
                 }
@@ -325,7 +303,7 @@ impl ResultCache {
     pub fn put(&self, digest: Digest, result: &ScenarioResult) {
         self.insert(digest, *result);
         if let Some(path) = self.entry_path(digest) {
-            if write_entry(&path, result).is_err() {
+            if write_entry(&path, digest, result).is_err() {
                 self.counters.disk_errors.fetch_add(1, Ordering::Relaxed);
                 self.counters.unwritable.fetch_add(1, Ordering::Relaxed);
             }
@@ -333,18 +311,17 @@ impl ResultCache {
     }
 
     /// Claims the right to compute `digest`, single-flight **across
-    /// processes**. The protocol, per entry `<hex>.json`:
+    /// processes**, through a [`LockFile`] at `<hex>.lock`:
     ///
-    /// 1. atomically create `<hex>.lock` (`O_CREAT|O_EXCL`); the winner
-    ///    re-checks the entry (the previous owner may have published
-    ///    between our miss and the lock) and becomes the owner;
-    /// 2. losers poll: entry appeared → return it; lock unmodified for
-    ///    longer than the lock timeout → the owner is presumed dead, and
-    ///    exactly one waiter takes over by *renaming* the stale lock to a
-    ///    unique tombstone (rename arbitrates racing waiters), deleting
-    ///    it, and retrying step 1.
+    /// 1. the winner re-checks the entry (the previous owner may have
+    ///    published between our miss and the lock) and becomes the
+    ///    owner; a dead owner's lock is taken over at once and counted;
+    /// 2. losers poll: entry appeared → return it; the lock turned stale
+    ///    → the next acquire takes it over. A live owner is never stolen
+    ///    from, but a waiter that has waited one lock timeout computes
+    ///    without the lock, so a wedged owner cannot hang it.
     ///
-    /// Publication itself stays tmp-file + atomic rename, so readers
+    /// Publication itself stays temp file + atomic rename, so readers
     /// never observe a torn entry, locked or not. Any locking I/O error
     /// degrades to `Owner(None)` — worst case is a duplicated compute,
     /// never a corrupt entry or a hang.
@@ -361,54 +338,44 @@ impl ResultCache {
         let lock_path = path.with_extension("lock");
         let poll =
             (self.lock_timeout / 16).clamp(Duration::from_millis(2), Duration::from_millis(250));
-        // Absolute bail-out so a pathological filesystem (lock recreated
-        // faster than we can observe staleness) still cannot hang us.
-        let bail_out = Instant::now() + self.lock_timeout.saturating_mul(32);
+        let bail_out = Instant::now() + self.lock_timeout;
         loop {
-            match std::fs::OpenOptions::new().write(true).create_new(true).open(&lock_path) {
-                Ok(mut file) => {
-                    // Owner identity, for humans inspecting a stuck dir.
-                    let _ = writeln!(file, "{} {}", std::process::id(), crate::ENGINE_TAG);
-                    if let Ok(Some(result)) = read_entry(&path) {
-                        // Published while we raced for the lock.
-                        drop(ComputeLock { path: lock_path });
-                        self.insert(digest, result);
-                        self.counters.hits_disk.fetch_add(1, Ordering::Relaxed);
-                        return ComputeClaim::Published(result);
-                    }
-                    return ComputeClaim::Owner(Some(ComputeLock { path: lock_path }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    std::thread::sleep(poll);
-                    match read_entry(&path) {
-                        Ok(Some(result)) => {
-                            self.insert(digest, result);
-                            self.counters.hits_disk.fetch_add(1, Ordering::Relaxed);
-                            return ComputeClaim::Published(result);
-                        }
-                        Ok(None) => {}
-                        Err(_) => {
-                            // Torn entry under a live lock: keep waiting
-                            // for the owner to republish or die.
-                        }
-                    }
-                    if lock_is_stale(&lock_path, self.lock_timeout)
-                        && takeover_stale_lock(&lock_path)
-                    {
+            match LockFile::acquire(&lock_path, self.lock_timeout) {
+                Ok(lock) => {
+                    if lock.took_over() {
                         self.counters.lock_takeovers.fetch_add(1, Ordering::Relaxed);
-                        continue;
+                    }
+                    if let Ok(Some(result)) = read_entry(&path, digest) {
+                        // Published while we raced for the lock.
+                        return self.published(digest, result);
+                    }
+                    return ComputeClaim::Owner(Some(lock));
+                }
+                Err(LockError::Held(_)) => {
+                    std::thread::sleep(poll);
+                    // A torn entry under a live lock reads as an error:
+                    // keep waiting for the owner to republish or die.
+                    if let Ok(Some(result)) = read_entry(&path, digest) {
+                        return self.published(digest, result);
                     }
                     if Instant::now() > bail_out {
                         self.counters.disk_errors.fetch_add(1, Ordering::Relaxed);
                         return ComputeClaim::Owner(None);
                     }
                 }
-                Err(_) => {
+                Err(LockError::Io(_)) => {
                     self.counters.disk_errors.fetch_add(1, Ordering::Relaxed);
                     return ComputeClaim::Owner(None);
                 }
             }
         }
+    }
+
+    /// Promotes an entry another owner published and reports it.
+    fn published(&self, digest: Digest, result: ScenarioResult) -> ComputeClaim {
+        self.insert(digest, result);
+        self.counters.hits_disk.fetch_add(1, Ordering::Relaxed);
+        ComputeClaim::Published(result)
     }
 
     /// A snapshot of the counters.
@@ -426,93 +393,44 @@ impl ResultCache {
     }
 }
 
-/// True when the lock file exists and has not been modified within
-/// `timeout`. A vanished lock (owner released it) reports `false`; the
-/// caller's next `create_new` attempt will settle it.
-fn lock_is_stale(lock_path: &Path, timeout: Duration) -> bool {
-    let Ok(meta) = std::fs::metadata(lock_path) else { return false };
-    let Ok(modified) = meta.modified() else { return false };
-    match modified.elapsed() {
-        Ok(age) => age > timeout,
-        Err(_) => false, // clock skew: lock is from the future, not stale
-    }
-}
-
-/// Removes a stale lock such that exactly one of any number of racing
-/// waiters wins: rename the lock to a caller-unique tombstone (rename is
-/// atomic; a second renamer gets `NotFound`), then delete the tombstone.
-fn takeover_stale_lock(lock_path: &Path) -> bool {
-    let tomb = lock_path.with_extension(format!(
-        "tomb.{}.{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    if std::fs::rename(lock_path, &tomb).is_ok() {
-        let _ = std::fs::remove_file(&tomb);
-        true
-    } else {
-        false
-    }
-}
-
-/// `Ok(None)` means "no entry"; `Err` means "entry exists but is bad" (or
-/// IO failed), which [`ResultCache::get`] counts as a disk error and
-/// treats as a miss.
-fn read_entry(path: &Path) -> Result<Option<ScenarioResult>, CacheError> {
-    let corrupt = |reason: String| CacheError::Corrupt { path: path.to_path_buf(), reason };
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
+/// `Ok(None)` means "no entry"; `Err(())` means bytes exist but are not
+/// `digest`'s entry under this engine (or reading them failed), which
+/// [`ResultCache::get`] counts as corruption and treats as a miss.
+fn read_entry(path: &Path, digest: Digest) -> Result<Option<ScenarioResult>, ()> {
+    match std::fs::read(path) {
+        Ok(bytes) => decode_entry(&bytes, digest).map(Some).ok_or(()),
         // `!exists()` catches ENOTDIR (a file blocking the tag dir) and
         // friends: no entry bytes exist, so it is a miss, not corruption.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound || !path.exists() => return Ok(None),
-        Err(e) => return Err(corrupt(e.to_string())),
-    };
-    let value = json::parse(&text).map_err(corrupt)?;
-    let tag = value.get("engine").and_then(json::Value::as_str);
-    if tag != Some(crate::ENGINE_TAG) {
-        // A foreign tag in our own tag directory means someone moved
-        // files around; refuse rather than serve numbers from another
-        // engine version.
-        return Err(corrupt("engine tag mismatch".to_string()));
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound || !path.exists() => Ok(None),
+        Err(_) => Err(()),
     }
-    let result = value.get("result").ok_or_else(|| corrupt("missing \"result\"".to_string()))?;
-    let decoded = ScenarioResult::from_json(result).map_err(&corrupt)?;
-    // CRC frame check: the stored checksum covers the canonical result
-    // JSON, so any flipped bit — even one that still parses — surfaces
-    // as typed corruption instead of silently wrong numbers. Entries
-    // written before the crc field are treated the same way (recomputed
-    // and rewritten with a checksum on the next put).
-    let crc = value
-        .get("crc")
-        .and_then(json::Value::as_f64)
-        .ok_or_else(|| corrupt("missing \"crc\" frame check".to_string()))?;
-    let expected = corescope_store::frame::crc32(decoded.to_json().as_bytes());
-    if crc != f64::from(expected) {
-        return Err(corrupt(format!(
-            "crc mismatch (stored {crc}, computed {expected}): flipped bit or tampered entry"
-        )));
-    }
-    Ok(Some(decoded))
 }
 
-fn write_entry(path: &Path, result: &ScenarioResult) -> Result<(), String> {
+/// Decodes a one-frame segment: header, one CRC-valid frame ending the
+/// file, one row whose digest is `digest`.
+fn decode_entry(bytes: &[u8], digest: Digest) -> Option<ScenarioResult> {
+    let (tag, start) = frame::parse_segment_header(bytes).ok()?;
+    let frame::Parsed::Frame { payload, end } = frame::parse_frame(bytes, start) else {
+        return None;
+    };
+    match frame::decode_block(&payload).ok()?.as_slice() {
+        [row] if tag == crate::ENGINE_TAG && end == bytes.len() && row.digest == digest.0 => {
+            Some(row_result(row))
+        }
+        _ => None,
+    }
+}
+
+fn encode_entry(digest: Digest, result: &ScenarioResult) -> Result<Vec<u8>, String> {
+    let mut bytes = frame::segment_header(crate::ENGINE_TAG);
+    bytes.extend(frame::frame_bytes(&frame::encode_block(&[result_row(digest, result)])?));
+    Ok(bytes)
+}
+
+fn write_entry(path: &Path, digest: Digest, result: &ScenarioResult) -> Result<(), String> {
     let dir = path.parent().ok_or("cache entry path has no parent")?;
     std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    let result_json = result.to_json();
-    let body = format!(
-        "{{\"engine\":\"{}\",\"crc\":{},\"result\":{result_json}}}\n",
-        json::escape(crate::ENGINE_TAG),
-        corescope_store::frame::crc32(result_json.as_bytes()),
-    );
-    // Unique temp name per thread so concurrent writers of *different*
-    // digests (or even the same one) never clobber each other's partial
-    // file; rename is atomic on the same filesystem.
-    let tmp = path.with_extension(format!("tmp.{:?}", std::thread::current().id()));
-    std::fs::write(&tmp, body).map_err(|e| e.to_string())?;
-    std::fs::rename(&tmp, path).map_err(|e| {
-        let _ = std::fs::remove_file(&tmp);
-        e.to_string()
-    })
+    lockfile::publish(path, &encode_entry(digest, result)?, false).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -585,6 +503,16 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// A CRC-valid entry for `digest` framed under the segment header of
+    /// `tag`: only the tag (or the digest) can tell it apart.
+    fn entry_under(tag: &str, digest: Digest, result: &ScenarioResult) -> Vec<u8> {
+        let mut bytes = frame::segment_header(tag);
+        bytes.extend(frame::frame_bytes(
+            &frame::encode_block(&[result_row(digest, result)]).unwrap(),
+        ));
+        bytes
+    }
+
     #[test]
     fn foreign_engine_tags_are_rejected() {
         let root = tmpdir("tag");
@@ -592,13 +520,32 @@ mod tests {
         let d = Digest(11);
         let path = cache.entry_path(d).unwrap();
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(
-            &path,
-            format!("{{\"engine\":\"other\",\"result\":{}}}", result(9.0).to_json()),
-        )
-        .unwrap();
+        // Same bytes as a real entry, down to a valid frame CRC, except
+        // for the engine tag in the segment header.
+        assert_eq!(
+            entry_under(crate::ENGINE_TAG, d, &result(9.0)),
+            encode_entry(d, &result(9.0)).unwrap()
+        );
+        std::fs::write(&path, entry_under("other-engine", d, &result(9.0))).unwrap();
         assert!(cache.get(d).is_none());
-        assert_eq!(cache.stats().disk_errors, 1);
+        let stats = cache.stats();
+        assert_eq!((stats.disk_errors, stats.corrupt_entries), (1, 1));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn an_entry_copied_to_another_digest_is_rejected() {
+        let root = tmpdir("copied");
+        let cache = ResultCache::on_disk(&root);
+        let (d, other) = (Digest(12), Digest(13));
+        cache.put(d, &result(8.0));
+        let path = cache.entry_path(d).unwrap();
+        std::fs::copy(&path, cache.entry_path(other).unwrap()).unwrap();
+        let fresh = ResultCache::on_disk(&root);
+        assert!(fresh.get(other).is_none(), "another digest's result must not be served");
+        let stats = fresh.stats();
+        assert_eq!((stats.disk_errors, stats.corrupt_entries), (1, 1));
+        assert_eq!(fresh.get(d).unwrap(), (result(8.0), CacheTier::Disk));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -610,8 +557,8 @@ mod tests {
         cache.put(d, &result(4.0));
         let path = cache.entry_path(d).unwrap();
         // Simulate a writer killed mid-write *without* atomic rename: the
-        // entry is truncated in the middle of the JSON body.
-        let full = std::fs::read_to_string(&path).unwrap();
+        // entry is truncated in the middle of its frame.
+        let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
         let fresh = ResultCache::on_disk(&root);
         assert!(fresh.get(d).is_none(), "torn entry must read as a miss");
@@ -630,11 +577,13 @@ mod tests {
         let d = Digest(77);
         cache.put(d, &result(3.5));
         let path = cache.entry_path(d).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        // Damage one digit inside the result payload. The JSON still
-        // parses and decodes — only the CRC frame check can tell.
-        let tampered = text.replace("\"events\":42", "\"events\":43");
-        assert_ne!(text, tampered, "test fixture must actually tamper");
+        let bytes = std::fs::read(&path).unwrap();
+        // Change the events count from 42 to 43 inside the frame. The
+        // block still decodes — only the CRC frame check can tell.
+        let events = 42u64.to_le_bytes();
+        let at = bytes.windows(8).position(|w| w == events).expect("events column");
+        let mut tampered = bytes.clone();
+        tampered[at] = 43;
         std::fs::write(&path, tampered).unwrap();
         let fresh = ResultCache::on_disk(&root);
         assert!(fresh.get(d).is_none(), "tampered entry must not be served");
@@ -644,28 +593,27 @@ mod tests {
     }
 
     #[test]
-    fn entries_without_a_crc_field_are_corrupt_and_repaired_by_put() {
-        let root = tmpdir("nocrc");
+    fn json_entries_of_earlier_versions_are_never_read() {
+        let root = tmpdir("legacy");
         let cache = ResultCache::on_disk(&root);
         let d = Digest(78);
-        let path = cache.entry_path(d).unwrap();
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        // An entry from before the crc field existed.
+        let dir = cache.tag_dir().unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        // An entry in the old JSON envelope is neither a hit nor counted
+        // corrupt: it is simply not where entries live any more.
         std::fs::write(
-            &path,
+            dir.join(format!("{}.json", d.hex())),
             format!(
-                "{{\"engine\":\"{}\",\"result\":{}}}\n",
-                json::escape(crate::ENGINE_TAG),
-                result(1.0).to_json()
+                "{{\"engine\":\"{}\",\"crc\":0,\"result\":{{\"makespan\":1,\"events\":42}}}}\n",
+                crate::ENGINE_TAG
             ),
         )
         .unwrap();
         assert!(cache.get(d).is_none());
-        assert_eq!(cache.stats().corrupt_entries, 1);
+        assert_eq!(cache.stats().disk_errors, 0);
         cache.put(d, &result(1.0));
         let fresh = ResultCache::on_disk(&root);
-        assert_eq!(fresh.get(d).unwrap().1, CacheTier::Disk);
-        assert_eq!(fresh.stats().corrupt_entries, 0);
+        assert_eq!(fresh.get(d).unwrap(), (result(1.0), CacheTier::Disk));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -762,6 +710,25 @@ mod tests {
         }
         assert_eq!(cache.stats().lock_takeovers, 1);
         assert!(!lock_path.exists(), "released lock must be gone");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_dead_owners_lock_is_taken_over_at_once() {
+        let root = tmpdir("dead");
+        // The default timeout: only the pid check can free this lock.
+        let cache = ResultCache::on_disk(&root);
+        let d = Digest(56);
+        let lock_path = cache.entry_path(d).unwrap().with_extension("lock");
+        std::fs::create_dir_all(lock_path.parent().unwrap()).unwrap();
+        std::fs::write(&lock_path, "999999999\n").unwrap();
+        let started = Instant::now();
+        match cache.claim_compute(d) {
+            ComputeClaim::Owner(Some(lock)) => drop(lock),
+            other => panic!("a dead owner's lock must be taken over, got {other:?}"),
+        }
+        assert!(started.elapsed() < Duration::from_secs(5), "waited on a dead owner");
+        assert_eq!(cache.stats().lock_takeovers, 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -897,6 +864,63 @@ mod tests {
                 proptest::prop_assert_eq!(tier.previous.len(), model.previous.len());
                 proptest::prop_assert_eq!(evicted, model.evicted);
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// A disk entry round-trips bit-exact through a fresh cache for
+        /// any finite makespan and any counts, and the entry cut at
+        /// every byte offset (or padded) is a counted corrupt miss,
+        /// never a panic or a wrong result.
+        #[test]
+        fn disk_entries_round_trip_and_every_truncation_is_a_counted_miss(
+            shape in 0u8..3,
+            bits in 0u64..=u64::MAX,
+            counts in (0usize..=usize::MAX, 0usize..=usize::MAX, 0usize..=usize::MAX,
+                       0usize..=usize::MAX, 0usize..=usize::MAX),
+            key in 0u64..=u64::MAX,
+        ) {
+            let sign = bits & (1 << 63);
+            let bits = match shape {
+                0 => bits,
+                1 => sign | (bits & ((1 << 52) - 1)), // subnormal (or a zero)
+                _ => sign,                            // +0.0 or -0.0
+            };
+            proptest::prop_assume!(f64::from_bits(bits).is_finite());
+            let value = ScenarioResult {
+                makespan: f64::from_bits(bits),
+                events: counts.0,
+                faults_applied: counts.1,
+                checkpoints_taken: counts.2,
+                recoveries: counts.3,
+                retries: counts.4,
+            };
+            let d = Digest(u128::from(key) << 64 | u128::from(bits));
+            let root = tmpdir("prop");
+            ResultCache::on_disk(&root).put(d, &value);
+            let fresh = ResultCache::on_disk(&root);
+            let (hit, tier) = fresh.get(d).unwrap();
+            proptest::prop_assert_eq!(tier, CacheTier::Disk);
+            proptest::prop_assert_eq!(hit.makespan.to_bits(), bits);
+            proptest::prop_assert_eq!(hit, value);
+
+            let path = fresh.entry_path(d).unwrap();
+            let full = std::fs::read(&path).unwrap();
+            for cut in 0..full.len() {
+                std::fs::write(&path, &full[..cut]).unwrap();
+                let reader = ResultCache::on_disk(&root);
+                proptest::prop_assert!(reader.get(d).is_none(), "cut at {} was served", cut);
+                let stats = reader.stats();
+                proptest::prop_assert_eq!((stats.corrupt_entries, stats.disk_errors), (1, 1));
+            }
+            // Bytes past the frame are refused too.
+            std::fs::write(&path, [&full[..], &[0]].concat()).unwrap();
+            let reader = ResultCache::on_disk(&root);
+            proptest::prop_assert!(reader.get(d).is_none(), "a padded entry was served");
+            proptest::prop_assert_eq!(reader.stats().corrupt_entries, 1);
+            let _ = std::fs::remove_dir_all(&root);
         }
     }
 

@@ -1,8 +1,8 @@
 //! A minimal JSON reader/writer — the repo vendors no serde.
 //!
 //! Covers exactly what the scheduler needs: parsing newline-delimited
-//! scenario requests in `corescope-serve` and reading on-disk cache
-//! entries back. Numbers are `f64` (like JavaScript); objects preserve
+//! scenario requests in `corescope-serve` and rendering its responses.
+//! Numbers are `f64` (like JavaScript); objects preserve
 //! insertion order; duplicate keys keep the last value.
 
 use std::fmt::Write as _;
@@ -99,7 +99,7 @@ pub fn escape(s: &str) -> String {
 
 /// Formats an `f64` as a JSON number. Rust's shortest-round-trip `{}`
 /// float formatting guarantees `parse` recovers the exact bits, which is
-/// what keeps cached results bit-identical to cold runs. JSON has no
+/// what keeps `serve` responses bit-identical to local runs. JSON has no
 /// NaN/inf; those become `null`-adjacent `0` by policy (scenarios reject
 /// non-finite inputs before they get here).
 pub fn num(v: f64) -> String {

@@ -41,7 +41,7 @@ pub mod scheduler;
 pub mod serve;
 pub mod sink;
 
-pub use cache::{CacheError, CacheStats, CacheTier, ComputeClaim, ComputeLock, ResultCache};
+pub use cache::{CacheError, CacheStats, CacheTier, ComputeClaim, ResultCache};
 pub use encode::{Digest, Encoder};
 pub use fidelity::Fidelity;
 pub use scenario::{Placement, Scenario, ScenarioResult, System, UnknownSystem, Workload};

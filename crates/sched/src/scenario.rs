@@ -1350,7 +1350,8 @@ impl ScenarioResult {
         }
     }
 
-    /// Single-line JSON form (cache entries and serve responses).
+    /// Single-line JSON form (serve responses; disk cache entries are
+    /// store frames, see [`crate::cache`]).
     pub fn to_json(&self) -> String {
         format!(
             "{{\"makespan\":{},\"events\":{},\"faults_applied\":{},\"checkpoints_taken\":{},\
@@ -1362,28 +1363,6 @@ impl ScenarioResult {
             self.recoveries,
             self.retries,
         )
-    }
-
-    /// Parses [`ScenarioResult::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a one-line description of the first missing field.
-    pub fn from_json(v: &Value) -> std::result::Result<ScenarioResult, String> {
-        let f = |key: &str| {
-            v.get(key).and_then(Value::as_f64).ok_or(format!("result needs number \"{key}\""))
-        };
-        let u = |key: &str| {
-            v.get(key).and_then(Value::as_usize).ok_or(format!("result needs integer \"{key}\""))
-        };
-        Ok(ScenarioResult {
-            makespan: f("makespan")?,
-            events: u("events")?,
-            faults_applied: u("faults_applied")?,
-            checkpoints_taken: u("checkpoints_taken")?,
-            recoveries: u("recoveries")?,
-            retries: u("retries")?,
-        })
     }
 }
 
@@ -1671,9 +1650,15 @@ mod tests {
             recoveries: 1,
             retries: 0,
         };
-        let back = ScenarioResult::from_json(&json::parse(&r.to_json()).unwrap()).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.makespan.to_bits(), r.makespan.to_bits());
+        let back = json::parse(&r.to_json()).unwrap();
+        let count = |key: &str| back.get(key).and_then(Value::as_usize);
+        let makespan = back.get("makespan").and_then(Value::as_f64);
+        assert_eq!(makespan.map(f64::to_bits), Some(r.makespan.to_bits()));
+        assert_eq!(count("events"), Some(r.events));
+        assert_eq!(count("faults_applied"), Some(r.faults_applied));
+        assert_eq!(count("checkpoints_taken"), Some(r.checkpoints_taken));
+        assert_eq!(count("recoveries"), Some(r.recoveries));
+        assert_eq!(count("retries"), Some(r.retries));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! [`StoreSink`]: the scheduler's bridge to the crash-safe campaign
 //! store ([`corescope_store::Store`]).
 //!
-//! The cache and the store answer different questions. The cache
-//! (`results/.cache`) is an *accelerator*: losing it costs recompute
-//! time, nothing else, so entries are independent JSON files with no
-//! global consistency story. The store is the *campaign record*: it must
+//! The cache and the store answer different questions in one on-disk
+//! format. The cache (`results/.cache`) is an *accelerator*: losing it
+//! costs recompute time, nothing else, so each entry is an independent
+//! one-frame segment, published without fsync, with no global
+//! consistency story. The store is the *campaign record*: it must
 //! survive `kill -9` at any byte, resume a half-finished sweep without
 //! rerunning committed scenarios, and feed aggregation after the fact.
 //! The sink keeps the scheduler's failure policy consistent across both:
@@ -29,7 +30,6 @@ use std::sync::Mutex;
 /// store groups exactly like the paper tables do.
 pub fn row_of(scenario: &Scenario, digest: Digest, result: &ScenarioResult) -> Row {
     Row {
-        digest: digest.0,
         system: scenario.system.key().to_string(),
         fidelity: scenario.fidelity.key().to_string(),
         placement: scenario.placement.key().to_string(),
@@ -37,12 +37,34 @@ pub fn row_of(scenario: &Scenario, digest: Digest, result: &ScenarioResult) -> R
         lock: scenario.lock.key().to_string(),
         workload: scenario.workload.kind().to_string(),
         nranks: scenario.nranks as u32,
+        ..result_row(digest, result)
+    }
+}
+
+/// The digest and the result scalars as a row with empty axis strings:
+/// the one row a disk cache entry holds.
+pub(crate) fn result_row(digest: Digest, result: &ScenarioResult) -> Row {
+    Row {
+        digest: digest.0,
         makespan: result.makespan,
         events: result.events as u64,
         faults_applied: result.faults_applied as u64,
         checkpoints_taken: result.checkpoints_taken as u64,
         recoveries: result.recoveries as u64,
         retries: result.retries as u64,
+        ..Row::default()
+    }
+}
+
+/// The result scalars a row carries; the inverse of [`result_row`].
+pub(crate) fn row_result(row: &Row) -> ScenarioResult {
+    ScenarioResult {
+        makespan: row.makespan,
+        events: row.events as usize,
+        faults_applied: row.faults_applied as usize,
+        checkpoints_taken: row.checkpoints_taken as usize,
+        recoveries: row.recoveries as usize,
+        retries: row.retries as usize,
     }
 }
 

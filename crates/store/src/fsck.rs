@@ -15,15 +15,14 @@
 //! mid-compact leaves a store that verify/repair can classify again.
 
 use crate::frame;
+use crate::lockfile::LOCK_TIMEOUT;
 use crate::store::{
-    atomic_write, io_err, list_segment_files, scan_segment, segment_id, segment_name, Manifest,
-    SegmentMeta, WriterLock, MANIFEST, QUARANTINE,
+    atomic_write, io_err, list_segment_files, scan_segment, segment_id, segment_name, writer_lock,
+    Manifest, SegmentMeta, MANIFEST, QUARANTINE,
 };
 use crate::{Corruption, Row, StoreError, Torn};
 use std::collections::{HashMap, HashSet};
-use std::io::Write;
 use std::path::Path;
-use std::time::Duration;
 
 /// Everything `verify` found, plus (after `repair`) the actions taken.
 #[derive(Debug, Default)]
@@ -269,7 +268,7 @@ fn quarantine_bytes(dir: &Path, name: &str, offset: usize, bytes: &[u8]) -> Resu
 /// [`StoreError::Io`] / [`StoreError::Unwritable`] when the repair
 /// itself cannot write (e.g. a read-only directory).
 pub fn repair(dir: &Path) -> Result<FsckReport, StoreError> {
-    let _lock = WriterLock::acquire(dir, Duration::from_secs(300))?;
+    let _lock = writer_lock(dir, LOCK_TIMEOUT)?;
     let mut actions: Vec<String> = Vec::new();
 
     // Recover the engine tag: manifest first, segment headers second.
@@ -383,7 +382,7 @@ pub fn repair(dir: &Path) -> Result<FsckReport, StoreError> {
 /// `verify` would report must be repaired first and yields
 /// [`StoreError::Corrupt`] (first instance) here.
 pub fn compact(dir: &Path) -> Result<CompactReport, StoreError> {
-    let _lock = WriterLock::acquire(dir, Duration::from_secs(300))?;
+    let _lock = writer_lock(dir, LOCK_TIMEOUT)?;
     let manifest = match read_manifest(dir) {
         Ok(Some(m)) => m,
         Ok(None) | Err(_) => {
@@ -447,10 +446,7 @@ pub fn compact(dir: &Path) -> Result<CompactReport, StoreError> {
             out.extend_from_slice(&frame::frame_bytes(block));
         }
     }
-    let mut file = std::fs::File::create(&path).map_err(|e| io_err(&path, e))?;
-    file.write_all(&out).map_err(|e| io_err(&path, e))?;
-    file.sync_all().map_err(|e| io_err(&path, e))?;
-    drop(file);
+    atomic_write(&path, &out)?;
     let new_segments = vec![SegmentMeta {
         name: name.clone(),
         committed_len: out.len() as u64,

@@ -35,6 +35,7 @@
 
 pub mod frame;
 pub mod fsck;
+pub mod lockfile;
 mod store;
 
 pub use fsck::{CompactReport, FsckReport};
@@ -601,6 +602,22 @@ mod tests {
         assert!(report.is_clean(), "{:?}", report.lines());
         let store = Store::open(tmp.path(), TAG).unwrap();
         assert_eq!(store.rows_committed(), 3);
+    }
+
+    #[test]
+    fn a_segment_cut_off_before_its_manifest_commit_is_replaced() {
+        let tmp = TempDir::new("unjournaled");
+        drop(Store::open(tmp.path(), TAG).unwrap());
+        // A writer killed between creating its first segment and
+        // journaling it leaves a header-only file no manifest lists.
+        std::fs::write(tmp.path().join("seg-00000001.css"), frame::segment_header(TAG)).unwrap();
+        let mut store = Store::open(tmp.path(), TAG).unwrap();
+        store.append(row(1)).unwrap();
+        store.flush().unwrap();
+        drop(store);
+        let report = fsck::verify(tmp.path()).unwrap();
+        assert!(report.is_clean(), "{:?}", report.lines());
+        assert_eq!((report.segments, report.rows), (1, 1));
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //!   skips every committed digest — so resume is just rerun.
 
 use crate::frame;
+use crate::lockfile::{self, LockError, LockFile};
 use crate::{Corruption, Row, StoreError, Torn};
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
@@ -43,7 +44,7 @@ use std::time::Duration;
 
 /// The manifest file name.
 pub const MANIFEST: &str = "MANIFEST";
-/// The writer lock file name (PR-6 `.lock` arbitration, one per store).
+/// The writer lock file name: one [`crate::lockfile::LockFile`] per store.
 pub const WRITER_LOCK: &str = "writer.lock";
 /// Directory quarantined bytes are moved into by `fsck --repair`.
 pub const QUARANTINE: &str = "quarantine";
@@ -58,9 +59,7 @@ pub struct Options {
     /// one fsync and one manifest commit — the durability quantum).
     pub flush_rows: usize,
     /// Age after which a writer lock whose owner's liveness cannot be
-    /// checked may be taken over. On Linux the lock file's pid is
-    /// checked against `/proc` instead: a dead owner is taken over
-    /// immediately and a live owner is never timed out. The writer
+    /// checked may be taken over (see [`crate::lockfile`]). The writer
     /// refreshes the lock mtime on every flush, so this fallback only
     /// fires on owners that stopped making progress.
     pub lock_timeout: Duration,
@@ -68,7 +67,7 @@ pub struct Options {
 
 impl Default for Options {
     fn default() -> Self {
-        Options { roll_bytes: 1 << 20, flush_rows: 128, lock_timeout: Duration::from_secs(300) }
+        Options { roll_bytes: 1 << 20, flush_rows: 128, lock_timeout: lockfile::LOCK_TIMEOUT }
     }
 }
 
@@ -197,105 +196,17 @@ pub(crate) fn io_err(path: &Path, source: std::io::Error) -> StoreError {
 
 /// Writes `bytes` to `path` durably: temp file, fsync, atomic rename.
 pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-    let tmp = path.with_extension("tmp");
-    let mut file = File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-    file.write_all(bytes).map_err(|e| io_err(&tmp, e))?;
-    file.sync_all().map_err(|e| io_err(&tmp, e))?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
+    lockfile::publish(path, bytes, true).map_err(|e| io_err(path, e))
 }
 
-/// The single-writer lock: `writer.lock` created with `create_new`,
-/// holding the owner's pid. Stale locks (owner provably dead via
-/// `/proc`, or — where no liveness oracle exists — unrefreshed for
-/// longer than the configured timeout) are taken over by renaming them
-/// to a tombstone first, so two contenders cannot both "win" by
-/// deleting the same file — the same arbitration the result cache's
-/// `.lock` protocol uses. A provably live owner is never stolen from.
-#[derive(Debug)]
-pub(crate) struct WriterLock {
-    path: PathBuf,
-    held: bool,
-}
-
-impl WriterLock {
-    pub(crate) fn acquire(dir: &Path, timeout: Duration) -> Result<WriterLock, StoreError> {
-        let path = dir.join(WRITER_LOCK);
-        for attempt in 0..2 {
-            match OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(mut file) => {
-                    let _ = writeln!(file, "{}", std::process::id());
-                    let _ = file.sync_all();
-                    return Ok(WriterLock { path, held: true });
-                }
-                Err(e) if e.kind() == ErrorKind::AlreadyExists => {
-                    let owner = std::fs::read_to_string(&path)
-                        .map(|s| s.trim().to_string())
-                        .unwrap_or_else(|_| "unknown".to_string());
-                    if attempt == 0 && Self::is_stale(&path, &owner, timeout) {
-                        // Tombstone-then-delete: the rename is the
-                        // exclusive step, so a racing contender either
-                        // sees the lock gone or loses the rename.
-                        let tomb =
-                            path.with_extension(format!("lock.stale.{}", std::process::id()));
-                        if std::fs::rename(&path, &tomb).is_ok() {
-                            let _ = std::fs::remove_file(&tomb);
-                        }
-                        continue;
-                    }
-                    return Err(StoreError::Locked { dir: dir.to_path_buf(), owner });
-                }
-                Err(e) => return Err(io_err(&path, e)),
-            }
-        }
-        let owner = std::fs::read_to_string(&path)
-            .map(|s| s.trim().to_string())
-            .unwrap_or_else(|_| "unknown".to_string());
-        Err(StoreError::Locked { dir: dir.to_path_buf(), owner })
-    }
-
-    fn is_stale(path: &Path, owner: &str, timeout: Duration) -> bool {
-        // A SIGKILLed campaign leaves its lock behind; resume must not
-        // wait out the timeout for an owner that is provably gone. The
-        // converse matters even more: an owner that is provably ALIVE
-        // is never stale, however old its lock — stealing a live
-        // writer's lock yields two writers, the one corruption this
-        // lock exists to prevent.
-        #[cfg(target_os = "linux")]
-        if let Ok(pid) = owner.parse::<u32>() {
-            return !Path::new(&format!("/proc/{pid}")).exists();
-        }
-        let _ = owner;
-        // No liveness oracle (non-Linux, or an unparseable owner):
-        // fall back to the heartbeat age. Live writers refresh the
-        // lock mtime on every flush, so a lock older than the timeout
-        // belongs to a dead or wedged owner.
-        match std::fs::metadata(path).and_then(|m| m.modified()) {
-            Ok(modified) => modified.elapsed().map(|age| age > timeout).unwrap_or(false),
-            Err(_) => false,
-        }
-    }
-
-    /// Refreshes the lock file mtime. Called on every flush so the
-    /// age-based takeover fallback in [`WriterLock::is_stale`] (used
-    /// where no pid liveness oracle exists) never fires against a
-    /// writer that is still making progress.
-    fn heartbeat(&self) {
-        if !self.held {
-            return;
-        }
-        if let Ok(file) = OpenOptions::new().write(true).open(&self.path) {
-            let _ = file.set_modified(std::time::SystemTime::now());
-        }
-    }
-}
-
-impl Drop for WriterLock {
-    fn drop(&mut self) {
-        if self.held {
-            let _ = std::fs::remove_file(&self.path);
-        }
-    }
+/// Takes the single-writer lock of the store at `dir` (see
+/// [`lockfile`] for the staleness policy).
+pub(crate) fn writer_lock(dir: &Path, timeout: Duration) -> Result<LockFile, StoreError> {
+    let path = dir.join(WRITER_LOCK);
+    LockFile::acquire(&path, timeout).map_err(|e| match e {
+        LockError::Held(owner) => StoreError::Locked { dir: dir.to_path_buf(), owner },
+        LockError::Io(e) => io_err(&path, e),
+    })
 }
 
 /// A crash-safe columnar result store rooted at one directory.
@@ -317,7 +228,7 @@ pub struct Store {
     recovery: RecoveryReport,
     rows_committed: u64,
     appended: u64,
-    lock: Option<WriterLock>,
+    lock: Option<LockFile>,
     /// Fault injection for the chaos suite: remaining bytes the store
     /// may write before every write fails ENOSPC-style, tearing the
     /// frame mid-append exactly like a full disk would.
@@ -348,7 +259,7 @@ impl Store {
             dir: dir.to_path_buf(),
             reason: e.to_string(),
         })?;
-        let lock = WriterLock::acquire(dir, options.lock_timeout)?;
+        let lock = writer_lock(dir, options.lock_timeout)?;
         let manifest_path = dir.join(MANIFEST);
         let manifest = if manifest_path.exists() {
             let text =
@@ -673,7 +584,7 @@ impl Store {
         }
         self.buffered_digests.clear();
         if let Some(lock) = &self.lock {
-            lock.heartbeat();
+            lock.touch();
         }
         Ok(())
     }
@@ -712,16 +623,14 @@ impl Store {
                 return Ok(last);
             }
         }
-        // Consider files on disk too: a crash between segment creation
-        // and its manifest commit leaves an unreferenced seg file whose
-        // id must not be reused (create_new would fail forever).
-        let on_disk = list_segment_files(&self.dir)?;
+        // Only listed segments can hold committed frames, so a file
+        // already at the next name is a header a crash cut off before
+        // the manifest commit below (or a copy of listed rows from an
+        // interrupted compaction): nothing needs it, and it is replaced.
         let next_id = self
             .segments
             .iter()
-            .map(|s| s.name.as_str())
-            .chain(on_disk.iter().map(String::as_str))
-            .filter_map(segment_id)
+            .filter_map(|s| segment_id(&s.name))
             .max()
             .unwrap_or(0)
             .checked_add(1)
@@ -730,13 +639,7 @@ impl Store {
         let path = self.dir.join(&name);
         let header = frame::segment_header(&self.tag);
         self.charge_budget(&path, header.len())?;
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)
-            .map_err(|e| io_err(&path, e))?;
-        file.write_all(&header).map_err(|e| io_err(&path, e))?;
-        file.sync_all().map_err(|e| io_err(&path, e))?;
+        atomic_write(&path, &header)?;
         self.segments.push(SegmentMeta { name, committed_len: header.len() as u64, rows: 0 });
         // Journal the new segment before any frame lands in it.
         self.commit_manifest()?;
