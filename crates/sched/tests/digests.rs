@@ -13,7 +13,10 @@
 //! under [`ENGINE_TAG`], so the tag moves exactly when the results do.
 //! The property test then checks that the memoized batch path
 //! ([`Scenario::digests`]) agrees with the one-at-a-time path on random
-//! mixed batches.
+//! mixed batches. A last table pins a crc of every rank's expanded op
+//! stream for the golden set plus one 16-rank quick cell per workload
+//! kind, so a change to how programs are stored or lowered cannot move
+//! a single op, tag, peer or cost.
 
 use corescope_affinity::Scheme;
 use corescope_apps::md::{AmberMethod, LammpsBenchmark};
@@ -24,12 +27,13 @@ use corescope_kernels::stream::StreamKernel;
 use corescope_machine::faults::FaultPlan;
 use corescope_machine::ids::{LinkId, NumaNodeId, RankId, SocketId};
 use corescope_machine::recovery::{CheckpointPolicy, CheckpointTarget, RetryPolicy};
-use corescope_machine::{CalibParams, TraceConfig};
+use corescope_machine::{AccessPattern, CalibParams, Op, TraceConfig};
 use corescope_sched::json::{self, Value};
 use corescope_sched::{
     Encoder, Fidelity, Placement, Scenario, ScenarioResult, System, Workload, ENGINE_TAG,
 };
 use corescope_smpi::{LockLayer, MpiImpl};
+use corescope_store::frame::crc32;
 use proptest::prelude::*;
 
 fn bsp(system: System, nranks: usize) -> Scenario {
@@ -790,4 +794,225 @@ proptest! {
             prop_assert_eq!(*digest, scenario.digest());
         }
     }
+}
+
+/// One 16-rank quick-fidelity cell per workload kind on Longs, at the
+/// bench sweep's quick sizes (the application kinds at a few steps).
+fn quick_cells() -> Vec<Scenario> {
+    let (table_words_per_rank, updates_per_rank) = (1 << 21, 1 << 14);
+    let (grid_points, nuclides, lookups_per_rank) = (624_000, 64, (1 << 20) / 10);
+    let workloads = [
+        Workload::Bsp { steps: 20, flops_per_step: 5e6, bytes_per_step: 8e6, sync_bytes: 8.0 },
+        Workload::StreamSingle {
+            kernel: StreamKernel::Triad,
+            elements_per_rank: 4_000_000,
+            sweeps: 2,
+        },
+        Workload::StreamStar {
+            kernel: StreamKernel::Copy,
+            elements_per_rank: 4_000_000,
+            sweeps: 2,
+        },
+        Workload::Hpl { n: 4096, nb: 256, dgemm_efficiency: 0.85 },
+        Workload::DgemmSingle { n: 1000, reps: 1, variant: BlasVariant::Acml },
+        Workload::DgemmStar { n: 1000, reps: 1, variant: BlasVariant::Vanilla },
+        Workload::FftSingle { points_per_rank: 1 << 20, reps: 1 },
+        Workload::FftStar { points_per_rank: 1 << 20, reps: 1 },
+        Workload::RandomAccessSingle { table_words_per_rank, updates_per_rank },
+        Workload::RandomAccessStar { table_words_per_rank, updates_per_rank },
+        Workload::RandomAccessMpi { table_words_per_rank, updates_per_rank },
+        Workload::Ptrans { n: 2048, reps: 2, block_bytes: 8192.0 },
+        Workload::PingPong { bytes: 65536.0, reps: 10 },
+        Workload::NasCg { class: CgClass::A },
+        Workload::NasFt { class: FtClass::A },
+        Workload::DaxpySingle { n: 250_000, reps: 5, variant: BlasVariant::Acml },
+        Workload::DaxpyStar { n: 1_000_000, reps: 5, variant: BlasVariant::Vanilla },
+        Workload::XsLookupSingle { grid_points, nuclides, lookups_per_rank },
+        Workload::XsLookupStar { grid_points, nuclides, lookups_per_rank },
+        Workload::Amber {
+            atoms: 23_558,
+            method: AmberMethod::Pme,
+            grid_points: 262_144.0,
+            steps: 2,
+        },
+        Workload::AmberFftPart {
+            atoms: 2_492,
+            method: AmberMethod::Gb,
+            grid_points: 1572.5,
+            steps: 5,
+        },
+        Workload::Lammps { bench: LammpsBenchmark::Chain },
+        Workload::PopBaroclinic { nx: 320, ny: 384, nz: 40, steps: 2, cg_iterations: 40 },
+        Workload::PopBarotropic { nx: 320, ny: 384, nz: 40, steps: 2, cg_iterations: 40 },
+        Workload::NasCgHybrid { class: CgClass::A, threads: 2 },
+        Workload::NasFtHybrid { class: FtClass::A, threads: 4 },
+    ];
+    workloads
+        .into_iter()
+        .map(|w| Scenario::new(System::Longs, 16, w).with_fidelity(Fidelity::Quick))
+        .collect()
+}
+
+/// Appends one op's kind, label, peers, tag and every f64 (as its bit
+/// pattern) to `out`.
+fn encode_op(op: &Op, out: &mut Vec<u8>) {
+    fn f(x: f64, out: &mut Vec<u8>) {
+        out.extend_from_slice(&x.to_bits().to_le_bytes());
+    }
+    match op {
+        Op::Compute(p) => {
+            out.push(b'C');
+            out.extend_from_slice(p.label.as_bytes());
+            out.push(0);
+            f(p.flops, out);
+            f(p.efficiency, out);
+            f(p.traffic.bytes, out);
+            f(p.traffic.working_set, out);
+            out.push(match p.traffic.pattern {
+                AccessPattern::Stream => 0,
+                AccessPattern::Random => 1,
+                AccessPattern::Strided => 2,
+                AccessPattern::Blocked => 3,
+                AccessPattern::Lookup => 4,
+            });
+            f(p.traffic.reuse, out);
+            match &p.layout {
+                None => out.push(0),
+                Some(layout) => {
+                    out.push(1);
+                    out.extend_from_slice(&(layout.num_nodes() as u64).to_le_bytes());
+                    for (node, share) in layout.shares() {
+                        out.extend_from_slice(&(node.index() as u64).to_le_bytes());
+                        f(share, out);
+                    }
+                }
+            }
+        }
+        Op::Send { to, bytes, tag, cost } => {
+            out.push(b'S');
+            out.extend_from_slice(&(to.index() as u64).to_le_bytes());
+            f(*bytes, out);
+            out.extend_from_slice(&tag.to_le_bytes());
+            f(cost.setup, out);
+            f(cost.cap, out);
+            f(cost.sender_busy, out);
+            out.push(u8::from(cost.rendezvous));
+        }
+        Op::Recv { from, tag } => {
+            out.push(b'R');
+            out.extend_from_slice(&(from.index() as u64).to_le_bytes());
+            out.extend_from_slice(&tag.to_le_bytes());
+        }
+        Op::Barrier => out.push(b'B'),
+        Op::Delay(seconds) => {
+            out.push(b'D');
+            f(*seconds, out);
+        }
+    }
+}
+
+/// The crc of a scenario's lowered programs: each rank's expanded op
+/// stream is encoded and crc'd on its own, and the world's crc covers
+/// the rank count and every rank's op count and crc, in rank order. A
+/// scenario that cannot be placed has no programs and pins 0.
+fn op_stream_crc(scenario: &Scenario) -> u32 {
+    let machine = scenario.system.machine_with(&scenario.params);
+    let Ok(world) = scenario.lower(&machine) else { return 0 };
+    let mut summary = (world.programs().len() as u64).to_le_bytes().to_vec();
+    let mut bytes = Vec::new();
+    for program in world.programs() {
+        bytes.clear();
+        let mut ops = 0u64;
+        for op in program.iter() {
+            encode_op(&op, &mut bytes);
+            ops += 1;
+        }
+        summary.extend_from_slice(&ops.to_le_bytes());
+        summary.extend_from_slice(&crc32(&bytes).to_le_bytes());
+    }
+    crc32(&summary)
+}
+
+/// crc32s of the expanded op streams ([`op_stream_crc`]) of the golden
+/// set, then of [`quick_cells`] (labelled by kind), recorded from the
+/// unrolled builders before programs could hold repeat regions.
+const OP_STREAMS: [(&str, u32); 62] = [
+    ("tiger-bsp", 0xec498343),
+    ("dmz-bsp", 0xd620a332),
+    ("longs-bsp", 0x5c1ab490),
+    ("epyc-bsp", 0x5a78758e),
+    ("hbm-bsp", 0x11754c82),
+    ("hbm-stream-quick", 0xd45b6ebe),
+    ("dmz-pingpong-lam", 0x28990a15),
+    ("longs-faults", 0xc332a5fe),
+    ("dmz-checkpoint", 0xd620a332),
+    ("tiger-retry", 0xec498343),
+    ("longs-params", 0xc332a5fe),
+    ("epyc-params-openmpi", 0x19ff5e02),
+    ("dmz-stream-single", 0x5c5a75a7),
+    ("longs-hpl", 0x6a9c62f4),
+    ("tiger-dgemm-single", 0xbfa7844d),
+    ("dmz-dgemm-star", 0x56c96127),
+    ("epyc-fft-single", 0x0d6b7afa),
+    ("hbm-fft-star", 0xf62a2f88),
+    ("dmz-ra-single", 0x8a345455),
+    ("longs-ra-star", 0x7829a248),
+    ("dmz-ra-mpi", 0xca8006c3),
+    ("longs-ptrans", 0xf83934e8),
+    ("dmz-nas-cg", 0x8bf9c215),
+    ("longs-nas-ft", 0xb1f9df6b),
+    ("tiger-daxpy-single", 0xa4680c57),
+    ("epyc-daxpy-star", 0xf0ec1b97),
+    ("dmz-xs-single", 0x570066d6),
+    ("hbm-xs-star", 0x1c40d3a4),
+    ("longs-faults-rest", 0xc332a5fe),
+    ("longs-amber-quick", 0x37d97837),
+    ("dmz-amber-fft-part", 0x00000000),
+    ("tiger-lammps-eam", 0xc5a2a353),
+    ("longs-pop-baroclinic", 0x646c311e),
+    ("dmz-pop-barotropic", 0x641486da),
+    ("longs-nas-cg-hybrid", 0xb5733d15),
+    ("epyc-nas-ft-hybrid", 0x95136ebe),
+    ("bsp", 0xc6e85092),
+    ("stream-single", 0xa860bd6b),
+    ("stream-star", 0xa7bb02c7),
+    ("hpl", 0x6a9c62f4),
+    ("dgemm-single", 0x11b76d4e),
+    ("dgemm-star", 0x32a290df),
+    ("fft-single", 0xa181359f),
+    ("fft-star", 0x6547ea2d),
+    ("randomaccess-single", 0xa73fb133),
+    ("randomaccess-star", 0xcc6da153),
+    ("randomaccess-mpi", 0x30803aed),
+    ("ptrans", 0x21a4e603),
+    ("pingpong", 0xcebe76ec),
+    ("nas-cg", 0x257737d9),
+    ("nas-ft", 0xd3c0a50c),
+    ("daxpy-single", 0xa3536b24),
+    ("daxpy-star", 0x02ac5c65),
+    ("xslookup-single", 0xf779f940),
+    ("xslookup-star", 0xfdc6d8b9),
+    ("amber", 0x02f02e81),
+    ("amber-fft-part", 0xd772af14),
+    ("lammps", 0xead306e6),
+    ("pop-baroclinic", 0xd56d897a),
+    ("pop-barotropic", 0xd1b768b7),
+    ("nas-cg-hybrid", 0xb5733d15),
+    ("nas-ft-hybrid", 0x0c6bc270),
+];
+
+#[test]
+fn expanded_op_streams_are_unchanged() {
+    let labelled =
+        golden_set().into_iter().chain(quick_cells().into_iter().map(|s| (s.workload.kind(), s)));
+    let computed: Vec<(&str, u32)> =
+        labelled.map(|(label, scenario)| (label, op_stream_crc(&scenario))).collect();
+    assert_eq!(computed.len(), OP_STREAMS.len());
+    let mismatches: Vec<String> = computed
+        .iter()
+        .zip(OP_STREAMS)
+        .filter(|(got, pinned)| **got != *pinned)
+        .map(|((label, crc), _)| format!("(\"{label}\", {crc:#010x}),"))
+        .collect();
+    assert!(mismatches.is_empty(), "op streams moved:\n{}", mismatches.join("\n"));
 }
