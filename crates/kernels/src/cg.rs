@@ -234,18 +234,18 @@ impl NasCg {
         let exchange_bytes = rows_per_rank * F64;
         let rounds = (p as f64).log2().ceil() as usize / 2;
 
-        for _ in 0..iters {
-            let spmv = ComputePhase::new(
-                "cg-spmv",
-                flops,
-                TrafficProfile::stream_over(matrix_bytes + vector_bytes, matrix_bytes.max(1.0)),
-            )
-            .with_efficiency(0.2);
-            let gather = ComputePhase::new(
-                "cg-gather",
-                0.0,
-                TrafficProfile::random(gather_bytes, gather_ws.max(1.0)),
-            );
+        let spmv = ComputePhase::new(
+            "cg-spmv",
+            flops,
+            TrafficProfile::stream_over(matrix_bytes + vector_bytes, matrix_bytes.max(1.0)),
+        )
+        .with_efficiency(0.2);
+        let gather = ComputePhase::new(
+            "cg-gather",
+            0.0,
+            TrafficProfile::random(gather_bytes, gather_ws.max(1.0)),
+        );
+        world.repeat(iters, |world| {
             world.compute_all(|_| Some(spmv.clone()));
             world.compute_all(|_| Some(gather.clone()));
 
@@ -264,7 +264,7 @@ impl NasCg {
                 world.allreduce(F64);
                 world.allreduce(F64);
             }
-        }
+        });
     }
 
     /// Appends the benchmark under the **hybrid** programming model the
@@ -301,18 +301,18 @@ impl NasCg {
         let rounds = ((pm as f64).log2().ceil() as usize / 2).max(1);
         const OMP_BARRIER: f64 = 2e-6;
 
-        for _ in 0..iters {
-            let spmv = ComputePhase::new(
-                "cg-spmv",
-                flops,
-                TrafficProfile::stream_over(matrix_bytes + vector_bytes, matrix_bytes.max(1.0)),
-            )
-            .with_efficiency(0.2);
-            let gather = ComputePhase::new(
-                "cg-gather",
-                0.0,
-                TrafficProfile::random(gather_bytes, gather_ws.max(1.0)),
-            );
+        let spmv = ComputePhase::new(
+            "cg-spmv",
+            flops,
+            TrafficProfile::stream_over(matrix_bytes + vector_bytes, matrix_bytes.max(1.0)),
+        )
+        .with_efficiency(0.2);
+        let gather = ComputePhase::new(
+            "cg-gather",
+            0.0,
+            TrafficProfile::random(gather_bytes, gather_ws.max(1.0)),
+        );
+        world.repeat(iters, |world| {
             world.compute_all(|_| Some(spmv.clone()));
             world.compute_all(|_| Some(gather.clone()));
 
@@ -343,7 +343,7 @@ impl NasCg {
                     world.delay(r, OMP_BARRIER);
                 }
             }
-        }
+        });
     }
 }
 

@@ -148,19 +148,16 @@ impl NasFt {
         let p = world.size() as f64;
         let local = self.class.points() / p;
         self.append_3d_fft(world);
-        for _ in 0..self.class.iterations() {
-            let evolve = ComputePhase::new(
-                "ft-evolve",
-                6.0 * local,
-                TrafficProfile::stream(2.0 * local * C64),
-            )
-            .with_efficiency(0.5);
+        let evolve =
+            ComputePhase::new("ft-evolve", 6.0 * local, TrafficProfile::stream(2.0 * local * C64))
+                .with_efficiency(0.5);
+        world.repeat(self.class.iterations(), |world| {
             world.compute_all(|_| Some(evolve.clone()));
             self.append_3d_fft(world);
             if world.size() > 1 {
                 world.allreduce(C64);
             }
-        }
+        });
     }
 }
 

@@ -63,24 +63,24 @@ pub fn append_run(world: &mut CommWorld<'_>, params: &PtransParams) {
     let p = world.size() as f64;
     let total_bytes = (params.n * params.n) as f64 * F64;
     let local_bytes = total_bytes / p;
-    for _ in 0..params.reps {
-        // Local transpose + add: read A and B, write A.
-        let phase = ComputePhase::new(
-            "ptrans-local",
-            local_bytes / F64, // one add per element
-            TrafficProfile::stream(3.0 * local_bytes),
-        );
+    // Local transpose + add: read A and B, write A.
+    let phase = ComputePhase::new(
+        "ptrans-local",
+        local_bytes / F64, // one add per element
+        TrafficProfile::stream(3.0 * local_bytes),
+    );
+    world.repeat(params.reps, |world| {
         world.compute_all(|_| Some(phase.clone()));
         if world.size() > 1 {
             // Every off-diagonal tile crosses ranks: repeated all-to-alls
             // of block-sized messages carrying the local share.
             let per_pair = local_bytes / p;
             let chunks = (per_pair / params.block_bytes).ceil().max(1.0) as usize;
-            for _ in 0..chunks {
+            world.repeat(chunks, |world| {
                 world.alltoall(per_pair / chunks as f64);
-            }
+            });
         }
-    }
+    });
 }
 
 #[cfg(test)]

@@ -108,19 +108,19 @@ pub fn append_mpi(world: &mut CommWorld<'_>, params: &RaParams) {
     // the received share.
     let local_fraction = 1.0 / p as f64;
     let apply_ws = params.table_words_per_rank as f64 * F64;
-    for _ in 0..chunks {
-        let gen = ComputePhase::new("ra-generate", 0.0, TrafficProfile::stream(chunk as f64 * F64));
+    let gen = ComputePhase::new("ra-generate", 0.0, TrafficProfile::stream(chunk as f64 * F64));
+    // Each peer receives its share of the chunk.
+    let bytes = (chunk as f64 * F64 * (1.0 - local_fraction) / (p as f64 - 1.0)).max(F64);
+    let apply = ComputePhase::new(
+        "ra-apply",
+        0.0,
+        TrafficProfile::random(2.0 * chunk as f64 * F64, apply_ws),
+    );
+    world.repeat(chunks as usize, |world| {
         world.compute_all(|_| Some(gen.clone()));
-        // Each peer receives its share of the chunk.
-        let bytes = (chunk as f64 * F64 * (1.0 - local_fraction) / (p as f64 - 1.0)).max(F64);
         world.alltoall(bytes);
-        let apply = ComputePhase::new(
-            "ra-apply",
-            0.0,
-            TrafficProfile::random(2.0 * chunk as f64 * F64, apply_ws),
-        );
         world.compute_all(|_| Some(apply.clone()));
-    }
+    });
 }
 
 #[cfg(test)]

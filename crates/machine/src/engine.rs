@@ -13,7 +13,7 @@ use crate::faults::{FaultKind, FaultPlan};
 use crate::flow::{Bottleneck, ResourceIndex, ResourceTable, Solver};
 use crate::ids::{CoreId, LinkId, RankId, SocketId};
 use crate::memory::MemoryLayout;
-use crate::program::{ComputePhase, MessageCost, Op, Program};
+use crate::program::{ComputePhase, Cursor, MessageCost, Op, Program};
 use crate::recovery::{CheckpointPolicy, CheckpointTarget, RetryPolicy};
 use crate::trace::{
     FaultStamp, OpSpan, RankState, RecoveryStamp, RunTrace, SolverInterval, SpanKind, TraceConfig,
@@ -303,6 +303,11 @@ impl<'m> Engine<'m> {
                 "{} placements for {} programs",
                 placements.len(),
                 programs.len()
+            )));
+        }
+        if let Some(rank) = programs.iter().position(|p| p.open_repeats() > 0) {
+            return Err(Error::InvalidSpec(format!(
+                "the program of rank {rank} has an unclosed repeat region"
             )));
         }
         let num_cores = self.machine.num_cores();
@@ -682,7 +687,8 @@ struct ActiveFlow<'a> {
 struct SimSnapshot<'a> {
     /// Simulated time the cut was taken at.
     at: f64,
-    pc: Vec<usize>,
+    /// Every rank's whole cursor, repeat-region iterations included.
+    cursors: Vec<Cursor>,
     status: Vec<Status>,
     finish: Vec<f64>,
     flows: Vec<Option<ActiveFlow<'a>>>,
@@ -707,7 +713,8 @@ struct Sim<'a, 'm> {
     /// rank finishes its current operation but dispatches nothing.
     stalled: Vec<bool>,
     now: f64,
-    pc: Vec<usize>,
+    /// Each rank's position in its program's expanded op stream.
+    cursors: Vec<Cursor>,
     status: Vec<Status>,
     finish: Vec<f64>,
     flows: Vec<Option<ActiveFlow<'a>>>,
@@ -757,7 +764,7 @@ impl<'a, 'm> Sim<'a, 'm> {
             next_fault: 0,
             stalled: vec![false; n],
             now: 0.0,
-            pc: vec![0; n],
+            cursors: vec![Cursor::default(); n],
             status: vec![Status::Ready; n],
             finish: vec![0.0; n],
             flows: Vec::new(),
@@ -1096,13 +1103,12 @@ impl<'a, 'm> Sim<'a, 'm> {
 
     fn dispatch(&mut self, rank: usize) -> Result<()> {
         let programs = self.programs;
-        let Some(op) = programs[rank].ops().get(self.pc[rank]) else {
+        let Some((op, tag_offset)) = self.cursors[rank].next(&programs[rank]) else {
             self.trace_close_span(rank);
             self.status[rank] = Status::Done;
             self.finish[rank] = self.now;
             return Ok(());
         };
-        self.pc[rank] += 1;
         self.trace_open_span(rank, op);
         match *op {
             Op::Compute(ref phase) => self.start_phase(rank, phase)?,
@@ -1111,8 +1117,10 @@ impl<'a, 'm> Sim<'a, 'm> {
                     self.status[rank] = Status::Waiting { until: self.now + seconds };
                 }
             }
-            Op::Send { to, bytes, tag, cost } => self.start_send(rank, to, bytes, tag, cost)?,
-            Op::Recv { from, tag } => self.start_recv(rank, from, tag)?,
+            Op::Send { to, bytes, tag, cost } => {
+                self.start_send(rank, to, bytes, tag + tag_offset, cost)?;
+            }
+            Op::Recv { from, tag } => self.start_recv(rank, from, tag + tag_offset)?,
             Op::Barrier => {
                 self.status[rank] = Status::BarrierBlocked;
                 self.barrier_arrived += 1;
@@ -1622,7 +1630,7 @@ impl<'a, 'm> Sim<'a, 'm> {
     fn take_snapshot(&mut self) {
         self.snapshot = Some(Box::new(SimSnapshot {
             at: self.now,
-            pc: self.pc.clone(),
+            cursors: self.cursors.clone(),
             status: self.status.clone(),
             finish: self.finish.clone(),
             flows: self.flows.clone(),
@@ -1660,7 +1668,7 @@ impl<'a, 'm> Sim<'a, 'm> {
             (**self.snapshot.as_ref().expect("a checkpoint policy always has a snapshot")).clone();
         let restored_to = snap.at;
         let delta = resumed_at - restored_to;
-        self.pc = snap.pc;
+        self.cursors = snap.cursors;
         self.status = snap.status;
         self.finish = snap.finish;
         self.flows = snap.flows;

@@ -144,6 +144,31 @@ impl<'m> CommWorld<'m> {
         tag
     }
 
+    /// Appends `count` iterations of the ops `body` appends, recording
+    /// them once per rank as a repeat region (see [`Program`]). The body
+    /// runs once, here; the k fresh tags it draws become the region's tag
+    /// stride, and the world then skips the k·count tags the unrolled
+    /// iterations would have drawn. The engine therefore runs exactly the
+    /// ops, tags and costs of calling `body` `count` times in a loop.
+    ///
+    /// The body must append the same ops whatever the iteration, and
+    /// every tag it uses must be drawn with [`CommWorld::fresh_tag`]
+    /// inside it (the collectives and [`CommWorld::p2p`] do). Repeats
+    /// nest.
+    pub fn repeat(&mut self, count: usize, body: impl FnOnce(&mut Self)) -> &mut Self {
+        let first_tag = self.next_tag;
+        for program in &mut self.programs {
+            program.begin_repeat(count);
+        }
+        body(self);
+        let stride = self.next_tag - first_tag;
+        for program in &mut self.programs {
+            program.end_repeat(stride);
+        }
+        self.next_tag = first_tag + stride * count as u64;
+        self
+    }
+
     /// Appends a compute phase to one rank.
     pub fn compute(&mut self, rank: usize, phase: ComputePhase) -> &mut Self {
         self.programs[rank].compute(phase);
@@ -355,6 +380,52 @@ mod tests {
         assert_eq!(report.metrics.total_messages(), 200);
     }
 
+    /// Builds, on 4 ranks, a prologue, `outer` iterations of { an
+    /// allreduce, `inner` sendrecvs }, and an epilogue p2p — with
+    /// nested repeats or as plain loops.
+    fn looped(m: &Machine, outer: usize, inner: usize, repeated: bool) -> CommWorld<'_> {
+        let mut w = world(m, 4);
+        w.p2p(0, 3, 64.0);
+        let step = |w: &mut CommWorld<'_>| {
+            w.allreduce(8.0);
+            w.compute_all(|_| Some(ComputePhase::new("work", 1e6, TrafficProfile::none())));
+        };
+        if repeated {
+            w.repeat(outer, |w| {
+                step(w);
+                w.repeat(inner, |w| {
+                    w.sendrecv(1, 2, 1e3);
+                });
+            });
+        } else {
+            for _ in 0..outer {
+                step(&mut w);
+                for _ in 0..inner {
+                    w.sendrecv(1, 2, 1e3);
+                }
+            }
+        }
+        w.p2p(3, 0, 64.0);
+        w
+    }
+
+    #[test]
+    fn repeat_expands_to_the_plain_loop_with_the_same_tags() {
+        let m = Machine::new(systems::longs());
+        for (outer, inner) in [(0, 2), (1, 1), (3, 0), (4, 3)] {
+            let (mut repeated, mut plain) =
+                (looped(&m, outer, inner, true), looped(&m, outer, inner, false));
+            for (r, p) in repeated.programs().iter().zip(plain.programs()) {
+                assert!(r.iter().eq(p.iter()), "{outer} x {inner}");
+                assert_eq!(r.len(), p.len());
+            }
+            assert_eq!(repeated.fresh_tag(), plain.fresh_tag(), "later tags are unchanged");
+            let (a, b) = (repeated.run().unwrap(), plain.run().unwrap());
+            assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
+            assert_eq!(a.metrics.events, b.metrics.events);
+        }
+    }
+
     #[test]
     fn fresh_tags_are_unique() {
         let m = Machine::new(systems::dmz());
@@ -438,7 +509,7 @@ mod tests {
         assert_eq!(survivors.placements()[0], w.placements()[0]);
         assert_eq!(survivors.placements()[2], w.placements()[3]);
         // Fresh epoch: no stale sends aimed at the dead rank.
-        assert!(survivors.programs().iter().all(|p| p.ops().is_empty()));
+        assert!(survivors.programs().iter().all(Program::is_empty));
         let mut survivors = survivors;
         survivors.allreduce(1024.0);
         let report = survivors.run().unwrap();

@@ -4,8 +4,9 @@
 //! typed [`FsckReport`]; `repair` takes the writer lock and makes the
 //! store clean again — truncating torn tails, rewriting segments around
 //! corrupt frames (the damaged bytes move to `quarantine/`), adopting
-//! unreferenced segments, dropping missing ones, and rebuilding the
-//! manifest from segment headers when the manifest itself is gone.
+//! unreferenced segments, dropping missing ones, removing manifest temp
+//! files a crashed writer left behind, and rebuilding the manifest from
+//! segment headers when the manifest itself is gone.
 //! `compact` rewrites the store with duplicate digests folded away
 //! (last occurrence wins) and small segments merged.
 //!
@@ -15,7 +16,7 @@
 //! mid-compact leaves a store that verify/repair can classify again.
 
 use crate::frame;
-use crate::lockfile::LOCK_TIMEOUT;
+use crate::lockfile::{is_temp_of, LOCK_TIMEOUT};
 use crate::store::{
     atomic_write, io_err, list_segment_files, scan_segment, segment_id, segment_name, writer_lock,
     Manifest, SegmentMeta, MANIFEST, QUARANTINE,
@@ -270,6 +271,18 @@ fn quarantine_bytes(dir: &Path, name: &str, offset: usize, bytes: &[u8]) -> Resu
 pub fn repair(dir: &Path) -> Result<FsckReport, StoreError> {
     let _lock = writer_lock(dir, LOCK_TIMEOUT)?;
     let mut actions: Vec<String> = Vec::new();
+
+    // Every manifest write holds the writer lock, so with the lock held
+    // here any manifest temp file is a crashed writer's leftover.
+    let entries = std::fs::read_dir(dir).map_err(|e| io_err(dir, e))?;
+    for entry in entries {
+        let entry = entry.map_err(|e| io_err(dir, e))?;
+        let Some(name) = entry.file_name().to_str().map(str::to_string) else { continue };
+        if is_temp_of(&name, MANIFEST) {
+            std::fs::remove_file(entry.path()).map_err(|e| io_err(&entry.path(), e))?;
+            actions.push(format!("removed orphaned manifest temp file {name}"));
+        }
+    }
 
     // Recover the engine tag: manifest first, segment headers second.
     let manifest = read_manifest(dir).unwrap_or(None);

@@ -296,9 +296,11 @@ fn unwritable_roots_and_blocked_manifests_are_typed() {
     });
 }
 
-/// A crash between the manifest temp-file write and its rename leaves
-/// `MANIFEST.tmp` garbage behind; the next open must ignore it and the
-/// next flush must overwrite it.
+/// A crash between the manifest temp-file write and its rename leaves a
+/// `MANIFEST.tmp.<pid>.<thread>` file behind. Temp names carry the
+/// writer's pid and thread, so a later flush writes a temp of its own
+/// and never touches the leftover: opens must ignore it and flushes must
+/// commit around it. Only `fsck::repair` removes it.
 #[test]
 fn leftover_manifest_temp_file_is_harmless() {
     watchdog(30, || {
@@ -308,7 +310,8 @@ fn leftover_manifest_temp_file_is_harmless() {
             store.append(mixed_row(31, 0)).unwrap();
             store.flush().unwrap();
         }
-        std::fs::write(tmp.path().join("MANIFEST.tmp"), b"\xFF\xFE torn manifest rewrite").unwrap();
+        std::fs::write(tmp.path().join(ORPHAN_MANIFEST_TMP), b"\xFF\xFE torn manifest rewrite")
+            .unwrap();
 
         let mut store = Store::open(tmp.path(), TAG).unwrap();
         assert!(store.recovery().is_clean(), "{}", store.recovery().summary());
@@ -319,6 +322,44 @@ fn leftover_manifest_temp_file_is_harmless() {
 
         let store = Store::open(tmp.path(), TAG).unwrap();
         assert_eq!(store.rows_committed(), 2);
+        assert!(store.recovery().is_clean());
+    });
+}
+
+/// A manifest temp file named by a writer that no longer runs: pid and
+/// thread as the store's own temp files carry them.
+const ORPHAN_MANIFEST_TMP: &str = "MANIFEST.tmp.999999999.7";
+
+/// With the writer lock held no other manifest write can be in flight,
+/// so `fsck::repair` removes every leftover manifest temp file, reports
+/// each removal, and leaves the committed rows alone.
+#[test]
+fn repair_removes_orphaned_manifest_temp_files() {
+    watchdog(30, || {
+        let tmp = TempDir::new("manifest-tmp-repair");
+        {
+            let mut store = Store::open(tmp.path(), TAG).unwrap();
+            store.append(mixed_row(37, 0)).unwrap();
+            store.flush().unwrap();
+        }
+        let second = "MANIFEST.tmp.1.2";
+        let bystander = "MANIFEST.tmp";
+        for name in [ORPHAN_MANIFEST_TMP, second, bystander] {
+            std::fs::write(tmp.path().join(name), b"torn manifest rewrite").unwrap();
+        }
+
+        let report = fsck::repair(tmp.path()).unwrap();
+        assert!(report.is_clean(), "{:?}", report.lines());
+        for name in [ORPHAN_MANIFEST_TMP, second] {
+            let action = format!("removed orphaned manifest temp file {name}");
+            assert!(report.actions.contains(&action), "{:?}", report.actions);
+            assert!(!tmp.path().join(name).exists(), "{name} survived the repair");
+        }
+        assert_eq!(report.actions.len(), 2, "{:?}", report.actions);
+        assert!(tmp.path().join(bystander).exists(), "only pid/thread-named temps are removed");
+
+        let store = Store::open(tmp.path(), TAG).unwrap();
+        assert_eq!(store.rows_committed(), 1);
         assert!(store.recovery().is_clean());
     });
 }
