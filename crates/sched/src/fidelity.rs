@@ -34,6 +34,20 @@ impl Fidelity {
         }
     }
 
+    /// The message sizes an IMB sweep visits: powers of two from 1 B to
+    /// 4 MiB, thinned like every sweep.
+    pub fn imb_message_sizes(self) -> Vec<f64> {
+        let sizes: Vec<f64> = (0..=22).map(|i| (1u64 << i) as f64).collect();
+        self.thin(&sizes)
+    }
+
+    /// IMB repetitions for one message size: fewer for multi-megabyte
+    /// messages, as IMB does, and never fewer than two.
+    pub fn imb_reps(self, bytes: f64) -> usize {
+        let base = if bytes >= 1e6 { 4 } else { 40 };
+        self.steps(base).max(2)
+    }
+
     /// Stable lowercase key used in scenario JSON and cache paths.
     pub fn key(self) -> &'static str {
         match self {
@@ -68,6 +82,23 @@ mod tests {
         let pts = [1, 2, 3, 4, 5];
         assert_eq!(Fidelity::Quick.thin(&pts), vec![1, 3, 5]);
         assert_eq!(Fidelity::Full.thin(&pts), pts.to_vec());
+    }
+
+    #[test]
+    fn imb_sizes_span_1b_to_4mib() {
+        let full = Fidelity::Full.imb_message_sizes();
+        assert_eq!(full.len(), 23);
+        assert_eq!(full[0], 1.0);
+        assert_eq!(*full.last().unwrap(), 4.0 * 1024.0 * 1024.0);
+        assert_eq!(Fidelity::Quick.imb_message_sizes(), Fidelity::Quick.thin(&full));
+    }
+
+    #[test]
+    fn imb_reps_drop_for_large_messages_and_never_below_two() {
+        assert_eq!(Fidelity::Full.imb_reps(8.0), 40);
+        assert_eq!(Fidelity::Full.imb_reps(4e6), 4);
+        assert_eq!(Fidelity::Quick.imb_reps(8.0), 4);
+        assert_eq!(Fidelity::Quick.imb_reps(4e6), 2);
     }
 
     #[test]

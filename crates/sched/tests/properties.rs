@@ -33,7 +33,7 @@ fn build_scenario(
 ) -> Scenario {
     let (fid, mpi, ckpt, retry) = knobs;
     let system = [System::Tiger, System::Dmz, System::Longs][sys % 3];
-    let workload = match wl_kind % 4 {
+    let workload = match wl_kind % 6 {
         0 => Workload::Bsp {
             steps,
             flops_per_step: a * 1.0e3,
@@ -46,12 +46,15 @@ fn build_scenario(
             sweeps: 1 + steps % 7,
         },
         2 => Workload::PingPong { bytes: a, reps: 1 + steps % 15 },
+        3 => Workload::Ring { bytes: a, reps: 1 + steps % 15 },
+        4 => Workload::Exchange { bytes: b, reps: 1 + steps % 15 },
         _ => Workload::RandomAccessMpi {
             table_words_per_rank: steps as u64 * 64 + 1,
             updates_per_rank: 1 + (b as u64),
         },
     };
     let mut scenario = Scenario::new(system, nranks, workload)
+        .with_parked(steps % 3)
         .with_fidelity([Fidelity::Full, Fidelity::Quick][fid % 2])
         .with_mpi([MpiImpl::Mpich2, MpiImpl::Lam, MpiImpl::OpenMpi][mpi % 3]);
     if let Some((at, rank)) = kill {
@@ -76,7 +79,7 @@ proptest! {
     fn digest_survives_reencoding_and_json_roundtrip(
         sys in 0usize..3,
         nranks in 1usize..=16,
-        wl_kind in 0usize..4,
+        wl_kind in 0usize..6,
         steps in 1usize..64,
         a in 1.0f64..1.0e6,
         b in 1.0f64..1.0e6,
@@ -103,14 +106,14 @@ proptest! {
     fn each_axis_separates_the_digest(
         sys in 0usize..3,
         nranks in 1usize..=16,
-        wl_kind in 0usize..4,
+        wl_kind in 0usize..6,
         steps in 1usize..64,
         a in 1.0f64..1.0e6,
         b in 1.0f64..1.0e6,
         kill in proptest::option::of((0.0f64..10.0, 0usize..16)),
         knobs in (0usize..2, 0usize..3, proptest::option::of(1.0f64..100.0),
                   proptest::option::of(0.001f64..1.0)),
-        axis in 0usize..6,
+        axis in 0usize..7,
     ) {
         let scenario = build_scenario(sys, nranks, wl_kind, steps, a, b, kill, knobs);
         let digest = scenario.digest();
@@ -134,6 +137,7 @@ proptest! {
                 scenario.clone().with_mpi(mpi)
             }
             4 => scenario.clone().with_placement(Placement::ScatterLocal),
+            5 => scenario.clone().with_parked(scenario.parked + 1),
             _ => Scenario {
                 workload: Workload::PingPong { bytes: 1.25e5, reps: 3 },
                 ..scenario.clone()

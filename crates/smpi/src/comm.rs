@@ -169,6 +169,17 @@ impl<'m> CommWorld<'m> {
         self
     }
 
+    /// Adds parked processes: ranks that hold `placements`, after the
+    /// world's own, but run no program. Call it once the programs are
+    /// built; ops appended later would count the parked ranks as members.
+    /// A workload that meets at an engine barrier cannot finish with
+    /// parked ranks, since they never reach it.
+    pub fn park(&mut self, placements: Vec<RankPlacement>) -> &mut Self {
+        self.programs.resize(self.programs.len() + placements.len(), Program::new());
+        self.placements.extend(placements);
+        self
+    }
+
     /// Appends a compute phase to one rank.
     pub fn compute(&mut self, rank: usize, phase: ComputePhase) -> &mut Self {
         self.programs[rank].compute(phase);
