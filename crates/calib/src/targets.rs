@@ -328,12 +328,6 @@ fn stream_star(fidelity: Fidelity) -> Workload {
     }
 }
 
-/// IMB repetition count, mirroring `harness::artifacts::imb::reps`.
-fn imb_reps(fidelity: Fidelity, bytes: f64) -> usize {
-    let base = if bytes >= 1e6 { 4 } else { 40 };
-    fidelity.steps(base).max(2)
-}
-
 impl Probe {
     /// The engine scenarios this probe needs, paired with reductions.
     /// Analytic probes return an empty list.
@@ -390,7 +384,7 @@ impl Probe {
                 )]
             }
             Probe::PingPongLatencyUs { system, nranks, mpi, lock, bytes } => {
-                let reps = imb_reps(fidelity, bytes);
+                let reps = fidelity.imb_reps(bytes);
                 vec![at(
                     Scenario::new(system, nranks, Workload::PingPong { bytes, reps })
                         .with_placement(Placement::Scheme(corescope_affinity::Scheme::Default))
@@ -400,7 +394,7 @@ impl Probe {
                 )]
             }
             Probe::PingPongBwGbs { mpi, bytes } => {
-                let reps = imb_reps(fidelity, bytes);
+                let reps = fidelity.imb_reps(bytes);
                 vec![at(
                     Scenario::new(System::Dmz, 2, Workload::PingPong { bytes, reps })
                         .with_placement(Placement::Scheme(corescope_affinity::Scheme::Default))
@@ -411,7 +405,7 @@ impl Probe {
             }
             Probe::PingPongBoostRatio => {
                 let bytes = 1e6;
-                let reps = imb_reps(fidelity, bytes);
+                let reps = fidelity.imb_reps(bytes);
                 let pingpong = |scheme| {
                     at(
                         Scenario::new(System::Dmz, 2, Workload::PingPong { bytes, reps })

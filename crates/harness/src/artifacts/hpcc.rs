@@ -2,25 +2,22 @@
 //! (RandomAccess), 12 (PTRANS + ring/pingpong bandwidth) and 13
 //! (latencies), all under the six LAM/NUMA runtime options.
 //!
-//! Figures 8, 9, 11 and the PTRANS column of 12 enumerate [`Scenario`]
-//! batches and run them through the [`Scheduler`]; the ring/pingpong
-//! helper columns and Figure 13's latency probes use bespoke kernel
-//! helpers that need raw placements, so they stay direct engine calls.
+//! Every figure enumerates one [`Scenario`] batch and runs it through
+//! the [`Scheduler`], the ring and ping-pong probes of Figures 12 and 13
+//! included.
 
-use crate::context::Systems;
+use crate::artifacts::imb::half_round_trip;
+use crate::context::makespans;
 use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use crate::runtime::RuntimeOption;
 use corescope_kernels::blas::{BlasVariant, DgemmParams};
 use corescope_kernels::fft::FftParams;
-use corescope_kernels::hpcc::{ring_bandwidth, ring_latency};
 use corescope_kernels::hpl::HplParams;
 use corescope_kernels::ptrans::PtransParams;
 use corescope_kernels::randomaccess::RaParams;
 use corescope_machine::Result;
 use corescope_sched::{Placement, Scenario, Scheduler, System, Workload};
-use corescope_smpi::imb::pingpong_bandwidth;
-use corescope_smpi::imb::pingpong_time;
 use corescope_smpi::MpiImpl;
 
 /// The standard HPCC scenario: Longs, 16 ranks, LAM, under `option`'s
@@ -163,8 +160,6 @@ pub fn figure11(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
 
 /// Figure 12: PTRANS bandwidth plus ring/pingpong bandwidth vs options.
 pub fn figure12(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
-    let systems = Systems::new();
-    let machine = &systems.longs;
     let params = PtransParams {
         n: match fidelity {
             Fidelity::Full => 8_192,
@@ -174,28 +169,27 @@ pub fn figure12(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
         ..PtransParams::default()
     };
     let moved = (params.n * params.n) as f64 * 8.0;
-    let reps = fidelity.steps(10).max(2);
-
-    let workload =
-        Workload::Ptrans { n: params.n, reps: params.reps, block_bytes: params.block_bytes };
+    // Ring and ping-pong bandwidth move 2 MB messages.
+    let (bytes, reps) = (2e6, fidelity.steps(10).max(2));
+    let workloads = [
+        Workload::Ptrans { n: params.n, reps: params.reps, block_bytes: params.block_bytes },
+        Workload::Ring { bytes, reps },
+        Workload::PingPong { bytes, reps },
+    ];
     let batch: Vec<Scenario> = RuntimeOption::all()
         .into_iter()
-        .map(|o| option_scenario(o, workload.clone(), fidelity))
+        .flat_map(|o| workloads.iter().map(move |w| option_scenario(o, w.clone(), fidelity)))
         .collect();
-    let mut outcomes = sched.run_batch(&batch).into_iter();
+    let times = makespans(sched, &batch)?;
 
     let mut table = Table::with_columns(
         "Figure 12: PTRANS and ring/pingpong bandwidth on Longs (GB/s)",
         &["Option", "PTRANS", "Ring BW/rank", "PingPong BW"],
     );
-    for option in RuntimeOption::all() {
-        let t_pt = outcomes.next().expect("one PTRANS outcome per option")?.result.makespan;
-        // The ring/pingpong helpers need raw placements, so they bypass
-        // the scheduler (they are cheap point probes, not sweeps).
-        let placements = option.scheme().resolve(machine, 16)?;
-        let profile = MpiImpl::Lam.profile();
-        let ring = ring_bandwidth(machine, &placements, &profile, option.lock(), reps)?;
-        let pp = pingpong_bandwidth(machine, &placements, &profile, option.lock(), 2e6, reps)?;
+    for (option, row) in RuntimeOption::all().into_iter().zip(times.chunks(workloads.len())) {
+        let t_pt = row[0];
+        let ring = bytes / (row[1] / reps as f64);
+        let pp = bytes / half_round_trip(row[2], reps);
         table.push_row(
             option.name(),
             vec![
@@ -208,20 +202,23 @@ pub fn figure12(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
     Ok(vec![table])
 }
 
-/// Figure 13: ring and pingpong small-message latency vs options.
-pub fn figure13(fidelity: Fidelity) -> Result<Vec<Table>> {
-    let systems = Systems::new();
-    let machine = &systems.longs;
-    let reps = fidelity.steps(50).max(5);
+/// Figure 13: ring and pingpong small-message (8-byte) latency vs
+/// options.
+pub fn figure13(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
+    let (bytes, reps) = (8.0, fidelity.steps(50).max(5));
+    let workloads = [Workload::PingPong { bytes, reps }, Workload::Ring { bytes, reps }];
+    let batch: Vec<Scenario> = RuntimeOption::all()
+        .into_iter()
+        .flat_map(|o| workloads.iter().map(move |w| option_scenario(o, w.clone(), fidelity)))
+        .collect();
+    let times = makespans(sched, &batch)?;
     let mut table = Table::with_columns(
         "Figure 13: Communication latency on Longs (microseconds)",
         &["Option", "PingPong", "Ring"],
     );
-    for option in RuntimeOption::all() {
-        let placements = option.scheme().resolve(machine, 16)?;
-        let profile = MpiImpl::Lam.profile();
-        let pp = pingpong_time(machine, &placements, &profile, option.lock(), 8.0, reps)?;
-        let ring = ring_latency(machine, &placements, &profile, option.lock(), reps)?;
+    for (option, row) in RuntimeOption::all().into_iter().zip(times.chunks(workloads.len())) {
+        let pp = half_round_trip(row[0], reps);
+        let ring = row[1] / reps as f64;
         table.push_row(option.name(), vec![Cell::num(pp * 1e6), Cell::num(ring * 1e6)]);
     }
     Ok(vec![table])
@@ -280,7 +277,7 @@ mod tests {
 
     #[test]
     fn figure13_sysv_latency_dominates() {
-        let t = &figure13(Fidelity::Quick).unwrap()[0];
+        let t = &figure13(Fidelity::Quick, &sched()).unwrap()[0];
         let pp_sysv = t.value("sysv", "PingPong").unwrap();
         let pp_usysv = t.value("usysv", "PingPong").unwrap();
         assert!(pp_sysv > 2.0 * pp_usysv);

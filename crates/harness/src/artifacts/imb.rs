@@ -1,36 +1,62 @@
 //! Intel MPI Benchmark artifacts: Figures 14–17 (intra-node PingPong and
 //! Exchange on DMZ, across implementations and binding configurations).
+//!
+//! Every cell is a [`Scenario`], and each figure is one batch through
+//! the [`Scheduler`]. Figure 16's unbound column is Figure 14's OpenMPI
+//! column, and Figure 17's unbound and 4-process columns are Figure 15's
+//! OpenMPI columns: the same scenarios, so a shared scheduler runs each
+//! of them once.
 
-use crate::context::Systems;
+use crate::context::makespans;
 use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
-use corescope_affinity::{policy, Scheme};
-use corescope_machine::engine::RankPlacement;
-use corescope_machine::{CoreId, Machine, Result};
-use corescope_smpi::imb::{exchange_time, imb_message_sizes, pingpong_time};
-use corescope_smpi::{LockLayer, MpiImpl, MpiProfile};
+use corescope_affinity::Scheme;
+use corescope_machine::Result;
+use corescope_sched::{Placement, Scenario, Scheduler, System, Workload};
+use corescope_smpi::{LockLayer, MpiImpl};
 
-fn sizes(fidelity: Fidelity) -> Vec<f64> {
-    fidelity.thin(&imb_message_sizes())
+/// An IMB cell: `workload` on `nranks` DMZ ranks under `scheme`, on
+/// `mpi` over spin locks. The paper compares the implementations' own
+/// transports on an equal (spin-lock) footing in its single-node runs.
+fn dmz_cell(
+    fidelity: Fidelity,
+    nranks: usize,
+    scheme: Scheme,
+    mpi: MpiImpl,
+    workload: Workload,
+) -> Scenario {
+    Scenario::new(System::Dmz, nranks, workload)
+        .with_fidelity(fidelity)
+        .with_placement(Placement::Scheme(scheme))
+        .with_mpi(mpi)
+        .with_lock(LockLayer::USysV)
 }
 
-fn reps(fidelity: Fidelity, bytes: f64) -> usize {
-    // Fewer repetitions for multi-megabyte messages, as IMB does.
-    let base = if bytes >= 1e6 { 4 } else { 40 };
-    fidelity.steps(base).max(2)
+fn pingpong(fidelity: Fidelity, bytes: f64) -> Workload {
+    Workload::PingPong { bytes, reps: fidelity.imb_reps(bytes) }
 }
 
-/// Figures 14/15 placements: two unbound processes (the OS scatters them
-/// across the two sockets).
-fn unbound2(machine: &Machine) -> Result<Vec<RankPlacement>> {
-    Scheme::Default.resolve(machine, 2)
+fn exchange(fidelity: Fidelity, bytes: f64) -> Workload {
+    Workload::Exchange { bytes, reps: fidelity.imb_reps(bytes) }
 }
 
-/// Figure 14: PingPong latency and bandwidth across MPICH2/LAM/OpenMPI.
-pub fn figure14(fidelity: Fidelity) -> Result<Vec<Table>> {
-    let systems = Systems::new();
-    let machine = &systems.dmz;
-    let placements = unbound2(machine)?;
+/// PingPong time per half round trip (the IMB "t" column), in seconds.
+pub(crate) fn half_round_trip(makespan: f64, reps: usize) -> f64 {
+    makespan / (2.0 * reps as f64)
+}
+
+/// Figure 14: PingPong latency and bandwidth across MPICH2/LAM/OpenMPI,
+/// two unbound processes (the OS scatters them across the sockets).
+pub fn figure14(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
+    let sizes = fidelity.imb_message_sizes();
+    let batch: Vec<Scenario> = sizes
+        .iter()
+        .flat_map(|&bytes| {
+            MpiImpl::all()
+                .map(|imp| dmz_cell(fidelity, 2, Scheme::Default, imp, pingpong(fidelity, bytes)))
+        })
+        .collect();
+    let times = makespans(sched, &batch)?;
     let mut latency = Table::with_columns(
         "Figure 14a: IMB PingPong latency, DMZ (microseconds)",
         &["Bytes", "MPICH2", "LAM", "OpenMPI"],
@@ -39,202 +65,143 @@ pub fn figure14(fidelity: Fidelity) -> Result<Vec<Table>> {
         "Figure 14b: IMB PingPong bandwidth, DMZ (MB/s)",
         &["Bytes", "MPICH2", "LAM", "OpenMPI"],
     );
-    for bytes in sizes(fidelity) {
-        let mut lat_cells = Vec::new();
-        let mut bw_cells = Vec::new();
-        for imp in MpiImpl::all() {
-            // Compare the implementations' own transports on an equal
-            // (spin-lock) footing, as the paper's single-node runs did.
-            let profile = imp.profile();
-            let t = pingpong_time(
-                machine,
-                &placements,
-                &profile,
-                LockLayer::USysV,
-                bytes,
-                reps(fidelity, bytes),
-            )?;
-            lat_cells.push(Cell::num(t * 1e6));
-            bw_cells.push(Cell::num(bytes / t / 1e6));
-        }
-        latency.push_row(format!("{bytes:.0}"), lat_cells);
-        bandwidth.push_row(format!("{bytes:.0}"), bw_cells);
+    for (&bytes, row) in sizes.iter().zip(times.chunks(MpiImpl::all().len())) {
+        let reps = fidelity.imb_reps(bytes);
+        let t: Vec<f64> = row.iter().map(|&makespan| half_round_trip(makespan, reps)).collect();
+        latency.push_row(format!("{bytes:.0}"), t.iter().map(|t| Cell::num(t * 1e6)).collect());
+        bandwidth.push_row(
+            format!("{bytes:.0}"),
+            t.iter().map(|t| Cell::num(bytes / t / 1e6)).collect(),
+        );
     }
     Ok(vec![latency, bandwidth])
 }
 
-/// Figure 15: Exchange across implementations (2 and 4 processes).
-pub fn figure15(fidelity: Fidelity) -> Result<Vec<Table>> {
-    let systems = Systems::new();
-    let machine = &systems.dmz;
-    let p2 = unbound2(machine)?;
-    let p4 = Scheme::Default.resolve(machine, 4)?;
-    let mut table = Table::with_columns(
+/// Figure 15: Exchange across implementations (2 unbound processes),
+/// plus OpenMPI on all 4 cores.
+pub fn figure15(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
+    let sizes = fidelity.imb_message_sizes();
+    let batch: Vec<Scenario> = sizes
+        .iter()
+        .flat_map(|&bytes| {
+            let cell = |nranks, imp| {
+                dmz_cell(fidelity, nranks, Scheme::Default, imp, exchange(fidelity, bytes))
+            };
+            let [mpich2, lam, openmpi] = MpiImpl::all();
+            [cell(2, mpich2), cell(2, lam), cell(2, openmpi), cell(4, openmpi)]
+        })
+        .collect();
+    Ok(vec![exchange_table(
         "Figure 15: IMB Exchange time per iteration, DMZ (microseconds)",
         &["Bytes", "MPICH2 (2p)", "LAM (2p)", "OpenMPI (2p)", "OpenMPI (4p)"],
-    );
-    for bytes in sizes(fidelity) {
-        let mut cells = Vec::new();
-        for imp in MpiImpl::all() {
-            let profile = imp.profile();
-            let t = exchange_time(
-                machine,
-                &p2,
-                &profile,
-                LockLayer::USysV,
-                2,
-                bytes,
-                reps(fidelity, bytes),
-            )?;
-            cells.push(Cell::num(t * 1e6));
-        }
-        let profile = MpiImpl::OpenMpi.profile();
-        let t4 = exchange_time(
-            machine,
-            &p4,
-            &profile,
-            LockLayer::USysV,
-            4,
-            bytes,
-            reps(fidelity, bytes),
-        )?;
-        cells.push(Cell::num(t4 * 1e6));
-        table.push_row(format!("{bytes:.0}"), cells);
-    }
-    Ok(vec![table])
+        fidelity,
+        &sizes,
+        &makespans(sched, &batch)?,
+    )])
 }
 
-/// The binding configurations of Figures 16/17.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Binding {
-    /// Both processes bound to socket 0 (`numactl --cpubind`).
-    BoundSocket0,
-    /// Both processes bound to socket 1.
-    BoundSocket1,
-    /// Unbound: the OS scatters the two processes across sockets.
-    Unbound,
-    /// Unbound with two additional parked processes. The parked
-    /// processes' scheduler noise is modelled as a 15% software-overhead
-    /// surcharge (the engine's parked ranks are otherwise silent).
-    UnboundParked,
-}
-
-impl Binding {
-    fn label(self) -> &'static str {
-        match self {
-            Binding::BoundSocket0 => "2 procs, bound 0",
-            Binding::BoundSocket1 => "2 procs, bound 1",
-            Binding::Unbound => "2 procs, unbound",
-            Binding::UnboundParked => "2 procs, unbound, 2 parked",
-        }
-    }
-
-    fn placements(self, machine: &Machine) -> Result<Vec<RankPlacement>> {
-        let socket_cores = |s: usize| -> Vec<RankPlacement> {
-            (0..2)
-                .map(|c| {
-                    let core = CoreId::new(2 * s + c);
-                    RankPlacement::new(core, policy::local(machine, core))
-                })
-                .collect()
+/// One Exchange time-per-iteration row per size, in microseconds, from
+/// the batch's makespans in row order.
+fn exchange_table(
+    title: &str,
+    columns: &[&str],
+    fidelity: Fidelity,
+    sizes: &[f64],
+    times: &[f64],
+) -> Table {
+    let mut table = Table::with_columns(title, columns);
+    for (&bytes, row) in sizes.iter().zip(times.chunks(columns.len() - 1)) {
+        let reps = fidelity.imb_reps(bytes);
+        let us = |&makespan: &f64| {
+            let t = makespan / reps as f64;
+            Cell::num(t * 1e6)
         };
-        match self {
-            Binding::BoundSocket0 => Ok(socket_cores(0)),
-            Binding::BoundSocket1 => Ok(socket_cores(1)),
-            Binding::Unbound => unbound2(machine),
-            Binding::UnboundParked => Scheme::Default.resolve(machine, 4),
-        }
+        table.push_row(format!("{bytes:.0}"), row.iter().map(us).collect());
     }
+    table
+}
 
-    fn profile(self) -> MpiProfile {
-        let mut profile = MpiImpl::OpenMpi.profile();
-        if self == Binding::UnboundParked {
-            profile.overhead *= 1.15;
-        }
-        profile
-    }
+/// The OpenMPI binding configurations of Figures 16/17, in column order:
+/// both processes bound to socket 0 (`numactl --cpubind`), unbound (the
+/// OS scatters them across the sockets), and unbound beside two parked
+/// processes.
+fn bindings(fidelity: Fidelity, workload: &Workload) -> [Scenario; 3] {
+    let openmpi = |scheme| dmz_cell(fidelity, 2, scheme, MpiImpl::OpenMpi, workload.clone());
+    [
+        openmpi(Scheme::TwoMpiLocalAlloc),
+        openmpi(Scheme::Default),
+        openmpi(Scheme::Default).with_parked(2),
+    ]
 }
 
 /// Figure 16: OpenMPI PingPong under the binding configurations.
-pub fn figure16(fidelity: Fidelity) -> Result<Vec<Table>> {
-    let systems = Systems::new();
-    let machine = &systems.dmz;
-    let bindings =
-        [Binding::BoundSocket0, Binding::BoundSocket1, Binding::Unbound, Binding::UnboundParked];
-    let mut columns = vec!["Bytes".to_string()];
-    columns.extend(bindings.iter().map(|b| b.label().to_string()));
-    let mut table = Table::new(
+///
+/// The "bound 1" column reads the "bound 0" outcome. No [`Placement`]
+/// names socket 1, and one column is not worth a new variant: the two
+/// DMZ sockets are symmetric, so both processes bound to socket 1 run
+/// bit for bit like both bound to socket 0
+/// (`tests::dmz_sockets_are_symmetric_for_pingpong` pins this for every
+/// size and repetition count).
+pub fn figure16(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
+    let sizes = fidelity.imb_message_sizes();
+    let batch: Vec<Scenario> =
+        sizes.iter().flat_map(|&bytes| bindings(fidelity, &pingpong(fidelity, bytes))).collect();
+    let times = makespans(sched, &batch)?;
+    let mut table = Table::with_columns(
         "Figure 16: OpenMPI PingPong bandwidth with scheduler affinity, DMZ (MB/s)",
-        columns,
+        &[
+            "Bytes",
+            "2 procs, bound 0",
+            "2 procs, bound 1",
+            "2 procs, unbound",
+            "2 procs, unbound, 2 parked",
+        ],
     );
-    for bytes in sizes(fidelity) {
-        let mut cells = Vec::new();
-        for binding in bindings {
-            let profile = binding.profile();
-            let t = pingpong_time(
-                machine,
-                &binding.placements(machine)?,
-                &profile,
-                LockLayer::USysV,
-                bytes,
-                reps(fidelity, bytes),
-            )?;
-            cells.push(Cell::num(bytes / t / 1e6));
-        }
-        table.push_row(format!("{bytes:.0}"), cells);
+    for (&bytes, row) in sizes.iter().zip(times.chunks(3)) {
+        let reps = fidelity.imb_reps(bytes);
+        let bw = |makespan| Cell::num(bytes / half_round_trip(makespan, reps) / 1e6);
+        table.push_row(format!("{bytes:.0}"), vec![bw(row[0]), bw(row[0]), bw(row[1]), bw(row[2])]);
     }
     Ok(vec![table])
 }
 
 /// Figure 17: OpenMPI Exchange under the binding configurations plus the
 /// 4-process run.
-pub fn figure17(fidelity: Fidelity) -> Result<Vec<Table>> {
-    let systems = Systems::new();
-    let machine = &systems.dmz;
-    let mut table = Table::with_columns(
+pub fn figure17(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
+    let sizes = fidelity.imb_message_sizes();
+    let batch: Vec<Scenario> = sizes
+        .iter()
+        .flat_map(|&bytes| {
+            let workload = exchange(fidelity, bytes);
+            let four = dmz_cell(fidelity, 4, Scheme::Default, MpiImpl::OpenMpi, workload.clone());
+            let [bound, unbound, parked] = bindings(fidelity, &workload);
+            [bound, unbound, parked, four]
+        })
+        .collect();
+    Ok(vec![exchange_table(
         "Figure 17: OpenMPI Exchange time with scheduler affinity, DMZ (microseconds)",
         &["Bytes", "2 procs, bound 0", "2 procs, unbound", "2 procs, unbound, 2 parked", "4 procs"],
-    );
-    for bytes in sizes(fidelity) {
-        let mut cells = Vec::new();
-        for binding in [Binding::BoundSocket0, Binding::Unbound, Binding::UnboundParked] {
-            let profile = binding.profile();
-            let active = 2;
-            let t = exchange_time(
-                machine,
-                &binding.placements(machine)?,
-                &profile,
-                LockLayer::USysV,
-                active,
-                bytes,
-                reps(fidelity, bytes),
-            )?;
-            cells.push(Cell::num(t * 1e6));
-        }
-        let profile = MpiImpl::OpenMpi.profile();
-        let p4 = Scheme::Default.resolve(machine, 4)?;
-        let t4 = exchange_time(
-            machine,
-            &p4,
-            &profile,
-            LockLayer::USysV,
-            4,
-            bytes,
-            reps(fidelity, bytes),
-        )?;
-        cells.push(Cell::num(t4 * 1e6));
-        table.push_row(format!("{bytes:.0}"), cells);
-    }
-    Ok(vec![table])
+        fidelity,
+        &sizes,
+        &makespans(sched, &batch)?,
+    )])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corescope_affinity::policy;
+    use corescope_machine::engine::RankPlacement;
+    use corescope_machine::CoreId;
+    use corescope_smpi::CommWorld;
+
+    fn sched() -> Scheduler {
+        Scheduler::new(2)
+    }
 
     #[test]
     fn figure14_implementation_ordering_flips_with_size() {
-        let tables = figure14(Fidelity::Quick).unwrap();
+        let tables = figure14(Fidelity::Quick, &sched()).unwrap();
         let (latency, bandwidth) = (&tables[0], &tables[1]);
         // Small messages: MPICH2 latency is the worst, LAM the best.
         let row = "4";
@@ -250,7 +217,7 @@ mod tests {
 
     #[test]
     fn figure16_bound_beats_unbound_by_about_ten_percent() {
-        let t = &figure16(Fidelity::Quick).unwrap()[0];
+        let t = &figure16(Fidelity::Quick, &sched()).unwrap()[0];
         let big = "1048576";
         let bound = t.value(big, "2 procs, bound 0").unwrap();
         let unbound = t.value(big, "2 procs, unbound").unwrap();
@@ -263,10 +230,61 @@ mod tests {
 
     #[test]
     fn figure17_four_procs_cost_more_than_two() {
-        let t = &figure17(Fidelity::Quick).unwrap()[0];
+        let t = &figure17(Fidelity::Quick, &sched()).unwrap()[0];
         let big = "65536";
         let two = t.value(big, "2 procs, unbound").unwrap();
         let four = t.value(big, "4 procs").unwrap();
         assert!(four > two, "4-proc exchange {four} vs 2-proc {two}");
+    }
+
+    #[test]
+    fn figures_16_and_17_reuse_the_runs_of_14_and_15() {
+        let sched = sched();
+        figure14(Fidelity::Quick, &sched).unwrap();
+        figure15(Fidelity::Quick, &sched).unwrap();
+        let before = sched.stats().engine_runs;
+        figure16(Fidelity::Quick, &sched).unwrap();
+        figure17(Fidelity::Quick, &sched).unwrap();
+        // Only the bound and parked columns are new: two per figure and
+        // size.
+        let sizes = Fidelity::Quick.imb_message_sizes().len();
+        assert_eq!(sched.stats().engine_runs - before, 4 * sizes);
+    }
+
+    /// Figure 16's "bound 1" column reads the "bound 0" outcome. Both
+    /// processes on socket 1's cores run bit for bit like both on socket
+    /// 0's, and the bound scheme places them on socket 0, for every
+    /// Figure 16 size at quick and at full repetitions.
+    #[test]
+    fn dmz_sockets_are_symmetric_for_pingpong() {
+        let machine = System::Dmz.machine();
+        let socket = |s: usize| -> Vec<RankPlacement> {
+            (0..2)
+                .map(|c| {
+                    let core = CoreId::new(2 * s + c);
+                    RankPlacement::new(core, policy::local(&machine, core))
+                })
+                .collect()
+        };
+        let profile = MpiImpl::OpenMpi.profile();
+        for fidelity in [Fidelity::Quick, Fidelity::Full] {
+            for bytes in Fidelity::Full.imb_message_sizes() {
+                let workload = pingpong(fidelity, bytes);
+                let Workload::PingPong { reps, .. } = workload else { unreachable!() };
+                let raw = |placements| {
+                    let mut world =
+                        CommWorld::new(&machine, placements, profile.clone(), LockLayer::USysV);
+                    for _ in 0..reps {
+                        world.p2p(0, 1, bytes);
+                        world.p2p(1, 0, bytes);
+                    }
+                    world.run().unwrap().makespan.to_bits()
+                };
+                let [bound, ..] = bindings(fidelity, &workload);
+                let scenario = bound.run().unwrap().makespan.to_bits();
+                assert_eq!(raw(socket(0)), scenario, "{bytes} B x {reps}");
+                assert_eq!(raw(socket(1)), scenario, "{bytes} B x {reps}");
+            }
+        }
     }
 }

@@ -343,11 +343,11 @@ impl Artifact {
             F10 => stream::figure10(fidelity, sched),
             F11 => hpcc::figure11(fidelity, sched),
             F12 => hpcc::figure12(fidelity, sched),
-            F13 => hpcc::figure13(fidelity),
-            F14 => imb::figure14(fidelity),
-            F15 => imb::figure15(fidelity),
-            F16 => imb::figure16(fidelity),
-            F17 => imb::figure17(fidelity),
+            F13 => hpcc::figure13(fidelity, sched),
+            F14 => imb::figure14(fidelity, sched),
+            F15 => imb::figure15(fidelity, sched),
+            F16 => imb::figure16(fidelity, sched),
+            F17 => imb::figure17(fidelity, sched),
             T2 => nas::table2(fidelity, sched),
             T3 => nas::table3(fidelity, sched),
             T4 => nas::table4(fidelity, sched),

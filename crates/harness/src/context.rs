@@ -4,37 +4,9 @@ use crate::aggregate::pivot_table;
 use crate::fidelity::Fidelity;
 use crate::report::Table;
 use corescope_affinity::Scheme;
-use corescope_machine::{systems, Machine, Result};
+use corescope_machine::{Machine, Result};
 use corescope_sched::{Placement, Scenario, Scheduler, System, Workload};
 use corescope_smpi::{LockLayer, MpiImpl};
-
-/// The three evaluation systems, built once per artifact run.
-#[derive(Debug)]
-pub struct Systems {
-    /// Cray XD1 node, 2 x single-core Opteron 248.
-    pub tiger: Machine,
-    /// 2 x dual-core Opteron 275.
-    pub dmz: Machine,
-    /// Iwill H8501, 8 x dual-core Opteron 865.
-    pub longs: Machine,
-}
-
-impl Systems {
-    /// Builds all three.
-    pub fn new() -> Self {
-        Self {
-            tiger: Machine::new(systems::tiger()),
-            dmz: Machine::new(systems::dmz()),
-            longs: Machine::new(systems::longs()),
-        }
-    }
-}
-
-impl Default for Systems {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// An application-table scenario: `workload` on `nranks` ranks of
 /// `system` under `scheme`, on the paper's MPICH2 + spin-lock stack.
@@ -66,7 +38,9 @@ pub(crate) fn makespans(sched: &Scheduler, batch: &[Scenario]) -> Result<Vec<f64
 /// its ranks on `machine`. Unplaceable cells are never submitted, so a
 /// warm scheduler answers a whole table without running the engine.
 fn submit(batch: &mut Vec<Scenario>, machine: &Machine, scenario: Scenario) -> Option<usize> {
-    scenario.placement.resolve(machine, scenario.nranks).ok()?;
+    if !scenario.placeable(machine) {
+        return None;
+    }
     batch.push(scenario);
     Some(batch.len() - 1)
 }

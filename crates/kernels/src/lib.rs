@@ -17,12 +17,16 @@
 //! The models derive their operation counts from the same complexity
 //! formulas the real implementations execute, so the simulator sees the
 //! flop/byte/message volumes the real codes would generate.
+//!
+//! The HPC Challenge kernels follow its two run modes: *Single* runs a
+//! kernel on rank 0 while the others sit idle, and *Star*
+//! ("embarrassingly parallel") runs it on every rank at once without
+//! communication (`append_single` / `append_star` in each module).
 
 pub mod blas;
 pub mod cg;
 pub mod ep;
 pub mod fft;
-pub mod hpcc;
 pub mod hpl;
 pub mod is;
 pub mod memlat;

@@ -9,27 +9,31 @@
 
 use corescope::affinity::Scheme;
 use corescope::apps::md::AmberBenchmark;
-use corescope::machine::{systems, Machine};
-use corescope::smpi::{CommWorld, LockLayer, MpiImpl};
+use corescope::sched::{Placement, Scenario, System, Workload};
 
 fn main() -> Result<(), corescope::machine::Error> {
-    let machine = Machine::new(systems::longs());
-    let mut jac = AmberBenchmark::jac();
-    jac.steps = 20; // a short trajectory is enough to rank the schemes
+    let machine = System::Longs.machine();
+    let jac = AmberBenchmark::jac();
+    // A short trajectory is enough to rank the schemes.
+    let workload = Workload::Amber {
+        atoms: jac.atoms,
+        method: jac.method,
+        grid_points: jac.grid_points,
+        steps: 20,
+    };
 
     println!("AMBER JAC ({} atoms, PME) on {machine}\n", jac.atoms);
     for nranks in [2usize, 8, 16] {
         println!("{nranks} MPI tasks:");
         let mut results: Vec<(&str, f64)> = Vec::new();
         for scheme in Scheme::all() {
-            let Ok(placements) = scheme.resolve(&machine, nranks) else {
+            let scenario = Scenario::new(System::Longs, nranks, workload.clone())
+                .with_placement(Placement::Scheme(scheme));
+            if !scenario.placeable(&machine) {
                 println!("  {:<24} —", scheme.name());
                 continue;
-            };
-            let mut world =
-                CommWorld::new(&machine, placements, MpiImpl::Mpich2.profile(), LockLayer::USysV);
-            jac.append_run(&mut world);
-            let t = world.run()?.makespan;
+            }
+            let t = scenario.run()?.makespan;
             println!("  {:<24} {t:7.2} s", scheme.name());
             results.push((scheme.name(), t));
         }

@@ -6,41 +6,53 @@
 //! ```
 
 use corescope::affinity::Scheme;
-use corescope::machine::{systems, Machine};
-use corescope::smpi::imb::{pingpong_bandwidth, pingpong_time};
+use corescope::sched::{Placement, Scenario, System, Workload};
 use corescope::smpi::{LockLayer, MpiImpl};
 
-fn main() -> Result<(), corescope::machine::Error> {
-    let dmz = Machine::new(systems::dmz());
+/// IMB PingPong: `bytes` bounced `reps` times between ranks 0 and 1 of
+/// an `nranks` world on `system` under `scheme`. Returns the time per
+/// half round trip (the IMB "t" column) in seconds.
+fn pingpong(
+    system: System,
+    nranks: usize,
+    scheme: Scheme,
+    mpi: MpiImpl,
+    lock: LockLayer,
+    bytes: f64,
+    reps: usize,
+) -> Result<f64, corescope::machine::Error> {
+    let scenario = Scenario::new(system, nranks, Workload::PingPong { bytes, reps })
+        .with_placement(Placement::Scheme(scheme))
+        .with_mpi(mpi)
+        .with_lock(lock);
+    Ok(scenario.run()?.makespan / (2.0 * reps as f64))
+}
 
+fn main() -> Result<(), corescope::machine::Error> {
     println!("1) Implementation shoot-out (IMB PingPong, DMZ, unbound):\n");
-    let placements = Scheme::Default.resolve(&dmz, 2)?;
     println!("   {:>10}  {:>9}  {:>9}  {:>9}", "bytes", "MPICH2", "LAM", "OpenMPI");
     for bytes in [8.0, 1024.0, 16.0 * 1024.0, 1024.0 * 1024.0] {
         let mut row = format!("   {bytes:>10.0}");
         for imp in MpiImpl::all() {
-            let profile = imp.profile();
-            let bw = pingpong_bandwidth(&dmz, &placements, &profile, LockLayer::USysV, bytes, 20)?;
-            row.push_str(&format!("  {:>7.1} MB/s", bw / 1e6).replace(" MB/s", ""));
+            let t = pingpong(System::Dmz, 2, Scheme::Default, imp, LockLayer::USysV, bytes, 20)?;
+            row.push_str(&format!("  {:>7.1} MB/s", bytes / t / 1e6).replace(" MB/s", ""));
         }
         println!("{row}   (MB/s)");
     }
 
     println!("\n2) Lock sub-layer (LAM, 8-byte latency, Longs 16 ranks):\n");
-    let longs = Machine::new(systems::longs());
-    let p16 = Scheme::TwoMpiLocalAlloc.resolve(&longs, 16)?;
-    let profile = MpiImpl::Lam.profile();
     for lock in [LockLayer::SysV, LockLayer::USysV] {
-        let t = pingpong_time(&longs, &p16, &profile, lock, 8.0, 50)?;
+        let t = pingpong(System::Longs, 16, Scheme::TwoMpiLocalAlloc, MpiImpl::Lam, lock, 8.0, 50)?;
         println!("   {lock:<6} {:6.2} us", t * 1e6);
     }
 
     println!("\n3) Binding: keep chatty ranks inside one socket (OpenMPI, 1 MB):\n");
-    let profile = MpiImpl::OpenMpi.profile();
-    let near = Scheme::TwoMpiLocalAlloc.resolve(&dmz, 2)?; // same socket
-    let far = Scheme::OneMpiLocalAlloc.resolve(&dmz, 2)?; // across sockets
-    let bw_near = pingpong_bandwidth(&dmz, &near, &profile, LockLayer::USysV, 1e6, 10)?;
-    let bw_far = pingpong_bandwidth(&dmz, &far, &profile, LockLayer::USysV, 1e6, 10)?;
+    let bandwidth = |scheme| -> Result<f64, corescope::machine::Error> {
+        let t = pingpong(System::Dmz, 2, scheme, MpiImpl::OpenMpi, LockLayer::USysV, 1e6, 10)?;
+        Ok(1e6 / t)
+    };
+    let bw_near = bandwidth(Scheme::TwoMpiLocalAlloc)?; // same socket
+    let bw_far = bandwidth(Scheme::OneMpiLocalAlloc)?; // across sockets
     println!("   same socket   : {:6.1} MB/s", bw_near / 1e6);
     println!("   across sockets: {:6.1} MB/s", bw_far / 1e6);
     println!(

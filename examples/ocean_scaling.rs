@@ -8,8 +8,7 @@
 
 use corescope::affinity::Scheme;
 use corescope::apps::ocean::{grid, PopModel};
-use corescope::machine::{systems, Machine};
-use corescope::smpi::{CommWorld, LockLayer, MpiImpl};
+use corescope::sched::{Placement, Scenario, System, Workload};
 
 fn main() -> Result<(), corescope::machine::Error> {
     // First, the real numerics: solve a barotropic elliptic system on a
@@ -23,34 +22,25 @@ fn main() -> Result<(), corescope::machine::Error> {
         nx, ny, sol.iterations, sol.residual
     );
 
-    // Then the paper-scale simulation: POP x1 (320x384x40, 50 steps).
-    let mut pop = PopModel::x1();
-    pop.steps = 10; // scaling ratios are step-count independent
-    for spec in systems::all() {
-        let machine = Machine::new(spec);
+    // Then the paper-scale simulation: POP x1 (320x384x40), 10 steps —
+    // scaling ratios are step-count independent.
+    let PopModel { nx, ny, nz, cg_iterations, .. } = PopModel::x1();
+    let steps = 10;
+    for system in [System::Tiger, System::Dmz, System::Longs] {
+        let machine = system.machine();
         println!("{machine}");
         let mut t1 = (0.0, 0.0);
         for nranks in [1usize, 2, 4, 8, 16] {
             if nranks > machine.num_cores() {
                 continue;
             }
-            let run_phase = |barotropic: bool| -> Result<f64, corescope::machine::Error> {
-                let placements = Scheme::Default.resolve(&machine, nranks)?;
-                let mut world = CommWorld::new(
-                    &machine,
-                    placements,
-                    MpiImpl::Mpich2.profile(),
-                    LockLayer::USysV,
-                );
-                if barotropic {
-                    pop.append_barotropic(&mut world, pop.steps);
-                } else {
-                    pop.append_baroclinic(&mut world, pop.steps);
-                }
-                Ok(world.run()?.makespan)
+            let run_phase = |workload| -> Result<f64, corescope::machine::Error> {
+                let scenario = Scenario::new(system, nranks, workload)
+                    .with_placement(Placement::Scheme(Scheme::Default));
+                Ok(scenario.run()?.makespan)
             };
-            let clinic = run_phase(false)?;
-            let tropic = run_phase(true)?;
+            let clinic = run_phase(Workload::PopBaroclinic { nx, ny, nz, steps, cg_iterations })?;
+            let tropic = run_phase(Workload::PopBarotropic { nx, ny, nz, steps, cg_iterations })?;
             if nranks == 1 {
                 t1 = (clinic, tropic);
                 println!(

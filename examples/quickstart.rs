@@ -6,32 +6,36 @@
 //! ```
 
 use corescope::affinity::Scheme;
-use corescope::kernels::stream::{append_star, StreamParams};
-use corescope::machine::{systems, Machine};
-use corescope::smpi::{CommWorld, LockLayer, MpiImpl};
+use corescope::kernels::stream::StreamParams;
+use corescope::sched::{Placement, Scenario, System, Workload};
+use corescope::smpi::MpiImpl;
 
 fn triad_bandwidth(
-    machine: &Machine,
+    system: System,
     scheme: Scheme,
     nranks: usize,
 ) -> Result<f64, corescope::machine::Error> {
-    let placements = scheme.resolve(machine, nranks)?;
-    let mut world = CommWorld::new(machine, placements, MpiImpl::Lam.profile(), LockLayer::USysV);
     let params = StreamParams { sweeps: 3, ..StreamParams::default() };
-    append_star(&mut world, &params);
-    let report = world.run()?;
-    Ok(nranks as f64 * params.bytes_per_rank() / report.makespan)
+    let workload = Workload::StreamStar {
+        kernel: params.kernel,
+        elements_per_rank: params.elements_per_rank,
+        sweeps: params.sweeps,
+    };
+    let scenario = Scenario::new(system, nranks, workload)
+        .with_placement(Placement::Scheme(scheme))
+        .with_mpi(MpiImpl::Lam);
+    Ok(nranks as f64 * params.bytes_per_rank() / scenario.run()?.makespan)
 }
 
 fn main() -> Result<(), corescope::machine::Error> {
     println!("corescope quickstart: STREAM triad across the paper's systems\n");
-    for spec in systems::all() {
-        let machine = Machine::new(spec);
+    for system in [System::Tiger, System::Dmz, System::Longs] {
+        let machine = system.machine();
         println!("{machine}");
-        let one = triad_bandwidth(&machine, Scheme::OneMpiLocalAlloc, 1)?;
+        let one = triad_bandwidth(system, Scheme::OneMpiLocalAlloc, 1)?;
         println!("  1 core                : {:6.2} GB/s", one / 1e9);
         let sockets = machine.num_sockets();
-        let spread = triad_bandwidth(&machine, Scheme::OneMpiLocalAlloc, sockets)?;
+        let spread = triad_bandwidth(system, Scheme::OneMpiLocalAlloc, sockets)?;
         println!(
             "  {sockets:2} cores (1/socket)   : {:6.2} GB/s  ({:.2}x)",
             spread / 1e9,
@@ -39,7 +43,7 @@ fn main() -> Result<(), corescope::machine::Error> {
         );
         let all = machine.num_cores();
         if all > sockets {
-            let packed = triad_bandwidth(&machine, Scheme::TwoMpiLocalAlloc, all)?;
+            let packed = triad_bandwidth(system, Scheme::TwoMpiLocalAlloc, all)?;
             println!(
                 "  {all:2} cores (2/socket)   : {:6.2} GB/s  ({:.2}x)",
                 packed / 1e9,
