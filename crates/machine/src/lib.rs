@@ -117,7 +117,7 @@ impl Machine {
     /// Total number of cores in the machine. Cores live only on compute
     /// sockets; memory-only nodes contribute none.
     pub fn num_cores(&self) -> usize {
-        self.spec.num_compute_sockets() * self.spec.cores_per_socket
+        self.spec.num_cores()
     }
 
     /// Number of sockets (== number of NUMA nodes on these systems).

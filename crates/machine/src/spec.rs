@@ -280,7 +280,12 @@ impl MachineSpec {
     /// Peak double-precision flop/s of the whole machine (cores live
     /// only on compute sockets).
     pub fn peak_flops(&self) -> f64 {
-        self.core.peak_flops() * (self.num_compute_sockets() * self.cores_per_socket) as f64
+        self.core.peak_flops() * self.num_cores() as f64
+    }
+
+    /// Total number of cores; memory-only nodes contribute none.
+    pub fn num_cores(&self) -> usize {
+        self.num_compute_sockets() * self.cores_per_socket
     }
 
     /// Number of sockets that carry cores.
