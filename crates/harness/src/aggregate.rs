@@ -3,16 +3,17 @@
 //! The crash-safe store ([`corescope_store::Store`]) journals one
 //! columnar [`Row`] per finished scenario; this module turns a pile of
 //! those rows back into paper-style summary tables. Everything here is
-//! deterministic: rows are canonically ordered (by digest) before any
-//! statistic is computed and groups are emitted in sorted-key order, so
-//! the same set of rows — regardless of the order crashes, resumes and
-//! segment scans produced them in — renders byte-identical output.
+//! deterministic: each group's makespans are sorted under a total order
+//! before any statistic is read and groups are emitted in sorted-key
+//! order, so the same set of rows — regardless of the order crashes,
+//! resumes and segment scans produced them in — renders byte-identical
+//! output.
 //! That determinism is what the X9 artifact's kill-anywhere test
 //! byte-diffs against.
 
 use crate::report::{Cell, Table};
 use corescope_store::Row;
-use std::collections::BTreeMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// The axes a campaign summary groups by: one summary row per distinct
 /// (system, workload, nranks) combination, mirroring how the paper's
@@ -60,37 +61,66 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 /// Groups rows by [`GroupKey`] and computes per-group percentile
 /// statistics. Input order does not matter: rows are deduplicated by
-/// digest (last wins, matching the store's own scan semantics) and
-/// canonically ordered before aggregation, and groups come back sorted
-/// by key.
+/// digest (last wins, matching the store's own scan semantics), each
+/// group's makespans are sorted under [`f64::total_cmp`] before any
+/// statistic is read, and groups come back sorted by key.
 pub fn group_rows(rows: &[Row]) -> Vec<GroupSummary> {
-    // Last-wins dedup, then canonical digest order.
-    let mut by_digest: BTreeMap<u128, &Row> = BTreeMap::new();
+    // Last-wins dedup in input order: each digest keeps one slot, which
+    // later rows overwrite.
+    let mut slot: HashMap<u128, usize> = HashMap::with_capacity(rows.len());
+    let mut latest: Vec<&Row> = Vec::with_capacity(rows.len());
     for row in rows {
-        by_digest.insert(row.digest, row);
+        match slot.entry(row.digest) {
+            Entry::Occupied(at) => latest[*at.get()] = row,
+            Entry::Vacant(at) => {
+                at.insert(latest.len());
+                latest.push(row);
+            }
+        }
     }
-    let mut groups: BTreeMap<GroupKey, Vec<&Row>> = BTreeMap::new();
-    for row in by_digest.values() {
-        let key = GroupKey {
-            system: row.system.clone(),
-            workload: row.workload.clone(),
-            nranks: row.nranks,
-        };
-        groups.entry(key).or_default().push(row);
+    // Number the groups in first-seen order, then rank them by key.
+    let mut ids: HashMap<(&str, &str, u32), usize> = HashMap::new();
+    let mut events: Vec<u64> = Vec::new();
+    let mut members: Vec<(usize, f64)> = Vec::with_capacity(latest.len());
+    for row in latest {
+        let id = *ids.entry((&*row.system, &*row.workload, row.nranks)).or_insert(events.len());
+        if id == events.len() {
+            events.push(0);
+        }
+        events[id] += row.events;
+        members.push((id, row.makespan));
     }
-    groups
-        .into_iter()
-        .map(|(key, members)| {
-            let mut makespans: Vec<f64> = members.iter().map(|r| r.makespan).collect();
-            makespans.sort_by(f64::total_cmp);
+    let mut keys: Vec<_> = ids.into_iter().collect();
+    keys.sort_unstable();
+    let mut rank = vec![0; keys.len()];
+    for (r, &(_, id)) in keys.iter().enumerate() {
+        rank[id] = r;
+    }
+    // One sort lays each group's makespans out together, ascending
+    // under `total_cmp`, with the groups in key order.
+    for member in &mut members {
+        member.0 = rank[member.0];
+    }
+    members.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+    let mut makespans = Vec::with_capacity(members.len());
+    members
+        .chunk_by(|a, b| a.0 == b.0)
+        .zip(keys)
+        .map(|(group, ((system, workload, nranks), id))| {
+            makespans.clear();
+            makespans.extend(group.iter().map(|&(_, makespan)| makespan));
             GroupSummary {
-                key,
-                count: members.len(),
+                key: GroupKey {
+                    system: system.to_string(),
+                    workload: workload.to_string(),
+                    nranks,
+                },
+                count: makespans.len(),
                 min: makespans[0],
                 p50: percentile(&makespans, 50.0),
                 p95: percentile(&makespans, 95.0),
                 max: makespans[makespans.len() - 1],
-                events: members.iter().map(|r| r.events).sum(),
+                events: events[id],
             }
         })
         .collect()
@@ -146,15 +176,116 @@ pub fn pivot_table(title: &str, columns: &[&str], rows: &[(String, Vec<Option<f6
 mod tests {
     use super::*;
 
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
     fn row(digest: u128, system: &str, nranks: u32, makespan: f64) -> Row {
         Row {
             digest,
-            system: system.to_string(),
-            workload: "bsp".to_string(),
+            system: system.into(),
+            workload: "bsp".into(),
             nranks,
             makespan,
             events: 10,
             ..Row::default()
+        }
+    }
+
+    /// The digest-ordered `BTreeMap` grouping `group_rows` replaced:
+    /// the parity oracle.
+    fn group_rows_by_btree(rows: &[Row]) -> Vec<GroupSummary> {
+        let mut by_digest: BTreeMap<u128, &Row> = BTreeMap::new();
+        for row in rows {
+            by_digest.insert(row.digest, row);
+        }
+        let mut groups: BTreeMap<GroupKey, Vec<&Row>> = BTreeMap::new();
+        for row in by_digest.values() {
+            let key = GroupKey {
+                system: row.system.to_string(),
+                workload: row.workload.to_string(),
+                nranks: row.nranks,
+            };
+            groups.entry(key).or_default().push(row);
+        }
+        groups
+            .into_iter()
+            .map(|(key, members)| {
+                let mut makespans: Vec<f64> = members.iter().map(|r| r.makespan).collect();
+                makespans.sort_by(f64::total_cmp);
+                GroupSummary {
+                    key,
+                    count: members.len(),
+                    min: makespans[0],
+                    p50: percentile(&makespans, 50.0),
+                    p95: percentile(&makespans, 95.0),
+                    max: makespans[makespans.len() - 1],
+                    events: members.iter().map(|r| r.events).sum(),
+                }
+            })
+            .collect()
+    }
+
+    /// A summary with its floats as bit patterns, so NaNs compare.
+    fn bits(g: &GroupSummary) -> (GroupKey, usize, [u64; 4], u64) {
+        let stats = [g.min, g.p50, g.p95, g.max].map(f64::to_bits);
+        (g.key.clone(), g.count, stats, g.events)
+    }
+
+    /// Makespans that stress the ordering: signed zeros, NaNs of both
+    /// signs and with a payload, infinities and ties.
+    const MAKESPANS: [f64; 10] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7FF0_0000_0000_0001),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1.5,
+        1.5,
+        0.25,
+    ];
+
+    /// `n` rows drawn from `seed`: digests from a small pool, so
+    /// duplicate digests (with different contents) are common.
+    fn mixed_rows(seed: u64, n: usize) -> Vec<Row> {
+        let mut x = seed;
+        let mut next = move || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        (0..n)
+            .map(|_| Row {
+                digest: u128::from(next() % 48),
+                system: ["dmz", "longs", "tiger"][(next() % 3) as usize].into(),
+                workload: ["bsp", "stream"][(next() % 2) as usize].into(),
+                nranks: [2, 4, 8][(next() % 3) as usize],
+                makespan: MAKESPANS[(next() % MAKESPANS.len() as u64) as usize],
+                events: next() % 1000,
+                ..Row::default()
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The hash grouping agrees with the `BTreeMap` oracle bit for
+        /// bit, in input order and reversed (which changes the winner of
+        /// every duplicate digest); the table is a function of these
+        /// summaries, so it renders byte-identically.
+        #[test]
+        fn parity_group_rows_matches_the_btree_oracle(seed in 0u64..u64::MAX, n in 0usize..160) {
+            let mut rows = mixed_rows(seed, n);
+            for _ in 0..2 {
+                let fast: Vec<_> = group_rows(&rows).iter().map(bits).collect();
+                let oracle: Vec<_> = group_rows_by_btree(&rows).iter().map(bits).collect();
+                prop_assert_eq!(fast, oracle);
+                rows.reverse();
+            }
         }
     }
 

@@ -191,7 +191,8 @@ pub struct CacheStats {
 #[derive(Debug)]
 pub struct ResultCache {
     memory: Mutex<Generations>,
-    disk_root: Option<PathBuf>,
+    /// `<root>/<ENGINE_TAG>` of a disk-backed cache, joined once.
+    tag_dir: Option<PathBuf>,
     lock_timeout: Duration,
     counters: Counters,
 }
@@ -201,7 +202,7 @@ impl ResultCache {
     pub fn in_memory() -> Self {
         Self {
             memory: Mutex::new(Generations::new(GENERATION)),
-            disk_root: None,
+            tag_dir: None,
             lock_timeout: lockfile::LOCK_TIMEOUT,
             counters: Counters::default(),
         }
@@ -213,7 +214,7 @@ impl ResultCache {
     pub fn on_disk(root: impl Into<PathBuf>) -> Self {
         Self {
             memory: Mutex::new(Generations::new(GENERATION)),
-            disk_root: Some(root.into()),
+            tag_dir: Some(root.into().join(crate::ENGINE_TAG)),
             lock_timeout: lockfile::LOCK_TIMEOUT,
             counters: Counters::default(),
         }
@@ -253,11 +254,11 @@ impl ResultCache {
 
     /// The directory entries are stored in, if disk-backed.
     pub fn tag_dir(&self) -> Option<PathBuf> {
-        self.disk_root.as_ref().map(|root| root.join(crate::ENGINE_TAG))
+        self.tag_dir.clone()
     }
 
     fn entry_path(&self, digest: Digest) -> Option<PathBuf> {
-        self.tag_dir().map(|dir| dir.join(format!("{}.css", digest.hex())))
+        self.tag_dir.as_ref().map(|dir| dir.join(format!("{}.css", digest.hex())))
     }
 
     /// Stores `result` in the memory tier, counting what a generation
@@ -413,7 +414,7 @@ fn decode_entry(bytes: &[u8], digest: Digest) -> Option<ScenarioResult> {
     let frame::Parsed::Frame { payload, end } = frame::parse_frame(bytes, start) else {
         return None;
     };
-    match frame::decode_block(&payload).ok()?.as_slice() {
+    match frame::decode_block(payload).ok()?.as_slice() {
         [row] if tag == crate::ENGINE_TAG && end == bytes.len() && row.digest == digest.0 => {
             Some(row_result(row))
         }

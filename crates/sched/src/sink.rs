@@ -30,12 +30,12 @@ use std::sync::Mutex;
 /// store groups exactly like the paper tables do.
 pub fn row_of(scenario: &Scenario, digest: Digest, result: &ScenarioResult) -> Row {
     Row {
-        system: scenario.system.key().to_string(),
-        fidelity: scenario.fidelity.key().to_string(),
-        placement: scenario.placement.key().to_string(),
-        mpi: mpi_key(scenario.mpi).to_string(),
-        lock: scenario.lock.key().to_string(),
-        workload: scenario.workload.kind().to_string(),
+        system: scenario.system.key().into(),
+        fidelity: scenario.fidelity.key().into(),
+        placement: scenario.placement.key().into(),
+        mpi: mpi_key(scenario.mpi).into(),
+        lock: scenario.lock.key().into(),
+        workload: scenario.workload.kind().into(),
         nranks: scenario.nranks as u32,
         ..result_row(digest, result)
     }
@@ -121,19 +121,21 @@ impl StoreSink {
     }
 
     /// Records one finished scenario. Append failures (disk full, I/O
-    /// error) are counted, not propagated.
+    /// error) are counted, not propagated. A digest already present is
+    /// skipped before its row is built: the resume dedup.
     pub fn record(&self, scenario: &Scenario, digest: Digest, result: &ScenarioResult) {
-        let row = row_of(scenario, digest, result);
-        match self.store.lock() {
-            Ok(mut store) => match store.append(row) {
-                Ok(true) => {
-                    self.rows_recorded.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(false) => {} // already committed: resume dedup
-                Err(_) => {
-                    self.append_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            },
+        let Ok(mut store) = self.store.lock() else {
+            self.append_errors.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        if store.contains(digest.0) {
+            return;
+        }
+        match store.append(row_of(scenario, digest, result)) {
+            Ok(true) => {
+                self.rows_recorded.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(false) => {}
             Err(_) => {
                 self.append_errors.fetch_add(1, Ordering::Relaxed);
             }
@@ -239,8 +241,8 @@ mod tests {
         let scenario = bsp(3);
         let result = scenario.run().unwrap();
         let row = row_of(&scenario, scenario.digest(), &result);
-        assert_eq!(row.system, "dmz");
-        assert_eq!(row.workload, "bsp");
+        assert_eq!(&*row.system, "dmz");
+        assert_eq!(&*row.workload, "bsp");
         assert_eq!(row.nranks, 2);
         assert_eq!(row.makespan.to_bits(), result.makespan.to_bits());
         assert_eq!(row.digest, scenario.digest().0);

@@ -22,6 +22,8 @@
 //! ```
 
 use crate::Row;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Magic prefix of every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"CSSG";
@@ -35,23 +37,55 @@ pub const FRAME_HEADER: usize = 12;
 /// as corruption rather than an instruction to allocate gigabytes.
 pub const MAX_PAYLOAD: usize = 1 << 26;
 
-/// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG one), table-driven.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
-            }
-            *slot = crc;
+/// The eight slicing-by-8 lookup tables of the reflected IEEE CRC-32:
+/// `TABLES[0]` is the classic bytewise table, and `TABLES[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
+            bit += 1;
         }
-        table
-    });
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG one), slicing-by-8:
+/// eight bytes per step through [`CRC_TABLES`], then bytewise for the
+/// tail.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -93,13 +127,38 @@ impl<'a> Cursor<'a> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    /// The next `count` fixed-`width` elements as one slice. On a short
+    /// payload it fails at the first element that does not fit, with the
+    /// reason reading them one at a time would give.
+    fn column(&mut self, count: usize, width: usize) -> Result<&'a [u8], String> {
+        let whole = ((self.buf.len() - self.at) / width).min(count);
+        let run = self.take(whole * width)?;
+        if whole < count {
+            self.take(width)?;
+        }
+        Ok(run)
     }
 
-    fn u128(&mut self) -> Result<u128, String> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
+    /// [`Cursor::column`] for a u16 dictionary-index column, checking
+    /// every index below `dict_len` in element order, so an index out of
+    /// range is reported before a truncation after it.
+    fn indices(&mut self, count: usize, dict_len: usize) -> Result<&'a [u8], String> {
+        let whole = ((self.buf.len() - self.at) / 2).min(count);
+        let run = self.take(whole * 2)?;
+        let mut idxs = run.chunks_exact(2).map(|b| usize::from(u16::from_le_bytes([b[0], b[1]])));
+        if let Some(idx) = idxs.find(|&idx| idx >= dict_len) {
+            return Err(format!("dictionary index {idx} out of range"));
+        }
+        if whole < count {
+            self.take(2)?;
+        }
+        Ok(run)
     }
+}
+
+/// Element `i` of a little-endian column of `N`-byte values.
+fn element<const N: usize>(column: &[u8], i: usize) -> [u8; N] {
+    column[i * N..(i + 1) * N].try_into().unwrap()
 }
 
 /// The segment file header for `tag`.
@@ -135,10 +194,10 @@ pub fn parse_segment_header(buf: &[u8]) -> Result<(String, usize), String> {
 
 /// One step of a frame walk at byte `at` of a segment buffer.
 #[derive(Debug)]
-pub enum Parsed {
-    /// A CRC-valid frame; `payload` is its block bytes, `end` the offset
-    /// just past it.
-    Frame { payload: Vec<u8>, end: usize },
+pub enum Parsed<'a> {
+    /// A CRC-valid frame; `payload` borrows its block bytes from the
+    /// buffer, `end` is the offset just past it.
+    Frame { payload: &'a [u8], end: usize },
     /// The buffer ends mid-frame: at the file tail this is a torn append.
     Truncated,
     /// A complete frame whose CRC does not match — a flipped bit.
@@ -149,7 +208,7 @@ pub enum Parsed {
 }
 
 /// Classifies the bytes at `at` without panicking on any input.
-pub fn parse_frame(buf: &[u8], at: usize) -> Parsed {
+pub fn parse_frame(buf: &[u8], at: usize) -> Parsed<'_> {
     if at >= buf.len() {
         return Parsed::Truncated;
     }
@@ -177,7 +236,7 @@ pub fn parse_frame(buf: &[u8], at: usize) -> Parsed {
     if crc32(payload) != crc {
         return Parsed::BadCrc { end: at + FRAME_HEADER + len };
     }
-    Parsed::Frame { payload: payload.to_vec(), end: at + FRAME_HEADER + len }
+    Parsed::Frame { payload, end: at + FRAME_HEADER + len }
 }
 
 /// Finds the next possible frame start strictly after `from`.
@@ -222,59 +281,79 @@ const ROW_FIXED_BYTES: usize = 16 + 4 + 8 + 5 * 8 + 6 * 2;
 /// Payload bytes before any row: the nrows and dict_len fields.
 const BLOCK_HEADER_BYTES: usize = 4 + 2;
 
-fn dict_index(
-    dict: &mut Vec<String>,
-    map: &mut std::collections::HashMap<String, u16>,
-    value: &str,
-) -> Result<u16, String> {
-    if let Some(&i) = map.get(value) {
-        return Ok(i);
-    }
+/// A block's string dictionary under construction: entries in
+/// first-occurrence order and the index of each.
+#[derive(Default)]
+struct Dict<'r> {
+    entries: Vec<&'r str>,
+    index: HashMap<&'r str, u16>,
+    /// Encoded bytes of `entries`: a u16 length prefix plus the bytes.
+    bytes: usize,
+}
+
+fn entry_too_long(value: &str) -> Result<(), String> {
     if value.len() > MAX_DICT_ENTRY {
         return Err(format!(
             "axis string of {} bytes exceeds the {MAX_DICT_ENTRY}-byte dictionary entry limit",
             value.len()
         ));
     }
-    if dict.len() >= MAX_DICT {
-        return Err(format!("more than {MAX_DICT} distinct axis strings in one block"));
+    Ok(())
+}
+
+impl<'r> Dict<'r> {
+    /// The index of `value`, adding it if new.
+    fn index_of(&mut self, value: &'r str) -> Result<u16, String> {
+        if let Some(&i) = self.index.get(value) {
+            return Ok(i);
+        }
+        entry_too_long(value)?;
+        if self.entries.len() >= MAX_DICT {
+            return Err(format!("more than {MAX_DICT} distinct axis strings in one block"));
+        }
+        let i = self.entries.len() as u16;
+        self.entries.push(value);
+        self.index.insert(value, i);
+        self.bytes += 2 + value.len();
+        Ok(i)
     }
-    let i = dict.len() as u16;
-    dict.push(value.to_string());
-    map.insert(value.to_string(), i);
-    Ok(i)
+
+    /// `(entries, bytes)` that `values` would add, where `found` is
+    /// their lookup: each new value is counted once however often it
+    /// repeats among them.
+    fn growth(values: &[&str; 6], found: &[Option<u16>; 6]) -> (usize, usize) {
+        let mut added = (0, 0);
+        for (i, &value) in values.iter().enumerate() {
+            if found[i].is_none() && !values[..i].contains(&value) {
+                added.0 += 1;
+                added.1 += 2 + value.len();
+            }
+        }
+        added
+    }
+
+    /// The six dictionary indices of `row`.
+    fn row_indices(&mut self, row: &'r Row) -> Result<[u16; 6], String> {
+        let mut idx = [0u16; 6];
+        for (slot, value) in idx.iter_mut().zip(axis_values(row)) {
+            *slot = self.index_of(value)?;
+        }
+        Ok(idx)
+    }
 }
 
 fn axis_values(row: &Row) -> [&str; 6] {
     [&row.system, &row.fidelity, &row.placement, &row.mpi, &row.lock, &row.workload]
 }
 
-/// Encodes `rows` as one columnar block payload.
-///
-/// Deterministic: the dictionary is built in first-occurrence order over
-/// the fixed axis sequence, so identical rows always produce identical
-/// bytes (the property the resume byte-diff and the cache both lean on).
-///
-/// # Errors
-///
-/// A one-line reason when the rows exceed what one block can hold —
-/// more than [`MAX_DICT`] distinct axis strings, an axis string longer
-/// than [`MAX_DICT_ENTRY`] bytes, or a payload past [`MAX_PAYLOAD`].
-/// Writers that buffer arbitrary batches should use [`encode_blocks`],
-/// which splits instead of failing.
-pub fn encode_block(rows: &[Row]) -> Result<Vec<u8>, String> {
-    let mut dict: Vec<String> = Vec::new();
-    let mut map = std::collections::HashMap::new();
-    let mut axes = vec![[0u16; 6]; rows.len()];
-    for (i, row) in rows.iter().enumerate() {
-        for (slot, value) in axes[i].iter_mut().zip(axis_values(row)) {
-            *slot = dict_index(&mut dict, &mut map, value)?;
-        }
-    }
-    let mut out = Vec::new();
+/// The payload of one block: `rows` with their dictionary indices
+/// `axes` into `dict`.
+fn write_block(rows: &[Row], dict: &Dict, axes: &[[u16; 6]]) -> Vec<u8> {
+    let mut out =
+        Vec::with_capacity(BLOCK_HEADER_BYTES + dict.bytes + rows.len() * ROW_FIXED_BYTES);
     put_u32(&mut out, rows.len() as u32);
-    put_u16(&mut out, dict.len() as u16);
-    for entry in &dict {
+    put_u16(&mut out, dict.entries.len() as u16);
+    for entry in &dict.entries {
         put_u16(&mut out, entry.len() as u16);
         out.extend_from_slice(entry.as_bytes());
     }
@@ -299,10 +378,30 @@ pub fn encode_block(rows: &[Row]) -> Result<Vec<u8>, String> {
         }
     }
     for col in 0..6 {
-        for idx in &axes {
+        for idx in axes {
             put_u16(&mut out, idx[col]);
         }
     }
+    out
+}
+
+/// Encodes `rows` as one columnar block payload.
+///
+/// Deterministic: the dictionary is built in first-occurrence order over
+/// the fixed axis sequence, so identical rows always produce identical
+/// bytes (the property the resume byte-diff and the cache both lean on).
+///
+/// # Errors
+///
+/// A one-line reason when the rows exceed what one block can hold —
+/// more than [`MAX_DICT`] distinct axis strings, an axis string longer
+/// than [`MAX_DICT_ENTRY`] bytes, or a payload past [`MAX_PAYLOAD`].
+/// Writers that buffer arbitrary batches should use [`encode_blocks`],
+/// which splits instead of failing.
+pub fn encode_block(rows: &[Row]) -> Result<Vec<u8>, String> {
+    let mut dict = Dict::default();
+    let axes = rows.iter().map(|row| dict.row_indices(row)).collect::<Result<Vec<_>, _>>()?;
+    let out = write_block(rows, &dict, &axes);
     if out.len() > MAX_PAYLOAD {
         return Err(format!(
             "block payload of {} bytes exceeds the {MAX_PAYLOAD}-byte frame limit",
@@ -315,7 +414,8 @@ pub fn encode_block(rows: &[Row]) -> Result<Vec<u8>, String> {
 /// Encodes `rows` as one or more block payloads, splitting wherever a
 /// single block would overflow an encoder limit ([`MAX_DICT`] distinct
 /// strings or [`MAX_PAYLOAD`] bytes). The split points depend only on
-/// the rows, so the output stays deterministic.
+/// the rows, so the output stays deterministic, and each block's bytes
+/// are what [`encode_block`] gives for its rows.
 ///
 /// # Errors
 ///
@@ -324,43 +424,97 @@ pub fn encode_block(rows: &[Row]) -> Result<Vec<u8>, String> {
 pub fn encode_blocks(rows: &[Row]) -> Result<Vec<Vec<u8>>, String> {
     let mut blocks = Vec::new();
     let mut start = 0;
-    while start < rows.len() {
-        let mut dict: std::collections::HashSet<&str> = std::collections::HashSet::new();
-        let mut payload = BLOCK_HEADER_BYTES;
-        let mut end = start;
-        while end < rows.len() {
-            let mut new_bytes = 0usize;
-            for value in axis_values(&rows[end]) {
-                if value.len() > MAX_DICT_ENTRY {
-                    return Err(format!(
-                        "axis string of {} bytes exceeds the {MAX_DICT_ENTRY}-byte \
-                         dictionary entry limit",
-                        value.len()
-                    ));
-                }
-                // Insert as we project so a value repeated within this
-                // row's own six axes is only counted once.
-                if dict.insert(value) {
-                    new_bytes += 2 + value.len();
-                }
-            }
-            let fits =
-                dict.len() <= MAX_DICT && payload + new_bytes + ROW_FIXED_BYTES <= MAX_PAYLOAD;
-            if !fits && end > start {
-                break;
-            }
-            // A lone row always fits: at most 6 entries of <= 65535
-            // bytes each plus the fixed columns is far under MAX_PAYLOAD.
-            payload += new_bytes + ROW_FIXED_BYTES;
-            end += 1;
+    let mut dict = Dict::default();
+    let mut axes: Vec<[u16; 6]> = Vec::with_capacity(rows.len());
+    for (end, row) in rows.iter().enumerate() {
+        let values = axis_values(row);
+        for value in values {
+            entry_too_long(value)?;
         }
-        blocks.push(encode_block(&rows[start..end])?);
-        start = end;
+        // One hash lookup per axis value: the lookup both sizes the row
+        // and, for values already present, is its index.
+        let mut found = values.map(|value| dict.index.get(value).copied());
+        let (entries, bytes) = Dict::growth(&values, &found);
+        let payload = BLOCK_HEADER_BYTES + dict.bytes + axes.len() * ROW_FIXED_BYTES;
+        let fits = dict.entries.len() + entries <= MAX_DICT
+            && payload + bytes + ROW_FIXED_BYTES <= MAX_PAYLOAD;
+        // A lone row always fits: at most 6 entries of <= 65535 bytes
+        // each plus the fixed columns is far under MAX_PAYLOAD.
+        if !fits && end > start {
+            blocks.push(write_block(&rows[start..end], &dict, &axes));
+            start = end;
+            dict = Dict::default();
+            axes.clear();
+            found = [None; 6];
+        }
+        let mut idx = [0u16; 6];
+        for ((slot, value), found) in idx.iter_mut().zip(values).zip(found) {
+            *slot = match found {
+                Some(i) => i,
+                None => dict.index_of(value)?,
+            };
+        }
+        axes.push(idx);
+    }
+    if start < rows.len() {
+        blocks.push(write_block(&rows[start..], &dict, &axes));
     }
     Ok(blocks)
 }
 
-/// Decodes a block payload back into rows.
+/// A structurally checked block payload: every length, UTF-8 and
+/// dictionary-index check is done, and the columns are still raw
+/// little-endian bytes.
+struct Columns<'a> {
+    nrows: usize,
+    digests: &'a [u8],
+    nranks: &'a [u8],
+    makespans: &'a [u8],
+    /// events, faults, checkpoints, recoveries, retries.
+    counters: [&'a [u8]; 5],
+    /// system, fidelity, placement, mpi, lock, workload.
+    axes: [&'a [u8]; 6],
+}
+
+/// The one block walker behind [`decode_block`] and [`block_digests`]:
+/// checks `payload` in byte order, handing each dictionary entry to
+/// `entry`, and fails with the first damage found.
+fn walk_block<'a>(
+    payload: &'a [u8],
+    mut entry: impl FnMut(&'a str),
+) -> Result<Columns<'a>, String> {
+    let mut c = Cursor { buf: payload, at: 0 };
+    let nrows = c.u32()? as usize;
+    if nrows > MAX_PAYLOAD / 16 {
+        return Err(format!("implausible row count {nrows}"));
+    }
+    let dict_len = c.u16()? as usize;
+    for _ in 0..dict_len {
+        let len = c.u16()? as usize;
+        entry(
+            std::str::from_utf8(c.take(len)?)
+                .map_err(|_| "dictionary entry is not UTF-8".to_string())?,
+        );
+    }
+    let digests = c.column(nrows, 16)?;
+    let nranks = c.column(nrows, 4)?;
+    let makespans = c.column(nrows, 8)?;
+    let mut counters = [&payload[..0]; 5];
+    for counter in &mut counters {
+        *counter = c.column(nrows, 8)?;
+    }
+    let mut axes = [&payload[..0]; 6];
+    for axis in &mut axes {
+        *axis = c.indices(nrows, dict_len)?;
+    }
+    if c.at != payload.len() {
+        return Err(format!("{} trailing bytes after columns", payload.len() - c.at));
+    }
+    Ok(Columns { nrows, digests, nranks, makespans, counters, axes })
+}
+
+/// Decodes a block payload back into rows. Rows share the block
+/// dictionary's strings: one allocation per entry, not per row.
 ///
 /// # Errors
 ///
@@ -368,76 +522,58 @@ pub fn encode_blocks(rows: &[Row]) -> Result<Vec<Vec<u8>>, String> {
 /// the bytes (the CRC already passed, so this only fires on encoder
 /// bugs or hash collisions — but recovery treats it as corruption).
 pub fn decode_block(payload: &[u8]) -> Result<Vec<Row>, String> {
-    let mut c = Cursor { buf: payload, at: 0 };
-    let nrows = c.u32()? as usize;
-    if nrows > MAX_PAYLOAD / 16 {
-        return Err(format!("implausible row count {nrows}"));
-    }
-    let dict_len = c.u16()? as usize;
-    let mut dict = Vec::with_capacity(dict_len);
-    for _ in 0..dict_len {
-        let len = c.u16()? as usize;
-        let entry = std::str::from_utf8(c.take(len)?)
-            .map_err(|_| "dictionary entry is not UTF-8".to_string())?;
-        dict.push(entry.to_string());
-    }
-    let mut rows: Vec<Row> = Vec::with_capacity(nrows);
-    for _ in 0..nrows {
-        rows.push(Row { digest: c.u128()?, ..Row::default() });
-    }
-    for row in &mut rows {
-        row.nranks = c.u32()?;
-    }
-    for row in &mut rows {
-        row.makespan = f64::from_bits(c.u64()?);
-    }
-    for pick in [
-        (|r: &mut Row| &mut r.events) as fn(&mut Row) -> &mut u64,
-        |r| &mut r.faults_applied,
-        |r| &mut r.checkpoints_taken,
-        |r| &mut r.recoveries,
-        |r| &mut r.retries,
-    ] {
-        for row in rows.iter_mut() {
-            *pick(row) = c.u64()?;
-        }
-    }
-    for col in 0..6usize {
-        for row in rows.iter_mut() {
-            let idx = c.u16()? as usize;
-            let value = dict
-                .get(idx)
-                .ok_or_else(|| format!("dictionary index {idx} out of range"))?
-                .clone();
-            match col {
-                0 => row.system = value,
-                1 => row.fidelity = value,
-                2 => row.placement = value,
-                3 => row.mpi = value,
-                4 => row.lock = value,
-                _ => row.workload = value,
-            }
-        }
-    }
-    if c.at != payload.len() {
-        return Err(format!("{} trailing bytes after columns", payload.len() - c.at));
-    }
-    Ok(rows)
+    let mut dict: Vec<Arc<str>> = Vec::new();
+    let cols = walk_block(payload, |entry| dict.push(Arc::from(entry)))?;
+    let axis = |col: usize, i: usize| {
+        Arc::clone(&dict[usize::from(u16::from_le_bytes(element(cols.axes[col], i)))])
+    };
+    let counter = |col: usize, i: usize| u64::from_le_bytes(element(cols.counters[col], i));
+    Ok((0..cols.nrows)
+        .map(|i| Row {
+            digest: u128::from_le_bytes(element(cols.digests, i)),
+            system: axis(0, i),
+            fidelity: axis(1, i),
+            placement: axis(2, i),
+            mpi: axis(3, i),
+            lock: axis(4, i),
+            workload: axis(5, i),
+            nranks: u32::from_le_bytes(element(cols.nranks, i)),
+            makespan: f64::from_bits(u64::from_le_bytes(element(cols.makespans, i))),
+            events: counter(0, i),
+            faults_applied: counter(1, i),
+            checkpoints_taken: counter(2, i),
+            recoveries: counter(3, i),
+            retries: counter(4, i),
+        })
+        .collect())
+}
+
+/// The digests of a block payload, after exactly the checks
+/// [`decode_block`] makes (same order, same reasons), without building
+/// a row: all that recovery and `fsck` verify need.
+///
+/// # Errors
+///
+/// As for [`decode_block`].
+pub fn block_digests(payload: &[u8]) -> Result<Vec<u128>, String> {
+    let cols = walk_block(payload, |_| {})?;
+    Ok(cols.digests.chunks_exact(16).map(|d| u128::from_le_bytes(d.try_into().unwrap())).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn row(i: u64) -> Row {
         Row {
             digest: u128::from(i) << 64 | 0xDEAD,
-            system: if i.is_multiple_of(2) { "dmz" } else { "longs" }.to_string(),
-            fidelity: "quick".to_string(),
-            placement: "scheme-a".to_string(),
-            mpi: "mpich2".to_string(),
-            lock: "sysv".to_string(),
-            workload: "bsp".to_string(),
+            system: if i.is_multiple_of(2) { "dmz" } else { "longs" }.into(),
+            fidelity: "quick".into(),
+            placement: "scheme-a".into(),
+            mpi: "mpich2".into(),
+            lock: "sysv".into(),
+            workload: "bsp".into(),
             nranks: 2 + i as u32,
             makespan: 1.5 * i as f64,
             events: 10 * i,
@@ -448,11 +584,226 @@ mod tests {
         }
     }
 
+    /// The bytewise table-driven CRC-32 that slicing-by-8 replaced: the
+    /// parity oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, slot) in table.iter_mut().enumerate() {
+            let mut crc = i as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
+            }
+            *slot = crc;
+        }
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
+    /// splitmix64 from `seed`: test data without a rand dependency.
+    fn stream(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed;
+        move || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// `n` rows with short, partly non-ASCII axis strings drawn from
+    /// `seed`, so a flipped byte can break UTF-8 or an index.
+    fn mixed_rows(seed: u64, n: usize) -> Vec<Row> {
+        let mut next = stream(seed);
+        let words = ["dmz", "longs", "", "scheme-ä", "mpich2", "ßys", "bsp", "x"];
+        let mut word = || -> Arc<str> { words[(next() % words.len() as u64) as usize].into() };
+        let axes: Vec<[Arc<str>; 6]> = (0..n).map(|_| std::array::from_fn(|_| word())).collect();
+        let mut next = stream(!seed);
+        axes.into_iter()
+            .map(|[system, fidelity, placement, mpi, lock, workload]| Row {
+                digest: u128::from(next()) << 64 | u128::from(next()),
+                system,
+                fidelity,
+                placement,
+                mpi,
+                lock,
+                workload,
+                nranks: next() as u32,
+                makespan: f64::from_bits(next()),
+                events: next(),
+                faults_applied: next(),
+                checkpoints_taken: next(),
+                recoveries: next(),
+                retries: next(),
+            })
+            .collect()
+    }
+
+    /// The element-at-a-time decoder the column walk replaced: the
+    /// oracle for `decode_block`'s rows and reason strings.
+    fn decode_block_reference(payload: &[u8]) -> Result<Vec<Row>, String> {
+        let mut c = Cursor { buf: payload, at: 0 };
+        let u64 = |c: &mut Cursor| -> Result<u64, String> {
+            Ok(u64::from_le_bytes(c.take(8)?.try_into().unwrap()))
+        };
+        let nrows = c.u32()? as usize;
+        if nrows > MAX_PAYLOAD / 16 {
+            return Err(format!("implausible row count {nrows}"));
+        }
+        let dict_len = c.u16()? as usize;
+        let mut dict = Vec::with_capacity(dict_len);
+        for _ in 0..dict_len {
+            let len = c.u16()? as usize;
+            let entry = std::str::from_utf8(c.take(len)?)
+                .map_err(|_| "dictionary entry is not UTF-8".to_string())?;
+            dict.push(entry.to_string());
+        }
+        let mut rows: Vec<Row> = Vec::with_capacity(nrows);
+        for _ in 0..nrows {
+            let digest = u128::from_le_bytes(c.take(16)?.try_into().unwrap());
+            rows.push(Row { digest, ..Row::default() });
+        }
+        for row in &mut rows {
+            row.nranks = c.u32()?;
+        }
+        for row in &mut rows {
+            row.makespan = f64::from_bits(u64(&mut c)?);
+        }
+        for pick in [
+            (|r: &mut Row| &mut r.events) as fn(&mut Row) -> &mut u64,
+            |r| &mut r.faults_applied,
+            |r| &mut r.checkpoints_taken,
+            |r| &mut r.recoveries,
+            |r| &mut r.retries,
+        ] {
+            for row in rows.iter_mut() {
+                *pick(row) = u64(&mut c)?;
+            }
+        }
+        for col in 0..6usize {
+            for row in rows.iter_mut() {
+                let idx = c.u16()? as usize;
+                let value: Arc<str> = dict
+                    .get(idx)
+                    .ok_or_else(|| format!("dictionary index {idx} out of range"))?
+                    .as_str()
+                    .into();
+                match col {
+                    0 => row.system = value,
+                    1 => row.fidelity = value,
+                    2 => row.placement = value,
+                    3 => row.mpi = value,
+                    4 => row.lock = value,
+                    _ => row.workload = value,
+                }
+            }
+        }
+        if c.at != payload.len() {
+            return Err(format!("{} trailing bytes after columns", payload.len() - c.at));
+        }
+        Ok(rows)
+    }
+
+    /// `decode_block` gives the reference decoder's verdict, and
+    /// `block_digests` gives exactly `decode_block`'s: the same rows or
+    /// digests, or the same reason. Rows compare by bits, so a NaN
+    /// makespan compares equal to itself.
+    fn digests_agree(payload: &[u8]) -> Result<(), String> {
+        let bits = |rows: Vec<Row>| {
+            rows.into_iter()
+                .map(|r| (r.makespan.to_bits(), Row { makespan: 0.0, ..r }))
+                .collect::<Vec<_>>()
+        };
+        let full = decode_block(payload);
+        let reference = decode_block_reference(payload);
+        let digests: Result<Vec<u128>, String> = match &full {
+            Ok(rows) => Ok(rows.iter().map(|r| r.digest).collect()),
+            Err(reason) => Err(reason.clone()),
+        };
+        let fast = block_digests(payload);
+        let (full, reference) = (full.map(bits), reference.map(bits));
+        if full != reference {
+            Err(format!("decode_block {full:?} but the reference {reference:?}"))
+        } else if fast != digests {
+            Err(format!("block_digests {fast:?} but decode_block {digests:?}"))
+        } else {
+            Ok(())
+        }
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard check value for "123456789" under CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+        assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
+    }
+
+    #[test]
+    fn block_digests_agrees_on_every_cut_and_bit_flip() {
+        let payload = encode_block(&mixed_rows(7, 5)).unwrap();
+        for cut in 0..payload.len() {
+            digests_agree(&payload[..cut]).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+        }
+        for at in 0..payload.len() {
+            for bit in 0..8 {
+                let mut bad = payload.clone();
+                bad[at] ^= 1 << bit;
+                digests_agree(&bad).unwrap_or_else(|e| panic!("flip {at}.{bit}: {e}"));
+            }
+        }
+        let mut long = payload.clone();
+        long.push(0);
+        digests_agree(&long).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Slicing-by-8 agrees with the bytewise reference at every
+        /// length and start alignment.
+        #[test]
+        fn parity_crc32_matches_the_bytewise_reference(
+            seed in 0u64..u64::MAX,
+            len in 0usize..600,
+            offset in 0usize..8,
+        ) {
+            let mut next = stream(seed);
+            let buf: Vec<u8> = (0..offset + len).map(|_| next() as u8).collect();
+            prop_assert_eq!(crc32(&buf[offset..]), crc32_bytewise(&buf[offset..]));
+        }
+
+        /// `block_digests`, `decode_block` and the reference decoder agree
+        /// on valid, truncated and bit-flipped payloads: the same digests
+        /// or the same reason.
+        #[test]
+        fn parity_block_digests_matches_decode_block(
+            seed in 0u64..u64::MAX,
+            n in 0usize..12,
+            flips in 0usize..4,
+        ) {
+            let mut next = stream(seed);
+            let payload = encode_block(&mixed_rows(seed, n)).unwrap();
+            prop_assert!(digests_agree(&payload).is_ok());
+            let cut = (next() % (payload.len() as u64 + 1)) as usize;
+            let verdict = digests_agree(&payload[..cut]);
+            prop_assert!(verdict.is_ok(), "cut at {}: {:?}", cut, verdict);
+            let mut bad = payload.clone();
+            for _ in 0..flips {
+                let at = (next() % payload.len() as u64) as usize;
+                bad[at] ^= 1 << (next() % 8);
+            }
+            let verdict = digests_agree(&bad);
+            prop_assert!(verdict.is_ok(), "{} flips: {:?}", flips, verdict);
+            let verdict = digests_agree(&bad[..cut]);
+            prop_assert!(verdict.is_ok(), "{} flips, cut at {}: {:?}", flips, cut, verdict);
+        }
     }
 
     #[test]
@@ -527,7 +878,7 @@ mod tests {
     #[test]
     fn oversized_axis_string_is_an_encode_error() {
         let mut bad = row(1);
-        bad.system = "x".repeat(MAX_DICT_ENTRY + 1);
+        bad.system = "x".repeat(MAX_DICT_ENTRY + 1).into();
         assert!(encode_block(std::slice::from_ref(&bad)).is_err());
         assert!(encode_blocks(&[bad]).is_err());
     }
@@ -539,12 +890,12 @@ mod tests {
         let rows: Vec<Row> = (0..11_000u64)
             .map(|i| {
                 let mut r = row(i);
-                r.system = format!("sys-{i}");
-                r.fidelity = format!("fid-{i}");
-                r.placement = format!("pl-{i}");
-                r.mpi = format!("mpi-{i}");
-                r.lock = format!("lk-{i}");
-                r.workload = format!("wl-{i}");
+                r.system = format!("sys-{i}").into();
+                r.fidelity = format!("fid-{i}").into();
+                r.placement = format!("pl-{i}").into();
+                r.mpi = format!("mpi-{i}").into();
+                r.lock = format!("lk-{i}").into();
+                r.workload = format!("wl-{i}").into();
                 r
             })
             .collect();

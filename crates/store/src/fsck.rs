@@ -154,7 +154,7 @@ pub fn verify(dir: &Path) -> Result<FsckReport, StoreError> {
 
     let referenced: Vec<SegmentMeta> = manifest.map(|m| m.segments).unwrap_or_default();
     let referenced_names: HashSet<&str> = referenced.iter().map(|s| s.name.as_str()).collect();
-    let mut digests = HashSet::new();
+    let mut digests: HashSet<u128> = HashSet::new();
 
     for seg in &referenced {
         let path = dir.join(&seg.name);
@@ -167,12 +167,10 @@ pub fn verify(dir: &Path) -> Result<FsckReport, StoreError> {
             Err(e) => return Err(io_err(&path, e)),
         };
         report.segments += 1;
-        let scan = scan_segment(&buf, &seg.name, seg.committed_len);
+        let scan = scan_segment(&buf, &seg.name, seg.committed_len, frame::block_digests);
         report.frames += scan.frames;
         report.rows += scan.rows.len();
-        for row in &scan.rows {
-            digests.insert(row.digest);
-        }
+        digests.extend(scan.rows);
         report.corrupt.extend(scan.corrupt);
         // Adopted-but-uncommitted frames are healthy data, but the lag
         // means the last writer did not shut down cleanly; surface the
@@ -219,11 +217,11 @@ fn salvage(buf: &[u8], data_start: usize) -> Salvage {
     };
     while at < buf.len() {
         match frame::parse_frame(buf, at) {
-            frame::Parsed::Frame { payload, end } => match frame::decode_block(&payload) {
-                Ok(rows) => {
+            frame::Parsed::Frame { payload, end } => match frame::block_digests(payload) {
+                Ok(digests) => {
                     close_bad(&mut bad_from, at, &mut out);
                     out.keep.push((at, end));
-                    out.rows += rows.len();
+                    out.rows += digests.len();
                     at = end;
                 }
                 Err(_) => {
@@ -426,7 +424,7 @@ pub fn compact(dir: &Path) -> Result<CompactReport, StoreError> {
             Err(e) => return Err(io_err(&path, e)),
         };
         bytes_before += buf.len() as u64;
-        for row in scan_segment(&buf, &seg.name, seg.committed_len).rows {
+        for row in scan_segment(&buf, &seg.name, seg.committed_len, frame::decode_block).rows {
             match index.get(&row.digest) {
                 Some(&i) => rows[i] = row,
                 None => {

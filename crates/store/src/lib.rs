@@ -42,6 +42,7 @@ pub use fsck::{CompactReport, FsckReport};
 pub use store::{Options, RecoveryReport, Store, MANIFEST, QUARANTINE, WRITER_LOCK};
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// One committed scenario outcome — the store's unit of content.
 ///
@@ -49,23 +50,24 @@ use std::path::PathBuf;
 /// feeds the engine run), the six axis strings are the stable lowercase
 /// keys the scenario IR already defines, and the scalars are the
 /// engine's result counters. Encoded column-major per block; see
-/// [`frame`].
+/// [`frame`]. The axis strings are shared: every row decoded from one
+/// block points at that block's dictionary entries.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Row {
     /// Scenario content hash (`Scenario::digest()` upstream).
     pub digest: u128,
     /// Machine key, e.g. `dmz`.
-    pub system: String,
+    pub system: Arc<str>,
     /// Fidelity key, `quick` or `full`.
-    pub fidelity: String,
+    pub fidelity: Arc<str>,
     /// Placement scheme key, e.g. `scheme-a` or `scatter-local`.
-    pub placement: String,
+    pub placement: Arc<str>,
     /// MPI implementation key, e.g. `mpich2`.
-    pub mpi: String,
+    pub mpi: Arc<str>,
     /// Lock layer key, e.g. `sysv`.
-    pub lock: String,
+    pub lock: Arc<str>,
     /// Workload kind, e.g. `bsp` or `stream`.
-    pub workload: String,
+    pub workload: Arc<str>,
     /// World size.
     pub nranks: u32,
     /// Simulated makespan in seconds.
@@ -246,12 +248,12 @@ mod tests {
     fn row(i: u64) -> Row {
         Row {
             digest: u128::from(i) * 0x9E37_79B9_7F4A_7C15,
-            system: "dmz".to_string(),
-            fidelity: "quick".to_string(),
-            placement: "scatter-local".to_string(),
-            mpi: "mpich2".to_string(),
-            lock: "sysv".to_string(),
-            workload: "bsp".to_string(),
+            system: "dmz".into(),
+            fidelity: "quick".into(),
+            placement: "scatter-local".into(),
+            mpi: "mpich2".into(),
+            lock: "sysv".into(),
+            workload: "bsp".into(),
             nranks: 4,
             makespan: i as f64 * 0.5,
             events: i,

@@ -331,7 +331,7 @@ impl Store {
         };
         let mut store = Store {
             dir: dir.to_path_buf(),
-            tag: manifest.tag.clone(),
+            tag: manifest.tag,
             writable: false,
             options: Options::default(),
             segments: manifest.segments,
@@ -368,9 +368,10 @@ impl Store {
                 }
                 Err(e) => return Err(io_err(&path, e)),
             };
-            let scan = scan_segment(&buf, &seg.name, seg.committed_len);
-            for row in &scan.rows {
-                if self.committed.insert(row.digest) {
+            let scan = scan_segment(&buf, &seg.name, seg.committed_len, frame::block_digests);
+            self.committed.reserve(scan.rows.len());
+            for &digest in &scan.rows {
+                if self.committed.insert(digest) {
                     self.recovery.distinct += 1;
                 }
             }
@@ -656,8 +657,10 @@ impl Store {
     /// [`StoreError::Io`] when a listed segment cannot be read in
     /// writer mode (reader mode records it as missing instead).
     pub fn rows(&self) -> Result<Vec<Row>, StoreError> {
-        let mut rows: Vec<Row> = Vec::new();
-        let mut index: HashMap<u128, usize> = HashMap::new();
+        // Recovery set every segment's row count from its own scan.
+        let total = self.segments.iter().map(|s| s.rows as usize).sum();
+        let mut rows: Vec<Row> = Vec::with_capacity(total);
+        let mut index: HashMap<u128, usize> = HashMap::with_capacity(total);
         for seg in &self.segments {
             let path = self.dir.join(&seg.name);
             let buf = match std::fs::read(&path) {
@@ -665,7 +668,7 @@ impl Store {
                 Err(e) if e.kind() == ErrorKind::NotFound && !self.writable => continue,
                 Err(e) => return Err(io_err(&path, e)),
             };
-            let scan = scan_segment(&buf, &seg.name, seg.committed_len);
+            let scan = scan_segment(&buf, &seg.name, seg.committed_len, frame::decode_block);
             for row in scan.rows {
                 match index.get(&row.digest) {
                     Some(&i) => rows[i] = row,
@@ -709,8 +712,9 @@ impl Drop for Store {
 }
 
 /// Everything learned from one pass over one segment's bytes.
-pub(crate) struct SegmentScan {
-    pub rows: Vec<Row>,
+pub(crate) struct SegmentScan<T> {
+    /// What the block decoder made of each row: a [`Row`] or a digest.
+    pub rows: Vec<T>,
     /// End of the last valid frame (committed or adopted).
     pub valid_end: u64,
     pub adopted_frames: usize,
@@ -724,7 +728,17 @@ pub(crate) struct SegmentScan {
 /// Classifies every byte of a segment. Within `committed_len` damage is
 /// corruption (skip + resync); past it, valid frames are adopted and
 /// the first invalid byte is a torn append that ends the segment.
-pub(crate) fn scan_segment(buf: &[u8], name: &str, committed_len: u64) -> SegmentScan {
+///
+/// `decode` is [`frame::decode_block`] for callers that need the rows
+/// and [`frame::block_digests`] for those that need only the digests;
+/// both fail on exactly the same payloads, so the classification does
+/// not depend on the choice.
+pub(crate) fn scan_segment<T>(
+    buf: &[u8],
+    name: &str,
+    committed_len: u64,
+    decode: fn(&[u8]) -> Result<Vec<T>, String>,
+) -> SegmentScan<T> {
     let mut scan = SegmentScan {
         rows: Vec::new(),
         valid_end: 0,
@@ -760,7 +774,7 @@ pub(crate) fn scan_segment(buf: &[u8], name: &str, committed_len: u64) -> Segmen
         match frame::parse_frame(&buf[..committed], at) {
             frame::Parsed::Frame { payload, end } => {
                 scan.frames += 1;
-                match frame::decode_block(&payload) {
+                match decode(payload) {
                     Ok(rows) => scan.rows.extend(rows),
                     Err(reason) => scan.corrupt.push(Corruption {
                         segment: name.to_string(),
@@ -805,7 +819,7 @@ pub(crate) fn scan_segment(buf: &[u8], name: &str, committed_len: u64) -> Segmen
     let mut adopt_at = committed.max(data_start);
     while adopt_at < buf.len() {
         match frame::parse_frame(buf, adopt_at) {
-            frame::Parsed::Frame { payload, end } => match frame::decode_block(&payload) {
+            frame::Parsed::Frame { payload, end } => match decode(payload) {
                 Ok(rows) => {
                     scan.frames += 1;
                     scan.adopted_frames += 1;

@@ -69,12 +69,12 @@ fn mixed_row(seed: u64, j: u64) -> Row {
     let workloads = ["bsp", "stream", "alltoall", "dgemm"];
     Row {
         digest: (u128::from(next()) << 64) | u128::from(next()),
-        system: systems[(next() % 3) as usize].to_string(),
-        fidelity: if next() % 2 == 0 { "quick" } else { "full" }.to_string(),
-        placement: "scatter-local".to_string(),
-        mpi: "mpich2".to_string(),
-        lock: "sysv".to_string(),
-        workload: workloads[(next() % 4) as usize].to_string(),
+        system: systems[(next() % 3) as usize].into(),
+        fidelity: if next() % 2 == 0 { "quick" } else { "full" }.into(),
+        placement: "scatter-local".into(),
+        mpi: "mpich2".into(),
+        lock: "sysv".into(),
+        workload: workloads[(next() % 4) as usize].into(),
         nranks: (next() % 64 + 1) as u32,
         makespan: (next() % 1_000_000) as f64 * 1.0e-3,
         events: next() % 1_000_000,
@@ -94,7 +94,7 @@ fn frame_ends(bytes: &[u8]) -> (usize, Vec<(usize, usize)>) {
     while at < bytes.len() {
         match frame::parse_frame(bytes, at) {
             frame::Parsed::Frame { payload, end } => {
-                let rows = frame::decode_block(&payload).expect("golden frame").len();
+                let rows = frame::decode_block(payload).expect("golden frame").len();
                 ends.push((end, rows));
                 at = end;
             }
