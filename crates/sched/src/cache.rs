@@ -9,33 +9,57 @@
 //!
 //! Keys are scenario digests (see [`crate::scenario::Scenario::digest`]),
 //! which already fold in [`crate::ENGINE_TAG`]; the disk layout repeats
-//! the tag as a directory level (`<root>/<tag>/<digest>.css`) so stale
-//! engines' entries are orphaned wholesale and a `results/.cache` wipe of
-//! one tag cannot touch another's.
+//! the tag as a directory level (`<root>/<tag>/`) so stale engines'
+//! entries are orphaned wholesale and a `results/.cache` wipe of one tag
+//! cannot touch another's.
 //!
-//! Each disk entry is a one-frame store segment in the campaign store's
-//! format ([`corescope_store::frame`]): the segment header naming the
-//! engine tag, then one CRC frame holding one row with the digest and
-//! the result scalars (axis strings empty). A reader checks the tag, the
-//! frame CRC, that nothing follows the frame, and that the row's digest
-//! is the one in the file name, so a flipped bit, a torn file, another
-//! engine's entry or an entry copied under another name is a miss.
+//! The disk tier is a set of append-only *packs*, one per writing cache:
+//! `<root>/<tag>/pack-<pid>-<n>.css`. A pack is a campaign-store segment
+//! ([`corescope_store::frame`]): the segment header naming the engine
+//! tag, then one CRC frame per entry, each holding one row with the
+//! digest and the result scalars (axis strings empty). A cache creates
+//! its pack on its first [`ResultCache::put`] with `create_new` and takes
+//! the next `n` when the name is taken, so no two writers share a pack
+//! and a process that reuses a dead one's pid never appends to its pack.
+//! Each put appends one frame with one write, without fsync.
+//!
+//! Reads go through an in-memory offset index, digest → (pack, offset,
+//! length), that the first disk lookup builds: one `read_dir`, then each
+//! pack read once in bounded chunks and walked frame by frame, digests
+//! only. A hit reads its one frame at its offset and checks the CRC,
+//! that the frame ends where the index says and that the row's digest is
+//! the key; anything else is a counted corrupt miss. [`ResultCache::get`]
+//! never rescans after that first scan: [`ResultCache::claim_compute`]
+//! does, listing new packs and reading only the bytes appended since the
+//! last scan.
+//!
+//! Damage policy, as the campaign store's recovery has it: a frame cut
+//! off at a pack's end is a torn tail (a writer in the middle of an
+//! append, or killed in one), a plain miss that a later scan reads
+//! again. A bad CRC, bad magic or undecodable frame inside a pack counts
+//! once as a corrupt entry, and the scan resyncs on the next frame magic
+//! so later entries are still served. A pack whose header is damaged or
+//! names another engine counts once and is never indexed. Per-entry
+//! `<digest>.css` files of earlier versions are not packs: never read,
+//! plain misses.
 //!
 //! Failure policy: the cache is an accelerator, never a correctness
 //! dependency. Disk errors (unwritable directory, corrupt entry, partial
-//! file from a killed process) degrade to a miss; they are counted, not
-//! propagated. Writes go through [`lockfile::publish`] (temp file +
-//! rename, no fsync) so readers never observe a half-written entry.
+//! write from a killed process) degrade to a miss; they are counted, not
+//! propagated.
 
 use crate::encode::Digest;
 use crate::scenario::ScenarioResult;
 use crate::sink::{result_row, row_result};
 use corescope_store::frame;
 use corescope_store::lockfile::{self, LockError, LockFile};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::fs::{File, OpenOptions};
+use std::io::{ErrorKind, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A typed cache failure, surfaced where degrading to a miss would hide a
@@ -80,6 +104,18 @@ pub enum ComputeClaim {
 /// pass both fit in one generation, so none of them is ever evicted.
 const GENERATION: usize = 8192;
 
+/// Bytes one pack-scan read asks for: what a scan buffers at most.
+const SCAN_CHUNK: usize = 64 * 1024;
+
+/// Bytes of one entry's frame: the 12-byte frame header and an 88-byte
+/// payload (one row whose dictionary is the empty string).
+const ENTRY_FRAME: u64 = 100;
+
+/// Largest frame payload a scan takes for an entry; a frame header
+/// claiming more is damage, which keeps every frame a scan must hold
+/// whole well inside one [`SCAN_CHUNK`].
+const MAX_ENTRY_PAYLOAD: usize = 1024;
+
 /// The bounded memory tier: two generations, newest first.
 #[derive(Debug)]
 struct Generations {
@@ -122,6 +158,329 @@ impl Generations {
     }
 }
 
+/// Where an indexed entry's frame lies. 16 bytes, so an index slot
+/// (digest, location and the hash table's control byte) is 33 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Loc {
+    pack: u32,
+    len: u32,
+    offset: u64,
+}
+
+/// How far a pack's scan has got.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// The segment header is not yet wholly on disk.
+    Header,
+    /// `Pack::at` is a frame boundary, or the start of a torn tail.
+    Frames,
+    /// `Pack::at` is inside damage already counted: find the next frame
+    /// magic before classifying again.
+    Resync,
+    /// The header is damaged or names another engine: never indexed.
+    Dead,
+}
+
+/// One pack, open for positioned reads.
+#[derive(Debug)]
+struct Pack {
+    file: Arc<File>,
+    /// Every byte before this one is indexed or counted.
+    at: u64,
+    phase: Phase,
+}
+
+/// What the bytes at a frame boundary are.
+enum Step {
+    /// A whole CRC-valid frame holding one row.
+    Entry { digest: u128, end: usize },
+    /// A frame that runs past the bytes read: read on, or (at the end of
+    /// the file) a torn tail.
+    Partial,
+    /// Anything else.
+    Damage,
+}
+
+/// Classifies the bytes at `pos` of `window`, which holds everything up
+/// to the end of the file when `eof`.
+fn step(window: &[u8], pos: usize, eof: bool) -> Step {
+    let rest = &window[pos..];
+    if rest.len() >= 8 && rest[..4] == frame::FRAME_MAGIC {
+        let len = u32::from_le_bytes(rest[4..8].try_into().unwrap()) as usize;
+        if len > MAX_ENTRY_PAYLOAD {
+            return Step::Damage;
+        }
+    }
+    match frame::parse_frame(window, pos) {
+        frame::Parsed::Frame { payload, end } => match frame::block_digests(payload).as_deref() {
+            Ok(&[digest]) => Step::Entry { digest, end },
+            _ => Step::Damage,
+        },
+        // Cut off at the end of the file: a torn tail, unless whole
+        // frames follow it (then its length field is what is damaged).
+        frame::Parsed::Truncated if !eof || !frame_follows(window, pos) => Step::Partial,
+        _ => Step::Damage,
+    }
+}
+
+/// Whether a CRC-valid frame starts anywhere in `window` after `pos`.
+fn frame_follows(window: &[u8], mut pos: usize) -> bool {
+    while let Some(next) = frame::resync(window, pos) {
+        if matches!(frame::parse_frame(window, next), frame::Parsed::Frame { .. }) {
+            return true;
+        }
+        pos = next;
+    }
+    false
+}
+
+/// Reads from `offset` until `buf` is full or the file ends, returning
+/// the bytes read.
+fn read_at_most(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<usize> {
+    let mut n = 0;
+    while n < buf.len() {
+        match file.read_at(&mut buf[n..], offset + n as u64) {
+            Ok(0) => break,
+            Ok(k) => n += k,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(n)
+}
+
+impl Pack {
+    /// Classifies the bytes written since the last scan, indexing each
+    /// entry as pack `no` and counting each damaged region once.
+    fn scan(
+        &mut self,
+        no: u32,
+        index: &mut HashMap<u128, Loc>,
+        buf: &mut Vec<u8>,
+        counters: &Counters,
+    ) {
+        if buf.len() < SCAN_CHUNK {
+            buf.resize(SCAN_CHUNK, 0);
+        }
+        while self.phase != Phase::Dead {
+            let n = match read_at_most(&self.file, buf, self.at) {
+                Ok(n) => n,
+                Err(_) => return counters.disk_error(),
+            };
+            let eof = n < buf.len();
+            self.at += self.walk(&buf[..n], eof, no, index, counters) as u64;
+            if eof {
+                return;
+            }
+        }
+    }
+
+    /// Walks `window`, the bytes from `self.at`, and returns how many of
+    /// them are classified. Short of `eof` that is always some: every
+    /// frame a scan takes fits in one window.
+    fn walk(
+        &mut self,
+        window: &[u8],
+        eof: bool,
+        no: u32,
+        index: &mut HashMap<u128, Loc>,
+        counters: &Counters,
+    ) -> usize {
+        let mut pos = 0;
+        loop {
+            match self.phase {
+                Phase::Dead => return pos,
+                Phase::Header => {
+                    let header = frame::segment_header(crate::ENGINE_TAG);
+                    if window.starts_with(&header) {
+                        pos = header.len();
+                        self.phase = Phase::Frames;
+                    } else if eof && header.starts_with(window) {
+                        return 0;
+                    } else {
+                        counters.corrupt();
+                        self.phase = Phase::Dead;
+                    }
+                }
+                Phase::Resync => {
+                    match window[pos..].windows(4).position(|w| w == frame::FRAME_MAGIC) {
+                        Some(skip) => {
+                            pos += skip;
+                            self.phase = Phase::Frames;
+                        }
+                        // Keep three bytes: a magic may straddle the window.
+                        None => return window.len().saturating_sub(3).max(pos),
+                    }
+                }
+                Phase::Frames if pos == window.len() => return pos,
+                Phase::Frames => match step(window, pos, eof) {
+                    Step::Entry { digest, end } => {
+                        let len = (end - pos) as u32;
+                        index.insert(digest, Loc { pack: no, len, offset: self.at + pos as u64 });
+                        pos = end;
+                    }
+                    Step::Partial => return pos,
+                    Step::Damage => {
+                        counters.corrupt();
+                        self.phase = Phase::Resync;
+                        pos += 1;
+                    }
+                },
+            }
+        }
+    }
+}
+
+/// This cache's own pack: `packs[pack]`, `len` bytes long.
+#[derive(Debug, Clone, Copy)]
+struct Writer {
+    pack: usize,
+    len: u64,
+}
+
+/// The disk tier's packs, offset index and writer.
+#[derive(Debug, Default)]
+struct DiskState {
+    /// Whether a scan has listed the directory yet.
+    listed: bool,
+    packs: Vec<Pack>,
+    /// The file names of `packs`, so a rescan opens only new ones.
+    names: HashSet<String>,
+    index: HashMap<u128, Loc>,
+    writer: Option<Writer>,
+    /// The `n` of the next `pack-<pid>-<n>.css` this cache tries.
+    next_pack: u64,
+    /// The scan buffer, kept between scans.
+    buf: Vec<u8>,
+}
+
+/// Whether `name` is `pack-<pid>-<n>.css`.
+fn is_pack_name(name: &str) -> bool {
+    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    name.strip_prefix("pack-")
+        .and_then(|rest| rest.strip_suffix(".css"))
+        .and_then(|rest| rest.split_once('-'))
+        .is_some_and(|(pid, n)| digits(pid) && digits(n))
+}
+
+impl DiskState {
+    fn add_pack(&mut self, name: String, file: File, at: u64, phase: Phase) -> usize {
+        self.names.insert(name);
+        self.packs.push(Pack { file: Arc::new(file), at, phase });
+        self.packs.len() - 1
+    }
+
+    /// Lists packs not seen yet, then scans every pack past what it has
+    /// already classified.
+    fn rescan(&mut self, dir: &Path, counters: &Counters) {
+        self.listed = true;
+        match std::fs::read_dir(dir) {
+            Ok(entries) => {
+                for entry in entries.flatten() {
+                    let Ok(name) = entry.file_name().into_string() else { continue };
+                    if !is_pack_name(&name) || self.names.contains(&name) {
+                        continue;
+                    }
+                    match File::open(dir.join(&name)) {
+                        Ok(file) => {
+                            // Size the index for the pack's entries in one
+                            // allocation rather than a chain of doublings.
+                            let len = file.metadata().map_or(0, |meta| meta.len());
+                            self.index.reserve((len / ENTRY_FRAME) as usize);
+                            self.add_pack(name, file, 0, Phase::Header);
+                        }
+                        Err(e) if e.kind() == ErrorKind::NotFound => {}
+                        Err(_) => counters.disk_error(),
+                    }
+                }
+            }
+            // No directory (or a file in its place) holds no entries.
+            Err(e) if matches!(e.kind(), ErrorKind::NotFound | ErrorKind::NotADirectory) => {}
+            Err(_) => counters.disk_error(),
+        }
+        for (no, pack) in self.packs.iter_mut().enumerate() {
+            pack.scan(no as u32, &mut self.index, &mut self.buf, counters);
+        }
+    }
+
+    fn find(&self, digest: Digest) -> Option<(Arc<File>, Loc)> {
+        let loc = *self.index.get(&digest.0)?;
+        Some((Arc::clone(&self.packs[loc.pack as usize].file), loc))
+    }
+
+    /// Creates and registers a new pack of this cache's own, skipping
+    /// names already taken.
+    fn create_pack(&mut self, dir: &Path) -> std::io::Result<Writer> {
+        std::fs::create_dir_all(dir)?;
+        let header = frame::segment_header(crate::ENGINE_TAG);
+        loop {
+            let name = format!("pack-{}-{}.css", std::process::id(), self.next_pack);
+            self.next_pack += 1;
+            let opened =
+                OpenOptions::new().read(true).append(true).create_new(true).open(dir.join(&name));
+            let file = match opened {
+                Ok(file) => file,
+                Err(e) if e.kind() == ErrorKind::AlreadyExists => continue,
+                Err(e) => return Err(e),
+            };
+            (&file).write_all(&header)?;
+            let len = header.len() as u64;
+            return Ok(Writer { pack: self.add_pack(name, file, len, Phase::Frames), len });
+        }
+    }
+
+    /// Appends one entry frame to this cache's pack, creating the pack
+    /// first if there is none.
+    fn append(&mut self, dir: &Path, digest: Digest, bytes: &[u8]) -> std::io::Result<()> {
+        let writer = match self.writer {
+            Some(writer) => writer,
+            None => self.create_pack(dir)?,
+        };
+        if let Err(e) = (&*self.packs[writer.pack].file).write_all(bytes) {
+            // How much of the frame landed is unknown: the next put
+            // starts a new pack.
+            self.writer = None;
+            return Err(e);
+        }
+        let len = bytes.len() as u64;
+        self.writer = Some(Writer { len: writer.len + len, ..writer });
+        let pack = &mut self.packs[writer.pack];
+        if pack.at == writer.len {
+            pack.at += len;
+            let loc = Loc { pack: writer.pack as u32, len: len as u32, offset: writer.len };
+            self.index.insert(digest.0, loc);
+        }
+        Ok(())
+    }
+}
+
+/// Reads the frame `loc` names and checks that it is `digest`'s entry.
+fn read_frame(file: &File, loc: Loc, digest: Digest) -> Option<ScenarioResult> {
+    let mut buf = [0u8; frame::FRAME_HEADER + MAX_ENTRY_PAYLOAD];
+    let bytes = buf.get_mut(..loc.len as usize)?;
+    file.read_exact_at(bytes, loc.offset).ok()?;
+    let frame::Parsed::Frame { payload, end } = frame::parse_frame(bytes, 0) else {
+        return None;
+    };
+    match frame::decode_block(payload).ok()?.as_slice() {
+        [row] if end == bytes.len() && row.digest == digest.0 => Some(row_result(row)),
+        _ => None,
+    }
+}
+
+/// The disk tier: `<root>/<ENGINE_TAG>` and what is known of it.
+#[derive(Debug)]
+struct Disk {
+    dir: PathBuf,
+    state: Mutex<DiskState>,
+}
+
+impl Disk {
+    fn state(&self) -> MutexGuard<'_, DiskState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// Where a cache lookup was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheTier {
@@ -161,6 +520,19 @@ struct Counters {
     evicted: AtomicUsize,
 }
 
+impl Counters {
+    fn disk_error(&self) {
+        self.disk_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Bytes were present but untrustworthy: count the corruption as
+    /// well as the degradation to a miss.
+    fn corrupt(&self) {
+        self.disk_error();
+        self.corrupt_entries.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// A snapshot of cache activity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
@@ -172,8 +544,10 @@ pub struct CacheStats {
     pub misses: usize,
     /// Disk reads/writes that failed and were treated as misses.
     pub disk_errors: usize,
-    /// Entries that existed but failed validation (CRC mismatch, bad
-    /// decode, foreign engine tag) — a subset of `disk_errors`.
+    /// Damage found on disk — a damaged region inside a pack (CRC
+    /// mismatch, bad magic, bad decode), a pack with a damaged or foreign
+    /// header, or an indexed frame failing its checks — a subset of
+    /// `disk_errors`.
     pub corrupt_entries: usize,
     /// Entry writes that failed (typically an unwritable directory) — a
     /// subset of `disk_errors`.
@@ -191,33 +565,32 @@ pub struct CacheStats {
 #[derive(Debug)]
 pub struct ResultCache {
     memory: Mutex<Generations>,
-    /// `<root>/<ENGINE_TAG>` of a disk-backed cache, joined once.
-    tag_dir: Option<PathBuf>,
+    disk: Option<Disk>,
     lock_timeout: Duration,
     counters: Counters,
 }
 
 impl ResultCache {
-    /// An in-memory-only cache.
-    pub fn in_memory() -> Self {
+    fn with_disk(disk: Option<Disk>) -> Self {
         Self {
             memory: Mutex::new(Generations::new(GENERATION)),
-            tag_dir: None,
+            disk,
             lock_timeout: lockfile::LOCK_TIMEOUT,
             counters: Counters::default(),
         }
     }
 
+    /// An in-memory-only cache.
+    pub fn in_memory() -> Self {
+        Self::with_disk(None)
+    }
+
     /// A cache backed by `root` (conventionally `results/.cache`).
-    /// Entries land under `<root>/<ENGINE_TAG>/`. The directory is
+    /// Packs land under `<root>/<ENGINE_TAG>/`. The directory is
     /// created lazily on first store.
     pub fn on_disk(root: impl Into<PathBuf>) -> Self {
-        Self {
-            memory: Mutex::new(Generations::new(GENERATION)),
-            tag_dir: Some(root.into().join(crate::ENGINE_TAG)),
-            lock_timeout: lockfile::LOCK_TIMEOUT,
-            counters: Counters::default(),
-        }
+        let dir = root.into().join(crate::ENGINE_TAG);
+        Self::with_disk(Some(Disk { dir, state: Mutex::default() }))
     }
 
     /// Like [`ResultCache::on_disk`], but probes the directory up front:
@@ -252,13 +625,13 @@ impl ResultCache {
         self
     }
 
-    /// The directory entries are stored in, if disk-backed.
+    /// The directory packs are stored in, if disk-backed.
     pub fn tag_dir(&self) -> Option<PathBuf> {
-        self.tag_dir.clone()
+        self.disk.as_ref().map(|disk| disk.dir.clone())
     }
 
-    fn entry_path(&self, digest: Digest) -> Option<PathBuf> {
-        self.tag_dir.as_ref().map(|dir| dir.join(format!("{}.css", digest.hex())))
+    fn lock_path(&self, digest: Digest) -> Option<PathBuf> {
+        self.disk.as_ref().map(|disk| disk.dir.join(format!("{}.lock", digest.hex())))
     }
 
     /// Stores `result` in the memory tier, counting what a generation
@@ -270,8 +643,24 @@ impl ResultCache {
         }
     }
 
+    /// Reads an indexed entry, counting one that fails its checks as
+    /// corrupt.
+    fn read_indexed(
+        &self,
+        found: Option<(Arc<File>, Loc)>,
+        digest: Digest,
+    ) -> Option<ScenarioResult> {
+        let (file, loc) = found?;
+        let result = read_frame(&file, loc, digest);
+        if result.is_none() {
+            self.counters.corrupt();
+        }
+        result
+    }
+
     /// Looks a digest up, reporting which tier answered. A disk hit is
-    /// promoted into memory.
+    /// promoted into memory. The first disk lookup builds the offset
+    /// index; later ones only consult it.
     pub fn get(&self, digest: Digest) -> Option<(ScenarioResult, CacheTier)> {
         if let Ok(mut memory) = self.memory.lock() {
             if let Some((hit, evicted)) = memory.get(digest.0) {
@@ -280,41 +669,56 @@ impl ResultCache {
                 return Some((hit, CacheTier::Memory));
             }
         }
-        if let Some(path) = self.entry_path(digest) {
-            match read_entry(&path, digest) {
-                Ok(Some(result)) => {
-                    self.counters.hits_disk.fetch_add(1, Ordering::Relaxed);
-                    self.insert(digest, result);
-                    return Some((result, CacheTier::Disk));
+        if let Some(disk) = &self.disk {
+            let found = {
+                let mut state = disk.state();
+                if !state.listed {
+                    state.rescan(&disk.dir, &self.counters);
                 }
-                Ok(None) => {}
-                Err(()) => {
-                    // Bytes were present but untrustworthy: count the
-                    // corruption as well as the degradation to a miss.
-                    self.counters.disk_errors.fetch_add(1, Ordering::Relaxed);
-                    self.counters.corrupt_entries.fetch_add(1, Ordering::Relaxed);
-                }
+                state.find(digest)
+            };
+            if let Some(result) = self.read_indexed(found, digest) {
+                self.counters.hits_disk.fetch_add(1, Ordering::Relaxed);
+                self.insert(digest, result);
+                return Some((result, CacheTier::Disk));
             }
         }
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
         None
     }
 
-    /// Stores a fresh result in memory and (best-effort) on disk.
+    /// Stores a fresh result in memory and (best-effort) appends it to
+    /// this cache's pack.
     pub fn put(&self, digest: Digest, result: &ScenarioResult) {
         self.insert(digest, *result);
-        if let Some(path) = self.entry_path(digest) {
-            if write_entry(&path, digest, result).is_err() {
-                self.counters.disk_errors.fetch_add(1, Ordering::Relaxed);
+        if let Some(disk) = &self.disk {
+            let appended = frame::encode_block(&[result_row(digest, result)])
+                .map_err(|_| ())
+                .and_then(|payload| {
+                    let bytes = frame::frame_bytes(&payload);
+                    disk.state().append(&disk.dir, digest, &bytes).map_err(|_| ())
+                });
+            if appended.is_err() {
+                self.counters.disk_error();
                 self.counters.unwritable.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
+    /// Scans what was written since the last scan, then looks `digest` up.
+    fn refresh(&self, disk: &Disk, digest: Digest) -> Option<ScenarioResult> {
+        let found = {
+            let mut state = disk.state();
+            state.rescan(&disk.dir, &self.counters);
+            state.find(digest)
+        };
+        self.read_indexed(found, digest)
+    }
+
     /// Claims the right to compute `digest`, single-flight **across
     /// processes**, through a [`LockFile`] at `<hex>.lock`:
     ///
-    /// 1. the winner re-checks the entry (the previous owner may have
+    /// 1. the winner re-checks the packs (the previous owner may have
     ///    published between our miss and the lock) and becomes the
     ///    owner; a dead owner's lock is taken over at once and counted;
     /// 2. losers poll: entry appeared → return it; the lock turned stale
@@ -322,21 +726,19 @@ impl ResultCache {
     ///    from, but a waiter that has waited one lock timeout computes
     ///    without the lock, so a wedged owner cannot hang it.
     ///
-    /// Publication itself stays temp file + atomic rename, so readers
-    /// never observe a torn entry, locked or not. Any locking I/O error
-    /// degrades to `Owner(None)` — worst case is a duplicated compute,
-    /// never a corrupt entry or a hang.
+    /// Each re-check is an incremental scan: new packs, then the bytes
+    /// appended since the last scan. An owner's frame that is only partly
+    /// written is a torn tail, a plain miss until it is whole. Any
+    /// locking I/O error degrades to `Owner(None)` — worst case is a
+    /// duplicated compute, never a corrupt entry or a hang.
     pub fn claim_compute(&self, digest: Digest) -> ComputeClaim {
-        let Some(path) = self.entry_path(digest) else {
+        let (Some(disk), Some(lock_path)) = (&self.disk, self.lock_path(digest)) else {
             return ComputeClaim::Owner(None);
         };
-        if let Some(dir) = path.parent() {
-            if std::fs::create_dir_all(dir).is_err() {
-                self.counters.disk_errors.fetch_add(1, Ordering::Relaxed);
-                return ComputeClaim::Owner(None);
-            }
+        if std::fs::create_dir_all(&disk.dir).is_err() {
+            self.counters.disk_error();
+            return ComputeClaim::Owner(None);
         }
-        let lock_path = path.with_extension("lock");
         let poll =
             (self.lock_timeout / 16).clamp(Duration::from_millis(2), Duration::from_millis(250));
         let bail_out = Instant::now() + self.lock_timeout;
@@ -346,7 +748,7 @@ impl ResultCache {
                     if lock.took_over() {
                         self.counters.lock_takeovers.fetch_add(1, Ordering::Relaxed);
                     }
-                    if let Ok(Some(result)) = read_entry(&path, digest) {
+                    if let Some(result) = self.refresh(disk, digest) {
                         // Published while we raced for the lock.
                         return self.published(digest, result);
                     }
@@ -354,18 +756,16 @@ impl ResultCache {
                 }
                 Err(LockError::Held(_)) => {
                     std::thread::sleep(poll);
-                    // A torn entry under a live lock reads as an error:
-                    // keep waiting for the owner to republish or die.
-                    if let Ok(Some(result)) = read_entry(&path, digest) {
+                    if let Some(result) = self.refresh(disk, digest) {
                         return self.published(digest, result);
                     }
                     if Instant::now() > bail_out {
-                        self.counters.disk_errors.fetch_add(1, Ordering::Relaxed);
+                        self.counters.disk_error();
                         return ComputeClaim::Owner(None);
                     }
                 }
                 Err(LockError::Io(_)) => {
-                    self.counters.disk_errors.fetch_add(1, Ordering::Relaxed);
+                    self.counters.disk_error();
                     return ComputeClaim::Owner(None);
                 }
             }
@@ -392,46 +792,6 @@ impl ResultCache {
             evicted: self.counters.evicted.load(Ordering::Relaxed),
         }
     }
-}
-
-/// `Ok(None)` means "no entry"; `Err(())` means bytes exist but are not
-/// `digest`'s entry under this engine (or reading them failed), which
-/// [`ResultCache::get`] counts as corruption and treats as a miss.
-fn read_entry(path: &Path, digest: Digest) -> Result<Option<ScenarioResult>, ()> {
-    match std::fs::read(path) {
-        Ok(bytes) => decode_entry(&bytes, digest).map(Some).ok_or(()),
-        // `!exists()` catches ENOTDIR (a file blocking the tag dir) and
-        // friends: no entry bytes exist, so it is a miss, not corruption.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound || !path.exists() => Ok(None),
-        Err(_) => Err(()),
-    }
-}
-
-/// Decodes a one-frame segment: header, one CRC-valid frame ending the
-/// file, one row whose digest is `digest`.
-fn decode_entry(bytes: &[u8], digest: Digest) -> Option<ScenarioResult> {
-    let (tag, start) = frame::parse_segment_header(bytes).ok()?;
-    let frame::Parsed::Frame { payload, end } = frame::parse_frame(bytes, start) else {
-        return None;
-    };
-    match frame::decode_block(payload).ok()?.as_slice() {
-        [row] if tag == crate::ENGINE_TAG && end == bytes.len() && row.digest == digest.0 => {
-            Some(row_result(row))
-        }
-        _ => None,
-    }
-}
-
-fn encode_entry(digest: Digest, result: &ScenarioResult) -> Result<Vec<u8>, String> {
-    let mut bytes = frame::segment_header(crate::ENGINE_TAG);
-    bytes.extend(frame::frame_bytes(&frame::encode_block(&[result_row(digest, result)])?));
-    Ok(bytes)
-}
-
-fn write_entry(path: &Path, digest: Digest, result: &ScenarioResult) -> Result<(), String> {
-    let dir = path.parent().ok_or("cache entry path has no parent")?;
-    std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    lockfile::publish(path, &encode_entry(digest, result)?, false).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -486,14 +846,55 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// One entry's frame, as a put appends it.
+    fn entry_frame(digest: Digest, result: &ScenarioResult) -> Vec<u8> {
+        frame::frame_bytes(&frame::encode_block(&[result_row(digest, result)]).unwrap())
+    }
+
+    /// A pack: the segment header of `tag`, then `frames`.
+    fn pack_under(tag: &str, frames: &[Vec<u8>]) -> Vec<u8> {
+        let mut bytes = frame::segment_header(tag);
+        for frame in frames {
+            bytes.extend_from_slice(frame);
+        }
+        bytes
+    }
+
+    /// Bytes of the header every pack of this engine starts with.
+    fn header_len() -> usize {
+        frame::segment_header(crate::ENGINE_TAG).len()
+    }
+
+    /// The packs in the cache's tag directory, sorted by name.
+    fn packs(cache: &ResultCache) -> Vec<PathBuf> {
+        let mut packs: Vec<PathBuf> = std::fs::read_dir(cache.tag_dir().unwrap())
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.file_name().and_then(|n| n.to_str()).is_some_and(is_pack_name))
+            .collect();
+        packs.sort();
+        packs
+    }
+
+    /// The one pack in the cache's tag directory.
+    fn the_pack(cache: &ResultCache) -> PathBuf {
+        let packs = packs(cache);
+        assert_eq!(packs.len(), 1, "{packs:?}");
+        packs[0].clone()
+    }
+
+    fn append(path: &Path, bytes: &[u8]) {
+        OpenOptions::new().append(true).open(path).unwrap().write_all(bytes).unwrap();
+    }
+
     #[test]
     fn corrupt_entries_degrade_to_misses() {
         let root = tmpdir("corrupt");
         let cache = ResultCache::on_disk(&root);
         let d = Digest(5);
-        let path = cache.entry_path(d).unwrap();
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, "not json at all").unwrap();
+        let dir = cache.tag_dir().unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("pack-0-0.css"), "not json at all").unwrap();
         assert!(cache.get(d).is_none());
         let stats = cache.stats();
         assert_eq!((stats.disk_errors, stats.corrupt_entries), (1, 1));
@@ -504,33 +905,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
-    /// A CRC-valid entry for `digest` framed under the segment header of
-    /// `tag`: only the tag (or the digest) can tell it apart.
-    fn entry_under(tag: &str, digest: Digest, result: &ScenarioResult) -> Vec<u8> {
-        let mut bytes = frame::segment_header(tag);
-        bytes.extend(frame::frame_bytes(
-            &frame::encode_block(&[result_row(digest, result)]).unwrap(),
-        ));
-        bytes
-    }
-
     #[test]
     fn foreign_engine_tags_are_rejected() {
         let root = tmpdir("tag");
         let cache = ResultCache::on_disk(&root);
         let d = Digest(11);
-        let path = cache.entry_path(d).unwrap();
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        // Same bytes as a real entry, down to a valid frame CRC, except
+        // Same bytes as a real pack, down to a valid frame CRC, except
         // for the engine tag in the segment header.
+        cache.put(d, &result(9.0));
         assert_eq!(
-            entry_under(crate::ENGINE_TAG, d, &result(9.0)),
-            encode_entry(d, &result(9.0)).unwrap()
+            std::fs::read(the_pack(&cache)).unwrap(),
+            pack_under(crate::ENGINE_TAG, &[entry_frame(d, &result(9.0))])
         );
-        std::fs::write(&path, entry_under("other-engine", d, &result(9.0))).unwrap();
-        assert!(cache.get(d).is_none());
-        let stats = cache.stats();
-        assert_eq!((stats.disk_errors, stats.corrupt_entries), (1, 1));
+        let dir = cache.tag_dir().unwrap();
+        // Another engine's tag, and one as long as ours, so that frames
+        // would line up if only the header's length were checked.
+        let same_length = format!("{}X", &crate::ENGINE_TAG[..crate::ENGINE_TAG.len() - 1]);
+        for tag in ["other-engine", &same_length] {
+            std::fs::remove_dir_all(&dir).unwrap();
+            std::fs::create_dir_all(&dir).unwrap();
+            let foreign = pack_under(tag, &[entry_frame(d, &result(9.0))]);
+            std::fs::write(dir.join("pack-0-0.css"), foreign).unwrap();
+            let fresh = ResultCache::on_disk(&root);
+            assert!(fresh.get(d).is_none(), "{tag}");
+            let stats = fresh.stats();
+            assert_eq!((stats.disk_errors, stats.corrupt_entries), (1, 1), "{tag}");
+            // The pack is never indexed, and a rescan does not count it
+            // again.
+            match fresh.claim_compute(d) {
+                ComputeClaim::Owner(Some(lock)) => drop(lock),
+                other => panic!("{tag}: a foreign pack must not publish, got {other:?}"),
+            }
+            assert_eq!(fresh.stats().corrupt_entries, 1, "{tag}");
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -540,9 +947,16 @@ mod tests {
         let cache = ResultCache::on_disk(&root);
         let (d, other) = (Digest(12), Digest(13));
         cache.put(d, &result(8.0));
-        let path = cache.entry_path(d).unwrap();
-        std::fs::copy(&path, cache.entry_path(other).unwrap()).unwrap();
+        cache.put(other, &result(9.0));
         let fresh = ResultCache::on_disk(&root);
+        assert!(fresh.get(Digest(14)).is_none(), "builds the index");
+        // Copy d's frame over other's in place, after the index was built:
+        // only the digest check can tell.
+        let path = the_pack(&cache);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let frame_len = entry_frame(d, &result(8.0)).len();
+        bytes.copy_within(header_len()..header_len() + frame_len, header_len() + frame_len);
+        std::fs::write(&path, bytes).unwrap();
         assert!(fresh.get(other).is_none(), "another digest's result must not be served");
         let stats = fresh.stats();
         assert_eq!((stats.disk_errors, stats.corrupt_entries), (1, 1));
@@ -556,14 +970,17 @@ mod tests {
         let cache = ResultCache::on_disk(&root);
         let d = Digest(21);
         cache.put(d, &result(4.0));
-        let path = cache.entry_path(d).unwrap();
-        // Simulate a writer killed mid-write *without* atomic rename: the
-        // entry is truncated in the middle of its frame.
+        let path = the_pack(&cache);
+        // Simulate a writer killed mid-append: the pack ends in the
+        // middle of the entry's frame.
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
         let fresh = ResultCache::on_disk(&root);
         assert!(fresh.get(d).is_none(), "torn entry must read as a miss");
-        assert_eq!(fresh.stats().disk_errors, 1);
+        // A torn tail is what a live writer's append looks like too: a
+        // plain miss, not a counted error.
+        let stats = fresh.stats();
+        assert_eq!((stats.disk_errors, stats.corrupt_entries), (0, 0));
         // Republishing repairs it for every later reader.
         fresh.put(d, &result(4.0));
         let reader = ResultCache::on_disk(&root);
@@ -577,7 +994,9 @@ mod tests {
         let cache = ResultCache::on_disk(&root);
         let d = Digest(77);
         cache.put(d, &result(3.5));
-        let path = cache.entry_path(d).unwrap();
+        let indexed = ResultCache::on_disk(&root);
+        assert!(indexed.get(Digest(78)).is_none(), "builds the index before the flip");
+        let path = the_pack(&cache);
         let bytes = std::fs::read(&path).unwrap();
         // Change the events count from 42 to 43 inside the frame. The
         // block still decodes — only the CRC frame check can tell.
@@ -590,6 +1009,179 @@ mod tests {
         assert!(fresh.get(d).is_none(), "tampered entry must not be served");
         let stats = fresh.stats();
         assert_eq!((stats.corrupt_entries, stats.disk_errors), (1, 1));
+        // The hit's own CRC check catches a flip made after the scan.
+        assert!(indexed.get(d).is_none(), "an entry tampered after indexing was served");
+        let stats = indexed.stats();
+        assert_eq!((stats.corrupt_entries, stats.disk_errors), (1, 1));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_warm_cache_opens_no_file_per_hit() {
+        let root = tmpdir("warm");
+        let writer = ResultCache::on_disk(&root);
+        let keys: Vec<Digest> = (0..50).map(|k| Digest(1_000 + k)).collect();
+        for (i, &key) in keys.iter().enumerate() {
+            writer.put(key, &result(i as f64));
+        }
+        let reader = ResultCache::on_disk(&root);
+        assert_eq!(reader.get(keys[0]).unwrap(), (result(0.0), CacheTier::Disk));
+        // One get built the index and opened the pack: with the tag
+        // directory renamed away, no entry can be opened by name.
+        std::fs::rename(reader.tag_dir().unwrap(), root.join("moved")).unwrap();
+        for (i, &key) in keys.iter().enumerate().skip(1) {
+            assert_eq!(reader.get(key).unwrap(), (result(i as f64), CacheTier::Disk), "{i}");
+        }
+        let stats = reader.stats();
+        assert_eq!((stats.hits_disk, stats.misses, stats.disk_errors), (keys.len(), 0, 0));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn two_caches_on_one_root_publish_through_claim_compute() {
+        let root = tmpdir("two");
+        let (a, b) = (ResultCache::on_disk(&root), ResultCache::on_disk(&root));
+        let keys: Vec<Digest> = (0..20).map(|k| Digest(2_000 + k)).collect();
+        assert!(b.get(keys[0]).is_none(), "b's index is built before a writes");
+        for (i, &key) in keys.iter().enumerate() {
+            a.put(key, &result(i as f64));
+        }
+        assert!(b.get(keys[0]).is_none(), "get never rescans");
+        for (i, &key) in keys.iter().enumerate() {
+            match b.claim_compute(key) {
+                ComputeClaim::Published(res) => assert_eq!(res, result(i as f64)),
+                other => panic!("a's entry {i} must come back published, got {other:?}"),
+            }
+            assert_eq!(b.get(key).unwrap(), (result(i as f64), CacheTier::Memory));
+        }
+        let stats = b.stats();
+        assert_eq!((stats.hits_disk, stats.disk_errors), (keys.len(), 0));
+        assert_eq!(packs(&b).len(), 1, "b wrote nothing");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_torn_tail_is_a_plain_miss_until_the_frame_is_whole() {
+        let root = tmpdir("tail");
+        let cache = ResultCache::on_disk(&root);
+        let (d1, d2) = (Digest(41), Digest(42));
+        cache.put(d1, &result(1.0));
+        let path = the_pack(&cache);
+        // A writer in the middle of its append: half of d2's frame is on
+        // disk.
+        let frame2 = entry_frame(d2, &result(2.0));
+        let (head, tail) = frame2.split_at(frame2.len() / 2);
+        append(&path, head);
+        let reader = ResultCache::on_disk(&root);
+        assert_eq!(reader.get(d1).unwrap(), (result(1.0), CacheTier::Disk));
+        assert!(reader.get(d2).is_none());
+        append(&path, tail);
+        match reader.claim_compute(d2) {
+            ComputeClaim::Published(res) => assert_eq!(res, result(2.0)),
+            other => panic!("the completed frame must be served, got {other:?}"),
+        }
+        let stats = reader.stats();
+        assert_eq!((stats.disk_errors, stats.corrupt_entries), (0, 0));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn an_interior_flip_counts_once_and_later_frames_still_hit() {
+        let frame_len = entry_frame(Digest(52), &result(1.0)).len();
+        // A flip in the middle frame's payload (a CRC mismatch), and one in
+        // its length field that makes the frame claim to run past the end
+        // of the pack (whole frames after it make that damage, not a tail).
+        for (label, at, bit) in [("payload", frame_len / 2, 0x10), ("length", 4, 0x80)] {
+            let root = tmpdir(&format!("flip-{label}"));
+            let cache = ResultCache::on_disk(&root);
+            let keys = [Digest(51), Digest(52), Digest(53)];
+            for (i, &key) in keys.iter().enumerate() {
+                cache.put(key, &result(i as f64));
+            }
+            let path = the_pack(&cache);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[header_len() + frame_len + at] ^= bit;
+            std::fs::write(&path, bytes).unwrap();
+            let reader = ResultCache::on_disk(&root);
+            assert!(reader.get(keys[1]).is_none(), "{label}: the flipped entry was served");
+            assert_eq!(reader.get(keys[0]).unwrap(), (result(0.0), CacheTier::Disk), "{label}");
+            assert_eq!(reader.get(keys[2]).unwrap(), (result(2.0), CacheTier::Disk), "{label}");
+            // A rescan reads only new bytes: the damage is not counted again.
+            match reader.claim_compute(Digest(54)) {
+                ComputeClaim::Owner(Some(lock)) => drop(lock),
+                other => panic!("{label}: nothing publishes digest 54, got {other:?}"),
+            }
+            let stats = reader.stats();
+            assert_eq!((stats.corrupt_entries, stats.disk_errors), (1, 1), "{label}");
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
+
+    #[test]
+    fn a_length_field_past_the_scan_window_is_damage_not_a_stall() {
+        let root = tmpdir("long-length");
+        let cache = ResultCache::on_disk(&root);
+        let keys: Vec<Digest> = (0..1_000).map(|k| Digest(3_000 + k)).collect();
+        for &key in &keys {
+            cache.put(key, &result(1.0));
+        }
+        let path = the_pack(&cache);
+        let mut bytes = std::fs::read(&path).unwrap();
+        // The first frame claims a payload longer than one scan window but
+        // ending inside the pack: neither a torn tail nor a whole frame.
+        let claim = (SCAN_CHUNK + SCAN_CHUNK / 4) as u32;
+        assert!((claim as usize) < bytes.len() - header_len());
+        let at = header_len() + 4;
+        bytes[at..at + 4].copy_from_slice(&claim.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (dir, first, last) = (root.clone(), keys[0], keys[keys.len() - 1]);
+        std::thread::spawn(move || {
+            let reader = ResultCache::on_disk(&dir);
+            let _ = tx.send((reader.get(first), reader.get(last), reader.stats()));
+        });
+        let (first, last, stats) = rx.recv_timeout(Duration::from_secs(30)).expect("scan stalled");
+        assert!(first.is_none());
+        assert_eq!(last, Some((result(1.0), CacheTier::Disk)));
+        assert_eq!((stats.corrupt_entries, stats.disk_errors), (1, 1));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_taken_pack_name_is_never_appended_to() {
+        let root = tmpdir("taken");
+        let cache = ResultCache::on_disk(&root);
+        let dir = cache.tag_dir().unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        // The pack of a dead process that had this pid.
+        let taken = dir.join(format!("pack-{}-0.css", std::process::id()));
+        let old = pack_under(crate::ENGINE_TAG, &[entry_frame(Digest(61), &result(1.0))]);
+        std::fs::write(&taken, &old).unwrap();
+        cache.put(Digest(62), &result(2.0));
+        assert_eq!(std::fs::read(&taken).unwrap(), old);
+        assert_eq!(packs(&cache).len(), 2);
+        let fresh = ResultCache::on_disk(&root);
+        assert_eq!(fresh.get(Digest(61)).unwrap(), (result(1.0), CacheTier::Disk));
+        assert_eq!(fresh.get(Digest(62)).unwrap(), (result(2.0), CacheTier::Disk));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn per_entry_files_of_earlier_versions_are_never_read() {
+        let root = tmpdir("legacy-css");
+        let cache = ResultCache::on_disk(&root);
+        let d = Digest(79);
+        let dir = cache.tag_dir().unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        // An entry as earlier versions wrote it: a one-frame segment
+        // named by its digest. Neither a hit nor counted corrupt.
+        let entry = pack_under(crate::ENGINE_TAG, &[entry_frame(d, &result(1.0))]);
+        std::fs::write(dir.join(format!("{}.css", d.hex())), entry).unwrap();
+        assert!(cache.get(d).is_none());
+        assert_eq!(cache.stats().disk_errors, 0);
+        cache.put(d, &result(1.0));
+        let fresh = ResultCache::on_disk(&root);
+        assert_eq!(fresh.get(d).unwrap(), (result(1.0), CacheTier::Disk));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -690,7 +1282,7 @@ mod tests {
             other => panic!("expected Published, got {other:?}"),
         }
         // No lock file left behind.
-        let lock = cache.entry_path(d).unwrap().with_extension("lock");
+        let lock = cache.lock_path(d).unwrap();
         assert!(!lock.exists());
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -701,7 +1293,7 @@ mod tests {
         let cache = ResultCache::on_disk(&root).with_lock_timeout(Duration::from_millis(10));
         let d = Digest(55);
         // Fake a crashed owner: a lock file nobody will ever release.
-        let lock_path = cache.entry_path(d).unwrap().with_extension("lock");
+        let lock_path = cache.lock_path(d).unwrap();
         std::fs::create_dir_all(lock_path.parent().unwrap()).unwrap();
         std::fs::write(&lock_path, "999999 dead-owner").unwrap();
         std::thread::sleep(Duration::from_millis(25));
@@ -720,7 +1312,7 @@ mod tests {
         // The default timeout: only the pid check can free this lock.
         let cache = ResultCache::on_disk(&root);
         let d = Digest(56);
-        let lock_path = cache.entry_path(d).unwrap().with_extension("lock");
+        let lock_path = cache.lock_path(d).unwrap();
         std::fs::create_dir_all(lock_path.parent().unwrap()).unwrap();
         std::fs::write(&lock_path, "999999999\n").unwrap();
         let started = Instant::now();
@@ -797,7 +1389,7 @@ mod tests {
         cache.put(d, &result(6.0));
         assert_eq!(cache.get(d).unwrap().1, CacheTier::Memory);
         // Rotate `d` out of both generations through the memory-only
-        // insert path, so the filler writes no entry files.
+        // insert path, so the filler appends nothing to the pack.
         for key in 0..2 * GENERATION {
             cache.insert(Digest(key as u128), result(1.0));
         }
@@ -871,17 +1463,20 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
 
-        /// A disk entry round-trips bit-exact through a fresh cache for
-        /// any finite makespan and any counts, and the entry cut at
-        /// every byte offset (or padded) is a counted corrupt miss,
-        /// never a panic or a wrong result.
+        /// Entries round-trip bit-exact through a fresh cache for any
+        /// finite makespan and any counts. Cut at every byte offset, a
+        /// pack serves exactly the entries wholly before the cut and
+        /// counts nothing: a cut tail is a plain miss. One flipped bit in
+        /// an interior frame is one counted corrupt entry, and the frames
+        /// on both sides of it still hit.
         #[test]
-        fn disk_entries_round_trip_and_every_truncation_is_a_counted_miss(
+        fn pack_entries_round_trip_cut_tails_miss_and_interior_flips_count_once(
             shape in 0u8..3,
             bits in 0u64..=u64::MAX,
             counts in (0usize..=usize::MAX, 0usize..=usize::MAX, 0usize..=usize::MAX,
                        0usize..=usize::MAX, 0usize..=usize::MAX),
             key in 0u64..=u64::MAX,
+            flip in 0usize..usize::MAX,
         ) {
             let sign = bits & (1 << 63);
             let bits = match shape {
@@ -899,28 +1494,49 @@ mod tests {
                 retries: counts.4,
             };
             let d = Digest(u128::from(key) << 64 | u128::from(bits));
+            let keys = [Digest(d.0 ^ 1), d, Digest(d.0 ^ 2)];
             let root = tmpdir("prop");
-            ResultCache::on_disk(&root).put(d, &value);
+            let writer = ResultCache::on_disk(&root);
+            for key in keys {
+                writer.put(key, &value);
+            }
             let fresh = ResultCache::on_disk(&root);
             let (hit, tier) = fresh.get(d).unwrap();
             proptest::prop_assert_eq!(tier, CacheTier::Disk);
             proptest::prop_assert_eq!(hit.makespan.to_bits(), bits);
             proptest::prop_assert_eq!(hit, value);
 
-            let path = fresh.entry_path(d).unwrap();
+            let path = the_pack(&fresh);
             let full = std::fs::read(&path).unwrap();
+            let frame_len = entry_frame(d, &value).len();
+            proptest::prop_assert_eq!(frame_len as u64, ENTRY_FRAME);
+            let ends = [1, 2, 3].map(|k| header_len() + k * frame_len);
+            proptest::prop_assert_eq!(full.len(), ends[2]);
             for cut in 0..full.len() {
                 std::fs::write(&path, &full[..cut]).unwrap();
                 let reader = ResultCache::on_disk(&root);
-                proptest::prop_assert!(reader.get(d).is_none(), "cut at {} was served", cut);
+                for (key, end) in keys.into_iter().zip(ends) {
+                    proptest::prop_assert_eq!(
+                        reader.get(key).is_some(), cut >= end, "cut at {} of {}", cut, end
+                    );
+                }
                 let stats = reader.stats();
-                proptest::prop_assert_eq!((stats.corrupt_entries, stats.disk_errors), (1, 1));
+                proptest::prop_assert_eq!(
+                    (stats.corrupt_entries, stats.disk_errors), (0, 0), "cut at {}", cut
+                );
             }
-            // Bytes past the frame are refused too.
-            std::fs::write(&path, [&full[..], &[0]].concat()).unwrap();
+
+            let mut flipped = full.clone();
+            let bit = flip % (8 * frame_len);
+            flipped[ends[0] + bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&path, &flipped).unwrap();
             let reader = ResultCache::on_disk(&root);
-            proptest::prop_assert!(reader.get(d).is_none(), "a padded entry was served");
-            proptest::prop_assert_eq!(reader.stats().corrupt_entries, 1);
+            proptest::prop_assert!(reader.get(d).is_none(), "bit {} flipped was served", bit);
+            for key in [keys[0], keys[2]] {
+                proptest::prop_assert_eq!(reader.get(key), Some((value, CacheTier::Disk)));
+            }
+            let stats = reader.stats();
+            proptest::prop_assert_eq!((stats.corrupt_entries, stats.disk_errors), (1, 1));
             let _ = std::fs::remove_dir_all(&root);
         }
     }

@@ -68,8 +68,9 @@ pub struct SchedStats {
     pub errors: usize,
     /// Disk-cache operations that failed (degraded to misses).
     pub disk_errors: usize,
-    /// Disk-cache entries that failed validation (CRC mismatch, bad
-    /// decode) — a subset of `disk_errors`.
+    /// Damage found in the disk cache (CRC mismatch, bad magic, bad
+    /// decode, a damaged or foreign pack header, an indexed frame that
+    /// fails its checks) — a subset of `disk_errors`.
     pub corrupt_entries: usize,
     /// Requests shed before dispatch (deadline passed while queued).
     pub shed: usize,

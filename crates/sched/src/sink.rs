@@ -3,11 +3,12 @@
 //!
 //! The cache and the store answer different questions in one on-disk
 //! format. The cache (`results/.cache`) is an *accelerator*: losing it
-//! costs recompute time, nothing else, so each entry is an independent
-//! one-frame segment, published without fsync, with no global
-//! consistency story. The store is the *campaign record*: it must
-//! survive `kill -9` at any byte, resume a half-finished sweep without
-//! rerunning committed scenarios, and feed aggregation after the fact.
+//! costs recompute time, nothing else, so each writer appends its entries
+//! to a pack of its own without fsync, and a reader trusts only frames
+//! that pass their CRC, with no global consistency story. The store is
+//! the *campaign record*: it must survive `kill -9` at any byte, resume a
+//! half-finished sweep without rerunning committed scenarios, and feed
+//! aggregation after the fact.
 //! The sink keeps the scheduler's failure policy consistent across both:
 //! store append errors are counted and reported, never propagated — a
 //! full disk degrades the campaign record, not the sweep.

@@ -138,22 +138,18 @@ pub(crate) fn is_temp_of(name: &str, target: &str) -> bool {
     rest.split_once('.').is_some_and(|(pid, thread)| digits(pid) && digits(thread))
 }
 
-/// Writes `bytes` to `path` through a temp file and an atomic rename.
-/// `durable` fsyncs the temp file first: store commits need that, the
-/// result cache does not (a lost entry only costs a recompute).
+/// Writes `bytes` to `path` through a temp file, fsynced, and an atomic
+/// rename: how the store commits its manifest and segment headers.
 ///
 /// # Errors
 ///
 /// The first failed write, fsync or rename; the temp file is removed.
-pub fn publish(path: &Path, bytes: &[u8], durable: bool) -> std::io::Result<()> {
+pub fn publish(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = sibling(path, "tmp");
     let written = File::create(&tmp)
         .and_then(|mut file| {
             file.write_all(bytes)?;
-            if durable {
-                file.sync_all()?;
-            }
-            Ok(())
+            file.sync_all()
         })
         .and_then(|()| std::fs::rename(&tmp, path));
     if written.is_err() {
@@ -213,15 +209,15 @@ mod tests {
     fn publish_replaces_the_file_and_leaves_no_temp_behind() {
         let dir = tmpdir("publish");
         let path = dir.join("entry");
-        for (bytes, durable) in [(&b"first"[..], false), (b"second", true)] {
-            publish(&path, bytes, durable).unwrap();
+        for bytes in [&b"first"[..], b"second"] {
+            publish(&path, bytes).unwrap();
             assert_eq!(std::fs::read(&path).unwrap(), bytes);
         }
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         // A failed rename (a directory in the way) cleans its temp up.
         let blocked = dir.join("blocked");
         std::fs::create_dir_all(blocked.join("child")).unwrap();
-        assert!(publish(&blocked, b"x", false).is_err());
+        assert!(publish(&blocked, b"x").is_err());
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }

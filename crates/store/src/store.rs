@@ -196,7 +196,7 @@ pub(crate) fn io_err(path: &Path, source: std::io::Error) -> StoreError {
 
 /// Writes `bytes` to `path` durably: temp file, fsync, atomic rename.
 pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-    lockfile::publish(path, bytes, true).map_err(|e| io_err(path, e))
+    lockfile::publish(path, bytes).map_err(|e| io_err(path, e))
 }
 
 /// Takes the single-writer lock of the store at `dir` (see
