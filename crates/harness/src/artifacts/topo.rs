@@ -1,10 +1,10 @@
 //! Extra X11: the "then vs now" generation study.
 //!
 //! The artifact sweeps full-packing STREAM and the XSBench-style lookup
-//! proxy across every [`corescope_topo::Generation`] — the 2006
-//! Opterons plus the chiplet (EPYC-like) and HBM+DRAM tiered machines —
-//! under the placement schemes the paper graded, and *checks which 2006
-//! verdicts flip* rather than just printing the grid:
+//! proxy across every machine generation (`corescope_topo::Generation`)
+//! — the 2006 Opterons plus the chiplet (EPYC-like) and HBM+DRAM tiered
+//! machines — under the placement schemes the paper graded, and *checks
+//! which 2006 verdicts flip* rather than just printing the grid:
 //!
 //! - **membind penalty vanishes on-package**: on DMZ, forcing
 //!   `membind` packs four ranks' pages onto one DDR controller and
@@ -24,7 +24,7 @@
 //!   scheduler must be byte-identical (the second pass is served from
 //!   the result cache; CI additionally byte-diffs two processes).
 //!
-//! At least [`REQUIRED_FLIPS`] verdicts must flip for the artifact to
+//! At least `REQUIRED_FLIPS` (two) verdicts must flip for the artifact to
 //! pass — the quantified form of "the 2006 conclusions do not survive
 //! the machine generations unchanged".
 
@@ -290,7 +290,7 @@ fn verdicts(systems: &[System], sweep: &Sweep) -> Vec<Verdict> {
 ///
 /// Propagates engine errors; fails with a typed [`Error::InvalidSpec`]
 /// when a verdict or determinism check is violated, or when fewer than
-/// [`REQUIRED_FLIPS`] verdicts are computable from the requested
+/// `REQUIRED_FLIPS` verdicts are computable from the requested
 /// machine set.
 pub fn extra11_on(
     fidelity: Fidelity,

@@ -26,12 +26,21 @@
 //! Reads go through an in-memory offset index, digest → (pack, offset,
 //! length), that the first disk lookup builds: one `read_dir`, then each
 //! pack read once in bounded chunks and walked frame by frame, digests
-//! only. A hit reads its one frame at its offset and checks the CRC,
-//! that the frame ends where the index says and that the row's digest is
-//! the key; anything else is a counted corrupt miss. [`ResultCache::get`]
-//! never rescans after that first scan: [`ResultCache::claim_compute`]
-//! does, listing new packs and reading only the bytes appended since the
-//! last scan.
+//! only. A lookup takes a whole batch of digests in one pass: the memory
+//! tier is locked once, then the index once for every digest memory did
+//! not answer, then memory once more to promote the disk hits. The found
+//! frames are sorted by (pack, offset) and nearby ones are read together,
+//! one `read_exact_at` per run of frames at most 4 KiB apart and 64 KiB
+//! long, the runs shared among the lookup's threads when there are
+//! enough of them. Each frame is then checked on the bytes just read:
+//! magic and CRC, that the frame ends where the index says, that it
+//! holds one row and that the row's digest is the key, without building
+//! a row; anything else is a counted corrupt miss. When a run's read fails
+//! (the pack was cut short after it was indexed) each of its frames is
+//! read on its own, so a frame still whole is still served.
+//! [`ResultCache::get`] is the one-digest lookup. A lookup never rescans
+//! after the first scan: [`ResultCache::claim_compute`] does, listing new
+//! packs and reading only the bytes appended since the last scan.
 //!
 //! Damage policy, as the campaign store's recovery has it: a frame cut
 //! off at a pack's end is a torn tail (a writer in the middle of an
@@ -115,6 +124,20 @@ const ENTRY_FRAME: u64 = 100;
 /// claiming more is damage, which keeps every frame a scan must hold
 /// whole well inside one [`SCAN_CHUNK`].
 const MAX_ENTRY_PAYLOAD: usize = 1024;
+
+/// Bytes between two indexed frames of one pack up to which a lookup
+/// reads both with one read: reading this many unwanted bytes costs less
+/// than a second positioned read.
+const READ_GAP: u64 = 4 * 1024;
+
+/// Most bytes one coalesced read covers, and so what a reading thread
+/// buffers at most. Every indexed frame fits, being under
+/// `FRAME_HEADER + MAX_ENTRY_PAYLOAD` bytes.
+const READ_SPAN: u64 = SCAN_CHUNK as u64;
+
+/// Frames each thread of a lookup gets at least: with fewer, starting a
+/// thread costs more than the reads and checks it takes over.
+const FRAMES_PER_THREAD: usize = 256;
 
 /// The bounded memory tier: two generations, newest first.
 #[derive(Debug)]
@@ -212,9 +235,9 @@ fn step(window: &[u8], pos: usize, eof: bool) -> Step {
         }
     }
     match frame::parse_frame(window, pos) {
-        frame::Parsed::Frame { payload, end } => match frame::block_digests(payload).as_deref() {
-            Ok(&[digest]) => Step::Entry { digest, end },
-            _ => Step::Damage,
+        frame::Parsed::Frame { payload, end } => match frame::single_row(payload) {
+            Ok(row) => Step::Entry { digest: row.digest, end },
+            Err(_) => Step::Damage,
         },
         // Cut off at the end of the file: a torn tail, unless whole
         // frames follow it (then its length field is what is damaged).
@@ -298,7 +321,7 @@ impl Pack {
                     } else if eof && header.starts_with(window) {
                         return 0;
                     } else {
-                        counters.corrupt();
+                        counters.corrupt(1);
                         self.phase = Phase::Dead;
                     }
                 }
@@ -321,7 +344,7 @@ impl Pack {
                     }
                     Step::Partial => return pos,
                     Step::Damage => {
-                        counters.corrupt();
+                        counters.corrupt(1);
                         self.phase = Phase::Resync;
                         pos += 1;
                     }
@@ -403,9 +426,9 @@ impl DiskState {
         }
     }
 
-    fn find(&self, digest: Digest) -> Option<(Arc<File>, Loc)> {
-        let loc = *self.index.get(&digest.0)?;
-        Some((Arc::clone(&self.packs[loc.pack as usize].file), loc))
+    /// Every pack's file, indexed as [`Loc::pack`] numbers them.
+    fn files(&self) -> Vec<Arc<File>> {
+        self.packs.iter().map(|pack| Arc::clone(&pack.file)).collect()
     }
 
     /// Creates and registers a new pack of this cache's own, skipping
@@ -454,18 +477,89 @@ impl DiskState {
     }
 }
 
-/// Reads the frame `loc` names and checks that it is `digest`'s entry.
-fn read_frame(file: &File, loc: Loc, digest: Digest) -> Option<ScenarioResult> {
-    let mut buf = [0u8; frame::FRAME_HEADER + MAX_ENTRY_PAYLOAD];
-    let bytes = buf.get_mut(..loc.len as usize)?;
-    file.read_exact_at(bytes, loc.offset).ok()?;
+/// An indexed frame a lookup reads, and the lookup slot it answers.
+#[derive(Debug, Clone, Copy)]
+struct Found {
+    loc: Loc,
+    slot: usize,
+    digest: Digest,
+    /// Set when the frame is read and passes its checks.
+    result: Option<ScenarioResult>,
+}
+
+/// Checks that `bytes`, one indexed frame, is `digest`'s entry: magic
+/// and CRC, the frame ending where the index says, one row, and the
+/// row's digest.
+fn check_entry(bytes: &[u8], digest: Digest) -> Option<ScenarioResult> {
     let frame::Parsed::Frame { payload, end } = frame::parse_frame(bytes, 0) else {
         return None;
     };
-    match frame::decode_block(payload).ok()?.as_slice() {
-        [row] if end == bytes.len() && row.digest == digest.0 => Some(row_result(row)),
-        _ => None,
+    let row = frame::single_row(payload).ok()?;
+    (end == bytes.len() && row.digest == digest.0).then(|| row_result(&row))
+}
+
+/// Reads `run`, frames of one pack lying within `start..end`, with one
+/// read into `buf`, then checks each. When that read fails, each frame
+/// is read on its own. Returns how many frames failed.
+fn read_run(file: &File, run: &mut [Found], start: u64, end: u64, buf: &mut Vec<u8>) -> usize {
+    let span = (end - start) as usize;
+    if buf.len() < span {
+        buf.resize(span, 0);
     }
+    let bytes = &mut buf[..span];
+    let whole = file.read_exact_at(bytes, start).is_ok();
+    let mut failed = 0;
+    for found in run {
+        let at = (found.loc.offset - start) as usize;
+        let frame = &mut bytes[at..at + found.loc.len as usize];
+        let read = whole || file.read_exact_at(frame, found.loc.offset).is_ok();
+        found.result = if read { check_entry(frame, found.digest) } else { None };
+        failed += usize::from(found.result.is_none());
+    }
+    failed
+}
+
+/// Reads and checks `frames`, sorted by (pack, offset), one read per run
+/// of frames of one pack at most [`READ_GAP`] apart and [`READ_SPAN`]
+/// long. `files` are the packs. Returns how many frames failed.
+fn read_frames(files: &[Arc<File>], frames: &mut [Found]) -> usize {
+    let mut buf = Vec::new();
+    let mut failed = 0;
+    let mut rest = frames;
+    while let Some(first) = rest.first() {
+        let (pack, start) = (first.loc.pack, first.loc.offset);
+        let mut end = start + u64::from(first.loc.len);
+        let joined = rest[1..]
+            .iter()
+            .take_while(|next| {
+                let next_end = next.loc.offset + u64::from(next.loc.len);
+                let joins = next.loc.pack == pack
+                    && next.loc.offset <= end + READ_GAP
+                    && next_end - start <= READ_SPAN;
+                if joins {
+                    end = end.max(next_end);
+                }
+                joins
+            })
+            .count();
+        let (run, tail) = std::mem::take(&mut rest).split_at_mut(1 + joined);
+        failed += read_run(&files[pack as usize], run, start, end, &mut buf);
+        rest = tail;
+    }
+    failed
+}
+
+/// Sorts `frames` by (pack, offset) and reads them, split among up to
+/// `jobs` threads when each gets at least [`FRAMES_PER_THREAD`].
+/// Returns how many frames failed.
+fn read_sorted(files: &[Arc<File>], frames: &mut [Found], jobs: usize) -> usize {
+    frames.sort_unstable_by_key(|found| (found.loc.pack, found.loc.offset));
+    let threads = jobs.min(frames.len() / FRAMES_PER_THREAD).max(1);
+    if threads == 1 {
+        return read_frames(files, frames);
+    }
+    let parts = frames.chunks_mut(frames.len().div_ceil(threads));
+    crate::executor::run_chunks(parts, |part| read_frames(files, part)).into_iter().sum()
 }
 
 /// The disk tier: `<root>/<ENGINE_TAG>` and what is known of it.
@@ -525,11 +619,11 @@ impl Counters {
         self.disk_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Bytes were present but untrustworthy: count the corruption as
-    /// well as the degradation to a miss.
-    fn corrupt(&self) {
-        self.disk_error();
-        self.corrupt_entries.fetch_add(1, Ordering::Relaxed);
+    /// `n` entries' bytes were present but untrustworthy: count the
+    /// corruption as well as the degradation to a miss.
+    fn corrupt(&self, n: usize) {
+        self.disk_errors.fetch_add(n, Ordering::Relaxed);
+        self.corrupt_entries.fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -643,48 +737,123 @@ impl ResultCache {
         }
     }
 
-    /// Reads an indexed entry, counting one that fails its checks as
-    /// corrupt.
-    fn read_indexed(
-        &self,
-        found: Option<(Arc<File>, Loc)>,
-        digest: Digest,
-    ) -> Option<ScenarioResult> {
-        let (file, loc) = found?;
-        let result = read_frame(&file, loc, digest);
-        if result.is_none() {
-            self.counters.corrupt();
-        }
-        result
+    /// Looks a digest up, reporting which tier answered: the one-digest
+    /// case of the batch lookup the scheduler makes (see the module doc).
+    /// A disk hit is promoted into memory.
+    pub fn get(&self, digest: Digest) -> Option<(ScenarioResult, CacheTier)> {
+        let mut out = [None];
+        self.lookup(&[digest], 1, &mut out);
+        out[0]
     }
 
-    /// Looks a digest up, reporting which tier answered. A disk hit is
-    /// promoted into memory. The first disk lookup builds the offset
-    /// index; later ones only consult it.
-    pub fn get(&self, digest: Digest) -> Option<(ScenarioResult, CacheTier)> {
+    /// Looks a batch of digests up in one pass, setting `out[i]` to what
+    /// answered `digests[i]`, or `None` for a miss. Memory answers
+    /// first, under one lock; the rest go to the disk tier (see the
+    /// module doc), whose reads use up to `jobs` threads, and its hits
+    /// are promoted into memory under one more lock, in digest order.
+    /// The first disk lookup builds the offset index; later ones only
+    /// consult it. Counters move once per call.
+    ///
+    /// With distinct digests this answers and counts as a `get` of each
+    /// in turn would, unless a promotion rotates the memory generations
+    /// mid-batch (then a digest a `get` would find on disk is a memory
+    /// hit here). A digest repeated in one call gets the same tier each
+    /// time, where a run of `get`s would find the copies after a disk hit
+    /// in memory.
+    ///
+    /// # Panics
+    ///
+    /// When `out` and `digests` differ in length.
+    pub(crate) fn lookup(
+        &self,
+        digests: &[Digest],
+        jobs: usize,
+        out: &mut [Option<(ScenarioResult, CacheTier)>],
+    ) {
+        assert_eq!(digests.len(), out.len(), "one answer slot per digest");
+        out.fill(None);
+        let mut evicted = 0;
         if let Ok(mut memory) = self.memory.lock() {
-            if let Some((hit, evicted)) = memory.get(digest.0) {
-                self.counters.evicted.fetch_add(evicted, Ordering::Relaxed);
-                self.counters.hits_memory.fetch_add(1, Ordering::Relaxed);
-                return Some((hit, CacheTier::Memory));
-            }
-        }
-        if let Some(disk) = &self.disk {
-            let found = {
-                let mut state = disk.state();
-                if !state.listed {
-                    state.rescan(&disk.dir, &self.counters);
+            for (slot, digest) in out.iter_mut().zip(digests) {
+                if let Some((hit, dropped)) = memory.get(digest.0) {
+                    evicted += dropped;
+                    *slot = Some((hit, CacheTier::Memory));
                 }
-                state.find(digest)
-            };
-            if let Some(result) = self.read_indexed(found, digest) {
-                self.counters.hits_disk.fetch_add(1, Ordering::Relaxed);
-                self.insert(digest, result);
-                return Some((result, CacheTier::Disk));
             }
         }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        let memory_hits = out.iter().flatten().count();
+        let disk_hits = match &self.disk {
+            Some(disk) if memory_hits < digests.len() => {
+                self.read_disk(disk, digests, out, jobs, false)
+            }
+            _ => 0,
+        };
+        if disk_hits > 0 {
+            if let Ok(mut memory) = self.memory.lock() {
+                for (slot, digest) in out.iter().zip(digests) {
+                    if let Some((result, CacheTier::Disk)) = *slot {
+                        evicted += memory.insert(digest.0, result);
+                    }
+                }
+            }
+        }
+        let counters = &self.counters;
+        counters.hits_memory.fetch_add(memory_hits, Ordering::Relaxed);
+        counters.hits_disk.fetch_add(disk_hits, Ordering::Relaxed);
+        counters.misses.fetch_add(digests.len() - memory_hits - disk_hits, Ordering::Relaxed);
+        counters.evicted.fetch_add(evicted, Ordering::Relaxed);
+    }
+
+    /// Looks `digest` up in memory alone, for a caller that missed in a
+    /// [`ResultCache::lookup`] and may have been overtaken since: a hit
+    /// counts as a memory hit (on top of the miss already counted), a
+    /// miss counts nothing.
+    pub(crate) fn recheck_memory(&self, digest: Digest) -> Option<ScenarioResult> {
+        let (hit, evicted) = self.memory.lock().ok()?.get(digest.0)?;
+        self.counters.hits_memory.fetch_add(1, Ordering::Relaxed);
+        self.counters.evicted.fetch_add(evicted, Ordering::Relaxed);
+        Some(hit)
+    }
+
+    /// The disk half of a lookup: finds each digest `out` leaves
+    /// unanswered in the offset index under one lock (after an
+    /// incremental scan if `rescan`, else only if nothing was ever
+    /// listed), then reads and checks the frames with the lock released,
+    /// counting each that fails as corrupt. Returns the hits.
+    fn read_disk(
+        &self,
+        disk: &Disk,
+        digests: &[Digest],
+        out: &mut [Option<(ScenarioResult, CacheTier)>],
+        jobs: usize,
+        rescan: bool,
+    ) -> usize {
+        let (files, mut found) = {
+            let mut state = disk.state();
+            if rescan || !state.listed {
+                state.rescan(&disk.dir, &self.counters);
+            }
+            let mut found = Vec::with_capacity(out.iter().filter(|slot| slot.is_none()).count());
+            for (slot, (&digest, answer)) in digests.iter().zip(out.iter()).enumerate() {
+                if let (None, Some(&loc)) = (answer, state.index.get(&digest.0)) {
+                    found.push(Found { loc, slot, digest, result: None });
+                }
+            }
+            if found.is_empty() {
+                return 0;
+            }
+            (state.files(), found)
+        };
+        let failed = read_sorted(&files, &mut found, jobs);
+        if failed > 0 {
+            self.counters.corrupt(failed);
+        }
+        for hit in &found {
+            if let Some(result) = hit.result {
+                out[hit.slot] = Some((result, CacheTier::Disk));
+            }
+        }
+        found.len() - failed
     }
 
     /// Stores a fresh result in memory and (best-effort) appends it to
@@ -705,14 +874,12 @@ impl ResultCache {
         }
     }
 
-    /// Scans what was written since the last scan, then looks `digest` up.
+    /// Scans what was written since the last scan, then looks `digest` up
+    /// on disk.
     fn refresh(&self, disk: &Disk, digest: Digest) -> Option<ScenarioResult> {
-        let found = {
-            let mut state = disk.state();
-            state.rescan(&disk.dir, &self.counters);
-            state.find(digest)
-        };
-        self.read_indexed(found, digest)
+        let mut out = [None];
+        self.read_disk(disk, &[digest], &mut out, 1, true);
+        out[0].map(|(result, _)| result)
     }
 
     /// Claims the right to compute `digest`, single-flight **across
@@ -1539,6 +1706,158 @@ mod tests {
             proptest::prop_assert_eq!((stats.corrupt_entries, stats.disk_errors), (1, 1));
             let _ = std::fs::remove_dir_all(&root);
         }
+    }
+
+    /// SplitMix64 from `seed`: shuffles without a rand dependency.
+    fn stream(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed;
+        move || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// `cache`'s answers to `digests` from one batch lookup.
+    fn lookup_all(
+        cache: &ResultCache,
+        digests: &[Digest],
+        jobs: usize,
+    ) -> Vec<Option<(ScenarioResult, CacheTier)>> {
+        let mut out = vec![None; digests.len()];
+        cache.lookup(digests, jobs, &mut out);
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// One batch lookup answers and counts exactly as a `get` of each
+        /// digest in turn: memory hits (some also on disk), disk hits
+        /// across two packs in shuffled order, misses, one interior bit
+        /// flip (found by the scan, or at hit time when made after the
+        /// index was built) and a torn tail, at any job count. The first
+        /// pack sometimes holds enough frames for the reads to use
+        /// several threads.
+        #[test]
+        fn pack_batch_lookup_matches_per_digest_get(
+            sizes in (2usize..700, 1usize..40),
+            in_memory in (0usize..20, 0usize..5),
+            misses in 0usize..20,
+            flip in 0usize..usize::MAX,
+            flip_after_index in 0u8..2,
+            torn in 1usize..ENTRY_FRAME as usize,
+            jobs in 1usize..4,
+            seed in 0u64..=u64::MAX,
+        ) {
+            let root = tmpdir("batch-prop");
+            let digest = |pack: u128, k: usize| Digest(pack << 64 | k as u128);
+            let (a, b) = (ResultCache::on_disk(&root), ResultCache::on_disk(&root));
+            for k in 0..sizes.0 {
+                a.put(digest(1, k), &result(k as f64));
+            }
+            for k in 0..sizes.1 {
+                b.put(digest(2, k), &result(0.5 + k as f64));
+            }
+            let [pack_a, pack_b] = <[PathBuf; 2]>::try_from(packs(&a)).unwrap();
+            let torn_digest = digest(2, sizes.1);
+            append(&pack_b, &entry_frame(torn_digest, &result(-1.0))[..torn]);
+
+            let mut query: Vec<Digest> = (0..sizes.0).map(|k| digest(1, k)).collect();
+            query.extend((0..=sizes.1).map(|k| digest(2, k)));
+            query.extend((0..misses).map(|k| digest(3, k)));
+            query.extend((0..in_memory.1).map(|k| digest(4, k)));
+            let mut next = stream(seed);
+            for i in (1..query.len()).rev() {
+                query.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+
+            // The flipped frame is interior to the first pack and never a
+            // memory entry.
+            let frame_bits = 8 * ENTRY_FRAME as usize;
+            let flipped = (flip / frame_bits) % (sizes.0 - 1);
+            let readers = [ResultCache::on_disk(&root), ResultCache::on_disk(&root)];
+            for reader in &readers {
+                for k in (0..in_memory.0.min(sizes.0)).filter(|&k| k != flipped) {
+                    reader.insert(digest(1, k), result(k as f64));
+                }
+                for k in 0..in_memory.1 {
+                    reader.insert(digest(4, k), result(2.0));
+                }
+                if flip_after_index == 1 {
+                    proptest::prop_assert!(reader.get(digest(5, 0)).is_none());
+                }
+            }
+            let at = header_len() + flipped * ENTRY_FRAME as usize + (flip % frame_bits) / 8;
+            let mut bytes = std::fs::read(&pack_a).unwrap();
+            bytes[at] ^= 1 << (flip % 8);
+            std::fs::write(&pack_a, bytes).unwrap();
+
+            let batch = lookup_all(&readers[0], &query, jobs);
+            let each: Vec<_> = query.iter().map(|&d| readers[1].get(d)).collect();
+            proptest::prop_assert_eq!(&batch, &each);
+            proptest::prop_assert_eq!(readers[0].stats(), readers[1].stats());
+            let stats = readers[0].stats();
+            proptest::prop_assert!(stats.corrupt_entries >= 1, "the flip went unseen: {:?}", stats);
+            proptest::prop_assert!(batch[query.iter().position(|&d| d == torn_digest).unwrap()]
+                .is_none());
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
+
+    #[test]
+    fn a_pack_cut_or_rewritten_after_indexing_serves_what_is_still_whole() {
+        let root = tmpdir("cut-after-index");
+        let writer = ResultCache::on_disk(&root);
+        // Enough frames for two reading threads at jobs=2.
+        let keys: Vec<Digest> = (0..600).map(|k| Digest(5_000 + k)).collect();
+        for (i, &key) in keys.iter().enumerate() {
+            writer.put(key, &result(i as f64));
+        }
+        let path = the_pack(&writer);
+        let full = std::fs::read(&path).unwrap();
+        let frame_len = ENTRY_FRAME as usize;
+        let indexed = |jobs: usize| {
+            std::fs::write(&path, &full).unwrap();
+            let reader = ResultCache::on_disk(&root);
+            assert!(reader.get(Digest(1)).is_none(), "builds the index");
+            (reader, jobs)
+        };
+        // Cut inside frame 450, well inside the second thread's share: the
+        // first 450 frames are whole, and each later one is unreadable
+        // and counts once, as a one-frame read would have it.
+        let whole = 450;
+        for (reader, jobs) in [indexed(1), indexed(2)] {
+            std::fs::write(&path, &full[..header_len() + whole * frame_len + frame_len / 2])
+                .unwrap();
+            let out = lookup_all(&reader, &keys, jobs);
+            for (i, answer) in out.iter().enumerate() {
+                let want = (i < whole).then_some((result(i as f64), CacheTier::Disk));
+                assert_eq!(*answer, want, "jobs {jobs}, frame {i}");
+            }
+            let stats = reader.stats();
+            let lost = keys.len() - whole;
+            assert_eq!(
+                (stats.hits_disk, stats.misses, stats.corrupt_entries, stats.disk_errors),
+                (whole, 1 + lost, lost, lost),
+                "jobs {jobs}"
+            );
+        }
+        // Rewritten in place with every frame moved one slot on: each
+        // indexed offset now holds another digest's frame, whole and
+        // CRC-valid, and only the digest check tells.
+        for (reader, jobs) in [indexed(1), indexed(2)] {
+            let mut moved = full[..header_len()].to_vec();
+            moved.extend_from_slice(&full[full.len() - frame_len..]);
+            moved.extend_from_slice(&full[header_len()..full.len() - frame_len]);
+            std::fs::write(&path, moved).unwrap();
+            assert!(lookup_all(&reader, &keys, jobs).iter().all(Option::is_none), "jobs {jobs}");
+            let stats = reader.stats();
+            assert_eq!((stats.hits_disk, stats.corrupt_entries), (0, keys.len()), "jobs {jobs}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

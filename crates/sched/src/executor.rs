@@ -11,6 +11,10 @@
 //! order**, whatever interleaving the workers ran. Combined with the
 //! engine's own determinism this is what lets `repro --jobs 8` produce
 //! byte-identical tables to `--jobs 1`.
+//!
+//! [`run_chunks`] is the plain fork-join for work already split into
+//! even chunks, such as a batch's digests or its cache reads: one scoped
+//! thread per chunk, no queues.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -149,6 +153,36 @@ where
         .collect()
 }
 
+/// Runs `f` on each chunk, the first on the caller's thread and every
+/// other on a scoped thread of its own, and returns the outputs in chunk
+/// order.
+///
+/// # Panics
+///
+/// If `f` panics for any chunk, the panic is resumed on the caller's
+/// thread once every chunk has finished.
+pub fn run_chunks<C, R, F>(chunks: impl IntoIterator<Item = C>, f: F) -> Vec<R>
+where
+    C: Send,
+    R: Send,
+    F: Fn(C) -> R + Sync,
+{
+    let mut chunks = chunks.into_iter();
+    let Some(mine) = chunks.next() else {
+        return Vec::new();
+    };
+    let f = &f;
+    std::thread::scope(|scope| {
+        let others: Vec<_> = chunks.map(|chunk| scope.spawn(move || f(chunk))).collect();
+        let mut out = Vec::with_capacity(1 + others.len());
+        out.push(f(mine));
+        out.extend(
+            others.into_iter().map(|other| other.join().unwrap_or_else(|p| resume_unwind(p))),
+        );
+        out
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,6 +236,17 @@ mod tests {
             })
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn run_chunks_keeps_chunk_order_and_runs_each_once() {
+        let items: Vec<usize> = (0..100).collect();
+        let sums = run_chunks(items.chunks(30), |chunk| chunk.iter().sum::<usize>());
+        assert_eq!(sums, vec![435, 1335, 2235, 945]);
+        let mut marks = vec![0u8; 10];
+        run_chunks(marks.chunks_mut(3), |chunk| chunk.iter_mut().for_each(|m| *m += 1));
+        assert_eq!(marks, vec![1; 10]);
+        assert!(run_chunks(std::iter::empty::<usize>(), |c| c).is_empty());
     }
 
     #[test]

@@ -5,14 +5,21 @@
 //! through three filters before any engine runs:
 //!
 //! 1. **batch dedup** — identical digests inside one batch collapse to a
-//!    single job (sweeps love repeating their baseline point);
-//! 2. **cache** — memory, then disk ([`ResultCache`]);
-//! 3. **single-flight** — if another thread is *currently* running the
-//!    same digest, wait for its result instead of recomputing.
+//!    single job (sweeps love repeating their baseline point); a batch
+//!    of 512 inputs or more computes its digests in one chunk per
+//!    worker;
+//! 2. **warm pass** — every job's digest is looked up in one
+//!    [`ResultCache`] pass, memory then disk, before anything is
+//!    dispatched. Hits are answered on the calling thread and offered to
+//!    the campaign store in job order, unless every input of the job
+//!    sheds;
+//! 3. **executor for misses** — only the misses fan out over the
+//!    work-stealing [`crate::executor`], each through **single-flight**:
+//!    if another thread is *currently* running the same digest, wait for
+//!    its result instead of recomputing.
 //!
-//! What survives fans out over the work-stealing [`crate::executor`],
-//! and results return in input order — so any table built from a batch
-//! is byte-identical no matter the job count or cache temperature.
+//! Results return in input order — so any table built from a batch is
+//! byte-identical no matter the job count or cache temperature.
 
 use crate::cache::{CacheStats, CacheTier, ComputeClaim, ResultCache};
 use crate::encode::Digest;
@@ -23,6 +30,10 @@ use corescope_machine::{Error, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+
+/// Inputs a batch needs before its digests are computed in one chunk per
+/// worker: below this, starting the threads costs more than the digests.
+const PARALLEL_DIGESTS: usize = 512;
 
 /// A finished scenario: the result, where it came from, and the digest
 /// it was looked up under.
@@ -235,27 +246,73 @@ impl Scheduler {
     /// Duplicate digests still collapse to one job; the job runs unless
     /// *every* input folded into it sheds (a computed result is free to
     /// deliver even to inputs whose own deadline has since passed).
+    ///
+    /// Cache hits are answered before any miss is dispatched, and the
+    /// predicate is consulted for a hit's inputs then; a miss's inputs
+    /// are consulted when the executor picks the miss up.
     pub fn run_batch_where(
         &self,
         scenarios: &[Scenario],
         shed: impl Fn(usize) -> bool + Sync,
     ) -> Vec<BatchOutcome> {
         self.scenarios.fetch_add(scenarios.len(), Ordering::Relaxed);
-        let digests = Scenario::digests(scenarios);
+        let digests = self.digests(scenarios);
         let jobs = BatchJobs::new(&digests);
         self.deduped.fetch_add(scenarios.len() - jobs.len(), Ordering::Relaxed);
+        let lead = |job: usize| jobs.members(job)[0];
+        let all_shed = |job: usize| jobs.members(job).iter().all(|&i| shed(i));
 
-        // `None` = shed before dispatch.
-        let unique_outcomes: Vec<Option<Result<Completed>>> =
-            executor::run_ordered(self.jobs, (0..jobs.len()).collect(), |&job| {
-                let members = jobs.members(job);
-                if members.iter().all(|&i| shed(i)) {
+        let job_digests: Vec<Digest> = (0..jobs.len()).map(|job| digests[lead(job)]).collect();
+        // Freed before the outcomes are allocated: a long warm batch's
+        // peak memory is its per-input vectors.
+        drop(digests);
+
+        // The warm pass: every job's digest looked up at once.
+        let mut found = vec![None; jobs.len()];
+        self.cache.lookup(&job_digests, self.jobs, &mut found);
+
+        // `None` = shed before dispatch, or a miss not yet run.
+        let mut unique_outcomes: Vec<Option<Result<Completed>>> = Vec::with_capacity(jobs.len());
+        let mut misses = Vec::new();
+        let (mut hits_memory, mut hits_disk) = (0, 0);
+        for (job, (hit, &digest)) in found.iter().zip(&job_digests).enumerate() {
+            unique_outcomes.push(match *hit {
+                None => {
+                    misses.push(job);
                     None
-                } else {
-                    let first = members[0];
-                    Some(self.run_single(&scenarios[first], digests[first]))
+                }
+                Some(_) if all_shed(job) => None,
+                Some((result, tier)) => {
+                    match tier {
+                        CacheTier::Memory => hits_memory += 1,
+                        _ => hits_disk += 1,
+                    }
+                    Some(Ok(Completed { result, tier, digest }))
                 }
             });
+        }
+        drop(found);
+        self.hits_memory.fetch_add(hits_memory, Ordering::Relaxed);
+        self.hits_disk.fetch_add(hits_disk, Ordering::Relaxed);
+        // Hits are offered to the sink, which drops digests already
+        // committed: a hit during a *resumed* campaign still lands the
+        // row the killed run never got to flush.
+        if let Some(sink) = &self.store {
+            sink.record_all(unique_outcomes.iter().enumerate().filter_map(|(job, outcome)| {
+                match outcome {
+                    Some(Ok(done)) => Some((&scenarios[lead(job)], done.digest, &done.result)),
+                    _ => None,
+                }
+            }));
+        }
+
+        let ran = executor::run_ordered(self.jobs, misses, |&job| {
+            let miss = || self.run_miss(&scenarios[lead(job)], job_digests[job]);
+            (job, (!all_shed(job)).then(miss))
+        });
+        for (job, outcome) in ran {
+            unique_outcomes[job] = outcome;
+        }
 
         // Batch boundary: commit buffered store rows so a crash between
         // batches loses at most the batch in progress.
@@ -286,10 +343,24 @@ impl Scheduler {
             .collect()
     }
 
-    /// Runs one scenario through cache + single-flight.
+    /// Runs one scenario through cache + single-flight: a batch of one,
+    /// without the batch bookkeeping.
     pub fn run_one(&self, scenario: &Scenario) -> Result<Completed> {
         self.scenarios.fetch_add(1, Ordering::Relaxed);
-        let outcome = self.run_single(scenario, scenario.digest());
+        let digest = scenario.digest();
+        let outcome = match self.cache.get(digest) {
+            Some((result, tier)) => {
+                match tier {
+                    CacheTier::Memory => self.hits_memory.fetch_add(1, Ordering::Relaxed),
+                    _ => self.hits_disk.fetch_add(1, Ordering::Relaxed),
+                };
+                if let Some(sink) = &self.store {
+                    sink.record(scenario, digest, &result);
+                }
+                Ok(Completed { result, tier, digest })
+            }
+            None => self.run_miss(scenario, digest),
+        };
         if outcome.is_err() {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -299,28 +370,30 @@ impl Scheduler {
         outcome
     }
 
-    /// [`Scheduler::run_single_inner`] plus the campaign-store commit
-    /// point: every successful outcome is offered to the sink, which
-    /// drops digests already committed — so a cache hit during a
-    /// *resumed* campaign still lands the row the killed run never got
-    /// to flush, while warm reruns append nothing.
-    fn run_single(&self, scenario: &Scenario, digest: Digest) -> Result<Completed> {
-        let outcome = self.run_single_inner(scenario, digest);
+    /// The batch's digests, in input order: one chunk per worker once the
+    /// batch has [`PARALLEL_DIGESTS`] inputs.
+    fn digests(&self, scenarios: &[Scenario]) -> Vec<Digest> {
+        if self.jobs == 1 || scenarios.len() < PARALLEL_DIGESTS {
+            return Scenario::digests(scenarios);
+        }
+        let chunks = scenarios.chunks(scenarios.len().div_ceil(self.jobs));
+        executor::run_chunks(chunks, Scenario::digests).concat()
+    }
+
+    /// [`Scheduler::compute`] plus the campaign-store commit point: a
+    /// successful outcome is offered to the sink, which drops digests
+    /// already committed, so warm reruns append nothing.
+    fn run_miss(&self, scenario: &Scenario, digest: Digest) -> Result<Completed> {
+        let outcome = self.compute(scenario, digest);
         if let (Some(sink), Ok(done)) = (&self.store, &outcome) {
             sink.record(scenario, digest, &done.result);
         }
         outcome
     }
 
-    fn run_single_inner(&self, scenario: &Scenario, digest: Digest) -> Result<Completed> {
-        if let Some((result, tier)) = self.cache.get(digest) {
-            match tier {
-                CacheTier::Memory => self.hits_memory.fetch_add(1, Ordering::Relaxed),
-                _ => self.hits_disk.fetch_add(1, Ordering::Relaxed),
-            };
-            return Ok(Completed { result, tier, digest });
-        }
-
+    /// Runs a scenario the warm pass missed, through single-flight within
+    /// this process and [`ResultCache::claim_compute`] across processes.
+    fn compute(&self, scenario: &Scenario, digest: Digest) -> Result<Completed> {
         // Claim the flight or join an existing one.
         let claim = {
             let mut flights = match self.flights.lock() {
@@ -340,6 +413,13 @@ impl Scheduler {
         match claim {
             Ok(flight) => {
                 let guard = FlightGuard { sched: self, digest, flight, completed: false };
+                // Another thread's flight for this digest may have
+                // completed between the warm pass and our claim.
+                if let Some(result) = self.cache.recheck_memory(digest) {
+                    self.hits_memory.fetch_add(1, Ordering::Relaxed);
+                    guard.complete(Ok(result));
+                    return Ok(Completed { result, tier: CacheTier::Memory, digest });
+                }
                 // Single-flight across *processes* too: another scheduler
                 // sharing this disk cache may be computing this digest
                 // right now — wait for its entry instead of duplicating
@@ -756,6 +836,34 @@ mod tests {
         assert!(matches!(out[4], BatchOutcome::Done(_)));
         let stats = sched.stats();
         assert_eq!((stats.engine_runs, stats.shed, stats.deduped), (2, 2, 2), "{stats:?}");
+    }
+
+    #[test]
+    fn cache_hits_shed_only_when_every_input_sheds() {
+        let root = std::env::temp_dir()
+            .join(format!("corescope-sched-shed-hits-{:?}", std::thread::current().id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let warm = Scheduler::with_cache(1, ResultCache::on_disk(root.join("cache")));
+        assert!(warm.run_batch(&[bsp(2), bsp(4)]).iter().all(Result::is_ok));
+        let sink = Arc::new(crate::sink::StoreSink::open(root.join("store")).unwrap());
+        let sched = Scheduler::with_cache(1, ResultCache::on_disk(root.join("cache")))
+            .with_store(Arc::clone(&sink));
+        // Disk hits: bsp(2) with its one input shed, bsp(4) with one of
+        // its two inputs live. A miss, bsp(6), shed at dispatch.
+        let batch = vec![bsp(2), bsp(4), bsp(4), bsp(6)];
+        let out = sched.run_batch_where(&batch, |i| i != 2);
+        assert_eq!(out[0], BatchOutcome::Shed);
+        let (BatchOutcome::Done(a), BatchOutcome::Done(b)) = (&out[1], &out[2]) else {
+            panic!("a hit with one live input is delivered to both: {out:?}");
+        };
+        assert_eq!((a.tier, b.tier), (CacheTier::Disk, CacheTier::InFlight));
+        assert_eq!(a.result, b.result);
+        assert_eq!(out[3], BatchOutcome::Shed);
+        let stats = sched.stats();
+        assert_eq!((stats.engine_runs, stats.hits_disk, stats.shed), (0, 1, 2), "{stats:?}");
+        assert_eq!(sink.rows_recorded(), 1, "only the delivered hit is offered to the store");
+        drop(sched);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 
 use crate::encode::Digest;
 use crate::scenario::{mpi_key, Scenario, ScenarioResult};
+use corescope_store::frame::Scalars;
 use corescope_store::{Options, Row, Store, StoreError};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -58,7 +59,7 @@ pub(crate) fn result_row(digest: Digest, result: &ScenarioResult) -> Row {
 }
 
 /// The result scalars a row carries; the inverse of [`result_row`].
-pub(crate) fn row_result(row: &Row) -> ScenarioResult {
+pub(crate) fn row_result(row: &Scalars) -> ScenarioResult {
     ScenarioResult {
         makespan: row.makespan,
         events: row.events as usize,
@@ -125,22 +126,32 @@ impl StoreSink {
     /// error) are counted, not propagated. A digest already present is
     /// skipped before its row is built: the resume dedup.
     pub fn record(&self, scenario: &Scenario, digest: Digest, result: &ScenarioResult) {
+        self.record_all([(scenario, digest, result)]);
+    }
+
+    /// [`StoreSink::record`] for each finished scenario in order, under
+    /// one lock of the store.
+    pub(crate) fn record_all<'a>(
+        &self,
+        finished: impl IntoIterator<Item = (&'a Scenario, Digest, &'a ScenarioResult)>,
+    ) {
         let Ok(mut store) = self.store.lock() else {
-            self.append_errors.fetch_add(1, Ordering::Relaxed);
+            self.append_errors.fetch_add(finished.into_iter().count(), Ordering::Relaxed);
             return;
         };
-        if store.contains(digest.0) {
-            return;
-        }
-        match store.append(row_of(scenario, digest, result)) {
-            Ok(true) => {
-                self.rows_recorded.fetch_add(1, Ordering::Relaxed);
+        let (mut recorded, mut errors) = (0, 0);
+        for (scenario, digest, result) in finished {
+            if store.contains(digest.0) {
+                continue;
             }
-            Ok(false) => {}
-            Err(_) => {
-                self.append_errors.fetch_add(1, Ordering::Relaxed);
+            match store.append(row_of(scenario, digest, result)) {
+                Ok(true) => recorded += 1,
+                Ok(false) => {}
+                Err(_) => errors += 1,
             }
         }
+        self.rows_recorded.fetch_add(recorded, Ordering::Relaxed);
+        self.append_errors.fetch_add(errors, Ordering::Relaxed);
     }
 
     /// Flushes buffered rows to a committed frame. Called by the

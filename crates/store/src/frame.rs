@@ -67,8 +67,8 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 };
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG one), slicing-by-8:
-/// eight bytes per step through [`CRC_TABLES`], then bytewise for the
-/// tail.
+/// eight bytes per step through eight 256-entry lookup tables, then
+/// bytewise for the tail.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut crc = !0u32;
@@ -476,7 +476,8 @@ struct Columns<'a> {
     axes: [&'a [u8]; 6],
 }
 
-/// The one block walker behind [`decode_block`] and [`block_digests`]:
+/// The one block walker behind [`decode_block`], [`block_digests`] and
+/// [`single_row`]:
 /// checks `payload` in byte order, handing each dictionary entry to
 /// `entry`, and fails with the first damage found.
 fn walk_block<'a>(
@@ -558,6 +559,55 @@ pub fn decode_block(payload: &[u8]) -> Result<Vec<Row>, String> {
 pub fn block_digests(payload: &[u8]) -> Result<Vec<u128>, String> {
     let cols = walk_block(payload, |_| {})?;
     Ok(cols.digests.chunks_exact(16).map(|d| u128::from_le_bytes(d.try_into().unwrap())).collect())
+}
+
+/// The scalar columns of one row: a [`Row`] without its six axis
+/// strings.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Scalars {
+    /// Scenario content hash.
+    pub digest: u128,
+    /// World size.
+    pub nranks: u32,
+    /// Simulated makespan in seconds.
+    pub makespan: f64,
+    /// Engine events processed.
+    pub events: u64,
+    /// Faults injected by the fault plan.
+    pub faults_applied: u64,
+    /// Checkpoints taken by the recovery policy.
+    pub checkpoints_taken: u64,
+    /// Restarts performed.
+    pub recoveries: u64,
+    /// Transport retries performed.
+    pub retries: u64,
+}
+
+/// The scalars of a block's only row, after exactly the checks
+/// [`decode_block`] makes (same order, same reasons) and then a check
+/// that the block holds one row. It builds no [`Row`] and allocates
+/// nothing unless it fails: what a one-row result-cache entry needs.
+///
+/// # Errors
+///
+/// As for [`decode_block`], and when the block holds no row or more
+/// than one.
+pub fn single_row(payload: &[u8]) -> Result<Scalars, String> {
+    let cols = walk_block(payload, |_| {})?;
+    if cols.nrows != 1 {
+        return Err(format!("block holds {} rows, not one", cols.nrows));
+    }
+    let counter = |col: usize| u64::from_le_bytes(element(cols.counters[col], 0));
+    Ok(Scalars {
+        digest: u128::from_le_bytes(element(cols.digests, 0)),
+        nranks: u32::from_le_bytes(element(cols.nranks, 0)),
+        makespan: f64::from_bits(u64::from_le_bytes(element(cols.makespans, 0))),
+        events: counter(0),
+        faults_applied: counter(1),
+        checkpoints_taken: counter(2),
+        recoveries: counter(3),
+        retries: counter(4),
+    })
 }
 
 #[cfg(test)]
@@ -707,10 +757,17 @@ mod tests {
         Ok(rows)
     }
 
+    /// A row's scalar columns, the makespan as bits.
+    fn scalar_bits(r: &Row) -> (u128, u32, u64, [u64; 5]) {
+        let counters = [r.events, r.faults_applied, r.checkpoints_taken, r.recoveries, r.retries];
+        (r.digest, r.nranks, r.makespan.to_bits(), counters)
+    }
+
     /// `decode_block` gives the reference decoder's verdict, and
-    /// `block_digests` gives exactly `decode_block`'s: the same rows or
-    /// digests, or the same reason. Rows compare by bits, so a NaN
-    /// makespan compares equal to itself.
+    /// `block_digests` and `single_row` give exactly `decode_block`'s:
+    /// the same rows, digests or scalars, or the same reason (for
+    /// `single_row`, a block of other than one row is an error too).
+    /// Rows compare by bits, so a NaN makespan compares equal to itself.
     fn digests_agree(payload: &[u8]) -> Result<(), String> {
         let bits = |rows: Vec<Row>| {
             rows.into_iter()
@@ -723,12 +780,24 @@ mod tests {
             Ok(rows) => Ok(rows.iter().map(|r| r.digest).collect()),
             Err(reason) => Err(reason.clone()),
         };
+        let one = match &full {
+            Ok(rows) if rows.len() == 1 => Ok(scalar_bits(&rows[0])),
+            Ok(rows) => Err(format!("block holds {} rows, not one", rows.len())),
+            Err(reason) => Err(reason.clone()),
+        };
         let fast = block_digests(payload);
+        let single = single_row(payload).map(|r| {
+            let counters =
+                [r.events, r.faults_applied, r.checkpoints_taken, r.recoveries, r.retries];
+            (r.digest, r.nranks, r.makespan.to_bits(), counters)
+        });
         let (full, reference) = (full.map(bits), reference.map(bits));
         if full != reference {
             Err(format!("decode_block {full:?} but the reference {reference:?}"))
         } else if fast != digests {
             Err(format!("block_digests {fast:?} but decode_block {digests:?}"))
+        } else if single != one {
+            Err(format!("single_row {single:?} but decode_block {one:?}"))
         } else {
             Ok(())
         }
@@ -747,20 +816,25 @@ mod tests {
 
     #[test]
     fn block_digests_agrees_on_every_cut_and_bit_flip() {
-        let payload = encode_block(&mixed_rows(7, 5)).unwrap();
-        for cut in 0..payload.len() {
-            digests_agree(&payload[..cut]).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
-        }
-        for at in 0..payload.len() {
-            for bit in 0..8 {
-                let mut bad = payload.clone();
-                bad[at] ^= 1 << bit;
-                digests_agree(&bad).unwrap_or_else(|e| panic!("flip {at}.{bit}: {e}"));
+        // Five rows, and the one row of a result-cache entry.
+        for n in [5, 1] {
+            let payload = encode_block(&mixed_rows(7, n)).unwrap();
+            for cut in 0..payload.len() {
+                digests_agree(&payload[..cut])
+                    .unwrap_or_else(|e| panic!("{n} rows, cut at {cut}: {e}"));
             }
+            for at in 0..payload.len() {
+                for bit in 0..8 {
+                    let mut bad = payload.clone();
+                    bad[at] ^= 1 << bit;
+                    digests_agree(&bad)
+                        .unwrap_or_else(|e| panic!("{n} rows, flip {at}.{bit}: {e}"));
+                }
+            }
+            let mut long = payload.clone();
+            long.push(0);
+            digests_agree(&long).unwrap();
         }
-        let mut long = payload.clone();
-        long.push(0);
-        digests_agree(&long).unwrap();
     }
 
     proptest! {
