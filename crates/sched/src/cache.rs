@@ -31,13 +31,12 @@
 //! not answer, then memory once more to promote the disk hits. The found
 //! frames are sorted by (pack, offset) and nearby ones are read together,
 //! one `read_exact_at` per run of frames at most 4 KiB apart and 64 KiB
-//! long, the runs shared among the lookup's threads when there are
-//! enough of them. Each frame is then checked on the bytes just read:
-//! magic and CRC, that the frame ends where the index says, that it
-//! holds one row and that the row's digest is the key, without building
-//! a row; anything else is a counted corrupt miss. When a run's read fails
-//! (the pack was cut short after it was indexed) each of its frames is
-//! read on its own, so a frame still whole is still served.
+//! long, on the calling thread. Each frame is then checked on the bytes
+//! just read: magic and CRC, that the frame ends where the index says,
+//! that it holds one row and that the row's digest is the key, without
+//! building a row; anything else is a counted corrupt miss. When a run's
+//! read fails (the pack was cut short after it was indexed) each of its
+//! frames is read on its own, so a frame still whole is still served.
 //! [`ResultCache::get`] is the one-digest lookup. A lookup never rescans
 //! after the first scan: [`ResultCache::claim_compute`] does, listing new
 //! packs and reading only the bytes appended since the last scan.
@@ -130,14 +129,14 @@ const MAX_ENTRY_PAYLOAD: usize = 1024;
 /// than a second positioned read.
 const READ_GAP: u64 = 4 * 1024;
 
-/// Most bytes one coalesced read covers, and so what a reading thread
-/// buffers at most. Every indexed frame fits, being under
+/// Most bytes one coalesced read covers, and so what a lookup buffers at
+/// most. Every indexed frame fits, being under
 /// `FRAME_HEADER + MAX_ENTRY_PAYLOAD` bytes.
 const READ_SPAN: u64 = SCAN_CHUNK as u64;
 
-/// Frames each thread of a lookup gets at least: with fewer, starting a
-/// thread costs more than the reads and checks it takes over.
-const FRAMES_PER_THREAD: usize = 256;
+/// Bytes of the largest frame a scan indexes: a one-frame read fits in
+/// a stack buffer this long.
+const MAX_ENTRY_FRAME: usize = frame::FRAME_HEADER + MAX_ENTRY_PAYLOAD;
 
 /// The bounded memory tier: two generations, newest first.
 #[derive(Debug)]
@@ -426,9 +425,16 @@ impl DiskState {
         }
     }
 
-    /// Every pack's file, indexed as [`Loc::pack`] numbers them.
-    fn files(&self) -> Vec<Arc<File>> {
-        self.packs.iter().map(|pack| Arc::clone(&pack.file)).collect()
+    /// The file of each pack `frames` lie in, sorted by pack number;
+    /// `frames` must be sorted by pack.
+    fn files_of(&self, frames: &[Found]) -> Vec<(u32, Arc<File>)> {
+        let mut files: Vec<(u32, Arc<File>)> = Vec::new();
+        for found in frames {
+            if files.last().map(|&(pack, _)| pack) != Some(found.loc.pack) {
+                files.push((found.loc.pack, Arc::clone(&self.packs[found.loc.pack as usize].file)));
+            }
+        }
+        files
     }
 
     /// Creates and registers a new pack of this cache's own, skipping
@@ -498,15 +504,10 @@ fn check_entry(bytes: &[u8], digest: Digest) -> Option<ScenarioResult> {
     (end == bytes.len() && row.digest == digest.0).then(|| row_result(&row))
 }
 
-/// Reads `run`, frames of one pack lying within `start..end`, with one
-/// read into `buf`, then checks each. When that read fails, each frame
-/// is read on its own. Returns how many frames failed.
-fn read_run(file: &File, run: &mut [Found], start: u64, end: u64, buf: &mut Vec<u8>) -> usize {
-    let span = (end - start) as usize;
-    if buf.len() < span {
-        buf.resize(span, 0);
-    }
-    let bytes = &mut buf[..span];
+/// Reads `run`, frames of one pack that `bytes` spans from `start`,
+/// with one read, then checks each. When that read fails, each frame is
+/// read on its own. Returns how many frames failed.
+fn read_run(file: &File, run: &mut [Found], start: u64, bytes: &mut [u8]) -> usize {
     let whole = file.read_exact_at(bytes, start).is_ok();
     let mut failed = 0;
     for found in run {
@@ -521,9 +522,13 @@ fn read_run(file: &File, run: &mut [Found], start: u64, end: u64, buf: &mut Vec<
 
 /// Reads and checks `frames`, sorted by (pack, offset), one read per run
 /// of frames of one pack at most [`READ_GAP`] apart and [`READ_SPAN`]
-/// long. `files` are the packs. Returns how many frames failed.
-fn read_frames(files: &[Arc<File>], frames: &mut [Found]) -> usize {
-    let mut buf = Vec::new();
+/// long. `files` are the packs' files by pack number, as
+/// [`DiskState::files_of`] gives them. A run no longer than the largest
+/// entry frame, such as a lone frame, is read into a stack buffer.
+/// Returns how many frames failed.
+fn read_frames(files: &[(u32, Arc<File>)], frames: &mut [Found]) -> usize {
+    let mut one = [0u8; MAX_ENTRY_FRAME];
+    let mut many = Vec::new();
     let mut failed = 0;
     let mut rest = frames;
     while let Some(first) = rest.first() {
@@ -543,23 +548,20 @@ fn read_frames(files: &[Arc<File>], frames: &mut [Found]) -> usize {
             })
             .count();
         let (run, tail) = std::mem::take(&mut rest).split_at_mut(1 + joined);
-        failed += read_run(&files[pack as usize], run, start, end, &mut buf);
+        let span = (end - start) as usize;
+        let bytes = if span <= one.len() {
+            &mut one[..span]
+        } else {
+            if many.len() < span {
+                many.resize(span, 0);
+            }
+            &mut many[..span]
+        };
+        let file = &files[files.partition_point(|&(no, _)| no < pack)].1;
+        failed += read_run(file, run, start, bytes);
         rest = tail;
     }
     failed
-}
-
-/// Sorts `frames` by (pack, offset) and reads them, split among up to
-/// `jobs` threads when each gets at least [`FRAMES_PER_THREAD`].
-/// Returns how many frames failed.
-fn read_sorted(files: &[Arc<File>], frames: &mut [Found], jobs: usize) -> usize {
-    frames.sort_unstable_by_key(|found| (found.loc.pack, found.loc.offset));
-    let threads = jobs.min(frames.len() / FRAMES_PER_THREAD).max(1);
-    if threads == 1 {
-        return read_frames(files, frames);
-    }
-    let parts = frames.chunks_mut(frames.len().div_ceil(threads));
-    crate::executor::run_chunks(parts, |part| read_frames(files, part)).into_iter().sum()
 }
 
 /// The disk tier: `<root>/<ENGINE_TAG>` and what is known of it.
@@ -742,15 +744,15 @@ impl ResultCache {
     /// A disk hit is promoted into memory.
     pub fn get(&self, digest: Digest) -> Option<(ScenarioResult, CacheTier)> {
         let mut out = [None];
-        self.lookup(&[digest], 1, &mut out);
+        self.lookup(&[digest], &mut out);
         out[0]
     }
 
     /// Looks a batch of digests up in one pass, setting `out[i]` to what
     /// answered `digests[i]`, or `None` for a miss. Memory answers
     /// first, under one lock; the rest go to the disk tier (see the
-    /// module doc), whose reads use up to `jobs` threads, and its hits
-    /// are promoted into memory under one more lock, in digest order.
+    /// module doc), and its hits are promoted into memory under one more
+    /// lock, in digest order.
     /// The first disk lookup builds the offset index; later ones only
     /// consult it. Counters move once per call.
     ///
@@ -767,7 +769,6 @@ impl ResultCache {
     pub(crate) fn lookup(
         &self,
         digests: &[Digest],
-        jobs: usize,
         out: &mut [Option<(ScenarioResult, CacheTier)>],
     ) {
         assert_eq!(digests.len(), out.len(), "one answer slot per digest");
@@ -783,9 +784,7 @@ impl ResultCache {
         }
         let memory_hits = out.iter().flatten().count();
         let disk_hits = match &self.disk {
-            Some(disk) if memory_hits < digests.len() => {
-                self.read_disk(disk, digests, out, jobs, false)
-            }
+            Some(disk) if memory_hits < digests.len() => self.read_disk(disk, digests, out, false),
             _ => 0,
         };
         if disk_hits > 0 {
@@ -818,14 +817,14 @@ impl ResultCache {
     /// The disk half of a lookup: finds each digest `out` leaves
     /// unanswered in the offset index under one lock (after an
     /// incremental scan if `rescan`, else only if nothing was ever
-    /// listed), then reads and checks the frames with the lock released,
-    /// counting each that fails as corrupt. Returns the hits.
+    /// listed) and sorts the frames found, then reads and checks them
+    /// with the lock released, counting each that fails as corrupt.
+    /// Returns the hits.
     fn read_disk(
         &self,
         disk: &Disk,
         digests: &[Digest],
         out: &mut [Option<(ScenarioResult, CacheTier)>],
-        jobs: usize,
         rescan: bool,
     ) -> usize {
         let (files, mut found) = {
@@ -842,9 +841,10 @@ impl ResultCache {
             if found.is_empty() {
                 return 0;
             }
-            (state.files(), found)
+            found.sort_unstable_by_key(|found| (found.loc.pack, found.loc.offset));
+            (state.files_of(&found), found)
         };
-        let failed = read_sorted(&files, &mut found, jobs);
+        let failed = read_frames(&files, &mut found);
         if failed > 0 {
             self.counters.corrupt(failed);
         }
@@ -878,7 +878,7 @@ impl ResultCache {
     /// on disk.
     fn refresh(&self, disk: &Disk, digest: Digest) -> Option<ScenarioResult> {
         let mut out = [None];
-        self.read_disk(disk, &[digest], &mut out, 1, true);
+        self.read_disk(disk, &[digest], &mut out, true);
         out[0].map(|(result, _)| result)
     }
 
@@ -1724,10 +1724,9 @@ mod tests {
     fn lookup_all(
         cache: &ResultCache,
         digests: &[Digest],
-        jobs: usize,
     ) -> Vec<Option<(ScenarioResult, CacheTier)>> {
         let mut out = vec![None; digests.len()];
-        cache.lookup(digests, jobs, &mut out);
+        cache.lookup(digests, &mut out);
         out
     }
 
@@ -1738,9 +1737,8 @@ mod tests {
         /// digest in turn: memory hits (some also on disk), disk hits
         /// across two packs in shuffled order, misses, one interior bit
         /// flip (found by the scan, or at hit time when made after the
-        /// index was built) and a torn tail, at any job count. The first
-        /// pack sometimes holds enough frames for the reads to use
-        /// several threads.
+        /// index was built) and a torn tail. The first pack sometimes
+        /// spans more than one coalesced read.
         #[test]
         fn pack_batch_lookup_matches_per_digest_get(
             sizes in (2usize..700, 1usize..40),
@@ -1749,7 +1747,6 @@ mod tests {
             flip in 0usize..usize::MAX,
             flip_after_index in 0u8..2,
             torn in 1usize..ENTRY_FRAME as usize,
-            jobs in 1usize..4,
             seed in 0u64..=u64::MAX,
         ) {
             let root = tmpdir("batch-prop");
@@ -1795,14 +1792,26 @@ mod tests {
             bytes[at] ^= 1 << (flip % 8);
             std::fs::write(&pack_a, bytes).unwrap();
 
-            let batch = lookup_all(&readers[0], &query, jobs);
+            let batch = lookup_all(&readers[0], &query);
             let each: Vec<_> = query.iter().map(|&d| readers[1].get(d)).collect();
             proptest::prop_assert_eq!(&batch, &each);
             proptest::prop_assert_eq!(readers[0].stats(), readers[1].stats());
             let stats = readers[0].stats();
             proptest::prop_assert!(stats.corrupt_entries >= 1, "the flip went unseen: {:?}", stats);
-            proptest::prop_assert!(batch[query.iter().position(|&d| d == torn_digest).unwrap()]
-                .is_none());
+            // And each answer is what was stored, read from the right pack.
+            for (d, answer) in query.iter().zip(&batch) {
+                let k = d.0 as u64 as usize;
+                let want = match d.0 >> 64 {
+                    1 if k == flipped => None,
+                    1 if k < in_memory.0 => Some((result(k as f64), CacheTier::Memory)),
+                    1 => Some((result(k as f64), CacheTier::Disk)),
+                    2 if k == sizes.1 => None,
+                    2 => Some((result(0.5 + k as f64), CacheTier::Disk)),
+                    3 => None,
+                    _ => Some((result(2.0), CacheTier::Memory)),
+                };
+                proptest::prop_assert_eq!(*answer, want, "{:?}", d);
+            }
             let _ = std::fs::remove_dir_all(&root);
         }
     }
@@ -1811,52 +1820,48 @@ mod tests {
     fn a_pack_cut_or_rewritten_after_indexing_serves_what_is_still_whole() {
         let root = tmpdir("cut-after-index");
         let writer = ResultCache::on_disk(&root);
-        // Enough frames for two reading threads at jobs=2.
-        let keys: Vec<Digest> = (0..600).map(|k| Digest(5_000 + k)).collect();
+        // Enough frames for several coalesced reads.
+        let keys: Vec<Digest> = (0..1_500).map(|k| Digest(5_000 + k)).collect();
         for (i, &key) in keys.iter().enumerate() {
             writer.put(key, &result(i as f64));
         }
         let path = the_pack(&writer);
         let full = std::fs::read(&path).unwrap();
         let frame_len = ENTRY_FRAME as usize;
-        let indexed = |jobs: usize| {
+        let indexed = || {
             std::fs::write(&path, &full).unwrap();
             let reader = ResultCache::on_disk(&root);
             assert!(reader.get(Digest(1)).is_none(), "builds the index");
-            (reader, jobs)
+            reader
         };
-        // Cut inside frame 450, well inside the second thread's share: the
-        // first 450 frames are whole, and each later one is unreadable
-        // and counts once, as a one-frame read would have it.
-        let whole = 450;
-        for (reader, jobs) in [indexed(1), indexed(2)] {
-            std::fs::write(&path, &full[..header_len() + whole * frame_len + frame_len / 2])
-                .unwrap();
-            let out = lookup_all(&reader, &keys, jobs);
-            for (i, answer) in out.iter().enumerate() {
-                let want = (i < whole).then_some((result(i as f64), CacheTier::Disk));
-                assert_eq!(*answer, want, "jobs {jobs}, frame {i}");
-            }
-            let stats = reader.stats();
-            let lost = keys.len() - whole;
-            assert_eq!(
-                (stats.hits_disk, stats.misses, stats.corrupt_entries, stats.disk_errors),
-                (whole, 1 + lost, lost, lost),
-                "jobs {jobs}"
-            );
+        // Cut inside frame 1,000, inside a coalesced read: the first
+        // 1,000 frames are whole, and each later one is unreadable and
+        // counts once, as a one-frame read would have it.
+        let whole = 1_000;
+        let reader = indexed();
+        std::fs::write(&path, &full[..header_len() + whole * frame_len + frame_len / 2]).unwrap();
+        let out = lookup_all(&reader, &keys);
+        for (i, answer) in out.iter().enumerate() {
+            let want = (i < whole).then_some((result(i as f64), CacheTier::Disk));
+            assert_eq!(*answer, want, "frame {i}");
         }
+        let stats = reader.stats();
+        let lost = keys.len() - whole;
+        assert_eq!(
+            (stats.hits_disk, stats.misses, stats.corrupt_entries, stats.disk_errors),
+            (whole, 1 + lost, lost, lost)
+        );
         // Rewritten in place with every frame moved one slot on: each
         // indexed offset now holds another digest's frame, whole and
         // CRC-valid, and only the digest check tells.
-        for (reader, jobs) in [indexed(1), indexed(2)] {
-            let mut moved = full[..header_len()].to_vec();
-            moved.extend_from_slice(&full[full.len() - frame_len..]);
-            moved.extend_from_slice(&full[header_len()..full.len() - frame_len]);
-            std::fs::write(&path, moved).unwrap();
-            assert!(lookup_all(&reader, &keys, jobs).iter().all(Option::is_none), "jobs {jobs}");
-            let stats = reader.stats();
-            assert_eq!((stats.hits_disk, stats.corrupt_entries), (0, keys.len()), "jobs {jobs}");
-        }
+        let reader = indexed();
+        let mut moved = full[..header_len()].to_vec();
+        moved.extend_from_slice(&full[full.len() - frame_len..]);
+        moved.extend_from_slice(&full[header_len()..full.len() - frame_len]);
+        std::fs::write(&path, moved).unwrap();
+        assert!(lookup_all(&reader, &keys).iter().all(Option::is_none));
+        let stats = reader.stats();
+        assert_eq!((stats.hits_disk, stats.corrupt_entries), (0, keys.len()));
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -11,10 +11,6 @@
 //! order**, whatever interleaving the workers ran. Combined with the
 //! engine's own determinism this is what lets `repro --jobs 8` produce
 //! byte-identical tables to `--jobs 1`.
-//!
-//! [`run_chunks`] is the plain fork-join for work already split into
-//! even chunks, such as a batch's digests or its cache reads: one scoped
-//! thread per chunk, no queues.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -153,34 +149,27 @@ where
         .collect()
 }
 
-/// Runs `f` on each chunk, the first on the caller's thread and every
-/// other on a scoped thread of its own, and returns the outputs in chunk
-/// order.
+/// Runs `f` on each index in `items` and stores the output at that index
+/// of `out`: [`run_ordered`] for work whose answers already have their
+/// slots. With one job the outputs go straight into `out`.
 ///
 /// # Panics
 ///
-/// If `f` panics for any chunk, the panic is resumed on the caller's
-/// thread once every chunk has finished.
-pub fn run_chunks<C, R, F>(chunks: impl IntoIterator<Item = C>, f: F) -> Vec<R>
+/// When an index is out of `out`'s bounds, and as [`run_ordered`] does.
+pub fn run_into<R, F>(jobs: usize, items: Vec<usize>, out: &mut [R], f: F)
 where
-    C: Send,
     R: Send,
-    F: Fn(C) -> R + Sync,
+    F: Fn(usize) -> R + Sync,
 {
-    let mut chunks = chunks.into_iter();
-    let Some(mine) = chunks.next() else {
-        return Vec::new();
-    };
-    let f = &f;
-    std::thread::scope(|scope| {
-        let others: Vec<_> = chunks.map(|chunk| scope.spawn(move || f(chunk))).collect();
-        let mut out = Vec::with_capacity(1 + others.len());
-        out.push(f(mine));
-        out.extend(
-            others.into_iter().map(|other| other.join().unwrap_or_else(|p| resume_unwind(p))),
-        );
-        out
-    })
+    if jobs <= 1 {
+        for i in items {
+            out[i] = f(i);
+        }
+        return;
+    }
+    for (i, r) in run_ordered(jobs, items, |&i| (i, f(i))) {
+        out[i] = r;
+    }
 }
 
 #[cfg(test)]
@@ -239,14 +228,12 @@ mod tests {
     }
 
     #[test]
-    fn run_chunks_keeps_chunk_order_and_runs_each_once() {
-        let items: Vec<usize> = (0..100).collect();
-        let sums = run_chunks(items.chunks(30), |chunk| chunk.iter().sum::<usize>());
-        assert_eq!(sums, vec![435, 1335, 2235, 945]);
-        let mut marks = vec![0u8; 10];
-        run_chunks(marks.chunks_mut(3), |chunk| chunk.iter_mut().for_each(|m| *m += 1));
-        assert_eq!(marks, vec![1; 10]);
-        assert!(run_chunks(std::iter::empty::<usize>(), |c| c).is_empty());
+    fn run_into_fills_exactly_the_listed_slots() {
+        for jobs in [1, 3] {
+            let mut out = vec![0usize; 10];
+            run_into(jobs, vec![7, 2, 9], &mut out, |i| i * 10);
+            assert_eq!(out, vec![0, 0, 20, 0, 0, 0, 0, 70, 0, 90], "jobs={jobs}");
+        }
     }
 
     #[test]

@@ -5,9 +5,7 @@
 //! through three filters before any engine runs:
 //!
 //! 1. **batch dedup** — identical digests inside one batch collapse to a
-//!    single job (sweeps love repeating their baseline point); a batch
-//!    of 512 inputs or more computes its digests in one chunk per
-//!    worker;
+//!    single job (sweeps love repeating their baseline point);
 //! 2. **warm pass** — every job's digest is looked up in one
 //!    [`ResultCache`] pass, memory then disk, before anything is
 //!    dispatched. Hits are answered on the calling thread and offered to
@@ -30,10 +28,6 @@ use corescope_machine::{Error, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// Inputs a batch needs before its digests are computed in one chunk per
-/// worker: below this, starting the threads costs more than the digests.
-const PARALLEL_DIGESTS: usize = 512;
 
 /// A finished scenario: the result, where it came from, and the digest
 /// it was looked up under.
@@ -249,14 +243,17 @@ impl Scheduler {
     ///
     /// Cache hits are answered before any miss is dispatched, and the
     /// predicate is consulted for a hit's inputs then; a miss's inputs
-    /// are consulted when the executor picks the miss up.
+    /// are consulted when the executor picks the miss up. Every job is
+    /// looked up, shed or not, so the cache's own counters
+    /// ([`Scheduler::cache_stats`]) include a hit whose inputs all shed,
+    /// while [`SchedStats`] counts only the hits delivered.
     pub fn run_batch_where(
         &self,
         scenarios: &[Scenario],
         shed: impl Fn(usize) -> bool + Sync,
     ) -> Vec<BatchOutcome> {
         self.scenarios.fetch_add(scenarios.len(), Ordering::Relaxed);
-        let digests = self.digests(scenarios);
+        let digests = Scenario::digests(scenarios);
         let jobs = BatchJobs::new(&digests);
         self.deduped.fetch_add(scenarios.len() - jobs.len(), Ordering::Relaxed);
         let lead = |job: usize| jobs.members(job)[0];
@@ -269,50 +266,32 @@ impl Scheduler {
 
         // The warm pass: every job's digest looked up at once.
         let mut found = vec![None; jobs.len()];
-        self.cache.lookup(&job_digests, self.jobs, &mut found);
+        self.cache.lookup(&job_digests, &mut found);
 
         // `None` = shed before dispatch, or a miss not yet run.
-        let mut unique_outcomes: Vec<Option<Result<Completed>>> = Vec::with_capacity(jobs.len());
+        let mut unique_outcomes: Vec<Option<Result<Completed>>> = vec![None; jobs.len()];
         let mut misses = Vec::new();
-        let (mut hits_memory, mut hits_disk) = (0, 0);
-        for (job, (hit, &digest)) in found.iter().zip(&job_digests).enumerate() {
-            unique_outcomes.push(match *hit {
-                None => {
-                    misses.push(job);
-                    None
-                }
-                Some(_) if all_shed(job) => None,
+        for (job, hit) in found.into_iter().enumerate() {
+            match hit {
+                None => misses.push(job),
+                Some(_) if all_shed(job) => {}
                 Some((result, tier)) => {
-                    match tier {
-                        CacheTier::Memory => hits_memory += 1,
-                        _ => hits_disk += 1,
-                    }
-                    Some(Ok(Completed { result, tier, digest }))
+                    let digest = job_digests[job];
+                    unique_outcomes[job] = Some(Ok(Completed { result, tier, digest }));
                 }
-            });
+            }
         }
-        drop(found);
-        self.hits_memory.fetch_add(hits_memory, Ordering::Relaxed);
-        self.hits_disk.fetch_add(hits_disk, Ordering::Relaxed);
-        // Hits are offered to the sink, which drops digests already
-        // committed: a hit during a *resumed* campaign still lands the
-        // row the killed run never got to flush.
-        if let Some(sink) = &self.store {
-            sink.record_all(unique_outcomes.iter().enumerate().filter_map(|(job, outcome)| {
-                match outcome {
-                    Some(Ok(done)) => Some((&scenarios[lead(job)], done.digest, &done.result)),
-                    _ => None,
-                }
-            }));
-        }
+        self.answered(unique_outcomes.iter().enumerate().filter_map(
+            |(job, outcome)| match outcome {
+                Some(Ok(done)) => Some((&scenarios[lead(job)], done)),
+                _ => None,
+            },
+        ));
 
-        let ran = executor::run_ordered(self.jobs, misses, |&job| {
+        executor::run_into(self.jobs, misses, &mut unique_outcomes, |job| {
             let miss = || self.run_miss(&scenarios[lead(job)], job_digests[job]);
-            (job, (!all_shed(job)).then(miss))
+            (!all_shed(job)).then(miss)
         });
-        for (job, outcome) in ran {
-            unique_outcomes[job] = outcome;
-        }
 
         // Batch boundary: commit buffered store rows so a crash between
         // batches loses at most the batch in progress.
@@ -350,14 +329,9 @@ impl Scheduler {
         let digest = scenario.digest();
         let outcome = match self.cache.get(digest) {
             Some((result, tier)) => {
-                match tier {
-                    CacheTier::Memory => self.hits_memory.fetch_add(1, Ordering::Relaxed),
-                    _ => self.hits_disk.fetch_add(1, Ordering::Relaxed),
-                };
-                if let Some(sink) = &self.store {
-                    sink.record(scenario, digest, &result);
-                }
-                Ok(Completed { result, tier, digest })
+                let done = Completed { result, tier, digest };
+                self.answered([(scenario, &done)]);
+                Ok(done)
             }
             None => self.run_miss(scenario, digest),
         };
@@ -370,14 +344,22 @@ impl Scheduler {
         outcome
     }
 
-    /// The batch's digests, in input order: one chunk per worker once the
-    /// batch has [`PARALLEL_DIGESTS`] inputs.
-    fn digests(&self, scenarios: &[Scenario]) -> Vec<Digest> {
-        if self.jobs == 1 || scenarios.len() < PARALLEL_DIGESTS {
-            return Scenario::digests(scenarios);
+    /// Counts cache hits by tier and offers them to the campaign store in
+    /// order, under one lock of the store. The sink drops digests already
+    /// committed, so a hit during a *resumed* campaign still lands the
+    /// row the killed run never got to flush.
+    fn answered<'a>(&self, hits: impl IntoIterator<Item = (&'a Scenario, &'a Completed)>) {
+        let (mut memory, mut disk) = (0, 0);
+        let counted = hits.into_iter().inspect(|(_, done)| match done.tier {
+            CacheTier::Memory => memory += 1,
+            _ => disk += 1,
+        });
+        match &self.store {
+            Some(sink) => sink.record_all(counted.map(|(s, done)| (s, done.digest, &done.result))),
+            None => counted.for_each(drop),
         }
-        let chunks = scenarios.chunks(scenarios.len().div_ceil(self.jobs));
-        executor::run_chunks(chunks, Scenario::digests).concat()
+        self.hits_memory.fetch_add(memory, Ordering::Relaxed);
+        self.hits_disk.fetch_add(disk, Ordering::Relaxed);
     }
 
     /// [`Scheduler::compute`] plus the campaign-store commit point: a
@@ -861,6 +843,13 @@ mod tests {
         assert_eq!(out[3], BatchOutcome::Shed);
         let stats = sched.stats();
         assert_eq!((stats.engine_runs, stats.hits_disk, stats.shed), (0, 1, 2), "{stats:?}");
+        // The cache counts every job's lookup, the shed hit's and the
+        // miss's included.
+        let cache = sched.cache_stats();
+        assert_eq!(
+            cache,
+            crate::cache::CacheStats { hits_disk: 2, misses: 1, ..Default::default() }
+        );
         assert_eq!(sink.rows_recorded(), 1, "only the delivered hit is offered to the store");
         drop(sched);
         let _ = std::fs::remove_dir_all(&root);
