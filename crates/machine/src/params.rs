@@ -133,50 +133,64 @@ impl std::fmt::Debug for ParamField {
     }
 }
 
-macro_rules! param_field {
-    ($name:ident, $lo:expr, $hi:expr) => {
-        ParamField {
-            name: stringify!($name),
-            lo: $lo,
-            hi: $hi,
-            read: |p| p.$name,
-            write: |p, v| p.$name = v,
+/// Generates [`CalibParams::FIELDS`] and [`CalibParams::to_bits`] from
+/// one `name: lo, hi;` line per field, so the field list is written out
+/// once. Both keep the list's order; `FIELDS` has an explicit length, so
+/// a line that is missing or extra does not compile.
+macro_rules! calib_fields {
+    ($($name:ident: $lo:expr, $hi:expr;)+) => {
+        impl CalibParams {
+            /// Every field with its bounds, in declaration order. The
+            /// stable index of a field in this table is its axis id
+            /// throughout the calibration subsystem.
+            pub const FIELDS: [ParamField; 25] = [$(ParamField {
+                name: stringify!($name),
+                lo: $lo,
+                hi: $hi,
+                read: |p| p.$name,
+                write: |p, v| p.$name = v,
+            }),+];
+
+            /// Every field's bit pattern, in [`CalibParams::FIELDS`]
+            /// order: an exact identity for the point, under which `0.0`
+            /// and `-0.0` (and distinct NaN payloads) differ. Reads the
+            /// fields directly, not through the table's accessors.
+            pub fn to_bits(&self) -> [u64; CalibParams::FIELDS.len()] {
+                [$(self.$name.to_bits()),+]
+            }
         }
     };
 }
 
-impl CalibParams {
-    /// Every field with its bounds, in declaration order. The stable
-    /// index of a field in this table is its axis id throughout the
-    /// calibration subsystem.
-    pub const FIELDS: [ParamField; 25] = [
-        param_field!(flops_per_cycle, 1.0, 4.0),
-        param_field!(l1_bytes, 16.0 * 1024.0, 256.0 * 1024.0),
-        param_field!(l2_bytes, 256.0 * 1024.0, 8.0 * 1024.0 * 1024.0),
-        param_field!(line_bytes, 32.0, 128.0),
-        param_field!(stream_mlp, 2.0, 16.0),
-        param_field!(random_mlp, 1.0, 4.0),
-        param_field!(strided_mlp, 1.0, 4.0),
-        param_field!(dram_bandwidth, 2e9, 6.4e9),
-        param_field!(dram_latency, 40e-9, 150e-9),
-        param_field!(ht_bandwidth, 0.5e9, 4e9),
-        param_field!(ht_hop_latency, 20e-9, 120e-9),
-        param_field!(probe_base, 0.0, 100e-9),
-        param_field!(probe_per_hop, 0.0, 120e-9),
-        param_field!(probe_capacity_small, 1e10, 1e13),
-        param_field!(probe_capacity_ladder, 5e9, 1e12),
-        param_field!(lock_sysv, 0.5e-6, 10e-6),
-        param_field!(lock_usysv, 0.01e-6, 1e-6),
-        param_field!(same_socket_boost, 1.0, 1.5),
-        param_field!(misplacement, 0.0, 0.5),
-        param_field!(lookup_mlp, 1.0, 8.0),
-        param_field!(lookup_latency, 0.0, 200e-9),
-        param_field!(onpkg_bandwidth, 10e9, 200e9),
-        param_field!(onpkg_latency, 5e-9, 100e-9),
-        param_field!(tier_dram_bandwidth, 10e9, 128e9),
-        param_field!(tier_hbm_bandwidth, 100e9, 1600e9),
-    ];
+calib_fields! {
+    flops_per_cycle: 1.0, 4.0;
+    l1_bytes: 16.0 * 1024.0, 256.0 * 1024.0;
+    l2_bytes: 256.0 * 1024.0, 8.0 * 1024.0 * 1024.0;
+    line_bytes: 32.0, 128.0;
+    stream_mlp: 2.0, 16.0;
+    random_mlp: 1.0, 4.0;
+    strided_mlp: 1.0, 4.0;
+    dram_bandwidth: 2e9, 6.4e9;
+    dram_latency: 40e-9, 150e-9;
+    ht_bandwidth: 0.5e9, 4e9;
+    ht_hop_latency: 20e-9, 120e-9;
+    probe_base: 0.0, 100e-9;
+    probe_per_hop: 0.0, 120e-9;
+    probe_capacity_small: 1e10, 1e13;
+    probe_capacity_ladder: 5e9, 1e12;
+    lock_sysv: 0.5e-6, 10e-6;
+    lock_usysv: 0.01e-6, 1e-6;
+    same_socket_boost: 1.0, 1.5;
+    misplacement: 0.0, 0.5;
+    lookup_mlp: 1.0, 8.0;
+    lookup_latency: 0.0, 200e-9;
+    onpkg_bandwidth: 10e9, 200e9;
+    onpkg_latency: 5e-9, 100e-9;
+    tier_dram_bandwidth: 10e9, 128e9;
+    tier_hbm_bandwidth: 100e9, 1600e9;
+}
 
+impl CalibParams {
     /// The shipped 2006 calibration: every field equals the constant it
     /// replaces, bit-for-bit. Building a system from this point yields a
     /// spec identical to the preset builders.
@@ -313,6 +327,19 @@ mod tests {
             p.set(i, mid);
             assert_eq!(p.get(i).to_bits(), mid.to_bits(), "{}", f.name);
         }
+    }
+
+    #[test]
+    fn to_bits_matches_the_table_accessors_in_order() {
+        // A distinct value per axis, so a field read out of order shows.
+        let mut p = CalibParams::paper_2006();
+        for i in 0..CalibParams::FIELDS.len() {
+            p.set(i, i as f64 + 0.5);
+        }
+        p.misplacement = -0.0;
+        let via_table: Vec<u64> =
+            CalibParams::FIELDS.iter().map(|f| f.read(&p).to_bits()).collect();
+        assert_eq!(p.to_bits().to_vec(), via_table);
     }
 
     #[test]

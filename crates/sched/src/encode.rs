@@ -24,6 +24,15 @@
 //! bytes, so the state after a prefix is all the prefix contributes —
 //! [`Encoder::resume`] continues from a saved [`Encoder::digest`] and
 //! yields exactly the digest of the concatenated stream.
+//!
+//! Most of the 8-byte integers in a stream are small: every name
+//! length, every string length, list lengths and small counts. A zero
+//! byte's xor changes nothing, so folding it is one multiply by the
+//! prime, and folding `k` zero bytes is one multiply by `FNV_PRIME^k`.
+//! An integer below 256 is seven zero bytes and its low byte, so it
+//! folds in two multiplies instead of eight. The bytes hashed and the
+//! digest are exactly those of the byte-at-a-time fold; only the number
+//! of multiplies drops.
 
 use std::fmt;
 
@@ -31,6 +40,8 @@ use std::fmt;
 const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 /// 128-bit FNV-1a prime.
 const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
+/// `FNV_PRIME^7`: the fold of seven zero bytes.
+const FNV_PRIME_7: u128 = FNV_PRIME.wrapping_pow(7);
 
 /// A 128-bit content digest, printed as 32 hex digits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -94,8 +105,15 @@ impl Encoder {
         self.state = h;
     }
 
+    /// Folds `v` as 8 big-endian bytes. Below 256 those are seven zero
+    /// bytes, folded as one multiply, and then the low byte.
     fn raw_u64(&mut self, v: u64) {
-        self.write(&v.to_be_bytes());
+        if v < 256 {
+            let h = self.state.wrapping_mul(FNV_PRIME_7) ^ v as u128;
+            self.state = h.wrapping_mul(FNV_PRIME);
+        } else {
+            self.write(&v.to_be_bytes());
+        }
     }
 
     fn name(&mut self, name: &str) {
@@ -263,6 +281,111 @@ mod tests {
             e.str("k", "ab").f64("v", -0.0);
         });
         assert_eq!(streamed, Digest(h));
+    }
+
+    /// The canonical byte stream, materialized: the field layout written
+    /// out once more, independently of the folding [`Encoder`].
+    #[derive(Default)]
+    struct CanonicalBytes(Vec<u8>);
+
+    impl CanonicalBytes {
+        fn int(&mut self, v: u64) {
+            self.0.extend_from_slice(&v.to_be_bytes());
+        }
+
+        fn head(&mut self, name: &str, ty: u8) {
+            self.int(name.len() as u64);
+            self.0.extend_from_slice(name.as_bytes());
+            self.0.push(ty);
+        }
+
+        fn text(&mut self, v: &str) {
+            self.int(v.len() as u64);
+            self.0.extend_from_slice(v.as_bytes());
+        }
+
+        /// Textbook FNV-1a, one byte at a time.
+        fn fnv(&self) -> Digest {
+            let mut h = FNV_OFFSET;
+            for &b in &self.0 {
+                h ^= b as u128;
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+            Digest(h)
+        }
+    }
+
+    const EDGE_INTS: [u64; 6] = [0, 1, 255, 256, 65_535, u64::MAX];
+    const EDGE_FLOATS: [f64; 8] = [0.0, -0.0, f64::NAN, 1.0, 8.0, 1e6, 1.5e9, -2.5];
+
+    /// `len` ASCII bytes drawn from `seed`.
+    fn text(len: usize, seed: u8) -> String {
+        (0..len).map(|i| (b'a' + (seed as usize + i) as u8 % 26) as char).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The streaming encoder, with its small-integer fold, equals
+        /// FNV-1a over the materialized bytes on random field sequences:
+        /// every field kind, names and strings of 0–300 bytes, the integer
+        /// edges around one byte, two bytes and `u64::MAX`, random one-
+        /// and two-byte integers, signed zeros, NaN, round floats and raw
+        /// bit patterns.
+        #[test]
+        fn encoder_parity_over_random_fields(
+            fields in proptest::collection::vec(
+                (0u8..6, 0usize..301, 0usize..12, 0u64..u64::MAX, 0usize..301, 0u8..=255),
+                0..40,
+            ),
+        ) {
+            let mut enc = Encoder::new();
+            let mut bytes = CanonicalBytes::default();
+            for &(kind, name_len, pick, raw, len, seed) in &fields {
+                let name = text(name_len, seed.wrapping_add(7));
+                let int = match pick {
+                    0..=5 => EDGE_INTS[pick],
+                    6 | 7 => raw & 0xff,
+                    8 | 9 => raw & 0xffff,
+                    _ => raw,
+                };
+                let float = EDGE_FLOATS.get(pick).copied().unwrap_or(f64::from_bits(raw));
+                let value = text(len, seed);
+                match kind {
+                    0 => {
+                        enc.u64(&name, int);
+                        bytes.head(&name, b'u');
+                        bytes.int(int);
+                    }
+                    1 => {
+                        enc.usize(&name, int as usize);
+                        bytes.head(&name, b'u');
+                        bytes.int(int);
+                    }
+                    2 => {
+                        enc.f64(&name, float);
+                        bytes.head(&name, b'f');
+                        bytes.int(float.to_bits());
+                    }
+                    3 => {
+                        enc.str(&name, &value);
+                        bytes.head(&name, b's');
+                        bytes.text(&value);
+                    }
+                    4 => {
+                        enc.tag(&name, &value);
+                        bytes.head(&name, b't');
+                        bytes.text(&value);
+                    }
+                    _ => {
+                        enc.list(&name, int as usize);
+                        bytes.head(&name, b'l');
+                        bytes.int(int);
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(enc.digest(), bytes.fnv());
+        }
     }
 
     #[test]

@@ -84,8 +84,11 @@ impl std::fmt::Display for UnknownSystem {
 impl std::error::Error for UnknownSystem {}
 
 impl System {
+    /// How many systems there are.
+    pub(crate) const COUNT: usize = 5;
+
     /// Every system, oldest generation first.
-    pub fn all() -> [System; 5] {
+    pub fn all() -> [System; System::COUNT] {
         [System::Tiger, System::Dmz, System::Longs, System::Epyc, System::Hbm]
     }
 
@@ -1018,20 +1021,13 @@ impl Scenario {
     /// [`Scenario::digest`] for every scenario of a batch, in order. The
     /// prefix — engine tag, full machine spec and calibration point, the
     /// bulk of the encoded bytes — is computed once per distinct
-    /// `(system, params)` pair in the batch. Params are keyed by bit
+    /// `(system, params)` pair in the batch, looked up through a
+    /// per-system slot in front of a map. Params are keyed by bit
     /// pattern, matching the encoding, so `0.0` and `-0.0` never share a
     /// prefix.
     pub fn digests(batch: &[Scenario]) -> Vec<Digest> {
-        let mut prefixes: HashMap<(System, ParamBits), Digest> = HashMap::new();
-        batch
-            .iter()
-            .map(|s| {
-                let prefix = *prefixes
-                    .entry((s.system, param_bits(&s.params)))
-                    .or_insert_with(|| digest_prefix(s.system, &s.params));
-                s.digest_after(prefix)
-            })
-            .collect()
+        let mut prefixes = PrefixMemo::default();
+        batch.iter().map(|s| s.digest_after(prefixes.get(s.system, &s.params))).collect()
     }
 
     /// The per-scenario suffix of the digest stream, resumed from the
@@ -1349,8 +1345,36 @@ impl Scenario {
 /// prefix.
 type ParamBits = [u64; CalibParams::FIELDS.len()];
 
-fn param_bits(params: &CalibParams) -> ParamBits {
-    std::array::from_fn(|i| CalibParams::FIELDS[i].read(params).to_bits())
+/// The digest prefixes of one batch, keyed by `(system, params bits)`.
+///
+/// Each system has a slot holding its last calibration point and prefix.
+/// A batch usually holds one point per system, so nearly every lookup is
+/// one key comparison against the slot. A slot miss, as in a calibration
+/// sweep, falls back to the SipHash map and refills the slot: one key
+/// comparison more than the map alone, so a batch of all-distinct points
+/// is still one linear pass.
+#[derive(Default)]
+struct PrefixMemo {
+    slots: [Option<(ParamBits, Digest)>; System::COUNT],
+    map: HashMap<(System, ParamBits), Digest>,
+}
+
+impl PrefixMemo {
+    fn get(&mut self, system: System, params: &CalibParams) -> Digest {
+        let bits = params.to_bits();
+        let slot = &mut self.slots[system as usize];
+        match slot {
+            Some((last, prefix)) if *last == bits => *prefix,
+            _ => {
+                let prefix = *self
+                    .map
+                    .entry((system, bits))
+                    .or_insert_with(|| digest_prefix(system, params));
+                *slot = Some((bits, prefix));
+                prefix
+            }
+        }
+    }
 }
 
 /// The digest stream's `(system, params)` prefix: the engine tag, the

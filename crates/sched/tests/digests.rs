@@ -37,10 +37,14 @@ use corescope_store::frame::crc32;
 use proptest::prelude::*;
 
 fn bsp(system: System, nranks: usize) -> Scenario {
+    bsp_steps(system, nranks, 3)
+}
+
+fn bsp_steps(system: System, nranks: usize, steps: usize) -> Scenario {
     Scenario::new(
         system,
         nranks,
-        Workload::Bsp { steps: 3, flops_per_step: 1e6, bytes_per_step: 1e6, sync_bytes: 8.0 },
+        Workload::Bsp { steps, flops_per_step: 1e6, bytes_per_step: 1e6, sync_bytes: 8.0 },
     )
 }
 
@@ -816,35 +820,61 @@ fn signed_zero_params_never_share_a_prefix() {
     }
 }
 
+/// A batch member dressed in one of the optional suffix sections, so
+/// batches vary past the workload: parked ranks, a fault plan, a
+/// checkpoint policy or a retry policy (`extra` in `0..15`).
+fn with_extras(scenario: Scenario, extra: usize) -> Scenario {
+    let n = extra / 5;
+    match extra % 5 {
+        0 => scenario,
+        1 => scenario.with_parked(1 + n),
+        2 => scenario.with_faults(
+            FaultPlan::new()
+                .link_degrade(1e-4 * (n + 1) as f64, LinkId::new(n), 0.5)
+                .rank_kill(3e-4, RankId::new(1)),
+        ),
+        3 => scenario.with_recovery(
+            CheckpointPolicy::new(1e-3, 1e6 * (n + 1) as f64).with_restart_delay(2e-4),
+        ),
+        _ => scenario.with_retry(RetryPolicy::new(1e-3).with_max_retries(n)),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The memoized batch path is the one-at-a-time digest, element by
     /// element, over batches that mix every system with repeated and
-    /// perturbed calibration points.
+    /// perturbed calibration points and every optional suffix section.
+    /// Woven through each batch, one system cycles through 2–5
+    /// calibration points (A, B, A, B …) with the `+0.0` and `-0.0`
+    /// points adjacent, so its per-system slot misses, falls back to
+    /// the map and refills on every step of the cycle.
     #[test]
     fn batch_digests_equal_single_digests(
         parts in proptest::collection::vec(
-            (0usize..5, 0usize..6, 0usize..4, 1usize..9, 1usize..20),
+            (0usize..5, 0usize..6, 0usize..4, 1usize..9, 1usize..20, 0usize..15),
             0..24,
         ),
+        (sys, zero, points, len) in (0usize..5, 0usize..4, 2usize..6, 0usize..32),
     ) {
-        let batch: Vec<Scenario> = parts
-            .iter()
-            .map(|&(sys, choice, zero, nranks, steps)| {
-                Scenario::new(
-                    System::all()[sys],
-                    nranks,
-                    Workload::Bsp {
-                        steps,
-                        flops_per_step: 1e6,
-                        bytes_per_step: 1e6,
-                        sync_bytes: 8.0,
-                    },
-                )
+        let random = parts.iter().map(|&(sys, choice, zero, nranks, steps, extra)| {
+            with_extras(bsp_steps(System::all()[sys], nranks, steps), extra)
                 .with_params(params_for(choice, zero))
-            })
-            .collect();
+        });
+        // Choices 3 and 4 zero one field with either sign; the cycle
+        // starts with them, then adds the unperturbed and scaled points.
+        let cycle = [3, 4, 0, 1, 5];
+        let alternating = (0..len).map(|j| {
+            with_extras(bsp_steps(System::all()[sys], 4, 3), j % 15)
+                .with_params(params_for(cycle[j % points], zero))
+        });
+        let mut batch: Vec<Scenario> = Vec::new();
+        let (mut random, mut alternating) = (random.peekable(), alternating.peekable());
+        while random.peek().is_some() || alternating.peek().is_some() {
+            batch.extend(random.next());
+            batch.extend(alternating.next());
+        }
         let batched = Scenario::digests(&batch);
         prop_assert_eq!(batched.len(), batch.len());
         for (scenario, digest) in batch.iter().zip(&batched) {
