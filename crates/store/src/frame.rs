@@ -23,6 +23,9 @@
 
 use crate::Row;
 use std::collections::HashMap;
+use std::fs::File;
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::sync::Arc;
 
 /// Magic prefix of every segment file.
@@ -209,15 +212,9 @@ pub enum Parsed<'a> {
 
 /// Classifies the bytes at `at` without panicking on any input.
 pub fn parse_frame(buf: &[u8], at: usize) -> Parsed<'_> {
-    if at >= buf.len() {
-        return Parsed::Truncated;
-    }
-    let rest = &buf[at..];
-    if rest.len() < 4 {
+    let rest = buf.get(at..).unwrap_or_default();
+    if !rest.starts_with(&FRAME_MAGIC) {
         return if FRAME_MAGIC.starts_with(rest) { Parsed::Truncated } else { Parsed::BadMagic };
-    }
-    if rest[..4] != FRAME_MAGIC {
-        return Parsed::BadMagic;
     }
     if rest.len() < FRAME_HEADER {
         return Parsed::Truncated;
@@ -239,13 +236,213 @@ pub fn parse_frame(buf: &[u8], at: usize) -> Parsed<'_> {
     Parsed::Frame { payload, end: at + FRAME_HEADER + len }
 }
 
-/// Finds the next possible frame start strictly after `from`.
-pub fn resync(buf: &[u8], from: usize) -> Option<usize> {
-    let start = from.checked_add(1)?;
-    if start >= buf.len() {
-        return None;
+/// Bytes one [`Walker`] read asks for. A walk holds this many, or one
+/// whole frame when a frame is longer.
+pub const SCAN_CHUNK: usize = 64 * 1024;
+
+/// What a [`Walker`] found at one offset.
+#[derive(Debug)]
+pub enum Step<'a> {
+    /// The segment header: its engine tag and where frames start, or why
+    /// it is damaged. `head` is the bytes parsed (on damage, all read).
+    Header { parsed: Result<(String, u64), String>, head: &'a [u8] },
+    /// A whole CRC-valid frame from `at` to `end`.
+    Frame { at: u64, payload: &'a [u8], end: u64 },
+    /// Damage at `at`, up to the next frame magic `resync`: a bad CRC in a
+    /// frame that ends at `end`, or (no `end`) bytes that are not a frame.
+    Damage { at: u64, end: Option<u64>, resync: Option<u64> },
+    /// A frame at `at` runs past the end of the file or the walk's limit.
+    Truncated { at: u64 },
+}
+
+/// Where a [`Walker`] goes on.
+#[derive(Debug, Clone, Copy)]
+enum Next {
+    Header,
+    At(u64),
+    Resync(u64),
+    Done,
+}
+
+/// The one frame walk over a segment or pack file: store recovery,
+/// `Store::rows`, `fsck` and the result cache's pack scan each apply their
+/// own damage rule to its [`Step`]s. It reads with [`FileExt::read_at`] in
+/// [`SCAN_CHUNK`] pieces, growing its buffer to fit a longer frame but
+/// never past the bytes the file has. A walk starts at the segment header.
+/// After a frame it goes on at the frame's end, after damage at the resync
+/// point, after a truncation at the next frame magic; [`Walker::seek`] and
+/// [`Walker::resync`] move it.
+#[derive(Debug)]
+pub struct Walker<'f> {
+    file: &'f File,
+    buf: Vec<u8>,
+    /// File offset of `buf[0]`, and how many bytes from there are read.
+    base: u64,
+    filled: usize,
+    /// The file's length, as at the start or as a short read found it.
+    len: u64,
+    limit: u64,
+    cap: usize,
+    next: Next,
+}
+
+impl<'f> Walker<'f> {
+    /// A walk of `file` from its segment header; fails when the file's
+    /// length cannot be read.
+    pub fn new(file: &'f File) -> io::Result<Walker<'f>> {
+        let len = file.metadata()?.len();
+        let (buf, limit, cap, next) = (Vec::new(), u64::MAX, usize::MAX, Next::Header);
+        Ok(Walker { file, buf, base: 0, filled: 0, len, limit, cap, next })
     }
-    buf[start..].windows(4).position(|w| w == FRAME_MAGIC).map(|i| start + i)
+
+    /// Ends the walk at `limit`: a frame that crosses it is cut off.
+    pub fn limit(&mut self, limit: u64) {
+        self.limit = limit;
+    }
+
+    /// Makes a frame header that claims more than `cap` payload bytes
+    /// damage, judged on its length field alone.
+    pub fn cap(&mut self, cap: usize) {
+        self.cap = cap;
+    }
+
+    /// Goes on at `at`, a frame boundary.
+    pub fn seek(&mut self, at: u64) {
+        self.next = Next::At(at);
+    }
+
+    /// Goes on at the first frame magic at or after `from`.
+    pub fn resync(&mut self, from: u64) {
+        self.next = Next::Resync(from);
+    }
+
+    /// The file's length.
+    pub fn file_len(&self) -> u64 {
+        self.len
+    }
+
+    fn end(&self) -> u64 {
+        self.len.min(self.limit)
+    }
+
+    /// The bytes from `at` to the end of the walk, at least `need` of them
+    /// if it has that many; reads from `at` (a chunk or more) when fewer
+    /// are held.
+    fn fill(&mut self, at: u64, need: usize) -> io::Result<&[u8]> {
+        let held = self.base + self.filled as u64;
+        if at < self.base || at.saturating_add(need as u64).min(self.end()) > held {
+            (self.base, self.filled) = (at, 0);
+            let len = self.end().saturating_sub(at).min(need.max(SCAN_CHUNK) as u64) as usize;
+            if self.buf.len() < len {
+                self.buf.reserve_exact(len - self.buf.len());
+                self.buf.resize(len, 0);
+            }
+            while self.filled < len {
+                match self.file.read_at(&mut self.buf[self.filled..len], at + self.filled as u64) {
+                    Ok(0) => {
+                        self.len = at + self.filled as u64;
+                        break;
+                    }
+                    Ok(n) => self.filled += n,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+        }
+        let to = (self.end().saturating_sub(self.base) as usize).min(self.filled);
+        Ok(&self.buf[((at - self.base) as usize).min(to)..to])
+    }
+
+    /// The first frame magic at or after `from` that lies wholly before
+    /// the end of the walk.
+    fn find_magic(&mut self, mut from: u64) -> io::Result<Option<u64>> {
+        while from.saturating_add(4) <= self.end() {
+            let bytes = self.fill(from, 4)?;
+            if let Some(i) = bytes.windows(4).position(|w| w == FRAME_MAGIC) {
+                return Ok(Some(from + i as u64));
+            }
+            if bytes.len() < 4 {
+                break;
+            }
+            from += (bytes.len() - 3) as u64;
+        }
+        Ok(None)
+    }
+
+    /// What [`parse_frame`] makes of the bytes at `at` up to the end of the
+    /// walk, the payload left out, with a header that claims more than
+    /// `cap` payload bytes not a frame.
+    fn classify(&mut self, at: u64, cap: usize) -> io::Result<Parsed<'static>> {
+        let head = self.fill(at, FRAME_HEADER)?;
+        let mut need = FRAME_HEADER;
+        if head.len() >= 8 && head[..4] == FRAME_MAGIC {
+            let len = u32::from_le_bytes([head[4], head[5], head[6], head[7]]) as usize;
+            if len > cap {
+                return Ok(Parsed::BadMagic);
+            }
+            need += if len <= MAX_PAYLOAD { len } else { 0 };
+        }
+        Ok(match parse_frame(self.fill(at, need)?, 0) {
+            Parsed::Frame { end, .. } => Parsed::Frame { payload: &[], end },
+            Parsed::Truncated => Parsed::Truncated,
+            Parsed::BadCrc { end } => Parsed::BadCrc { end },
+            Parsed::BadMagic => Parsed::BadMagic,
+        })
+    }
+
+    /// The next step, or `None` once the walk has nowhere to go; fails
+    /// when a read fails.
+    pub fn step(&mut self) -> io::Result<Option<Step<'_>>> {
+        let found = match self.next {
+            Next::Header => return self.header().map(Some),
+            Next::At(at) => Some(at),
+            Next::Resync(from) => self.find_magic(from)?,
+            Next::Done => None,
+        };
+        self.next = Next::Done;
+        let Some(at) = found.filter(|&at| at < self.end()) else { return Ok(None) };
+        let end = match self.classify(at, self.cap)? {
+            Parsed::Frame { end, .. } => {
+                self.next = Next::At(at + end as u64);
+                let from = (at - self.base) as usize;
+                let payload = &self.buf[from + FRAME_HEADER..from + end];
+                return Ok(Some(Step::Frame { at, payload, end: at + end as u64 }));
+            }
+            Parsed::Truncated => {
+                self.next = Next::Resync(at + 1);
+                return Ok(Some(Step::Truncated { at }));
+            }
+            Parsed::BadCrc { end } => Some(at + end as u64),
+            Parsed::BadMagic => None,
+        };
+        let resync = self.find_magic(at + 1)?;
+        self.next = resync.map_or(Next::Done, Next::At);
+        Ok(Some(Step::Damage { at, end, resync }))
+    }
+
+    fn header(&mut self) -> io::Result<Step<'_>> {
+        // The longest header: magic, version, tag length and the tag.
+        let head = self.fill(0, 8 + usize::from(u16::MAX))?;
+        let parsed = parse_segment_header(head);
+        let held = parsed.as_ref().map_or(head.len(), |&(_, start)| start);
+        self.next = parsed.as_ref().map_or(Next::Done, |&(_, start)| Next::At(start as u64));
+        let parsed = parsed.map(|(tag, start)| (tag, start as u64));
+        Ok(Step::Header { parsed, head: &self.buf[..held] })
+    }
+
+    /// Whether a whole CRC-valid frame starts anywhere after `after`, for
+    /// the rule that a frame cut off by the end of the file is a torn tail
+    /// only if none does. The walk does not move; fails when a read fails.
+    pub fn frame_follows(&mut self, after: u64) -> io::Result<bool> {
+        let mut from = after + 1;
+        while let Some(at) = self.find_magic(from)? {
+            if let Parsed::Frame { .. } = self.classify(at, MAX_PAYLOAD)? {
+                return Ok(true);
+            }
+            from = at + 1;
+        }
+        Ok(false)
+    }
 }
 
 /// Wraps a block payload in a CRC frame.
@@ -925,13 +1122,81 @@ mod tests {
         }
     }
 
+    /// `bytes` in a fresh temporary file.
+    fn temp_file(label: &str, bytes: &[u8]) -> (std::path::PathBuf, File) {
+        let path = std::env::temp_dir().join(format!(
+            "corescope-walker-{label}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::write(&path, bytes).unwrap();
+        let file = File::open(&path).unwrap();
+        (path, file)
+    }
+
+    /// What a walk yields, with payloads as their lengths.
+    fn steps(walk: &mut Walker) -> Vec<String> {
+        let mut out = Vec::new();
+        while let Some(step) = walk.step().unwrap() {
+            out.push(match step {
+                Step::Header { parsed, head } => format!("header {parsed:?} {}", head.len()),
+                Step::Frame { at, payload, end } => format!("frame {at} {} {end}", payload.len()),
+                other => format!("{other:?}"),
+            });
+        }
+        out
+    }
+
     #[test]
-    fn resync_finds_the_next_frame_after_garbage() {
-        let mut buf = b"garbage bytes here".to_vec();
-        let framed = frame_bytes(&encode_block(&[row(4)]).unwrap());
-        let at = buf.len();
-        buf.extend_from_slice(&framed);
-        assert_eq!(resync(&buf, 0), Some(at));
+    fn the_walker_resyncs_after_garbage_and_holds_frames_longer_than_a_chunk() {
+        let small = frame_bytes(&encode_block(&[row(1)]).unwrap());
+        let rows: Vec<Row> = (0..1_000).map(row).collect();
+        let large = frame_bytes(&encode_block(&rows).unwrap());
+        assert!(large.len() > SCAN_CHUNK);
+        let mut bytes = segment_header("walk");
+        let h = bytes.len() as u64;
+        bytes.extend_from_slice(b"garbage");
+        bytes.extend_from_slice(&small);
+        bytes.extend_from_slice(&large);
+        bytes.extend_from_slice(&small[..20]);
+        let (path, file) = temp_file("resync", &bytes);
+        let mut walk = Walker::new(&file).unwrap();
+        let (s, l) = (small.len() as u64, large.len() as u64);
+        let at = h + 7;
+        assert_eq!(
+            steps(&mut walk),
+            [
+                format!("header Ok((\"walk\", {h})) {h}"),
+                format!("Damage {{ at: {h}, end: None, resync: Some({at}) }}"),
+                format!("frame {at} {} {}", s - 12, at + s),
+                format!("frame {} {} {}", at + s, l - 12, at + s + l),
+                format!("Truncated {{ at: {} }}", at + s + l),
+            ]
+        );
+        // A limit cuts off the large frame, and the walk resumes anywhere.
+        walk.limit(at + s + l - 1);
+        walk.seek(at + s);
+        assert_eq!(steps(&mut walk), [format!("Truncated {{ at: {} }}", at + s)]);
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_length_field_grows_the_buffer_only_to_the_file() {
+        let mut bytes = segment_header("walk");
+        let at = bytes.len();
+        bytes.extend_from_slice(&frame_bytes(&encode_block(&[row(1)]).unwrap()));
+        // The frame claims 60 MiB, in a file of a few hundred bytes.
+        bytes[at + 4..at + 8].copy_from_slice(&(60u32 << 20).to_le_bytes());
+        let (path, file) = temp_file("claim", &bytes);
+        let mut walk = Walker::new(&file).unwrap();
+        let got = steps(&mut walk);
+        assert_eq!(got[1], format!("Truncated {{ at: {at} }}"));
+        assert!(walk.buf.capacity() <= bytes.len(), "{} bytes held", walk.buf.capacity());
+        // Under a cap the same header is damage, judged on its length.
+        let mut walk = Walker::new(&file).unwrap();
+        walk.cap(1024);
+        assert!(steps(&mut walk)[1].starts_with(&format!("Damage {{ at: {at}, end: None")));
+        std::fs::remove_file(path).unwrap();
     }
 
     #[test]

@@ -10,19 +10,26 @@
 //! `compact` rewrites the store with duplicate digests folded away
 //! (last occurrence wins) and small segments merged.
 //!
+//! Verify and compact read a store as [`Store::open_reader`] and
+//! [`Store::rows`] do; repair walks each segment with the same
+//! [`frame::Walker`] under its own rule, keeping every good frame and
+//! quarantining the bytes between them.
+//!
 //! Every rewrite follows the store's journal protocol: new bytes are
 //! written and fsynced first, the manifest rename is the commit, and
 //! only then are superseded files removed — so a crash mid-repair or
 //! mid-compact leaves a store that verify/repair can classify again.
 
-use crate::frame;
+use crate::frame::{self, Step, Walker};
 use crate::lockfile::{is_temp_of, LOCK_TIMEOUT};
 use crate::store::{
-    atomic_write, io_err, list_segment_files, scan_segment, segment_id, segment_name, writer_lock,
-    Manifest, SegmentMeta, MANIFEST, QUARANTINE,
+    atomic_write, io_err, list_segment_files, next_segment, writer_lock, Manifest, SegmentMeta,
+    MANIFEST, QUARANTINE,
 };
-use crate::{Corruption, Row, StoreError, Torn};
-use std::collections::{HashMap, HashSet};
+use crate::{Corruption, Store, StoreError, Torn};
+use std::collections::{BTreeSet, HashSet};
+use std::fs::File;
+use std::io::ErrorKind;
 use std::path::Path;
 
 /// Everything `verify` found, plus (after `repair`) the actions taken.
@@ -112,12 +119,10 @@ pub struct CompactReport {
 }
 
 fn read_manifest(dir: &Path) -> Result<Option<Manifest>, String> {
-    let path = dir.join(MANIFEST);
-    if !path.exists() {
-        return Ok(None);
-    }
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("unreadable: {e}"))?;
-    Manifest::parse(&text, &path).map(Some).map_err(|e| format!("unparseable: {e}"))
+    Manifest::load(dir).map_err(|e| match e {
+        StoreError::Io { source, .. } => format!("unreadable: {source}"),
+        e => format!("unparseable: {e}"),
+    })
 }
 
 /// Read-only integrity check of the store at `dir`.
@@ -152,104 +157,91 @@ pub fn verify(dir: &Path) -> Result<FsckReport, StoreError> {
         }
     }
 
-    let referenced: Vec<SegmentMeta> = manifest.map(|m| m.segments).unwrap_or_default();
-    let referenced_names: HashSet<&str> = referenced.iter().map(|s| s.name.as_str()).collect();
-    let mut digests: HashSet<u128> = HashSet::new();
-
-    for seg in &referenced {
-        let path = dir.join(&seg.name);
-        let buf = match std::fs::read(&path) {
-            Ok(buf) => buf,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                report.missing.push(seg.name.clone());
-                continue;
-            }
-            Err(e) => return Err(io_err(&path, e)),
-        };
-        report.segments += 1;
-        let scan = scan_segment(&buf, &seg.name, seg.committed_len, frame::block_digests);
-        report.frames += scan.frames;
-        report.rows += scan.rows.len();
-        digests.extend(scan.rows);
-        report.corrupt.extend(scan.corrupt);
+    let referenced: HashSet<String> =
+        manifest.iter().flat_map(|m| &m.segments).map(|s| s.name.clone()).collect();
+    if manifest.is_some() {
         // Adopted-but-uncommitted frames are healthy data, but the lag
         // means the last writer did not shut down cleanly; surface the
         // tear (if any), not the adoption.
-        if let Some(at) = scan.torn_at {
-            report.torn.push(Torn {
-                segment: seg.name.clone(),
-                offset: at,
-                dropped: buf.len() as u64 - at,
-            });
-        }
+        let found = Store::open_reader(dir)?.recovery().clone();
+        (report.segments, report.frames, report.rows) = (found.segments, found.frames, found.rows);
+        (report.distinct, report.torn) = (found.distinct, found.torn);
+        (report.corrupt, report.missing) = (found.corrupt, found.missing);
     }
     for name in &on_disk {
-        if !referenced_names.contains(name.as_str()) {
+        if !referenced.contains(name) {
             report.segments += 1;
             report.unreferenced.push(name.clone());
         }
     }
-    report.distinct = digests.len();
     Ok(report)
 }
 
-/// One salvage pass over raw segment bytes: every CRC-valid, decodable
-/// frame anywhere in the file is kept; everything else is a bad byte
-/// range destined for quarantine.
-struct Salvage {
-    /// (start, end) byte ranges of good frames, in order.
-    keep: Vec<(usize, usize)>,
-    /// (start, end) byte ranges of damaged bytes, in order.
-    bad: Vec<(usize, usize)>,
-    rows: usize,
+/// What repair keeps of one segment: every CRC-valid, decodable frame
+/// anywhere in the file. The bytes from `data_start` that lie outside
+/// them are damage, destined for quarantine.
+struct Spans {
+    /// Whether the header parses, and where frames start (0 when not).
+    header_ok: bool,
+    data_start: u64,
+    /// The file's length, and the (start, end) ranges of good frames.
+    len: u64,
+    keep: Vec<(u64, u64)>,
+    rows: u64,
 }
 
-fn salvage(buf: &[u8], data_start: usize) -> Salvage {
-    let mut out = Salvage { keep: Vec::new(), bad: Vec::new(), rows: 0 };
-    let mut at = data_start;
-    let mut bad_from: Option<usize> = None;
-    let close_bad = |bad_from: &mut Option<usize>, upto: usize, out: &mut Salvage| {
-        if let Some(from) = bad_from.take() {
-            if upto > from {
-                out.bad.push((from, upto));
+impl Spans {
+    /// (start, end) byte ranges of damage, in order: the gaps between
+    /// the kept frames and after the last.
+    fn bad(&self) -> Vec<(u64, u64)> {
+        let mut from = self.data_start;
+        let mut bad = Vec::new();
+        for &(at, end) in self.keep.iter().chain([&(self.len, self.len)]) {
+            if at > from {
+                bad.push((from, at));
             }
+            from = end;
         }
-    };
-    while at < buf.len() {
-        match frame::parse_frame(buf, at) {
-            frame::Parsed::Frame { payload, end } => match frame::block_digests(payload) {
-                Ok(digests) => {
-                    close_bad(&mut bad_from, at, &mut out);
+        bad
+    }
+}
+
+/// Walks the segment at `path` under repair's rule: every good frame is
+/// kept, wherever it is; after damage the walk resyncs on the next frame
+/// magic, and a damaged header is walked as frames from byte 0.
+fn spans(path: &Path) -> std::io::Result<Spans> {
+    let file = File::open(path)?;
+    let mut walk = Walker::new(&file)?;
+    let len = walk.file_len();
+    let mut out = Spans { header_ok: false, data_start: 0, len, keep: Vec::new(), rows: 0 };
+    while let Some(step) = walk.step()? {
+        match step {
+            Step::Header { parsed: Ok((_, start)), .. } => {
+                (out.header_ok, out.data_start) = (true, start);
+            }
+            Step::Header { .. } => walk.seek(0),
+            Step::Frame { at, payload, end } => {
+                if let Ok(digests) = frame::block_digests(payload) {
                     out.keep.push((at, end));
-                    out.rows += digests.len();
-                    at = end;
-                }
-                Err(_) => {
-                    if bad_from.is_none() {
-                        bad_from = Some(at);
-                    }
-                    at = end;
-                }
-            },
-            frame::Parsed::BadCrc { .. } | frame::Parsed::BadMagic | frame::Parsed::Truncated => {
-                if bad_from.is_none() {
-                    bad_from = Some(at);
-                }
-                match frame::resync(buf, at) {
-                    Some(next) => at = next,
-                    None => {
-                        at = buf.len();
-                        break;
-                    }
+                    out.rows += digests.len() as u64;
                 }
             }
+            Step::Damage { .. } | Step::Truncated { .. } => {}
         }
     }
-    close_bad(&mut bad_from, at.max(buf.len()), &mut out);
-    out
+    Ok(out)
 }
 
-fn quarantine_bytes(dir: &Path, name: &str, offset: usize, bytes: &[u8]) -> Result<(), StoreError> {
+/// The engine tag in the header of the segment at `path`, if it parses.
+fn segment_tag(path: &Path) -> Option<String> {
+    let file = File::open(path).ok()?;
+    match Walker::new(&file).ok()?.step() {
+        Ok(Some(Step::Header { parsed: Ok((tag, _)), .. })) => Some(tag),
+        _ => None,
+    }
+}
+
+fn quarantine_bytes(dir: &Path, name: &str, offset: u64, bytes: &[u8]) -> Result<(), StoreError> {
     let qdir = dir.join(QUARANTINE);
     std::fs::create_dir_all(&qdir).map_err(|e| io_err(&qdir, e))?;
     let path = qdir.join(format!("{name}.at{offset}.bin"));
@@ -285,18 +277,9 @@ pub fn repair(dir: &Path) -> Result<FsckReport, StoreError> {
     // Recover the engine tag: manifest first, segment headers second.
     let manifest = read_manifest(dir).unwrap_or(None);
     let on_disk = list_segment_files(dir)?;
-    let mut tag = manifest.as_ref().map(|m| m.tag.clone());
-    if tag.is_none() {
-        for name in &on_disk {
-            if let Ok(buf) = std::fs::read(dir.join(name)) {
-                if let Ok((t, _)) = frame::parse_segment_header(&buf) {
-                    tag = Some(t);
-                    break;
-                }
-            }
-        }
-    }
-    let Some(tag) = tag else {
+    let tag = manifest.as_ref().map(|m| m.tag.clone());
+    let Some(tag) = tag.or_else(|| on_disk.iter().find_map(|name| segment_tag(&dir.join(name))))
+    else {
         return Err(StoreError::Manifest {
             path: dir.join(MANIFEST),
             reason: "unrepairable: no manifest and no segment with a readable engine tag"
@@ -305,71 +288,54 @@ pub fn repair(dir: &Path) -> Result<FsckReport, StoreError> {
     };
 
     // Union of referenced and on-disk segments, in stable name order.
-    let mut names: Vec<String> = on_disk.clone();
-    for seg in manifest.iter().flat_map(|m| &m.segments) {
-        if !names.contains(&seg.name) {
-            names.push(seg.name.clone());
-        }
-    }
-    names.sort();
     let referenced: HashSet<String> =
         manifest.iter().flat_map(|m| &m.segments).map(|s| s.name.clone()).collect();
+    let names: BTreeSet<&String> = on_disk.iter().chain(&referenced).collect();
 
     let mut segments: Vec<SegmentMeta> = Vec::new();
     for name in &names {
         let path = dir.join(name);
-        let buf = match std::fs::read(&path) {
-            Ok(buf) => buf,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+        let s = match spans(&path) {
+            Ok(s) => s,
+            Err(e) if e.kind() == ErrorKind::NotFound => {
                 actions.push(format!("dropped missing segment {name} from manifest"));
                 continue;
             }
             Err(e) => return Err(io_err(&path, e)),
         };
-        let header_ok = frame::parse_segment_header(&buf).is_ok();
-        let data_start = frame::parse_segment_header(&buf).map(|(_, s)| s).unwrap_or(0);
-        let s = salvage(&buf, data_start);
-        if !header_ok && s.keep.is_empty() {
-            quarantine_bytes(dir, name, 0, &buf)?;
-            std::fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
-            actions.push(format!("quarantined unreadable segment {name}"));
-            continue;
-        }
-        if s.bad.is_empty() && header_ok && buf.len() == s.keep.last().map_or(data_start, |k| k.1) {
-            // Fully healthy; keep as-is (possibly adopting it).
-            if !referenced.contains(name) {
-                actions.push(format!("adopted unreferenced segment {name}"));
+        let bad = s.bad();
+        let committed_len = if bad.is_empty() && s.header_ok {
+            s.len // Fully healthy; keep as-is (possibly adopting it).
+        } else {
+            // The rewrite is the one place that holds a whole segment.
+            let buf = std::fs::read(&path).map_err(|e| io_err(&path, e))?;
+            if !s.header_ok && s.keep.is_empty() {
+                quarantine_bytes(dir, name, 0, &buf)?;
+                std::fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
+                actions.push(format!("quarantined unreadable segment {name}"));
+                continue;
             }
-            segments.push(SegmentMeta {
-                name: name.clone(),
-                committed_len: buf.len() as u64,
-                rows: s.rows as u64,
-            });
-            continue;
-        }
-        // Rewrite the segment as header + good frames; quarantine the
-        // damaged ranges (a torn tail is just the final bad range).
-        // Tmp-then-rename keeps the swap atomic.
-        for &(from, to) in &s.bad {
-            quarantine_bytes(dir, name, from, &buf[from..to])?;
-            actions.push(format!("quarantined {} bytes of {name} at offset {from}", to - from));
-        }
-        let mut rebuilt = frame::segment_header(&tag);
-        for &(from, to) in &s.keep {
-            rebuilt.extend_from_slice(&buf[from..to]);
-        }
-        atomic_write(&path, &rebuilt)?;
-        if !header_ok {
-            actions.push(format!("rebuilt damaged header of {name}"));
-        }
-        if !referenced.contains(name) {
+            // Rewrite the segment as header + good frames; quarantine the
+            // damaged ranges (a torn tail is just the final bad range).
+            // Tmp-then-rename keeps the swap atomic.
+            for &(from, to) in &bad {
+                quarantine_bytes(dir, name, from, &buf[from as usize..to as usize])?;
+                actions.push(format!("quarantined {} bytes of {name} at offset {from}", to - from));
+            }
+            let mut rebuilt = frame::segment_header(&tag);
+            for &(from, to) in &s.keep {
+                rebuilt.extend_from_slice(&buf[from as usize..to as usize]);
+            }
+            atomic_write(&path, &rebuilt)?;
+            if !s.header_ok {
+                actions.push(format!("rebuilt damaged header of {name}"));
+            }
+            rebuilt.len() as u64
+        };
+        if !referenced.contains(*name) {
             actions.push(format!("adopted unreferenced segment {name}"));
         }
-        segments.push(SegmentMeta {
-            name: name.clone(),
-            committed_len: rebuilt.len() as u64,
-            rows: s.rows as u64,
-        });
+        segments.push(SegmentMeta { name: name.to_string(), committed_len, rows: s.rows });
     }
 
     if manifest.is_none() {
@@ -404,48 +370,24 @@ pub fn compact(dir: &Path) -> Result<CompactReport, StoreError> {
             })
         }
     };
-    let check = verify(dir)?;
-    if let Some(c) = check.corrupt.first() {
+    let store = Store::open_reader(dir)?;
+    if let Some(c) = store.recovery().corrupt.first() {
         return Err(StoreError::Corrupt {
             segment: c.segment.clone(),
             offset: c.offset,
             reason: format!("{} (run store_fsck --repair before compacting)", c.reason),
         });
     }
+    // Name the replacement before anything is written: compaction adds a
+    // segment, so it needs an id past every file on disk.
+    let name = next_segment(dir, list_segment_files(dir)?.iter().map(String::as_str))?;
+    let rows = store.rows()?;
+    let rows_before = store.recovery().rows;
+    let on_disk = |seg: &SegmentMeta| std::fs::metadata(dir.join(&seg.name)).ok();
+    let bytes_before = manifest.segments.iter().filter_map(on_disk).map(|m| m.len()).sum();
 
-    let mut rows: Vec<Row> = Vec::new();
-    let mut index: HashMap<u128, usize> = HashMap::new();
-    let mut bytes_before = 0u64;
-    for seg in &manifest.segments {
-        let path = dir.join(&seg.name);
-        let buf = match std::fs::read(&path) {
-            Ok(buf) => buf,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(io_err(&path, e)),
-        };
-        bytes_before += buf.len() as u64;
-        for row in scan_segment(&buf, &seg.name, seg.committed_len, frame::decode_block).rows {
-            match index.get(&row.digest) {
-                Some(&i) => rows[i] = row,
-                None => {
-                    index.insert(row.digest, rows.len());
-                    rows.push(row);
-                }
-            }
-        }
-    }
-    let rows_before = check.rows;
-
-    // Write the replacement segments under fresh ids, then commit the
+    // Write the replacement segment under its fresh id, then commit the
     // swap with one manifest rename, then drop the old files.
-    let next_id = list_segment_files(dir)?
-        .iter()
-        .map(String::as_str)
-        .filter_map(segment_id)
-        .max()
-        .unwrap_or(0)
-        + 1;
-    let name = segment_name(next_id);
     let path = dir.join(&name);
     let mut out = frame::segment_header(&manifest.tag);
     for chunk in rows.chunks(512) {

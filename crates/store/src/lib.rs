@@ -130,7 +130,7 @@ pub enum StoreError {
         source: std::io::Error,
     },
     /// The store directory cannot be written (read-only mount, missing
-    /// permissions, or a read-only handle asked to append).
+    /// permissions, a read-only handle asked to append, no segment id left).
     Unwritable {
         /// The store root.
         dir: PathBuf,

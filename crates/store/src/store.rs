@@ -21,6 +21,9 @@
 //!
 //! ## Recovery invariants
 //!
+//! Recovery and [`Store::rows`] read each segment through the one
+//! [`frame::Walker`], streaming, and apply the store's damage rule:
+//!
 //! - A frame within a segment's committed length is durable; a CRC
 //!   mismatch there is real corruption — reported with its offset,
 //!   skipped (recovery resyncs on the frame magic), and left for
@@ -36,6 +39,7 @@
 use crate::frame;
 use crate::lockfile::{self, LockError, LockFile};
 use crate::{Corruption, Row, StoreError, Torn};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Write};
@@ -81,6 +85,8 @@ pub struct RecoveryReport {
     pub rows: usize,
     /// Distinct scenario digests among those rows.
     pub distinct: usize,
+    /// CRC-valid frames, committed or adopted.
+    pub frames: usize,
     /// Valid frames found past a committed length and adopted.
     pub adopted_frames: usize,
     /// Torn appends truncated (writer) or ignored (reader).
@@ -137,6 +143,16 @@ impl Manifest {
         out
     }
 
+    /// The manifest of the store at `dir`, if it has one.
+    pub fn load(dir: &Path) -> Result<Option<Manifest>, StoreError> {
+        let path = dir.join(MANIFEST);
+        match std::fs::read_to_string(&path) {
+            Ok(text) => Manifest::parse(&text, &path).map(Some),
+            Err(e) if e.kind() == ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(io_err(&path, e)),
+        }
+    }
+
     pub fn parse(text: &str, path: &Path) -> Result<Manifest, StoreError> {
         let bad = |reason: String| StoreError::Manifest { path: path.to_path_buf(), reason };
         let mut lines = text.lines();
@@ -179,15 +195,21 @@ pub(crate) fn valid_segment_name(name: &str) -> bool {
         && name[4..12].bytes().all(|b| b.is_ascii_digit())
 }
 
-pub(crate) fn segment_name(id: u64) -> String {
-    format!("seg-{id:08}.css")
-}
-
-pub(crate) fn segment_id(name: &str) -> Option<u64> {
-    if !valid_segment_name(name) {
-        return None;
+/// The segment name after the highest of `names`, or
+/// [`StoreError::Unwritable`] when that is `seg-99999999.css`: a ninth
+/// digit would make a name no reader accepts.
+pub(crate) fn next_segment<'a>(
+    dir: &Path,
+    names: impl Iterator<Item = &'a str>,
+) -> Result<String, StoreError> {
+    let last: u64 = names.max().and_then(|name| name[4..12].parse().ok()).unwrap_or(0);
+    if last >= 99_999_999 {
+        return Err(StoreError::Unwritable {
+            dir: dir.to_path_buf(),
+            reason: "no segment id left: segment names end at seg-99999999.css".to_string(),
+        });
     }
-    name[4..12].parse().ok()
+    Ok(format!("seg-{:08}.css", last + 1))
 }
 
 pub(crate) fn io_err(path: &Path, source: std::io::Error) -> StoreError {
@@ -260,48 +282,28 @@ impl Store {
             reason: e.to_string(),
         })?;
         let lock = writer_lock(dir, options.lock_timeout)?;
-        let manifest_path = dir.join(MANIFEST);
-        let manifest = if manifest_path.exists() {
-            let text =
-                std::fs::read_to_string(&manifest_path).map_err(|e| io_err(&manifest_path, e))?;
-            let manifest = Manifest::parse(&text, &manifest_path)?;
-            if manifest.tag != tag {
+        let manifest = match Manifest::load(dir)? {
+            Some(manifest) if manifest.tag != tag => {
                 return Err(StoreError::EngineMismatch {
                     found: manifest.tag,
                     expected: tag.to_string(),
-                });
+                })
             }
-            manifest
-        } else {
-            if !list_segment_files(dir)?.is_empty() {
-                return Err(StoreError::Manifest {
-                    path: manifest_path,
-                    reason: "manifest missing but segments present (run store_fsck --repair)"
-                        .to_string(),
-                });
+            Some(manifest) => manifest,
+            None => {
+                if !list_segment_files(dir)?.is_empty() {
+                    return Err(StoreError::Manifest {
+                        path: dir.join(MANIFEST),
+                        reason: "manifest missing but segments present (run store_fsck --repair)"
+                            .to_string(),
+                    });
+                }
+                let manifest = Manifest { tag: tag.to_string(), segments: Vec::new() };
+                atomic_write(&dir.join(MANIFEST), manifest.render().as_bytes())?;
+                manifest
             }
-            let manifest = Manifest { tag: tag.to_string(), segments: Vec::new() };
-            atomic_write(&manifest_path, manifest.render().as_bytes())?;
-            manifest
         };
-
-        let mut store = Store {
-            dir: dir.to_path_buf(),
-            tag: tag.to_string(),
-            writable: true,
-            options,
-            segments: manifest.segments,
-            committed: HashSet::new(),
-            buffered: Vec::new(),
-            buffered_digests: HashSet::new(),
-            recovery: RecoveryReport::default(),
-            rows_committed: 0,
-            appended: 0,
-            lock: Some(lock),
-            write_budget: None,
-        };
-        store.recover(true)?;
-        Ok(store)
+        Self::recovered(dir, manifest, options, Some(lock))
     }
 
     /// Opens the store read-only: no lock, no truncation, no manifest
@@ -314,14 +316,9 @@ impl Store {
     /// [`StoreError::Manifest`] when `dir` holds no readable store at
     /// all, [`StoreError::Io`] on filesystem failures.
     pub fn open_reader(dir: &Path) -> Result<Store, StoreError> {
-        let manifest_path = dir.join(MANIFEST);
-        let manifest = if manifest_path.exists() {
-            let text =
-                std::fs::read_to_string(&manifest_path).map_err(|e| io_err(&manifest_path, e))?;
-            Manifest::parse(&text, &manifest_path)?
-        } else {
+        let Some(manifest) = Manifest::load(dir)? else {
             return Err(StoreError::Manifest {
-                path: manifest_path,
+                path: dir.join(MANIFEST),
                 reason: if list_segment_files(dir).map(|s| s.is_empty()).unwrap_or(true) {
                     "no store at this path".to_string()
                 } else {
@@ -329,11 +326,22 @@ impl Store {
                 },
             });
         };
+        Self::recovered(dir, manifest, Options::default(), None)
+    }
+
+    /// A handle on the store at `dir` after recovery: a writer when it
+    /// holds the writer `lock`, else a reader.
+    fn recovered(
+        dir: &Path,
+        manifest: Manifest,
+        options: Options,
+        lock: Option<LockFile>,
+    ) -> Result<Store, StoreError> {
         let mut store = Store {
             dir: dir.to_path_buf(),
             tag: manifest.tag,
-            writable: false,
-            options: Options::default(),
+            writable: lock.is_some(),
+            options,
             segments: manifest.segments,
             committed: HashSet::new(),
             buffered: Vec::new(),
@@ -341,64 +349,53 @@ impl Store {
             recovery: RecoveryReport::default(),
             rows_committed: 0,
             appended: 0,
-            lock: None,
+            lock,
             write_budget: None,
         };
-        store.recover(false)?;
+        store.recover()?;
         Ok(store)
     }
 
     /// Walks every manifest segment, classifying frames and (in writer
     /// mode) truncating torn tails and committing adoptions.
-    fn recover(&mut self, writer: bool) -> Result<(), StoreError> {
+    fn recover(&mut self) -> Result<(), StoreError> {
+        let writer = self.writable;
         let mut manifest_dirty = false;
         let mut segments = std::mem::take(&mut self.segments);
         for seg in &mut segments {
             let path = self.dir.join(&seg.name);
-            let buf = match std::fs::read(&path) {
-                Ok(buf) => buf,
+            let committed = &mut self.committed;
+            let take = |payload: &[u8]| {
+                let digests = frame::block_digests(payload)?;
+                committed.extend(&digests);
+                Ok(digests.len())
+            };
+            let (rows, torn) = (self.recovery.rows, self.recovery.torn.len());
+            let report = &mut self.recovery;
+            let valid_end = match walk_segment(&path, &seg.name, seg.committed_len, report, take) {
+                Ok(valid_end) => valid_end,
                 Err(e) if e.kind() == ErrorKind::NotFound => {
                     if writer {
                         return Err(StoreError::MissingSegment { segment: seg.name.clone() });
                     }
                     self.recovery.missing.push(seg.name.clone());
-                    seg.committed_len = 0;
-                    seg.rows = 0;
+                    (seg.committed_len, seg.rows) = (0, 0);
                     continue;
                 }
                 Err(e) => return Err(io_err(&path, e)),
             };
-            let scan = scan_segment(&buf, &seg.name, seg.committed_len, frame::block_digests);
-            self.committed.reserve(scan.rows.len());
-            for &digest in &scan.rows {
-                if self.committed.insert(digest) {
-                    self.recovery.distinct += 1;
-                }
-            }
-            self.recovery.rows += scan.rows.len();
-            self.recovery.adopted_frames += scan.adopted_frames;
-            self.recovery.corrupt.extend(scan.corrupt);
-            if scan.valid_end != seg.committed_len {
-                manifest_dirty = true;
-            }
-            seg.committed_len = scan.valid_end;
-            seg.rows = scan.rows.len() as u64;
-            if let Some(torn_at) = scan.torn_at {
-                let dropped = buf.len() as u64 - torn_at;
-                self.recovery.torn.push(Torn {
-                    segment: seg.name.clone(),
-                    offset: torn_at,
-                    dropped,
-                });
-                if writer {
-                    let file =
-                        OpenOptions::new().write(true).open(&path).map_err(|e| io_err(&path, e))?;
-                    file.set_len(torn_at).map_err(|e| io_err(&path, e))?;
-                    file.sync_all().map_err(|e| io_err(&path, e))?;
-                }
+            manifest_dirty |= valid_end != seg.committed_len;
+            seg.committed_len = valid_end;
+            seg.rows = (self.recovery.rows - rows) as u64;
+            if let Some(torn) = self.recovery.torn.get(torn).filter(|_| writer) {
+                let file =
+                    OpenOptions::new().write(true).open(&path).map_err(|e| io_err(&path, e))?;
+                file.set_len(torn.offset).map_err(|e| io_err(&path, e))?;
+                file.sync_all().map_err(|e| io_err(&path, e))?;
             }
         }
         self.segments = segments;
+        self.recovery.distinct = self.committed.len();
         self.recovery.segments = self.segments.len() - self.recovery.missing.len();
         self.rows_committed = self.recovery.rows as u64;
         if writer && manifest_dirty {
@@ -628,15 +625,7 @@ impl Store {
         // already at the next name is a header a crash cut off before
         // the manifest commit below (or a copy of listed rows from an
         // interrupted compaction): nothing needs it, and it is replaced.
-        let next_id = self
-            .segments
-            .iter()
-            .filter_map(|s| segment_id(&s.name))
-            .max()
-            .unwrap_or(0)
-            .checked_add(1)
-            .expect("segment id overflow");
-        let name = segment_name(next_id);
+        let name = next_segment(&self.dir, self.segments.iter().map(|s| s.name.as_str()))?;
         let path = self.dir.join(&name);
         let header = frame::segment_header(&self.tag);
         self.charge_budget(&path, header.len())?;
@@ -660,23 +649,28 @@ impl Store {
         // Recovery set every segment's row count from its own scan.
         let total = self.segments.iter().map(|s| s.rows as usize).sum();
         let mut rows: Vec<Row> = Vec::with_capacity(total);
-        let mut index: HashMap<u128, usize> = HashMap::with_capacity(total);
+        let mut index: HashMap<u128, usize> = HashMap::new();
         for seg in &self.segments {
             let path = self.dir.join(&seg.name);
-            let buf = match std::fs::read(&path) {
-                Ok(buf) => buf,
-                Err(e) if e.kind() == ErrorKind::NotFound && !self.writable => continue,
-                Err(e) => return Err(io_err(&path, e)),
-            };
-            let scan = scan_segment(&buf, &seg.name, seg.committed_len, frame::decode_block);
-            for row in scan.rows {
-                match index.get(&row.digest) {
-                    Some(&i) => rows[i] = row,
-                    None => {
-                        index.insert(row.digest, rows.len());
-                        rows.push(row);
+            let take = |payload: &[u8]| {
+                let block = frame::decode_block(payload)?;
+                let n = block.len();
+                for row in block {
+                    match index.entry(row.digest) {
+                        Entry::Occupied(at) => rows[*at.get()] = row,
+                        Entry::Vacant(slot) => {
+                            slot.insert(rows.len());
+                            rows.push(row);
+                        }
                     }
                 }
+                Ok(n)
+            };
+            let report = &mut RecoveryReport::default();
+            match walk_segment(&path, &seg.name, seg.committed_len, report, take) {
+                Err(e) if e.kind() == ErrorKind::NotFound && !self.writable => {}
+                Err(e) => return Err(io_err(&path, e)),
+                Ok(_) => {}
             }
         }
         Ok(rows)
@@ -711,103 +705,56 @@ impl Drop for Store {
     }
 }
 
-/// Everything learned from one pass over one segment's bytes.
-pub(crate) struct SegmentScan<T> {
-    /// What the block decoder made of each row: a [`Row`] or a digest.
-    pub rows: Vec<T>,
-    /// End of the last valid frame (committed or adopted).
-    pub valid_end: u64,
-    pub adopted_frames: usize,
-    pub corrupt: Vec<Corruption>,
-    /// Offset of a torn append, if the bytes past `valid_end` are not
-    /// empty.
-    pub torn_at: Option<u64>,
-    pub frames: usize,
-}
-
-/// Classifies every byte of a segment. Within `committed_len` damage is
-/// corruption (skip + resync); past it, valid frames are adopted and
-/// the first invalid byte is a torn append that ends the segment.
-///
-/// `decode` is [`frame::decode_block`] for callers that need the rows
-/// and [`frame::block_digests`] for those that need only the digests;
-/// both fail on exactly the same payloads, so the classification does
-/// not depend on the choice.
-pub(crate) fn scan_segment<T>(
-    buf: &[u8],
+/// Walks the segment at `path` under the store's damage rule (see the
+/// module doc), adding what it finds to `report`, and returns the end of
+/// its last valid frame. `take` decodes each frame's payload, uses its
+/// rows and returns how many; a frame it cannot decode is corruption when
+/// committed and a tear when not.
+pub(crate) fn walk_segment(
+    path: &Path,
     name: &str,
     committed_len: u64,
-    decode: fn(&[u8]) -> Result<Vec<T>, String>,
-) -> SegmentScan<T> {
-    let mut scan = SegmentScan {
-        rows: Vec::new(),
-        valid_end: 0,
-        adopted_frames: 0,
-        corrupt: Vec::new(),
-        torn_at: None,
-        frames: 0,
-    };
-    let data_start = match frame::parse_segment_header(buf) {
-        Ok((_tag, start)) => start,
-        Err(reason) => {
-            // An unreadable header poisons the whole segment: no frame
-            // boundary is trustworthy, so quarantine everything.
-            scan.corrupt.push(Corruption {
-                segment: name.to_string(),
-                offset: 0,
-                reason: format!("segment header: {reason}"),
-            });
-            scan.valid_end = committed_len.min(buf.len() as u64);
-            if (buf.len() as u64) > committed_len {
-                scan.torn_at = Some(committed_len);
+    report: &mut RecoveryReport,
+    mut take: impl FnMut(&[u8]) -> Result<usize, String>,
+) -> std::io::Result<u64> {
+    let file = File::open(path)?;
+    let mut walk = frame::Walker::new(&file)?;
+    let len = walk.file_len();
+    let committed = committed_len.min(len);
+    let corrupt = |offset, reason| Corruption { segment: name.to_string(), offset, reason };
+    let torn = |offset| Torn { segment: name.to_string(), offset, dropped: len - offset };
+    let (mut valid_end, mut data_start) = (0, 0);
+    while let Some(step) = walk.step()? {
+        match step {
+            frame::Step::Header { parsed: Ok((_, start)), .. } => {
+                (valid_end, data_start) = (start.min(committed), start);
+                // Committed region: every byte was fsynced under a manifest
+                // commit, so damage is corruption, never a torn append.
+                walk.limit(committed);
             }
-            return scan;
-        }
-    };
-    let committed = (committed_len as usize).min(buf.len());
-    let mut at = data_start;
-    scan.valid_end = data_start.min(committed) as u64;
-
-    // Committed region: every byte was once fsynced under a manifest
-    // commit, so damage here is corruption, never a torn append.
-    while at < committed {
-        match frame::parse_frame(&buf[..committed], at) {
-            frame::Parsed::Frame { payload, end } => {
-                scan.frames += 1;
-                match decode(payload) {
-                    Ok(rows) => scan.rows.extend(rows),
-                    Err(reason) => scan.corrupt.push(Corruption {
-                        segment: name.to_string(),
-                        offset: at as u64,
-                        reason,
-                    }),
+            frame::Step::Header { parsed: Err(reason), .. } => {
+                // An unreadable header poisons the whole segment: no
+                // frame boundary is trustworthy, so quarantine everything.
+                report.corrupt.push(corrupt(0, format!("segment header: {reason}")));
+                report.torn.extend((len > committed_len).then(|| torn(committed_len)));
+                return Ok(committed);
+            }
+            frame::Step::Frame { at, payload, end } => {
+                report.frames += 1;
+                match take(payload) {
+                    Ok(rows) => report.rows += rows,
+                    Err(reason) => report.corrupt.push(corrupt(at, reason)),
                 }
-                at = end;
-                scan.valid_end = at as u64;
+                valid_end = end;
             }
-            frame::Parsed::BadCrc { end } => {
-                scan.corrupt.push(Corruption {
-                    segment: name.to_string(),
-                    offset: at as u64,
-                    reason: "crc mismatch".to_string(),
-                });
-                // The length field may itself be damaged; resync on the
-                // magic rather than trusting `end` blindly.
-                at = match frame::resync(&buf[..committed], at) {
-                    Some(next) if next < end => next,
-                    _ => end.min(committed),
-                };
+            frame::Step::Damage { at, end: Some(end), resync } => {
+                report.corrupt.push(corrupt(at, "crc mismatch".to_string()));
+                // The length field may itself be damaged: a frame magic
+                // before `end` is where the walk goes on.
+                walk.seek(resync.map_or(end, |next| next.min(end)));
             }
-            frame::Parsed::BadMagic | frame::Parsed::Truncated => {
-                scan.corrupt.push(Corruption {
-                    segment: name.to_string(),
-                    offset: at as u64,
-                    reason: "bytes are not a frame".to_string(),
-                });
-                match frame::resync(&buf[..committed], at) {
-                    Some(next) => at = next,
-                    None => break,
-                }
+            frame::Step::Damage { at, end: None, .. } | frame::Step::Truncated { at } => {
+                report.corrupt.push(corrupt(at, "bytes are not a frame".to_string()));
             }
         }
     }
@@ -817,25 +764,17 @@ pub(crate) fn scan_segment<T>(
     // Uncommitted region: adopt whole valid frames (the write beat the
     // crash, the manifest rename did not), stop at the first tear.
     let mut adopt_at = committed.max(data_start);
-    while adopt_at < buf.len() {
-        match frame::parse_frame(buf, adopt_at) {
-            frame::Parsed::Frame { payload, end } => match decode(payload) {
-                Ok(rows) => {
-                    scan.frames += 1;
-                    scan.adopted_frames += 1;
-                    scan.rows.extend(rows);
-                    adopt_at = end;
-                    scan.valid_end = end as u64;
-                }
-                Err(_) => break,
-            },
-            _ => break,
-        }
+    walk.limit(u64::MAX);
+    walk.seek(adopt_at);
+    while let Some(frame::Step::Frame { payload, end, .. }) = walk.step()? {
+        let Ok(rows) = take(payload) else { break };
+        report.frames += 1;
+        report.adopted_frames += 1;
+        report.rows += rows;
+        (adopt_at, valid_end) = (end, end);
     }
-    if (adopt_at as u64) < buf.len() as u64 {
-        scan.torn_at = Some(adopt_at as u64);
-    }
-    scan
+    report.torn.extend((adopt_at < len).then(|| torn(adopt_at)));
+    Ok(valid_end)
 }
 
 pub(crate) fn list_segment_files(dir: &Path) -> Result<Vec<String>, StoreError> {
