@@ -45,6 +45,13 @@
 //! names another engine counts once and is never indexed. Per-entry
 //! `<digest>.css` files of earlier versions are never read.
 //!
+//! Processes sharing a directory compute each miss once between them:
+//! [`ResultCache::claim_compute`] takes `<digest>.lock` there, a
+//! [`LockFile`] the kernel holds (`flock`), so a killed owner's lock is
+//! free at once and a live owner's never is. The owner unlinks it when
+//! done. A killed owner leaves the file, holding no lock; the next claim
+//! of that digest reuses it, and a cache's first listing removes it.
+//!
 //! Failure policy: the cache is an accelerator, never a correctness
 //! dependency. Disk errors (unwritable directory, corrupt entry, partial
 //! write from a killed process) degrade to a miss; they are counted, not
@@ -54,7 +61,7 @@ use crate::encode::Digest;
 use crate::scenario::ScenarioResult;
 use crate::sink::{result_row, row_result};
 use corescope_store::frame::{self, Step, Walker, SCAN_CHUNK};
-use corescope_store::lockfile::{self, LockError, LockFile};
+use corescope_store::lockfile::{LockError, LockFile};
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Write};
@@ -99,6 +106,13 @@ pub enum ComputeClaim {
     /// Another process computed and published the entry while we waited.
     Published(ScenarioResult),
 }
+
+/// How often a [`ResultCache::claim_compute`] waiter retries the lock.
+const LOCK_POLL: Duration = Duration::from_millis(250);
+
+/// How long a waiter waits for another owner's lock before it computes
+/// without it.
+const LOCK_WAIT: Duration = Duration::from_secs(300);
 
 /// Entries the newer memory generation holds before it rotates. It sits
 /// above the largest working set that relies on memory hits: `replay`'s
@@ -315,13 +329,20 @@ impl DiskState {
     }
 
     /// Lists packs not seen yet, then scans every pack past what it has
-    /// already classified.
+    /// already classified. The first listing also removes the lock files
+    /// nobody holds.
     fn rescan(&mut self, dir: &Path, counters: &Counters) {
-        self.listed = true;
+        let first = !std::mem::replace(&mut self.listed, true);
         match std::fs::read_dir(dir) {
             Ok(entries) => {
                 for entry in entries.flatten() {
                     let Ok(name) = entry.file_name().into_string() else { continue };
+                    if first && name.ends_with(".lock") {
+                        // A lock file nobody holds is a killed owner's
+                        // leftover: taking it and letting go removes it.
+                        let _ = LockFile::acquire(&dir.join(&name));
+                        continue;
+                    }
                     if !is_pack_name(&name) || self.names.contains(&name) {
                         continue;
                     }
@@ -530,7 +551,6 @@ struct Counters {
     disk_errors: AtomicUsize,
     corrupt_entries: AtomicUsize,
     unwritable: AtomicUsize,
-    lock_takeovers: AtomicUsize,
     evicted: AtomicUsize,
 }
 
@@ -566,8 +586,6 @@ pub struct CacheStats {
     /// Entry writes that failed (typically an unwritable directory) — a
     /// subset of `disk_errors`.
     pub unwritable: usize,
-    /// Stale cross-process locks reclaimed from crashed owners.
-    pub lock_takeovers: usize,
     /// Results dropped from memory when the older generation rotated
     /// out. A later lookup of one of them falls through to disk (or
     /// reruns the engine on a memory-only cache).
@@ -580,7 +598,6 @@ pub struct CacheStats {
 pub struct ResultCache {
     memory: Mutex<Generations>,
     disk: Option<Disk>,
-    lock_timeout: Duration,
     counters: Counters,
 }
 
@@ -589,7 +606,6 @@ impl ResultCache {
         Self {
             memory: Mutex::new(Generations::new(GENERATION)),
             disk,
-            lock_timeout: lockfile::LOCK_TIMEOUT,
             counters: Counters::default(),
         }
     }
@@ -628,15 +644,6 @@ impl ResultCache {
         std::fs::write(&probe, b"probe").map_err(unwritable)?;
         std::fs::remove_file(&probe).map_err(unwritable)?;
         Ok(cache)
-    }
-
-    /// Overrides the age after which a `.lock` whose owner's liveness
-    /// cannot be checked is taken over (see [`lockfile`]; a dead owner's
-    /// pid is taken over at once, a live owner's never). It also paces
-    /// the waiters' polling. Tests use tiny timeouts.
-    pub fn with_lock_timeout(mut self, timeout: Duration) -> Self {
-        self.lock_timeout = timeout.max(Duration::from_millis(1));
-        self
     }
 
     /// The directory packs are stored in, if disk-backed.
@@ -805,11 +812,11 @@ impl ResultCache {
     ///
     /// 1. the winner re-checks the packs (the previous owner may have
     ///    published between our miss and the lock) and becomes the
-    ///    owner; a dead owner's lock is taken over at once and counted;
-    /// 2. losers poll: entry appeared → return it; the lock turned stale
-    ///    → the next acquire takes it over. A live owner is never stolen
-    ///    from, but a waiter that has waited one lock timeout computes
-    ///    without the lock, so a wedged owner cannot hang it.
+    ///    owner, or returns what was published;
+    /// 2. losers retry the lock every 250 ms and re-check once they hold
+    ///    it. A dead owner's lock is free at once (the kernel held it),
+    ///    but a waiter that has waited 300 s computes without the lock,
+    ///    so a wedged owner costs a duplicate run, never a hang.
     ///
     /// Each re-check is an incremental scan: new packs, then the bytes
     /// appended since the last scan. An owner's frame that is only partly
@@ -824,32 +831,20 @@ impl ResultCache {
             self.counters.disk_error();
             return ComputeClaim::Owner(None);
         }
-        let poll =
-            (self.lock_timeout / 16).clamp(Duration::from_millis(2), Duration::from_millis(250));
-        let bail_out = Instant::now() + self.lock_timeout;
+        let bail_out = Instant::now() + LOCK_WAIT;
         loop {
-            match LockFile::acquire(&lock_path, self.lock_timeout) {
+            match LockFile::acquire(&lock_path) {
                 Ok(lock) => {
-                    if lock.took_over() {
-                        self.counters.lock_takeovers.fetch_add(1, Ordering::Relaxed);
-                    }
                     if let Some(result) = self.refresh(disk, digest) {
-                        // Published while we raced for the lock.
+                        // Published while we waited for the lock.
                         return self.published(digest, result);
                     }
                     return ComputeClaim::Owner(Some(lock));
                 }
-                Err(LockError::Held(_)) => {
-                    std::thread::sleep(poll);
-                    if let Some(result) = self.refresh(disk, digest) {
-                        return self.published(digest, result);
-                    }
-                    if Instant::now() > bail_out {
-                        self.counters.disk_error();
-                        return ComputeClaim::Owner(None);
-                    }
+                Err(LockError::Held(_)) if Instant::now() < bail_out => {
+                    std::thread::sleep(LOCK_POLL);
                 }
-                Err(LockError::Io(_)) => {
+                Err(_) => {
                     self.counters.disk_error();
                     return ComputeClaim::Owner(None);
                 }
@@ -873,7 +868,6 @@ impl ResultCache {
             disk_errors: self.counters.disk_errors.load(Ordering::Relaxed),
             corrupt_entries: self.counters.corrupt_entries.load(Ordering::Relaxed),
             unwritable: self.counters.unwritable.load(Ordering::Relaxed),
-            lock_takeovers: self.counters.lock_takeovers.load(Ordering::Relaxed),
             evicted: self.counters.evicted.load(Ordering::Relaxed),
         }
     }
@@ -1336,7 +1330,7 @@ mod tests {
         // published result.
         let root = tmpdir("claim");
         let a = ResultCache::on_disk(&root);
-        let b = ResultCache::on_disk(&root).with_lock_timeout(Duration::from_secs(30));
+        let b = ResultCache::on_disk(&root);
         let d = Digest(33);
         let lock = match a.claim_compute(d) {
             ComputeClaim::Owner(Some(lock)) => lock,
@@ -1375,7 +1369,7 @@ mod tests {
     #[test]
     fn stale_locks_are_taken_over_exactly_once() {
         let root = tmpdir("stale");
-        let cache = ResultCache::on_disk(&root).with_lock_timeout(Duration::from_millis(10));
+        let cache = ResultCache::on_disk(&root);
         let d = Digest(55);
         // Fake a crashed owner: a lock file nobody will ever release.
         let lock_path = cache.lock_path(d).unwrap();
@@ -1386,7 +1380,6 @@ mod tests {
             ComputeClaim::Owner(Some(lock)) => drop(lock),
             other => panic!("stale lock must be taken over, got {other:?}"),
         }
-        assert_eq!(cache.stats().lock_takeovers, 1);
         assert!(!lock_path.exists(), "released lock must be gone");
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -1406,7 +1399,43 @@ mod tests {
             other => panic!("a dead owner's lock must be taken over, got {other:?}"),
         }
         assert!(started.elapsed() < Duration::from_secs(5), "waited on a dead owner");
-        assert_eq!(cache.stats().lock_takeovers, 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_leftover_lock_naming_our_own_pid_is_no_owner() {
+        // A restarted process often gets its predecessor's pid back, so a
+        // leftover lock may name a running process: ours.
+        let root = tmpdir("pid-reuse");
+        let cache = ResultCache::on_disk(&root);
+        let d = Digest(57);
+        let lock_path = cache.lock_path(d).unwrap();
+        std::fs::create_dir_all(lock_path.parent().unwrap()).unwrap();
+        std::fs::write(&lock_path, format!("{}\n", std::process::id())).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let owned = matches!(cache.claim_compute(d), ComputeClaim::Owner(Some(_)));
+            let _ = tx.send(owned);
+        });
+        let owned = rx.recv_timeout(Duration::from_secs(5)).expect("waited on a leftover lock");
+        assert!(owned, "a leftover lock must be claimed, not computed around");
+        assert!(!lock_path.exists(), "released lock must be gone");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn the_first_listing_removes_only_the_lock_files_nobody_holds() {
+        let root = tmpdir("sweep");
+        let cache = ResultCache::on_disk(&root);
+        let (left, held) =
+            (cache.lock_path(Digest(58)).unwrap(), cache.lock_path(Digest(59)).unwrap());
+        std::fs::create_dir_all(left.parent().unwrap()).unwrap();
+        std::fs::write(&left, "999999999\n").unwrap();
+        let owner = LockFile::acquire(&held).unwrap();
+        assert!(cache.get(Digest(60)).is_none());
+        assert!(!left.exists(), "a killed owner's leftover lock survived the first listing");
+        assert!(held.exists(), "a held lock was removed");
+        drop(owner);
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -1,21 +1,18 @@
-//! A work-stealing executor built from std primitives only.
+//! A parallel map built from std primitives only.
 //!
-//! Layout: one global injector plus one deque per worker. A worker pops
-//! its own deque LIFO (cache-warm), refills from the injector FIFO, and
-//! steals the *front* of a sibling's deque when both are dry — the
-//! classic injector/deque arrangement, without `unsafe` or vendored
-//! lock-free code: simulation jobs run for milliseconds to seconds, so a
-//! mutex around each deque is noise.
+//! Workers share one cursor over the items: each takes the next index
+//! with one atomic increment until the items run out. Items never spawn
+//! work, and a simulation job runs for milliseconds to seconds, so a
+//! cursor balances as well as work stealing would: a long item holds up
+//! only the worker that runs it.
 //!
 //! Determinism contract: `run_ordered` returns results in **input
 //! order**, whatever interleaving the workers ran. Combined with the
 //! engine's own determinism this is what lets `repro --jobs 8` produce
 //! byte-identical tables to `--jobs 1`.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Runs `f` over `items`, fanning out over `jobs` worker threads, and
 /// returns the outputs in input order.
@@ -27,10 +24,10 @@ use std::sync::Mutex;
 /// # Panics
 ///
 /// If `f` panics for any item, the first such panic is resumed on the
-/// caller's thread after all workers have drained.
+/// caller's thread after all workers have joined.
 pub fn run_ordered<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
-    T: Send,
+    T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
@@ -39,113 +36,32 @@ where
         return items.iter().map(&f).collect();
     }
 
-    // Work items live in slots so each is taken (and run) exactly once,
-    // no matter which deque its index ends up in.
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let injector: Mutex<VecDeque<usize>> = Mutex::new((0..slots.len()).collect());
-    let deques: Vec<Mutex<VecDeque<usize>>> =
-        (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..slots.len()).map(|_| Mutex::new(None)).collect();
-    let panic_box: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    let in_flight = AtomicUsize::new(slots.len());
-
-    /// How many injector items a worker grabs at once: enough to keep its
-    /// own deque busy, few enough that late stealers still find work.
-    const REFILL: usize = 4;
-
-    std::thread::scope(|scope| {
-        for me in 0..jobs {
-            let slots = &slots;
-            let injector = &injector;
-            let deques = &deques;
-            let results = &results;
-            let panic_box = &panic_box;
-            let in_flight = &in_flight;
-            let f = &f;
-            scope.spawn(move || {
-                let mut dry_scans = 0;
-                loop {
-                    if in_flight.load(Ordering::Acquire) == 0 {
-                        return;
-                    }
-                    // 1. Own deque, newest first.
-                    let mut idx = deques[me].lock().map_or(None, |mut d| d.pop_back());
-                    // 2. Refill a batch from the injector.
-                    if idx.is_none() {
-                        if let Ok(mut inj) = injector.lock() {
-                            idx = inj.pop_front();
-                            if idx.is_some() {
-                                let batch: Vec<usize> =
-                                    (1..REFILL).map_while(|_| inj.pop_front()).collect();
-                                drop(inj);
-                                if let Ok(mut own) = deques[me].lock() {
-                                    own.extend(batch);
-                                }
-                            }
-                        }
-                    }
-                    // 3. Steal the oldest entry from a sibling.
-                    if idx.is_none() {
-                        for victim in (0..jobs).filter(|&v| v != me) {
-                            idx = deques[victim].lock().map_or(None, |mut d| d.pop_front());
-                            if idx.is_some() {
-                                break;
-                            }
-                        }
-                    }
-                    let Some(idx) = idx else {
-                        if in_flight.load(Ordering::Acquire) == 0 {
-                            return;
-                        }
-                        // Every queue is dry. Finished items never spawn
-                        // new work, so what remains is either executing
-                        // on a sibling or mid-refill into a sibling's
-                        // deque; rescan a couple of times to catch the
-                        // latter, then retire — the batch's owner drains
-                        // its own deque, and spinning here would only
-                        // steal CPU from the workers still computing.
-                        dry_scans += 1;
-                        if dry_scans > 2 {
-                            return;
-                        }
-                        std::thread::yield_now();
-                        continue;
-                    };
-                    dry_scans = 0;
-                    let item = slots[idx].lock().ok().and_then(|mut s| s.take());
-                    if let Some(item) = item {
-                        match catch_unwind(AssertUnwindSafe(|| f(&item))) {
-                            Ok(r) => {
-                                if let Ok(mut slot) = results[idx].lock() {
-                                    *slot = Some(r);
-                                }
-                            }
-                            Err(payload) => {
-                                if let Ok(mut pb) = panic_box.lock() {
-                                    pb.get_or_insert(payload);
-                                }
-                            }
-                        }
-                        in_flight.fetch_sub(1, Ordering::Release);
-                    }
-                }
-            });
+    // Relaxed: the cursor only hands out indices; the items are shared
+    // read-only and the results come back through `join`.
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { return done };
+            done.push((i, f(item)));
         }
+    };
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs).map(|_| scope.spawn(worker)).collect();
+        workers.into_iter().map(|w| w.join()).collect()
     });
-
-    if let Some(payload) = panic_box.into_inner().ok().flatten() {
-        resume_unwind(payload);
+    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    for done in joined {
+        for (i, r) in done.unwrap_or_else(|payload| resume_unwind(payload)) {
+            results[i] = Some(r);
+        }
     }
     results
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .ok()
-                .flatten()
-                // Unreachable: in_flight hit zero without a stored panic,
-                // so every slot was filled.
-                .expect("executor drained with an unfilled result slot")
-        })
+        // Unreachable: every worker joined without a panic, so each
+        // index was taken and filled once.
+        .map(|r| r.expect("executor drained with an unfilled result slot"))
         .collect()
 }
 

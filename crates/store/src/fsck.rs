@@ -21,7 +21,7 @@
 //! mid-compact leaves a store that verify/repair can classify again.
 
 use crate::frame::{self, Step, Walker};
-use crate::lockfile::{is_temp_of, LOCK_TIMEOUT};
+use crate::lockfile::is_temp_of;
 use crate::store::{
     atomic_write, io_err, list_segment_files, next_segment, writer_lock, Manifest, SegmentMeta,
     MANIFEST, QUARANTINE,
@@ -259,7 +259,7 @@ fn quarantine_bytes(dir: &Path, name: &str, offset: u64, bytes: &[u8]) -> Result
 /// [`StoreError::Io`] / [`StoreError::Unwritable`] when the repair
 /// itself cannot write (e.g. a read-only directory).
 pub fn repair(dir: &Path) -> Result<FsckReport, StoreError> {
-    let _lock = writer_lock(dir, LOCK_TIMEOUT)?;
+    let _lock = writer_lock(dir)?;
     let mut actions: Vec<String> = Vec::new();
 
     // Every manifest write holds the writer lock, so with the lock held
@@ -359,7 +359,7 @@ pub fn repair(dir: &Path) -> Result<FsckReport, StoreError> {
 /// `verify` would report must be repaired first and yields
 /// [`StoreError::Corrupt`] (first instance) here.
 pub fn compact(dir: &Path) -> Result<CompactReport, StoreError> {
-    let _lock = writer_lock(dir, LOCK_TIMEOUT)?;
+    let _lock = writer_lock(dir)?;
     let manifest = match read_manifest(dir) {
         Ok(Some(m)) => m,
         Ok(None) | Err(_) => {

@@ -2,119 +2,103 @@
 //! store's `writer.lock`, `fsck`'s repair and compact passes, and the
 //! result cache's per-digest `.lock` files all share.
 //!
-//! A lock is a file created with `O_CREAT|O_EXCL` holding the owner's
-//! pid. One staleness policy covers every user: on Linux the pid is
-//! checked against `/proc`, so a dead owner is taken over at once and a
-//! live owner is never stolen from, however old its lock. Only when no
-//! liveness oracle exists (another OS, or a lock whose pid is not yet
-//! written or unreadable) does the lock's age decide, against the
-//! caller's timeout. A stale lock is renamed to a tombstone before it
-//! is deleted: the rename is the exclusive step, so two contenders
-//! cannot both take over the same dead owner's lock.
+//! A lock is held by the kernel: an exclusive advisory lock
+//! ([`File::try_lock`], `flock` on Linux) on the lock file. The kernel
+//! drops it when its owner closes the file or dies, however the owner
+//! dies, so a lock file left behind by a killed process is free at once
+//! and a live owner's lock is never taken, whatever the file holds and
+//! however old it is. There is no staleness policy to get wrong. The
+//! file also holds the owner's pid, but only so that a contender can
+//! name the owner in its error.
+//!
+//! An owner unlinks the file before it closes it, so no lock file
+//! outlives its owner's clean exit. A contender can therefore open the
+//! old file, wait out the unlink and then lock an inode no path names
+//! any more; [`LockFile::acquire`] checks that the path still names the
+//! inode it locked and starts over when it does not.
+//!
+//! Writers built before kernel-held locks take no `flock`: one must not
+//! write to a store or cache that a current build is writing to.
 //!
 //! [`publish`] writes through a temp file and an atomic rename, so a
-//! reader sees the old file or the new one, never a torn one. Temp and
-//! tombstone names carry the pid and the thread, so two processes
-//! publishing the same path never rename each other's half-written file.
+//! reader sees the old file or the new one, never a torn one. Temp names
+//! carry the pid and the thread, so two processes publishing the same
+//! path never rename each other's half-written file.
 
-use std::fs::{File, OpenOptions};
-use std::io::{ErrorKind, Write};
+use std::fs::{File, OpenOptions, TryLockError};
+use std::io::{ErrorKind, Read, Write};
+use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, SystemTime};
-
-/// Age after which a lock whose owner's liveness cannot be checked may
-/// be taken over: the default for the store, `fsck` and the cache.
-pub const LOCK_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// A held lock file. Dropping it releases the lock.
 #[derive(Debug)]
 pub struct LockFile {
     path: PathBuf,
-    took_over: bool,
+    /// The locked file; closing it releases the kernel lock.
+    _file: File,
 }
 
 /// Why [`LockFile::acquire`] did not get the lock.
 #[derive(Debug)]
 pub enum LockError {
     /// Another owner holds it: the lock file's contents, normally a pid
-    /// (empty or `unknown` when the read raced the owner's write or
-    /// release).
+    /// (empty or `unknown` when the read raced the owner's write).
     Held(String),
-    /// The lock file could not be created.
+    /// The lock file could not be created or locked (a file system
+    /// without `flock`, for one).
     Io(std::io::Error),
 }
 
 impl LockFile {
-    /// Takes the lock at `path`, taking over a stale one (see the module
-    /// docs) at most once. Never waits: callers that want to wait poll.
+    /// Takes the lock at `path` and writes our pid into it. Never waits:
+    /// callers that want to wait poll.
     ///
     /// # Errors
     ///
-    /// [`LockError::Held`] while a live (or not yet stale) owner holds
-    /// the lock, [`LockError::Io`] when the file cannot be created.
-    pub fn acquire(path: &Path, timeout: Duration) -> Result<LockFile, LockError> {
-        let (mut retried, mut took_over) = (false, false);
+    /// [`LockError::Held`] while another open file holds the lock, in
+    /// this process or another; [`LockError::Io`] when the file cannot
+    /// be created, locked or written.
+    pub fn acquire(path: &Path) -> Result<LockFile, LockError> {
         loop {
-            match OpenOptions::new().write(true).create_new(true).open(path) {
-                Ok(mut file) => {
-                    let _ = writeln!(file, "{}", std::process::id());
-                    return Ok(LockFile { path: path.to_path_buf(), took_over });
+            let mut file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(path)
+                .map_err(LockError::Io)?;
+            match file.try_lock() {
+                Ok(()) => {}
+                Err(TryLockError::WouldBlock) => {
+                    let mut owner = String::new();
+                    return Err(LockError::Held(match file.read_to_string(&mut owner) {
+                        Ok(_) => owner.trim().to_string(),
+                        Err(_) => "unknown".to_string(),
+                    }));
                 }
-                Err(e) if e.kind() == ErrorKind::AlreadyExists => {
-                    let owner = std::fs::read_to_string(path)
-                        .map(|s| s.trim().to_string())
-                        .unwrap_or_else(|_| "unknown".to_string());
-                    if retried || !is_stale(path, &owner, timeout) {
-                        return Err(LockError::Held(owner));
-                    }
-                    // Only the contender whose rename succeeds took the
-                    // lock over; either way the create is retried once.
-                    let tomb = sibling(path, "stale");
-                    took_over = std::fs::rename(path, &tomb).is_ok();
-                    if took_over {
-                        let _ = std::fs::remove_file(&tomb);
-                    }
-                    retried = true;
-                }
-                Err(e) => return Err(LockError::Io(e)),
+                Err(TryLockError::Error(e)) => return Err(LockError::Io(e)),
             }
-        }
-    }
-
-    /// True when this lock was taken over from a stale owner.
-    pub fn took_over(&self) -> bool {
-        self.took_over
-    }
-
-    /// Refreshes the lock's mtime, so the age fallback never fires
-    /// against an owner that is still making progress.
-    pub fn touch(&self) {
-        if let Ok(file) = OpenOptions::new().write(true).open(&self.path) {
-            let _ = file.set_modified(SystemTime::now());
+            // The previous owner may have unlinked this inode between our
+            // open and our lock: then the path names another file or none.
+            let ours = file.metadata().map_err(LockError::Io)?;
+            match std::fs::metadata(path).map(|named| (named.dev(), named.ino())) {
+                Ok(named) if named == (ours.dev(), ours.ino()) => {}
+                Err(e) if e.kind() != ErrorKind::NotFound => return Err(LockError::Io(e)),
+                _ => continue,
+            }
+            file.set_len(0)
+                .and_then(|()| file.write_all(format!("{}\n", std::process::id()).as_bytes()))
+                .map_err(LockError::Io)?;
+            return Ok(LockFile { path: path.to_path_buf(), _file: file });
         }
     }
 }
 
 impl Drop for LockFile {
     fn drop(&mut self) {
+        // Unlink while still holding the lock; the field drop that
+        // follows closes the file and so releases it.
         let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-fn is_stale(path: &Path, owner: &str, timeout: Duration) -> bool {
-    // A SIGKILLed owner leaves its lock behind; nobody should wait out
-    // the timeout for an owner that is provably gone. The converse
-    // matters more: stealing a live store writer's lock yields two
-    // writers, the one corruption the lock exists to prevent.
-    #[cfg(target_os = "linux")]
-    if let Ok(pid) = owner.parse::<u32>() {
-        return !Path::new(&format!("/proc/{pid}")).exists();
-    }
-    let _ = owner;
-    match std::fs::metadata(path).and_then(|m| m.modified()) {
-        // A lock from the future (clock skew) is not stale.
-        Ok(modified) => modified.elapsed().is_ok_and(|age| age > timeout),
-        Err(_) => false,
     }
 }
 
@@ -226,35 +210,60 @@ mod tests {
     fn a_held_lock_is_exclusive_until_dropped() {
         let dir = tmpdir("held");
         let path = dir.join("x.lock");
-        let lock = LockFile::acquire(&path, Duration::ZERO).unwrap();
-        assert!(!lock.took_over());
-        match LockFile::acquire(&path, Duration::ZERO) {
+        let lock = LockFile::acquire(&path).unwrap();
+        match LockFile::acquire(&path) {
             Err(LockError::Held(owner)) => assert_eq!(owner, std::process::id().to_string()),
             other => panic!("a live owner's lock was not held: {other:?}"),
         }
         drop(lock);
         assert!(!path.exists());
-        assert!(LockFile::acquire(&path, Duration::ZERO).is_ok());
+        assert!(LockFile::acquire(&path).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn dead_and_aged_owners_are_taken_over_without_leftovers() {
-        let dir = tmpdir("stale");
+    fn contenders_racing_the_owners_unlink_never_share_the_lock() {
+        // A contender that opened the file before its owner unlinked it
+        // locks an inode no path names; it must not count as an owner
+        // beside whoever locks the file created next.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let dir = tmpdir("race");
         let path = dir.join("x.lock");
-        // A pid that cannot be running, then an owner with no pid whose
-        // lock is older than the timeout.
-        for owner in ["999999999\n", "no pid here"] {
+        let (inside, taken) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..5_000 {
+                        if let Ok(lock) = LockFile::acquire(&path) {
+                            assert_eq!(inside.fetch_add(1, Ordering::SeqCst), 0, "two owners");
+                            taken.fetch_add(1, Ordering::Relaxed);
+                            std::thread::yield_now();
+                            inside.fetch_sub(1, Ordering::SeqCst);
+                            drop(lock);
+                        }
+                    }
+                });
+            }
+        });
+        assert!(taken.load(Ordering::Relaxed) > 0);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_lock_file_nobody_holds_is_free_whatever_it_says() {
+        let dir = tmpdir("leftover");
+        let path = dir.join("x.lock");
+        // A dead pid, no pid at all, and our own pid: a leftover naming
+        // a pid that is running again is no owner either.
+        let ours = format!("{}\n", std::process::id());
+        for owner in ["999999999\n", "no pid here", &ours] {
             std::fs::write(&path, owner).unwrap();
-            std::thread::sleep(Duration::from_millis(5));
-            let lock = LockFile::acquire(&path, Duration::from_millis(1)).unwrap();
-            assert!(lock.took_over(), "{owner:?}");
+            let lock = LockFile::acquire(&path).unwrap();
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), ours, "{owner:?}");
             drop(lock);
             assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "{owner:?}");
         }
-        // The same unreadable owner within the timeout is left alone.
-        std::fs::write(&path, "no pid here").unwrap();
-        assert!(matches!(LockFile::acquire(&path, LOCK_TIMEOUT), Err(LockError::Held(_))));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,7 +5,7 @@
 //! ```text
 //! <dir>/MANIFEST            committed state, replaced by atomic rename
 //! <dir>/seg-00000001.css    append-only CRC-framed segments
-//! <dir>/writer.lock         single-writer arbitration (pid inside)
+//! <dir>/writer.lock         single-writer arbitration (a kernel lock)
 //! <dir>/quarantine/         bytes fsck --repair pulled out of segments
 //! ```
 //!
@@ -18,6 +18,17 @@
 //! manifest is rewritten to a temp file, fsynced, and renamed over the
 //! old one. The rename is the single atomic commit point; a crash on
 //! either side leaves a state recovery can classify.
+//!
+//! ## Writer lock
+//!
+//! One writer at a time: [`Store::open`] takes `writer.lock`, a
+//! [`LockFile`] the kernel holds (`flock`) until the store is dropped or
+//! its process dies, however it dies. A resume after a SIGKILL opens at
+//! once, and a live writer is never stolen from; what the file says is
+//! only the owner's pid for [`StoreError::Locked`]. `fsck` repair and
+//! compaction take the same lock. A writer built before kernel-held
+//! locks takes no `flock`, so it must not run against a store a current
+//! writer has open.
 //!
 //! ## Recovery invariants
 //!
@@ -44,7 +55,6 @@ use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// The manifest file name.
 pub const MANIFEST: &str = "MANIFEST";
@@ -62,16 +72,11 @@ pub struct Options {
     /// Auto-flush the row buffer at this size (a flush is one frame,
     /// one fsync and one manifest commit — the durability quantum).
     pub flush_rows: usize,
-    /// Age after which a writer lock whose owner's liveness cannot be
-    /// checked may be taken over (see [`crate::lockfile`]). The writer
-    /// refreshes the lock mtime on every flush, so this fallback only
-    /// fires on owners that stopped making progress.
-    pub lock_timeout: Duration,
 }
 
 impl Default for Options {
     fn default() -> Self {
-        Options { roll_bytes: 1 << 20, flush_rows: 128, lock_timeout: lockfile::LOCK_TIMEOUT }
+        Options { roll_bytes: 1 << 20, flush_rows: 128 }
     }
 }
 
@@ -222,10 +227,11 @@ pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), StoreError> 
 }
 
 /// Takes the single-writer lock of the store at `dir` (see
-/// [`lockfile`] for the staleness policy).
-pub(crate) fn writer_lock(dir: &Path, timeout: Duration) -> Result<LockFile, StoreError> {
+/// [`lockfile`]): held until dropped, released by the kernel if the
+/// process dies first.
+pub(crate) fn writer_lock(dir: &Path) -> Result<LockFile, StoreError> {
     let path = dir.join(WRITER_LOCK);
-    LockFile::acquire(&path, timeout).map_err(|e| match e {
+    LockFile::acquire(&path).map_err(|e| match e {
         LockError::Held(owner) => StoreError::Locked { dir: dir.to_path_buf(), owner },
         LockError::Io(e) => io_err(&path, e),
     })
@@ -241,7 +247,6 @@ pub(crate) fn writer_lock(dir: &Path, timeout: Duration) -> Result<LockFile, Sto
 pub struct Store {
     dir: PathBuf,
     tag: String,
-    writable: bool,
     options: Options,
     segments: Vec<SegmentMeta>,
     committed: HashSet<u128>,
@@ -250,6 +255,7 @@ pub struct Store {
     recovery: RecoveryReport,
     rows_committed: u64,
     appended: u64,
+    /// The writer lock; a reader holds none.
     lock: Option<LockFile>,
     /// Fault injection for the chaos suite: remaining bytes the store
     /// may write before every write fails ENOSPC-style, tearing the
@@ -281,7 +287,7 @@ impl Store {
             dir: dir.to_path_buf(),
             reason: e.to_string(),
         })?;
-        let lock = writer_lock(dir, options.lock_timeout)?;
+        let lock = writer_lock(dir)?;
         let manifest = match Manifest::load(dir)? {
             Some(manifest) if manifest.tag != tag => {
                 return Err(StoreError::EngineMismatch {
@@ -340,7 +346,6 @@ impl Store {
         let mut store = Store {
             dir: dir.to_path_buf(),
             tag: manifest.tag,
-            writable: lock.is_some(),
             options,
             segments: manifest.segments,
             committed: HashSet::new(),
@@ -359,7 +364,7 @@ impl Store {
     /// Walks every manifest segment, classifying frames and (in writer
     /// mode) truncating torn tails and committing adoptions.
     fn recover(&mut self) -> Result<(), StoreError> {
-        let writer = self.writable;
+        let writer = self.lock.is_some();
         let mut manifest_dirty = false;
         let mut segments = std::mem::take(&mut self.segments);
         for seg in &mut segments {
@@ -501,7 +506,7 @@ impl Store {
     /// [`StoreError::Unwritable`] on a read-only handle; flush errors
     /// as for [`Store::flush`].
     pub fn append(&mut self, row: Row) -> Result<bool, StoreError> {
-        if !self.writable {
+        if self.lock.is_none() {
             return Err(StoreError::Unwritable {
                 dir: self.dir.clone(),
                 reason: "store opened read-only".to_string(),
@@ -581,9 +586,6 @@ impl Store {
             self.committed.insert(row.digest);
         }
         self.buffered_digests.clear();
-        if let Some(lock) = &self.lock {
-            lock.touch();
-        }
         Ok(())
     }
 
@@ -646,9 +648,9 @@ impl Store {
     /// [`StoreError::Io`] when a listed segment cannot be read in
     /// writer mode (reader mode records it as missing instead).
     pub fn rows(&self) -> Result<Vec<Row>, StoreError> {
-        // Recovery set every segment's row count from its own scan.
-        let total = self.segments.iter().map(|s| s.rows as usize).sum();
-        let mut rows: Vec<Row> = Vec::with_capacity(total);
+        // Recovery collected every distinct committed digest: the rows
+        // out, however often a digest repeats on disk.
+        let mut rows: Vec<Row> = Vec::with_capacity(self.committed.len());
         let mut index: HashMap<u128, usize> = HashMap::new();
         for seg in &self.segments {
             let path = self.dir.join(&seg.name);
@@ -668,7 +670,7 @@ impl Store {
             };
             let report = &mut RecoveryReport::default();
             match walk_segment(&path, &seg.name, seg.committed_len, report, take) {
-                Err(e) if e.kind() == ErrorKind::NotFound && !self.writable => {}
+                Err(e) if e.kind() == ErrorKind::NotFound && self.lock.is_none() => {}
                 Err(e) => return Err(io_err(&path, e)),
                 Ok(_) => {}
             }
@@ -699,7 +701,7 @@ impl Drop for Store {
         // Best effort: a clean shutdown should not lose buffered rows,
         // but errors here are unreportable (and a simulated crash drops
         // the store with a poisoned budget on purpose).
-        if self.writable && !self.buffered.is_empty() {
+        if self.lock.is_some() && !self.buffered.is_empty() {
             let _ = self.flush();
         }
     }

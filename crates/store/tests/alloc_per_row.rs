@@ -8,7 +8,8 @@
 //!
 //! The same allocator tracks the bytes live on each thread and their
 //! peak, so the bytes a scan holds are measured too: they must not grow
-//! with the segment, only with the largest frame.
+//! with the segment, only with the largest frame, and the rows a scan
+//! returns must not grow with how often a digest repeats.
 
 use corescope_harness::aggregate::group_rows;
 use corescope_store::frame::{self, SCAN_CHUNK};
@@ -194,9 +195,9 @@ fn write_repeated(dir: &Path, framed: &[u8], n: usize) {
     std::fs::write(dir.join("MANIFEST"), manifest).unwrap();
 }
 
-/// The peak bytes a reader open plus `fsck::verify` holds, and the peak
-/// `Store::rows` holds beyond the rows it returns.
-fn bytes_held(dir: &Path) -> (usize, usize) {
+/// The peak bytes a reader open plus `fsck::verify` holds, the peak
+/// `Store::rows` holds beyond the rows it returns, and its whole peak.
+fn bytes_held(dir: &Path) -> (usize, usize, usize) {
     let base = reset_peak();
     let store = Store::open_reader(dir).unwrap();
     let report = fsck::verify(dir).unwrap();
@@ -207,9 +208,9 @@ fn bytes_held(dir: &Path) -> (usize, usize) {
     let base = reset_peak();
     let rows = store.rows().unwrap();
     let returned = rows.capacity() * std::mem::size_of::<Row>();
-    let scan = peak_since(base).saturating_sub(returned);
+    let whole = peak_since(base);
     assert_eq!(rows.len(), BATCH);
-    (verify, scan)
+    (verify, whole.saturating_sub(returned), whole)
 }
 
 #[test]
@@ -232,16 +233,19 @@ fn bytes_held_by_a_scan_do_not_grow_with_the_segment() {
         bytes_held(tmp.path())
     });
     let bound = SCAN_CHUNK + framed.len();
-    let (verify, scan) =
-        (held[1].0 as isize - held[0].0 as isize, held[1].1 as isize - held[0].1 as isize);
+    let grew = |held: [usize; 2]| held[1] as isize - held[0] as isize;
+    let (verify, scan, whole) =
+        (grew(held.map(|h| h.0)), grew(held.map(|h| h.1)), grew(held.map(|h| h.2)));
     assert!(
-        verify < bound as isize && scan < bound as isize,
+        verify < bound as isize && scan < bound as isize && whole < bound as isize,
         "bytes held for 4 and 64 frames of {} bytes: open + verify {} and {}, rows {} and {} \
-         (growth bound {bound})",
+         less its output, {} and {} with it (growth bound {bound})",
         framed.len(),
         held[0].0,
         held[1].0,
         held[0].1,
-        held[1].1
+        held[1].1,
+        held[0].2,
+        held[1].2
     );
 }

@@ -478,7 +478,7 @@ proptest! {
         let tmp = TempDir::new(&format!("prop-cut-{seed}-{n}-{cut_permille}"));
         let rows: Vec<Row> = (0..n as u64).map(|j| mixed_row(seed, j)).collect();
         // Tiny roll threshold so cuts land in every segment position.
-        let options = Options { roll_bytes: 160, flush_rows: 2, ..Options::default() };
+        let options = Options { roll_bytes: 160, flush_rows: 2 };
         let mut store = Store::open_with(tmp.path(), TAG, options).unwrap();
         for row in &rows {
             store.append(row.clone()).unwrap();
