@@ -218,15 +218,19 @@ impl AmberBenchmark {
 mod tests {
     use super::*;
     use corescope_affinity::Scheme;
-    use corescope_machine::{systems, Machine};
+    use corescope_machine::{systems, Machine, RunReport};
     use corescope_smpi::{LockLayer, MpiImpl};
 
-    fn run(bench: &AmberBenchmark, machine: &Machine, n: usize, scheme: Scheme) -> f64 {
+    fn report(bench: &AmberBenchmark, machine: &Machine, n: usize, scheme: Scheme) -> RunReport {
         let placements = scheme.resolve(machine, n).unwrap();
         let mut w =
             CommWorld::new(machine, placements, MpiImpl::Mpich2.profile(), LockLayer::USysV);
         bench.append_run(&mut w);
-        w.run().unwrap().makespan
+        w.run().unwrap()
+    }
+
+    fn run(bench: &AmberBenchmark, machine: &Machine, n: usize, scheme: Scheme) -> f64 {
+        report(bench, machine, n, scheme).makespan
     }
 
     #[test]
@@ -288,6 +292,19 @@ mod tests {
         let gb_gain =
             run(&gb, &m, 2, Scheme::TwoMpiLocalAlloc) / run(&gb, &m, 16, Scheme::TwoMpiLocalAlloc);
         assert!(pme_gain < gb_gain, "PME gain {pme_gain:.1} must trail GB gain {gb_gain:.1}");
+    }
+
+    #[test]
+    fn pme_solve_counts_are_deterministic() {
+        // AMBER reuses the fewest rate solves of the paper's applications.
+        // A 16-rank PME run poses thousands of distinct flow sets; the
+        // first of them fill the solver memo's budget, so few later solves
+        // find their problem stored. Both counts are fixed by the program.
+        let m = Machine::new(systems::longs());
+        let mut jac = AmberBenchmark::jac();
+        jac.steps = 10;
+        let metrics = report(&jac, &m, 16, Scheme::TwoMpiLocalAlloc).metrics;
+        assert_eq!((metrics.solves, metrics.solves_reused), (24456, 1028));
     }
 
     #[test]

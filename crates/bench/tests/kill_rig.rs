@@ -21,11 +21,22 @@ use std::process::{Child, Command, Output, Stdio};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Artifacts of about 2 s (99 engine runs) cold at `--jobs 1` in the test
+/// Artifacts of about 1.5 s (157 engine runs) cold at `--jobs 1` in the test
 /// profile: long enough that concurrent runs overlap and a kill lands
 /// mid-run.
-const ARTIFACTS: [&str; 7] =
-    ["--artifact", "t2", "--artifact", "t8", "--artifact", "f11", "--quick"];
+const ARTIFACTS: [&str; 11] = [
+    "--artifact",
+    "t2",
+    "--artifact",
+    "t8",
+    "--artifact",
+    "t9",
+    "--artifact",
+    "t14",
+    "--artifact",
+    "f11",
+    "--quick",
+];
 
 /// Held by each test for its whole run, so the children of two tests
 /// never run at once.

@@ -162,16 +162,30 @@ mod tests {
     mod sim {
         use super::super::*;
         use corescope_affinity::Scheme;
-        use corescope_machine::{systems, Machine};
+        use corescope_machine::{systems, Machine, RunReport};
         use corescope_smpi::{LockLayer, MpiImpl};
 
-        fn mpi_time(lock: LockLayer) -> f64 {
+        fn mpi_run(lock: LockLayer) -> RunReport {
             let m = Machine::new(systems::longs());
             let placements = Scheme::TwoMpiLocalAlloc.resolve(&m, 8).unwrap();
             let mut w = CommWorld::new(&m, placements, MpiImpl::Lam.profile(), lock);
             let params = RaParams { table_words_per_rank: 1 << 20, updates_per_rank: 1 << 16 };
             append_mpi(&mut w, &params);
-            w.run().unwrap().makespan
+            w.run().unwrap()
+        }
+
+        fn mpi_time(lock: LockLayer) -> f64 {
+            mpi_run(lock).makespan
+        }
+
+        #[test]
+        fn chunk_exchanges_repeat_the_same_rate_problems() {
+            // Every 256-update chunk replays the same generate, exchange
+            // and apply flow sets, so after the first chunk nearly every
+            // solve is answered from the solver's memo. Both counts are
+            // deterministic.
+            let metrics = mpi_run(LockLayer::USysV).metrics;
+            assert_eq!((metrics.solves, metrics.solves_reused), (17160, 17033));
         }
 
         #[test]

@@ -12,6 +12,7 @@ use crate::error::{Error, Result};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::flow::{Bottleneck, ResourceIndex, ResourceTable, Solver};
 use crate::ids::{CoreId, LinkId, RankId, SocketId};
+use crate::keyhash::KeyHasher;
 use crate::memory::MemoryLayout;
 use crate::program::{ComputePhase, Cursor, MessageCost, Op, Program};
 use crate::recovery::{CheckpointPolicy, CheckpointTarget, RetryPolicy};
@@ -24,7 +25,7 @@ use crate::Machine;
 pub use crate::metrics::{RunMetrics, RunReport};
 
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
 /// Where a rank runs and where its pages live.
 #[derive(Debug, Clone, PartialEq)]
@@ -482,39 +483,6 @@ enum MatchQueue {
     Many(VecDeque<usize>),
 }
 
-/// Multiply-rotate hasher for the integer matching keys. The keys are
-/// rank indices and message tags from the simulated programs, never
-/// bytes from outside the process, so SipHash's flooding resistance buys
-/// nothing here.
-#[derive(Debug, Clone, Copy, Default)]
-struct KeyHasher(u64);
-
-impl KeyHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.add(word);
-    }
-
-    fn write_usize(&mut self, word: usize) {
-        self.add(word as u64);
-    }
-}
-
 /// Unmatched operations per `(src, dst, tag)`. A key is removed as soon
 /// as its queue empties, so the map holds only what is outstanding.
 type MatchMap = HashMap<(usize, usize, u64), MatchQueue, BuildHasherDefault<KeyHasher>>;
@@ -729,7 +697,7 @@ struct Sim<'a, 'm> {
     barrier_arrived: usize,
     metrics: RunMetrics,
     rates_dirty: bool,
-    /// Rate-solver scratch, reused by every solve of the run.
+    /// Rate-solver scratch and memo, reused by every solve of the run.
     solver: Solver,
     /// `None` when tracing is off: the hot loop then skips every trace
     /// hook without allocating.
@@ -797,6 +765,8 @@ impl<'a, 'm> Sim<'a, 'm> {
 
     fn run(mut self) -> Observed {
         let outcome = self.run_loop();
+        self.metrics.solves = self.solver.solves();
+        self.metrics.solves_reused = self.solver.reused();
         // Charge flows still in flight for the bytes they actually moved
         // — a run that ends in a typed error (fault kill, stall, budget)
         // must still account its partial traffic.
@@ -2492,5 +2462,34 @@ mod tests {
             degraded <= 2.0 * healthy * 1.001,
             "halving one resource can at most double the makespan: {degraded:.4} vs {healthy:.4}"
         );
+    }
+
+    #[test]
+    fn a_mid_run_throttle_re_solves_an_unchanged_flow_set() {
+        // One streaming flow, live before and after the controller is
+        // halved: the flow set the solver sees is the same, so only the
+        // capacity change can tell its memo that the old rate is stale.
+        let m = Machine::new(systems::dmz());
+        let engine = Engine::new(&m);
+        let placements = [local_placement(&m, 0)];
+        let programs = [stream_program(1e9)];
+        let throttle =
+            |at: f64| crate::FaultPlan::new().controller_throttle(at, SocketId::new(0), 0.5);
+        let healthy = engine.run(&placements, &programs).unwrap();
+        let throttled = engine.run_with_faults(&placements, &programs, &throttle(0.0)).unwrap();
+        let (fast, slow) = (1e9 / healthy.makespan, 1e9 / throttled.makespan);
+        assert!(slow < fast, "the throttle must bind: {slow:.3e} vs {fast:.3e}");
+
+        let at = healthy.makespan / 2.0;
+        let report = engine.run_with_faults(&placements, &programs, &throttle(at)).unwrap();
+        let expected = at + (1e9 - fast * at) / slow;
+        assert!(
+            (report.makespan - expected).abs() <= expected * 1e-9,
+            "finish {:.6} s must follow the halved controller ({expected:.6} s)",
+            report.makespan
+        );
+        // The flow under each capacity, then the empty set: no repeats.
+        assert_eq!(report.metrics.faults_applied, 1);
+        assert_eq!((report.metrics.solves, report.metrics.solves_reused), (3, 0));
     }
 }

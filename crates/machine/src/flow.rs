@@ -14,6 +14,10 @@
 //! DGEMM is never throttled.
 
 use crate::error::{Error, Result};
+use crate::keyhash::KeyHasher;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Index of a resource in a [`ResourceTable`].
 pub type ResourceIndex = usize;
@@ -118,9 +122,7 @@ const REL_EPS: f64 = 1e-9;
 /// Returns [`Error::InvalidSpec`] if a flow references a resource outside
 /// the table or has a non-finite cap.
 pub fn solve_maxmin(table: &ResourceTable, flows: &[FlowSpec]) -> Result<Vec<f64>> {
-    let mut solver = Solver::new();
-    solver.solve(table, flows)?;
-    Ok(solver.rates)
+    Ok(solve_once(table, flows, false)?.rates)
 }
 
 /// Like [`solve_maxmin`], also reporting which limit froze each flow.
@@ -136,12 +138,23 @@ pub fn solve_maxmin_attributed(
     table: &ResourceTable,
     flows: &[FlowSpec],
 ) -> Result<(Vec<f64>, Vec<Bottleneck>)> {
-    let mut solver = Solver::new();
-    solver.solve_attributed(table, flows)?;
+    let solver = solve_once(table, flows, true)?;
     Ok((solver.rates, solver.attribution))
 }
 
-/// Progressive-filling max-min solver with reusable scratch buffers.
+/// One progressive filling on a fresh solver, bypassing the memo: the
+/// one-shot solves are the reference a reused solver's answers, memoized
+/// or not, must match bit for bit.
+fn solve_once(table: &ResourceTable, flows: &[FlowSpec], attribute: bool) -> Result<Solver> {
+    let mut solver = Solver::new();
+    solver.write_key(flows.iter().map(|f| (f.cap, f.route.as_slice())), attribute);
+    solver.unpack(table)?;
+    solver.progressive_fill(table, attribute);
+    Ok(solver)
+}
+
+/// Progressive-filling max-min solver with reusable scratch buffers and a
+/// memo of the problems it has solved.
 ///
 /// The engine re-solves rates on every change to its active flow set, so
 /// it keeps one `Solver` per run: after the first few solves the buffers
@@ -150,11 +163,20 @@ pub fn solve_maxmin_attributed(
 /// over the same arithmetic, so a reused solver returns bit-identical
 /// rates.
 ///
-/// A solve first gathers each flow's cap and route into flat arrays, then
-/// fills over an ascending list of unfixed flows and touches only the
-/// resources some route uses. Per-resource scratch is sized to the largest
-/// table seen; `usage` is all zero between solves, so a solve initializes
-/// only the entries of the resources it routes over.
+/// A solve first writes the whole problem into one flat key. Simulated
+/// programs are loops, so a run's live flow set keeps coming back to the
+/// same caps and routes, and filling is a pure function of the caps, the
+/// routes, the table's capacities and the attribution flag: the solver
+/// remembers every problem it filled under the table's current capacities
+/// and answers a repeat from that memo, with the bits a new fill would
+/// produce. The memo matches keys exactly, empties whenever the table's
+/// capacities change, and stops storing at a fixed budget (1 MiB).
+///
+/// On a miss the key is validated and unpacked into flat cap and route
+/// arrays, and the solve fills over an ascending list of unfixed flows,
+/// touching only the resources some route uses. Per-resource scratch is
+/// sized to the largest table seen; `usage` is all zero between solves, so
+/// a solve initializes only the entries of the resources it routes over.
 #[derive(Debug, Clone, Default)]
 pub struct Solver {
     /// Each flow's cap, in input order.
@@ -162,6 +184,8 @@ pub struct Solver {
     /// Flow `i`'s route is `routes[bounds[i]..bounds[i + 1]]`.
     bounds: Vec<usize>,
     routes: Vec<ResourceIndex>,
+    /// The problem being solved, as a memo key.
+    key: Vec<u64>,
     /// Flows not yet frozen, ascending.
     unfixed: Vec<usize>,
     /// Resources on some positive-cap flow's route, each listed once.
@@ -172,6 +196,10 @@ pub struct Solver {
     usage: Vec<usize>,
     rates: Vec<f64>,
     attribution: Vec<Bottleneck>,
+    memo: Memo,
+    /// Successful solves, and how many of them the memo answered.
+    solves: usize,
+    reused: usize,
 }
 
 impl Solver {
@@ -210,6 +238,16 @@ impl Solver {
         self.fill(table, flows, true)
     }
 
+    /// Successful solves so far.
+    pub fn solves(&self) -> usize {
+        self.solves
+    }
+
+    /// Successful solves answered from the memo instead of a new fill.
+    pub fn reused(&self) -> usize {
+        self.reused
+    }
+
     /// Solves for `(cap, route)` pairs and returns the rates in input
     /// order, plus each flow's bottleneck when `attribute` is set (an
     /// empty slice otherwise).
@@ -219,27 +257,87 @@ impl Solver {
         flows: impl IntoIterator<Item = (f64, &'f [ResourceIndex])>,
         attribute: bool,
     ) -> Result<(&[f64], &[Bottleneck])> {
-        let Self { caps, bounds, routes, unfixed, routed, remaining, usage, rates, attribution } =
-            self;
-        let resources = &table.resources;
+        self.write_key(flows, attribute);
+        self.memo.track(table);
+        let hash = key_hash(&self.key);
+        // A stored key passed validation under a table of the same
+        // capacities, so a hit needs none.
+        if let Some(entry) = self.memo.find(hash, &self.key) {
+            self.solves += 1;
+            self.reused += 1;
+            return Ok(self.memo.answer(entry));
+        }
+        self.unpack(table)?;
+        self.solves += 1;
+        self.progressive_fill(table, attribute);
+        self.memo.insert(hash, &self.key, &self.rates, &self.attribution);
+        Ok((&self.rates, &self.attribution))
+    }
+
+    /// Writes the problem into `key`: the attribution flag, then per flow
+    /// its cap's bits, its route length and its route's resource indices.
+    /// The layout decodes uniquely, so equal keys are equal problems.
+    fn write_key<'f>(
+        &mut self,
+        flows: impl IntoIterator<Item = (f64, &'f [ResourceIndex])>,
+        attribute: bool,
+    ) {
+        let key = &mut self.key;
+        key.clear();
+        key.push(u64::from(attribute));
+        for (cap, route) in flows {
+            key.push(cap.to_bits());
+            key.push(route.len() as u64);
+            key.extend(route.iter().map(|&r| r as u64));
+        }
+    }
+
+    /// Validates the problem in `key` against `table` and unpacks it into
+    /// `caps`, `bounds` and `routes`.
+    fn unpack(&mut self, table: &ResourceTable) -> Result<()> {
+        let Self { caps, bounds, routes, key, .. } = self;
+        let resources = table.resources.len();
         caps.clear();
         routes.clear();
         bounds.clear();
         bounds.push(0);
-        for (i, (cap, route)) in flows.into_iter().enumerate() {
+        let mut words = key[1..].iter().copied();
+        while let Some(bits) = words.next() {
+            let i = caps.len();
+            let cap = f64::from_bits(bits);
             if !cap.is_finite() || cap < 0.0 {
                 return Err(Error::InvalidSpec(format!("flow {i} has invalid cap {cap}")));
             }
-            if let Some(&r) = route.iter().find(|&&r| r >= resources.len()) {
+            let len = words.next().expect("the key lists every route's length") as usize;
+            routes.extend(words.by_ref().take(len).map(|r| r as usize));
+            if let Some(&r) = routes[bounds[i]..].iter().find(|&&r| r >= resources) {
                 return Err(Error::InvalidSpec(format!(
-                    "flow {i} references resource {r} outside table of {}",
-                    resources.len()
+                    "flow {i} references resource {r} outside table of {resources}"
                 )));
             }
             caps.push(cap);
-            routes.extend_from_slice(route);
             bounds.push(routes.len());
         }
+        Ok(())
+    }
+
+    /// Progressive filling over the gathered problem: leaves the rates in
+    /// `rates` and, when `attribute` is set, each flow's bottleneck in
+    /// `attribution`.
+    fn progressive_fill(&mut self, table: &ResourceTable, attribute: bool) {
+        let Self {
+            caps,
+            bounds,
+            routes,
+            unfixed,
+            routed,
+            remaining,
+            usage,
+            rates,
+            attribution,
+            ..
+        } = self;
+        let resources = &table.resources;
         let n = caps.len();
         let route = |i: usize| &routes[bounds[i]..bounds[i + 1]];
 
@@ -346,7 +444,136 @@ impl Solver {
                 unfixed.clear();
             }
         }
-        Ok((rates, attribution))
+    }
+}
+
+/// The memo's budget in 8-byte words (1 MiB). Once the keys, answers and
+/// entries fill it, new problems are still solved but no longer stored.
+const MEMO_WORDS: usize = 1 << 17;
+
+/// Every problem a [`Solver`] filled under the table's current capacities,
+/// with its answer.
+///
+/// **Key.** The attribution flag and every flow's cap and route, laid out
+/// as [`Solver::write_key`] describes. Equal keys are equal problems. A
+/// key is matched by exact comparison with the stored key its hash names;
+/// two keys sharing a hash cost the later one its place, never its answer.
+///
+/// **Validity.** An answer holds only under the capacities it was filled
+/// under. The memo keeps a snapshot of the table's capacity bits and
+/// empties itself before a solve under a table that differs from it (a
+/// degraded, failed or restored resource, or another table altogether).
+///
+/// **Budget.** Keys and rates live in flat arenas charged, with each
+/// entry's bookkeeping, against [`MEMO_WORDS`]. An attributed entry's
+/// bottlenecks ride along uncharged (at most two words per stored rate),
+/// so a traced run, which attributes every solve, stores exactly the
+/// problems its untraced twin stores and reuses as often. Storing is
+/// first come, first served: on the `--quick` sweep that answers more
+/// solves than emptying the memo whenever it is full.
+#[derive(Debug, Clone, Default)]
+struct Memo {
+    /// Capacity bits of the table every entry was filled under.
+    capacities: Vec<u64>,
+    /// Where each stored problem sits in the arenas, by its key's hash.
+    entries: HashMap<u64, Stored, BuildHasherDefault<KeyHasher>>,
+    keys: Vec<u64>,
+    rates: Vec<f64>,
+    attribution: Vec<Bottleneck>,
+}
+
+/// Where one stored problem's key and answer sit in the arenas.
+#[derive(Debug, Clone, Copy)]
+struct Stored {
+    key_at: usize,
+    key_len: usize,
+    /// First rate (and, when attributed, first bottleneck) of the answer.
+    rates_at: usize,
+    attribution_at: usize,
+    flows: usize,
+}
+
+/// Words one entry's bookkeeping costs: its hash, its [`Stored`] and the
+/// map's spare slots.
+const ENTRY_WORDS: usize = 2 * (1 + std::mem::size_of::<Stored>() / 8);
+
+/// The hash of a memo key, folded in four independent lanes so the
+/// multiplies of neighbouring words overlap. The fold mixes best into the
+/// high bits and the map picks a bucket from the low ones, so the bytes
+/// are swapped. Four lanes rather than one, and swapped bytes rather than
+/// the fold's own, each measured about a tenth more `suite` throughput.
+fn key_hash(key: &[u64]) -> u64 {
+    let mut lanes = [KeyHasher::default(); 4];
+    let mut quads = key.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, &word) in lanes.iter_mut().zip(quad) {
+            lane.add(word);
+        }
+    }
+    let mut hasher = KeyHasher::default();
+    for word in lanes.iter().map(Hasher::finish).chain(quads.remainder().iter().copied()) {
+        hasher.add(word);
+    }
+    hasher.finish().swap_bytes()
+}
+
+impl Memo {
+    /// Empties the memo unless `table` has the capacities its entries were
+    /// filled under.
+    fn track(&mut self, table: &ResourceTable) {
+        let resources = &table.resources;
+        if resources.len() == self.capacities.len()
+            && resources.iter().zip(&self.capacities).all(|(r, &c)| r.capacity.to_bits() == c)
+        {
+            return;
+        }
+        self.capacities.clear();
+        self.capacities.extend(resources.iter().map(|r| r.capacity.to_bits()));
+        self.entries.clear();
+        self.keys.clear();
+        self.rates.clear();
+        self.attribution.clear();
+    }
+
+    /// Words charged against [`MEMO_WORDS`].
+    fn words(&self) -> usize {
+        self.keys.len() + self.rates.len() + ENTRY_WORDS * self.entries.len()
+    }
+
+    /// The entry holding exactly `key`, if any.
+    fn find(&self, hash: u64, key: &[u64]) -> Option<Stored> {
+        let stored = *self.entries.get(&hash)?;
+        (self.keys[stored.key_at..][..stored.key_len] == *key).then_some(stored)
+    }
+
+    /// The stored rates and attribution (empty when unattributed).
+    fn answer(&self, stored: Stored) -> (&[f64], &[Bottleneck]) {
+        let rates = &self.rates[stored.rates_at..][..stored.flows];
+        // The key's first word is the attribution flag.
+        let attribution = if self.keys[stored.key_at] == 1 {
+            &self.attribution[stored.attribution_at..][..stored.flows]
+        } else {
+            &[]
+        };
+        (rates, attribution)
+    }
+
+    /// Stores `key`'s answer, unless that would exceed the budget.
+    fn insert(&mut self, hash: u64, key: &[u64], rates: &[f64], attribution: &[Bottleneck]) {
+        if self.words() + key.len() + rates.len() + ENTRY_WORDS > MEMO_WORDS {
+            return;
+        }
+        let Entry::Vacant(slot) = self.entries.entry(hash) else { return };
+        slot.insert(Stored {
+            key_at: self.keys.len(),
+            key_len: key.len(),
+            rates_at: self.rates.len(),
+            attribution_at: self.attribution.len(),
+            flows: rates.len(),
+        });
+        self.keys.extend_from_slice(key);
+        self.rates.extend_from_slice(rates);
+        self.attribution.extend_from_slice(attribution);
     }
 }
 
@@ -523,6 +750,54 @@ mod tests {
         assert_eq!(attr[0], Bottleneck::FlowCap);
         assert!((rates[1] - 10.0).abs() < 1e-9);
         assert_eq!(attr[1], Bottleneck::Resource(0));
+    }
+
+    #[test]
+    fn memo_matches_keys_exactly_not_by_hash() {
+        let mut memo = Memo::default();
+        memo.track(&table(&[1.0]));
+        memo.insert(7, &[0, 1, 2], &[1.0], &[]);
+        assert!(memo.find(7, &[0, 1, 2]).is_some());
+        assert!(memo.find(7, &[0, 1, 3]).is_none(), "a shared hash is not a match");
+        assert!(memo.find(7, &[0, 1]).is_none(), "a key's prefix is not a match");
+        // A second key under the same hash is not stored, and does not
+        // displace the first.
+        memo.insert(7, &[0, 1, 3], &[2.0], &[]);
+        assert!(memo.find(7, &[0, 1, 3]).is_none());
+        let stored = memo.find(7, &[0, 1, 2]).unwrap();
+        assert_eq!(memo.answer(stored), (&[1.0][..], &[][..]));
+    }
+
+    #[test]
+    fn a_full_memo_still_solves_but_stores_nothing_new() {
+        let t = table(&[10.0, 20.0, 30.0, 40.0]);
+        // Distinct problems of a thousand flows, each solved in one round.
+        let ballast = |k: usize| -> Vec<FlowSpec> {
+            (0..1000).map(|i| FlowSpec::new(vec![i % 4], 1.0 + k as f64)).collect()
+        };
+        let mut solver = Solver::new();
+        let mut k = 0;
+        loop {
+            let stored = solver.memo.entries.len();
+            solver.solve(&t, &ballast(k)).unwrap();
+            k += 1;
+            if solver.memo.entries.len() == stored {
+                break;
+            }
+        }
+        let words = solver.memo.words();
+        assert!(words <= MEMO_WORDS, "{words} words stored");
+        assert!(k > 2, "the budget holds more than one problem");
+        // The problem that did not fit is solved again, not answered.
+        let (stored, reused) = (solver.memo.entries.len(), solver.reused());
+        let late = ballast(k - 1);
+        let rates = solver.solve(&t, &late).unwrap();
+        assert_eq!(rates, solve_maxmin(&t, &late).unwrap().as_slice());
+        assert_eq!((solver.memo.entries.len(), solver.reused()), (stored, reused));
+        // What was stored before the budget ran out is still answered.
+        let first = solver.solve(&t, &ballast(0)).unwrap().to_vec();
+        assert_eq!(first, solve_maxmin(&t, &ballast(0)).unwrap());
+        assert_eq!(solver.reused(), reused + 1);
     }
 
     #[test]

@@ -38,6 +38,7 @@ pub mod error;
 pub mod faults;
 pub mod flow;
 pub mod ids;
+mod keyhash;
 pub mod memory;
 pub mod metrics;
 pub mod params;

@@ -31,6 +31,11 @@ pub struct RunMetrics {
     /// Transfer retransmissions triggered by failed links (see
     /// [`crate::recovery::RetryPolicy`]).
     pub retries: usize,
+    /// Rate solves: one per change to the live flows or to the capacities.
+    pub solves: usize,
+    /// Rate solves answered from the solver's memo of problems already
+    /// solved in this run (see [`crate::flow::Solver`]).
+    pub solves_reused: usize,
 }
 
 impl RunMetrics {
@@ -47,6 +52,8 @@ impl RunMetrics {
             checkpoints_taken: 0,
             recoveries: 0,
             retries: 0,
+            solves: 0,
+            solves_reused: 0,
         }
     }
 

@@ -423,3 +423,108 @@ fn solver_reports_invalid_flows_like_the_one_shot_solve() {
     let good = [FlowSpec::new(vec![0], 0.5)];
     assert_eq!(solver.solve(&table, &good).unwrap(), &[0.5]);
 }
+
+/// One step of a memo workout over a shared table: `(kind, set,
+/// attribute, (scaled, resource, factor), seed)`.
+///
+/// A kind of 0 solves ballast `seed`, a large flow set of its own: a few
+/// of these overflow the memo's budget, after which new problems are
+/// solved but not stored. Any other kind solves flow set `set` (taken
+/// modulo the pool), under the shared table or, when `scaled` is 0, under
+/// a copy with one resource's capacity zeroed, halved or doubled (the
+/// next step restores it). An `attribute` of 1 asks for attribution.
+type Step = (u8, usize, u8, (u8, usize, u8), u8);
+
+fn step() -> impl Strategy<Value = Step> {
+    (0u8..10, 0usize..4, 0u8..2, (0u8..4, 0usize..9, 0u8..3), 0u8..6)
+}
+
+/// Twelve thousand flows, each over two resources (or one twice), every
+/// cap the same, so filling finishes in a few rounds.
+fn ballast(seed: u8, resources: usize) -> Vec<FlowSpec> {
+    (0..12_000)
+        .map(|i| FlowSpec::new(vec![i % resources, (i + 1) % resources], 1.0 + f64::from(seed)))
+        .collect()
+}
+
+/// The solver's answer must be the fresh one-shot answer, bit for bit.
+fn check_fresh(
+    solver: &mut Solver,
+    table: &ResourceTable,
+    flows: &[FlowSpec],
+    attribute: bool,
+) -> Result<(), TestCaseError> {
+    if attribute {
+        let (want, want_attr) = solve_maxmin_attributed(table, flows).unwrap();
+        let (rates, attribution) = solver.solve_attributed(table, flows).unwrap();
+        prop_assert_eq!(bits(rates), bits(&want));
+        prop_assert_eq!(attribution, want_attr.as_slice());
+    } else {
+        let want = solve_maxmin(table, flows).unwrap();
+        let rates = solver.solve(table, flows).unwrap();
+        prop_assert_eq!(bits(rates), bits(&want));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One solver driven through repeats of a few flow sets over one
+    /// table, with capacities changed and restored between calls,
+    /// attributed and unattributed calls mixed, and ballast that
+    /// overflows the memo's budget, answers every call exactly as a fresh
+    /// one-shot solve: a memoized answer is never stale, never another
+    /// problem's, and never missing its attribution.
+    #[test]
+    fn memoized_answers_match_fresh_solves_bit_for_bit(
+        raw in raw_problem(),
+        pool in proptest::collection::vec(raw_problem(), 1..4),
+        steps in proptest::collection::vec(step(), 1..40),
+    ) {
+        let (table, _) = build(&raw);
+        let sets: Vec<Vec<FlowSpec>> =
+            pool.iter().map(|(_, flows)| build(&(raw.0.clone(), flows.clone())).1).collect();
+        let mut solver = Solver::new();
+        for &(kind, set, attribute, (scaled, r, factor), seed) in &steps {
+            let attribute = attribute == 1;
+            if kind == 0 {
+                check_fresh(&mut solver, &table, &ballast(seed, table.len()), attribute)?;
+                continue;
+            }
+            let mut table = table.clone();
+            if scaled == 0 {
+                let r = r % table.len();
+                let factor = [0.0, 0.5, 2.0][usize::from(factor)];
+                table.set_capacity(r, table.get(r).capacity * factor);
+            }
+            check_fresh(&mut solver, &table, &sets[set % sets.len()], attribute)?;
+        }
+        prop_assert_eq!(solver.solves(), steps.len());
+    }
+}
+
+#[test]
+fn the_memo_answers_exact_repeats_under_unchanged_capacities_only() {
+    let mut table = ResourceTable::new();
+    table.add("mc", 6.4e9);
+    table.add("link", 2.0e9);
+    let flows = [FlowSpec::new(vec![0], 3.7e9), FlowSpec::new(vec![0, 1], 3.7e9)];
+    let mut solver = Solver::new();
+    let mut reused = Vec::new();
+    let mut solve = |solver: &mut Solver, table: &ResourceTable, attribute: bool| {
+        check_fresh(solver, table, &flows, attribute).unwrap();
+        reused.push(solver.reused());
+    };
+    solve(&mut solver, &table, false); // first sight
+    solve(&mut solver, &table, false); // repeat: answered
+    solve(&mut solver, &table, true); // attribution was never stored
+    solve(&mut solver, &table, true); // repeat: answered
+    table.set_capacity(1, 1.0e9);
+    solve(&mut solver, &table, false); // degraded link: new problem
+    table.set_capacity(1, 2.0e9);
+    solve(&mut solver, &table, false); // restored: the memo emptied
+    solve(&mut solver, &table, false); // repeat: answered
+    assert_eq!(reused, [0, 1, 1, 2, 2, 2, 3]);
+    assert_eq!(solver.solves(), 7);
+}
