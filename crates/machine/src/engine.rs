@@ -10,7 +10,7 @@
 use crate::cache;
 use crate::error::{Error, Result};
 use crate::faults::{FaultKind, FaultPlan};
-use crate::flow::{Bottleneck, ResourceIndex, ResourceTable, Solver};
+use crate::flow::{Bottleneck, FlowKind, ResourceIndex, ResourceTable, Solver};
 use crate::ids::{CoreId, LinkId, RankId, SocketId};
 use crate::keyhash::KeyHasher;
 use crate::memory::MemoryLayout;
@@ -524,6 +524,46 @@ fn pop_match(map: &mut MatchMap, key: (usize, usize, u64)) -> Option<usize> {
     }
 }
 
+/// A set of rank indices, one bit per rank.
+#[derive(Debug, Clone)]
+struct RankSet(Vec<u64>);
+
+impl RankSet {
+    /// The empty set over `n` ranks.
+    fn new(n: usize) -> Self {
+        Self(vec![0; n.div_ceil(64)])
+    }
+
+    /// Every one of `n` ranks.
+    fn full(n: usize) -> Self {
+        let mut set = Self::new(n);
+        for rank in 0..n {
+            set.insert(rank);
+        }
+        set
+    }
+
+    fn insert(&mut self, rank: usize) {
+        self.0[rank / 64] |= 1 << (rank % 64);
+    }
+
+    fn remove(&mut self, rank: usize) {
+        self.0[rank / 64] &= !(1 << (rank % 64));
+    }
+
+    fn contains(&self, rank: usize) -> bool {
+        self.0[rank / 64] >> (rank % 64) & 1 == 1
+    }
+
+    /// The lowest rank in this set and not in `other`.
+    fn first_without(&self, other: &RankSet) -> Option<usize> {
+        self.0.iter().zip(&other.0).enumerate().find_map(|(word, (&these, &those))| {
+            let bits = these & !those;
+            (bits != 0).then(|| word * 64 + bits.trailing_zeros() as usize)
+        })
+    }
+}
+
 /// An op span still in progress on one rank (trace-only state).
 #[derive(Debug, Clone)]
 struct OpenSpan {
@@ -633,13 +673,13 @@ enum FlowOwner {
 }
 
 /// A live flow. Its route is borrowed from the engine's [`RouteTable`]s,
-/// so starting a flow allocates nothing.
+/// and its kind — its own rate cap in bytes/s and its route, interned by
+/// the run's [`Solver`] when the flow starts — is what a rate solve reads.
 #[derive(Debug, Clone)]
 struct ActiveFlow<'a> {
     owner: FlowOwner,
     route: &'a [ResourceIndex],
-    /// The flow's own rate cap in bytes/s.
-    cap: f64,
+    kind: FlowKind,
     initial: f64,
     remaining: f64,
     rate: f64,
@@ -661,6 +701,7 @@ struct SimSnapshot<'a> {
     finish: Vec<f64>,
     flows: Vec<Option<ActiveFlow<'a>>>,
     transfers: Vec<Transfer>,
+    free_transfers: Vec<usize>,
     starting_transfers: Vec<usize>,
     pending_sends: MatchMap,
     pending_recvs: MatchMap,
@@ -679,16 +720,24 @@ struct Sim<'a, 'm> {
     next_fault: usize,
     /// Ranks frozen by an unresumed [`FaultKind::RankStall`]. A stalled
     /// rank finishes its current operation but dispatches nothing.
-    stalled: Vec<bool>,
+    stalled: RankSet,
     now: f64,
     /// Each rank's position in its program's expanded op stream.
     cursors: Vec<Cursor>,
+    /// Every rank's status, written only through [`Sim::set_status`].
     status: Vec<Status>,
+    /// The ranks whose status is `Ready`, and how many are not `Done`.
+    ready: RankSet,
+    live: usize,
     finish: Vec<f64>,
     flows: Vec<Option<ActiveFlow<'a>>>,
+    /// A slab of the messages in flight: `start_send` reuses the slots of
+    /// delivered transfers, listed in `free_transfers`, so the table holds
+    /// what is in flight rather than every message ever sent.
     transfers: Vec<Transfer>,
+    free_transfers: Vec<usize>,
     /// Transfers in the `Starting` state (the only ones with a timer), so
-    /// the event scan does not walk the full transfer history.
+    /// the event scan walks only those.
     starting_transfers: Vec<usize>,
     /// FIFO of unmatched send transfer-indices per (src, dst, tag).
     pending_sends: MatchMap,
@@ -730,13 +779,16 @@ impl<'a, 'm> Sim<'a, 'm> {
             resources: engine.resources.clone(),
             faults,
             next_fault: 0,
-            stalled: vec![false; n],
+            stalled: RankSet::new(n),
             now: 0.0,
             cursors: vec![Cursor::default(); n],
             status: vec![Status::Ready; n],
+            ready: RankSet::full(n),
+            live: n,
             finish: vec![0.0; n],
             flows: Vec::new(),
             transfers: Vec::new(),
+            free_transfers: Vec::new(),
             starting_transfers: Vec::new(),
             pending_sends: MatchMap::default(),
             pending_recvs: MatchMap::default(),
@@ -813,7 +865,7 @@ impl<'a, 'm> Sim<'a, 'm> {
         self.resolve_rates()?;
         let mut zero_dt_iters = 0usize;
 
-        while self.status.iter().any(|s| *s != Status::Done) {
+        while self.live > 0 {
             self.metrics.events += 1;
             if self.metrics.events > self.engine.max_events {
                 return Err(Error::EventBudgetExhausted {
@@ -993,8 +1045,8 @@ impl<'a, 'm> Sim<'a, 'm> {
                     }
                     self.rates_dirty = true;
                 }
-                ResolvedFault::Stall(rank) => self.stalled[rank] = true,
-                ResolvedFault::Resume(rank) => self.stalled[rank] = false,
+                ResolvedFault::Stall(rank) => self.stalled.insert(rank),
+                ResolvedFault::Resume(rank) => self.stalled.remove(rank),
                 ResolvedFault::Kill(rank) => {
                     if self.status[rank] == Status::Done {
                         // Killing a rank that already finished loses
@@ -1042,8 +1094,8 @@ impl<'a, 'm> Sim<'a, 'm> {
                 };
             }
         }
-        if let Some(rank) =
-            (0..self.status.len()).find(|&r| self.stalled[r] && self.status[r] != Status::Done)
+        if let Some(rank) = (0..self.status.len())
+            .find(|&r| self.stalled.contains(r) && self.status[r] != Status::Done)
         {
             return Error::RankStalled {
                 rank: RankId::new(rank),
@@ -1059,23 +1111,43 @@ impl<'a, 'm> Sim<'a, 'm> {
     }
 
     /// Executes ops for every Ready, non-stalled rank until all are
-    /// blocked, stalled, or done.
+    /// blocked, stalled, or done, always dispatching the lowest such rank
+    /// next.
     fn dispatch_all(&mut self) -> Result<()> {
-        loop {
-            let Some(rank) = (0..self.programs.len())
-                .find(|&r| self.status[r] == Status::Ready && !self.stalled[r])
-            else {
-                return Ok(());
-            };
+        while let Some(rank) = self.ready.first_without(&self.stalled) {
             self.dispatch(rank)?;
         }
+        Ok(())
+    }
+
+    /// Sets `rank`'s status, keeping the ready set and the live count.
+    fn set_status(&mut self, rank: usize, status: Status) {
+        let was_done = matches!(self.status[rank], Status::Done);
+        if matches!(status, Status::Ready) {
+            self.ready.insert(rank);
+        } else {
+            self.ready.remove(rank);
+        }
+        self.live = self.live + usize::from(was_done) - usize::from(matches!(status, Status::Done));
+        self.status[rank] = status;
+    }
+
+    /// Rebuilds the ready set and the live count from `status`.
+    fn rebuild_rank_sets(&mut self) {
+        self.ready = RankSet::new(self.status.len());
+        for (rank, &s) in self.status.iter().enumerate() {
+            if s == Status::Ready {
+                self.ready.insert(rank);
+            }
+        }
+        self.live = self.status.iter().filter(|&&s| s != Status::Done).count();
     }
 
     fn dispatch(&mut self, rank: usize) -> Result<()> {
         let programs = self.programs;
         let Some((op, tag_offset)) = self.cursors[rank].next(&programs[rank]) else {
             self.trace_close_span(rank);
-            self.status[rank] = Status::Done;
+            self.set_status(rank, Status::Done);
             self.finish[rank] = self.now;
             return Ok(());
         };
@@ -1084,7 +1156,7 @@ impl<'a, 'm> Sim<'a, 'm> {
             Op::Compute(ref phase) => self.start_phase(rank, phase)?,
             Op::Delay(seconds) => {
                 if seconds > 0.0 {
-                    self.status[rank] = Status::Waiting { until: self.now + seconds };
+                    self.set_status(rank, Status::Waiting { until: self.now + seconds });
                 }
             }
             Op::Send { to, bytes, tag, cost } => {
@@ -1092,13 +1164,13 @@ impl<'a, 'm> Sim<'a, 'm> {
             }
             Op::Recv { from, tag } => self.start_recv(rank, from, tag + tag_offset)?,
             Op::Barrier => {
-                self.status[rank] = Status::BarrierBlocked;
+                self.set_status(rank, Status::BarrierBlocked);
                 self.barrier_arrived += 1;
                 if self.barrier_arrived == self.programs.len() {
                     self.barrier_arrived = 0;
-                    for s in &mut self.status {
-                        if *s == Status::BarrierBlocked {
-                            *s = Status::Ready;
+                    for r in 0..self.status.len() {
+                        if self.status[r] == Status::BarrierBlocked {
+                            self.set_status(r, Status::Ready);
                         }
                     }
                 }
@@ -1153,14 +1225,7 @@ impl<'a, 'm> Sim<'a, 'm> {
                 let route =
                     self.engine.phase_routes.get(src_socket, machine.socket_of_node(node))?;
                 self.check_route(route)?;
-                self.add_flow(ActiveFlow {
-                    owner: FlowOwner::Phase(rank),
-                    route,
-                    cap: demand.self_cap * frac,
-                    initial: bytes,
-                    remaining: bytes,
-                    rate: 0.0,
-                });
+                self.add_flow(FlowOwner::Phase(rank), route, demand.self_cap * frac, bytes);
                 pending += 1;
             }
         }
@@ -1168,8 +1233,8 @@ impl<'a, 'm> Sim<'a, 'm> {
         if pending == 0 && cpu_time <= 0.0 {
             // Nothing to do: stay Ready (dispatch loop continues).
         } else {
-            self.status[rank] =
-                Status::Computing { cpu_end: self.now + cpu_time, pending_flows: pending };
+            let cpu_end = self.now + cpu_time;
+            self.set_status(rank, Status::Computing { cpu_end, pending_flows: pending });
         }
         Ok(())
     }
@@ -1189,8 +1254,7 @@ impl<'a, 'm> Sim<'a, 'm> {
         self.metrics.messages_sent[rank] += 1;
         self.metrics.bytes_sent[rank] += bytes;
 
-        let idx = self.transfers.len();
-        self.transfers.push(Transfer {
+        let transfer = Transfer {
             src: rank,
             dst,
             bytes,
@@ -1198,7 +1262,17 @@ impl<'a, 'm> Sim<'a, 'm> {
             send_post: self.now,
             state: TransferState::WaitingRecv,
             attempts: 0,
-        });
+        };
+        let idx = match self.free_transfers.pop() {
+            Some(idx) => {
+                self.transfers[idx] = transfer;
+                idx
+            }
+            None => {
+                self.transfers.push(transfer);
+                self.transfers.len() - 1
+            }
+        };
 
         // Match an already-posted receive, if any.
         let key = (rank, dst, tag);
@@ -1211,9 +1285,9 @@ impl<'a, 'm> Sim<'a, 'm> {
         }
 
         if cost.rendezvous {
-            self.status[rank] = Status::SendBlocked { transfer: idx };
+            self.set_status(rank, Status::SendBlocked { transfer: idx });
         } else if cost.sender_busy > 0.0 {
-            self.status[rank] = Status::Waiting { until: self.now + cost.sender_busy };
+            self.set_status(rank, Status::Waiting { until: self.now + cost.sender_busy });
         }
         // else: sender continues immediately (stays Ready).
         Ok(())
@@ -1232,7 +1306,7 @@ impl<'a, 'm> Sim<'a, 'm> {
                 let begin =
                     (self.transfers[t].send_post + self.transfers[t].cost.setup).max(self.now);
                 self.transfers[t].state = TransferState::Starting { at: begin };
-                self.status[rank] = Status::RecvBlocked;
+                self.set_status(rank, Status::RecvBlocked);
                 // Start immediately if the start time has already passed.
                 if begin <= self.now + EPS_TIME {
                     self.start_transfer_flow(t)?;
@@ -1242,7 +1316,7 @@ impl<'a, 'm> Sim<'a, 'm> {
             }
             None => {
                 push_match(&mut self.pending_recvs, key, rank);
-                self.status[rank] = Status::RecvBlocked;
+                self.set_status(rank, Status::RecvBlocked);
             }
         }
         Ok(())
@@ -1276,38 +1350,46 @@ impl<'a, 'm> Sim<'a, 'm> {
                 resource: self.resources.get(dead).name.clone(),
             });
         }
-        let flow = self.add_flow(ActiveFlow {
-            owner: FlowOwner::Transfer(t),
-            route,
-            cap: cap.min(1e12),
-            initial: bytes,
-            remaining: bytes,
-            rate: 0.0,
-        });
+        let flow = self.add_flow(FlowOwner::Transfer(t), route, cap.min(1e12), bytes);
         self.transfers[t].state = TransferState::Flowing { flow };
         Ok(())
     }
 
+    /// Marks transfer `t` delivered, frees its slot and wakes the ranks
+    /// waiting on it. Nothing refers to a delivered transfer: it has left
+    /// the match maps, the start queue and the flow slots, and its
+    /// rendezvous sender is released here.
     fn complete_transfer(&mut self, t: usize) -> Result<()> {
         let (src, dst, rendezvous) = {
             let tr = &mut self.transfers[t];
             tr.state = TransferState::Done;
             (tr.src, tr.dst, tr.cost.rendezvous)
         };
+        self.free_transfers.push(t);
         // Receiver was blocked on this delivery.
         debug_assert_eq!(self.status[dst], Status::RecvBlocked);
-        self.status[dst] = Status::Ready;
+        self.set_status(dst, Status::Ready);
         if rendezvous {
             if let Status::SendBlocked { transfer } = self.status[src] {
                 if transfer == t {
-                    self.status[src] = Status::Ready;
+                    self.set_status(src, Status::Ready);
                 }
             }
         }
         Ok(())
     }
 
-    fn add_flow(&mut self, flow: ActiveFlow<'a>) -> usize {
+    /// Starts a flow of `bytes` over `route`, at most `cap` bytes/s fast,
+    /// in the lowest free slot, its kind interned by the run's solver.
+    fn add_flow(
+        &mut self,
+        owner: FlowOwner,
+        route: &'a [ResourceIndex],
+        cap: f64,
+        bytes: f64,
+    ) -> usize {
+        let kind = self.solver.intern(cap, route);
+        let flow = ActiveFlow { owner, route, kind, initial: bytes, remaining: bytes, rate: 0.0 };
         self.rates_dirty = true;
         if let Some(slot) = self.flows.iter().position(Option::is_none) {
             self.flows[slot] = Some(flow);
@@ -1333,7 +1415,7 @@ impl<'a, 'm> Sim<'a, 'm> {
     /// written back by walking the occupied slots again.
     fn resolve_rates(&mut self) -> Result<()> {
         self.rates_dirty = false;
-        let live = self.flows.iter().flatten().map(|f| (f.cap, f.route));
+        let live = self.flows.iter().flatten().map(|f| f.kind);
         // The traced path also attributes; attribution is recorded on the
         // side of the same progressive-filling arithmetic, so the rates
         // are bit-identical and tracing cannot perturb the simulation.
@@ -1426,10 +1508,12 @@ impl<'a, 'm> Sim<'a, 'm> {
                     if let Status::Computing { cpu_end, pending_flows } = self.status[rank] {
                         let pending = pending_flows - 1;
                         if pending == 0 && cpu_end <= self.now + EPS_TIME {
-                            self.status[rank] = Status::Ready;
+                            self.set_status(rank, Status::Ready);
                         } else {
-                            self.status[rank] =
-                                Status::Computing { cpu_end, pending_flows: pending };
+                            self.set_status(
+                                rank,
+                                Status::Computing { cpu_end, pending_flows: pending },
+                            );
                         }
                     }
                 }
@@ -1467,10 +1551,10 @@ impl<'a, 'm> Sim<'a, 'm> {
                 Status::Computing { cpu_end, pending_flows }
                     if pending_flows == 0 && cpu_end <= self.now + EPS_TIME =>
                 {
-                    self.status[rank] = Status::Ready;
+                    self.set_status(rank, Status::Ready);
                 }
                 Status::Waiting { until } if until <= self.now + EPS_TIME => {
-                    self.status[rank] = Status::Ready;
+                    self.set_status(rank, Status::Ready);
                 }
                 _ => {}
             }
@@ -1545,14 +1629,7 @@ impl<'a, 'm> Sim<'a, 'm> {
                     self.next_ckpt_at = Some(self.now + policy.interval);
                     return Ok(());
                 }
-                new_flows.push(ActiveFlow {
-                    owner: FlowOwner::Checkpoint(rank),
-                    route,
-                    cap: demand.self_cap * frac,
-                    initial: bytes,
-                    remaining: bytes,
-                    rate: 0.0,
-                });
+                new_flows.push((FlowOwner::Checkpoint(rank), route, demand.self_cap * frac, bytes));
             }
         }
         if new_flows.is_empty() {
@@ -1564,8 +1641,8 @@ impl<'a, 'm> Sim<'a, 'm> {
             self.metrics.dram_bytes[rank] += *bytes;
         }
         self.ckpt_flows_pending = new_flows.len();
-        for f in new_flows {
-            self.add_flow(f);
+        for (owner, route, cap, bytes) in new_flows {
+            self.add_flow(owner, route, cap, bytes);
         }
         Ok(())
     }
@@ -1605,6 +1682,7 @@ impl<'a, 'm> Sim<'a, 'm> {
             finish: self.finish.clone(),
             flows: self.flows.clone(),
             transfers: self.transfers.clone(),
+            free_transfers: self.free_transfers.clone(),
             starting_transfers: self.starting_transfers.clone(),
             pending_sends: self.pending_sends.clone(),
             pending_recvs: self.pending_recvs.clone(),
@@ -1643,10 +1721,12 @@ impl<'a, 'm> Sim<'a, 'm> {
         self.finish = snap.finish;
         self.flows = snap.flows;
         self.transfers = snap.transfers;
+        self.free_transfers = snap.free_transfers;
         self.starting_transfers = snap.starting_transfers;
         self.pending_sends = snap.pending_sends;
         self.pending_recvs = snap.pending_recvs;
         self.barrier_arrived = snap.barrier_arrived;
+        self.rebuild_rank_sets();
         // Shift every absolute-time field into the replay timeline; the
         // uniform shift preserves every relative deadline, including ones
         // already in the past at the snapshot.
@@ -2491,5 +2571,75 @@ mod tests {
         // The flow under each capacity, then the empty set: no repeats.
         assert_eq!(report.metrics.faults_applied, 1);
         assert_eq!((report.metrics.solves, report.metrics.solves_reused), (3, 0));
+    }
+
+    /// Rank 0 streams `count` eager messages to rank 1 from one repeat
+    /// region, each on a fresh tag.
+    fn eager_stream(count: usize) -> [Program; 2] {
+        let cost = MessageCost { setup: 1e-6, cap: 1.4e9, sender_busy: 0.5e-6, rendezvous: false };
+        let mut p0 = Program::new();
+        p0.begin_repeat(count).send(RankId::new(1), 64.0, 0, cost).end_repeat(1);
+        let mut p1 = Program::new();
+        p1.begin_repeat(count).recv(RankId::new(0), 0).end_repeat(1);
+        [p0, p1]
+    }
+
+    /// Every transfer slot is either free and delivered, or in use and
+    /// not; the free list names no slot twice.
+    fn assert_slab_consistent(sim: &Sim<'_, '_>) {
+        let mut free = vec![false; sim.transfers.len()];
+        for &t in &sim.free_transfers {
+            assert!(!free[t], "slot {t} is listed free twice");
+            free[t] = true;
+        }
+        for (t, tr) in sim.transfers.iter().enumerate() {
+            assert_eq!(free[t], tr.state == TransferState::Done, "slot {t}: {tr:?}");
+        }
+    }
+
+    #[test]
+    fn delivered_transfers_free_their_slots() {
+        let m = Machine::new(systems::dmz());
+        let engine = Engine::new(&m);
+        let placements = [local_placement(&m, 0), local_placement(&m, 2)];
+        let programs = eager_stream(100_000);
+        let mut sim = Sim::new(&engine, &placements, &programs, Vec::new(), TraceConfig::off());
+        let makespan = sim.run_loop().unwrap();
+        assert_eq!(sim.metrics.messages_sent, [100_000, 0]);
+        // The sender runs ahead by the setup time over its overhead: a
+        // few messages are in flight at once, never the whole history.
+        assert!(sim.transfers.len() <= 4, "{} transfer slots", sim.transfers.len());
+        assert_slab_consistent(&sim);
+        assert_eq!(sim.free_transfers.len(), sim.transfers.len());
+        assert_eq!(makespan, engine.run(&placements, &programs).unwrap().makespan);
+    }
+
+    #[test]
+    fn a_kill_restores_transfers_in_flight_at_the_checkpoint() {
+        // Checkpoints every 20 us cut the message stream with transfers
+        // in flight and slots free; the kill rolls back to one of them.
+        let m = Machine::new(systems::dmz());
+        let policy = CheckpointPolicy::new(2e-5, 1e3).with_restart_delay(1e-5);
+        let engine = Engine::new(&m).with_recovery(policy);
+        let placements = [local_placement(&m, 0), local_placement(&m, 2)];
+        let programs = eager_stream(500);
+        let fault_free = engine.run(&placements, &programs).unwrap();
+        let plan = crate::FaultPlan::new().rank_kill(1.5e-4, RankId::new(1));
+        let faults = engine.prepare(&placements, &programs, &plan).unwrap();
+        let mut sim = Sim::new(&engine, &placements, &programs, faults, TraceConfig::off());
+        let makespan = sim.run_loop().unwrap();
+        assert_eq!(sim.metrics.recoveries, 1);
+        // Messages are in flight at every cut, the last one included.
+        let snapshot = sim.snapshot.as_deref().unwrap();
+        assert!(snapshot.transfers.iter().any(|tr| tr.state != TransferState::Done));
+        assert_slab_consistent(&sim);
+        assert!(sim.transfers.len() <= 4, "{} transfer slots", sim.transfers.len());
+        // Replayed messages are counted again; every receive completed.
+        assert!(sim.metrics.messages_sent[0] > 500);
+        assert_eq!(sim.finish[1], makespan);
+        assert!(makespan > fault_free.makespan + 1e-5, "{makespan} vs {}", fault_free.makespan);
+        let off = engine.observe(&placements, &programs, &plan, TraceConfig::off());
+        let on = engine.observe(&placements, &programs, &plan, TraceConfig::on());
+        assert_eq!(off.result.unwrap(), on.result.unwrap());
     }
 }
