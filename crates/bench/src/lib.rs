@@ -160,7 +160,7 @@ mod tests {
         let dir = std::env::temp_dir().join("corescope-csv-helper-test");
         let _ = std::fs::remove_dir_all(&dir);
         let mut t = corescope_harness::Table::with_columns("t", &["r", "a"]);
-        t.push_row("x", vec![corescope_harness::Cell::num(1.0)]);
+        t.push_row("x", vec![corescope_harness::Cell::num(1.0)]).unwrap();
 
         let single = write_tables_csv(&dir, "t9", std::slice::from_ref(&t)).unwrap();
         assert_eq!(single, vec![dir.join("t9.csv")]);

@@ -7,6 +7,7 @@
 //! repeated evaluation (same point, warm cache) performs zero engine
 //! runs.
 
+use crate::cells::{observe, Batch};
 use crate::targets::{self, Family, Target};
 use crate::Result;
 use corescope_machine::CalibParams;
@@ -102,22 +103,15 @@ impl<'s> Evaluator<'s> {
     /// Propagates engine errors (an unplaceable probe or an invalid
     /// parameter point fails the whole evaluation).
     pub fn evaluate(&self, params: &CalibParams) -> Result<Evaluation> {
-        // Enumerate all observables, remembering each target's slice.
-        let mut batch = Vec::new();
+        // Enumerate every target's cells, remembering each one's slice.
+        let mut batch = Batch::default();
         let mut spans = Vec::with_capacity(self.targets.len());
         for target in &self.targets {
-            let obs = target.probe.observables(params, self.fidelity);
             let start = batch.len();
-            batch.extend(obs);
+            batch.extend(target.probe.observables(params, self.fidelity));
             spans.push(start..batch.len());
         }
-
-        let scenarios: Vec<_> = batch.iter().map(|o| o.scenario.clone()).collect();
-        let completed = self.sched.run_batch(&scenarios);
-        let mut reduced = Vec::with_capacity(batch.len());
-        for (obs, outcome) in batch.iter().zip(completed) {
-            reduced.push(obs.reduce.apply(outcome?.result.makespan));
-        }
+        let reduced = observe(self.sched, &batch)?;
 
         let mut outcomes = Vec::with_capacity(self.targets.len());
         let mut total = 0.0;

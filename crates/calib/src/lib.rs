@@ -4,8 +4,12 @@
 //! the paper-target registry, searches the parameter box for the point
 //! that reproduces the paper, and ranks parameters by influence.
 //!
-//! Four layers:
+//! Five layers:
 //!
+//! * [`cells`] — the paper's cells, each defined once: a scenario plus
+//!   the reduction of its makespan ([`cells::Observable`]), built by one
+//!   constructor per cell family that the harness artifacts and the
+//!   probes both call, and run in batches through [`cells::observe`];
 //! * [`targets`] — the ~30 scalar targets EXPERIMENTS.md records (with
 //!   provenance, tolerance, and the [`targets::Probe`] predicting each
 //!   from a parameter point);
@@ -14,9 +18,8 @@
 //!   a repeated evaluation is pure cache hits;
 //! * [`search`] — deterministic Nelder–Mead plus coordinate-descent
 //!   polish under an explicit evaluation budget;
-//! * [`sensitivity`] — Morris-style elementary effects, plus the
-//!   [`targets::Observable`] sweeps the harness ablation tables are
-//!   thin wrappers over.
+//! * [`sensitivity`] — Morris-style elementary effects, plus
+//!   one-knob sweeps of a single cell ([`sensitivity::sweep_field`]).
 //!
 //! ```
 //! use corescope_calib::eval::Evaluator;
@@ -30,16 +33,18 @@
 //! assert!(graded.misses().is_empty(), "the shipped point hits every latency plateau");
 //! ```
 
+pub mod cells;
 pub mod eval;
 pub mod search;
 pub mod sensitivity;
 pub mod targets;
 
-pub use corescope_machine::{CalibParams, Error, ParamField, Result};
+pub use cells::{observe, Batch, Observable, Reduction};
+pub use corescope_machine::{Axis, CalibParams, Error, ParamField, Result};
 pub use eval::{Evaluation, Evaluator, TargetOutcome};
 pub use search::{fit, FitConfig, FitResult, TrajectoryPoint};
-pub use sensitivity::{elementary_effects, observe, ranking, sweep_field, Effect};
-pub use targets::{registry, Family, Observable, Probe, Target, TargetKind};
+pub use sensitivity::{elementary_effects, ranking, sweep_field, Effect};
+pub use targets::{registry, Family, Probe, Target, TargetKind};
 
 #[cfg(test)]
 mod tests {

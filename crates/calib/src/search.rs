@@ -8,16 +8,15 @@
 
 use crate::eval::Evaluator;
 use crate::Result;
-use corescope_machine::CalibParams;
+use corescope_machine::{Axis, CalibParams};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Search configuration.
 #[derive(Debug, Clone)]
 pub struct FitConfig {
-    /// Axes to fit (indices into [`CalibParams::FIELDS`]); every other
-    /// field is pinned at its starting value.
-    pub axes: Vec<usize>,
+    /// Axes to fit; every other field is pinned at its starting value.
+    pub axes: Vec<Axis>,
     /// Maximum number of [`Evaluator::evaluate`] calls.
     pub budget: usize,
     /// RNG seed for the initial-simplex jitter.
@@ -28,7 +27,7 @@ pub struct FitConfig {
 
 impl FitConfig {
     /// Fits `axes` with a 60-evaluation budget (the CI smoke budget).
-    pub fn new(axes: Vec<usize>) -> Self {
+    pub fn new(axes: Vec<Axis>) -> Self {
         Self { axes, budget: 60, seed: 0x5ca1ab1e, tolerance: 1e-4 }
     }
 
@@ -84,7 +83,7 @@ impl Search<'_, '_> {
     fn params_at(&self, x: &[f64]) -> CalibParams {
         let mut p = self.base;
         for (&axis, &xi) in self.config.axes.iter().zip(x) {
-            let f = &CalibParams::FIELDS[axis];
+            let f = axis.field();
             f.write(&mut p, f.lo + xi.clamp(0.0, 1.0) * (f.hi - f.lo));
         }
         p
@@ -127,7 +126,7 @@ pub fn fit(eval: &Evaluator<'_>, start: CalibParams, config: &FitConfig) -> Resu
         .axes
         .iter()
         .map(|&axis| {
-            let f = &CalibParams::FIELDS[axis];
+            let f = axis.field();
             (f.read(&start) - f.lo) / (f.hi - f.lo)
         })
         .collect();
@@ -262,10 +261,6 @@ mod tests {
     use crate::targets::Family;
     use corescope_sched::{Fidelity, Scheduler};
 
-    fn axis(name: &str) -> usize {
-        CalibParams::FIELDS.iter().position(|f| f.name == name).unwrap()
-    }
-
     #[test]
     fn fit_recovers_dram_latency_from_latency_targets() {
         // Analytic targets only: fast, and exactly identified.
@@ -273,7 +268,7 @@ mod tests {
         let eval = Evaluator::with_families(&s, Fidelity::Quick, &[Family::Latency]);
         let mut start = CalibParams::paper_2006();
         start.dram_latency *= 1.3;
-        let config = FitConfig::new(vec![axis("dram_latency")]).with_budget(40);
+        let config = FitConfig::new(vec![Axis::DramLatency]).with_budget(40);
         let fit = fit(&eval, start, &config).unwrap();
         assert!(fit.converged, "best score {}", fit.best_score);
         let rel = (fit.fitted.dram_latency - 70e-9).abs() / 70e-9;
@@ -288,7 +283,7 @@ mod tests {
         let eval = Evaluator::with_families(&s, Fidelity::Quick, &[Family::Latency]);
         let mut start = CalibParams::paper_2006();
         start.dram_latency *= 0.7;
-        let config = FitConfig::new(vec![axis("dram_latency")]).with_budget(30);
+        let config = FitConfig::new(vec![Axis::DramLatency]).with_budget(30);
         let a = fit(&eval, start, &config).unwrap();
         let b = fit(&eval, start, &config).unwrap();
         assert_eq!(a.fitted.dram_latency.to_bits(), b.fitted.dram_latency.to_bits());
@@ -304,7 +299,7 @@ mod tests {
         start.dram_latency = 150e-9;
         start.ht_hop_latency = 100e-9;
         let config = FitConfig {
-            axes: vec![axis("dram_latency"), axis("ht_hop_latency")],
+            axes: vec![Axis::DramLatency, Axis::HtHopLatency],
             budget: 25,
             seed: 7,
             tolerance: 0.0, // never converges: must stop on budget
@@ -325,7 +320,7 @@ mod tests {
         let eval = Evaluator::with_families(&s, Fidelity::Quick, &[Family::Latency]);
         let mut start = CalibParams::paper_2006();
         start.dram_latency = 1.0; // absurd
-        let config = FitConfig::new(vec![axis("dram_latency")]).with_budget(30);
+        let config = FitConfig::new(vec![Axis::DramLatency]).with_budget(30);
         let r = fit(&eval, start, &config).unwrap();
         assert!(r.start.in_bounds());
         assert!(r.fitted.in_bounds());

@@ -12,13 +12,14 @@
 //!   where the paper gives a shape but no scalar (the DMZ membind
 //!   remote-stream anchor that pins the HyperTransport bandwidth).
 
+use crate::cells::{self, BlasKernel, Observable};
 use crate::{Error, Result};
-use corescope_kernels::blas::{BlasVariant, DaxpyParams, DgemmParams};
+use corescope_affinity::Scheme;
+use corescope_kernels::blas::BlasVariant;
 use corescope_kernels::cg::CgClass;
 use corescope_kernels::nasft::FtClass;
-use corescope_kernels::stream::StreamParams;
 use corescope_machine::{CalibParams, CoreId, NumaNodeId};
-use corescope_sched::{Fidelity, Placement, Scenario, System, Workload};
+use corescope_sched::{Fidelity, Placement, System, Workload};
 use corescope_smpi::{LockLayer, MpiImpl};
 use std::fmt;
 
@@ -125,73 +126,6 @@ impl Provenance {
     }
 }
 
-/// How a scalar prediction is reduced from a scenario's makespan.
-///
-/// The arithmetic (operand order included) mirrors the artifact code
-/// each target was lifted from, so that shipped-parameter predictions
-/// are bit-identical to the published tables.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Reduction {
-    /// The raw makespan, seconds.
-    Makespan,
-    /// `total_bytes / makespan`, bytes/s (STREAM aggregate).
-    AggregateBandwidth {
-        /// Total bytes moved across all ranks.
-        total_bytes: f64,
-    },
-    /// `total_flops / makespan / 1e9`, GFlop/s (BLAS star).
-    GigaFlops {
-        /// Total flops across all ranks.
-        total_flops: f64,
-    },
-    /// `makespan / (2 * reps)`, seconds — IMB PingPong one-way time.
-    PingPongLatency {
-        /// Round trips.
-        reps: usize,
-    },
-    /// `bytes / (makespan / (2 * reps))`, bytes/s.
-    PingPongBandwidth {
-        /// Payload bytes per direction.
-        bytes: f64,
-        /// Round trips.
-        reps: usize,
-    },
-}
-
-impl Reduction {
-    /// Applies the reduction to a makespan.
-    pub fn apply(self, makespan: f64) -> f64 {
-        match self {
-            Reduction::Makespan => makespan,
-            Reduction::AggregateBandwidth { total_bytes } => total_bytes / makespan,
-            Reduction::GigaFlops { total_flops } => total_flops / makespan / 1e9,
-            Reduction::PingPongLatency { reps } => makespan / (2.0 * reps as f64),
-            Reduction::PingPongBandwidth { bytes, reps } => {
-                bytes / (makespan / (2.0 * reps as f64))
-            }
-        }
-    }
-}
-
-/// One engine scenario plus the reduction turning its makespan into a
-/// scalar observable — the unit the sensitivity sweeps (and the ablation
-/// tables built on them) work in.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Observable {
-    /// The fully resolved scenario (carries its own [`CalibParams`]).
-    pub scenario: Scenario,
-    /// The makespan-to-scalar reduction.
-    pub reduce: Reduction,
-}
-
-impl Observable {
-    /// The observable re-targeted at a different calibration point.
-    #[must_use]
-    pub fn at(&self, params: CalibParams) -> Observable {
-        Observable { scenario: self.scenario.clone().with_params(params), reduce: self.reduce }
-    }
-}
-
 /// How a target's prediction is computed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Probe {
@@ -260,9 +194,9 @@ pub enum Probe {
         /// Ranks.
         nranks: usize,
         /// Numerator scheme.
-        num: Placement,
+        num: Scheme,
         /// Denominator scheme.
-        den: Placement,
+        den: Scheme,
     },
     /// Star STREAM per-core bandwidth in GB/s under an explicit scheme —
     /// the membind remote-stream anchor that pins `ht_bandwidth`.
@@ -285,17 +219,6 @@ pub enum Probe {
     },
 }
 
-/// Unionized grid points of the lookup-rate probe's table: ~1.35 GiB at
-/// 64 nuclides — far out of cache, yet within one node's usable share on
-/// both DMZ and Longs, so a single rank's table stays fully local.
-pub const XS_PROBE_GRID: u64 = 1 << 19;
-/// Nuclides of the lookup-rate probe's material.
-pub const XS_PROBE_NUCLIDES: u64 = 64;
-/// Lookups the probe's rank performs. The modeled rate is independent of
-/// this count (one fluid phase either way), so it needs no fidelity
-/// scaling.
-pub const XS_PROBE_LOOKUPS: u64 = 1 << 20;
-
 /// The NAS workloads a [`Probe::NasSchemeRatio`] can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NasWorkload {
@@ -304,6 +227,12 @@ pub enum NasWorkload {
     /// 3-D FFT, class B.
     FtB,
 }
+
+/// The packed placement of the BLAS probes (two ranks per socket).
+const PACKED: Scheme = Scheme::TwoMpiLocalAlloc;
+
+/// Payload of the [`Probe::PingPongBoostRatio`] pair, bytes.
+const BOOST_BYTES: f64 = 1e6;
 
 impl NasWorkload {
     fn workload(self) -> Workload {
@@ -314,143 +243,48 @@ impl NasWorkload {
     }
 }
 
-fn stream_params(fidelity: Fidelity) -> StreamParams {
-    // Mirrors harness::artifacts::stream::params.
-    StreamParams { sweeps: fidelity.steps(10).max(2), ..StreamParams::default() }
-}
-
-fn stream_star(fidelity: Fidelity) -> Workload {
-    let p = stream_params(fidelity);
-    Workload::StreamStar {
-        kernel: p.kernel,
-        elements_per_rank: p.elements_per_rank,
-        sweeps: p.sweeps,
-    }
-}
-
 impl Probe {
-    /// The engine scenarios this probe needs, paired with reductions.
-    /// Analytic probes return an empty list.
+    /// The cells this probe grades, at `params`. Analytic probes return
+    /// an empty list.
     pub fn observables(&self, params: &CalibParams, fidelity: Fidelity) -> Vec<Observable> {
-        let at = |s: Scenario, reduce: Reduction| Observable {
-            scenario: s.with_fidelity(fidelity).with_params(*params),
-            reduce,
+        let pingpong = |system, nranks, scheme, mpi, lock, bytes| {
+            cells::pingpong(system, nranks, scheme, mpi, lock, bytes, fidelity)
         };
-        match *self {
+        let cells = match *self {
             Probe::StreamBw { system, nranks, .. } => {
-                let p = stream_params(fidelity);
-                vec![at(
-                    Scenario::new(system, nranks, stream_star(fidelity))
-                        .with_placement(Placement::ScatterLocal)
-                        .with_mpi(MpiImpl::Lam),
-                    Reduction::AggregateBandwidth {
-                        total_bytes: nranks as f64 * p.bytes_per_rank(),
-                    },
-                )]
+                vec![cells::stream_star(system, nranks, Placement::ScatterLocal, fidelity)]
             }
             Probe::SchemeStreamBw { system, nranks, placement } => {
-                let p = stream_params(fidelity);
-                vec![at(
-                    Scenario::new(system, nranks, stream_star(fidelity))
-                        .with_placement(placement)
-                        .with_mpi(MpiImpl::Lam),
-                    Reduction::AggregateBandwidth {
-                        total_bytes: nranks as f64 * p.bytes_per_rank(),
-                    },
-                )]
+                vec![cells::stream_star(system, nranks, placement, fidelity)]
             }
             Probe::DgemmPerCore { variant, nranks } => {
-                let p = DgemmParams { n: 1000, reps: fidelity.steps(3).max(1), variant };
-                vec![at(
-                    Scenario::new(
-                        System::Dmz,
-                        nranks,
-                        Workload::DgemmStar { n: p.n, reps: p.reps, variant },
-                    )
-                    .with_mpi(MpiImpl::Mpich2),
-                    Reduction::GigaFlops { total_flops: nranks as f64 * p.flops_per_rank() },
-                )]
+                vec![cells::blas_star(BlasKernel::Dgemm, variant, 1000, nranks, PACKED, fidelity)]
             }
             Probe::DaxpyPerCore { variant, nranks } => {
-                let p = DaxpyParams { n: 10_000_000, reps: fidelity.steps(50).max(2), variant };
-                vec![at(
-                    Scenario::new(
-                        System::Dmz,
-                        nranks,
-                        Workload::DaxpyStar { n: p.n, reps: p.reps, variant },
-                    )
-                    .with_mpi(MpiImpl::Mpich2),
-                    Reduction::GigaFlops { total_flops: nranks as f64 * p.flops_per_rank() },
-                )]
+                let n = 10_000_000;
+                vec![cells::blas_star(BlasKernel::Daxpy, variant, n, nranks, PACKED, fidelity)]
             }
             Probe::PingPongLatencyUs { system, nranks, mpi, lock, bytes } => {
-                let reps = fidelity.imb_reps(bytes);
-                vec![at(
-                    Scenario::new(system, nranks, Workload::PingPong { bytes, reps })
-                        .with_placement(Placement::Scheme(corescope_affinity::Scheme::Default))
-                        .with_mpi(mpi)
-                        .with_lock(lock),
-                    Reduction::PingPongLatency { reps },
-                )]
+                vec![pingpong(system, nranks, Scheme::Default, mpi, lock, bytes)]
             }
             Probe::PingPongBwGbs { mpi, bytes } => {
-                let reps = fidelity.imb_reps(bytes);
-                vec![at(
-                    Scenario::new(System::Dmz, 2, Workload::PingPong { bytes, reps })
-                        .with_placement(Placement::Scheme(corescope_affinity::Scheme::Default))
-                        .with_mpi(mpi)
-                        .with_lock(LockLayer::USysV),
-                    Reduction::PingPongBandwidth { bytes, reps },
-                )]
+                vec![pingpong(System::Dmz, 2, Scheme::Default, mpi, LockLayer::USysV, bytes)]
             }
-            Probe::PingPongBoostRatio => {
-                let bytes = 1e6;
-                let reps = fidelity.imb_reps(bytes);
-                let pingpong = |scheme| {
-                    at(
-                        Scenario::new(System::Dmz, 2, Workload::PingPong { bytes, reps })
-                            .with_placement(Placement::Scheme(scheme))
-                            .with_mpi(MpiImpl::OpenMpi)
-                            .with_lock(LockLayer::USysV),
-                        Reduction::PingPongBandwidth { bytes, reps },
-                    )
-                };
-                vec![
-                    // Bound (same socket) then unbound (across sockets).
-                    pingpong(corescope_affinity::Scheme::TwoMpiLocalAlloc),
-                    pingpong(corescope_affinity::Scheme::OneMpiLocalAlloc),
-                ]
-            }
+            // Bound (same socket) then unbound (across sockets).
+            Probe::PingPongBoostRatio => [Scheme::TwoMpiLocalAlloc, Scheme::OneMpiLocalAlloc]
+                .map(|s| {
+                    pingpong(System::Dmz, 2, s, MpiImpl::OpenMpi, LockLayer::USysV, BOOST_BYTES)
+                })
+                .into(),
             Probe::MemoryLatencyNs { .. } => Vec::new(),
-            Probe::XsLookupRate { system } => {
-                vec![at(
-                    Scenario::new(
-                        system,
-                        1,
-                        Workload::XsLookupSingle {
-                            grid_points: XS_PROBE_GRID,
-                            nuclides: XS_PROBE_NUCLIDES,
-                            lookups_per_rank: XS_PROBE_LOOKUPS,
-                        },
-                    )
-                    .with_placement(Placement::Scheme(corescope_affinity::Scheme::TwoMpiLocalAlloc))
-                    .with_mpi(MpiImpl::Lam),
-                    Reduction::Makespan,
-                )]
-            }
-            Probe::NasSchemeRatio { workload, nranks, num, den } => {
-                let scenario = |placement| {
-                    at(
-                        Scenario::new(System::Longs, nranks, workload.workload())
-                            .with_placement(placement)
-                            .with_mpi(MpiImpl::Mpich2)
-                            .with_lock(LockLayer::USysV),
-                        Reduction::Makespan,
-                    )
-                };
-                vec![scenario(num), scenario(den)]
-            }
-        }
+            Probe::XsLookupRate { system } => vec![cells::xs_lookup(system, fidelity)],
+            Probe::NasSchemeRatio { workload, nranks, num, den } => [num, den]
+                .map(|scheme| {
+                    cells::app(System::Longs, nranks, scheme, workload.workload(), fidelity)
+                })
+                .into(),
+        };
+        cells.into_iter().map(|cell| cell.at(*params)).collect()
     }
 
     /// Combines the reduced observables (in [`Probe::observables`]
@@ -479,13 +313,13 @@ impl Probe {
             }
             Probe::SchemeStreamBw { nranks, .. } => Ok(one()? / nranks as f64 / 1e9),
             Probe::DgemmPerCore { nranks, .. } | Probe::DaxpyPerCore { nranks, .. } => {
-                Ok(one()? / nranks as f64)
+                Ok(one()? / 1e9 / nranks as f64)
             }
             Probe::PingPongLatencyUs { .. } => Ok(one()? * 1e6),
-            Probe::PingPongBwGbs { .. } => Ok(one()? / 1e9),
+            Probe::PingPongBwGbs { bytes, .. } => Ok(bytes / one()? / 1e9),
             Probe::PingPongBoostRatio => {
                 let (near, far) = two()?;
-                Ok(near / far)
+                Ok((BOOST_BYTES / near) / (BOOST_BYTES / far))
             }
             Probe::MemoryLatencyNs { system, node } => {
                 let machine = system.machine_with(params);
@@ -502,7 +336,7 @@ impl Probe {
                 let (num, den) = two()?;
                 Ok(num / den)
             }
-            Probe::XsLookupRate { .. } => Ok(XS_PROBE_LOOKUPS as f64 / one()? / 1e6),
+            Probe::XsLookupRate { .. } => Ok(one()? / 1e6),
         }
     }
 }
@@ -571,7 +405,6 @@ fn equal(value: f64, tol: f64) -> TargetKind {
 /// The full registry: the ~30 scalars EXPERIMENTS.md grades the
 /// reproduction on, in family order.
 pub fn registry() -> Vec<Target> {
-    use corescope_affinity::Scheme;
     let mut t = Vec::new();
     let mut push = |id, family, kind, weight, provenance, probe, units| {
         t.push(Target { id, family, kind, weight, provenance, probe, units });
@@ -858,7 +691,7 @@ pub fn registry() -> Vec<Target> {
     );
 
     // --- NAS scheme ratios (Table 2, class B, Longs, 8 tasks).
-    let one_la = Placement::Scheme(Scheme::OneMpiLocalAlloc);
+    let one_la = Scheme::OneMpiLocalAlloc;
     push(
         "nas.cg8.membind_over_la",
         Family::Nas,
@@ -868,7 +701,7 @@ pub fn registry() -> Vec<Target> {
         Probe::NasSchemeRatio {
             workload: NasWorkload::CgB,
             nranks: 8,
-            num: Placement::Scheme(Scheme::OneMpiMembind),
+            num: Scheme::OneMpiMembind,
             den: one_la,
         },
         "ratio",
@@ -882,7 +715,7 @@ pub fn registry() -> Vec<Target> {
         Probe::NasSchemeRatio {
             workload: NasWorkload::FtB,
             nranks: 8,
-            num: Placement::Scheme(Scheme::OneMpiMembind),
+            num: Scheme::OneMpiMembind,
             den: one_la,
         },
         "ratio",
@@ -896,7 +729,7 @@ pub fn registry() -> Vec<Target> {
         Probe::NasSchemeRatio {
             workload: NasWorkload::CgB,
             nranks: 8,
-            num: Placement::Scheme(Scheme::Interleave),
+            num: Scheme::Interleave,
             den: one_la,
         },
         "ratio",

@@ -6,7 +6,7 @@
 use corescope_calib::eval::Evaluator;
 use corescope_calib::search::{fit, FitConfig};
 use corescope_calib::targets::Family;
-use corescope_machine::CalibParams;
+use corescope_machine::{Axis, CalibParams};
 use corescope_sched::{Fidelity, Scheduler};
 
 #[test]
@@ -16,11 +16,7 @@ fn two_axis_fit_recovers_shipped() {
     let mut start = CalibParams::paper_2006();
     start.dram_latency *= 1.25;
     start.ht_bandwidth *= 0.75;
-    let axes: Vec<usize> = ["dram_latency", "ht_bandwidth"]
-        .iter()
-        .map(|n| CalibParams::FIELDS.iter().position(|f| f.name == *n).unwrap())
-        .collect();
-    let config = FitConfig::new(axes).with_budget(60);
+    let config = FitConfig::new(vec![Axis::DramLatency, Axis::HtBandwidth]).with_budget(60);
     let r = fit(&eval, start, &config).unwrap();
     assert!(r.converged, "best score {} after {} evals", r.best_score, r.evaluations);
     assert!(r.best_score < r.start_score);

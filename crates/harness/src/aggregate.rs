@@ -11,7 +11,7 @@
 //! That determinism is what the X9 artifact's kill-anywhere test
 //! byte-diffs against.
 
-use crate::report::{Cell, Table};
+use crate::report::{Cell, RowShapeError, Table};
 use corescope_store::Row;
 use std::collections::hash_map::{Entry, HashMap};
 
@@ -131,21 +131,22 @@ pub fn group_rows(rows: &[Row]) -> Vec<GroupSummary> {
 /// makespan columns (milliseconds, 6 decimals — enough to make any
 /// numeric drift visible) and the group's event total.
 pub fn campaign_table(title: &str, rows: &[Row]) -> Table {
-    let mut table = Table::with_columns(
-        title,
-        &["group", "runs", "min ms", "p50 ms", "p95 ms", "max ms", "events"],
-    );
+    const COLUMNS: [&str; 7] = ["group", "runs", "min ms", "p50 ms", "p95 ms", "max ms", "events"];
+    let mut table = Table::with_columns(title, &COLUMNS);
     for g in group_rows(rows) {
-        table.push_row(
+        // One cell per data column, by the array's type: the push
+        // cannot fail.
+        let cells: [Cell; COLUMNS.len() - 1] = [
+            Cell::num_with(g.count as f64, 0),
+            Cell::num_with(g.min * 1e3, 6),
+            Cell::num_with(g.p50 * 1e3, 6),
+            Cell::num_with(g.p95 * 1e3, 6),
+            Cell::num_with(g.max * 1e3, 6),
+            Cell::num_with(g.events as f64, 0),
+        ];
+        let _ = table.push_row(
             format!("{} {} x{}", g.key.system, g.key.workload, g.key.nranks),
-            vec![
-                Cell::num_with(g.count as f64, 0),
-                Cell::num_with(g.min * 1e3, 6),
-                Cell::num_with(g.p50 * 1e3, 6),
-                Cell::num_with(g.p95 * 1e3, 6),
-                Cell::num_with(g.max * 1e3, 6),
-                Cell::num_with(g.events as f64, 0),
-            ],
+            cells.into(),
         );
     }
     table
@@ -160,16 +161,23 @@ pub fn campaign_table(title: &str, rows: &[Row]) -> Table {
 ///
 /// `columns` lists every column including the leading label column;
 /// each row's value vector therefore has `columns.len() - 1` entries.
-pub fn pivot_table(title: &str, columns: &[&str], rows: &[(String, Vec<Option<f64>>)]) -> Table {
+///
+/// # Errors
+///
+/// [`RowShapeError`] for a row with another number of values.
+pub fn pivot_table(
+    title: &str,
+    columns: &[&str],
+    rows: &[(String, Vec<Option<f64>>)],
+) -> Result<Table, RowShapeError> {
     let mut table = Table::with_columns(title, columns);
     for (label, values) in rows {
-        debug_assert_eq!(values.len() + 1, columns.len(), "one value per non-label column");
         table.push_row(
             label.clone(),
             values.iter().map(|v| v.map_or(Cell::Dash, Cell::num)).collect(),
-        );
+        )?;
     }
-    table
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -340,11 +348,11 @@ mod tests {
             ("1".to_string(), vec![Some(1.234), Some(5.678)]),
             ("16".to_string(), vec![None, Some(9.0)]),
         ];
-        let view = pivot_table("t", &["Cores", "a", "b"], &rows);
+        let view = pivot_table("t", &["Cores", "a", "b"], &rows).unwrap();
 
         let mut hand = Table::with_columns("t", &["Cores", "a", "b"]);
-        hand.push_row("1", vec![Cell::num(1.234), Cell::num(5.678)]);
-        hand.push_row("16", vec![Cell::Dash, Cell::num(9.0)]);
+        hand.push_row("1", vec![Cell::num(1.234), Cell::num(5.678)]).unwrap();
+        hand.push_row("16", vec![Cell::Dash, Cell::num(9.0)]).unwrap();
         assert_eq!(view.to_csv(), hand.to_csv());
         assert_eq!(view.value("16", "a"), None, "dash cells read back as missing");
         assert_eq!(view.value("16", "b"), Some(9.0));

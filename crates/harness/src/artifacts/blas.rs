@@ -1,34 +1,14 @@
 //! BLAS artifacts: Figures 4–7 (DAXPY and DGEMM, ACML vs vanilla, on the
-//! DMZ system). Every run is a [`Workload::DaxpyStar`] or
-//! [`Workload::DgemmStar`] scenario through the [`Scheduler`].
+//! DMZ system). Every run is a [`cells::blas_star`] cell, and each figure
+//! is one batch through the [`Scheduler`].
 
-use crate::context::{app_scenario, makespans};
 use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
-use corescope_kernels::blas::{BlasVariant, DaxpyParams, DgemmParams};
+use corescope_calib::cells::{self, observe, BlasKernel};
+use corescope_kernels::blas::BlasVariant;
 use corescope_machine::Result;
-use corescope_sched::{Scheduler, System, Workload};
-
-#[derive(Debug, Clone, Copy)]
-enum Kernel {
-    Daxpy,
-    Dgemm,
-}
-
-/// The Star workload for one vector/matrix size, and its flops per rank.
-fn star(kernel: Kernel, n: usize, variant: BlasVariant, fidelity: Fidelity) -> (Workload, f64) {
-    match kernel {
-        Kernel::Daxpy => {
-            let params = DaxpyParams { n, reps: fidelity.steps(50).max(2), variant };
-            (Workload::DaxpyStar { n, reps: params.reps, variant }, params.flops_per_rank())
-        }
-        Kernel::Dgemm => {
-            let params = DgemmParams { n, reps: fidelity.steps(3).max(1), variant };
-            (Workload::DgemmStar { n, reps: params.reps, variant }, params.flops_per_rank())
-        }
-    }
-}
+use corescope_sched::Scheduler;
 
 /// The two figure layouts: aggregate GFlop/s on 1, 2 and 4 packed cores
 /// (Figures 4 and 6), or per-core GFlop/s with one vs two tasks per
@@ -45,7 +25,7 @@ fn figure(
     sched: &Scheduler,
     title: &str,
     shape: Shape,
-    (kernel, variant): (Kernel, BlasVariant),
+    (kernel, variant): (BlasKernel, BlasVariant),
     sizes: &[usize],
     fidelity: Fidelity,
 ) -> Result<Table> {
@@ -67,24 +47,24 @@ fn figure(
             [(Scheme::OneMpiLocalAlloc, 2), (packed, 2), (packed, 4)],
         ),
     };
-    let mut batch = Vec::new();
-    let mut flops = Vec::new();
-    for &n in sizes {
-        let (workload, flops_per_rank) = star(kernel, n, variant, fidelity);
-        flops.push(flops_per_rank);
-        batch.extend(layout.map(|(scheme, nranks)| {
-            app_scenario(System::Dmz, nranks, scheme, workload.clone(), fidelity)
-        }));
-    }
-    let times = makespans(sched, &batch)?;
+    let batch = sizes
+        .iter()
+        .flat_map(|&n| {
+            layout.map(|(scheme, nranks)| {
+                cells::blas_star(kernel, variant, n, nranks, scheme, fidelity)
+            })
+        })
+        .collect();
+    let flops = observe(sched, &batch)?;
     let mut table = Table::with_columns(title, columns);
-    for ((n, flops_per_rank), t) in sizes.iter().zip(flops).zip(times.chunks(3)) {
-        let g: [f64; 3] = std::array::from_fn(|i| layout[i].1 as f64 * flops_per_rank / t[i] / 1e9);
+    for (n, rates) in sizes.iter().zip(flops.chunks(layout.len())) {
+        let g: [f64; 3] = std::array::from_fn(|i| rates[i] / 1e9);
         let values = match shape {
             Shape::Totals => vec![g[0], g[1], g[2], g[2] / 4.0],
             Shape::PerCore => vec![g[0] / 2.0, g[1] / 2.0, g[2] / 4.0],
         };
-        table.push_row(n.to_string(), values.into_iter().map(|v| Cell::num_with(v, 3)).collect());
+        table
+            .push_row(n.to_string(), values.into_iter().map(|v| Cell::num_with(v, 3)).collect())?;
     }
     Ok(table)
 }
@@ -95,28 +75,28 @@ const DGEMM_SIZES: [usize; 5] = [100, 250, 500, 1000, 2000];
 /// Figure 4: ACML DAXPY, total and per-core GFlop/s on DMZ.
 pub fn figure4(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
     let title = "Figure 4: BLAS 1 (DAXPY) performance, ACML, DMZ (GFlop/s)";
-    let kernel = (Kernel::Daxpy, BlasVariant::Acml);
+    let kernel = (BlasKernel::Daxpy, BlasVariant::Acml);
     Ok(vec![figure(sched, title, Shape::Totals, kernel, &fidelity.thin(&DAXPY_SIZES), fidelity)?])
 }
 
 /// Figure 5: vanilla DAXPY per core, one vs two tasks per socket.
 pub fn figure5(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
     let title = "Figure 5: BLAS 1 (DAXPY) per-core performance, vanilla, DMZ (GFlop/s)";
-    let kernel = (Kernel::Daxpy, BlasVariant::Vanilla);
+    let kernel = (BlasKernel::Daxpy, BlasVariant::Vanilla);
     Ok(vec![figure(sched, title, Shape::PerCore, kernel, &fidelity.thin(&DAXPY_SIZES), fidelity)?])
 }
 
 /// Figure 6: ACML DGEMM, total and per-core GFlop/s on DMZ.
 pub fn figure6(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
     let title = "Figure 6: BLAS 3 (DGEMM) performance, ACML, DMZ (GFlop/s)";
-    let kernel = (Kernel::Dgemm, BlasVariant::Acml);
+    let kernel = (BlasKernel::Dgemm, BlasVariant::Acml);
     Ok(vec![figure(sched, title, Shape::Totals, kernel, &fidelity.thin(&DGEMM_SIZES), fidelity)?])
 }
 
 /// Figure 7: vanilla DGEMM per core, one vs two tasks per socket.
 pub fn figure7(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
     let title = "Figure 7: BLAS 3 (DGEMM) per-core performance, vanilla, DMZ (GFlop/s)";
-    let kernel = (Kernel::Dgemm, BlasVariant::Vanilla);
+    let kernel = (BlasKernel::Dgemm, BlasVariant::Vanilla);
     Ok(vec![figure(sched, title, Shape::PerCore, kernel, &fidelity.thin(&DGEMM_SIZES), fidelity)?])
 }
 

@@ -149,7 +149,7 @@ pub fn extra4(fidelity: Fidelity) -> Result<Vec<Table>> {
                 saturated.map_or(Cell::Dash, |f| Cell::num_with(f, 3)),
                 Cell::num_with(trace.end_time, 4),
             ],
-        );
+        )?;
     }
     Ok(vec![table])
 }

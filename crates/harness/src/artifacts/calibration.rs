@@ -32,7 +32,7 @@ use corescope_calib::eval::Evaluator;
 use corescope_calib::search::{fit, FitConfig};
 use corescope_calib::sensitivity::{elementary_effects, ranking};
 use corescope_calib::targets::Family;
-use corescope_machine::{CalibParams, Error, Result};
+use corescope_machine::{Axis, CalibParams, Error, Result};
 use corescope_sched::Scheduler;
 
 /// Every parameter must be fitted back to within this relative distance
@@ -49,34 +49,28 @@ pub const PERTURBATION: f64 = 0.25;
 /// rate is proportional to `lookup_mlp / (base latency + lookup_latency)`
 /// and the DMZ/Longs base latencies differ, giving two independent
 /// equations.
-const FITTED_AXES: [&str; 4] = ["dram_latency", "ht_bandwidth", "lookup_mlp", "lookup_latency"];
+const FITTED_AXES: [Axis; 4] =
+    [Axis::DramLatency, Axis::HtBandwidth, Axis::LookupMlp, Axis::LookupLatency];
 
 /// Fraction of the normalized parameter box stepped by the sensitivity
 /// pass.
 const SENSITIVITY_STEP: f64 = 0.1;
 
-/// Axes the sensitivity pass probes: the fitted pair plus the knobs the
-/// retired hand-rolled ablations used to sweep.
-const SENSITIVITY_AXES: [&str; 8] = [
-    "dram_latency",
-    "ht_bandwidth",
-    "probe_capacity_ladder",
-    "lock_usysv",
-    "same_socket_boost",
-    "misplacement",
-    "lookup_mlp",
-    "lookup_latency",
+/// Axes the sensitivity pass probes: the fitted axes plus the four
+/// knobs `corescope_calib::sensitivity`'s tests sweep.
+const SENSITIVITY_AXES: [Axis; 8] = [
+    Axis::DramLatency,
+    Axis::HtBandwidth,
+    Axis::ProbeCapacityLadder,
+    Axis::LockUsysv,
+    Axis::SameSocketBoost,
+    Axis::Misplacement,
+    Axis::LookupMlp,
+    Axis::LookupLatency,
 ];
 
 fn calibration_violation(what: impl std::fmt::Display) -> Error {
     Error::InvalidSpec(format!("calibration invariant violated: {what}"))
-}
-
-fn axis(name: &str) -> usize {
-    CalibParams::FIELDS
-        .iter()
-        .position(|f| f.name == name)
-        .unwrap_or_else(|| panic!("unknown calibration field '{name}'"))
 }
 
 /// The perturbed starting point the fit must recover from.
@@ -98,7 +92,7 @@ fn fit_config(fidelity: Fidelity) -> FitConfig {
         Fidelity::Full => 300,
         Fidelity::Quick => 150,
     };
-    FitConfig::new(FITTED_AXES.iter().map(|n| axis(n)).collect()).with_budget(budget)
+    FitConfig::new(FITTED_AXES.to_vec()).with_budget(budget)
 }
 
 /// Regenerates the X7 artifact.
@@ -155,8 +149,7 @@ pub fn extra7(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
     }
 
     // --- Invariant 3: sensitivity ranks the fitted axes where expected.
-    let sense_axes: Vec<usize> = SENSITIVITY_AXES.iter().map(|n| axis(n)).collect();
-    let effects = elementary_effects(&fit_eval, &shipped, &sense_axes, SENSITIVITY_STEP)?;
+    let effects = elementary_effects(&fit_eval, &shipped, &SENSITIVITY_AXES, SENSITIVITY_STEP)?;
     let latency_rank = ranking(&effects, Family::Latency);
     match latency_rank.first() {
         Some(top) if top.param == "dram_latency" => {}
@@ -186,10 +179,11 @@ pub fn extra7(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
     // are identical at any job count or cache temperature.
     let mut summary =
         Table::with_columns("Extra X7: calibration fit summary", &["Metric", "Value"]);
-    summary.push_row("evaluations", vec![Cell::num_with(outcome.evaluations as f64, 0)]);
-    summary.push_row("score at perturbed start", vec![Cell::num_with(outcome.start_score, 6)]);
-    summary.push_row("score at fitted point", vec![Cell::num_with(outcome.best_score, 6)]);
-    summary.push_row("converged", vec![Cell::text(if outcome.converged { "yes" } else { "no" })]);
+    summary.push_row("evaluations", vec![Cell::num_with(outcome.evaluations as f64, 0)])?;
+    summary.push_row("score at perturbed start", vec![Cell::num_with(outcome.start_score, 6)])?;
+    summary.push_row("score at fitted point", vec![Cell::num_with(outcome.best_score, 6)])?;
+    summary
+        .push_row("converged", vec![Cell::text(if outcome.converged { "yes" } else { "no" })])?;
 
     let mut params = Table::with_columns(
         "Extra X7: fitted vs shipped parameters (ratios to shipped)",
@@ -202,7 +196,7 @@ pub fn extra7(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
         params.push_row(
             field.name,
             vec![Cell::num_with(s, 4), Cell::num_with(f, 4), Cell::num_with((f - 1.0) * 100.0, 2)],
-        );
+        )?;
     }
 
     let mut scores = Table::with_columns(
@@ -217,7 +211,7 @@ pub fn extra7(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
                 Cell::num_with(at_fitted.family_score(family), 6),
                 Cell::num_with(at_shipped.family_score(family), 6),
             ],
-        );
+        )?;
     }
 
     let mut sense = Table::with_columns(
@@ -233,7 +227,7 @@ pub fn extra7(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
             sense.push_row(
                 format!("{}: {}", family.key(), effect.param),
                 vec![Cell::num_with(effect.magnitude, 4)],
-            );
+            )?;
         }
     }
 

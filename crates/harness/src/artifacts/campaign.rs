@@ -202,14 +202,14 @@ pub fn extra9(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
         proof.push_row(
             label,
             vec![Cell::num_with(value, 0), Cell::text(if ok { "ok" } else { "FAIL" })],
-        );
+        )
     };
-    check("campaign scenarios", all.len() as f64, true);
-    check("committed before kill", runs_first as f64, runs_first == half);
-    check("torn tail detected on reopen", 1.0, !recovery_clean);
-    check("committed scenarios skipped on resume", skipped_resumed as f64, true);
-    check("engine runs after resume", runs_resumed as f64, true);
-    check("aggregate byte-identical (crc32)", f64::from(crc), true);
+    check("campaign scenarios", all.len() as f64, true)?;
+    check("committed before kill", runs_first as f64, runs_first == half)?;
+    check("torn tail detected on reopen", 1.0, !recovery_clean)?;
+    check("committed scenarios skipped on resume", skipped_resumed as f64, true)?;
+    check("engine runs after resume", runs_resumed as f64, true)?;
+    check("aggregate byte-identical (crc32)", f64::from(crc), true)?;
 
     // table_b is the killed-and-resumed aggregate — byte-identical to
     // the uninterrupted one by the check above, so either could stand

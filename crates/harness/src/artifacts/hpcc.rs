@@ -6,11 +6,11 @@
 //! the [`Scheduler`], the ring and ping-pong probes of Figures 12 and 13
 //! included.
 
-use crate::artifacts::imb::half_round_trip;
 use crate::context::makespans;
 use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use crate::runtime::RuntimeOption;
+use corescope_calib::cells::Reduction;
 use corescope_kernels::blas::{BlasVariant, DgemmParams};
 use corescope_kernels::fft::FftParams;
 use corescope_kernels::hpl::HplParams;
@@ -52,18 +52,17 @@ pub fn figure8(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
     batch.extend(
         RuntimeOption::all().into_iter().map(|o| option_scenario(o, workload.clone(), fidelity)),
     );
-    let mut outcomes = sched.run_batch(&batch).into_iter();
+    let times = makespans(sched, &batch)?;
 
     let mut table = Table::with_columns(
         "Figure 8: HPL with LAM/NUMA options (GFlop/s)",
         &["Option", "Longs 16 cores", "DMZ 4 cores"],
     );
-    let dmz_gf = params.gflops(outcomes.next().expect("dmz outcome")?.result.makespan);
-    for option in RuntimeOption::all() {
-        let time = outcomes.next().expect("one outcome per option")?.result.makespan;
+    let dmz_gf = params.gflops(times[0]);
+    for (option, &time) in RuntimeOption::all().into_iter().zip(&times[1..]) {
         let dmz_cell =
             if option == RuntimeOption::Default { Cell::num(dmz_gf) } else { Cell::Dash };
-        table.push_row(option.name(), vec![Cell::num(params.gflops(time)), dmz_cell]);
+        table.push_row(option.name(), vec![Cell::num(params.gflops(time)), dmz_cell])?;
     }
     Ok(vec![table])
 }
@@ -86,17 +85,14 @@ pub fn figure9(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
         .into_iter()
         .flat_map(|o| workloads.iter().map(move |w| option_scenario(o, w.clone(), fidelity)))
         .collect();
-    let mut outcomes = sched.run_batch(&batch).into_iter();
+    let times = makespans(sched, &batch)?;
 
     let mut table = Table::with_columns(
         "Figure 9: Single/Star DGEMM and FFT on Longs (GFlop/s per core)",
         &["Option", "Single DGEMM", "Star DGEMM", "Single FFT", "Star FFT"],
     );
-    for option in RuntimeOption::all() {
-        let mut next = || -> Result<f64> {
-            Ok(outcomes.next().expect("one outcome per option x workload")?.result.makespan)
-        };
-        let (t_sd, t_td, t_sf, t_tf) = (next()?, next()?, next()?, next()?);
+    for (option, row) in RuntimeOption::all().into_iter().zip(times.chunks(workloads.len())) {
+        let (t_sd, t_td, t_sf, t_tf) = (row[0], row[1], row[2], row[3]);
         table.push_row(
             option.name(),
             vec![
@@ -105,7 +101,7 @@ pub fn figure9(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
                 Cell::num(fft_flops_total / t_sf / 1e9),
                 Cell::num(fft_flops_total / t_tf / 1e9),
             ],
-        );
+        )?;
     }
     Ok(vec![table])
 }
@@ -135,17 +131,14 @@ pub fn figure11(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
         .into_iter()
         .flat_map(|o| workloads.iter().map(move |w| option_scenario(o, w.clone(), fidelity)))
         .collect();
-    let mut outcomes = sched.run_batch(&batch).into_iter();
+    let times = makespans(sched, &batch)?;
 
     let mut table = Table::with_columns(
         "Figure 11: RandomAccess on Longs (GUP/s)",
         &["Option", "Single", "Star per-core", "MPI (16 ranks)"],
     );
-    for option in RuntimeOption::all() {
-        let mut next = || -> Result<f64> {
-            Ok(outcomes.next().expect("one outcome per option x mode")?.result.makespan)
-        };
-        let (t_single, t_star, t_mpi) = (next()?, next()?, next()?);
+    for (option, row) in RuntimeOption::all().into_iter().zip(times.chunks(workloads.len())) {
+        let (t_single, t_star, t_mpi) = (row[0], row[1], row[2]);
         table.push_row(
             option.name(),
             vec![
@@ -153,7 +146,7 @@ pub fn figure11(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
                 Cell::num_with(params.gups(1, t_star), 4),
                 Cell::num_with(params.gups(16, t_mpi), 4),
             ],
-        );
+        )?;
     }
     Ok(vec![table])
 }
@@ -189,7 +182,7 @@ pub fn figure12(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
     for (option, row) in RuntimeOption::all().into_iter().zip(times.chunks(workloads.len())) {
         let t_pt = row[0];
         let ring = bytes / (row[1] / reps as f64);
-        let pp = bytes / half_round_trip(row[2], reps);
+        let pp = bytes / Reduction::HalfRoundTrip { reps }.apply(row[2]);
         table.push_row(
             option.name(),
             vec![
@@ -197,7 +190,7 @@ pub fn figure12(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
                 Cell::num_with(ring / 1e9, 3),
                 Cell::num_with(pp / 1e9, 3),
             ],
-        );
+        )?;
     }
     Ok(vec![table])
 }
@@ -217,9 +210,9 @@ pub fn figure13(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
         &["Option", "PingPong", "Ring"],
     );
     for (option, row) in RuntimeOption::all().into_iter().zip(times.chunks(workloads.len())) {
-        let pp = half_round_trip(row[0], reps);
+        let pp = Reduction::HalfRoundTrip { reps }.apply(row[0]);
         let ring = row[1] / reps as f64;
-        table.push_row(option.name(), vec![Cell::num(pp * 1e6), Cell::num(ring * 1e6)]);
+        table.push_row(option.name(), vec![Cell::num(pp * 1e6), Cell::num(ring * 1e6)])?;
     }
     Ok(vec![table])
 }

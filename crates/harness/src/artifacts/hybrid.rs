@@ -9,10 +9,10 @@
 //! in one batch through the [`Scheduler`].
 
 use super::nas::classes;
-use crate::context::{app_scenario, makespans};
 use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
+use corescope_calib::cells::{self, observe};
 use corescope_machine::Result;
 use corescope_sched::{Scheduler, System, Workload};
 
@@ -28,12 +28,12 @@ pub fn extra1(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
         ("CG", Workload::NasCg { class: cg }, Workload::NasCgHybrid { class: cg, threads: 2 }),
         ("FT", Workload::NasFt { class: ft }, Workload::NasFtHybrid { class: ft, threads: 2 }),
     ];
-    let batch: Vec<_> = kernels
+    let batch = kernels
         .iter()
         .flat_map(|(_, pure, hybrid)| [pure, hybrid])
-        .map(|w| app_scenario(System::Longs, 16, Scheme::TwoMpiLocalAlloc, w.clone(), fidelity))
+        .map(|w| cells::app(System::Longs, 16, Scheme::TwoMpiLocalAlloc, w.clone(), fidelity))
         .collect();
-    let times = makespans(sched, &batch)?;
+    let times = observe(sched, &batch)?;
 
     let mut table = Table::with_columns(
         "Extra X1: hybrid (OpenMP-in-socket + MPI) vs pure MPI, Longs 16 cores (seconds)",
@@ -41,7 +41,10 @@ pub fn extra1(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
     );
     for ((kernel, ..), t) in kernels.iter().zip(times.chunks(2)) {
         let (pure, hybrid) = (t[0], t[1]);
-        table.push_row(*kernel, vec![Cell::num(pure), Cell::num(hybrid), Cell::num(pure / hybrid)]);
+        table.push_row(
+            *kernel,
+            vec![Cell::num(pure), Cell::num(hybrid), Cell::num(pure / hybrid)],
+        )?;
     }
     Ok(vec![table])
 }

@@ -11,6 +11,7 @@ use crate::context::makespans;
 use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
+use corescope_calib::cells::{self, observe, Observable};
 use corescope_machine::Result;
 use corescope_sched::{Placement, Scenario, Scheduler, System, Workload};
 use corescope_smpi::{LockLayer, MpiImpl};
@@ -32,31 +33,27 @@ fn dmz_cell(
         .with_lock(LockLayer::USysV)
 }
 
-fn pingpong(fidelity: Fidelity, bytes: f64) -> Workload {
-    Workload::PingPong { bytes, reps: fidelity.imb_reps(bytes) }
+/// A 2-rank DMZ PingPong of `bytes` under `scheme` on `mpi` over spin
+/// locks: the IMB PingPong cell.
+fn pingpong(fidelity: Fidelity, scheme: Scheme, mpi: MpiImpl, bytes: f64) -> Observable {
+    cells::pingpong(System::Dmz, 2, scheme, mpi, LockLayer::USysV, bytes, fidelity)
 }
 
 fn exchange(fidelity: Fidelity, bytes: f64) -> Workload {
     Workload::Exchange { bytes, reps: fidelity.imb_reps(bytes) }
 }
 
-/// PingPong time per half round trip (the IMB "t" column), in seconds.
-pub(crate) fn half_round_trip(makespan: f64, reps: usize) -> f64 {
-    makespan / (2.0 * reps as f64)
-}
-
 /// Figure 14: PingPong latency and bandwidth across MPICH2/LAM/OpenMPI,
 /// two unbound processes (the OS scatters them across the sockets).
 pub fn figure14(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
     let sizes = fidelity.imb_message_sizes();
-    let batch: Vec<Scenario> = sizes
+    let batch = sizes
         .iter()
         .flat_map(|&bytes| {
-            MpiImpl::all()
-                .map(|imp| dmz_cell(fidelity, 2, Scheme::Default, imp, pingpong(fidelity, bytes)))
+            MpiImpl::all().map(|imp| pingpong(fidelity, Scheme::Default, imp, bytes))
         })
         .collect();
-    let times = makespans(sched, &batch)?;
+    let times = observe(sched, &batch)?;
     let mut latency = Table::with_columns(
         "Figure 14a: IMB PingPong latency, DMZ (microseconds)",
         &["Bytes", "MPICH2", "LAM", "OpenMPI"],
@@ -65,14 +62,12 @@ pub fn figure14(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
         "Figure 14b: IMB PingPong bandwidth, DMZ (MB/s)",
         &["Bytes", "MPICH2", "LAM", "OpenMPI"],
     );
-    for (&bytes, row) in sizes.iter().zip(times.chunks(MpiImpl::all().len())) {
-        let reps = fidelity.imb_reps(bytes);
-        let t: Vec<f64> = row.iter().map(|&makespan| half_round_trip(makespan, reps)).collect();
-        latency.push_row(format!("{bytes:.0}"), t.iter().map(|t| Cell::num(t * 1e6)).collect());
+    for (&bytes, t) in sizes.iter().zip(times.chunks(MpiImpl::all().len())) {
+        latency.push_row(format!("{bytes:.0}"), t.iter().map(|t| Cell::num(t * 1e6)).collect())?;
         bandwidth.push_row(
             format!("{bytes:.0}"),
             t.iter().map(|t| Cell::num(bytes / t / 1e6)).collect(),
-        );
+        )?;
     }
     Ok(vec![latency, bandwidth])
 }
@@ -97,7 +92,7 @@ pub fn figure15(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
         fidelity,
         &sizes,
         &makespans(sched, &batch)?,
-    )])
+    )?])
 }
 
 /// One Exchange time-per-iteration row per size, in microseconds, from
@@ -108,7 +103,7 @@ fn exchange_table(
     fidelity: Fidelity,
     sizes: &[f64],
     times: &[f64],
-) -> Table {
+) -> Result<Table> {
     let mut table = Table::with_columns(title, columns);
     for (&bytes, row) in sizes.iter().zip(times.chunks(columns.len() - 1)) {
         let reps = fidelity.imb_reps(bytes);
@@ -116,22 +111,19 @@ fn exchange_table(
             let t = makespan / reps as f64;
             Cell::num(t * 1e6)
         };
-        table.push_row(format!("{bytes:.0}"), row.iter().map(us).collect());
+        table.push_row(format!("{bytes:.0}"), row.iter().map(us).collect())?;
     }
-    table
+    Ok(table)
 }
 
-/// The OpenMPI binding configurations of Figures 16/17, in column order:
-/// both processes bound to socket 0 (`numactl --cpubind`), unbound (the
-/// OS scatters them across the sockets), and unbound beside two parked
-/// processes.
-fn bindings(fidelity: Fidelity, workload: &Workload) -> [Scenario; 3] {
-    let openmpi = |scheme| dmz_cell(fidelity, 2, scheme, MpiImpl::OpenMpi, workload.clone());
-    [
-        openmpi(Scheme::TwoMpiLocalAlloc),
-        openmpi(Scheme::Default),
-        openmpi(Scheme::Default).with_parked(2),
-    ]
+/// The OpenMPI binding configurations of Figures 16/17, in column order,
+/// from the `unbound` cell (the OS scatters the two processes across the
+/// sockets): both processes bound to socket 0 (`numactl --cpubind`),
+/// unbound, and unbound beside two parked processes.
+fn bindings(unbound: Scenario) -> [Scenario; 3] {
+    let bound = unbound.clone().with_placement(Placement::Scheme(Scheme::TwoMpiLocalAlloc));
+    let parked = unbound.clone().with_parked(2);
+    [bound, unbound, parked]
 }
 
 /// Figure 16: OpenMPI PingPong under the binding configurations.
@@ -144,9 +136,15 @@ fn bindings(fidelity: Fidelity, workload: &Workload) -> [Scenario; 3] {
 /// size and repetition count).
 pub fn figure16(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
     let sizes = fidelity.imb_message_sizes();
-    let batch: Vec<Scenario> =
-        sizes.iter().flat_map(|&bytes| bindings(fidelity, &pingpong(fidelity, bytes))).collect();
-    let times = makespans(sched, &batch)?;
+    let batch = sizes
+        .iter()
+        .flat_map(|&bytes| {
+            let Observable { scenario, reduce } =
+                pingpong(fidelity, Scheme::Default, MpiImpl::OpenMpi, bytes);
+            bindings(scenario).map(|scenario| Observable { scenario, reduce })
+        })
+        .collect();
+    let times = observe(sched, &batch)?;
     let mut table = Table::with_columns(
         "Figure 16: OpenMPI PingPong bandwidth with scheduler affinity, DMZ (MB/s)",
         &[
@@ -157,10 +155,9 @@ pub fn figure16(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
             "2 procs, unbound, 2 parked",
         ],
     );
-    for (&bytes, row) in sizes.iter().zip(times.chunks(3)) {
-        let reps = fidelity.imb_reps(bytes);
-        let bw = |makespan| Cell::num(bytes / half_round_trip(makespan, reps) / 1e6);
-        table.push_row(format!("{bytes:.0}"), vec![bw(row[0]), bw(row[0]), bw(row[1]), bw(row[2])]);
+    for (&bytes, t) in sizes.iter().zip(times.chunks(3)) {
+        let bw = |t: f64| Cell::num(bytes / t / 1e6);
+        table.push_row(format!("{bytes:.0}"), vec![bw(t[0]), bw(t[0]), bw(t[1]), bw(t[2])])?;
     }
     Ok(vec![table])
 }
@@ -172,9 +169,17 @@ pub fn figure17(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
     let batch: Vec<Scenario> = sizes
         .iter()
         .flat_map(|&bytes| {
-            let workload = exchange(fidelity, bytes);
-            let four = dmz_cell(fidelity, 4, Scheme::Default, MpiImpl::OpenMpi, workload.clone());
-            let [bound, unbound, parked] = bindings(fidelity, &workload);
+            let cell = |nranks| {
+                dmz_cell(
+                    fidelity,
+                    nranks,
+                    Scheme::Default,
+                    MpiImpl::OpenMpi,
+                    exchange(fidelity, bytes),
+                )
+            };
+            let [bound, unbound, parked] = bindings(cell(2));
+            let four = cell(4);
             [bound, unbound, parked, four]
         })
         .collect();
@@ -184,7 +189,7 @@ pub fn figure17(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
         fidelity,
         &sizes,
         &makespans(sched, &batch)?,
-    )])
+    )?])
 }
 
 #[cfg(test)]
@@ -269,8 +274,8 @@ mod tests {
         let profile = MpiImpl::OpenMpi.profile();
         for fidelity in [Fidelity::Quick, Fidelity::Full] {
             for bytes in Fidelity::Full.imb_message_sizes() {
-                let workload = pingpong(fidelity, bytes);
-                let Workload::PingPong { reps, .. } = workload else { unreachable!() };
+                let reps = fidelity.imb_reps(bytes);
+                let cell = pingpong(fidelity, Scheme::Default, MpiImpl::OpenMpi, bytes);
                 let raw = |placements| {
                     let mut world =
                         CommWorld::new(&machine, placements, profile.clone(), LockLayer::USysV);
@@ -280,7 +285,7 @@ mod tests {
                     }
                     world.run().unwrap().makespan.to_bits()
                 };
-                let [bound, ..] = bindings(fidelity, &workload);
+                let [bound, ..] = bindings(cell.scenario);
                 let scenario = bound.run().unwrap().makespan.to_bits();
                 assert_eq!(raw(socket(0)), scenario, "{bytes} B x {reps}");
                 assert_eq!(raw(socket(1)), scenario, "{bytes} B x {reps}");

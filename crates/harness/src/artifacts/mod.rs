@@ -329,9 +329,9 @@ impl Artifact {
     pub fn run_with(self, fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
         use Artifact::*;
         match self {
-            T1 => Ok(vec![statics::table1()]),
-            T5 => Ok(vec![statics::table5()]),
-            T6 => Ok(vec![statics::table6()]),
+            T1 => Ok(vec![statics::table1()?]),
+            T5 => Ok(vec![statics::table5()?]),
+            T6 => Ok(vec![statics::table6()?]),
             F2 => stream::figure2(fidelity, sched),
             F3 => stream::figure3(fidelity, sched),
             F4 => blas::figure4(fidelity, sched),
@@ -360,7 +360,7 @@ impl Artifact {
             T13 => pop::table13(fidelity, sched),
             T14 => pop::table14(fidelity, sched),
             X1 => hybrid::extra1(fidelity, sched),
-            X2 => Ok(vec![statics::extra2()]),
+            X2 => Ok(vec![statics::extra2()?]),
             X3 => crate::resilience::extra3(fidelity, sched),
             X4 => bottleneck::extra4(fidelity),
             X5 => recovery::extra5(fidelity, sched),

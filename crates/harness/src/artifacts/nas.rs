@@ -71,7 +71,7 @@ pub fn table4(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
         "Table 4: NAS multi-core speedup per core",
         &["Benchmark/system", "2 cores", "4 cores", "8 cores", "16 cores"],
         &rows,
-    )])
+    )?])
 }
 
 #[cfg(test)]

@@ -199,16 +199,19 @@ fn run_campaigns(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<CampaignRe
             );
         }
     }
-    let mut sweep_outcomes = sched.run_batch(&sweep_batch).into_iter();
+    let sweep_points = sched
+        .run_batch(&sweep_batch)
+        .into_iter()
+        .map(|outcome| Ok(outcome?.result))
+        .collect::<Result<Vec<_>>>()?;
 
     let mut results = Vec::with_capacity(cs.len());
-    for (i, c) in cs.iter().enumerate() {
+    for (i, (c, points)) in cs.iter().zip(sweep_points.chunks(TAU_GRID.len())).enumerate() {
         let name = c.name();
         let tau_star = tau_stars[i];
         let mut sweep = Vec::with_capacity(TAU_GRID.len());
-        for factor in TAU_GRID {
+        for (factor, point) in TAU_GRID.into_iter().zip(points) {
             let tau = factor * tau_star;
-            let point = sweep_outcomes.next().expect("one outcome per sweep point")?.result;
             if point.recoveries != c.kills {
                 return Err(recovery_violation(
                     &name,
@@ -333,7 +336,7 @@ pub fn extra5(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
                     Cell::num_with(p.checkpoints as f64, 0),
                     Cell::num_with(p.recoveries as f64, 0),
                 ],
-            );
+            )?;
         }
         summary.push_row(
             name,
@@ -345,7 +348,7 @@ pub fn extra5(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
                 Cell::num_with(r.sweep[r.best].tau, 4),
                 Cell::num_with(r.sweep[r.best].makespan / r.fault_free, 3),
             ],
-        );
+        )?;
     }
 
     // Claim 3: one rank per socket leaves each controller headroom, so
@@ -375,9 +378,9 @@ pub fn extra5(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
         "Extra X5: checkpoint traffic vs bottleneck attribution (DMZ, 1MPI/socket)",
         &["Run", "mc share of attributed time"],
     );
-    shift.push_row("no checkpoints", vec![Cell::num_with(base, 4)]);
-    shift.push_row("checkpointed, own layout", vec![Cell::num_with(own, 4)]);
-    shift.push_row("checkpointed, membind store (node 0)", vec![Cell::num_with(membind, 4)]);
+    shift.push_row("no checkpoints", vec![Cell::num_with(base, 4)])?;
+    shift.push_row("checkpointed, own layout", vec![Cell::num_with(own, 4)])?;
+    shift.push_row("checkpointed, membind store (node 0)", vec![Cell::num_with(membind, 4)])?;
 
     Ok(vec![sweep_table, summary, shift])
 }

@@ -3,10 +3,14 @@
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
 use corescope_apps::md::AmberBenchmark;
-use corescope_machine::systems;
+use corescope_machine::{systems, Result};
 
 /// Table 1: the three evaluation systems.
-pub fn table1() -> Table {
+///
+/// # Errors
+///
+/// A row-shape error from [`Table::push_row`].
+pub fn table1() -> Result<Table> {
     let mut t = Table::with_columns(
         "Table 1: System configurations",
         &["Name", "GHz", "Cores/socket", "Sockets", "Total cores", "Node mem (GB)"],
@@ -23,13 +27,17 @@ pub fn table1() -> Table {
                 Cell::num_with((sockets * spec.cores_per_socket) as f64, 0),
                 Cell::num_with(mem_gb, 0),
             ],
-        );
+        )?;
     }
-    t
+    Ok(t)
 }
 
 /// Table 5: the placement-scheme catalogue.
-pub fn table5() -> Table {
+///
+/// # Errors
+///
+/// A row-shape error from [`Table::push_row`].
+pub fn table5() -> Result<Table> {
     let mut t = Table::with_columns(
         "Table 5: numactl options used for experiments",
         &["Name", "Description"],
@@ -43,13 +51,17 @@ pub fn table5() -> Table {
             Scheme::TwoMpiMembind => "Two MPI tasks per socket with explicit memory binding",
             Scheme::Interleave => "Interleaved memory allocation",
         };
-        t.push_row(scheme.name(), vec![Cell::text(description)]);
+        t.push_row(scheme.name(), vec![Cell::text(description)])?;
     }
-    t
+    Ok(t)
 }
 
 /// Table 6: the AMBER benchmark systems.
-pub fn table6() -> Table {
+///
+/// # Errors
+///
+/// A row-shape error from [`Table::push_row`].
+pub fn table6() -> Result<Table> {
     let mut t = Table::with_columns(
         "Table 6: Description of AMBER benchmarks",
         &["Benchmark", "Atoms", "MD technique"],
@@ -59,14 +71,18 @@ pub fn table6() -> Table {
             corescope_apps::md::AmberMethod::Pme => "PME",
             corescope_apps::md::AmberMethod::Gb => "GB",
         };
-        t.push_row(b.name, vec![Cell::num_with(b.atoms as f64, 0), Cell::text(method)]);
+        t.push_row(b.name, vec![Cell::num_with(b.atoms as f64, 0), Cell::text(method)])?;
     }
-    t
+    Ok(t)
 }
 
 /// Extra X2: the lmbench-style memory-latency plateaus the coherence
 /// model predicts (load-to-use ns from core 0 to each NUMA node).
-pub fn extra2() -> Table {
+///
+/// # Errors
+///
+/// A row-shape error from [`Table::push_row`].
+pub fn extra2() -> Result<Table> {
     use corescope_machine::Machine;
     let mut t = Table::with_columns(
         "Extra X2: predicted load-to-use latency from core 0 (ns)",
@@ -85,9 +101,9 @@ pub fn extra2() -> Table {
                 two_hops,
                 Cell::num(row.iter().copied().fold(0.0, f64::max)),
             ],
-        );
+        )?;
     }
-    t
+    Ok(t)
 }
 
 #[cfg(test)]
@@ -96,7 +112,7 @@ mod tests {
 
     #[test]
     fn table1_matches_paper() {
-        let t = table1();
+        let t = table1().unwrap();
         assert_eq!(t.num_rows(), 3);
         assert_eq!(t.value("longs", "Total cores"), Some(16.0));
         assert_eq!(t.value("tiger", "GHz"), Some(2.2));
@@ -104,12 +120,12 @@ mod tests {
 
     #[test]
     fn table5_has_six_schemes() {
-        assert_eq!(table5().num_rows(), 6);
+        assert_eq!(table5().unwrap().num_rows(), 6);
     }
 
     #[test]
     fn extra2_latencies_grow_with_distance() {
-        let t = extra2();
+        let t = extra2().unwrap();
         let local = t.value("longs", "node0").unwrap();
         let far = t.value("longs", "farthest").unwrap();
         assert!(far > local + 100.0, "{local} -> {far}");
@@ -118,7 +134,7 @@ mod tests {
 
     #[test]
     fn table6_atom_counts() {
-        let t = table6();
+        let t = table6().unwrap();
         assert_eq!(t.value("JAC", "Atoms"), Some(23_558.0));
         assert_eq!(t.value("gb_mb", "Atoms"), Some(2_492.0));
     }

@@ -9,34 +9,13 @@
 //! byte-identical to the old hand-assembled tables at any job count.
 
 use crate::aggregate::pivot_table;
+use crate::context::makespans;
 use crate::fidelity::Fidelity;
 use crate::report::Table;
 use crate::runtime::RuntimeOption;
-use corescope_kernels::stream::StreamParams;
+use corescope_calib::cells::{self, observe, Batch};
 use corescope_machine::Result;
 use corescope_sched::{Placement, Scenario, Scheduler, System, Workload};
-
-fn params(fidelity: Fidelity) -> StreamParams {
-    StreamParams { sweeps: fidelity.steps(10).max(2), ..StreamParams::default() }
-}
-
-fn star_workload(fidelity: Fidelity) -> Workload {
-    let p = params(fidelity);
-    Workload::StreamStar {
-        kernel: p.kernel,
-        elements_per_rank: p.elements_per_rank,
-        sweeps: p.sweeps,
-    }
-}
-
-/// The scatter-local STREAM scenario behind Figures 2 and 3: lmbench
-/// core-activation order, LAM profile, spin locks.
-fn triad_scenario(system: System, nranks: usize, fidelity: Fidelity) -> Scenario {
-    Scenario::new(system, nranks, star_workload(fidelity))
-        .with_fidelity(fidelity)
-        .with_placement(Placement::ScatterLocal)
-        .with_mpi(corescope_smpi::MpiImpl::Lam)
-}
 
 fn bandwidth_scaling(fidelity: Fidelity, per_core: bool, sched: &Scheduler) -> Result<Table> {
     let title = if per_core {
@@ -48,35 +27,42 @@ fn bandwidth_scaling(fidelity: Fidelity, per_core: bool, sched: &Scheduler) -> R
     let cores: Vec<usize> = systems.iter().map(|s| s.machine().num_cores()).collect();
     let counts = [1usize, 2, 4, 8, 16];
 
-    // Enumerate the whole grid (skipping impossible cells), then run it
-    // as one batch.
-    let mut batch = Vec::new();
-    for &n in &counts {
-        for (system, &num_cores) in systems.iter().zip(&cores) {
-            if n <= num_cores {
-                batch.push(triad_scenario(*system, n, fidelity));
-            }
-        }
-    }
-    let mut outcomes = sched.run_batch(&batch).into_iter();
+    // Enumerate the whole grid (impossible cells get no slot), then run
+    // it as one batch. Each cell is the scatter-local STREAM of
+    // lmbench's core-activation order.
+    let mut batch = Batch::default();
+    let slots: Vec<Vec<Option<usize>>> = counts
+        .iter()
+        .map(|&n| {
+            systems
+                .iter()
+                .zip(&cores)
+                .map(|(&system, &num_cores)| {
+                    (n <= num_cores).then(|| {
+                        batch.push(cells::stream_star(system, n, Placement::ScatterLocal, fidelity))
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    let bandwidths = observe(sched, &batch)?;
 
-    let p = params(fidelity);
-    let mut rows = Vec::new();
-    for &n in &counts {
-        let mut values = Vec::new();
-        for &num_cores in &cores {
-            if n > num_cores {
-                values.push(None);
-            } else {
-                let completed = outcomes.next().expect("one outcome per enumerated cell")?;
-                let bw = n as f64 * p.bytes_per_rank() / completed.result.makespan;
-                let value = if per_core { bw / n as f64 } else { bw };
-                values.push(Some(value / 1e9));
-            }
-        }
-        rows.push((n.to_string(), values));
-    }
-    Ok(pivot_table(title, &["Active cores", "tiger", "dmz", "longs"], &rows))
+    let rows: Vec<(String, Vec<Option<f64>>)> = counts
+        .iter()
+        .zip(slots)
+        .map(|(&n, row)| {
+            let values = row
+                .into_iter()
+                .map(|slot| {
+                    let bw = bandwidths[slot?];
+                    let value = if per_core { bw / n as f64 } else { bw };
+                    Some(value / 1e9)
+                })
+                .collect();
+            (n.to_string(), values)
+        })
+        .collect();
+    Ok(pivot_table(title, &["Active cores", "tiger", "dmz", "longs"], &rows)?)
 }
 
 /// Figure 2: aggregate triad bandwidth vs active cores.
@@ -92,53 +78,47 @@ pub fn figure3(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
 /// Figure 10: HPCC STREAM Single vs Star on Longs under the six runtime
 /// options.
 pub fn figure10(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
-    let p = params(fidelity);
+    let p = cells::stream_params(fidelity);
     let single_workload = Workload::StreamSingle {
         kernel: p.kernel,
         elements_per_rank: p.elements_per_rank,
         sweeps: p.sweeps,
     };
-    let scenario = |option: RuntimeOption, workload: Workload| {
-        Scenario::new(System::Longs, 16, workload)
-            .with_fidelity(fidelity)
-            .with_placement(Placement::Scheme(option.scheme()))
-            .with_mpi(corescope_smpi::MpiImpl::Lam)
-            .with_lock(option.lock())
+    let star = |option: RuntimeOption| {
+        let placement = Placement::Scheme(option.scheme());
+        cells::stream_star(System::Longs, 16, placement, fidelity).scenario.with_lock(option.lock())
     };
+    let single =
+        |option: RuntimeOption| Scenario { workload: single_workload.clone(), ..star(option) };
 
     // Unplaceable options become Dash rows, as in the paper; the rest
     // contribute a Single and a Star scenario each.
-    let placeable: Vec<bool> = RuntimeOption::all()
-        .iter()
-        .map(|o| Placement::Scheme(o.scheme()).placeable(System::Longs, 16))
+    let placeable: Vec<RuntimeOption> = RuntimeOption::all()
+        .into_iter()
+        .filter(|o| Placement::Scheme(o.scheme()).placeable(System::Longs, 16))
         .collect();
-    let mut batch = Vec::new();
-    for (option, ok) in RuntimeOption::all().into_iter().zip(&placeable) {
-        if *ok {
-            batch.push(scenario(option, single_workload.clone()));
-            batch.push(scenario(option, star_workload(fidelity)));
-        }
-    }
-    let mut outcomes = sched.run_batch(&batch).into_iter();
+    let batch: Vec<Scenario> = placeable.iter().flat_map(|&o| [single(o), star(o)]).collect();
+    let times = makespans(sched, &batch)?;
 
-    let mut rows = Vec::new();
-    for (option, ok) in RuntimeOption::all().into_iter().zip(&placeable) {
-        if !*ok {
-            rows.push((option.name().to_string(), vec![None, None, None]));
-            continue;
-        }
-        let single = p.bytes_per_rank() / outcomes.next().expect("single outcome")?.result.makespan;
-        let star = p.bytes_per_rank() / outcomes.next().expect("star outcome")?.result.makespan;
-        rows.push((
-            option.name().to_string(),
-            vec![Some(single / 1e9), Some(star / 1e9), Some(single / star)],
-        ));
-    }
+    let rows: Vec<(String, Vec<Option<f64>>)> = RuntimeOption::all()
+        .into_iter()
+        .map(|option| {
+            let values = match placeable.iter().position(|&o| o == option) {
+                None => vec![None, None, None],
+                Some(i) => {
+                    let single = p.bytes_per_rank() / times[2 * i];
+                    let star = p.bytes_per_rank() / times[2 * i + 1];
+                    vec![Some(single / 1e9), Some(star / 1e9), Some(single / star)]
+                }
+            };
+            (option.name().to_string(), values)
+        })
+        .collect();
     Ok(vec![pivot_table(
         "Figure 10: STREAM triad on Longs, 16 ranks (GB/s)",
         &["Option", "Single", "Star per-core", "Single:Star"],
         &rows,
-    )])
+    )?])
 }
 
 #[cfg(test)]

@@ -28,21 +28,15 @@
 //! pass — the quantified form of "the 2006 conclusions do not survive
 //! the machine generations unchanged".
 
+use super::xs::{self, lookups_per_rank, BYTES_PER_POINT, GIB};
 use crate::aggregate::pivot_table;
+use crate::context::makespans;
 use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
+use corescope_calib::cells;
 use corescope_machine::{Error, Result};
-use corescope_sched::{Placement, Scenario, Scheduler, System, Workload};
-
-const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
-
-/// Nuclides in the lookup proxy's unionized table (matches X10).
-const NUCLIDES: u64 = 64;
-
-/// Bytes per unionized grid point (one energy key plus five cross
-/// sections per nuclide, all doubles — matches `XsParams::table_bytes`).
-const BYTES_PER_POINT: f64 = 8.0 * (1.0 + 5.0 * NUCLIDES as f64);
+use corescope_sched::{Placement, Scheduler, System};
 
 /// Per-rank lookup-table size for the crossover verdict: between
 /// Longs' 1.5 GiB usable node share (first-touch spills) and the
@@ -77,49 +71,6 @@ fn topo_err(context: &str, detail: impl std::fmt::Display) -> Error {
     Error::InvalidSpec(format!("X11 {context}: {detail}"))
 }
 
-fn stream_params(fidelity: Fidelity) -> corescope_kernels::stream::StreamParams {
-    corescope_kernels::stream::StreamParams {
-        sweeps: fidelity.steps(10).max(2),
-        ..corescope_kernels::stream::StreamParams::default()
-    }
-}
-
-fn lookups_per_rank(fidelity: Fidelity) -> u64 {
-    fidelity.steps(1 << 20) as u64
-}
-
-fn stream_scenario(system: System, nranks: usize, scheme: Scheme, fidelity: Fidelity) -> Scenario {
-    let p = stream_params(fidelity);
-    Scenario::new(
-        system,
-        nranks,
-        Workload::StreamStar {
-            kernel: p.kernel,
-            elements_per_rank: p.elements_per_rank,
-            sweeps: p.sweeps,
-        },
-    )
-    .with_fidelity(fidelity)
-    .with_placement(Placement::Scheme(scheme))
-    .with_mpi(corescope_smpi::MpiImpl::Lam)
-}
-
-fn xs_scenario(system: System, nranks: usize, scheme: Scheme, fidelity: Fidelity) -> Scenario {
-    let grid_points = (XS_TABLE_GIB * GIB / BYTES_PER_POINT).round() as u64;
-    Scenario::new(
-        system,
-        nranks,
-        Workload::XsLookupStar {
-            grid_points,
-            nuclides: NUCLIDES,
-            lookups_per_rank: lookups_per_rank(fidelity),
-        },
-    )
-    .with_fidelity(fidelity)
-    .with_placement(Placement::Scheme(scheme))
-    .with_mpi(corescope_smpi::MpiImpl::Lam)
-}
-
 /// One rendered sweep: the STREAM and lookup pivot tables plus the raw
 /// per-generation rate matrices the verdicts reason about.
 struct Sweep {
@@ -135,40 +86,37 @@ struct Sweep {
 /// it as one scheduler batch, and renders the two pivot tables.
 fn run_sweep(fidelity: Fidelity, sched: &Scheduler, systems: &[System]) -> Result<Sweep> {
     let packs: Vec<usize> = systems.iter().map(|s| s.machine().num_cores()).collect();
+    let grid_points = (XS_TABLE_GIB * GIB / BYTES_PER_POINT).round() as u64;
     let mut batch = Vec::new();
     for (&system, &nranks) in systems.iter().zip(&packs) {
         for scheme in STREAM_SCHEMES {
-            batch.push(stream_scenario(system, nranks, scheme, fidelity));
+            let placement = Placement::Scheme(scheme);
+            batch.push(cells::stream_star(system, nranks, placement, fidelity).scenario);
         }
         for scheme in XS_SCHEMES {
-            batch.push(xs_scenario(system, nranks, scheme, fidelity));
+            batch.push(xs::scenario(system, nranks, scheme, grid_points, fidelity));
         }
     }
     let scenarios = batch.len();
-    let mut outcomes = sched.run_batch(&batch).into_iter();
+    let times = makespans(sched, &batch)?;
 
-    let p = stream_params(fidelity);
+    let bytes = cells::stream_params(fidelity).bytes_per_rank();
     let lookups = lookups_per_rank(fidelity) as f64;
     let mut stream_rows = Vec::new();
     let mut xs_rows = Vec::new();
     let mut stream = Vec::new();
     let mut xs = Vec::new();
-    for (&system, &nranks) in systems.iter().zip(&packs) {
-        let mut rates = Vec::new();
-        for _ in STREAM_SCHEMES {
-            let completed = outcomes.next().expect("one outcome per STREAM cell")?;
-            // Per-core triad bandwidth, paced by the slowest rank.
-            rates.push(p.bytes_per_rank() / completed.result.makespan / 1e9);
-        }
-        stream_rows.push((format!("{} x{nranks}", system.key()), to_cells(&rates)));
+    let per_system = times.chunks(STREAM_SCHEMES.len() + XS_SCHEMES.len());
+    for ((&system, &nranks), row) in systems.iter().zip(&packs).zip(per_system) {
+        let label = format!("{} x{nranks}", system.key());
+        let (stream_times, xs_times) = row.split_at(STREAM_SCHEMES.len());
+        // Per-core triad bandwidth, paced by the slowest rank.
+        let rates: Vec<f64> = stream_times.iter().map(|t| bytes / t / 1e9).collect();
+        stream_rows.push((label.clone(), to_cells(&rates)));
         stream.push(rates);
 
-        let mut rates = Vec::new();
-        for _ in XS_SCHEMES {
-            let completed = outcomes.next().expect("one outcome per lookup cell")?;
-            rates.push(nranks as f64 * lookups / completed.result.makespan / 1e6);
-        }
-        xs_rows.push((format!("{} x{nranks}", system.key()), to_cells(&rates)));
+        let rates: Vec<f64> = xs_times.iter().map(|t| nranks as f64 * lookups / t / 1e6).collect();
+        xs_rows.push((label, to_cells(&rates)));
         xs.push(rates);
     }
 
@@ -181,12 +129,12 @@ fn run_sweep(fidelity: Fidelity, sched: &Scheduler, systems: &[System]) -> Resul
             "Extra X11: STREAM triad at full packing (GB/s per core)",
             &stream_columns,
             &stream_rows,
-        ),
+        )?,
         pivot_table(
             &format!("Extra X11: xs-lookup at {XS_TABLE_GIB:.2} GiB/rank (Mlookups/s aggregate)"),
             &xs_columns,
             &xs_rows,
-        ),
+        )?,
     ];
     Ok(Sweep { tables, stream, xs, scenarios })
 }
@@ -335,7 +283,7 @@ pub fn extra11_on(
     proof.push_row(
         "sweep scenarios",
         vec![Cell::num_with(sweep.scenarios as f64, 0), Cell::Dash, Cell::text("ok")],
-    );
+    )?;
     for v in &verdicts {
         proof.push_row(
             format!("{} ({} -> {})", v.label, v.then_system.key(), v.now_system.key()),
@@ -344,12 +292,12 @@ pub fn extra11_on(
                 Cell::num_with(v.now_check.0, 4),
                 Cell::text("flipped"),
             ],
-        );
+        )?;
     }
     proof.push_row(
         "double run byte-identical (crc32)",
         vec![Cell::num_with(f64::from(crc), 0), Cell::Dash, Cell::text("ok")],
-    );
+    )?;
 
     let mut tables = sweep.tables;
     tables.push(proof);

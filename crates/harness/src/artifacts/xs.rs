@@ -33,6 +33,7 @@
 //! itself where the two placements tie.
 
 use crate::aggregate::pivot_table;
+use crate::context::makespans;
 use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
@@ -40,14 +41,14 @@ use corescope_apps::xs::first_touch_crossover_bytes;
 use corescope_machine::{CoreId, Error, Result};
 use corescope_sched::{Placement, Scenario, Scheduler, System, Workload};
 
-const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
+pub(super) const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 
 /// Nuclides in the unionized table (XSBench's "small" material set).
 const NUCLIDES: u64 = 64;
 
 /// Bytes per unionized grid point: one energy key plus five cross
 /// sections per nuclide, all doubles (matches `XsParams::table_bytes`).
-const BYTES_PER_POINT: f64 = 8.0 * (1.0 + 5.0 * NUCLIDES as f64);
+pub(super) const BYTES_PER_POINT: f64 = 8.0 * (1.0 + 5.0 * NUCLIDES as f64);
 
 /// Per-rank table sizes as fractions of the machine's first-touch spill
 /// boundary. The boundary itself (ratio 1.0) is a modeled tie, so the
@@ -86,11 +87,14 @@ fn boundary_bytes(system: System, nranks: usize) -> Result<f64> {
     Ok(first_touch_crossover_bytes(&machine, &cores))
 }
 
-fn lookups_per_rank(fidelity: Fidelity) -> u64 {
+pub(super) fn lookups_per_rank(fidelity: Fidelity) -> u64 {
     fidelity.steps(1 << 20) as u64
 }
 
-fn scenario(
+/// The lookup cell of Extras X10 and X11: XSBench-style lookups on every
+/// one of `nranks` ranks, each over its own `grid_points`-point table, on
+/// the LAM stack.
+pub(super) fn scenario(
     system: System,
     nranks: usize,
     scheme: Scheme,
@@ -139,30 +143,30 @@ fn run_sweep(fidelity: Fidelity, sched: &Scheduler) -> Result<Sweep> {
         grids.push(grid);
     }
     let scenarios = batch.len();
-    let mut outcomes = sched.run_batch(&batch).into_iter();
+    let times = makespans(sched, &batch)?;
 
     let lookups = lookups_per_rank(fidelity) as f64;
     let mut tables = Vec::new();
     let mut full_pack_rates = Vec::new();
+    let mut by_row = times.chunks(SCHEMES.len());
     for ((system, counts), grid) in sweeps().into_iter().zip(&grids) {
         let mut rows = Vec::new();
         let mut full_pack = vec![Vec::new(); SIZE_RATIOS.len()];
         for &nranks in &counts {
-            for (size, &grid_points) in grid.iter().enumerate() {
-                let mut values = Vec::new();
-                for _ in SCHEMES {
-                    let completed = outcomes.next().expect("one outcome per sweep cell")?;
-                    // Aggregate lookup rate in Mlookups/s: higher is
-                    // better, monotone against the slowest rank's
-                    // placement-weighted latency.
-                    let rate = nranks as f64 * lookups / completed.result.makespan / 1e6;
-                    if nranks == counts[counts.len() - 1] {
-                        full_pack[size].push(rate);
-                    }
-                    values.push(Some(rate));
+            for ((size, &grid_points), row) in grid.iter().enumerate().zip(&mut by_row) {
+                // Aggregate lookup rate in Mlookups/s: higher is better,
+                // monotone against the slowest rank's placement-weighted
+                // latency.
+                let rates: Vec<f64> =
+                    row.iter().map(|t| nranks as f64 * lookups / t / 1e6).collect();
+                if nranks == counts[counts.len() - 1] {
+                    full_pack[size] = rates.clone();
                 }
                 let gib = grid_points as f64 * BYTES_PER_POINT / GIB;
-                rows.push((format!("{gib:.2} GiB x{nranks}"), values));
+                rows.push((
+                    format!("{gib:.2} GiB x{nranks}"),
+                    rates.into_iter().map(Some).collect(),
+                ));
             }
         }
         let title = format!(
@@ -171,7 +175,7 @@ fn run_sweep(fidelity: Fidelity, sched: &Scheduler) -> Result<Sweep> {
         );
         let columns: Vec<&str> =
             std::iter::once("Table per rank").chain(SCHEMES.iter().map(|s| s.key())).collect();
-        tables.push(pivot_table(&title, &columns, &rows));
+        tables.push(pivot_table(&title, &columns, &rows)?);
         full_pack_rates.push(full_pack);
     }
     Ok(Sweep { tables, full_pack_rates, scenarios })
@@ -236,14 +240,14 @@ pub fn extra10(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
     proof.push_row(
         "sweep scenarios",
         vec![Cell::num_with(sweep.scenarios as f64, 0), Cell::text("ok")],
-    );
+    )?;
     for (label, margin) in margins {
-        proof.push_row(label, vec![Cell::num_with(margin, 4), Cell::text("ok")]);
+        proof.push_row(label, vec![Cell::num_with(margin, 4), Cell::text("ok")])?;
     }
     proof.push_row(
         "double run byte-identical (crc32)",
         vec![Cell::num_with(f64::from(crc), 0), Cell::text("ok")],
-    );
+    )?;
 
     let mut tables = sweep.tables;
     tables.push(proof);

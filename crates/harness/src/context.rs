@@ -4,25 +4,9 @@ use crate::aggregate::pivot_table;
 use crate::fidelity::Fidelity;
 use crate::report::Table;
 use corescope_affinity::Scheme;
+use corescope_calib::cells;
 use corescope_machine::{Machine, Result};
-use corescope_sched::{Placement, Scenario, Scheduler, System, Workload};
-use corescope_smpi::{LockLayer, MpiImpl};
-
-/// An application-table scenario: `workload` on `nranks` ranks of
-/// `system` under `scheme`, on the paper's MPICH2 + spin-lock stack.
-pub(crate) fn app_scenario(
-    system: System,
-    nranks: usize,
-    scheme: Scheme,
-    workload: Workload,
-    fidelity: Fidelity,
-) -> Scenario {
-    Scenario::new(system, nranks, workload)
-        .with_fidelity(fidelity)
-        .with_placement(Placement::Scheme(scheme))
-        .with_mpi(MpiImpl::Mpich2)
-        .with_lock(LockLayer::USysV)
-}
+use corescope_sched::{Scenario, Scheduler, System, Workload};
 
 /// Runs `batch` through `sched` and returns each makespan, in order.
 ///
@@ -68,8 +52,8 @@ pub(crate) fn scheme_table(
     for &n in task_counts.iter().filter(|&&n| n <= machine.num_cores()) {
         for (name, workload) in workloads {
             let slots = Scheme::all().map(|scheme| {
-                let scenario = app_scenario(system, n, scheme, workload.clone(), fidelity);
-                submit(&mut batch, &machine, scenario)
+                let cell = cells::app(system, n, scheme, workload.clone(), fidelity);
+                submit(&mut batch, &machine, cell.scenario)
             });
             rows.push((format!("{n} {name}"), slots));
         }
@@ -81,7 +65,7 @@ pub(crate) fn scheme_table(
         .collect();
     let mut columns = vec!["Tasks / workload"];
     columns.extend(Scheme::all().iter().map(|s| s.name()));
-    Ok(pivot_table(title, &columns, &rows))
+    Ok(pivot_table(title, &columns, &rows)?)
 }
 
 /// The application tables' scheme comparison for one workload: a Longs
@@ -124,7 +108,8 @@ pub(crate) fn speedups(
     let slots: Vec<Vec<Option<usize>>> = workloads
         .iter()
         .map(|workload| {
-            let scenario = |n| app_scenario(system, n, Scheme::Default, workload.clone(), fidelity);
+            let scenario =
+                |n| cells::app(system, n, Scheme::Default, workload.clone(), fidelity).scenario;
             let ranks = std::iter::once(1).chain(counts.iter().copied());
             ranks.map(|n| submit(&mut batch, &machine, scenario(n))).collect()
         })
@@ -159,7 +144,7 @@ pub(crate) fn speedup_table(
             rows.push((format!("{n} {sys_name}"), values));
         }
     }
-    Ok(pivot_table(title, columns, &rows))
+    Ok(pivot_table(title, columns, &rows)?)
 }
 
 #[cfg(test)]

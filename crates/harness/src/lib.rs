@@ -16,7 +16,6 @@
 //! # }
 //! ```
 
-pub mod ablation;
 pub mod aggregate;
 pub mod artifacts;
 pub mod context;

@@ -19,13 +19,12 @@ use crate::artifacts::Artifact;
 use crate::fidelity::Fidelity;
 use crate::resilience::FaultTarget;
 use corescope_affinity::Scheme;
+use corescope_calib::cells;
 use corescope_kernels::cg::CgClass;
-use corescope_kernels::stream::StreamParams;
 use corescope_machine::{
     CheckpointPolicy, Error, FaultPlan, RankId, Result, RunTrace, TraceConfig,
 };
 use corescope_sched::{Placement, Scenario, System, Workload};
-use corescope_smpi::MpiImpl;
 use std::fmt::Write as _;
 
 /// A labelled trace ready for export.
@@ -37,20 +36,11 @@ pub struct TraceBundle {
     pub trace: RunTrace,
 }
 
-/// STREAM triad on every rank, `fidelity.steps(10).max(2)` sweeps.
-pub(crate) fn stream_star(fidelity: Fidelity) -> Workload {
-    let StreamParams { kernel, elements_per_rank, .. } = StreamParams::default();
-    Workload::StreamStar { kernel, elements_per_rank, sweeps: fidelity.steps(10).max(2) }
-}
-
 /// lmbench-style STREAM: ranks spread over sockets first (the paper's
 /// core-activation order), memory allocated locally, on the LAM stack of
-/// the HPCC figures.
+/// the HPCC figures; the cell of Figures 2/3.
 pub(crate) fn scatter_stream(system: System, nranks: usize, fidelity: Fidelity) -> Scenario {
-    Scenario::new(system, nranks, stream_star(fidelity))
-        .with_fidelity(fidelity)
-        .with_placement(Placement::ScatterLocal)
-        .with_mpi(MpiImpl::Lam)
+    cells::stream_star(system, nranks, Placement::ScatterLocal, fidelity).scenario
 }
 
 /// A `bytes` PingPong of `fidelity.steps(20).max(4)` round trips between
@@ -60,6 +50,12 @@ pub(crate) fn pingpong(system: System, bytes: f64, fidelity: Fidelity) -> Scenar
     Scenario::new(system, 2, Workload::PingPong { bytes, reps })
         .with_fidelity(fidelity)
         .with_placement(Placement::Scheme(Scheme::OneMpiLocalAlloc))
+}
+
+/// STREAM triad on four DMZ ranks under the scenario defaults: the
+/// healthy run the X3 and X5 faults and recoveries are scheduled against.
+pub(crate) fn dmz_stream(fidelity: Fidelity) -> Scenario {
+    Scenario::new(System::Dmz, 4, cells::stream_workload(fidelity)).with_fidelity(fidelity)
 }
 
 /// NAS CG of `class` on the scenario defaults (two MPI per socket,
@@ -81,7 +77,7 @@ pub fn representative_trace(artifact: Artifact, fidelity: Fidelity) -> Result<Op
     // Class A regardless of fidelity: class B's trace would be tens of
     // megabytes and adds nothing to the bottleneck picture.
     let cg = |system, nranks| cg(system, nranks, CgClass::A, fidelity);
-    let stream = Scenario::new(System::Dmz, 4, stream_star(fidelity)).with_fidelity(fidelity);
+    let stream = dmz_stream(fidelity);
     let (label, scenario) = match artifact {
         // STREAM bandwidth artifacts: the probe-fabric-bound 16-core
         // Longs configuration is the paper's headline observation.

@@ -89,6 +89,12 @@ impl fmt::Display for RowShapeError {
 
 impl std::error::Error for RowShapeError {}
 
+impl From<RowShapeError> for corescope_machine::Error {
+    fn from(e: RowShapeError) -> Self {
+        corescope_machine::Error::InvalidSpec(e.to_string())
+    }
+}
+
 /// A labelled results table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
@@ -112,25 +118,11 @@ impl Table {
 
     /// Appends a row.
     ///
-    /// # Panics
-    ///
-    /// Panics if the cell count does not match the data columns. Code
-    /// assembling rows from external input should use
-    /// [`Table::try_push_row`] instead.
-    pub fn push_row(&mut self, label: impl Into<String>, cells: Vec<Cell>) {
-        if let Err(e) = self.try_push_row(label, cells) {
-            panic!("row width must match columns: {e}");
-        }
-    }
-
-    /// Appends a row, reporting a shape mismatch as a typed error
-    /// instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`RowShapeError`] when the cell count does not match the
     /// table's data-column count; the table is left unchanged.
-    pub fn try_push_row(
+    pub fn push_row(
         &mut self,
         label: impl Into<String>,
         cells: Vec<Cell>,
@@ -226,8 +218,8 @@ mod tests {
 
     fn sample() -> Table {
         let mut t = Table::with_columns("Test table", &["rows", "a", "b"]);
-        t.push_row("x", vec![Cell::num(1.5), Cell::Dash]);
-        t.push_row("y", vec![Cell::num_with(2.25, 3), Cell::text("hi")]);
+        t.push_row("x", vec![Cell::num(1.5), Cell::Dash]).unwrap();
+        t.push_row("y", vec![Cell::num_with(2.25, 3), Cell::text("hi")]).unwrap();
         t
     }
 
@@ -253,7 +245,7 @@ mod tests {
     #[test]
     fn csv_quotes_special_fields() {
         let mut t = Table::with_columns("t", &["r", "col,with,commas"]);
-        t.push_row("a\"b", vec![Cell::num(1.0)]);
+        t.push_row("a\"b", vec![Cell::num(1.0)]).unwrap();
         let csv = t.to_csv();
         assert!(csv.contains("\"col,with,commas\""));
         assert!(csv.contains("\"a\"\"b\""));
@@ -261,20 +253,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "row width")]
-    fn mismatched_row_width_panics() {
+    fn mismatched_row_width_is_a_typed_error() {
         let mut t = Table::with_columns("t", &["r", "a"]);
-        t.push_row("x", vec![Cell::num(1.0), Cell::num(2.0)]);
-    }
-
-    #[test]
-    fn try_push_row_reports_the_shape_instead_of_panicking() {
-        let mut t = Table::with_columns("t", &["r", "a"]);
-        let err = t.try_push_row("x", vec![Cell::num(1.0), Cell::num(2.0)]).unwrap_err();
+        let err = t.push_row("x", vec![Cell::num(1.0), Cell::num(2.0)]).unwrap_err();
         assert_eq!((err.expected, err.got), (1, 2));
         assert!(err.to_string().contains("'x'"), "{err}");
         assert_eq!(t.num_rows(), 0, "a rejected row must not be half-applied");
-        t.try_push_row("x", vec![Cell::num(1.0)]).unwrap();
+        let engine_err = corescope_machine::Error::from(err);
+        assert!(engine_err.to_string().contains("data columns"), "{engine_err}");
+        t.push_row("x", vec![Cell::num(1.0)]).unwrap();
         assert_eq!(t.num_rows(), 1);
     }
 

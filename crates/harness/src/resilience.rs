@@ -26,7 +26,7 @@
 
 use crate::context::makespans;
 use crate::fidelity::Fidelity;
-use crate::observe::{cg, pingpong, stream_star};
+use crate::observe::{cg, dmz_stream, pingpong};
 use crate::report::{Cell, Table};
 use corescope_kernels::cg::CgClass;
 use corescope_machine::engine::RunReport;
@@ -91,7 +91,7 @@ fn campaigns(fidelity: Fidelity) -> Vec<Campaign> {
     vec![
         Campaign {
             name: "STREAM triad x4 (F2/F3), DMZ",
-            scenario: Scenario::new(System::Dmz, 4, stream_star(fidelity)).with_fidelity(fidelity),
+            scenario: dmz_stream(fidelity),
             target: FaultTarget::Controllers,
         },
         Campaign {
@@ -299,7 +299,7 @@ pub fn extra3(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
                 Cell::text(row.stall),
                 Cell::text(format!("{}/{}", row.stamped, row.scheduled)),
             ],
-        );
+        )?;
     }
     Ok(vec![table])
 }

@@ -57,7 +57,7 @@ pub use flow::Bottleneck;
 pub use ids::{CoreId, LinkId, NumaNodeId, RankId, SocketId};
 pub use memory::MemoryLayout;
 pub use metrics::{RankSpans, ResourceTimeline, RunMetrics};
-pub use params::{CalibParams, ParamField};
+pub use params::{Axis, CalibParams, ParamField};
 pub use program::{ComputePhase, Op, Program};
 pub use recovery::{young_daly_interval, CheckpointPolicy, CheckpointTarget, RetryPolicy};
 pub use spec::{CacheSpec, CoherenceSpec, CoreSpec, LinkSpec, MachineSpec, MemorySpec};

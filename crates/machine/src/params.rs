@@ -133,12 +133,13 @@ impl std::fmt::Debug for ParamField {
     }
 }
 
-/// Generates [`CalibParams::FIELDS`] and [`CalibParams::to_bits`] from
-/// one `name: lo, hi;` line per field, so the field list is written out
-/// once. Both keep the list's order; `FIELDS` has an explicit length, so
-/// a line that is missing or extra does not compile.
+/// Generates [`CalibParams::FIELDS`], [`CalibParams::to_bits`] and
+/// [`Axis`] from one `Variant name: lo, hi;` line per field, so the field
+/// list is written out once. All three keep the list's order; `FIELDS` has
+/// an explicit length, so a line that is missing or extra does not
+/// compile.
 macro_rules! calib_fields {
-    ($($name:ident: $lo:expr, $hi:expr;)+) => {
+    ($($axis:ident $name:ident: $lo:expr, $hi:expr;)+) => {
         impl CalibParams {
             /// Every field with its bounds, in declaration order. The
             /// stable index of a field in this table is its axis id
@@ -159,35 +160,46 @@ macro_rules! calib_fields {
                 [$(self.$name.to_bits()),+]
             }
         }
+
+        /// One calibration axis, named at compile time: `axis as usize`
+        /// is the field's index in [`CalibParams::FIELDS`], so code that
+        /// names an axis cannot name a field that does not exist.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Axis {
+            $(
+                #[doc = concat!("The `", stringify!($name), "` field.")]
+                $axis,
+            )+
+        }
     };
 }
 
 calib_fields! {
-    flops_per_cycle: 1.0, 4.0;
-    l1_bytes: 16.0 * 1024.0, 256.0 * 1024.0;
-    l2_bytes: 256.0 * 1024.0, 8.0 * 1024.0 * 1024.0;
-    line_bytes: 32.0, 128.0;
-    stream_mlp: 2.0, 16.0;
-    random_mlp: 1.0, 4.0;
-    strided_mlp: 1.0, 4.0;
-    dram_bandwidth: 2e9, 6.4e9;
-    dram_latency: 40e-9, 150e-9;
-    ht_bandwidth: 0.5e9, 4e9;
-    ht_hop_latency: 20e-9, 120e-9;
-    probe_base: 0.0, 100e-9;
-    probe_per_hop: 0.0, 120e-9;
-    probe_capacity_small: 1e10, 1e13;
-    probe_capacity_ladder: 5e9, 1e12;
-    lock_sysv: 0.5e-6, 10e-6;
-    lock_usysv: 0.01e-6, 1e-6;
-    same_socket_boost: 1.0, 1.5;
-    misplacement: 0.0, 0.5;
-    lookup_mlp: 1.0, 8.0;
-    lookup_latency: 0.0, 200e-9;
-    onpkg_bandwidth: 10e9, 200e9;
-    onpkg_latency: 5e-9, 100e-9;
-    tier_dram_bandwidth: 10e9, 128e9;
-    tier_hbm_bandwidth: 100e9, 1600e9;
+    FlopsPerCycle flops_per_cycle: 1.0, 4.0;
+    L1Bytes l1_bytes: 16.0 * 1024.0, 256.0 * 1024.0;
+    L2Bytes l2_bytes: 256.0 * 1024.0, 8.0 * 1024.0 * 1024.0;
+    LineBytes line_bytes: 32.0, 128.0;
+    StreamMlp stream_mlp: 2.0, 16.0;
+    RandomMlp random_mlp: 1.0, 4.0;
+    StridedMlp strided_mlp: 1.0, 4.0;
+    DramBandwidth dram_bandwidth: 2e9, 6.4e9;
+    DramLatency dram_latency: 40e-9, 150e-9;
+    HtBandwidth ht_bandwidth: 0.5e9, 4e9;
+    HtHopLatency ht_hop_latency: 20e-9, 120e-9;
+    ProbeBase probe_base: 0.0, 100e-9;
+    ProbePerHop probe_per_hop: 0.0, 120e-9;
+    ProbeCapacitySmall probe_capacity_small: 1e10, 1e13;
+    ProbeCapacityLadder probe_capacity_ladder: 5e9, 1e12;
+    LockSysv lock_sysv: 0.5e-6, 10e-6;
+    LockUsysv lock_usysv: 0.01e-6, 1e-6;
+    SameSocketBoost same_socket_boost: 1.0, 1.5;
+    Misplacement misplacement: 0.0, 0.5;
+    LookupMlp lookup_mlp: 1.0, 8.0;
+    LookupLatency lookup_latency: 0.0, 200e-9;
+    OnpkgBandwidth onpkg_bandwidth: 10e9, 200e9;
+    OnpkgLatency onpkg_latency: 5e-9, 100e-9;
+    TierDramBandwidth tier_dram_bandwidth: 10e9, 128e9;
+    TierHbmBandwidth tier_hbm_bandwidth: 100e9, 1600e9;
 }
 
 impl CalibParams {
@@ -280,6 +292,13 @@ impl Default for CalibParams {
     }
 }
 
+impl Axis {
+    /// This axis's entry in [`CalibParams::FIELDS`].
+    pub fn field(self) -> &'static ParamField {
+        &CalibParams::FIELDS[self as usize]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,6 +336,14 @@ mod tests {
             assert!(CalibParams::field(f.name).is_some(), "{}", f.name);
         }
         assert!(CalibParams::field("nope").is_none());
+    }
+
+    #[test]
+    fn axes_index_their_fields() {
+        assert_eq!(Axis::FlopsPerCycle.field().name, "flops_per_cycle");
+        assert_eq!(Axis::DramLatency.field().name, "dram_latency");
+        assert_eq!(Axis::TierHbmBandwidth as usize, CalibParams::FIELDS.len() - 1);
+        assert_eq!(Axis::TierHbmBandwidth.field().name, "tier_hbm_bandwidth");
     }
 
     #[test]

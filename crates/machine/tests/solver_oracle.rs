@@ -427,9 +427,10 @@ fn solver_reports_invalid_flows_like_the_one_shot_solve() {
 /// One step of a memo workout over a shared table: `(kind, set,
 /// attribute, (scaled, resource, factor), seed)`.
 ///
-/// A kind of 0 solves ballast `seed`, a large flow set of its own: a few
-/// of these overflow the memo's budget, after which new problems are
-/// solved but not stored. Any other kind solves flow set `set` (taken
+/// A kind of 0 solves ballast `seed`, a large flow set of its own: every
+/// case first poses all twelve (six seeds, both attribution flags), which
+/// fills the memo's budget, after which new problems are solved but not
+/// stored until a capacity change empties the memo. Any other kind solves flow set `set` (taken
 /// modulo the pool), under the shared table or, when `scaled` is 0, under
 /// a copy with one resource's capacity zeroed, halved or doubled (the
 /// next step restores it). An `attribute` of 1 asks for attribution.
@@ -472,10 +473,10 @@ proptest! {
 
     /// One solver driven through repeats of a few flow sets over one
     /// table, with capacities changed and restored between calls,
-    /// attributed and unattributed calls mixed, and ballast that
-    /// overflows the memo's budget, answers every call exactly as a fresh
-    /// one-shot solve: a memoized answer is never stale, never another
-    /// problem's, and never missing its attribution.
+    /// attributed and unattributed calls mixed, and ballast that fills
+    /// the memo's budget before the first step, answers every call exactly
+    /// as a fresh one-shot solve: a memoized answer is never stale, never
+    /// another problem's, and never missing its attribution.
     #[test]
     fn memoized_answers_match_fresh_solves_bit_for_bit(
         raw in raw_problem(),
@@ -486,6 +487,20 @@ proptest! {
         let sets: Vec<Vec<FlowSpec>> =
             pool.iter().map(|(_, flows)| build(&(raw.0.clone(), flows.clone())).1).collect();
         let mut solver = Solver::new();
+        // Fill the memo's budget first, so the steps below also meet a
+        // memo that stores nothing new: twelve ballast problems cost more
+        // than it holds. The first is stored and answered on a repeat; the
+        // last was turned away and is filled again.
+        let ballasts: Vec<(u8, bool)> =
+            (0..6).flat_map(|seed| [(seed, false), (seed, true)]).collect();
+        for &(seed, attribute) in &ballasts {
+            check_fresh(&mut solver, &table, &ballast(seed, table.len()), attribute)?;
+        }
+        for ((seed, attribute), answered) in [(ballasts[0], 1), (ballasts[11], 0)] {
+            let reused = solver.reused();
+            check_fresh(&mut solver, &table, &ballast(seed, table.len()), attribute)?;
+            prop_assert_eq!(solver.reused() - reused, answered, "ballast {} {}", seed, attribute);
+        }
         for &(kind, set, attribute, (scaled, r, factor), seed) in &steps {
             let attribute = attribute == 1;
             if kind == 0 {
@@ -500,7 +515,7 @@ proptest! {
             }
             check_fresh(&mut solver, &table, &sets[set % sets.len()], attribute)?;
         }
-        prop_assert_eq!(solver.solves(), steps.len());
+        prop_assert_eq!(solver.solves(), ballasts.len() + 2 + steps.len());
     }
 }
 
