@@ -4,8 +4,8 @@
 //! paper (`src/bin/repro.rs`), plus the `corescope-serve` service and the
 //! `store_fsck` store tool.
 //!
-//! Also home to [`validate_chrome_trace`], a serde-free sanity check for
-//! the Chrome-trace JSON that `repro --trace` emits — CI runs it on the
+//! Also home to [`validate_chrome_trace`], a sanity check for the
+//! Chrome-trace JSON that `repro --trace` emits — CI runs it on the
 //! smoke-test output so a malformed exporter fails the build rather than
 //! failing silently in `chrome://tracing`.
 
@@ -38,81 +38,32 @@ pub fn write_tables_csv(dir: &Path, id: &str, tables: &[Table]) -> Result<Vec<Pa
     Ok(written)
 }
 
-/// Structural sanity check for an exported Chrome trace, without a JSON
-/// dependency.
+/// Structural sanity check for an exported Chrome trace.
 ///
-/// Verifies that the document is a single object with balanced braces and
-/// brackets (tracked outside string literals, honouring escapes), that no
-/// text trails the final brace, and that the Chrome-trace essentials —
-/// a `"traceEvents"` array and `"ph"` / `"ts"` / `"pid"` event fields —
-/// are present.
+/// Parses the document with the workspace's JSON reader
+/// ([`corescope_sched::json::parse`]), which rejects unbalanced
+/// containers, unterminated strings and trailing text, then checks the
+/// Chrome-trace essentials: the root is an object whose `"traceEvents"`
+/// is a non-empty array of events, each carrying `"ph"`, `"ts"` and
+/// `"pid"`.
 ///
 /// # Errors
 ///
 /// Returns a one-line description of the first structural problem found.
 pub fn validate_chrome_trace(json: &str) -> Result<(), String> {
-    let trimmed = json.trim();
-    if !trimmed.starts_with('{') {
-        return Err("trace must be a JSON object (expected leading '{')".to_string());
+    let root = corescope_sched::json::parse(json)?;
+    let events = root
+        .get("traceEvents")
+        .and_then(|e| e.as_arr())
+        .ok_or("missing required Chrome-trace array \"traceEvents\"")?;
+    if events.is_empty() {
+        return Err("\"traceEvents\" holds no events".to_string());
     }
-    let mut depth_braces: i64 = 0;
-    let mut depth_brackets: i64 = 0;
-    let mut in_string = false;
-    let mut escaped = false;
-    let mut closed_at = None;
-    for (i, c) in trimmed.char_indices() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            } else if c.is_control() {
-                return Err(format!("unescaped control character {c:?} inside a string"));
+    for (i, event) in events.iter().enumerate() {
+        for field in ["ph", "ts", "pid"] {
+            if event.get(field).is_none() {
+                return Err(format!("trace event {i} lacks required field \"{field}\""));
             }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' => depth_braces += 1,
-            '}' => {
-                depth_braces -= 1;
-                if depth_braces < 0 {
-                    return Err(format!("unbalanced '}}' at byte {i}"));
-                }
-                if depth_braces == 0 && closed_at.is_none() {
-                    closed_at = Some(i);
-                }
-            }
-            '[' => depth_brackets += 1,
-            ']' => {
-                depth_brackets -= 1;
-                if depth_brackets < 0 {
-                    return Err(format!("unbalanced ']' at byte {i}"));
-                }
-            }
-            _ => {}
-        }
-    }
-    if in_string {
-        return Err("unterminated string literal".to_string());
-    }
-    if depth_braces != 0 || depth_brackets != 0 {
-        return Err(format!(
-            "unbalanced document: {depth_braces} braces, {depth_brackets} brackets left open"
-        ));
-    }
-    match closed_at {
-        Some(i) if i + 1 < trimmed.len() => {
-            return Err("text after the closing brace of the root object".to_string())
-        }
-        None => return Err("root object never closes".to_string()),
-        _ => {}
-    }
-    for required in ["\"traceEvents\"", "\"ph\"", "\"ts\"", "\"pid\""] {
-        if !trimmed.contains(required) {
-            return Err(format!("missing required Chrome-trace field {required}"));
         }
     }
     Ok(())

@@ -63,11 +63,12 @@ fn edit_distance(a: &str, b: &str) -> usize {
 
 impl fmt::Display for UnknownArtifact {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ids: Vec<&str> = CATALOGUE.iter().map(|e| e.id).collect();
         write!(
             f,
-            "unknown artifact '{}' (valid ids are t1..t14, f2..f17, x1..x5, x7, x9, x10, x11; \
-             run with --list for the catalogue)",
-            self.requested
+            "unknown artifact '{}' (valid ids are {}; run with --list for the catalogue)",
+            self.requested,
+            ids.join(", ")
         )?;
         if let Some(nearest) = self.nearest() {
             write!(f, " — did you mean '{nearest}'?")?;
@@ -78,128 +79,174 @@ impl fmt::Display for UnknownArtifact {
 
 impl std::error::Error for UnknownArtifact {}
 
-/// Every table and figure of the paper's evaluation, by its number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)] // variants are the paper's artifact numbers
-pub enum Artifact {
-    T1,
-    F2,
-    F3,
-    F4,
-    F5,
-    F6,
-    F7,
-    F8,
-    F9,
-    F10,
-    F11,
-    F12,
-    F13,
-    F14,
-    F15,
-    F16,
-    F17,
-    T2,
-    T3,
-    T4,
-    T5,
-    T6,
-    T7,
-    T8,
-    T9,
-    T10,
-    T11,
-    T12,
-    T13,
-    T14,
-    /// Extra (not in the paper): the hybrid programming model Section
-    /// 3.4 proposes, measured.
-    X1,
-    /// Extra: predicted lmbench-style memory-latency plateaus.
-    X2,
-    /// Extra: fault-injection resilience campaign (scheduled brownouts,
-    /// kills, and rank stalls with bounded-degradation checks).
-    X3,
-    /// Extra: time-resolved bottleneck attribution for STREAM, PingPong,
-    /// and NAS CG on all three systems.
-    X4,
-    /// Extra: recovery campaign — checkpoint/restart under rank-kill
-    /// faults, swept around the Young/Daly optimum with bounded-recovery
-    /// and attribution-shift checks.
-    X5,
-    /// Extra: auto-calibration — fit the model parameters back to the
-    /// paper targets from a perturbed start, with recovery, headline and
-    /// sensitivity invariants checked.
-    X7,
-    /// Extra: crash-safe campaign store — a sweep killed mid-write must
-    /// recover, resume past committed scenarios, and aggregate
-    /// byte-identically to an uninterrupted run.
-    X9,
-    /// Extra: the XSBench-style cross-section lookup family — table
-    /// size × placement sweep with a checked first-touch/interleave
-    /// NUMA crossover.
-    X10,
-    /// Extra: the "then vs now" generation study — STREAM and the
-    /// lookup proxy swept over every `corescope-topo` generation,
-    /// hard-asserting that at least two 2006 placement verdicts flip
-    /// on the chiplet and memory-tier machines.
-    X11,
+/// One catalogue row: everything the catalogue knows about an artifact.
+struct Entry {
+    id: &'static str,
+    title: &'static str,
+    describe: &'static str,
+    run: fn(Fidelity, &Scheduler) -> Result<Vec<Table>>,
+}
+
+/// Declares the artifact catalogue once, in paper order, one row per
+/// artifact: `Variant "id" => runner, "title", "description";`. Generates
+/// the [`Artifact`] enum (each variant documented by its title), the
+/// `CATALOGUE` rows that [`Artifact::id`], [`Artifact::title`],
+/// [`Artifact::describe`] and [`Artifact::run_with`] read, and
+/// [`Artifact::all`].
+macro_rules! artifacts {
+    ($($variant:ident $id:literal => $run:expr, $title:literal, $describe:literal;)+) => {
+        /// Every table and figure of the paper's evaluation by its number,
+        /// then the extras the paper does not have.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Artifact {
+            $(#[doc = $title] $variant,)+
+        }
+
+        /// The catalogue rows, indexed by `artifact as usize`.
+        const CATALOGUE: &[Entry] = &[$(Entry {
+            id: $id,
+            title: $title,
+            describe: $describe,
+            run: $run,
+        }),+];
+
+        impl Artifact {
+            /// All artifacts in paper order.
+            pub fn all() -> Vec<Artifact> {
+                vec![$(Artifact::$variant),+]
+            }
+        }
+    };
+}
+
+artifacts! {
+    T1 "t1" => |_, _| Ok(vec![statics::table1()?]),
+        "Table 1: System configurations",
+        "static system-configuration table (Tiger, DMZ, Longs)";
+    F2 "f2" => stream::figure2,
+        "Figure 2: Memory bandwidth",
+        "STREAM aggregate bandwidth vs core count on all three systems";
+    F3 "f3" => stream::figure3,
+        "Figure 3: Memory bandwidth per core",
+        "STREAM per-core bandwidth: second cores add nothing on Longs";
+    F4 "f4" => blas::figure4,
+        "Figure 4: DAXPY performance (ACML)",
+        "DAXPY GFlop/s with the tuned (ACML-style) BLAS";
+    F5 "f5" => blas::figure5,
+        "Figure 5: DAXPY performance per core (vanilla)",
+        "DAXPY per-core GFlop/s with the vanilla BLAS";
+    F6 "f6" => blas::figure6,
+        "Figure 6: DGEMM performance (ACML)",
+        "DGEMM GFlop/s with the tuned (ACML-style) BLAS";
+    F7 "f7" => blas::figure7,
+        "Figure 7: DGEMM performance per core (vanilla)",
+        "DGEMM per-core GFlop/s with the vanilla BLAS";
+    F8 "f8" => hpcc::figure8,
+        "Figure 8: HPL performance with LAM/NUMA options",
+        "HPL under the LAM/numactl placement options";
+    F9 "f9" => hpcc::figure9,
+        "Figure 9: Processor performance with runtime options",
+        "compute-bound kernels are placement-insensitive";
+    F10 "f10" => stream::figure10,
+        "Figure 10: LAM/NUMA options vs memory performance (STREAM)",
+        "STREAM under the placement options: local alloc wins";
+    F11 "f11" => hpcc::figure11,
+        "Figure 11: HPCC RandomAccess with runtime options",
+        "HPCC RandomAccess under the placement options";
+    F12 "f12" => hpcc::figure12,
+        "Figure 12: LAM/NUMA options vs communication performance (PTRANS)",
+        "HPCC PTRANS: placement moves communication bandwidth";
+    F13 "f13" => hpcc::figure13,
+        "Figure 13: Communication latency",
+        "PingPong latency on Longs: SysV vs spin-lock transports";
+    F14 "f14" => imb::figure14,
+        "Figure 14: Intra-node IMB PingPong across MPI implementations",
+        "intra-node PingPong latency across MPI implementations";
+    F15 "f15" => imb::figure15,
+        "Figure 15: Intra-node IMB Exchange across MPI implementations",
+        "intra-node Exchange across MPI implementations";
+    F16 "f16" => imb::figure16,
+        "Figure 16: OpenMPI PingPong with scheduler affinity",
+        "OpenMPI PingPong with and without scheduler affinity";
+    F17 "f17" => imb::figure17,
+        "Figure 17: OpenMPI Exchange with scheduler affinity",
+        "OpenMPI Exchange with and without scheduler affinity";
+    T2 "t2" => nas::table2,
+        "Table 2: numactl options vs NAS CG/FT on Longs",
+        "numactl options vs NAS CG/FT on Longs (membind penalty)";
+    T3 "t3" => nas::table3,
+        "Table 3: numactl options vs NAS CG/FT on DMZ",
+        "numactl options vs NAS CG/FT on DMZ (smaller penalty)";
+    T4 "t4" => nas::table4,
+        "Table 4: Multi-core speedup for NAS benchmarks",
+        "NAS multi-core speedup: memory-bound codes stall at 8";
+    T5 "t5" => |_, _| Ok(vec![statics::table5()?]),
+        "Table 5: numactl options used for experiments",
+        "static catalogue of the numactl option bundles";
+    T6 "t6" => |_, _| Ok(vec![statics::table6()?]),
+        "Table 6: AMBER benchmark descriptions",
+        "static catalogue of the AMBER benchmark inputs";
+    T7 "t7" => amber::table7,
+        "Table 7: FFT performance in the JAC benchmark",
+        "FFT share of JAC: small transforms, cache-resident";
+    T8 "t8" => amber::table8,
+        "Table 8: AMBER PME/GB multi-core speedup",
+        "AMBER PME/GB speedup: GB scales, PME saturates";
+    T9 "t9" => amber::table9,
+        "Table 9: Overall performance of the JAC benchmark",
+        "JAC wall time under the placement options";
+    T10 "t10" => lammps::table10,
+        "Table 10: LAMMPS multi-core speedup",
+        "LAMMPS speedup: neighbor-list traffic caps scaling";
+    T11 "t11" => lammps::table11,
+        "Table 11: numactl options vs LAMMPS LJ",
+        "numactl options vs LAMMPS Lennard-Jones wall time";
+    T12 "t12" => pop::table12,
+        "Table 12: POP multi-core speedup",
+        "POP speedup: barotropic solver is latency-bound";
+    T13 "t13" => pop::table13,
+        "Table 13: numactl options vs POP baroclinic time",
+        "numactl options vs POP baroclinic (bandwidth-bound) time";
+    T14 "t14" => pop::table14,
+        "Table 14: numactl options vs POP barotropic time",
+        "numactl options vs POP barotropic (latency-bound) time";
+    X1 "x1" => hybrid::extra1,
+        "Extra X1: hybrid (OpenMP-in-socket) vs pure MPI",
+        "hybrid OpenMP-in-socket vs pure MPI, as Section 3.4 proposes";
+    X2 "x2" => |_, _| Ok(vec![statics::extra2()?]),
+        "Extra X2: memory-latency plateaus (lmbench-style)",
+        "analytic lmbench-style memory-latency plateaus per system";
+    X3 "x3" => crate::resilience::extra3,
+        "Extra X3: fault-injection resilience campaign",
+        "fault-injection campaign with bounded-degradation checks";
+    X4 "x4" => |fidelity, _| bottleneck::extra4(fidelity),
+        "Extra X4: time-resolved bottleneck attribution",
+        "time-resolved bottleneck attribution for STREAM/PingPong/CG";
+    X5 "x5" => recovery::extra5,
+        "Extra X5: recovery campaign (checkpoint/restart under rank kills)",
+        "checkpoint/restart under rank kills, swept around Young/Daly";
+    X7 "x7" => calibration::extra7,
+        "Extra X7: auto-calibration against the paper-target registry",
+        "fit the calibration back to the paper targets from a perturbed start";
+    X9 "x9" => campaign::extra9,
+        "Extra X9: crash-safe campaign store (kill-anywhere resume)",
+        "kill a store-backed sweep mid-write; resume must aggregate identically";
+    X10 "x10" => xs::extra10,
+        "Extra X10: cross-section lookup NUMA crossover (XSBench-style)",
+        "table size x placement sweep; first-touch/interleave crossover checked";
+    X11 "x11" => topo::extra11,
+        "Extra X11: then vs now — 2006 verdicts across machine generations",
+        "sweep STREAM + xs-lookup over all generations; >=2 2006 verdicts flip";
 }
 
 impl Artifact {
-    /// All artifacts in paper order.
-    pub fn all() -> Vec<Artifact> {
-        use Artifact::*;
-        vec![
-            T1, F2, F3, F4, F5, F6, F7, F8, F9, F10, F11, F12, F13, F14, F15, F16, F17, T2, T3, T4,
-            T5, T6, T7, T8, T9, T10, T11, T12, T13, T14, X1, X2, X3, X4, X5, X7, X9, X10, X11,
-        ]
+    fn entry(self) -> &'static Entry {
+        &CATALOGUE[self as usize]
     }
 
     /// Lowercase id used on the `repro` command line ("t2", "f10", ...).
     pub fn id(self) -> &'static str {
-        use Artifact::*;
-        match self {
-            T1 => "t1",
-            F2 => "f2",
-            F3 => "f3",
-            F4 => "f4",
-            F5 => "f5",
-            F6 => "f6",
-            F7 => "f7",
-            F8 => "f8",
-            F9 => "f9",
-            F10 => "f10",
-            F11 => "f11",
-            F12 => "f12",
-            F13 => "f13",
-            F14 => "f14",
-            F15 => "f15",
-            F16 => "f16",
-            F17 => "f17",
-            T2 => "t2",
-            T3 => "t3",
-            T4 => "t4",
-            T5 => "t5",
-            T6 => "t6",
-            T7 => "t7",
-            T8 => "t8",
-            T9 => "t9",
-            T10 => "t10",
-            T11 => "t11",
-            T12 => "t12",
-            T13 => "t13",
-            T14 => "t14",
-            X1 => "x1",
-            X2 => "x2",
-            X3 => "x3",
-            X4 => "x4",
-            X5 => "x5",
-            X7 => "x7",
-            X9 => "x9",
-            X10 => "x10",
-            X11 => "x11",
-        }
+        self.entry().id
     }
 
     /// Parses an artifact id.
@@ -218,95 +265,13 @@ impl Artifact {
 
     /// The paper's caption, abbreviated.
     pub fn title(self) -> &'static str {
-        use Artifact::*;
-        match self {
-            T1 => "Table 1: System configurations",
-            F2 => "Figure 2: Memory bandwidth",
-            F3 => "Figure 3: Memory bandwidth per core",
-            F4 => "Figure 4: DAXPY performance (ACML)",
-            F5 => "Figure 5: DAXPY performance per core (vanilla)",
-            F6 => "Figure 6: DGEMM performance (ACML)",
-            F7 => "Figure 7: DGEMM performance per core (vanilla)",
-            F8 => "Figure 8: HPL performance with LAM/NUMA options",
-            F9 => "Figure 9: Processor performance with runtime options",
-            F10 => "Figure 10: LAM/NUMA options vs memory performance (STREAM)",
-            F11 => "Figure 11: HPCC RandomAccess with runtime options",
-            F12 => "Figure 12: LAM/NUMA options vs communication performance (PTRANS)",
-            F13 => "Figure 13: Communication latency",
-            F14 => "Figure 14: Intra-node IMB PingPong across MPI implementations",
-            F15 => "Figure 15: Intra-node IMB Exchange across MPI implementations",
-            F16 => "Figure 16: OpenMPI PingPong with scheduler affinity",
-            F17 => "Figure 17: OpenMPI Exchange with scheduler affinity",
-            T2 => "Table 2: numactl options vs NAS CG/FT on Longs",
-            T3 => "Table 3: numactl options vs NAS CG/FT on DMZ",
-            T4 => "Table 4: Multi-core speedup for NAS benchmarks",
-            T5 => "Table 5: numactl options used for experiments",
-            T6 => "Table 6: AMBER benchmark descriptions",
-            T7 => "Table 7: FFT performance in the JAC benchmark",
-            T8 => "Table 8: AMBER PME/GB multi-core speedup",
-            T9 => "Table 9: Overall performance of the JAC benchmark",
-            T10 => "Table 10: LAMMPS multi-core speedup",
-            T11 => "Table 11: numactl options vs LAMMPS LJ",
-            T12 => "Table 12: POP multi-core speedup",
-            T13 => "Table 13: numactl options vs POP baroclinic time",
-            T14 => "Table 14: numactl options vs POP barotropic time",
-            X1 => "Extra X1: hybrid (OpenMP-in-socket) vs pure MPI",
-            X2 => "Extra X2: memory-latency plateaus (lmbench-style)",
-            X3 => "Extra X3: fault-injection resilience campaign",
-            X4 => "Extra X4: time-resolved bottleneck attribution",
-            X5 => "Extra X5: recovery campaign (checkpoint/restart under rank kills)",
-            X7 => "Extra X7: auto-calibration against the paper-target registry",
-            X9 => "Extra X9: crash-safe campaign store (kill-anywhere resume)",
-            X10 => "Extra X10: cross-section lookup NUMA crossover (XSBench-style)",
-            X11 => "Extra X11: then vs now — 2006 verdicts across machine generations",
-        }
+        self.entry().title
     }
 
     /// One-line description for the `repro --list` catalogue: what the
     /// artifact measures and which claim it carries.
     pub fn describe(self) -> &'static str {
-        use Artifact::*;
-        match self {
-            T1 => "static system-configuration table (Tiger, DMZ, Longs)",
-            F2 => "STREAM aggregate bandwidth vs core count on all three systems",
-            F3 => "STREAM per-core bandwidth: second cores add nothing on Longs",
-            F4 => "DAXPY GFlop/s with the tuned (ACML-style) BLAS",
-            F5 => "DAXPY per-core GFlop/s with the vanilla BLAS",
-            F6 => "DGEMM GFlop/s with the tuned (ACML-style) BLAS",
-            F7 => "DGEMM per-core GFlop/s with the vanilla BLAS",
-            F8 => "HPL under the LAM/numactl placement options",
-            F9 => "compute-bound kernels are placement-insensitive",
-            F10 => "STREAM under the placement options: local alloc wins",
-            F11 => "HPCC RandomAccess under the placement options",
-            F12 => "HPCC PTRANS: placement moves communication bandwidth",
-            F13 => "PingPong latency on Longs: SysV vs spin-lock transports",
-            F14 => "intra-node PingPong latency across MPI implementations",
-            F15 => "intra-node Exchange across MPI implementations",
-            F16 => "OpenMPI PingPong with and without scheduler affinity",
-            F17 => "OpenMPI Exchange with and without scheduler affinity",
-            T2 => "numactl options vs NAS CG/FT on Longs (membind penalty)",
-            T3 => "numactl options vs NAS CG/FT on DMZ (smaller penalty)",
-            T4 => "NAS multi-core speedup: memory-bound codes stall at 8",
-            T5 => "static catalogue of the numactl option bundles",
-            T6 => "static catalogue of the AMBER benchmark inputs",
-            T7 => "FFT share of JAC: small transforms, cache-resident",
-            T8 => "AMBER PME/GB speedup: GB scales, PME saturates",
-            T9 => "JAC wall time under the placement options",
-            T10 => "LAMMPS speedup: neighbor-list traffic caps scaling",
-            T11 => "numactl options vs LAMMPS Lennard-Jones wall time",
-            T12 => "POP speedup: barotropic solver is latency-bound",
-            T13 => "numactl options vs POP baroclinic (bandwidth-bound) time",
-            T14 => "numactl options vs POP barotropic (latency-bound) time",
-            X1 => "hybrid OpenMP-in-socket vs pure MPI, as Section 3.4 proposes",
-            X2 => "analytic lmbench-style memory-latency plateaus per system",
-            X3 => "fault-injection campaign with bounded-degradation checks",
-            X4 => "time-resolved bottleneck attribution for STREAM/PingPong/CG",
-            X5 => "checkpoint/restart under rank kills, swept around Young/Daly",
-            X7 => "fit the calibration back to the paper targets from a perturbed start",
-            X9 => "kill a store-backed sweep mid-write; resume must aggregate identically",
-            X10 => "table size x placement sweep; first-touch/interleave crossover checked",
-            X11 => "sweep STREAM + xs-lookup over all generations; >=2 2006 verdicts flip",
-        }
+        self.entry().describe
     }
 
     /// Regenerates the artifact with a private single-job scheduler.
@@ -327,48 +292,7 @@ impl Artifact {
     ///
     /// Propagates engine errors from the underlying simulations.
     pub fn run_with(self, fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
-        use Artifact::*;
-        match self {
-            T1 => Ok(vec![statics::table1()?]),
-            T5 => Ok(vec![statics::table5()?]),
-            T6 => Ok(vec![statics::table6()?]),
-            F2 => stream::figure2(fidelity, sched),
-            F3 => stream::figure3(fidelity, sched),
-            F4 => blas::figure4(fidelity, sched),
-            F5 => blas::figure5(fidelity, sched),
-            F6 => blas::figure6(fidelity, sched),
-            F7 => blas::figure7(fidelity, sched),
-            F8 => hpcc::figure8(fidelity, sched),
-            F9 => hpcc::figure9(fidelity, sched),
-            F10 => stream::figure10(fidelity, sched),
-            F11 => hpcc::figure11(fidelity, sched),
-            F12 => hpcc::figure12(fidelity, sched),
-            F13 => hpcc::figure13(fidelity, sched),
-            F14 => imb::figure14(fidelity, sched),
-            F15 => imb::figure15(fidelity, sched),
-            F16 => imb::figure16(fidelity, sched),
-            F17 => imb::figure17(fidelity, sched),
-            T2 => nas::table2(fidelity, sched),
-            T3 => nas::table3(fidelity, sched),
-            T4 => nas::table4(fidelity, sched),
-            T7 => amber::table7(fidelity, sched),
-            T8 => amber::table8(fidelity, sched),
-            T9 => amber::table9(fidelity, sched),
-            T10 => lammps::table10(fidelity, sched),
-            T11 => lammps::table11(fidelity, sched),
-            T12 => pop::table12(fidelity, sched),
-            T13 => pop::table13(fidelity, sched),
-            T14 => pop::table14(fidelity, sched),
-            X1 => hybrid::extra1(fidelity, sched),
-            X2 => Ok(vec![statics::extra2()?]),
-            X3 => crate::resilience::extra3(fidelity, sched),
-            X4 => bottleneck::extra4(fidelity),
-            X5 => recovery::extra5(fidelity, sched),
-            X7 => calibration::extra7(fidelity, sched),
-            X9 => campaign::extra9(fidelity, sched),
-            X10 => xs::extra10(fidelity, sched),
-            X11 => topo::extra11(fidelity, sched),
-        }
+        (self.entry().run)(fidelity, sched)
     }
 
     /// Regenerates the artifact restricted to an explicit machine set
@@ -442,6 +366,23 @@ mod tests {
         let err = Artifact::from_id("zzzzzzzz").unwrap_err();
         assert_eq!(err.nearest(), None);
         assert!(!err.to_string().contains("did you mean"));
+    }
+
+    #[test]
+    fn the_table_names_every_id_and_numbers_every_title() {
+        let rendered = Artifact::from_id("zzzzzzzz").unwrap_err().to_string();
+        let listed = rendered.split("valid ids are ").nth(1).and_then(|r| r.split(';').next());
+        let ids: Vec<&str> = Artifact::all().into_iter().map(Artifact::id).collect();
+        assert_eq!(listed, Some(ids.join(", ").as_str()), "{rendered}");
+        for a in Artifact::all() {
+            let (kind, number) = a.id().split_at(1);
+            let prefix = match kind {
+                "t" => format!("Table {number}: "),
+                "f" => format!("Figure {number}: "),
+                _ => format!("Extra X{number}: "),
+            };
+            assert!(a.title().starts_with(&prefix), "{}: {}", a.id(), a.title());
+        }
     }
 
     #[test]

@@ -24,6 +24,7 @@ use corescope_kernels::cg::CgClass;
 use corescope_machine::{
     CheckpointPolicy, Error, FaultPlan, RankId, Result, RunTrace, TraceConfig,
 };
+use corescope_sched::json::{escape, num};
 use corescope_sched::{Placement, Scenario, System, Workload};
 use std::fmt::Write as _;
 
@@ -123,31 +124,6 @@ pub(crate) fn traced(scenario: &Scenario) -> Result<RunTrace> {
     observed.trace.ok_or_else(|| Error::InvalidSpec("traced run produced no trace".to_string()))
 }
 
-/// Escapes a string for a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an f64 as a JSON number (JSON has no NaN/inf: those become 0).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
 /// Seconds to the trace-event format's microsecond timestamps.
 fn us(seconds: f64) -> String {
     num(seconds * 1e6)
@@ -181,12 +157,12 @@ pub fn chrome_trace_json(label: &str, trace: &RunTrace) -> String {
     for span in &trace.spans {
         let bottleneck = span
             .dominant_bottleneck()
-            .map_or_else(|| "none".to_string(), |b| esc(trace.bottleneck_label(b)));
+            .map_or_else(|| "none".to_string(), |b| escape(trace.bottleneck_label(b)));
         events.push(format!(
             "{{\"ph\":\"X\",\"pid\":0,\"tid\":{},\"name\":\"{}\",\"cat\":\"{}\",\
              \"ts\":{},\"dur\":{},\"args\":{{\"bottleneck\":\"{}\"}}}}",
             span.rank,
-            esc(span.label),
+            escape(span.label),
             span.kind.name(),
             us(span.t0),
             us(span.duration()),
@@ -199,7 +175,7 @@ pub fn chrome_trace_json(label: &str, trace: &RunTrace) -> String {
             if r > 0 {
                 args.push(',');
             }
-            let _ = write!(args, "\"{}\":{}", esc(&trace.resource_names[r]), num(*u));
+            let _ = write!(args, "\"{}\":{}", escape(&trace.resource_names[r]), num(*u));
         }
         events.push(format!(
             "{{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"name\":\"utilization\",\"ts\":{},\
@@ -210,14 +186,14 @@ pub fn chrome_trace_json(label: &str, trace: &RunTrace) -> String {
     for stamp in &trace.faults {
         events.push(format!(
             "{{\"ph\":\"i\",\"pid\":0,\"tid\":0,\"s\":\"g\",\"name\":\"{}\",\"ts\":{}}}",
-            esc(&format!("{:?}", stamp.kind)),
+            escape(&format!("{:?}", stamp.kind)),
             us(stamp.fired),
         ));
     }
     format!(
         "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{\"label\":\"{}\",\"end_time_s\":{}}},\
          \"traceEvents\":[\n{}\n]}}\n",
-        esc(label),
+        escape(label),
         num(trace.end_time),
         events.join(",\n"),
     )
@@ -311,11 +287,5 @@ mod tests {
             rows += 1;
         }
         assert_eq!(rows, bundle.trace.intervals.len());
-    }
-
-    #[test]
-    fn json_escaping_handles_quotes_and_controls() {
-        assert_eq!(esc("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
-        assert_eq!(num(f64::NAN), "0");
     }
 }

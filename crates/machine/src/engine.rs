@@ -194,17 +194,6 @@ impl<'m> Engine<'m> {
         self
     }
 
-    /// Degrades (or restores) a directed link's capacity — failure
-    /// injection for robustness tests.
-    pub fn set_link_capacity(&mut self, link: LinkId, capacity: f64) {
-        self.resources.set_capacity(self.link_index[link.index()], capacity);
-    }
-
-    /// Degrades (or restores) a socket's memory-controller capacity.
-    pub fn set_controller_capacity(&mut self, socket: SocketId, capacity: f64) {
-        self.resources.set_capacity(self.mc_index[socket.index()], capacity);
-    }
-
     /// Runs one simulation.
     ///
     /// # Errors
@@ -341,10 +330,9 @@ impl<'m> Engine<'m> {
 
     /// Lowers a [`FaultKind`] to a resource index and absolute capacity.
     ///
-    /// Capacity factors are relative to *nominal* capacity: whatever this
-    /// engine was configured with before the run (including pre-run
-    /// [`Engine::set_link_capacity`] overrides), so restores and repeated
-    /// degrades never compound.
+    /// Capacity factors are relative to *nominal* capacity, the one the
+    /// machine spec gives the resource, so restores and repeated degrades
+    /// never compound.
     fn resolve_fault(&self, kind: FaultKind) -> Result<ResolvedFault> {
         let scaled = |index: ResourceIndex, factor: f64| ResolvedFault::SetCapacity {
             index,
@@ -1995,14 +1983,13 @@ mod tests {
     #[test]
     fn dead_link_surfaces_as_error() {
         let m = Machine::new(systems::dmz());
-        let mut engine = Engine::new(&m);
-        engine.set_link_capacity(LinkId::new(0), 0.0);
-        engine.set_link_capacity(LinkId::new(1), 0.0);
+        let plan = (0..2).fold(FaultPlan::new(), |p, l| p.link_degrade(0.0, LinkId::new(l), 0.0));
         // Remote memory traffic must cross the dead link.
-        let err = engine
-            .run(
+        let err = Engine::new(&m)
+            .run_with_faults(
                 &[RankPlacement::new(CoreId::new(0), MemoryLayout::single(NumaNodeId::new(1)))],
                 &[stream_program(1e6)],
+                &plan,
             )
             .unwrap_err();
         assert!(matches!(err, Error::ZeroCapacityRoute { .. }), "{err}");

@@ -10,13 +10,13 @@
 //! restore speeds them back up.
 //!
 //! Capacity faults are expressed as a `factor` applied to the resource's
-//! *nominal* capacity (whatever the engine was configured with before the
-//! run, including any pre-run [`crate::Engine::set_link_capacity`]
-//! overrides). `factor == 0.0` kills the resource outright; restore events
-//! return it to nominal. Rank faults freeze a rank's instruction stream:
-//! a stalled rank finishes the operation it is currently executing but
-//! dispatches nothing further until a matching [`FaultKind::RankResume`]
-//! fires. A rank stalled forever surfaces as
+//! *nominal* capacity, the one the machine spec gives it. `factor == 0.0`
+//! kills the resource outright; restore events return it to nominal. A
+//! fault at `t = 0` fires before the first operation is dispatched, so it
+//! sets a capacity for the whole run. Rank faults freeze a rank's
+//! instruction stream: a stalled rank finishes the operation it is
+//! currently executing but dispatches nothing further until a matching
+//! [`FaultKind::RankResume`] fires. A rank stalled forever surfaces as
 //! [`crate::Error::RankStalled`], never as a hang — the engine's watchdog
 //! guarantees every starved configuration returns a typed error.
 //!

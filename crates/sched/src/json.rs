@@ -378,6 +378,8 @@ mod tests {
         assert_eq!(escape("a\"b\\c\n\u{1}"), "a\\\"b\\\\c\\n\\u0001");
         let round = parse(&format!("\"{}\"", escape("a\"b\\c\n\u{1}"))).unwrap();
         assert_eq!(round, Value::Str("a\"b\\c\n\u{1}".to_string()));
+        assert_eq!(num(f64::NAN), "0");
+        assert_eq!(num(f64::INFINITY), "0");
     }
 
     #[test]

@@ -40,112 +40,12 @@ use corescope_machine::{
     SocketId, TraceConfig, TrafficProfile,
 };
 use corescope_smpi::{CommWorld, LockLayer, MpiImpl};
-use corescope_topo::Generation;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// The evaluation machines: the paper's Table 1 systems plus the
-/// modern `corescope-topo` generations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum System {
-    /// Cray XD1 node, 2 × single-core Opteron 248.
-    Tiger,
-    /// 2 × dual-core Opteron 275.
-    Dmz,
-    /// Iwill H8501, 8 × dual-core Opteron 865.
-    Longs,
-    /// Modern: 2 packages × 4 chiplets × 4 cores, on-package mesh.
-    Epyc,
-    /// Modern: 16-core node with DRAM plus an HBM memory-only node.
-    Hbm,
-}
-
-/// A request named a machine generation that does not exist. Carries
-/// the requested string so `repro --machine` can report it next to the
-/// valid generation list instead of guessing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownSystem {
-    /// What the request said, verbatim.
-    pub requested: String,
-}
-
-impl std::fmt::Display for UnknownSystem {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let valid: Vec<&str> = System::all().iter().map(|s| s.key()).collect();
-        write!(
-            f,
-            "unknown machine '{}' (valid generations are {})",
-            self.requested,
-            valid.join(", ")
-        )
-    }
-}
-
-impl std::error::Error for UnknownSystem {}
-
-impl System {
-    /// How many systems there are.
-    pub(crate) const COUNT: usize = 5;
-
-    /// Every system, oldest generation first.
-    pub fn all() -> [System; System::COUNT] {
-        [System::Tiger, System::Dmz, System::Longs, System::Epyc, System::Hbm]
-    }
-
-    /// Stable lowercase key (JSON and encoding).
-    pub fn key(self) -> &'static str {
-        self.generation().key()
-    }
-
-    /// Parses [`System::key`] output.
-    pub fn parse(s: &str) -> Option<System> {
-        System::all().into_iter().find(|sys| sys.key() == s)
-    }
-
-    /// Parses a machine key with a typed error for unknown names —
-    /// backs the `repro --machine` axis, so a typo reports the valid
-    /// generation list instead of silently running the default sweep.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownSystem`] carrying the requested string.
-    pub fn from_key(s: &str) -> std::result::Result<System, UnknownSystem> {
-        System::parse(&s.to_lowercase()).ok_or_else(|| UnknownSystem { requested: s.to_string() })
-    }
-
-    /// The corresponding `corescope-topo` generation: every system is
-    /// built through the generator (byte-identical to the historical
-    /// `systems::*` constructors for the 2006 machines).
-    pub fn generation(self) -> Generation {
-        match self {
-            System::Tiger => Generation::Tiger,
-            System::Dmz => Generation::Dmz,
-            System::Longs => Generation::Longs,
-            System::Epyc => Generation::Epyc,
-            System::Hbm => Generation::Hbm,
-        }
-    }
-
-    /// The preset machine spec.
-    pub fn spec(self) -> MachineSpec {
-        self.spec_with(&CalibParams::paper_2006())
-    }
-
-    /// The machine spec built from an arbitrary calibration point.
-    pub fn spec_with(self, params: &CalibParams) -> MachineSpec {
-        self.generation().spec_with(params)
-    }
-
-    /// Builds the machine.
-    pub fn machine(self) -> Machine {
-        Machine::new(self.spec())
-    }
-
-    /// Builds the machine from an arbitrary calibration point.
-    pub fn machine_with(self, params: &CalibParams) -> Machine {
-        Machine::new(self.spec_with(params))
-    }
-}
+/// modern `corescope-topo` generations, built through the generator.
+pub use corescope_topo::{Generation as System, UnknownSystem};
 
 /// How ranks are pinned and their memory placed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1355,7 +1255,7 @@ type ParamBits = [u64; CalibParams::FIELDS.len()];
 /// is still one linear pass.
 #[derive(Default)]
 struct PrefixMemo {
-    slots: [Option<(ParamBits, Digest)>; System::COUNT],
+    slots: [Option<(ParamBits, Digest)>; System::all().len()],
     map: HashMap<(System, ParamBits), Digest>,
 }
 
@@ -1555,17 +1455,6 @@ mod tests {
         let report = world.run().unwrap();
         assert_eq!(result.makespan.to_bits(), report.makespan.to_bits());
         assert_eq!(result.events, report.metrics.events);
-    }
-
-    #[test]
-    fn unknown_machine_keys_report_the_valid_generations() {
-        assert_eq!(System::from_key("EPYC"), Ok(System::Epyc));
-        let err = System::from_key("epic").unwrap_err();
-        assert_eq!(err.requested, "epic");
-        let rendered = err.to_string();
-        for key in ["tiger", "dmz", "longs", "epyc", "hbm"] {
-            assert!(rendered.contains(key), "{rendered}");
-        }
     }
 
     #[test]

@@ -76,16 +76,6 @@ impl<'m> CommWorld<'m> {
         }
     }
 
-    /// Creates a world using the profile's default lock sub-layer.
-    pub fn with_default_lock(
-        machine: &'m Machine,
-        placements: Vec<RankPlacement>,
-        profile: MpiProfile,
-    ) -> Self {
-        let lock = profile.default_lock;
-        Self::new(machine, placements, profile, lock)
-    }
-
     /// Arms coordinated checkpoint/restart for every run launched from
     /// this world: a [`corescope_machine::FaultKind::RankKill`] rolls the
     /// job back to the last completed checkpoint instead of failing it.
@@ -259,15 +249,6 @@ impl<'m> CommWorld<'m> {
     /// Propagates engine errors (deadlock, bad placements, event limit).
     pub fn run(&self) -> Result<RunReport> {
         self.engine().run(&self.placements, &self.programs)
-    }
-
-    /// Runs on a caller-configured engine (failure injection, event caps).
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors.
-    pub fn run_on(&self, engine: &Engine<'_>) -> Result<RunReport> {
-        engine.run(&self.placements, &self.programs)
     }
 
     /// Runs the built programs under a schedule of mid-run faults (see

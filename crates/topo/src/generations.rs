@@ -80,8 +80,33 @@ pub mod fixed {
 
 const GIB: f64 = calib::GIB;
 
-/// A machine generation the generator can instantiate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A request named a machine generation that does not exist. Carries
+/// the requested string so `repro --machine` can report it next to the
+/// valid generation list instead of guessing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownSystem {
+    /// What the request said, verbatim.
+    pub requested: String,
+}
+
+impl std::fmt::Display for UnknownSystem {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let valid: Vec<&str> = Generation::all().iter().map(|g| g.key()).collect();
+        write!(
+            f,
+            "unknown machine '{}' (valid generations are {})",
+            self.requested,
+            valid.join(", ")
+        )
+    }
+}
+
+impl std::error::Error for UnknownSystem {}
+
+/// A machine generation the generator can instantiate: the paper's
+/// Table 1 systems plus the modern generations. `corescope-sched`
+/// re-exports it as `System`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Generation {
     /// 2006: Cray XD1 node, 2 × single-core Opteron 248.
     Tiger,
@@ -98,7 +123,7 @@ pub enum Generation {
 
 impl Generation {
     /// Every generation, oldest first.
-    pub fn all() -> [Generation; 5] {
+    pub const fn all() -> [Generation; 5] {
         [Self::Tiger, Self::Dmz, Self::Longs, Self::Epyc, Self::Hbm]
     }
 
@@ -116,6 +141,18 @@ impl Generation {
     /// Parses a key produced by [`Generation::key`].
     pub fn parse(s: &str) -> Option<Self> {
         Self::all().into_iter().find(|g| g.key() == s)
+    }
+
+    /// Parses a machine key, ignoring case, with a typed error for
+    /// unknown names. Backs the `repro --machine` axis, so a typo
+    /// reports the valid generation list instead of silently running
+    /// the default sweep.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownSystem`] carrying the requested string.
+    pub fn from_key(s: &str) -> Result<Self, UnknownSystem> {
+        Self::parse(&s.to_lowercase()).ok_or_else(|| UnknownSystem { requested: s.to_string() })
     }
 
     /// One-line description for catalogues.
@@ -368,6 +405,17 @@ mod tests {
             assert!(g.describe().len() < 80, "{}", g.key());
         }
         assert_eq!(Generation::parse("beluga"), None);
+    }
+
+    #[test]
+    fn unknown_keys_name_every_generation() {
+        assert_eq!(Generation::from_key("EPYC"), Ok(Generation::Epyc));
+        let err = Generation::from_key("epic").unwrap_err();
+        assert_eq!(err.requested, "epic");
+        assert!(
+            err.to_string().contains("valid generations are tiger, dmz, longs, epyc, hbm"),
+            "{err}"
+        );
     }
 
     #[test]

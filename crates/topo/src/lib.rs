@@ -39,5 +39,5 @@ pub mod graph;
 
 pub use blueprint::{Blueprint, MemoryTier};
 pub use error::TopoError;
-pub use generations::Generation;
+pub use generations::{Generation, UnknownSystem};
 pub use graph::{TopoGraph, TopoLink, TopoNode};

@@ -6,7 +6,7 @@ use corescope::apps::md::LammpsBenchmark;
 use corescope::kernels::cg::{CgClass, NasCg};
 use corescope::machine::engine::RankPlacement;
 use corescope::machine::{
-    systems, CoreId, Engine, Error, LinkId, Machine, MemoryLayout, NumaNodeId,
+    systems, CoreId, Engine, Error, FaultPlan, LinkId, Machine, MemoryLayout, NumaNodeId,
 };
 use corescope::smpi::{CommWorld, LockLayer, MpiImpl};
 
@@ -31,15 +31,14 @@ fn degraded_rung_link_slows_cross_ladder_workloads() {
         w.run().unwrap().makespan
     };
 
-    // Degrade every directed link to a tenth of its bandwidth.
-    let mut engine = Engine::new(&machine);
-    for l in 0..machine.topology().num_links() {
-        engine.set_link_capacity(LinkId::new(l), 0.2e9);
-    }
+    // Degrade every directed link to a tenth of its bandwidth for the
+    // whole run.
+    let plan = (0..machine.topology().num_links())
+        .fold(FaultPlan::new(), |plan, l| plan.link_degrade(0.0, LinkId::new(l), 0.1));
     let degraded = {
         let mut w = CommWorld::new(&machine, placements, MpiImpl::Lam.profile(), LockLayer::USysV);
         build(&mut w);
-        w.run_on(&engine).unwrap().makespan
+        w.run_with_faults(&plan).unwrap().makespan
     };
     assert!(degraded > 2.0 * healthy, "degraded links must hurt: {degraded:.4} vs {healthy:.4}");
 }
@@ -47,8 +46,7 @@ fn degraded_rung_link_slows_cross_ladder_workloads() {
 #[test]
 fn dead_controller_is_a_typed_error_not_a_hang() {
     let machine = longs();
-    let mut engine = Engine::new(&machine);
-    engine.set_controller_capacity(corescope::machine::SocketId::new(3), 0.0);
+    let plan = FaultPlan::new().controller_throttle(0.0, corescope::machine::SocketId::new(3), 0.0);
     let placement = RankPlacement::new(
         CoreId::new(6), // socket 3
         MemoryLayout::single(NumaNodeId::new(3)),
@@ -59,7 +57,7 @@ fn dead_controller_is_a_typed_error_not_a_hang() {
         0.0,
         corescope::machine::TrafficProfile::stream(1e6),
     ));
-    let err = engine.run(&[placement], &[program]).unwrap_err();
+    let err = Engine::new(&machine).run_with_faults(&[placement], &[program], &plan).unwrap_err();
     assert!(matches!(err, Error::ZeroCapacityRoute { .. }), "{err}");
 }
 
