@@ -12,7 +12,6 @@ use crate::targets::{self, Family, Target};
 use crate::Result;
 use corescope_machine::CalibParams;
 use corescope_sched::{Fidelity, Scheduler};
-use std::collections::HashMap;
 
 /// The outcome of grading one target at one parameter point.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,11 +132,6 @@ impl<'s> Evaluator<'s> {
     }
 }
 
-/// A map from target id to predicted value, for report code.
-pub fn predictions(eval: &Evaluation) -> HashMap<&'static str, f64> {
-    eval.outcomes.iter().map(|o| (o.id, o.predicted)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,6 +196,5 @@ mod tests {
         let graded = eval.evaluate(&CalibParams::paper_2006()).unwrap();
         let sum: f64 = graded.family_scores().iter().map(|(_, v)| v).sum();
         assert!((sum - graded.total).abs() < 1e-12);
-        let _ = predictions(&graded);
     }
 }

@@ -3,11 +3,10 @@
 //! or [`Workload::AmberFftPart`] scenario through the [`Scheduler`].
 
 use crate::context::{scheme_tables, speedup_table};
-use crate::fidelity::Fidelity;
 use crate::report::Table;
 use corescope_apps::md::AmberBenchmark;
 use corescope_machine::Result;
-use corescope_sched::{Scheduler, System, Workload};
+use corescope_sched::{Fidelity, Scheduler, System, Workload};
 
 /// A benchmark at `fidelity`'s step count.
 fn sized(mut b: AmberBenchmark, fidelity: Fidelity) -> AmberBenchmark {

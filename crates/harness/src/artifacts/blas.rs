@@ -2,13 +2,12 @@
 //! DMZ system). Every run is a [`cells::blas_star`] cell, and each figure
 //! is one batch through the [`Scheduler`].
 
-use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
 use corescope_calib::cells::{self, observe, BlasKernel};
 use corescope_kernels::blas::BlasVariant;
 use corescope_machine::Result;
-use corescope_sched::Scheduler;
+use corescope_sched::{Fidelity, Scheduler};
 
 /// The two figure layouts: aggregate GFlop/s on 1, 2 and 4 packed cores
 /// (Figures 4 and 6), or per-core GFlop/s with one vs two tasks per

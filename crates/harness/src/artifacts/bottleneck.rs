@@ -9,13 +9,12 @@
 //! ([`RunTrace::bottleneck_ranking`]), and *fails* if the top-ranked
 //! cause does not match the paper's narrative.
 
-use crate::fidelity::Fidelity;
 use crate::observe::{cg, pingpong, scatter_stream, traced};
 use crate::report::{Cell, Table};
 use corescope_kernels::cg::CgClass;
 use corescope_machine::trace::AttributedTime;
 use corescope_machine::{Error, Result, RunTrace};
-use corescope_sched::{Scenario, System};
+use corescope_sched::{Fidelity, Scenario, System};
 
 /// What the paper says should top the ranking for a workload.
 #[derive(Debug, Clone, Copy)]

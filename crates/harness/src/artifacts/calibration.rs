@@ -26,14 +26,13 @@
 //! statistics, so output is byte-identical at any `--jobs` count or
 //! cache temperature (the perf ledger's `suite` workload times it).
 
-use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use corescope_calib::eval::Evaluator;
 use corescope_calib::search::{fit, FitConfig};
 use corescope_calib::sensitivity::{elementary_effects, ranking};
 use corescope_calib::targets::Family;
 use corescope_machine::{Axis, CalibParams, Error, Result};
-use corescope_sched::Scheduler;
+use corescope_sched::{Fidelity, Scheduler};
 
 /// Every parameter must be fitted back to within this relative distance
 /// of the shipped calibration.

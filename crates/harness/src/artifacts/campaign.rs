@@ -29,10 +29,9 @@
 //! nondeterministic crash points this artifact cannot.
 
 use crate::aggregate::campaign_table;
-use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use corescope_machine::{Error, Result};
-use corescope_sched::{Scenario, Scheduler, StoreSink, System, Workload};
+use corescope_sched::{Fidelity, Scenario, Scheduler, StoreSink, System, Workload};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 

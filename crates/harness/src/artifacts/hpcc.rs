@@ -7,7 +7,6 @@
 //! included.
 
 use crate::context::makespans;
-use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use crate::runtime::RuntimeOption;
 use corescope_calib::cells::Reduction;
@@ -17,7 +16,7 @@ use corescope_kernels::hpl::HplParams;
 use corescope_kernels::ptrans::PtransParams;
 use corescope_kernels::randomaccess::RaParams;
 use corescope_machine::Result;
-use corescope_sched::{Placement, Scenario, Scheduler, System, Workload};
+use corescope_sched::{Fidelity, Placement, Scenario, Scheduler, System, Workload};
 use corescope_smpi::MpiImpl;
 
 /// The standard HPCC scenario: Longs, 16 ranks, LAM, under `option`'s

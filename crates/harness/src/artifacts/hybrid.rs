@@ -9,12 +9,11 @@
 //! in one batch through the [`Scheduler`].
 
 use super::nas::classes;
-use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
 use corescope_calib::cells::{self, observe};
 use corescope_machine::Result;
-use corescope_sched::{Scheduler, System, Workload};
+use corescope_sched::{Fidelity, Scheduler, System, Workload};
 
 /// Compares pure MPI (16 ranks) against hybrid (8 processes × 2 threads)
 /// for NAS CG and FT on Longs.

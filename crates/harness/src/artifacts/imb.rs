@@ -8,12 +8,11 @@
 //! of them once.
 
 use crate::context::makespans;
-use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
 use corescope_calib::cells::{self, observe, Observable};
 use corescope_machine::Result;
-use corescope_sched::{Placement, Scenario, Scheduler, System, Workload};
+use corescope_sched::{Fidelity, Placement, Scenario, Scheduler, System, Workload};
 use corescope_smpi::{LockLayer, MpiImpl};
 
 /// An IMB cell: `workload` on `nranks` DMZ ranks under `scheme`, on

@@ -3,11 +3,10 @@
 //! through the [`Scheduler`].
 
 use crate::context::{scheme_tables, speedup_table};
-use crate::fidelity::Fidelity;
 use crate::report::Table;
 use corescope_apps::md::LammpsBenchmark;
 use corescope_machine::Result;
-use corescope_sched::{Scheduler, System, Workload};
+use corescope_sched::{Fidelity, Scheduler, System, Workload};
 
 /// Table 10: LJ/Chain/EAM speedups (no numactl) across the three systems.
 /// The benchmarks have a fixed size, so both fidelities run the same

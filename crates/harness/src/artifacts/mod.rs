@@ -17,10 +17,9 @@ pub mod stream;
 pub mod topo;
 pub mod xs;
 
-use crate::fidelity::Fidelity;
 use crate::report::Table;
 use corescope_machine::{Error, Result};
-use corescope_sched::{Scheduler, System};
+use corescope_sched::{Fidelity, Scheduler, System};
 use std::fmt;
 
 /// A request named an artifact id that does not exist. Carries the
@@ -249,9 +248,9 @@ impl Artifact {
         self.entry().id
     }
 
-    /// Parses an artifact id.
+    /// Parses an artifact id, ignoring ASCII case ("T2" is t2).
     pub fn parse(s: &str) -> Option<Artifact> {
-        Artifact::all().into_iter().find(|a| a.id() == s.to_lowercase())
+        Artifact::all().into_iter().find(|a| a.id().eq_ignore_ascii_case(s))
     }
 
     /// Parses an artifact id with a typed error for unknown names.
@@ -397,8 +396,8 @@ mod tests {
     fn parse_round_trips() {
         for a in Artifact::all() {
             assert_eq!(Artifact::parse(a.id()), Some(a));
+            assert_eq!(Artifact::parse(&a.id().to_uppercase()), Some(a));
         }
-        assert_eq!(Artifact::parse("T2"), Some(Artifact::T2));
         assert_eq!(Artifact::parse("nope"), None);
     }
 

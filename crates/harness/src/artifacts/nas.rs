@@ -4,12 +4,11 @@
 
 use crate::aggregate::pivot_table;
 use crate::context::{scheme_table, speedups};
-use crate::fidelity::Fidelity;
 use crate::report::Table;
 use corescope_kernels::cg::CgClass;
 use corescope_kernels::nasft::FtClass;
 use corescope_machine::Result;
-use corescope_sched::{Scheduler, System, Workload};
+use corescope_sched::{Fidelity, Scheduler, System, Workload};
 
 /// The NAS class a fidelity runs: B at full, A at quick.
 pub(crate) fn classes(fidelity: Fidelity) -> (CgClass, FtClass) {

@@ -4,11 +4,10 @@
 //! through the [`Scheduler`].
 
 use crate::context::{scheme_tables, speedup_table};
-use crate::fidelity::Fidelity;
 use crate::report::Table;
 use corescope_apps::ocean::PopModel;
 use corescope_machine::Result;
-use corescope_sched::{Scheduler, System, Workload};
+use corescope_sched::{Fidelity, Scheduler, System, Workload};
 
 /// The x1 model's two phases at `fidelity`'s step count (at least two).
 fn phases(fidelity: Fidelity) -> [Workload; 2] {

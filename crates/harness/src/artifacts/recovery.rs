@@ -31,7 +31,6 @@
 //!
 //! [`FaultKind::RankKill`]: corescope_machine::FaultKind::RankKill
 
-use crate::fidelity::Fidelity;
 use crate::observe::traced;
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
@@ -39,7 +38,7 @@ use corescope_machine::{
     young_daly_interval, CheckpointPolicy, CheckpointTarget, Error, FaultPlan, NumaNodeId, RankId,
     Result, RunTrace,
 };
-use corescope_sched::{Placement, Scenario, Scheduler, System, Workload};
+use corescope_sched::{Fidelity, Placement, Scenario, Scheduler, System, Workload};
 
 /// Bounded-recovery guarantee: with kills at MTBF spacing and the best
 /// swept checkpoint interval, the makespan must stay within this factor

@@ -10,12 +10,11 @@
 
 use crate::aggregate::pivot_table;
 use crate::context::makespans;
-use crate::fidelity::Fidelity;
 use crate::report::Table;
 use crate::runtime::RuntimeOption;
 use corescope_calib::cells::{self, observe, Batch};
 use corescope_machine::Result;
-use corescope_sched::{Placement, Scenario, Scheduler, System, Workload};
+use corescope_sched::{Fidelity, Placement, Scenario, Scheduler, System, Workload};
 
 fn bandwidth_scaling(fidelity: Fidelity, per_core: bool, sched: &Scheduler) -> Result<Table> {
     let title = if per_core {

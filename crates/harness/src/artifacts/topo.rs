@@ -31,12 +31,11 @@
 use super::xs::{self, lookups_per_rank, BYTES_PER_POINT, GIB};
 use crate::aggregate::pivot_table;
 use crate::context::makespans;
-use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
 use corescope_calib::cells;
 use corescope_machine::{Error, Result};
-use corescope_sched::{Placement, Scheduler, System};
+use corescope_sched::{Fidelity, Placement, Scheduler, System};
 
 /// Per-rank lookup-table size for the crossover verdict: between
 /// Longs' 1.5 GiB usable node share (first-touch spills) and the

@@ -34,12 +34,11 @@
 
 use crate::aggregate::pivot_table;
 use crate::context::makespans;
-use crate::fidelity::Fidelity;
 use crate::report::{Cell, Table};
 use corescope_affinity::Scheme;
 use corescope_apps::xs::first_touch_crossover_bytes;
 use corescope_machine::{CoreId, Error, Result};
-use corescope_sched::{Placement, Scenario, Scheduler, System, Workload};
+use corescope_sched::{Fidelity, Placement, Scenario, Scheduler, System, Workload};
 
 pub(super) const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 

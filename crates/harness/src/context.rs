@@ -1,12 +1,11 @@
 //! Shared helpers for artifact implementations.
 
 use crate::aggregate::pivot_table;
-use crate::fidelity::Fidelity;
 use crate::report::Table;
 use corescope_affinity::Scheme;
 use corescope_calib::cells;
 use corescope_machine::{Machine, Result};
-use corescope_sched::{Scenario, Scheduler, System, Workload};
+use corescope_sched::{Fidelity, Scenario, Scheduler, System, Workload};
 
 /// Runs `batch` through `sched` and returns each makespan, in order.
 ///

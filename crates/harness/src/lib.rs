@@ -19,14 +19,13 @@
 pub mod aggregate;
 pub mod artifacts;
 pub mod context;
-pub mod fidelity;
 pub mod observe;
 pub mod report;
 pub mod resilience;
 pub mod runtime;
 
 pub use artifacts::{Artifact, UnknownArtifact};
-pub use fidelity::Fidelity;
+pub use corescope_sched::Fidelity;
 pub use observe::{chrome_trace_json, representative_trace, utilization_csv, TraceBundle};
 pub use report::{Cell, RowShapeError, Table};
 pub use runtime::RuntimeOption;

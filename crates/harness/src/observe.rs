@@ -16,7 +16,6 @@
 //! `"i"` instants for fault stamps, and `"M"` metadata for names.
 
 use crate::artifacts::Artifact;
-use crate::fidelity::Fidelity;
 use crate::resilience::FaultTarget;
 use corescope_affinity::Scheme;
 use corescope_calib::cells;
@@ -25,7 +24,7 @@ use corescope_machine::{
     CheckpointPolicy, Error, FaultPlan, RankId, Result, RunTrace, TraceConfig,
 };
 use corescope_sched::json::{escape, num};
-use corescope_sched::{Placement, Scenario, System, Workload};
+use corescope_sched::{Fidelity, Placement, Scenario, System, Workload};
 use std::fmt::Write as _;
 
 /// A labelled trace ready for export.

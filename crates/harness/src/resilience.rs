@@ -25,13 +25,12 @@
 //! scenario and run traced through [`Scenario::observe`].
 
 use crate::context::makespans;
-use crate::fidelity::Fidelity;
 use crate::observe::{cg, dmz_stream, pingpong};
 use crate::report::{Cell, Table};
 use corescope_kernels::cg::CgClass;
 use corescope_machine::engine::RunReport;
 use corescope_machine::{Error, FaultPlan, LinkId, Machine, RankId, Result, RunTrace, TraceConfig};
-use corescope_sched::{Scenario, Scheduler, System};
+use corescope_sched::{Fidelity, Scenario, Scheduler, System};
 
 /// The resource class a campaign degrades — chosen per workload to match
 /// what actually bounds it.

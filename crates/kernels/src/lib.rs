@@ -25,12 +25,9 @@
 
 pub mod blas;
 pub mod cg;
-pub mod ep;
 pub mod fft;
 pub mod hpl;
-pub mod is;
 pub mod memlat;
-pub mod mg;
 pub mod nasft;
 pub mod ptrans;
 pub mod randomaccess;

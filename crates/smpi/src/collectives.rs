@@ -8,32 +8,6 @@
 use crate::comm::CommWorld;
 
 impl CommWorld<'_> {
-    /// Dissemination barrier (log₂ *n* rounds of 0-byte messages): the
-    /// costed alternative to the free engine barrier.
-    #[allow(clippy::needless_range_loop)] // r is a rank id, not just an index
-    pub fn barrier_mpi(&mut self) -> &mut Self {
-        let n = self.size();
-        if n <= 1 {
-            return self;
-        }
-        let mut k = 1;
-        while k < n {
-            let tags: Vec<u64> = (0..n).map(|_| self.fresh_tag()).collect();
-            // Every rank sends to (r + k) % n and receives from
-            // (r - k) % n; tag indexed by the *sender* keeps matching
-            // unambiguous.
-            for r in 0..n {
-                self.send(r, (r + k) % n, 0.0, tags[r]);
-            }
-            for r in 0..n {
-                let src = (r + n - k) % n;
-                self.recv(r, src, tags[src]);
-            }
-            k <<= 1;
-        }
-        self
-    }
-
     /// Binomial-tree broadcast of `bytes` from `root`.
     pub fn bcast(&mut self, root: usize, bytes: f64) -> &mut Self {
         let n = self.size();
@@ -247,7 +221,6 @@ mod tests {
         let m = Machine::new(systems::longs());
         for n in [1, 2, 3, 4, 5, 7, 8, 12, 16] {
             let mut w = world(&m, n);
-            w.barrier_mpi();
             w.allreduce(1024.0);
             w.alltoall(512.0);
             w.allgather(256.0);

@@ -232,9 +232,8 @@ impl<'m> CommWorld<'m> {
         self
     }
 
-    /// An engine-level barrier across every rank (zero software cost; use
-    /// [`crate::collectives`]' `barrier_mpi` for a costed dissemination
-    /// barrier).
+    /// An engine-level barrier across every rank: each waits for the last
+    /// to arrive, at zero software cost.
     pub fn barrier(&mut self) -> &mut Self {
         for p in &mut self.programs {
             p.barrier();

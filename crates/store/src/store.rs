@@ -479,11 +479,6 @@ impl Store {
         self.committed.contains(&digest) || self.buffered_digests.contains(&digest)
     }
 
-    /// The committed digest set (not including buffered rows).
-    pub fn committed_digests(&self) -> &HashSet<u128> {
-        &self.committed
-    }
-
     /// One-line status in the house summary style.
     pub fn summary(&self) -> String {
         format!(
