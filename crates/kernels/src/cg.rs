@@ -202,11 +202,6 @@ pub struct NasCg {
 }
 
 impl NasCg {
-    /// Class B, as used throughout the paper.
-    pub fn class_b() -> Self {
-        Self { class: CgClass::B }
-    }
-
     /// Appends the full benchmark (all outer iterations) to a world.
     ///
     /// Per inner iteration each rank performs its share of the SpMV

@@ -59,11 +59,6 @@ pub struct NasFt {
 }
 
 impl NasFt {
-    /// Class B, as used throughout the paper.
-    pub fn class_b() -> Self {
-        Self { class: FtClass::B }
-    }
-
     /// Appends one 3-D FFT over the slab decomposition: two local
     /// dimension passes, a global transpose (all-to-all), and the third
     /// pass.

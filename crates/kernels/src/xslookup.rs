@@ -183,11 +183,6 @@ impl XsParams {
             TrafficProfile::lookup(lookups * self.lines_per_lookup() * 64.0, self.table_bytes()),
         )
     }
-
-    /// Lookups per second implied by a runtime for `ranks` ranks.
-    pub fn lookup_rate(&self, ranks: usize, seconds: f64) -> f64 {
-        ranks as f64 * self.lookups_per_rank as f64 / seconds
-    }
 }
 
 /// Appends a star-mode run: every rank performs its own lookup stream

@@ -56,7 +56,7 @@ pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use flow::Bottleneck;
 pub use ids::{CoreId, LinkId, NumaNodeId, RankId, SocketId};
 pub use memory::MemoryLayout;
-pub use metrics::{RankSpans, ResourceTimeline, RunMetrics};
+pub use metrics::{ResourceTimeline, RunMetrics};
 pub use params::{Axis, CalibParams, ParamField};
 pub use program::{ComputePhase, Op, Program};
 pub use recovery::{young_daly_interval, CheckpointPolicy, CheckpointTarget, RetryPolicy};

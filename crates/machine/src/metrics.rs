@@ -90,15 +90,6 @@ impl RunReport {
     pub fn finish_of(&self, rank: RankId) -> f64 {
         self.rank_finish[rank.index()]
     }
-
-    /// Aggregate achieved DRAM bandwidth over the run (bytes/s).
-    pub fn mean_dram_bandwidth(&self) -> f64 {
-        if self.makespan > 0.0 {
-            self.metrics.total_dram_bytes() / self.makespan
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Busy/saturation summary of one shared resource over a traced run
@@ -141,40 +132,6 @@ impl ResourceTimeline {
     }
 }
 
-/// Per-rank time-in-op summary over a traced run (built by
-/// [`crate::trace::RunTrace::rank_spans`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RankSpans {
-    /// The rank.
-    pub rank: usize,
-    /// Seconds inside compute spans.
-    pub compute: f64,
-    /// Seconds inside send spans (including rendezvous blocking).
-    pub send: f64,
-    /// Seconds inside recv spans (including waiting for the sender).
-    pub recv: f64,
-    /// Seconds inside barrier spans.
-    pub barrier: f64,
-    /// Seconds inside fixed delays (MPI software overhead, lock costs).
-    pub delay: f64,
-    /// Number of spans recorded for this rank.
-    pub spans: usize,
-}
-
-impl RankSpans {
-    /// Zeroed summary for `rank`.
-    #[must_use]
-    pub fn new(rank: usize) -> Self {
-        Self { rank, compute: 0.0, send: 0.0, recv: 0.0, barrier: 0.0, delay: 0.0, spans: 0 }
-    }
-
-    /// Total seconds across all span kinds.
-    #[must_use]
-    pub fn total(&self) -> f64 {
-        self.compute + self.send + self.recv + self.barrier + self.delay
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,12 +158,5 @@ mod tests {
         };
         assert_eq!(tl.busy_fraction(), 0.0);
         assert_eq!(tl.saturation_fraction(), 0.0);
-        assert_eq!(RankSpans::new(2).total(), 0.0);
-    }
-
-    #[test]
-    fn report_bandwidth_handles_zero_makespan() {
-        let r = RunReport { makespan: 0.0, rank_finish: vec![0.0], metrics: RunMetrics::new(1, 1) };
-        assert_eq!(r.mean_dram_bandwidth(), 0.0);
     }
 }

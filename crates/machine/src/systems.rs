@@ -73,8 +73,9 @@ pub mod calib {
     pub const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 }
 
-/// Calibration constants for the post-2006 generations that
-/// `corescope-topo` instantiates (chiplet packages, HBM tiers).
+/// Calibration constants for the two post-2006 machines that
+/// `corescope-topo` builds (the EPYC-like chiplet node and the HBM-tiered
+/// node).
 ///
 /// Sources: Bergstrom's NUMA-STREAM study (arXiv:1103.3225) for
 /// multi-die on-package STREAM/latency scaling, and RZBENCH

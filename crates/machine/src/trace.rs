@@ -16,7 +16,7 @@
 
 use crate::flow::Bottleneck;
 use crate::ids::RankId;
-use crate::metrics::{RankSpans, ResourceTimeline};
+use crate::metrics::ResourceTimeline;
 use crate::FaultKind;
 
 /// Utilization at or above this fraction counts as "saturated" in
@@ -224,15 +224,6 @@ pub struct RecoveryStamp {
     pub resumed_at: f64,
 }
 
-impl RecoveryStamp {
-    /// Simulated work lost to the rollback: progress between the restored
-    /// checkpoint and the kill, which replay must redo.
-    #[must_use]
-    pub fn lost_work(&self) -> f64 {
-        self.killed_at - self.restored_to
-    }
-}
-
 /// One bucket of a [`RunTrace::bottleneck_ranking`]: seconds of op-span
 /// time attributed to one cause.
 #[derive(Debug, Clone, PartialEq)]
@@ -306,25 +297,6 @@ impl RunTrace {
                 mean_utilization: if total > 0.0 { area[r] / total } else { 0.0 },
             })
             .collect()
-    }
-
-    /// Per-rank time-in-op summaries over the whole run.
-    #[must_use]
-    pub fn rank_spans(&self) -> Vec<RankSpans> {
-        let mut out: Vec<RankSpans> = (0..self.num_ranks).map(RankSpans::new).collect();
-        for span in &self.spans {
-            let Some(r) = out.get_mut(span.rank) else { continue };
-            let dt = span.duration();
-            match span.kind {
-                SpanKind::Compute => r.compute += dt,
-                SpanKind::Send => r.send += dt,
-                SpanKind::Recv => r.recv += dt,
-                SpanKind::Barrier => r.barrier += dt,
-                SpanKind::Delay => r.delay += dt,
-            }
-            r.spans += 1;
-        }
-        out
     }
 
     /// Ranks every cause of elapsed op time, most costly first.
@@ -454,48 +426,6 @@ mod tests {
         assert!((tl.mean_utilization - 0.5).abs() < 1e-12);
         assert!((tl.busy_fraction() - 2.0 / 3.0).abs() < 1e-12);
         assert!((tl.saturation_fraction() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rank_spans_accumulate_by_kind() {
-        let mut s = span(SpanKind::Compute, 0.0, 2.0, vec![]);
-        s.rank = 0;
-        let trace = RunTrace {
-            resource_names: vec![],
-            num_ranks: 2,
-            intervals: vec![],
-            spans: vec![
-                s,
-                OpSpan {
-                    rank: 1,
-                    kind: SpanKind::Recv,
-                    label: "recv",
-                    t0: 0.0,
-                    t1: 0.5,
-                    attributed: vec![],
-                },
-            ],
-            faults: vec![],
-            recoveries: vec![],
-            end_time: 2.0,
-        };
-        let per_rank = trace.rank_spans();
-        assert_eq!(per_rank.len(), 2);
-        assert!((per_rank[0].compute - 2.0).abs() < 1e-12);
-        assert!((per_rank[0].total() - 2.0).abs() < 1e-12);
-        assert!((per_rank[1].recv - 0.5).abs() < 1e-12);
-        assert_eq!(per_rank[0].spans, 1);
-    }
-
-    #[test]
-    fn recovery_stamp_reports_lost_work() {
-        let stamp = RecoveryStamp {
-            rank: RankId::new(2),
-            killed_at: 1.5,
-            restored_to: 1.0,
-            resumed_at: 1.6,
-        };
-        assert!((stamp.lost_work() - 0.5).abs() < 1e-12);
     }
 
     #[test]

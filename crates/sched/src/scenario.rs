@@ -44,7 +44,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// The evaluation machines: the paper's Table 1 systems plus the
-/// modern `corescope-topo` generations, built through the generator.
+/// modern `corescope-topo` generations.
 pub use corescope_topo::{Generation as System, UnknownSystem};
 
 /// How ranks are pinned and their memory placed.
@@ -863,13 +863,15 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidSpec`] for zero ranks, a workload that
-    /// cannot fit the world size, or more ranks (parked ones included)
-    /// than the machine has cores.
+    /// Returns [`Error::InvalidSpec`] for zero ranks, a calibration
+    /// point outside its bounds, a workload that cannot fit the world
+    /// size, or more ranks (parked ones included) than the machine has
+    /// cores.
     pub fn validate(&self) -> Result<()> {
         if self.nranks == 0 {
             return Err(Error::InvalidSpec("scenario needs at least one rank".to_string()));
         }
+        self.check_params()?;
         let cores = self.system.spec_with(&self.params).num_cores();
         if self.nranks + self.parked > cores {
             return Err(Error::InvalidSpec(format!(
@@ -899,12 +901,20 @@ impl Scenario {
                 )));
             }
         }
-        if !self.params.in_bounds() {
-            return Err(Error::InvalidSpec(
-                "scenario calibration point is outside its documented bounds".to_string(),
-            ));
-        }
         Ok(())
+    }
+
+    /// Rejects a calibration point outside its documented bounds. Every
+    /// in-bounds point builds a valid machine, so passing this check
+    /// keeps [`System::spec_with`] from panicking.
+    fn check_params(&self) -> Result<()> {
+        if self.params.in_bounds() {
+            Ok(())
+        } else {
+            Err(Error::InvalidSpec(
+                "scenario calibration point is outside its documented bounds".to_string(),
+            ))
+        }
     }
 
     /// The canonical content digest: [`crate::ENGINE_TAG`] plus every
@@ -1004,6 +1014,7 @@ impl Scenario {
     /// Returns validation and placement errors; engine errors land in
     /// [`Observed::result`].
     pub fn observe(&self, trace: TraceConfig) -> Result<Observed> {
+        self.check_params()?;
         let machine = self.system.machine_with(&self.params);
         Ok(self.lower(&machine)?.observe(&self.faults, trace))
     }
@@ -1221,6 +1232,12 @@ impl Scenario {
                     .ok_or_else(|| format!("unknown calibration parameter '{key}'"))?;
                 let value =
                     value.as_f64().ok_or_else(|| format!("bad calibration value for '{key}'"))?;
+                if !(field.lo..=field.hi).contains(&value) {
+                    return Err(format!(
+                        "calibration parameter '{key}' = {value} is outside its bounds [{}, {}]",
+                        field.lo, field.hi
+                    ));
+                }
                 field.write(&mut params, value);
             }
         }
@@ -1593,6 +1610,15 @@ mod tests {
         let s = bsp(System::Dmz, 2).with_params(params);
         assert!(s.validate().is_err());
         assert!(s.run().is_err());
+        // A point no machine can be built from is rejected by the bounds
+        // check before any spec is built, not by a panic.
+        let mut params = CalibParams::paper_2006();
+        params.dram_bandwidth = 0.0;
+        let s = bsp(System::Dmz, 2).with_params(params);
+        let err = s.validate().unwrap_err().to_string();
+        assert!(err.contains("outside its documented bounds"), "{err}");
+        let err = s.run().unwrap_err().to_string();
+        assert!(err.contains("outside its documented bounds"), "{err}");
     }
 
     #[test]
@@ -1885,6 +1911,14 @@ mod tests {
             json::parse(r#"{"system":"dmz","nranks":2,"workload":{"kind":"nope"}}"#).unwrap();
         let err = Scenario::from_json(&bad_workload).unwrap_err();
         assert!(err.contains("nope"), "{err}");
+        let out_of_bounds = json::parse(
+            r#"{"system":"dmz","nranks":2,"workload":{"kind":"pingpong","bytes":1024,"reps":2},
+                "params":{"dram_bandwidth":0}}"#,
+        )
+        .unwrap();
+        let err = Scenario::from_json(&out_of_bounds).unwrap_err();
+        assert!(err.contains("'dram_bandwidth'"), "{err}");
+        assert!(err.contains("[2000000000, 6400000000]"), "{err}");
     }
 
     #[test]

@@ -848,6 +848,18 @@ mod tests {
     }
 
     #[test]
+    fn out_of_bounds_params_are_a_bad_request_and_the_next_line_is_served() {
+        let server = server(ServeConfig::default());
+        let request = r#"{"system":"dmz","nranks":2,"workload":{"kind":"pingpong","bytes":1024,"reps":2},"params":{"dram_bandwidth":0}}"#;
+        let lines = run(&server, &format!("{request}\n{BSP}\n"));
+        assert_eq!(lines.len(), 2);
+        assert!(lines[0].contains("\"kind\":\"bad-request\""), "{}", lines[0]);
+        assert!(lines[0].contains("dram_bandwidth"), "{}", lines[0]);
+        assert!(lines[1].starts_with("{\"ok\":true"), "{}", lines[1]);
+        assert_eq!(server.stats().bad_requests, 1);
+    }
+
+    #[test]
     fn bad_deadline_is_a_bad_request() {
         let server = server(ServeConfig::default());
         let request = BSP.replacen('{', "{\"deadline_ms\":\"soon\",", 1);

@@ -254,7 +254,6 @@ pub struct Store {
     buffered_digests: HashSet<u128>,
     recovery: RecoveryReport,
     rows_committed: u64,
-    appended: u64,
     /// The writer lock; a reader holds none.
     lock: Option<LockFile>,
     /// Fault injection for the chaos suite: remaining bytes the store
@@ -353,7 +352,6 @@ impl Store {
             buffered_digests: HashSet::new(),
             recovery: RecoveryReport::default(),
             rows_committed: 0,
-            appended: 0,
             lock,
             write_budget: None,
         };
@@ -458,16 +456,6 @@ impl Store {
         self.rows_committed
     }
 
-    /// Rows appended through this handle (buffered or flushed).
-    pub fn appended(&self) -> u64 {
-        self.appended
-    }
-
-    /// Distinct scenario digests present (committed or buffered).
-    pub fn distinct(&self) -> usize {
-        self.committed.len() + self.buffered_digests.len()
-    }
-
     /// Segments currently listed in the manifest.
     pub fn segment_count(&self) -> usize {
         self.segments.len()
@@ -477,19 +465,6 @@ impl Store {
     /// test: a campaign skips every scenario for which this holds.
     pub fn contains(&self, digest: u128) -> bool {
         self.committed.contains(&digest) || self.buffered_digests.contains(&digest)
-    }
-
-    /// One-line status in the house summary style.
-    pub fn summary(&self) -> String {
-        format!(
-            "store: segments {}, rows {} (distinct {}), appended {}, torn {}, corrupt {}",
-            self.segment_count(),
-            self.rows_committed,
-            self.distinct(),
-            self.appended,
-            self.recovery.torn.len(),
-            self.recovery.corrupt.len()
-        )
     }
 
     /// Appends one row, deduplicating by digest. Returns `false` when
@@ -512,7 +487,6 @@ impl Store {
         }
         self.buffered_digests.insert(row.digest);
         self.buffered.push(row);
-        self.appended += 1;
         if self.buffered.len() >= self.options.flush_rows {
             self.flush()?;
         }

@@ -1,21 +1,19 @@
-//! Machine generations: the 2006 presets re-expressed through the
-//! generator, plus the post-2006 chiplet and HBM-tier machines.
+//! The five machine generations: the paper's three 2006 systems and the
+//! post-2006 chiplet and HBM-tier machines.
 //!
-//! The 2006 graphs lower to specs **byte-identical** to the
-//! hand-rolled `corescope_machine::systems` constructors (asserted in
-//! tests below), so every existing artifact reproduces exactly when
-//! routed through here. The modern generations consume the four
+//! Tiger, DMZ and Longs are the `corescope_machine::systems` presets.
+//! Epyc and Hbm are built here by two plain builders that read the four
 //! `CalibParams` topo axes (`onpkg_bandwidth`, `onpkg_latency`,
-//! `tier_dram_bandwidth`, `tier_hbm_bandwidth`) anchored against
-//! Bergstrom (arXiv:1103.3225) and RZBENCH (arXiv:0712.3389) numbers
-//! in `corescope-calib`.
+//! `tier_dram_bandwidth`, `tier_hbm_bandwidth`), anchored against
+//! Bergstrom (arXiv:1103.3225) and RZBENCH (arXiv:0712.3389) numbers in
+//! `corescope-calib`. Every spec is validated, so a point outside the
+//! calibration box is a typed [`corescope_machine::Error::InvalidSpec`].
 
-use crate::blueprint::{Blueprint, MemoryTier};
-use crate::error::TopoError;
-use crate::graph::{TopoGraph, TopoLink, TopoNode};
-use corescope_machine::systems::calib;
+use corescope_machine::spec::LinkEdge;
+use corescope_machine::systems::{self, calib};
 use corescope_machine::{
-    CacheSpec, CalibParams, CoherenceSpec, CoreSpec, LinkSpec, Machine, MachineSpec, MemorySpec,
+    CacheSpec, CalibParams, CoherenceSpec, CoreSpec, Error, LinkSpec, Machine, MachineSpec,
+    MemorySpec,
 };
 
 /// Fixed (non-axis) constants of the modern generations. The four
@@ -103,9 +101,8 @@ impl std::fmt::Display for UnknownSystem {
 
 impl std::error::Error for UnknownSystem {}
 
-/// A machine generation the generator can instantiate: the paper's
-/// Table 1 systems plus the modern generations. `corescope-sched`
-/// re-exports it as `System`.
+/// A machine generation: the paper's Table 1 systems plus the modern
+/// generations. `corescope-sched` re-exports it as `System`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Generation {
     /// 2006: Cray XD1 node, 2 × single-core Opteron 248.
@@ -166,40 +163,38 @@ impl Generation {
         }
     }
 
-    /// The generation's topology graph at a calibration point.
-    pub fn graph_with(self, p: &CalibParams) -> TopoGraph {
-        match self {
-            Self::Tiger => k8_graph("tiger", p, 2.2e9, 1, 4.0 * GIB, 2, p.probe_capacity_small),
-            Self::Dmz => k8_graph("dmz", p, 2.2e9, 2, 2.0 * GIB, 2, p.probe_capacity_small),
-            Self::Longs => k8_graph("longs", p, 1.8e9, 2, 4.0 * GIB, 8, p.probe_capacity_ladder),
-            Self::Epyc => epyc_blueprint(p).expand(),
-            Self::Hbm => hbm_blueprint(p).expand(),
-        }
-    }
-
-    /// Lowered machine spec at a calibration point.
+    /// Validated machine spec at a calibration point.
     ///
     /// # Errors
     ///
-    /// Returns [`TopoError`] if the generation's graph fails to lower —
-    /// impossible for in-bounds calibration points, but a wildly
-    /// out-of-box point (zero bandwidth) degrades into a typed error
-    /// instead of a panic.
-    pub fn try_spec_with(self, p: &CalibParams) -> Result<MachineSpec, TopoError> {
-        self.graph_with(p).lower()
+    /// Returns [`Error::InvalidSpec`] when the point yields an invalid
+    /// spec: impossible inside the calibration bounds, but an out-of-box
+    /// point (zero bandwidth) degrades into a typed error instead of a
+    /// panic.
+    pub fn try_spec_with(self, p: &CalibParams) -> Result<MachineSpec, Error> {
+        let spec = match self {
+            Self::Tiger => systems::tiger_with(p),
+            Self::Dmz => systems::dmz_with(p),
+            Self::Longs => systems::longs_with(p),
+            Self::Epyc => epyc_spec(p),
+            Self::Hbm => hbm_spec(p),
+        };
+        spec.validate()?;
+        Ok(spec)
     }
 
-    /// Lowered machine spec at a calibration point.
+    /// Validated machine spec at a calibration point.
     ///
     /// # Panics
     ///
     /// Panics if the point produces an invalid spec (non-positive
-    /// bandwidths); use [`Generation::try_spec_with`] to handle that.
+    /// bandwidths), which no point inside the calibration bounds does;
+    /// use [`Generation::try_spec_with`] to handle that.
     pub fn spec_with(self, p: &CalibParams) -> MachineSpec {
-        self.try_spec_with(p).expect("generation preset lowers")
+        self.try_spec_with(p).expect("calibration point yields a valid spec")
     }
 
-    /// Lowered machine spec at the shipped calibration.
+    /// Validated machine spec at the shipped calibration.
     pub fn spec(self) -> MachineSpec {
         self.spec_with(&CalibParams::paper_2006())
     }
@@ -216,70 +211,6 @@ impl Generation {
     /// Routable machine at the shipped calibration.
     pub fn machine(self) -> Machine {
         Machine::new(self.spec())
-    }
-}
-
-fn k8_cache(p: &CalibParams) -> CacheSpec {
-    CacheSpec {
-        l1_bytes: p.l1_bytes,
-        l2_bytes: p.l2_bytes,
-        line_bytes: p.line_bytes,
-        stream_mlp: p.stream_mlp,
-        random_mlp: p.random_mlp,
-        strided_mlp: p.strided_mlp,
-        lookup_mlp: p.lookup_mlp,
-    }
-}
-
-fn k8_memory(p: &CalibParams) -> MemorySpec {
-    MemorySpec {
-        controller_bw: p.dram_bandwidth,
-        idle_latency: p.dram_latency,
-        lookup_latency: p.lookup_latency,
-    }
-}
-
-/// A 2006 K8 machine as a graph: uniform nodes, the HT link graph of
-/// the preset (single edge for two sockets, the 2×4 ladder for eight).
-/// Lowers to exactly the `systems::*_with` spec.
-fn k8_graph(
-    name: &str,
-    p: &CalibParams,
-    frequency_hz: f64,
-    cores: usize,
-    capacity: f64,
-    sockets: usize,
-    probe_capacity: f64,
-) -> TopoGraph {
-    let ht = LinkSpec { bandwidth: p.ht_bandwidth, hop_latency: p.ht_hop_latency };
-    let links = if sockets == 2 {
-        vec![TopoLink { a: 0, b: 1, link: ht }]
-    } else {
-        // The Iwill H8501 ladder, in the preset's edge order: per row a
-        // rung, then the two rails down to the next row.
-        let mut links = Vec::new();
-        for r in 0..sockets / 2 {
-            links.push(TopoLink { a: r * 2, b: r * 2 + 1, link: ht.clone() });
-            if r + 1 < sockets / 2 {
-                links.push(TopoLink { a: r * 2, b: (r + 1) * 2, link: ht.clone() });
-                links.push(TopoLink { a: r * 2 + 1, b: (r + 1) * 2 + 1, link: ht.clone() });
-            }
-        }
-        links
-    };
-    TopoGraph {
-        name: name.into(),
-        core: CoreSpec { frequency_hz, flops_per_cycle: p.flops_per_cycle },
-        cache: k8_cache(p),
-        coherence: CoherenceSpec {
-            base_probe: p.probe_base,
-            per_hop_probe: p.probe_per_hop,
-            probe_capacity,
-        },
-        nodes: (0..sockets)
-            .map(|id| TopoNode { id, cores, capacity_bytes: capacity, memory: k8_memory(p) })
-            .collect(),
-        links,
     }
 }
 
@@ -303,99 +234,95 @@ fn modern_coherence() -> CoherenceSpec {
     }
 }
 
+fn modern_memory(controller_bw: f64, idle_latency: f64) -> MemorySpec {
+    MemorySpec { controller_bw, idle_latency, lookup_latency: fixed::LOOKUP_LATENCY }
+}
+
 /// The EPYC-like machine: 2 packages × 4 chiplets × 4 cores. Each
-/// chiplet owns a DDR channel pair; chiplets mesh on-package over
-/// Infinity-Fabric-class links and chain to the peer package over
-/// slower xGMI-class links.
-fn epyc_blueprint(p: &CalibParams) -> Blueprint {
-    Blueprint {
+/// chiplet is a NUMA node with its own DDR channel pair; the chiplets
+/// of a package mesh over Infinity-Fabric-class links, and chiplet `c`
+/// links to chiplet `c` of the other package over a slower xGMI-class
+/// link.
+///
+/// Edge order is part of the machine's identity (the digest folds it
+/// in): both package meshes in lexicographic pairs, then the four
+/// cross-package links. The on-package link is the spec's `link`; a
+/// cross-package edge gets an `edge_links` override only when its link
+/// differs from it.
+fn epyc_spec(p: &CalibParams) -> MachineSpec {
+    const CHIPLETS: usize = 4;
+    let onpkg = LinkSpec { bandwidth: p.onpkg_bandwidth, hop_latency: p.onpkg_latency };
+    let cross = LinkSpec {
+        bandwidth: fixed::CROSS_PACKAGE_BANDWIDTH,
+        hop_latency: fixed::CROSS_PACKAGE_LATENCY,
+    };
+    let mut edges = Vec::new();
+    for base in [0, CHIPLETS] {
+        for a in 0..CHIPLETS {
+            edges.extend((a + 1..CHIPLETS).map(|b| LinkEdge::new(base + a, base + b)));
+        }
+    }
+    let mesh = edges.len();
+    edges.extend((0..CHIPLETS).map(|c| LinkEdge::new(c, CHIPLETS + c)));
+    let edge_links = if cross != onpkg {
+        (mesh..edges.len()).map(|e| (e, cross.clone())).collect()
+    } else {
+        Vec::new()
+    };
+    MachineSpec {
         name: "epyc".into(),
-        packages: 2,
-        chiplets_per_package: 4,
-        cores_per_chiplet: 4,
-        chiplet_capacity_bytes: fixed::EPYC_NODE_CAPACITY,
-        chiplet_memory: MemorySpec {
-            controller_bw: p.tier_dram_bandwidth,
-            idle_latency: fixed::TIER_DRAM_LATENCY,
-            lookup_latency: fixed::LOOKUP_LATENCY,
-        },
-        onpackage_link: LinkSpec { bandwidth: p.onpkg_bandwidth, hop_latency: p.onpkg_latency },
-        cross_package_link: LinkSpec {
-            bandwidth: fixed::CROSS_PACKAGE_BANDWIDTH,
-            hop_latency: fixed::CROSS_PACKAGE_LATENCY,
-        },
-        memory_tiers: vec![],
+        sockets: vec![fixed::EPYC_NODE_CAPACITY; 2 * CHIPLETS],
+        cores_per_socket: 4,
         core: CoreSpec {
             frequency_hz: fixed::EPYC_FREQUENCY_HZ,
             flops_per_cycle: fixed::FLOPS_PER_CYCLE,
         },
         cache: modern_cache(),
+        memory: modern_memory(p.tier_dram_bandwidth, fixed::TIER_DRAM_LATENCY),
+        link: onpkg,
+        edges,
         coherence: modern_coherence(),
+        node_memory: Vec::new(),
+        edge_links,
+        memory_only_nodes: 0,
     }
 }
 
 /// The HBM-tiered node: 16 cores on one DRAM-backed NUMA node, plus an
 /// HBM stack as a second, memory-only NUMA node behind an on-package
-/// fabric link — the flat-mode tiered-memory machine.
-fn hbm_blueprint(p: &CalibParams) -> Blueprint {
-    Blueprint {
+/// fabric link — the flat-mode tiered-memory machine. The HBM node's
+/// idle latency differs from the DRAM node's, so it always carries a
+/// `node_memory` override.
+fn hbm_spec(p: &CalibParams) -> MachineSpec {
+    let hbm = modern_memory(p.tier_hbm_bandwidth, fixed::TIER_HBM_LATENCY);
+    MachineSpec {
         name: "hbm".into(),
-        packages: 1,
-        chiplets_per_package: 1,
-        cores_per_chiplet: 16,
-        chiplet_capacity_bytes: fixed::HBM_DRAM_CAPACITY,
-        chiplet_memory: MemorySpec {
-            controller_bw: fixed::HBM_DRAM_CHANNEL_PAIRS * p.tier_dram_bandwidth,
-            idle_latency: fixed::TIER_DRAM_LATENCY,
-            lookup_latency: fixed::LOOKUP_LATENCY,
-        },
-        onpackage_link: LinkSpec { bandwidth: p.onpkg_bandwidth, hop_latency: p.onpkg_latency },
-        cross_package_link: LinkSpec {
-            bandwidth: fixed::CROSS_PACKAGE_BANDWIDTH,
-            hop_latency: fixed::CROSS_PACKAGE_LATENCY,
-        },
-        memory_tiers: vec![MemoryTier {
-            attach: 0,
-            capacity_bytes: fixed::HBM_CAPACITY,
-            memory: MemorySpec {
-                controller_bw: p.tier_hbm_bandwidth,
-                idle_latency: fixed::TIER_HBM_LATENCY,
-                lookup_latency: fixed::LOOKUP_LATENCY,
-            },
-            link: LinkSpec {
-                bandwidth: fixed::HBM_FABRIC_BANDWIDTH,
-                hop_latency: fixed::HBM_FABRIC_LATENCY,
-            },
-        }],
+        sockets: vec![fixed::HBM_DRAM_CAPACITY, fixed::HBM_CAPACITY],
+        cores_per_socket: 16,
         core: CoreSpec {
             frequency_hz: fixed::HBM_FREQUENCY_HZ,
             flops_per_cycle: fixed::FLOPS_PER_CYCLE,
         },
         cache: modern_cache(),
+        memory: modern_memory(
+            fixed::HBM_DRAM_CHANNEL_PAIRS * p.tier_dram_bandwidth,
+            fixed::TIER_DRAM_LATENCY,
+        ),
+        link: LinkSpec {
+            bandwidth: fixed::HBM_FABRIC_BANDWIDTH,
+            hop_latency: fixed::HBM_FABRIC_LATENCY,
+        },
+        edges: vec![LinkEdge::new(0, 1)],
         coherence: modern_coherence(),
+        node_memory: vec![(1, hbm)],
+        edge_links: Vec::new(),
+        memory_only_nodes: 1,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corescope_machine::systems;
-
-    #[test]
-    fn seed_generations_lower_byte_identically() {
-        // The whole satellite-1 contract: routing the 2006 presets
-        // through the generator yields the *same spec, bit for bit* as
-        // the hand-rolled constructors — at the shipped point and at
-        // any other calibration point.
-        let mut perturbed = CalibParams::paper_2006();
-        perturbed.dram_latency *= 1.25;
-        perturbed.ht_bandwidth *= 0.75;
-        for p in [CalibParams::paper_2006(), perturbed] {
-            assert_eq!(Generation::Tiger.spec_with(&p), systems::tiger_with(&p));
-            assert_eq!(Generation::Dmz.spec_with(&p), systems::dmz_with(&p));
-            assert_eq!(Generation::Longs.spec_with(&p), systems::longs_with(&p));
-        }
-    }
 
     #[test]
     fn keys_parse_round_trip() {
@@ -480,6 +407,44 @@ mod tests {
     fn out_of_box_point_degrades_to_typed_error() {
         let mut p = CalibParams::paper_2006();
         p.tier_dram_bandwidth = 0.0;
-        assert!(matches!(Generation::Epyc.try_spec_with(&p), Err(TopoError::BadMemory { .. })));
+        assert!(matches!(Generation::Epyc.try_spec_with(&p), Err(Error::InvalidSpec(_))));
+    }
+
+    #[test]
+    fn epyc_links_override_only_where_they_differ() {
+        let mut p = CalibParams::paper_2006();
+        p.onpkg_bandwidth = fixed::CROSS_PACKAGE_BANDWIDTH;
+        p.onpkg_latency = fixed::CROSS_PACKAGE_LATENCY;
+        assert!(Generation::Epyc.spec_with(&p).is_uniform());
+    }
+
+    /// Every point the calibration bounds admit builds a valid machine,
+    /// so a scenario whose parameters pass `CalibParams::in_bounds` can
+    /// never reach `spec_with`'s panic. Checked at each field's `lo` and
+    /// `hi` (the rest at the paper point) and at the all-`lo` and
+    /// all-`hi` corners.
+    #[test]
+    fn every_in_bounds_point_builds_a_valid_machine() {
+        let paper = CalibParams::paper_2006();
+        let mut points = Vec::new();
+        let (mut all_lo, mut all_hi) = (paper, paper);
+        for f in &CalibParams::FIELDS {
+            for v in [f.lo, f.hi] {
+                let mut p = paper;
+                f.write(&mut p, v);
+                points.push((f.name, p));
+            }
+            f.write(&mut all_lo, f.lo);
+            f.write(&mut all_hi, f.hi);
+        }
+        points.push(("all lo", all_lo));
+        points.push(("all hi", all_hi));
+        for g in Generation::all() {
+            for (name, p) in &points {
+                assert!(p.in_bounds(), "{name}");
+                let spec = g.try_spec_with(p).unwrap_or_else(|e| panic!("{} {name}: {e}", g.key()));
+                Machine::try_new(spec).unwrap_or_else(|e| panic!("{} {name}: {e}", g.key()));
+            }
+        }
     }
 }
