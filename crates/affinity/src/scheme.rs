@@ -58,7 +58,7 @@ impl Scheme {
     }
 
     /// Short identifier for CSV columns.
-    pub fn key(self) -> &'static str {
+    pub const fn key(self) -> &'static str {
         match self {
             Scheme::Default => "default",
             Scheme::OneMpiLocalAlloc => "one_localalloc",

@@ -33,6 +33,25 @@
 //! folds in two multiplies instead of eight. The bytes hashed and the
 //! digest are exactly those of the byte-at-a-time fold; only the number
 //! of multiplies drops.
+//!
+//! Most of a scenario's bytes are fixed at compile time: every field
+//! name, with its length, and every variant key. Such a constant run of
+//! `k` bytes `s` folds in one multiply-add, by the identity
+//!
+//! ```text
+//! fold(h, s) = h·P^k + C_s[h mod 256]   (mod 2^128, P = FNV_PRIME)
+//! ```
+//!
+//! Xor with a byte `b` changes only the low 8 bits of the state, so
+//! `h ^ b = h + δ` where `δ` depends only on `h mod 256` and `b`; and
+//! the low byte of `h·P` depends only on the low byte of `h`. By
+//! induction over the bytes, folding `s` adds to `h·P^k` a sum of
+//! `δ_i·P^(k−i)` whose every term depends only on `h mod 256`: that sum
+//! is `C_s[h mod 256]`, a 256-entry table a `const fn` builds at compile
+//! time (`ConstRun`). The small-integer fold above is the same argument
+//! for a run of zero bytes, whose table is all zeros. Both are exact:
+//! the digest of every stream is bit for bit that of FNV-1a over its
+//! bytes.
 
 use std::fmt;
 
@@ -42,6 +61,32 @@ const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
 /// `FNV_PRIME^7`: the fold of seven zero bytes.
 const FNV_PRIME_7: u128 = FNV_PRIME.wrapping_pow(7);
+
+/// FNV-1a over `bytes` from state `h`, one byte at a time: the one fold
+/// definition, run by the encoder and, at compile time, by [`ConstRun`].
+const fn fold(mut h: u128, bytes: &[u8]) -> u128 {
+    let mut i = 0;
+    while i < bytes.len() {
+        h = (h ^ bytes[i] as u128).wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    h
+}
+
+/// Folds `v` as 8 big-endian bytes. Below 256 those are seven zero
+/// bytes, folded as one multiply, and then the low byte.
+const fn fold_u64(h: u128, v: u64) -> u128 {
+    if v < 256 {
+        (h.wrapping_mul(FNV_PRIME_7) ^ v as u128).wrapping_mul(FNV_PRIME)
+    } else {
+        fold(h, &v.to_be_bytes())
+    }
+}
+
+/// Folds the length-prefixed string `be64(len) ‖ bytes`.
+const fn fold_text(h: u128, bytes: &[u8]) -> u128 {
+    fold(fold_u64(h, bytes.len() as u64), bytes)
+}
 
 /// A 128-bit content digest, printed as 32 hex digits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -53,14 +98,6 @@ impl Digest {
     pub fn hex(self) -> String {
         format!("{:032x}", self.0)
     }
-
-    /// Parses the output of [`Digest::hex`].
-    pub fn parse(s: &str) -> Option<Digest> {
-        if s.len() != 32 {
-            return None;
-        }
-        u128::from_str_radix(s, 16).ok().map(Digest)
-    }
 }
 
 impl fmt::Display for Digest {
@@ -69,8 +106,75 @@ impl fmt::Display for Digest {
     }
 }
 
+/// A length-prefixed string of the stream, `be64(len) ‖ bytes`: a field
+/// name, a string value or a variant key. Any `str`-like value folds
+/// byte by byte; a compile-time constant run folds in one multiply-add.
+pub trait Text {
+    /// The state after folding `be64(len) ‖ bytes` from `h`.
+    fn fold_into(&self, h: u128) -> u128;
+}
+
+impl<T: AsRef<str> + ?Sized> Text for T {
+    fn fold_into(&self, h: u128) -> u128 {
+        fold_text(h, self.as_ref().as_bytes())
+    }
+}
+
+/// A string known at compile time, as a constant run of the stream:
+/// `be64(len) ‖ bytes` folded in one step by the identity in the module
+/// docs. Build one per string with [`const_run!`].
+pub(crate) struct ConstRun {
+    bytes: &'static [u8],
+    /// `FNV_PRIME^k` for the run's `k = 8 + len` bytes.
+    mul: u128,
+    /// `C[l] = fold(l) − l·FNV_PRIME^k`: what folding the run from a
+    /// state with low byte `l` adds to `h·FNV_PRIME^k`.
+    add: [u128; 256],
+}
+
+impl ConstRun {
+    /// The run of `bytes`, tabulated.
+    pub(crate) const fn new(bytes: &'static [u8]) -> Self {
+        let mul = FNV_PRIME.wrapping_pow(8 + bytes.len() as u32);
+        let mut add = [0u128; 256];
+        let mut l = 0;
+        while l < 256 {
+            let h = l as u128;
+            add[l] = fold_text(h, bytes).wrapping_sub(h.wrapping_mul(mul));
+            l += 1;
+        }
+        Self { bytes, mul, add }
+    }
+}
+
+impl Text for ConstRun {
+    fn fold_into(&self, h: u128) -> u128 {
+        let next = h.wrapping_mul(self.mul).wrapping_add(self.add[h as u8 as usize]);
+        // Debug builds and unit tests check every table step against the
+        // byte fold it stands for.
+        if cfg!(any(test, debug_assertions)) {
+            assert_eq!(next, fold_text(h, self.bytes), "constant run {:?}", self.bytes);
+        }
+        next
+    }
+}
+
+/// `&'static ConstRun` for a string known at compile time: the table is
+/// built by the compiler and promoted to read-only data.
+macro_rules! const_run {
+    ($text:expr) => {{
+        const RUN: $crate::encode::ConstRun = $crate::encode::ConstRun::new($text.as_bytes());
+        &RUN
+    }};
+}
+pub(crate) use const_run;
+
 /// Canonical byte encoder: append-only, field-tagged, length-prefixed,
 /// hashed as it goes.
+///
+/// Every name, string and variant key is a [`Text`]: a `&str` folds byte
+/// by byte, the reference fold, and a compile-time constant run folds in
+/// one step to the same state.
 #[derive(Debug, Clone)]
 pub struct Encoder {
     state: u128,
@@ -96,78 +200,67 @@ impl Encoder {
         Self { state: prefix.0 }
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.state;
-        for &b in bytes {
-            h ^= b as u128;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.state = h;
+    fn byte(&mut self, b: u8) {
+        self.state = fold(self.state, &[b]);
     }
 
-    /// Folds `v` as 8 big-endian bytes. Below 256 those are seven zero
-    /// bytes, folded as one multiply, and then the low byte.
     fn raw_u64(&mut self, v: u64) {
-        if v < 256 {
-            let h = self.state.wrapping_mul(FNV_PRIME_7) ^ v as u128;
-            self.state = h.wrapping_mul(FNV_PRIME);
-        } else {
-            self.write(&v.to_be_bytes());
-        }
+        self.state = fold_u64(self.state, v);
     }
 
-    fn name(&mut self, name: &str) {
-        self.raw_u64(name.len() as u64);
-        self.write(name.as_bytes());
+    fn text(&mut self, text: &(impl Text + ?Sized)) {
+        self.state = text.fold_into(self.state);
     }
 
     /// A named unsigned integer field.
-    pub fn u64(&mut self, name: &str, v: u64) -> &mut Self {
-        self.name(name);
-        self.write(b"u");
+    pub fn u64(&mut self, name: &(impl Text + ?Sized), v: u64) -> &mut Self {
+        self.text(name);
+        self.byte(b'u');
         self.raw_u64(v);
         self
     }
 
     /// A named `usize` field (encoded as u64).
-    pub fn usize(&mut self, name: &str, v: usize) -> &mut Self {
+    pub fn usize(&mut self, name: &(impl Text + ?Sized), v: usize) -> &mut Self {
         self.u64(name, v as u64)
     }
 
     /// A named float field, encoded by bit pattern so `-0.0` and `0.0`
     /// (and every NaN payload) stay distinguishable and the encoding is
     /// exact.
-    pub fn f64(&mut self, name: &str, v: f64) -> &mut Self {
-        self.name(name);
-        self.write(b"f");
+    pub fn f64(&mut self, name: &(impl Text + ?Sized), v: f64) -> &mut Self {
+        self.text(name);
+        self.byte(b'f');
         self.raw_u64(v.to_bits());
         self
     }
 
     /// A named string field.
-    pub fn str(&mut self, name: &str, v: &str) -> &mut Self {
-        self.name(name);
-        self.write(b"s");
-        self.raw_u64(v.len() as u64);
-        self.write(v.as_bytes());
+    pub fn str(&mut self, name: &(impl Text + ?Sized), v: &(impl Text + ?Sized)) -> &mut Self {
+        self.text(name);
+        self.byte(b's');
+        self.text(v);
         self
     }
 
     /// A named enum-discriminant field: the variant's stable key string.
-    pub fn tag(&mut self, name: &str, variant: &str) -> &mut Self {
-        self.name(name);
-        self.write(b"t");
-        self.raw_u64(variant.len() as u64);
-        self.write(variant.as_bytes());
+    pub fn tag(
+        &mut self,
+        name: &(impl Text + ?Sized),
+        variant: &(impl Text + ?Sized),
+    ) -> &mut Self {
+        self.text(name);
+        self.byte(b't');
+        self.text(variant);
         self
     }
 
     /// Opens a named list of `len` elements; callers then encode each
     /// element's fields. The length prefix keeps adjacent lists from
     /// bleeding into one another.
-    pub fn list(&mut self, name: &str, len: usize) -> &mut Self {
-        self.name(name);
-        self.write(b"l");
+    pub fn list(&mut self, name: &(impl Text + ?Sized), len: usize) -> &mut Self {
+        self.text(name);
+        self.byte(b'l');
         self.raw_u64(len as u64);
         self
     }
@@ -386,15 +479,31 @@ mod tests {
             }
             proptest::prop_assert_eq!(enc.digest(), bytes.fnv());
         }
-    }
 
-    #[test]
-    fn digest_hex_round_trips() {
-        let d = digest_of(|e| {
-            e.str("k", "v");
-        });
-        assert_eq!(Digest::parse(&d.hex()), Some(d));
-        assert_eq!(d.hex().len(), 32);
-        assert_eq!(Digest::parse("xyz"), None);
+        /// A constant run folds to the state the byte fold of
+        /// `be64(len) ‖ bytes` reaches, from random states: strings of
+        /// 0–64 bytes, random or all `0x00` or all `0xff`, and the empty
+        /// string.
+        #[test]
+        fn encoder_parity_const_runs(
+            states in proptest::collection::vec((0u64..=u64::MAX, 0u64..=u64::MAX), 1..16),
+            fill in 0u8..3,
+            raw in proptest::collection::vec(0u8..=255, 0..65),
+        ) {
+            let bytes = match fill {
+                0 => raw,
+                1 => vec![0x00; raw.len()],
+                _ => vec![0xff; raw.len()],
+            };
+            let mut stream = (bytes.len() as u64).to_be_bytes().to_vec();
+            stream.extend_from_slice(&bytes);
+            let run = ConstRun::new(Box::leak(bytes.into_boxed_slice()));
+            let empty = ConstRun::new(b"");
+            for &(high, low) in &states {
+                let h = (high as u128) << 64 | low as u128;
+                proptest::prop_assert_eq!(run.fold_into(h), fold(h, &stream));
+                proptest::prop_assert_eq!(empty.fold_into(h), fold(h, &[0; 8]));
+            }
+        }
     }
 }

@@ -49,7 +49,7 @@ impl Fidelity {
     }
 
     /// Stable lowercase key used in scenario JSON and cache paths.
-    pub fn key(self) -> &'static str {
+    pub const fn key(self) -> &'static str {
         match self {
             Fidelity::Full => "full",
             Fidelity::Quick => "quick",

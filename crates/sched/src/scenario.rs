@@ -10,7 +10,7 @@
 //! produce equal [`ScenarioResult`]s, which is what makes the
 //! content-addressed cache in [`crate::cache`] sound.
 
-use crate::encode::{Digest, Encoder};
+use crate::encode::{const_run, ConstRun, Digest, Encoder};
 use crate::fidelity::Fidelity;
 use crate::json::{self, Value};
 use corescope_affinity::{os_scatter, policy, Scheme};
@@ -40,6 +40,7 @@ use corescope_machine::{
     SocketId, TraceConfig, TrafficProfile,
 };
 use corescope_smpi::{CommWorld, LockLayer, MpiImpl};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -60,7 +61,7 @@ pub enum Placement {
 impl Placement {
     /// Stable lowercase key (JSON and encoding); scheme placements reuse
     /// [`Scheme::key`], the CSV column identifiers.
-    pub fn key(self) -> &'static str {
+    pub const fn key(self) -> &'static str {
         match self {
             Placement::Scheme(s) => s.key(),
             Placement::ScatterLocal => "scatter-local",
@@ -124,7 +125,7 @@ fn table_placement(placement: Placement, misplacement: f64) -> TablePlacement {
     }
 }
 
-pub(crate) fn mpi_key(mpi: MpiImpl) -> &'static str {
+pub(crate) const fn mpi_key(mpi: MpiImpl) -> &'static str {
     match mpi {
         MpiImpl::Mpich2 => "mpich2",
         MpiImpl::Lam => "lam",
@@ -140,19 +141,58 @@ fn lock_parse(s: &str) -> Option<LockLayer> {
     [LockLayer::SysV, LockLayer::USysV].into_iter().find(|l| l.key() == s)
 }
 
+/// A scenario axis folded into the digest stream as its stable key.
+trait Keyed {
+    /// The key's constant run.
+    fn key_run(self) -> &'static ConstRun;
+}
+
+/// Implements [`Keyed`] from each variant's own `const fn` key, one
+/// `static` table per variant, so a run cannot drift from its key.
+macro_rules! keyed {
+    ($($ty:ident by $key:path { $($variant:ident),+ })+) => {$(
+        impl Keyed for $ty {
+            fn key_run(self) -> &'static ConstRun {
+                match self {
+                    $($ty::$variant => const_run!($key($ty::$variant)),)+
+                }
+            }
+        }
+    )+};
+}
+
+keyed! {
+    System by System::key { Tiger, Dmz, Longs, Epyc, Hbm }
+    Fidelity by Fidelity::key { Full, Quick }
+    Scheme by Scheme::key {
+        Default, OneMpiLocalAlloc, OneMpiMembind, TwoMpiLocalAlloc, TwoMpiMembind, Interleave
+    }
+    MpiImpl by mpi_key { Mpich2, Lam, OpenMpi }
+    LockLayer by LockLayer::key { SysV, USysV }
+}
+
+impl Keyed for Placement {
+    fn key_run(self) -> &'static ConstRun {
+        match self {
+            Placement::Scheme(scheme) => scheme.key_run(),
+            Placement::ScatterLocal => const_run!(Placement::ScatterLocal.key()),
+        }
+    }
+}
+
 /// One leaf field of a codec table: how a value is folded into the
 /// digest stream, rendered as a JSON value, and parsed back.
 trait Leaf: Sized {
     /// What a parse error says the field must hold.
     const EXPECTED: &'static str;
-    fn encode(self, name: &str, enc: &mut Encoder);
+    fn encode(self, name: &'static ConstRun, enc: &mut Encoder);
     fn render(self, out: &mut String);
     fn parse(v: &Value) -> Option<Self>;
 }
 
 impl Leaf for usize {
     const EXPECTED: &'static str = "an integer below 2^53";
-    fn encode(self, name: &str, enc: &mut Encoder) {
+    fn encode(self, name: &'static ConstRun, enc: &mut Encoder) {
         enc.usize(name, self);
     }
     fn render(self, out: &mut String) {
@@ -165,7 +205,7 @@ impl Leaf for usize {
 
 impl Leaf for u64 {
     const EXPECTED: &'static str = usize::EXPECTED;
-    fn encode(self, name: &str, enc: &mut Encoder) {
+    fn encode(self, name: &'static ConstRun, enc: &mut Encoder) {
         enc.u64(name, self);
     }
     fn render(self, out: &mut String) {
@@ -178,7 +218,7 @@ impl Leaf for u64 {
 
 impl Leaf for f64 {
     const EXPECTED: &'static str = "a number";
-    fn encode(self, name: &str, enc: &mut Encoder) {
+    fn encode(self, name: &'static ConstRun, enc: &mut Encoder) {
         enc.f64(name, self);
     }
     fn render(self, out: &mut String) {
@@ -194,7 +234,7 @@ macro_rules! id_leaves {
     ($($id:ident),+) => {$(
         impl Leaf for $id {
             const EXPECTED: &'static str = usize::EXPECTED;
-            fn encode(self, name: &str, enc: &mut Encoder) {
+            fn encode(self, name: &'static ConstRun, enc: &mut Encoder) {
                 self.index().encode(name, enc);
             }
             fn render(self, out: &mut String) {
@@ -215,8 +255,8 @@ macro_rules! keyed_leaves {
     ($($ty:ident { $($variant:ident = $key:literal),+ $(,)? })+) => {$(
         impl Leaf for $ty {
             const EXPECTED: &'static str = concat!("one of" $(, " \"", $key, "\"")+);
-            fn encode(self, name: &str, enc: &mut Encoder) {
-                enc.tag(name, match self { $($ty::$variant => $key),+ });
+            fn encode(self, name: &'static ConstRun, enc: &mut Encoder) {
+                enc.tag(name, match self { $($ty::$variant => const_run!($key)),+ });
             }
             fn render(self, out: &mut String) {
                 let key = match self { $($ty::$variant => $key),+ };
@@ -253,6 +293,8 @@ fn field<T: Leaf>(v: &Value, what: &str, kind: &str, name: &str) -> std::result:
 trait KindCodec: Sized {
     /// Stable lowercase kind key (JSON and encoding).
     fn kind(&self) -> &'static str;
+    /// The kind key's constant run.
+    fn kind_run(&self) -> &'static ConstRun;
     /// Folds every field into the digest stream, in table order.
     fn encode_fields(&self, enc: &mut Encoder);
     /// Appends `,"field":value` for every field, in table order.
@@ -278,10 +320,16 @@ macro_rules! codec_table {
                 }
             }
 
+            fn kind_run(&self) -> &'static ConstRun {
+                match self {
+                    $($ty::$variant { $($field: _),* } => const_run!($key),)+
+                }
+            }
+
             fn encode_fields(&self, enc: &mut Encoder) {
                 match *self {
                     $($ty::$variant { $($field),* } => {
-                        $($field.encode(stringify!($field), enc);)*
+                        $($field.encode(const_run!(stringify!($field)), enc);)*
                     })+
                 }
             }
@@ -907,7 +955,7 @@ impl Scenario {
     /// Rejects a calibration point outside its documented bounds. Every
     /// in-bounds point builds a valid machine, so passing this check
     /// keeps [`System::spec_with`] from panicking.
-    fn check_params(&self) -> Result<()> {
+    pub(crate) fn check_params(&self) -> Result<()> {
         if self.params.in_bounds() {
             Ok(())
         } else {
@@ -922,72 +970,75 @@ impl Scenario {
     /// in so a spec change orphans stale entries.
     ///
     /// The byte stream is a `(system, params)` prefix followed by the
-    /// per-scenario suffix; [`Scenario::digests`] hashes each distinct
-    /// prefix once per batch and resumes every suffix from it.
+    /// per-scenario suffix. The prefix is read from this thread's bounded
+    /// memo of prefixes, shared with [`Scenario::digests`], and the
+    /// suffix resumes from it.
     pub fn digest(&self) -> Digest {
-        self.digest_after(digest_prefix(self.system, &self.params))
+        let prefix = PREFIXES.with_borrow_mut(|memo| memo.get(self.system, &self.params));
+        self.digest_after(prefix)
     }
 
     /// [`Scenario::digest`] for every scenario of a batch, in order. The
     /// prefix — engine tag, full machine spec and calibration point, the
     /// bulk of the encoded bytes — is computed once per distinct
-    /// `(system, params)` pair in the batch, looked up through a
+    /// `(system, params)` pair this thread meets, looked up through a
     /// per-system slot in front of a map. Params are keyed by bit
     /// pattern, matching the encoding, so `0.0` and `-0.0` never share a
     /// prefix.
     pub fn digests(batch: &[Scenario]) -> Vec<Digest> {
-        let mut prefixes = PrefixMemo::default();
-        batch.iter().map(|s| s.digest_after(prefixes.get(s.system, &s.params))).collect()
+        PREFIXES.with_borrow_mut(|memo| {
+            batch.iter().map(|s| s.digest_after(memo.get(s.system, &s.params))).collect()
+        })
     }
 
     /// The per-scenario suffix of the digest stream, resumed from the
     /// `(system, params)` prefix state.
     fn digest_after(&self, prefix: Digest) -> Digest {
         let mut enc = Encoder::resume(prefix);
-        enc.tag("system", self.system.key())
-            .tag("fidelity", self.fidelity.key())
-            .usize("nranks", self.nranks);
+        enc.tag(const_run!("system"), self.system.key_run())
+            .tag(const_run!("fidelity"), self.fidelity.key_run())
+            .usize(const_run!("nranks"), self.nranks);
         // Encoded only when present, so every unparked scenario keeps its
         // digest.
         if self.parked > 0 {
-            enc.usize("parked", self.parked);
+            enc.usize(const_run!("parked"), self.parked);
         }
-        enc.tag("placement", self.placement.key())
-            .tag("mpi", mpi_key(self.mpi))
-            .tag("lock", self.lock.key());
-        enc.tag("workload", self.workload.kind());
+        enc.tag(const_run!("placement"), self.placement.key_run())
+            .tag(const_run!("mpi"), self.mpi.key_run())
+            .tag(const_run!("lock"), self.lock.key_run());
+        enc.tag(const_run!("workload"), self.workload.kind_run());
         self.workload.encode_fields(&mut enc);
-        enc.list("faults", self.faults.events().len());
+        enc.list(const_run!("faults"), self.faults.events().len());
         for event in self.faults.events() {
-            enc.f64("at", event.at).tag("kind", event.kind.kind());
+            enc.f64(const_run!("at"), event.at).tag(const_run!("kind"), event.kind.kind_run());
             event.kind.encode_fields(&mut enc);
         }
         match &self.recovery {
             None => {
-                enc.tag("recovery", "none");
+                enc.tag(const_run!("recovery"), const_run!("none"));
             }
             Some(p) => {
-                enc.tag("recovery", "checkpoint")
-                    .f64("interval", p.interval)
-                    .f64("bytes_per_rank", p.bytes_per_rank)
-                    .f64("restart_delay", p.restart_delay);
+                enc.tag(const_run!("recovery"), const_run!("checkpoint"))
+                    .f64(const_run!("interval"), p.interval)
+                    .f64(const_run!("bytes_per_rank"), p.bytes_per_rank)
+                    .f64(const_run!("restart_delay"), p.restart_delay);
                 match p.target {
-                    CheckpointTarget::OwnLayout => enc.tag("target", "own"),
-                    CheckpointTarget::Node(node) => {
-                        enc.tag("target", "node").usize("node", node.index())
-                    }
+                    CheckpointTarget::OwnLayout => enc.tag(const_run!("target"), const_run!("own")),
+                    CheckpointTarget::Node(node) => enc
+                        .tag(const_run!("target"), const_run!("node"))
+                        .usize(const_run!("node"), node.index()),
                 };
             }
         }
         match &self.retry {
             None => {
-                enc.tag("retry", "none");
+                enc.tag(const_run!("retry"), const_run!("none"));
             }
             Some(r) => {
-                enc.tag("retry", "some")
-                    .f64("detection_timeout", r.detection_timeout)
-                    .f64("backoff", r.backoff)
-                    .usize("max_retries", r.max_retries);
+                enc.tag(const_run!("retry"), const_run!("some"))
+                    .f64(const_run!("detection_timeout"), r.detection_timeout)
+                    .f64(const_run!("backoff"), r.backoff)
+                    .usize(const_run!("max_retries"), r.max_retries);
             }
         }
         enc.digest()
@@ -1262,14 +1313,15 @@ impl Scenario {
 /// prefix.
 type ParamBits = [u64; CalibParams::FIELDS.len()];
 
-/// The digest prefixes of one batch, keyed by `(system, params bits)`.
+/// Digest prefixes keyed by `(system, params bits)`.
 ///
 /// Each system has a slot holding its last calibration point and prefix.
 /// A batch usually holds one point per system, so nearly every lookup is
 /// one key comparison against the slot. A slot miss, as in a calibration
 /// sweep, falls back to the SipHash map and refills the slot: one key
-/// comparison more than the map alone, so a batch of all-distinct points
-/// is still one linear pass.
+/// comparison more than the map alone. The map holds at most
+/// [`PrefixMemo::CAP`] points and starts over when full, so a thread
+/// that meets unboundedly many points keeps a bounded memo.
 #[derive(Default)]
 struct PrefixMemo {
     slots: [Option<(ParamBits, Digest)>; System::all().len()],
@@ -1277,16 +1329,27 @@ struct PrefixMemo {
 }
 
 impl PrefixMemo {
+    /// Distinct `(system, params)` points the map holds before it is
+    /// cleared.
+    const CAP: usize = 1024;
+
     fn get(&mut self, system: System, params: &CalibParams) -> Digest {
         let bits = params.to_bits();
         let slot = &mut self.slots[system as usize];
         match slot {
             Some((last, prefix)) if *last == bits => *prefix,
             _ => {
-                let prefix = *self
-                    .map
-                    .entry((system, bits))
-                    .or_insert_with(|| digest_prefix(system, params));
+                let prefix = match self.map.get(&(system, bits)) {
+                    Some(&prefix) => prefix,
+                    None => {
+                        if self.map.len() >= Self::CAP {
+                            self.map.clear();
+                        }
+                        let prefix = digest_prefix(system, params);
+                        self.map.insert((system, bits), prefix);
+                        prefix
+                    }
+                };
                 *slot = Some((bits, prefix));
                 prefix
             }
@@ -1294,67 +1357,93 @@ impl PrefixMemo {
     }
 }
 
+thread_local! {
+    /// This thread's digest prefixes. A prefix is a pure function of the
+    /// system, the calibration point and [`crate::ENGINE_TAG`], so every
+    /// digest on the thread may share it.
+    static PREFIXES: RefCell<PrefixMemo> = RefCell::new(PrefixMemo::default());
+}
+
+/// Every calibration field name's constant run, in
+/// [`CalibParams::FIELDS`] order.
+static CALIB_NAMES: [ConstRun; CalibParams::FIELDS.len()] = {
+    let mut runs = [const { ConstRun::new(b"") }; CalibParams::FIELDS.len()];
+    let mut i = 0;
+    while i < runs.len() {
+        runs[i] = ConstRun::new(CalibParams::FIELDS[i].name.as_bytes());
+        i += 1;
+    }
+    runs
+};
+
 /// The digest stream's `(system, params)` prefix: the engine tag, the
-/// machine's full spec and every calibration field.
+/// machine's full spec and every calibration field. A point that builds
+/// no valid spec (outside the calibration bounds) folds a marker in the
+/// spec's place; it never runs, so its digest keys no result.
 fn digest_prefix(system: System, params: &CalibParams) -> Digest {
     let mut enc = Encoder::new();
-    enc.str("engine", crate::ENGINE_TAG);
-    encode_machine_spec(&mut enc, &system.spec_with(params));
+    enc.str(const_run!("engine"), const_run!(crate::ENGINE_TAG));
+    match system.try_spec_with(params) {
+        Ok(spec) => encode_machine_spec(&mut enc, &spec),
+        Err(_) => {
+            enc.tag(const_run!("spec"), const_run!("invalid"));
+        }
+    }
     // The spec covers the machine-side parameters; fold every calib
     // field in explicitly as well so the MPI/placement parameters (and
     // any future field the spec does not surface) are guaranteed to
     // separate digests.
-    enc.list("calib", CalibParams::FIELDS.len());
-    for field in &CalibParams::FIELDS {
-        enc.f64(field.name, field.read(params));
+    enc.list(const_run!("calib"), CalibParams::FIELDS.len());
+    for (field, name) in CalibParams::FIELDS.iter().zip(&CALIB_NAMES) {
+        enc.f64(name, field.read(params));
     }
     enc.digest()
 }
 
 fn encode_machine_spec(enc: &mut Encoder, spec: &MachineSpec) {
-    enc.str("spec.name", &spec.name);
-    enc.list("spec.sockets", spec.sockets.len());
+    enc.str(const_run!("spec.name"), &spec.name);
+    enc.list(const_run!("spec.sockets"), spec.sockets.len());
     for &s in &spec.sockets {
-        enc.f64("socket", s);
+        enc.f64(const_run!("socket"), s);
     }
-    enc.usize("spec.cores_per_socket", spec.cores_per_socket)
-        .f64("core.frequency_hz", spec.core.frequency_hz)
-        .f64("core.flops_per_cycle", spec.core.flops_per_cycle)
-        .f64("cache.l1_bytes", spec.cache.l1_bytes)
-        .f64("cache.l2_bytes", spec.cache.l2_bytes)
-        .f64("cache.line_bytes", spec.cache.line_bytes)
-        .f64("cache.stream_mlp", spec.cache.stream_mlp)
-        .f64("cache.random_mlp", spec.cache.random_mlp)
-        .f64("cache.strided_mlp", spec.cache.strided_mlp)
-        .f64("cache.lookup_mlp", spec.cache.lookup_mlp)
-        .f64("memory.controller_bw", spec.memory.controller_bw)
-        .f64("memory.idle_latency", spec.memory.idle_latency)
-        .f64("memory.lookup_latency", spec.memory.lookup_latency)
-        .f64("link.bandwidth", spec.link.bandwidth)
-        .f64("link.hop_latency", spec.link.hop_latency)
-        .f64("coherence.base_probe", spec.coherence.base_probe)
-        .f64("coherence.per_hop_probe", spec.coherence.per_hop_probe)
-        .f64("coherence.probe_capacity", spec.coherence.probe_capacity);
-    enc.list("spec.edges", spec.edges.len());
+    enc.usize(const_run!("spec.cores_per_socket"), spec.cores_per_socket)
+        .f64(const_run!("core.frequency_hz"), spec.core.frequency_hz)
+        .f64(const_run!("core.flops_per_cycle"), spec.core.flops_per_cycle)
+        .f64(const_run!("cache.l1_bytes"), spec.cache.l1_bytes)
+        .f64(const_run!("cache.l2_bytes"), spec.cache.l2_bytes)
+        .f64(const_run!("cache.line_bytes"), spec.cache.line_bytes)
+        .f64(const_run!("cache.stream_mlp"), spec.cache.stream_mlp)
+        .f64(const_run!("cache.random_mlp"), spec.cache.random_mlp)
+        .f64(const_run!("cache.strided_mlp"), spec.cache.strided_mlp)
+        .f64(const_run!("cache.lookup_mlp"), spec.cache.lookup_mlp)
+        .f64(const_run!("memory.controller_bw"), spec.memory.controller_bw)
+        .f64(const_run!("memory.idle_latency"), spec.memory.idle_latency)
+        .f64(const_run!("memory.lookup_latency"), spec.memory.lookup_latency)
+        .f64(const_run!("link.bandwidth"), spec.link.bandwidth)
+        .f64(const_run!("link.hop_latency"), spec.link.hop_latency)
+        .f64(const_run!("coherence.base_probe"), spec.coherence.base_probe)
+        .f64(const_run!("coherence.per_hop_probe"), spec.coherence.per_hop_probe)
+        .f64(const_run!("coherence.probe_capacity"), spec.coherence.probe_capacity);
+    enc.list(const_run!("spec.edges"), spec.edges.len());
     for edge in &spec.edges {
-        enc.usize("a", edge.a).usize("b", edge.b);
+        enc.usize(const_run!("a"), edge.a).usize(const_run!("b"), edge.b);
     }
     // Heterogeneous extensions are encoded only when present so that every
     // uniform machine keeps its pre-extension digest.
     if !spec.is_uniform() {
-        enc.usize("spec.memory_only_nodes", spec.memory_only_nodes);
-        enc.list("spec.node_memory", spec.node_memory.len());
+        enc.usize(const_run!("spec.memory_only_nodes"), spec.memory_only_nodes);
+        enc.list(const_run!("spec.node_memory"), spec.node_memory.len());
         for (node, m) in &spec.node_memory {
-            enc.usize("node", *node)
-                .f64("memory.controller_bw", m.controller_bw)
-                .f64("memory.idle_latency", m.idle_latency)
-                .f64("memory.lookup_latency", m.lookup_latency);
+            enc.usize(const_run!("node"), *node)
+                .f64(const_run!("memory.controller_bw"), m.controller_bw)
+                .f64(const_run!("memory.idle_latency"), m.idle_latency)
+                .f64(const_run!("memory.lookup_latency"), m.lookup_latency);
         }
-        enc.list("spec.edge_links", spec.edge_links.len());
+        enc.list(const_run!("spec.edge_links"), spec.edge_links.len());
         for (edge, l) in &spec.edge_links {
-            enc.usize("edge", *edge)
-                .f64("link.bandwidth", l.bandwidth)
-                .f64("link.hop_latency", l.hop_latency);
+            enc.usize(const_run!("edge"), *edge)
+                .f64(const_run!("link.bandwidth"), l.bandwidth)
+                .f64(const_run!("link.hop_latency"), l.hop_latency);
         }
     }
 }
@@ -1417,6 +1506,165 @@ mod tests {
             nranks,
             Workload::Bsp { steps: 3, flops_per_step: 1e6, bytes_per_step: 1e6, sync_bytes: 8.0 },
         )
+    }
+
+    /// One scenario per workload kind and per keyed field value, per
+    /// system, placement, MPI stack and lock layer, a quick and a parked
+    /// one, every fault kind, and every branch of the recovery and retry
+    /// policies: between them, every constant run the codec folds.
+    fn codec_corpus() -> Vec<Scenario> {
+        use corescope_machine::{LinkId, NumaNodeId};
+        let (n, reps, bytes, grid_points) = (64, 1, 8.0, 64.0);
+        let (table_words_per_rank, updates_per_rank) = (64, 8);
+        let (nuclides, lookups_per_rank) = (4, 8);
+        let (nx, ny, nz, steps, cg_iterations) = (8, 8, 2, 1, 2);
+        let mut workloads = vec![
+            Workload::Bsp { steps, flops_per_step: 1e6, bytes_per_step: 1e6, sync_bytes: 8.0 },
+            Workload::StreamStar { kernel: StreamKernel::Triad, elements_per_rank: 64, sweeps: 1 },
+            Workload::Hpl { n, nb: 8, dgemm_efficiency: 0.8 },
+            Workload::DgemmSingle { n, reps, variant: BlasVariant::Acml },
+            Workload::DgemmStar { n, reps, variant: BlasVariant::Acml },
+            Workload::FftSingle { points_per_rank: 64, reps },
+            Workload::FftStar { points_per_rank: 64, reps },
+            Workload::RandomAccessSingle { table_words_per_rank, updates_per_rank },
+            Workload::RandomAccessStar { table_words_per_rank, updates_per_rank },
+            Workload::RandomAccessMpi { table_words_per_rank, updates_per_rank },
+            Workload::Ptrans { n, reps, block_bytes: bytes },
+            Workload::PingPong { bytes, reps },
+            Workload::Ring { bytes, reps },
+            Workload::Exchange { bytes, reps },
+            Workload::DaxpySingle { n, reps, variant: BlasVariant::Acml },
+            Workload::XsLookupSingle { grid_points: 64, nuclides, lookups_per_rank },
+            Workload::XsLookupStar { grid_points: 64, nuclides, lookups_per_rank },
+            Workload::Amber { atoms: 64, method: AmberMethod::Pme, grid_points, steps },
+            Workload::AmberFftPart { atoms: 64, method: AmberMethod::Pme, grid_points, steps },
+            Workload::PopBaroclinic { nx, ny, nz, steps, cg_iterations },
+            Workload::PopBarotropic { nx, ny, nz, steps, cg_iterations },
+            Workload::NasCgHybrid { class: CgClass::S, threads: 2 },
+            Workload::NasFtHybrid { class: FtClass::S, threads: 2 },
+        ];
+        let kernels = [StreamKernel::Copy, StreamKernel::Scale, StreamKernel::Add];
+        workloads.extend(kernels.map(|kernel| Workload::StreamSingle {
+            kernel,
+            elements_per_rank: 64,
+            sweeps: 1,
+        }));
+        workloads.push(Workload::DaxpyStar { n, reps, variant: BlasVariant::Vanilla });
+        workloads.extend(
+            [CgClass::S, CgClass::A, CgClass::B, CgClass::C].map(|class| Workload::NasCg { class }),
+        );
+        workloads.extend(
+            [FtClass::S, FtClass::A, FtClass::B, FtClass::C].map(|class| Workload::NasFt { class }),
+        );
+        workloads.push(Workload::Amber { atoms: 64, method: AmberMethod::Gb, grid_points, steps });
+        workloads.extend(LammpsBenchmark::all().map(|bench| Workload::Lammps { bench }));
+
+        let mut corpus: Vec<Scenario> =
+            workloads.into_iter().map(|w| Scenario::new(System::Dmz, 4, w)).collect();
+        corpus.extend(System::all().map(|system| bsp(system, 2)));
+        corpus.push(bsp(System::Dmz, 2).with_placement(Placement::ScatterLocal));
+        corpus.extend(
+            Scheme::all().map(|s| bsp(System::Dmz, 2).with_placement(Placement::Scheme(s))),
+        );
+        corpus.extend(MpiImpl::all().map(|mpi| bsp(System::Dmz, 2).with_mpi(mpi)));
+        corpus
+            .extend([LockLayer::SysV, LockLayer::USysV].map(|l| bsp(System::Dmz, 2).with_lock(l)));
+        corpus.push(bsp(System::Dmz, 2).with_fidelity(Fidelity::Quick).with_parked(1));
+        let (link, socket, rank) = (LinkId::new(0), SocketId::new(1), RankId::new(1));
+        let every_fault = FaultPlan::new()
+            .link_degrade(1e-4, link, 0.5)
+            .link_restore(2e-4, link)
+            .controller_throttle(3e-4, socket, 0.5)
+            .controller_restore(4e-4, socket)
+            .probe_brownout(5e-4, 0.5)
+            .probe_restore(6e-4)
+            .rank_stall(7e-4, rank)
+            .rank_resume(8e-4, rank)
+            .rank_kill(9e-4, rank)
+            .link_fail(1e-3, link);
+        let checkpoint = CheckpointPolicy::new(1e-3, 1e6);
+        corpus.push(
+            bsp(System::Dmz, 2)
+                .with_faults(every_fault)
+                .with_recovery(checkpoint.clone())
+                .with_retry(RetryPolicy::new(1e-3)),
+        );
+        corpus.push(
+            bsp(System::Dmz, 2)
+                .with_recovery(checkpoint.with_target(CheckpointTarget::Node(NumaNodeId::new(1)))),
+        );
+        corpus
+    }
+
+    /// Every constant run the codec defines folds like the bytes of its
+    /// string. The keyed axes are checked run against key here; the
+    /// field names, kind keys and spec and calibration names are folded
+    /// by digesting a corpus that reaches each of them, and in unit
+    /// tests every table step asserts it equals the byte fold it stands
+    /// for.
+    #[test]
+    fn every_constant_run_folds_like_its_bytes() {
+        let states = [0, 1, 0xff, 0x100, 0x6c62272e07bb014262b821756295c58d, u128::MAX];
+        let check = |run: &ConstRun, key: &str| {
+            for h in states {
+                let by_table = Encoder::resume(Digest(h)).tag("k", run).digest();
+                let by_byte = Encoder::resume(Digest(h)).tag("k", key).digest();
+                assert_eq!(by_table, by_byte, "{key}");
+            }
+        };
+        for system in System::all() {
+            check(system.key_run(), system.key());
+        }
+        for fidelity in [Fidelity::Full, Fidelity::Quick] {
+            check(fidelity.key_run(), fidelity.key());
+        }
+        let schemes = Scheme::all().map(Placement::Scheme);
+        for placement in schemes.into_iter().chain([Placement::ScatterLocal]) {
+            check(placement.key_run(), placement.key());
+        }
+        for mpi in MpiImpl::all() {
+            check(mpi.key_run(), mpi_key(mpi));
+        }
+        for lock in [LockLayer::SysV, LockLayer::USysV] {
+            check(lock.key_run(), lock.key());
+        }
+        let corpus = codec_corpus();
+        let single: Vec<Digest> = corpus.iter().map(Scenario::digest).collect();
+        assert_eq!(Scenario::digests(&corpus), single);
+    }
+
+    #[test]
+    fn a_point_with_no_machine_digests_without_a_spec() {
+        let mut zero = CalibParams::paper_2006();
+        zero.dram_bandwidth = 0.0;
+        let mut negative = zero;
+        negative.dram_bandwidth = -1.0;
+        assert!(System::Dmz.try_spec_with(&zero).is_err());
+        let good = bsp(System::Dmz, 2);
+        let batch = [
+            good.clone(),
+            good.clone().with_params(zero),
+            good.clone().with_params(negative),
+            good.clone().with_params(zero),
+        ];
+        let single: Vec<Digest> = batch.iter().map(Scenario::digest).collect();
+        assert_eq!(Scenario::digests(&batch), single);
+        assert_ne!(single[0], single[1]);
+        assert_ne!(single[1], single[2], "the calibration point still separates digests");
+        assert_eq!(single[1], single[3]);
+    }
+
+    #[test]
+    fn the_prefix_memo_is_bounded_and_exact() {
+        let mut memo = PrefixMemo::default();
+        let mut params = CalibParams::paper_2006();
+        let base = params.dram_latency;
+        for i in 0..=PrefixMemo::CAP {
+            params.dram_latency = base * (1.0 + i as f64 * 1e-6);
+            assert_eq!(memo.get(System::Dmz, &params), digest_prefix(System::Dmz, &params));
+            assert!(memo.map.len() <= PrefixMemo::CAP);
+        }
+        assert_eq!(memo.map.len(), 1, "a full memo starts over");
     }
 
     #[test]

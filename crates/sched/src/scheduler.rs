@@ -364,8 +364,11 @@ impl Scheduler {
 
     /// [`Scheduler::compute`] plus the campaign-store commit point: a
     /// successful outcome is offered to the sink, which drops digests
-    /// already committed, so warm reruns append nothing.
+    /// already committed, so warm reruns append nothing. A calibration
+    /// point outside its bounds builds no machine, so it fails here with
+    /// its bounds error, before any flight, disk claim or engine run.
     fn run_miss(&self, scenario: &Scenario, digest: Digest) -> Result<Completed> {
+        scenario.check_params()?;
         let outcome = self.compute(scenario, digest);
         if let (Some(sink), Ok(done)) = (&self.store, &outcome) {
             sink.record(scenario, digest, &done.result);
@@ -609,6 +612,26 @@ mod tests {
         assert!(out[1].is_err());
         assert!(out[2].is_ok());
         assert_eq!(sched.stats().errors, 1);
+    }
+
+    #[test]
+    fn a_point_with_no_machine_fails_typed_without_an_engine_run() {
+        let mut params = corescope_machine::CalibParams::paper_2006();
+        params.dram_bandwidth = 0.0;
+        let bad = bsp(2).with_params(params);
+        let is_bounds_error = |e: &Error| matches!(e, Error::InvalidSpec(m) if m.contains("outside its documented bounds"));
+
+        let sched = Scheduler::new(2);
+        let out = sched.run_batch(&[bsp(2), bad.clone(), bsp(3)]);
+        assert!(out[0].is_ok() && out[2].is_ok());
+        assert!(is_bounds_error(out[1].as_ref().unwrap_err()), "{:?}", out[1]);
+        assert_eq!(sched.stats().engine_runs, 2);
+        assert_eq!(sched.stats().errors, 1);
+
+        let one = Scheduler::new(1);
+        assert!(is_bounds_error(&one.run_one(&bad).unwrap_err()));
+        assert_eq!(one.stats().engine_runs, 0);
+        assert_eq!(one.stats().errors, 1);
     }
 
     #[test]

@@ -34,7 +34,7 @@ impl LockLayer {
     }
 
     /// Lowercase runtime-option name as used in the paper's figures.
-    pub fn key(self) -> &'static str {
+    pub const fn key(self) -> &'static str {
         match self {
             LockLayer::SysV => "sysv",
             LockLayer::USysV => "usysv",

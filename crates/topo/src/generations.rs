@@ -125,7 +125,7 @@ impl Generation {
     }
 
     /// Stable CLI/report key.
-    pub fn key(self) -> &'static str {
+    pub const fn key(self) -> &'static str {
         match self {
             Self::Tiger => "tiger",
             Self::Dmz => "dmz",
