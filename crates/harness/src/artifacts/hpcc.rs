@@ -29,6 +29,24 @@ fn option_scenario(option: RuntimeOption, workload: Workload, fidelity: Fidelity
         .with_lock(option.lock())
 }
 
+/// Runs `workloads` under each of the six options in one batch: every
+/// option with its workloads' makespans, in order.
+fn option_times(
+    sched: &Scheduler,
+    fidelity: Fidelity,
+    workloads: &[Workload],
+) -> Result<Vec<(RuntimeOption, Vec<f64>)>> {
+    let batch: Vec<Scenario> = RuntimeOption::all()
+        .into_iter()
+        .flat_map(|o| workloads.iter().map(move |w| option_scenario(o, w.clone(), fidelity)))
+        .collect();
+    let times = makespans(sched, &batch)?;
+    Ok(RuntimeOption::all()
+        .into_iter()
+        .zip(times.chunks(workloads.len()).map(<[f64]>::to_vec))
+        .collect())
+}
+
 /// Figure 8: HPL GFlop/s under the six options (Longs, 16 cores) plus the
 /// DMZ reference point.
 pub fn figure8(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
@@ -80,17 +98,11 @@ pub fn figure9(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
         Workload::FftSingle { points_per_rank: fft.points_per_rank, reps: fft.reps },
         Workload::FftStar { points_per_rank: fft.points_per_rank, reps: fft.reps },
     ];
-    let batch: Vec<Scenario> = RuntimeOption::all()
-        .into_iter()
-        .flat_map(|o| workloads.iter().map(move |w| option_scenario(o, w.clone(), fidelity)))
-        .collect();
-    let times = makespans(sched, &batch)?;
-
     let mut table = Table::with_columns(
         "Figure 9: Single/Star DGEMM and FFT on Longs (GFlop/s per core)",
         &["Option", "Single DGEMM", "Star DGEMM", "Single FFT", "Star FFT"],
     );
-    for (option, row) in RuntimeOption::all().into_iter().zip(times.chunks(workloads.len())) {
+    for (option, row) in option_times(sched, fidelity, &workloads)? {
         let (t_sd, t_td, t_sf, t_tf) = (row[0], row[1], row[2], row[3]);
         table.push_row(
             option.name(),
@@ -126,17 +138,11 @@ pub fn figure11(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
             updates_per_rank: params.updates_per_rank,
         },
     ];
-    let batch: Vec<Scenario> = RuntimeOption::all()
-        .into_iter()
-        .flat_map(|o| workloads.iter().map(move |w| option_scenario(o, w.clone(), fidelity)))
-        .collect();
-    let times = makespans(sched, &batch)?;
-
     let mut table = Table::with_columns(
         "Figure 11: RandomAccess on Longs (GUP/s)",
         &["Option", "Single", "Star per-core", "MPI (16 ranks)"],
     );
-    for (option, row) in RuntimeOption::all().into_iter().zip(times.chunks(workloads.len())) {
+    for (option, row) in option_times(sched, fidelity, &workloads)? {
         let (t_single, t_star, t_mpi) = (row[0], row[1], row[2]);
         table.push_row(
             option.name(),
@@ -168,17 +174,11 @@ pub fn figure12(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
         Workload::Ring { bytes, reps },
         Workload::PingPong { bytes, reps },
     ];
-    let batch: Vec<Scenario> = RuntimeOption::all()
-        .into_iter()
-        .flat_map(|o| workloads.iter().map(move |w| option_scenario(o, w.clone(), fidelity)))
-        .collect();
-    let times = makespans(sched, &batch)?;
-
     let mut table = Table::with_columns(
         "Figure 12: PTRANS and ring/pingpong bandwidth on Longs (GB/s)",
         &["Option", "PTRANS", "Ring BW/rank", "PingPong BW"],
     );
-    for (option, row) in RuntimeOption::all().into_iter().zip(times.chunks(workloads.len())) {
+    for (option, row) in option_times(sched, fidelity, &workloads)? {
         let t_pt = row[0];
         let ring = bytes / (row[1] / reps as f64);
         let pp = bytes / Reduction::HalfRoundTrip { reps }.apply(row[2]);
@@ -199,16 +199,11 @@ pub fn figure12(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
 pub fn figure13(fidelity: Fidelity, sched: &Scheduler) -> Result<Vec<Table>> {
     let (bytes, reps) = (8.0, fidelity.steps(50).max(5));
     let workloads = [Workload::PingPong { bytes, reps }, Workload::Ring { bytes, reps }];
-    let batch: Vec<Scenario> = RuntimeOption::all()
-        .into_iter()
-        .flat_map(|o| workloads.iter().map(move |w| option_scenario(o, w.clone(), fidelity)))
-        .collect();
-    let times = makespans(sched, &batch)?;
     let mut table = Table::with_columns(
         "Figure 13: Communication latency on Longs (microseconds)",
         &["Option", "PingPong", "Ring"],
     );
-    for (option, row) in RuntimeOption::all().into_iter().zip(times.chunks(workloads.len())) {
+    for (option, row) in option_times(sched, fidelity, &workloads)? {
         let pp = Reduction::HalfRoundTrip { reps }.apply(row[0]);
         let ring = row[1] / reps as f64;
         table.push_row(option.name(), vec![Cell::num(pp * 1e6), Cell::num(ring * 1e6)])?;

@@ -17,7 +17,7 @@ use crate::memory::MemoryLayout;
 use crate::program::{ComputePhase, Cursor, MessageCost, Op, Program};
 use crate::recovery::{CheckpointPolicy, CheckpointTarget, RetryPolicy};
 use crate::trace::{
-    FaultStamp, OpSpan, RankState, RecoveryStamp, RunTrace, SolverInterval, SpanKind, TraceConfig,
+    FaultStamp, OpSpan, RecoveryStamp, RunTrace, SolverInterval, SpanKind, TraceConfig,
 };
 use crate::traffic::{AccessPattern, TrafficProfile};
 use crate::Machine;
@@ -77,8 +77,6 @@ pub struct Engine<'m> {
     /// Routes of message payloads between two ranks' sockets.
     transfer_routes: RouteTable,
     max_events: usize,
-    time_budget: Option<f64>,
-    zero_progress_limit: usize,
     /// Coordinated checkpoint/restart policy (see [`Engine::with_recovery`]).
     checkpoint: Option<CheckpointPolicy>,
     /// Transfer timeout/retry policy for failed links (see
@@ -90,6 +88,11 @@ pub struct Engine<'m> {
 const EPS_BYTES: f64 = 1e-6;
 /// Timer comparison slack in seconds (one femtosecond).
 const EPS_TIME: f64 = 1e-15;
+/// Consecutive zero-time-advance iterations after which a run is a
+/// livelock and fails with [`Error::RankStalled`]: far above anything a
+/// legitimate same-timestamp cascade (barrier releases, eager send
+/// chains) produces.
+const ZERO_PROGRESS_LIMIT: usize = 50_000;
 
 impl<'m> Engine<'m> {
     /// Creates an engine with the machine's nominal resource capacities.
@@ -135,8 +138,6 @@ impl<'m> Engine<'m> {
             phase_routes,
             transfer_routes,
             max_events: 20_000_000,
-            time_budget: None,
-            zero_progress_limit: 50_000,
             checkpoint: None,
             retry: None,
         }
@@ -151,25 +152,6 @@ impl<'m> Engine<'m> {
     /// Exceeding it returns [`Error::EventBudgetExhausted`].
     pub fn with_max_events(mut self, max_events: usize) -> Self {
         self.max_events = max_events;
-        self
-    }
-
-    /// Caps simulated time: the run fails with
-    /// [`Error::TimeBudgetExhausted`] as soon as the next event would pass
-    /// `seconds`. This is the watchdog to reach for when a degraded run
-    /// must finish "soon or not at all" — unlike the event budget it is
-    /// independent of how finely the workload chops its traffic.
-    pub fn with_time_budget(mut self, seconds: f64) -> Self {
-        self.time_budget = Some(seconds);
-        self
-    }
-
-    /// Caps consecutive zero-time-advance iterations (livelock guard);
-    /// exceeding it returns [`Error::RankStalled`]. The default (50 000)
-    /// is far above anything a legitimate same-timestamp cascade (barrier
-    /// releases, eager send chains) produces.
-    pub fn with_zero_progress_limit(mut self, iterations: usize) -> Self {
-        self.zero_progress_limit = iterations;
         self
     }
 
@@ -204,9 +186,9 @@ impl<'m> Engine<'m> {
     /// * [`Error::Deadlock`] — blocked ranks with no pending events.
     /// * [`Error::ZeroCapacityRoute`] — new traffic routed through a
     ///   resource currently at zero capacity.
-    /// * [`Error::EventBudgetExhausted`] / [`Error::TimeBudgetExhausted`] /
-    ///   [`Error::RankStalled`] — watchdogs (see [`Engine::with_max_events`],
-    ///   [`Engine::with_time_budget`], [`Engine::with_zero_progress_limit`]).
+    /// * [`Error::EventBudgetExhausted`] / [`Error::RankStalled`] —
+    ///   watchdogs (the event budget of [`Engine::with_max_events`], and a
+    ///   livelock guard on consecutive zero-time-advance iterations).
     pub fn run(&self, placements: &[RankPlacement], programs: &[Program]) -> Result<RunReport> {
         self.run_with_faults(placements, programs, &FaultPlan::new())
     }
@@ -579,22 +561,6 @@ struct TraceState {
     routed: Vec<bool>,
 }
 
-/// Maps engine statuses to their trace-level rank states.
-fn rank_states(status: &[Status]) -> Vec<RankState> {
-    status
-        .iter()
-        .map(|s| match *s {
-            Status::Ready => RankState::Ready,
-            Status::Computing { .. } => RankState::Computing,
-            Status::Waiting { .. } => RankState::Waiting,
-            Status::SendBlocked { .. } => RankState::SendBlocked,
-            Status::RecvBlocked => RankState::RecvBlocked,
-            Status::BarrierBlocked => RankState::BarrierBlocked,
-            Status::Done => RankState::Done,
-        })
-        .collect()
-}
-
 /// Accumulates `dt` seconds of bottleneck `b` onto `rank`'s open span.
 fn attribute(open: &mut [Option<OpenSpan>], rank: usize, b: Bottleneck, dt: f64) {
     let Some(span) = open.get_mut(rank).and_then(Option::as_mut) else { return };
@@ -871,17 +837,12 @@ impl<'a, 'm> Sim<'a, 'm> {
                 Some(ckpt) if ckpt < app_next => ckpt.max(self.now),
                 _ => app_next,
             };
-            if let Some(budget) = self.engine.time_budget {
-                if next > budget + EPS_TIME {
-                    return Err(Error::TimeBudgetExhausted { budget, next_event: next });
-                }
-            }
             let dt = (next - self.now).max(0.0);
             if dt > EPS_TIME {
                 zero_dt_iters = 0;
             } else {
                 zero_dt_iters += 1;
-                if zero_dt_iters > self.engine.zero_progress_limit {
+                if zero_dt_iters > ZERO_PROGRESS_LIMIT {
                     let rank = (0..n)
                         .find(|&r| self.status[r] != Status::Done)
                         .map(RankId::new)
@@ -942,8 +903,7 @@ impl<'a, 'm> Sim<'a, 'm> {
                 }
             })
             .collect();
-        let rank_state = rank_states(&self.status);
-        trace.intervals.push(SolverInterval { t0: now, t1, utilization, rank_state });
+        trace.intervals.push(SolverInterval { t0: now, t1, utilization });
 
         // Attribute the interval to the open spans of the ranks each live
         // flow serves: a phase flow charges its rank; a transfer charges
@@ -1179,7 +1139,6 @@ impl<'a, 'm> Sim<'a, 'm> {
         } else {
             0.0
         };
-        self.metrics.compute_time[rank] += cpu_time;
 
         // Average access latency over the phase's page distribution (the
         // rank's placement layout unless the phase pins its own).
@@ -1737,7 +1696,6 @@ impl<'a, 'm> Sim<'a, 'm> {
         self.rates_dirty = true;
         self.metrics.recoveries += 1;
         let num_resources = self.resources.len();
-        let rank_state = self.trace.is_some().then(|| rank_states(&self.status));
         if let Some(trace) = self.trace.as_deref_mut() {
             trace.recoveries.push(RecoveryStamp {
                 rank: RankId::new(rank),
@@ -1751,7 +1709,6 @@ impl<'a, 'm> Sim<'a, 'm> {
                     t0: killed_at,
                     t1: resumed_at,
                     utilization: vec![0.0; num_resources],
-                    rank_state: rank_state.unwrap_or_default(),
                 });
             }
         }
@@ -2173,27 +2130,23 @@ mod tests {
         assert!(matches!(err, Error::EventBudgetExhausted { budget: 1, .. }), "{err}");
     }
 
-    #[test]
-    fn time_budget_exhausted_is_a_typed_error() {
-        let m = Machine::new(systems::dmz());
-        // A 1 GB local stream needs ~0.27s; allow only 0.1s.
-        let engine = Engine::new(&m).with_time_budget(0.1);
-        let err = engine.run(&[local_placement(&m, 0)], &[stream_program(1e9)]).unwrap_err();
-        match err {
-            Error::TimeBudgetExhausted { budget, next_event } => {
-                assert_eq!(budget, 0.1);
-                assert!(next_event > 0.1);
-            }
-            other => panic!("expected TimeBudgetExhausted, got {other}"),
-        }
+    /// One rank running `rounds` sub-femtosecond delays: each is one
+    /// event that advances time by less than `EPS_TIME`.
+    fn zero_dt_rounds(m: &Machine, rounds: usize) -> Result<RunReport> {
+        let mut p = Program::new();
+        p.begin_repeat(rounds).delay(1e-17).end_repeat(0);
+        Engine::new(m).run(&[local_placement(m, 0)], &[p])
     }
 
     #[test]
-    fn budgets_do_not_trip_on_healthy_runs() {
+    fn livelock_guard_trips_above_the_zero_progress_limit_only() {
         let m = Machine::new(systems::dmz());
-        let engine = Engine::new(&m).with_time_budget(1.0).with_zero_progress_limit(1);
-        let report = engine.run(&[local_placement(&m, 0)], &[stream_program(1e9)]).unwrap();
-        assert!(report.makespan < 1.0);
+        match zero_dt_rounds(&m, 2 * ZERO_PROGRESS_LIMIT).unwrap_err() {
+            Error::RankStalled { rank, resource: None, .. } => assert_eq!(rank, RankId::new(0)),
+            other => panic!("expected a livelock RankStalled, got {other}"),
+        }
+        let report = zero_dt_rounds(&m, ZERO_PROGRESS_LIMIT / 2).unwrap();
+        assert!(report.makespan < 1e-12, "makespan {}", report.makespan);
     }
 
     #[test]

@@ -61,14 +61,6 @@ pub enum Error {
         /// Simulated time when the budget was exhausted.
         at_time: f64,
     },
-    /// The next event would push simulated time past the engine's
-    /// simulated-time budget (see [`crate::Engine::with_time_budget`]).
-    TimeBudgetExhausted {
-        /// The configured budget in simulated seconds.
-        budget: f64,
-        /// The event time that would have exceeded it.
-        next_event: f64,
-    },
     /// A rank can never finish: it is frozen by an unresumed
     /// [`crate::faults::FaultKind::RankStall`], or its traffic is starved
     /// by a resource degraded to zero capacity with no restore scheduled.
@@ -138,10 +130,6 @@ impl fmt::Display for Error {
             Error::EventBudgetExhausted { budget, at_time } => {
                 write!(f, "event budget {budget} exhausted at t={at_time:.6}s")
             }
-            Error::TimeBudgetExhausted { budget, next_event } => write!(
-                f,
-                "simulated-time budget {budget:.6}s exhausted (next event at t={next_event:.6}s)"
-            ),
             Error::RankStalled { rank, at_time, resource } => match resource {
                 Some(r) => {
                     write!(f, "{rank} stalled forever at t={at_time:.6}s: traffic starved by {r}")
@@ -182,8 +170,6 @@ mod tests {
     fn watchdog_errors_name_the_budget_or_culprit() {
         let e = Error::EventBudgetExhausted { budget: 100, at_time: 0.5 };
         assert!(e.to_string().contains("100"));
-        let e = Error::TimeBudgetExhausted { budget: 2.0, next_event: 3.5 };
-        assert!(e.to_string().contains("2.0"));
         let e = Error::RankStalled {
             rank: RankId::new(3),
             at_time: 1.0,

@@ -5,9 +5,6 @@ use crate::ids::RankId;
 /// Counters accumulated over one simulation run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunMetrics {
-    /// Pure compute time per rank (seconds of cpu-bound work, before
-    /// memory stretching).
-    pub compute_time: Vec<f64>,
     /// DRAM bytes actually moved per rank.
     pub dram_bytes: Vec<f64>,
     /// Messages sent per rank.
@@ -42,7 +39,6 @@ impl RunMetrics {
     /// Creates zeroed metrics for `ranks` ranks and `resources` resources.
     pub fn new(ranks: usize, resources: usize) -> Self {
         Self {
-            compute_time: vec![0.0; ranks],
             dram_bytes: vec![0.0; ranks],
             messages_sent: vec![0; ranks],
             bytes_sent: vec![0.0; ranks],

@@ -5,7 +5,7 @@
 //! [`RunTrace`] is the time axis underneath them. Between any two engine
 //! events the fluid-flow solver holds every rate constant, so a run is
 //! exactly a sequence of [`SolverInterval`]s — each carrying per-resource
-//! utilization and per-rank status — plus one [`OpSpan`] per program op
+//! utilization — plus one [`OpSpan`] per program op
 //! actually dispatched, carrying how the span's wall time splits across
 //! the bottlenecks ([`Bottleneck`]) that limited its flows.
 //!
@@ -59,41 +59,6 @@ impl Default for TraceConfig {
     }
 }
 
-/// A rank's scheduler status during one solver interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RankState {
-    /// Ready to dispatch its next op.
-    Ready,
-    /// Inside a compute phase.
-    Computing,
-    /// Inside a fixed delay.
-    Waiting,
-    /// Blocked in a rendezvous send.
-    SendBlocked,
-    /// Blocked waiting for a message to arrive or drain.
-    RecvBlocked,
-    /// Arrived at a barrier, waiting for the others.
-    BarrierBlocked,
-    /// Program finished.
-    Done,
-}
-
-impl RankState {
-    /// Short lower-case label, stable for CSV/trace output.
-    #[must_use]
-    pub const fn name(&self) -> &'static str {
-        match self {
-            RankState::Ready => "ready",
-            RankState::Computing => "computing",
-            RankState::Waiting => "waiting",
-            RankState::SendBlocked => "send-blocked",
-            RankState::RecvBlocked => "recv-blocked",
-            RankState::BarrierBlocked => "barrier-blocked",
-            RankState::Done => "done",
-        }
-    }
-}
-
 /// The kind of program op a span covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
@@ -135,8 +100,6 @@ pub struct SolverInterval {
     /// resource table. A zero-capacity resource reads 1.0 while any live
     /// flow still routes through it (it is pinning that flow at rate 0).
     pub utilization: Vec<f64>,
-    /// Per-rank status over the interval.
-    pub rank_state: Vec<RankState>,
 }
 
 impl SolverInterval {
@@ -395,24 +358,9 @@ mod tests {
             resource_names: vec!["mc:0".into()],
             num_ranks: 1,
             intervals: vec![
-                SolverInterval {
-                    t0: 0.0,
-                    t1: 1.0,
-                    utilization: vec![1.0],
-                    rank_state: vec![RankState::Computing],
-                },
-                SolverInterval {
-                    t0: 1.0,
-                    t1: 2.0,
-                    utilization: vec![0.5],
-                    rank_state: vec![RankState::Computing],
-                },
-                SolverInterval {
-                    t0: 2.0,
-                    t1: 3.0,
-                    utilization: vec![0.0],
-                    rank_state: vec![RankState::Done],
-                },
+                SolverInterval { t0: 0.0, t1: 1.0, utilization: vec![1.0] },
+                SolverInterval { t0: 1.0, t1: 2.0, utilization: vec![0.5] },
+                SolverInterval { t0: 2.0, t1: 3.0, utilization: vec![0.0] },
             ],
             spans: vec![],
             faults: vec![],

@@ -370,7 +370,7 @@ impl Server {
                     }
                     BatchOutcome::Failed(e) => {
                         self.counters.engine_errors.fetch_add(1, Ordering::Relaxed);
-                        error_line_compat(&e.to_string())
+                        error_line("engine", &e.to_string())
                     }
                 },
                 Slot::Artifact { value, deadline } => {
@@ -506,7 +506,9 @@ impl Server {
     }
 
     /// Extracts the request deadline: explicit `"deadline_ms"` beats the
-    /// configured default; both are relative to when the line arrived.
+    /// configured default; both are relative to when the line arrived. A
+    /// deadline too far out for any `Instant` to hold never expires, so it
+    /// is none.
     fn deadline_of(&self, value: &Value, received: Instant) -> Result<Option<Instant>, String> {
         let ms = match value.get("deadline_ms") {
             None => self.config.default_deadline_ms,
@@ -516,7 +518,9 @@ impl Server {
                     .ok_or("\"deadline_ms\" must be a non-negative number")?,
             ),
         };
-        Ok(ms.map(|ms| received + Duration::from_secs_f64(ms / 1e3)))
+        Ok(ms.and_then(|ms| {
+            Duration::try_from_secs_f64(ms / 1e3).ok().and_then(|d| received.checked_add(d))
+        }))
     }
 
     /// How long an overloaded client should back off: the smoothed
@@ -584,12 +588,6 @@ impl Server {
 /// with pre-typed clients); `kind` is the machine-readable class.
 pub fn error_line(kind: &str, message: &str) -> String {
     format!("{{\"ok\":false,\"error\":\"{}\",\"kind\":\"{kind}\"}}", json::escape(message))
-}
-
-/// Engine errors keep the exact pre-typed shape plus a `kind`, so
-/// existing consumers matching on the `error`-first prefix keep working.
-fn error_line_compat(message: &str) -> String {
-    error_line("engine", message)
 }
 
 /// A shed response carrying the back-off hint.
@@ -866,6 +864,24 @@ mod tests {
         let lines = run(&server, &format!("{request}\n"));
         assert!(lines[0].contains("\"kind\":\"bad-request\""), "{}", lines[0]);
         assert!(lines[0].contains("deadline_ms"));
+    }
+
+    #[test]
+    fn a_deadline_no_instant_can_hold_never_expires() {
+        let pingpong =
+            r#"{"system":"dmz","nranks":2,"workload":{"kind":"pingpong","bytes":1024,"reps":2}}"#;
+        let far = pingpong.replacen('{', "{\"deadline_ms\":1e300,", 1);
+        let input = format!("{far}\n{pingpong}\n");
+        for config in [
+            ServeConfig::default(),
+            ServeConfig { default_deadline_ms: Some(1e300), ..ServeConfig::default() },
+        ] {
+            let server = server(config);
+            let lines = run(&server, &input);
+            assert_eq!(lines.len(), 2);
+            assert!(lines.iter().all(|l| l.starts_with("{\"ok\":true")), "{lines:?}");
+            assert_eq!(server.stats().shed_deadline, 0);
+        }
     }
 
     #[test]

@@ -358,3 +358,33 @@ fn excess_clients_get_one_typed_line_and_a_close() {
         rig.stop();
     });
 }
+
+#[test]
+fn a_deadline_beyond_any_instant_is_served_and_frees_its_client_slot() {
+    watchdog(60, || {
+        // One client slot: a connection thread that unwound before
+        // releasing it would turn every later client away.
+        let config = ServeConfig { max_clients: 1, ..ServeConfig::default() };
+        let rig = Rig::start(config, 1);
+        let pingpong =
+            Scenario::new(System::Dmz, 2, Workload::PingPong { bytes: 1024.0, reps: 2 }).to_json();
+        let far = pingpong.replacen('{', "{\"deadline_ms\":1e300,", 1);
+        let input = format!("{far}\n{pingpong}\n");
+        let lines = rig.roundtrip(&input);
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(lines.iter().all(|l| l.starts_with("{\"ok\":true")), "{lines:?}");
+        // The slot is released just after the reply's close; give the
+        // connection thread a moment, then a second client is served.
+        let mut again = Vec::new();
+        for _ in 0..50 {
+            again = rig.roundtrip(&input);
+            if again.iter().all(|l| l.starts_with("{\"ok\":true")) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert_eq!(again.len(), 2, "the client slot leaked: {again:?}");
+        assert!(again.iter().all(|l| l.starts_with("{\"ok\":true")), "{again:?}");
+        rig.stop();
+    });
+}

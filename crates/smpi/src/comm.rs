@@ -12,35 +12,8 @@ use crate::transport::message_cost;
 use corescope_machine::engine::{Engine, Observed, RankPlacement, RunReport};
 use corescope_machine::program::{ComputePhase, Program};
 use corescope_machine::{
-    CheckpointPolicy, Error, FaultPlan, Machine, RankId, Result, RetryPolicy, TraceConfig,
+    CheckpointPolicy, FaultPlan, Machine, RankId, Result, RetryPolicy, TraceConfig,
 };
-
-/// ULFM-style failure notification: instead of deadlocking on a dead
-/// peer, surviving ranks learn which rank failed and when the failure
-/// detector delivered the news. Returned by
-/// [`CommWorld::run_fault_tolerant`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RankFailure {
-    /// The rank that died.
-    pub rank: RankId,
-    /// Simulated time the kill fired.
-    pub failed_at: f64,
-    /// When survivors were notified (`failed_at` plus the detection
-    /// timeout) — the earliest time a [`CommWorld::shrink`] + re-plan can
-    /// begin.
-    pub detected_at: f64,
-}
-
-/// Outcome of a fault-tolerant run: either the job finished (recovering
-/// internally when a checkpoint policy was armed), or a rank died
-/// unrecoverably and the survivors hold a typed notification.
-#[derive(Debug)]
-pub enum FtOutcome {
-    /// The job ran to completion.
-    Completed(RunReport),
-    /// A rank died with no checkpoint policy to roll back to.
-    RankFailed(RankFailure),
-}
 
 /// An MPI communicator bound to placed ranks on a machine.
 #[derive(Debug, Clone)]
@@ -270,71 +243,6 @@ impl<'m> CommWorld<'m> {
     pub fn observe(&self, plan: &FaultPlan, trace: TraceConfig) -> Observed {
         self.engine().observe(&self.placements, &self.programs, plan, trace)
     }
-
-    /// Runs under faults with ULFM-style failure semantics: a rank kill
-    /// that the engine cannot recover from (no checkpoint policy) comes
-    /// back as a typed [`RankFailure`] notification delivered to the
-    /// survivors after `detection_timeout` seconds, never as a deadlock —
-    /// the caller can then [`CommWorld::shrink`] and re-plan. Every other
-    /// error still propagates.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`CommWorld::run_with_faults`] can return *except*
-    /// [`Error::RankKilled`], which becomes `Ok(FtOutcome::RankFailed)`.
-    pub fn run_fault_tolerant(
-        &self,
-        plan: &FaultPlan,
-        detection_timeout: f64,
-    ) -> Result<FtOutcome> {
-        match self.run_with_faults(plan) {
-            Ok(report) => Ok(FtOutcome::Completed(report)),
-            Err(Error::RankKilled { rank, at_time }) => Ok(FtOutcome::RankFailed(RankFailure {
-                rank,
-                failed_at: at_time,
-                detected_at: at_time + detection_timeout,
-            })),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Rebuilds the communicator over the survivors of `failed` —
-    /// `MPI_Comm_shrink`. The new world keeps this world's machine,
-    /// profile, lock layer and recovery policies, renumbers the surviving
-    /// ranks densely in their old order, and starts with empty programs:
-    /// the post-failure epoch re-plans its work (collectives appended to
-    /// the shrunken world automatically use its smaller size).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidSpec`] when a failed rank is out of range
-    /// or no rank survives.
-    pub fn shrink(&self, failed: &[RankId]) -> Result<CommWorld<'m>> {
-        let mut dead = vec![false; self.size()];
-        for f in failed {
-            if f.index() >= self.size() {
-                return Err(Error::InvalidSpec(format!(
-                    "cannot shrink: {f} is not in a world of {} ranks",
-                    self.size()
-                )));
-            }
-            dead[f.index()] = true;
-        }
-        let placements: Vec<RankPlacement> = self
-            .placements
-            .iter()
-            .zip(&dead)
-            .filter(|(_, &d)| !d)
-            .map(|(p, _)| p.clone())
-            .collect();
-        if placements.is_empty() {
-            return Err(Error::InvalidSpec("cannot shrink to an empty world".into()));
-        }
-        let mut world = CommWorld::new(self.machine, placements, self.profile.clone(), self.lock);
-        world.checkpoint = self.checkpoint.clone();
-        world.retry = self.retry.clone();
-        Ok(world)
-    }
 }
 
 #[cfg(test)]
@@ -451,25 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn unrecoverable_kill_becomes_a_typed_failure_notification() {
-        let m = Machine::new(systems::dmz());
-        let mut w = world(&m, 2);
-        // Rank 0 waits on a message rank 1 will never send once killed.
-        w.compute(1, ComputePhase::new("work", 0.0, TrafficProfile::stream(1e9)));
-        w.p2p(1, 0, 1e6);
-        let plan = FaultPlan::new().rank_kill(0.05, RankId::new(1));
-        let outcome = w.run_fault_tolerant(&plan, 2e-3).unwrap();
-        match outcome {
-            FtOutcome::RankFailed(failure) => {
-                assert_eq!(failure.rank, RankId::new(1));
-                assert!((failure.failed_at - 0.05).abs() < 1e-9);
-                assert!((failure.detected_at - 0.052).abs() < 1e-9);
-            }
-            FtOutcome::Completed(report) => panic!("expected a failure, got {report:?}"),
-        }
-    }
-
-    #[test]
     fn armed_recovery_completes_through_a_kill() {
         let m = Machine::new(systems::dmz());
         let placements = Scheme::OneMpiLocalAlloc.resolve(&m, 2).unwrap();
@@ -478,40 +367,8 @@ mod tests {
         w.compute_all(|_| Some(ComputePhase::new("work", 0.0, TrafficProfile::stream(5e8))));
         w.barrier();
         let plan = FaultPlan::new().rank_kill(0.05, RankId::new(0));
-        let outcome = w.run_fault_tolerant(&plan, 1e-3).unwrap();
-        match outcome {
-            FtOutcome::Completed(report) => {
-                assert_eq!(report.metrics.recoveries, 1);
-                assert!(report.metrics.checkpoints_taken >= 1);
-            }
-            FtOutcome::RankFailed(f) => panic!("recovery was armed, got failure {f:?}"),
-        }
-    }
-
-    #[test]
-    fn shrink_renumbers_survivors_and_collectives_replan() {
-        let m = Machine::new(systems::dmz());
-        let placements = Scheme::TwoMpiLocalAlloc.resolve(&m, 4).unwrap();
-        let mut w = CommWorld::new(&m, placements, MpiImpl::OpenMpi.profile(), LockLayer::USysV);
-        w.allreduce(1024.0);
-        // Rank 2 dies; the shrunken world re-plans the collective over 3.
-        let survivors = w.shrink(&[RankId::new(2)]).unwrap();
-        assert_eq!(survivors.size(), 3);
-        assert_eq!(survivors.placements()[0], w.placements()[0]);
-        assert_eq!(survivors.placements()[2], w.placements()[3]);
-        // Fresh epoch: no stale sends aimed at the dead rank.
-        assert!(survivors.programs().iter().all(Program::is_empty));
-        let mut survivors = survivors;
-        survivors.allreduce(1024.0);
-        let report = survivors.run().unwrap();
-        assert!(report.makespan > 0.0);
-    }
-
-    #[test]
-    fn shrink_rejects_bad_failure_sets() {
-        let m = Machine::new(systems::dmz());
-        let w = world(&m, 2);
-        assert!(w.shrink(&[RankId::new(9)]).is_err());
-        assert!(w.shrink(&[RankId::new(0), RankId::new(1)]).is_err());
+        let report = w.run_with_faults(&plan).unwrap();
+        assert_eq!(report.metrics.recoveries, 1);
+        assert!(report.metrics.checkpoints_taken >= 1);
     }
 }

@@ -45,5 +45,5 @@ pub mod comm;
 pub mod profiles;
 pub mod transport;
 
-pub use comm::{CommWorld, FtOutcome, RankFailure};
+pub use comm::CommWorld;
 pub use profiles::{LockLayer, MpiImpl, MpiProfile};

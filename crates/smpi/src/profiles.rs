@@ -80,38 +80,30 @@ impl MpiImpl {
             // High per-message software overhead, strong large-message
             // copy path.
             MpiImpl::Mpich2 => MpiProfile {
-                implementation: self,
                 overhead: 3.2e-6,
                 copy_bw: 1.45e9,
                 eager_threshold: 128.0 * 1024.0,
                 rendezvous_handshake: 1.0e-6,
-                default_lock: LockLayer::USysV,
                 lock_sysv: LockLayer::SysV.cost(),
                 lock_usysv: LockLayer::USysV.cost(),
                 same_socket_boost: MpiProfile::SAME_SOCKET_BW_BOOST,
             },
             // Lowest small-message overhead, weakest bulk copy.
             MpiImpl::Lam => MpiProfile {
-                implementation: self,
                 overhead: 0.7e-6,
                 copy_bw: 1.0e9,
                 eager_threshold: 64.0 * 1024.0,
                 rendezvous_handshake: 1.4e-6,
-                // LAM's stock build used the SysV semaphore sub-layer;
-                // "usysv" was the tuning the paper evaluates.
-                default_lock: LockLayer::SysV,
                 lock_sysv: LockLayer::SysV.cost(),
                 lock_usysv: LockLayer::USysV.cost(),
                 same_socket_boost: MpiProfile::SAME_SOCKET_BW_BOOST,
             },
             // Middle overhead, good intermediate-size streaming.
             MpiImpl::OpenMpi => MpiProfile {
-                implementation: self,
                 overhead: 1.4e-6,
                 copy_bw: 1.3e9,
                 eager_threshold: 64.0 * 1024.0,
                 rendezvous_handshake: 1.2e-6,
-                default_lock: LockLayer::USysV,
                 lock_sysv: LockLayer::SysV.cost(),
                 lock_usysv: LockLayer::USysV.cost(),
                 same_socket_boost: MpiProfile::SAME_SOCKET_BW_BOOST,
@@ -142,8 +134,6 @@ impl fmt::Display for MpiImpl {
 /// Cost parameters of one MPI implementation's shared-memory transport.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MpiProfile {
-    /// Which implementation this profile describes.
-    pub implementation: MpiImpl,
     /// Per-message software overhead in seconds (matching, header
     /// processing), excluding locks.
     pub overhead: f64,
@@ -154,8 +144,6 @@ pub struct MpiProfile {
     pub eager_threshold: f64,
     /// Extra handshake cost for rendezvous messages, seconds.
     pub rendezvous_handshake: f64,
-    /// Lock sub-layer used when the caller does not override it.
-    pub default_lock: LockLayer,
     /// Per-message [`LockLayer::SysV`] cost in seconds (calibratable;
     /// defaults to [`LockLayer::cost`]).
     pub lock_sysv: f64,

@@ -649,8 +649,9 @@ impl Store {
 
     /// Appends raw bytes to the active segment *without* committing the
     /// manifest — the exact on-disk state a process killed mid-append
-    /// leaves behind. Fault-injection hook for the chaos suite and the
-    /// x9 crash simulation; recovery must truncate these bytes away.
+    /// leaves behind. Fault-injection hook for the store's own recovery
+    /// tests: reopening truncates torn bytes away and adopts whole valid
+    /// frames.
     ///
     /// # Errors
     ///

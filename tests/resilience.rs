@@ -6,7 +6,7 @@ use corescope::affinity::Scheme;
 use corescope::machine::{
     systems, CheckpointPolicy, Error, FaultPlan, LinkId, Machine, RankId, RetryPolicy, TraceConfig,
 };
-use corescope::smpi::{CommWorld, FtOutcome, LockLayer, MpiImpl};
+use corescope::smpi::{CommWorld, LockLayer, MpiImpl};
 
 fn world(machine: &Machine, n: usize) -> CommWorld<'_> {
     let placements = Scheme::TwoMpiLocalAlloc.resolve(machine, n).unwrap();
@@ -121,32 +121,6 @@ fn rank_kill_is_fatal_without_checkpoints_and_survivable_with_them() {
     assert_eq!(stamp.rank, RankId::new(2));
     assert!(stamp.restored_to <= stamp.killed_at && stamp.killed_at < stamp.resumed_at);
     assert!(stamp.resumed_at <= trace.end_time);
-}
-
-#[test]
-fn ulfm_notification_and_shrink_resume_on_survivors() {
-    let m = Machine::new(systems::dmz());
-    let mut w = world(&m, 4);
-    for _ in 0..20 {
-        w.allreduce(1e5);
-    }
-    let healthy = w.run().unwrap().makespan;
-    let plan = FaultPlan::new().rank_kill(healthy * 0.5, RankId::new(1));
-    match w.run_fault_tolerant(&plan, healthy * 0.01).unwrap() {
-        FtOutcome::RankFailed(failure) => {
-            assert_eq!(failure.rank, RankId::new(1));
-            assert!(failure.detected_at > failure.failed_at);
-            // Shrink to the survivors and re-plan the collectives over
-            // the three remaining ranks.
-            let mut survivors = w.shrink(&[failure.rank]).unwrap();
-            assert_eq!(survivors.size(), 3);
-            for _ in 0..20 {
-                survivors.allreduce(1e5);
-            }
-            assert!(survivors.run().unwrap().makespan > 0.0);
-        }
-        FtOutcome::Completed(_) => panic!("a mid-run kill must interrupt the run"),
-    }
 }
 
 #[test]
