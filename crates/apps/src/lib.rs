@@ -2,29 +2,22 @@
 //!
 //! The full applications of the paper's Section 4:
 //!
-//! * [`md`] — molecular dynamics: a real particle engine (Lennard-Jones
-//!   with cell lists, harmonic chains, a simplified EAM metal potential,
-//!   Ewald electrostatics, Generalized Born solvation) plus workload
-//!   models for the five AMBER benchmarks of Table 6 and the three
-//!   LAMMPS benchmarks (LJ / chain / EAM).
-//! * [`ocean`] — a POP-like ocean code: a real 2-D elliptic-solver
-//!   substrate (9-point stencils, conjugate-gradient barotropic solver on
-//!   a 5-point Laplacian) plus the x1-configuration workload model with
-//!   its baroclinic and barotropic phases.
+//! * [`md`] — molecular dynamics: workload models for the five AMBER
+//!   benchmarks of Table 6 and the three LAMMPS benchmarks
+//!   (LJ / chain / EAM).
+//! * [`ocean`] — a POP-like ocean code: the x1-configuration workload
+//!   model with its baroclinic and barotropic phases.
 //! * [`xs`] — an XSBench-style cross-section lookup proxy: the
-//!   irregular-memory workload family. The kernel crate provides the
-//!   real unionized-grid lookup; this module decides where the
-//!   replicated table's pages land (first-touch with nearest-node
-//!   spill, interleave, membind) and exposes the modeled lookup latency
-//!   whose NUMA crossover the x10 artifact certifies.
+//!   irregular-memory workload family. The kernel crate models one
+//!   rank's lookup stream; this module decides where the replicated
+//!   table's pages land (first-touch with nearest-node spill,
+//!   interleave, membind) and exposes the modeled lookup latency whose
+//!   NUMA crossover the x10 artifact certifies.
 //!
-//! As in [`corescope_kernels`], every application couples real numerics
-//! (unit- and property-tested) with a simulator model whose
-//! flop/byte/message counts follow the real code's complexity.
-
-// Fixed-size 3-vector math reads most clearly with `for a in 0..3`
-// component loops; the iterator forms clippy suggests obscure the physics.
-#![allow(clippy::needless_range_loop)]
+//! As with the kernels of [`corescope_kernels`], each application is a
+//! simulator model: it appends its phase structure (flops, memory
+//! traffic, message schedule) to a
+//! [`CommWorld`](corescope_smpi::CommWorld).
 
 pub mod md;
 pub mod ocean;

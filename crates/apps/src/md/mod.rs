@@ -1,15 +1,8 @@
-//! Molecular dynamics: engine, potentials, and the AMBER/LAMMPS workload
-//! models of Section 4.1.
+//! Molecular dynamics: the AMBER and LAMMPS workload models of
+//! Section 4.1.
 
 pub mod amber;
-pub mod bonded;
-pub mod eam;
-pub mod ewald;
-pub mod gb;
 pub mod lammps;
-pub mod lj;
-pub mod system;
 
 pub use amber::{AmberBenchmark, AmberMethod};
 pub use lammps::LammpsBenchmark;
-pub use system::ParticleSystem;

@@ -1,8 +1,6 @@
-//! A POP-like ocean model (Section 4.2): real 2-D elliptic solver
-//! substrate plus the x1-configuration workload model.
+//! A POP-like ocean model (Section 4.2): the x1-configuration workload
+//! model with its baroclinic and barotropic phases.
 
-pub mod grid;
 pub mod model;
 
-pub use grid::Grid2d;
 pub use model::PopModel;

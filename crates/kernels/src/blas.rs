@@ -1,11 +1,9 @@
 //! BLAS level 1 and 3 kernels (Section 3.2): DAXPY and DGEMM, in vendor
 //! ("ACML") and compiled-Fortran ("vanilla") variants.
 //!
-//! The real implementations are a plain daxpy loop, a naive triple-loop
-//! dgemm and a cache-blocked dgemm (tested to agree). The workload models
-//! carry the efficiency split the paper measures: the vendor library
-//! sustains a large fraction of peak on cache-resident DGEMM, the
-//! compiler-generated code much less.
+//! The workload models carry the efficiency split the paper measures:
+//! the vendor library sustains a large fraction of peak on
+//! cache-resident DGEMM, the compiler-generated code much less.
 
 use crate::F64;
 use corescope_machine::{ComputePhase, TrafficProfile};
@@ -54,69 +52,6 @@ impl BlasVariant {
         match self {
             BlasVariant::Acml => "ACML",
             BlasVariant::Vanilla => "vanilla",
-        }
-    }
-}
-
-/// Real DAXPY: `y[i] += alpha * x[i]`.
-pub fn daxpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// Real naive DGEMM: `c = alpha * a * b + beta * c` for row-major square
-/// matrices of order `n`.
-///
-/// # Panics
-///
-/// Panics if any slice is shorter than `n * n`.
-pub fn dgemm_naive(n: usize, alpha: f64, a: &[f64], b: &[f64], beta: f64, c: &mut [f64]) {
-    assert!(a.len() >= n * n && b.len() >= n * n && c.len() >= n * n);
-    for i in 0..n {
-        for j in 0..n {
-            let mut acc = 0.0;
-            for k in 0..n {
-                acc += a[i * n + k] * b[k * n + j];
-            }
-            c[i * n + j] = alpha * acc + beta * c[i * n + j];
-        }
-    }
-}
-
-/// Real cache-blocked DGEMM (block size `bs`), numerically identical to
-/// [`dgemm_naive`] up to floating-point associativity.
-///
-/// # Panics
-///
-/// Panics if any slice is shorter than `n * n` or `bs == 0`.
-pub fn dgemm_blocked(
-    n: usize,
-    bs: usize,
-    alpha: f64,
-    a: &[f64],
-    b: &[f64],
-    beta: f64,
-    c: &mut [f64],
-) {
-    assert!(bs > 0);
-    assert!(a.len() >= n * n && b.len() >= n * n && c.len() >= n * n);
-    for v in c.iter_mut().take(n * n) {
-        *v *= beta;
-    }
-    for ii in (0..n).step_by(bs) {
-        for kk in (0..n).step_by(bs) {
-            for jj in (0..n).step_by(bs) {
-                for i in ii..(ii + bs).min(n) {
-                    for k in kk..(kk + bs).min(n) {
-                        let aik = alpha * a[i * n + k];
-                        for j in jj..(jj + bs).min(n) {
-                            c[i * n + j] += aik * b[k * n + j];
-                        }
-                    }
-                }
-            }
         }
     }
 }
@@ -231,41 +166,6 @@ mod tests {
     use corescope_affinity::Scheme;
     use corescope_machine::{systems, Machine};
     use corescope_smpi::{LockLayer, MpiImpl};
-
-    #[test]
-    fn daxpy_updates_y() {
-        let x = vec![2.0; 16];
-        let mut y = vec![1.0; 16];
-        daxpy(3.0, &x, &mut y);
-        assert!(y.iter().all(|&v| (v - 7.0).abs() < 1e-15));
-    }
-
-    #[test]
-    fn blocked_dgemm_matches_naive() {
-        let n = 17; // deliberately not a multiple of the block size
-        let a: Vec<f64> = (0..n * n).map(|i| (i % 7) as f64 - 3.0).collect();
-        let b: Vec<f64> = (0..n * n).map(|i| (i % 5) as f64 * 0.5).collect();
-        let mut c1: Vec<f64> = (0..n * n).map(|i| i as f64 * 0.01).collect();
-        let mut c2 = c1.clone();
-        dgemm_naive(n, 1.5, &a, &b, 0.5, &mut c1);
-        dgemm_blocked(n, 4, 1.5, &a, &b, 0.5, &mut c2);
-        for (x, y) in c1.iter().zip(&c2) {
-            assert!((x - y).abs() < 1e-9, "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn dgemm_identity_is_identity() {
-        let n = 8;
-        let mut eye = vec![0.0; n * n];
-        for i in 0..n {
-            eye[i * n + i] = 1.0;
-        }
-        let a: Vec<f64> = (0..n * n).map(|i| i as f64).collect();
-        let mut c = vec![0.0; n * n];
-        dgemm_naive(n, 1.0, &a, &eye, 0.0, &mut c);
-        assert_eq!(a, c);
-    }
 
     fn dgemm_gflops(machine: &Machine, nranks: usize, variant: BlasVariant) -> f64 {
         let placements = Scheme::TwoMpiLocalAlloc.resolve(machine, nranks).unwrap();

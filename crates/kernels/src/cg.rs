@@ -1,159 +1,8 @@
-//! Conjugate gradient: a real CSR sparse CG solver (tested on random SPD
-//! systems) and the NAS CG benchmark model (Tables 2–4).
+//! Conjugate gradient: the NAS CG benchmark model (Tables 2–4).
 
 use crate::F64;
 use corescope_machine::{ComputePhase, TrafficProfile};
 use corescope_smpi::CommWorld;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-/// A compressed-sparse-row matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CsrMatrix {
-    n: usize,
-    row_ptr: Vec<usize>,
-    cols: Vec<usize>,
-    vals: Vec<f64>,
-}
-
-impl CsrMatrix {
-    /// Builds a CSR matrix from per-row `(col, value)` lists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any column index is out of range.
-    pub fn from_rows(n: usize, rows: Vec<Vec<(usize, f64)>>) -> Self {
-        assert_eq!(rows.len(), n);
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
-        row_ptr.push(0);
-        for row in rows {
-            for (c, v) in row {
-                assert!(c < n, "column {c} out of range");
-                cols.push(c);
-                vals.push(v);
-            }
-            row_ptr.push(cols.len());
-        }
-        Self { n, row_ptr, cols, vals }
-    }
-
-    /// Matrix order.
-    pub fn order(&self) -> usize {
-        self.n
-    }
-
-    /// Number of stored nonzeros.
-    pub fn nnz(&self) -> usize {
-        self.vals.len()
-    }
-
-    /// Sparse matrix-vector product `y = A x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `y` have the wrong length.
-    pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        for (i, yi) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for idx in self.row_ptr[i]..self.row_ptr[i + 1] {
-                acc += self.vals[idx] * x[self.cols[idx]];
-            }
-            *yi = acc;
-        }
-    }
-
-    /// A random symmetric diagonally-dominant (hence SPD) matrix with
-    /// about `nnz_per_row` off-diagonal entries per row.
-    pub fn random_spd(n: usize, nnz_per_row: usize, seed: u64) -> Self {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        // Collect symmetric off-diagonal entries.
-        let mut entries: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        for i in 0..n {
-            for _ in 0..nnz_per_row / 2 {
-                let j = rng.gen_range(0..n);
-                if j == i {
-                    continue;
-                }
-                let v = rng.gen_range(-1.0..1.0);
-                entries[i].push((j, v));
-                entries[j].push((i, v));
-            }
-        }
-        // Diagonal dominance.
-        let mut rows = Vec::with_capacity(n);
-        for (i, mut row) in entries.into_iter().enumerate() {
-            row.sort_by_key(|&(c, _)| c);
-            // Merge duplicate columns.
-            let mut merged: Vec<(usize, f64)> = Vec::with_capacity(row.len() + 1);
-            for (c, v) in row {
-                match merged.last_mut() {
-                    Some((lc, lv)) if *lc == c => *lv += v,
-                    _ => merged.push((c, v)),
-                }
-            }
-            let dom: f64 = merged.iter().map(|&(_, v)| v.abs()).sum::<f64>() + 1.0;
-            let pos = merged.partition_point(|&(c, _)| c < i);
-            merged.insert(pos, (i, dom));
-            rows.push(merged);
-        }
-        Self::from_rows(n, rows)
-    }
-}
-
-/// Result of a CG solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CgSolution {
-    /// The computed solution vector.
-    pub x: Vec<f64>,
-    /// Iterations used.
-    pub iterations: usize,
-    /// Final residual 2-norm.
-    pub residual: f64,
-}
-
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Solves `A x = b` for SPD `A` with unpreconditioned conjugate
-/// gradients.
-///
-/// # Panics
-///
-/// Panics if `b.len()` does not match the matrix order.
-pub fn cg_solve(a: &CsrMatrix, b: &[f64], tol: f64, max_iter: usize) -> CgSolution {
-    let n = a.order();
-    assert_eq!(b.len(), n);
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let mut p = r.clone();
-    let mut ap = vec![0.0; n];
-    let mut rs = dot(&r, &r);
-    let mut iterations = 0;
-    for _ in 0..max_iter {
-        if rs.sqrt() <= tol {
-            break;
-        }
-        a.spmv(&p, &mut ap);
-        let alpha = rs / dot(&p, &ap);
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        let rs_new = dot(&r, &r);
-        let beta = rs_new / rs;
-        rs = rs_new;
-        for i in 0..n {
-            p[i] = r[i] + beta * p[i];
-        }
-        iterations += 1;
-    }
-    CgSolution { x, iterations, residual: rs.sqrt() }
-}
 
 /// NAS CG problem classes (na, nonzer, outer iterations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -345,65 +194,6 @@ impl NasCg {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spmv_identity() {
-        let n = 5;
-        let rows = (0..n).map(|i| vec![(i, 1.0)]).collect();
-        let a = CsrMatrix::from_rows(n, rows);
-        let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let mut y = vec![0.0; n];
-        a.spmv(&x, &mut y);
-        assert_eq!(x, y);
-    }
-
-    #[test]
-    fn cg_solves_small_spd_system() {
-        let a = CsrMatrix::random_spd(200, 6, 42);
-        let mut rng = SmallRng::seed_from_u64(7);
-        let x_true: Vec<f64> = (0..200).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut b = vec![0.0; 200];
-        a.spmv(&x_true, &mut b);
-        let sol = cg_solve(&a, &b, 1e-10, 1000);
-        assert!(sol.residual < 1e-9, "residual {}", sol.residual);
-        for (xi, ti) in sol.x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-6, "{xi} vs {ti}");
-        }
-    }
-
-    #[test]
-    fn cg_converges_in_at_most_n_iterations_for_diag() {
-        let n = 50;
-        let rows = (0..n).map(|i| vec![(i, 2.0 + i as f64)]).collect();
-        let a = CsrMatrix::from_rows(n, rows);
-        let b = vec![1.0; n];
-        let sol = cg_solve(&a, &b, 1e-12, n + 5);
-        assert!(sol.residual < 1e-11);
-        assert!(sol.iterations <= n);
-    }
-
-    #[test]
-    fn random_spd_is_symmetric() {
-        let a = CsrMatrix::random_spd(64, 4, 1);
-        // Check A == A^T by comparing spmv against spmv with basis
-        // vectors (dense reconstruction is fine at this size).
-        let n = a.order();
-        let mut dense = vec![0.0; n * n];
-        for j in 0..n {
-            let mut e = vec![0.0; n];
-            e[j] = 1.0;
-            let mut col = vec![0.0; n];
-            a.spmv(&e, &mut col);
-            for i in 0..n {
-                dense[i * n + j] = col[i];
-            }
-        }
-        for i in 0..n {
-            for j in 0..n {
-                assert!((dense[i * n + j] - dense[j * n + i]).abs() < 1e-12);
-            }
-        }
-    }
 
     #[test]
     fn class_b_parameters_match_npb() {

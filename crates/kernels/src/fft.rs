@@ -1,133 +1,10 @@
-//! Fast Fourier transform: a real radix-2 implementation (verified
-//! against a naive DFT) and the transpose-based parallel FFT model used
-//! by HPCC FFT and the NAS FT benchmark.
+//! Fast Fourier transform: the flop count, the local FFT phases and the
+//! transpose-based parallel FFT model used by HPCC FFT and the NAS FT
+//! benchmark.
 
 use crate::C64;
 use corescope_machine::{ComputePhase, TrafficProfile};
 use corescope_smpi::CommWorld;
-use std::ops::{Add, Mul, Sub};
-
-/// A complex number (the crate avoids external numeric dependencies).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Complex {
-    /// Real part.
-    pub re: f64,
-    /// Imaginary part.
-    pub im: f64,
-}
-
-impl Complex {
-    /// Creates `re + im·i`.
-    pub const fn new(re: f64, im: f64) -> Self {
-        Self { re, im }
-    }
-
-    /// `e^(i·theta)`.
-    pub fn cis(theta: f64) -> Self {
-        Self { re: theta.cos(), im: theta.sin() }
-    }
-
-    /// Magnitude.
-    pub fn abs(self) -> f64 {
-        self.re.hypot(self.im)
-    }
-
-    /// Scales by a real factor.
-    pub fn scale(self, s: f64) -> Self {
-        Self { re: self.re * s, im: self.im * s }
-    }
-}
-
-impl Add for Complex {
-    type Output = Complex;
-    fn add(self, rhs: Complex) -> Complex {
-        Complex::new(self.re + rhs.re, self.im + rhs.im)
-    }
-}
-
-impl Sub for Complex {
-    type Output = Complex;
-    fn sub(self, rhs: Complex) -> Complex {
-        Complex::new(self.re - rhs.re, self.im - rhs.im)
-    }
-}
-
-impl Mul for Complex {
-    type Output = Complex;
-    fn mul(self, rhs: Complex) -> Complex {
-        Complex::new(self.re * rhs.re - self.im * rhs.im, self.re * rhs.im + self.im * rhs.re)
-    }
-}
-
-/// In-place iterative radix-2 FFT (decimation in time).
-///
-/// `inverse` computes the unscaled inverse transform; divide by `len` to
-/// recover the input (see [`ifft_normalized`]).
-///
-/// # Panics
-///
-/// Panics if `data.len()` is not a power of two.
-pub fn fft_inplace(data: &mut [Complex], inverse: bool) {
-    let n = data.len();
-    assert!(n.is_power_of_two(), "fft length must be a power of two, got {n}");
-    if n <= 1 {
-        return;
-    }
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = (i.reverse_bits() >> (usize::BITS - bits)) & (n - 1);
-        if i < j {
-            data.swap(i, j);
-        }
-    }
-    // Butterflies.
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::cis(ang);
-        for start in (0..n).step_by(len) {
-            let mut w = Complex::new(1.0, 0.0);
-            for k in 0..len / 2 {
-                let u = data[start + k];
-                let v = data[start + k + len / 2] * w;
-                data[start + k] = u + v;
-                data[start + k + len / 2] = u - v;
-                w = w * wlen;
-            }
-        }
-        len <<= 1;
-    }
-}
-
-/// Inverse FFT with 1/n normalization (round-trips [`fft_inplace`]).
-///
-/// # Panics
-///
-/// Panics if the length is not a power of two.
-pub fn ifft_normalized(data: &mut [Complex]) {
-    let n = data.len() as f64;
-    fft_inplace(data, true);
-    for v in data.iter_mut() {
-        *v = v.scale(1.0 / n);
-    }
-}
-
-/// O(n²) reference DFT for property tests.
-pub fn dft_naive(input: &[Complex]) -> Vec<Complex> {
-    let n = input.len();
-    (0..n)
-        .map(|k| {
-            let mut acc = Complex::default();
-            for (j, &x) in input.iter().enumerate() {
-                let ang = -2.0 * std::f64::consts::PI * (k * j) as f64 / n as f64;
-                acc = acc + x * Complex::cis(ang);
-            }
-            acc
-        })
-        .collect()
-}
 
 /// Flop count of an n-point complex FFT (the standard 5·n·log₂n).
 pub fn fft_flops(n: f64) -> f64 {
@@ -219,62 +96,6 @@ pub fn append_parallel_fft(world: &mut CommWorld<'_>, total_points: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn assert_close(a: &[Complex], b: &[Complex], tol: f64) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert!((x.re - y.re).abs() < tol && (x.im - y.im).abs() < tol, "{x:?} vs {y:?}");
-        }
-    }
-
-    #[test]
-    fn fft_matches_naive_dft() {
-        let input: Vec<Complex> =
-            (0..32).map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 0.3).cos())).collect();
-        let expected = dft_naive(&input);
-        let mut data = input.clone();
-        fft_inplace(&mut data, false);
-        assert_close(&data, &expected, 1e-9);
-    }
-
-    #[test]
-    fn fft_round_trip_recovers_input() {
-        let input: Vec<Complex> =
-            (0..256).map(|i| Complex::new(i as f64, -(i as f64) * 0.5)).collect();
-        let mut data = input.clone();
-        fft_inplace(&mut data, false);
-        ifft_normalized(&mut data);
-        assert_close(&data, &input, 1e-9);
-    }
-
-    #[test]
-    fn fft_of_impulse_is_flat() {
-        let mut data = vec![Complex::default(); 16];
-        data[0] = Complex::new(1.0, 0.0);
-        fft_inplace(&mut data, false);
-        for v in &data {
-            assert!((v.re - 1.0).abs() < 1e-12 && v.im.abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn fft_preserves_energy() {
-        // Parseval: sum |x|^2 = (1/n) sum |X|^2.
-        let input: Vec<Complex> =
-            (0..64).map(|i| Complex::new((i as f64).sin(), (i as f64 * 2.0).cos())).collect();
-        let e_time: f64 = input.iter().map(|v| v.abs().powi(2)).sum();
-        let mut data = input;
-        fft_inplace(&mut data, false);
-        let e_freq: f64 = data.iter().map(|v| v.abs().powi(2)).sum::<f64>() / 64.0;
-        assert!((e_time - e_freq).abs() < 1e-9 * e_time.max(1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn fft_rejects_non_power_of_two() {
-        let mut data = vec![Complex::default(); 12];
-        fft_inplace(&mut data, false);
-    }
 
     #[test]
     fn fft_flops_formula() {

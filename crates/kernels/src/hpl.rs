@@ -1,85 +1,9 @@
-//! High-Performance Linpack: a real dense LU solver (partial pivoting,
-//! verified against known systems) and the block-cyclic distributed HPL
-//! model behind Figure 8.
+//! High-Performance Linpack: the block-cyclic distributed HPL model
+//! behind Figure 8.
 
 use crate::F64;
 use corescope_machine::{ComputePhase, TrafficProfile};
 use corescope_smpi::CommWorld;
-
-/// LU factorization with partial pivoting of a row-major `n × n` matrix,
-/// in place. Returns the permutation (row `i` of the factors corresponds
-/// to original row `perm[i]`).
-///
-/// # Errors
-///
-/// Returns `Err` if the matrix is numerically singular.
-///
-/// # Panics
-///
-/// Panics if `a.len() < n * n`.
-pub fn lu_decompose(n: usize, a: &mut [f64]) -> Result<Vec<usize>, &'static str> {
-    assert!(a.len() >= n * n);
-    let mut perm: Vec<usize> = (0..n).collect();
-    for k in 0..n {
-        // Pivot search.
-        let mut piv = k;
-        let mut max = a[k * n + k].abs();
-        for i in k + 1..n {
-            let v = a[i * n + k].abs();
-            if v > max {
-                max = v;
-                piv = i;
-            }
-        }
-        if max < 1e-300 {
-            return Err("singular matrix");
-        }
-        if piv != k {
-            perm.swap(piv, k);
-            for j in 0..n {
-                a.swap(piv * n + j, k * n + j);
-            }
-        }
-        let pivot = a[k * n + k];
-        for i in k + 1..n {
-            let l = a[i * n + k] / pivot;
-            a[i * n + k] = l;
-            for j in k + 1..n {
-                a[i * n + j] -= l * a[k * n + j];
-            }
-        }
-    }
-    Ok(perm)
-}
-
-/// Solves `A x = b` given the in-place LU factors and permutation from
-/// [`lu_decompose`].
-///
-/// # Panics
-///
-/// Panics on mismatched lengths.
-pub fn lu_solve(n: usize, lu: &[f64], perm: &[usize], b: &[f64]) -> Vec<f64> {
-    assert!(lu.len() >= n * n && perm.len() == n && b.len() == n);
-    // Forward substitution on permuted b.
-    let mut y = vec![0.0; n];
-    for i in 0..n {
-        let mut acc = b[perm[i]];
-        for j in 0..i {
-            acc -= lu[i * n + j] * y[j];
-        }
-        y[i] = acc;
-    }
-    // Back substitution.
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let mut acc = y[i];
-        for j in i + 1..n {
-            acc -= lu[i * n + j] * x[j];
-        }
-        x[i] = acc / lu[i * n + i];
-    }
-    x
-}
 
 /// HPL workload parameters (1-D column-block-cyclic decomposition).
 #[derive(Debug, Clone, PartialEq)]
@@ -163,54 +87,6 @@ pub fn append_run(world: &mut CommWorld<'_>, params: &HplParams) {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn lu_solves_known_system() {
-        // A = [[2,1],[1,3]], b = [5, 10] => x = [1, 3].
-        let mut a = vec![2.0, 1.0, 1.0, 3.0];
-        let perm = lu_decompose(2, &mut a).unwrap();
-        let x = lu_solve(2, &a, &perm, &[5.0, 10.0]);
-        assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 3.0).abs() < 1e-12, "{x:?}");
-    }
-
-    #[test]
-    fn lu_random_round_trip() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let n = 24;
-        let mut rng = SmallRng::seed_from_u64(3);
-        let a_orig: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let x_true: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
-        // b = A * x_true.
-        let mut b = vec![0.0; n];
-        for i in 0..n {
-            for j in 0..n {
-                b[i] += a_orig[i * n + j] * x_true[j];
-            }
-        }
-        let mut lu = a_orig.clone();
-        let perm = lu_decompose(n, &mut lu).unwrap();
-        let x = lu_solve(n, &lu, &perm, &b);
-        for (xi, ti) in x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-8, "{xi} vs {ti}");
-        }
-    }
-
-    #[test]
-    fn singular_matrix_is_reported() {
-        let mut a = vec![1.0, 2.0, 2.0, 4.0];
-        assert!(lu_decompose(2, &mut a).is_err());
-    }
-
-    #[test]
-    fn pivoting_handles_zero_leading_entry() {
-        let mut a = vec![0.0, 1.0, 1.0, 0.0];
-        let perm = lu_decompose(2, &mut a).unwrap();
-        let x = lu_solve(2, &a, &perm, &[2.0, 3.0]);
-        assert!((x[0] - 3.0).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12);
-    }
-
     mod sim {
         use super::super::*;
         use corescope_affinity::Scheme;

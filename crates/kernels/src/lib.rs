@@ -4,19 +4,13 @@
 //! Section 3 (STREAM, BLAS level 1/3, the HPC Challenge suite, and the
 //! NAS CG/FT kernels).
 //!
-//! Every kernel comes in two forms:
-//!
-//! 1. a **real implementation** — actual Rust numerics (triad loops,
-//!    blocked DGEMM, radix-2 FFT, sparse conjugate gradient, GUPS table
-//!    updates) used by the unit/property tests and available standalone;
-//! 2. a **workload model** — a builder that appends the kernel's phase
-//!    structure (flops, memory traffic, message schedule) to a
-//!    [`CommWorld`](corescope_smpi::CommWorld), to be executed by the
-//!    machine simulator at paper scale.
-//!
-//! The models derive their operation counts from the same complexity
-//! formulas the real implementations execute, so the simulator sees the
-//! flop/byte/message volumes the real codes would generate.
+//! Each kernel is a **workload model**: a builder that appends the
+//! kernel's phase structure (flops, memory traffic, message schedule) to
+//! a [`CommWorld`](corescope_smpi::CommWorld), to be executed by the
+//! machine simulator at paper scale. The operation counts follow the
+//! kernels' standard complexity formulas; `tests/op_counts.rs` lowers the
+//! DGEMM, DAXPY and FFT models and checks each rank's program flops
+//! against the closed forms the artifacts divide by.
 //!
 //! The HPC Challenge kernels follow its two run modes: *Single* runs a
 //! kernel on rank 0 while the others sit idle, and *Star*

@@ -1,52 +1,10 @@
-//! lmbench-style memory latency: a real pointer-chase kernel plus the
+//! lmbench-style memory latency: the pointer-chase model plus the
 //! local/remote latency table (Section 3.1 pairs STREAM with "Memory
 //! Latency & Bandwidth"; the latency side is what the coherence-probe
 //! model is calibrated against).
 
 use corescope_machine::{ComputePhase, Machine, TrafficProfile};
 use corescope_smpi::CommWorld;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-/// Builds a random single-cycle permutation of `n` slots — the classic
-/// lmbench `lat_mem_rd` chain, where chasing `next[i]` defeats every
-/// prefetcher because each load depends on the previous one.
-pub fn build_chase_chain(n: usize, seed: u64) -> Vec<usize> {
-    assert!(n >= 2, "a chain needs at least two slots");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    // Sattolo's algorithm: uniform random cyclic permutation.
-    let mut chain: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        let j = rng.gen_range(0..i);
-        chain.swap(i, j);
-    }
-    chain
-}
-
-/// Walks the chain `steps` times from slot 0; returns the final slot
-/// (forces the dependency chain to be computed).
-pub fn chase(chain: &[usize], steps: usize) -> usize {
-    let mut p = 0;
-    for _ in 0..steps {
-        p = chain[p];
-    }
-    p
-}
-
-/// Verifies a chain is one full cycle (every slot visited exactly once).
-pub fn is_single_cycle(chain: &[usize]) -> bool {
-    let n = chain.len();
-    let mut visited = vec![false; n];
-    let mut p = 0;
-    for _ in 0..n {
-        if visited[p] {
-            return false;
-        }
-        visited[p] = true;
-        p = chain[p];
-    }
-    p == 0 && visited.iter().all(|&v| v)
-}
 
 /// The *model* side: one rank chases `loads` dependent pointers over a
 /// `working_set`-byte arena whose pages live per the rank's layout. The
@@ -77,26 +35,6 @@ mod tests {
     use corescope_machine::{systems, CoreId, NumaNodeId};
 
     #[test]
-    fn chain_is_a_single_cycle() {
-        for n in [2, 7, 64, 1000] {
-            let chain = build_chase_chain(n, 42);
-            assert!(is_single_cycle(&chain), "n = {n}");
-        }
-    }
-
-    #[test]
-    fn chasing_n_steps_returns_to_start() {
-        let chain = build_chase_chain(128, 7);
-        assert_eq!(chase(&chain, 128), 0);
-        assert_ne!(chase(&chain, 64), 0, "half way round should not be home");
-    }
-
-    #[test]
-    fn chains_differ_by_seed() {
-        assert_ne!(build_chase_chain(64, 1), build_chase_chain(64, 2));
-    }
-
-    #[test]
     fn latency_table_matches_calibration() {
         // DMZ local ~140 ns (70 DRAM + 70 probe), remote +55 ns/hop.
         let m = Machine::new(systems::dmz());
@@ -121,7 +59,7 @@ mod tests {
         let t = w.run().unwrap().makespan;
         let per_load = t / loads as f64 * 1e9;
         // Little's law with random MLP 1.6: effective per-load time is
-        // latency / mlp ~ 87 ns (the chase chain in the real kernel has
+        // latency / mlp ~ 87 ns (lmbench's dependent chase chain has
         // mlp 1; the model's Random profile assumes a little overlap).
         let predicted = m.memory_latency(CoreId::new(0), NumaNodeId::new(0)) * 1e9;
         assert!(

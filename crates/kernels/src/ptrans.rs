@@ -1,5 +1,5 @@
-//! HPCC PTRANS (parallel matrix transpose): real blocked transpose plus
-//! the distributed workload model of Figure 12.
+//! HPCC PTRANS (parallel matrix transpose): the distributed workload
+//! model of Figure 12.
 //!
 //! PTRANS computes `A = A^T + B` over a block-distributed matrix. Its
 //! communication is a full pairwise block exchange — the most bandwidth-
@@ -9,31 +9,6 @@
 use crate::F64;
 use corescope_machine::{ComputePhase, TrafficProfile};
 use corescope_smpi::CommWorld;
-
-/// Real out-of-place transpose-and-add: `a = a^T + b` for a row-major
-/// square matrix of order `n`, using cache blocking.
-///
-/// # Panics
-///
-/// Panics if the slices are shorter than `n * n`.
-pub fn transpose_add(n: usize, bs: usize, a: &mut [f64], b: &[f64]) {
-    assert!(a.len() >= n * n && b.len() >= n * n);
-    assert!(bs > 0);
-    // Transpose in place by swapping block pairs, then add b.
-    for ii in (0..n).step_by(bs) {
-        for jj in (ii..n).step_by(bs) {
-            for i in ii..(ii + bs).min(n) {
-                let j0 = if ii == jj { i + 1 } else { jj };
-                for j in j0..(jj + bs).min(n) {
-                    a.swap(i * n + j, j * n + i);
-                }
-            }
-        }
-    }
-    for (ai, bi) in a.iter_mut().zip(b).take(n * n) {
-        *ai += bi;
-    }
-}
 
 /// PTRANS workload parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,34 +60,6 @@ pub fn append_run(world: &mut CommWorld<'_>, params: &PtransParams) {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn transpose_add_is_correct() {
-        let n = 9;
-        let orig: Vec<f64> = (0..n * n).map(|i| i as f64).collect();
-        let b: Vec<f64> = (0..n * n).map(|i| (i % 3) as f64).collect();
-        let mut a = orig.clone();
-        transpose_add(n, 4, &mut a, &b);
-        for i in 0..n {
-            for j in 0..n {
-                let expected = orig[j * n + i] + b[i * n + j];
-                assert_eq!(a[i * n + j], expected, "mismatch at ({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn double_transpose_without_add_is_identity() {
-        let n = 16;
-        let orig: Vec<f64> = (0..n * n).map(|i| (i * 7 % 13) as f64).collect();
-        let zero = vec![0.0; n * n];
-        let mut a = orig.clone();
-        transpose_add(n, 5, &mut a, &zero);
-        transpose_add(n, 3, &mut a, &zero);
-        assert_eq!(a, orig);
-    }
-
     mod sim {
         use super::super::*;
         use corescope_affinity::Scheme;

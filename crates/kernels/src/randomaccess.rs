@@ -1,53 +1,9 @@
-//! HPCC RandomAccess (GUPS): real table-update kernel plus the Single /
-//! Star / MPI workload models of Figure 11.
+//! HPCC RandomAccess (GUPS): the Single / Star / MPI workload models of
+//! Figure 11.
 
 use crate::F64;
 use corescope_machine::{ComputePhase, TrafficProfile};
 use corescope_smpi::CommWorld;
-
-/// The HPCC RandomAccess polynomial.
-const POLY: u64 = 0x0000_0000_0000_0007;
-
-/// The HPCC random-stream generator: each call advances the LFSR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RaStream(u64);
-
-impl RaStream {
-    /// Starts the stream from the canonical seed.
-    pub fn new() -> Self {
-        Self(1)
-    }
-
-    /// Advances and returns the next value.
-    pub fn next_value(&mut self) -> u64 {
-        let high = self.0 >> 63;
-        self.0 = (self.0 << 1) ^ (if high != 0 { POLY } else { 0 });
-        self.0
-    }
-}
-
-impl Default for RaStream {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Applies `updates` GUPS updates to `table` (length must be a power of
-/// two), returning the stream state for verification runs.
-///
-/// # Panics
-///
-/// Panics if the table length is not a power of two.
-pub fn run_updates(table: &mut [u64], updates: usize, mut stream: RaStream) -> RaStream {
-    let n = table.len();
-    assert!(n.is_power_of_two(), "table length must be a power of two");
-    let mask = (n - 1) as u64;
-    for _ in 0..updates {
-        let r = stream.next_value();
-        table[(r & mask) as usize] ^= r;
-    }
-    stream
-}
 
 /// RandomAccess workload parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,40 +81,6 @@ pub fn append_mpi(world: &mut CommWorld<'_>, params: &RaParams) {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn stream_is_deterministic_and_nontrivial() {
-        let mut a = RaStream::new();
-        let mut b = RaStream::new();
-        let va: Vec<u64> = (0..64).map(|_| a.next_value()).collect();
-        let vb: Vec<u64> = (0..64).map(|_| b.next_value()).collect();
-        assert_eq!(va, vb);
-        let mut sorted = va.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert!(sorted.len() > 60, "stream should rarely repeat early");
-    }
-
-    #[test]
-    fn double_update_restores_table() {
-        // XOR updates with the same stream are an involution — the HPCC
-        // verification trick.
-        let mut table: Vec<u64> = (0..256u64).collect();
-        let original = table.clone();
-        run_updates(&mut table, 4 * 256, RaStream::new());
-        assert_ne!(table, original, "updates must change the table");
-        run_updates(&mut table, 4 * 256, RaStream::new());
-        assert_eq!(table, original, "re-applying the same updates must undo them");
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn rejects_non_power_of_two_table() {
-        let mut table = vec![0u64; 100];
-        run_updates(&mut table, 10, RaStream::new());
-    }
-
     mod sim {
         use super::super::*;
         use corescope_affinity::Scheme;

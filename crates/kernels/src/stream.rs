@@ -1,5 +1,5 @@
-//! The STREAM memory-bandwidth benchmark (McCalpin): real kernels plus
-//! the simulator workload used for Figures 2, 3 and 10.
+//! The STREAM memory-bandwidth benchmark (McCalpin): the simulator
+//! workload used for Figures 2, 3 and 10.
 
 use crate::F64;
 use corescope_machine::{ComputePhase, TrafficProfile};
@@ -35,37 +35,6 @@ impl StreamKernel {
             StreamKernel::Scale | StreamKernel::Add => 1.0,
             StreamKernel::Triad => 2.0,
         }
-    }
-}
-
-/// Real triad: `a[i] = b[i] + q * c[i]`.
-pub fn triad(a: &mut [f64], b: &[f64], c: &[f64], q: f64) {
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len(), c.len());
-    for ((ai, bi), ci) in a.iter_mut().zip(b).zip(c) {
-        *ai = bi + q * ci;
-    }
-}
-
-/// Real copy: `c[i] = a[i]`.
-pub fn copy(c: &mut [f64], a: &[f64]) {
-    c.copy_from_slice(a);
-}
-
-/// Real scale: `b[i] = q * c[i]`.
-pub fn scale(b: &mut [f64], c: &[f64], q: f64) {
-    assert_eq!(b.len(), c.len());
-    for (bi, ci) in b.iter_mut().zip(c) {
-        *bi = q * ci;
-    }
-}
-
-/// Real add: `c[i] = a[i] + b[i]`.
-pub fn add(c: &mut [f64], a: &[f64], b: &[f64]) {
-    assert_eq!(c.len(), a.len());
-    assert_eq!(c.len(), b.len());
-    for ((ci, ai), bi) in c.iter_mut().zip(a).zip(b) {
-        *ci = ai + bi;
     }
 }
 
@@ -129,28 +98,6 @@ mod tests {
     use corescope_affinity::Scheme;
     use corescope_machine::{systems, Machine};
     use corescope_smpi::{LockLayer, MpiImpl};
-
-    #[test]
-    fn real_triad_computes_expected_values() {
-        let b = vec![1.0; 8];
-        let c = vec![2.0; 8];
-        let mut a = vec![0.0; 8];
-        triad(&mut a, &b, &c, 3.0);
-        assert!(a.iter().all(|&x| (x - 7.0).abs() < 1e-15));
-    }
-
-    #[test]
-    fn real_kernels_compose() {
-        let n = 64;
-        let a = vec![1.5; n];
-        let mut b = vec![0.0; n];
-        let mut c = vec![0.0; n];
-        copy(&mut c, &a); // c = 1.5
-        scale(&mut b, &c, 2.0); // b = 3.0
-        let mut sum = vec![0.0; n];
-        add(&mut sum, &a, &b); // 4.5
-        assert!(sum.iter().all(|&x| (x - 4.5).abs() < 1e-15));
-    }
 
     #[test]
     fn triad_moves_24_bytes_per_element() {

@@ -1,29 +1,17 @@
 //! Ocean-model scaling study: POP's two phases across core counts and
-//! systems (the paper's Table 12), plus a demonstration of the *real*
-//! barotropic solver substrate on a small grid.
+//! systems (the paper's Table 12).
 //!
 //! ```text
 //! cargo run --release --example ocean_scaling
 //! ```
 
 use corescope::affinity::Scheme;
-use corescope::apps::ocean::{grid, PopModel};
+use corescope::apps::ocean::PopModel;
 use corescope::sched::{Placement, Scenario, System, Workload};
 
 fn main() -> Result<(), corescope::machine::Error> {
-    // First, the real numerics: solve a barotropic elliptic system on a
-    // 32x24 patch and report convergence — the same CG solver family the
-    // workload model's phase structure mirrors.
-    let (nx, ny) = (32, 24);
-    let b: Vec<f64> = (0..nx * ny).map(|k| ((k % 7) as f64 - 3.0) * 0.1).collect();
-    let sol = grid::barotropic_solve(nx, ny, &b, 1e-10);
-    println!(
-        "real barotropic CG: {}x{} grid solved in {} iterations (residual {:.2e})\n",
-        nx, ny, sol.iterations, sol.residual
-    );
-
-    // Then the paper-scale simulation: POP x1 (320x384x40), 10 steps —
-    // scaling ratios are step-count independent.
+    // POP x1 (320x384x40), 10 steps — scaling ratios are step-count
+    // independent.
     let PopModel { nx, ny, nz, cg_iterations, .. } = PopModel::x1();
     let steps = 10;
     for system in [System::Tiger, System::Dmz, System::Longs] {

@@ -15,7 +15,7 @@
 //! * [`smpi`] — the simulated MPI runtime (MPICH2/LAM/OpenMPI profiles,
 //!   SysV vs spin-lock sub-layers, real collective algorithms);
 //! * [`kernels`] — STREAM, BLAS 1/3, HPCC (HPL, FFT, RandomAccess,
-//!   PTRANS), NAS CG/FT — each as real numerics plus a simulator model;
+//!   PTRANS), NAS CG/FT — each as a simulator workload model;
 //! * [`apps`] — molecular dynamics (AMBER PME/GB, LAMMPS LJ/chain/EAM)
 //!   and a POP-like ocean model;
 //! * [`sched`] — the scenario IR every engine run is lowered from, with

@@ -1,9 +1,6 @@
 //! Workspace-level property-based tests (proptest) on the core data
 //! structures and invariants.
 
-use corescope::kernels::cg::{cg_solve, CsrMatrix};
-use corescope::kernels::fft::{dft_naive, fft_inplace, ifft_normalized, Complex};
-use corescope::kernels::randomaccess::{run_updates, RaStream};
 use corescope::machine::flow::{solve_maxmin, FlowSpec, ResourceTable};
 use corescope::machine::{systems, Machine, MemoryLayout, NumaNodeId, SocketId};
 use proptest::prelude::*;
@@ -88,53 +85,6 @@ proptest! {
                 spec.cap
             );
         }
-    }
-
-    /// FFT of random data matches the O(n^2) DFT and round-trips.
-    #[test]
-    fn fft_matches_dft_and_roundtrips(
-        values in proptest::collection::vec((-100.0f64..100.0, -100.0f64..100.0), 1..5),
-        log_n in 1u32..7,
-    ) {
-        let n = 1usize << log_n;
-        let input: Vec<Complex> = (0..n)
-            .map(|i| {
-                let (re, im) = values[i % values.len()];
-                Complex::new(re + i as f64 * 0.01, im)
-            })
-            .collect();
-        let mut data = input.clone();
-        fft_inplace(&mut data, false);
-        let reference = dft_naive(&input);
-        for (a, b) in data.iter().zip(&reference) {
-            prop_assert!((a.re - b.re).abs() < 1e-6 && (a.im - b.im).abs() < 1e-6);
-        }
-        ifft_normalized(&mut data);
-        for (a, b) in data.iter().zip(&input) {
-            prop_assert!((a.re - b.re).abs() < 1e-8 && (a.im - b.im).abs() < 1e-8);
-        }
-    }
-
-    /// CG solves random SPD systems to the requested tolerance.
-    #[test]
-    fn cg_solves_random_spd(seed in 0u64..1000, n in 10usize..80) {
-        let a = CsrMatrix::random_spd(n, 4, seed);
-        let x_true: Vec<f64> = (0..n).map(|i| ((i * 37 + 11) % 19) as f64 - 9.0).collect();
-        let mut b = vec![0.0; n];
-        a.spmv(&x_true, &mut b);
-        let sol = cg_solve(&a, &b, 1e-9, 20 * n);
-        prop_assert!(sol.residual < 1e-8, "residual {}", sol.residual);
-    }
-
-    /// GUPS updates are an involution for any power-of-two table.
-    #[test]
-    fn gups_updates_are_involutive(log_size in 3u32..10, updates in 1usize..2000) {
-        let n = 1usize << log_size;
-        let mut table: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9e37)).collect();
-        let original = table.clone();
-        run_updates(&mut table, updates, RaStream::new());
-        run_updates(&mut table, updates, RaStream::new());
-        prop_assert_eq!(table, original);
     }
 
     /// Memory layouts always normalize to unit total weight.
