@@ -5,11 +5,6 @@
 
 use corescope_machine::{CoreId, Machine, MemoryLayout, NumaNodeId, Result};
 
-/// Fraction of pages the default (unbound) first-touch policy leaves on
-/// the wrong node: early allocations made before the load balancer settles
-/// tasks, shared mappings, and pages touched by rank 0 during setup.
-pub const DEFAULT_MISPLACEMENT: f64 = 0.10;
-
 /// How many ranks' working sets fit per node before `membind` spills to
 /// the next listed node (see [`membind_packed`]).
 pub const MEMBIND_RANKS_PER_NODE: usize = 4;

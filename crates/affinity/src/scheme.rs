@@ -2,7 +2,7 @@
 
 use crate::{mapping, policy};
 use corescope_machine::engine::RankPlacement;
-use corescope_machine::{Machine, NumaNodeId, Result};
+use corescope_machine::{CalibParams, Machine, NumaNodeId, Result};
 use std::fmt;
 
 /// A `numactl` task/memory placement scheme (Table 5 of the paper).
@@ -83,7 +83,7 @@ impl Scheme {
     /// cannot host `nranks` ranks (e.g. one-task-per-socket schemes with
     /// more ranks than sockets — the paper's dashed-out cells).
     pub fn resolve(self, machine: &Machine, nranks: usize) -> Result<Vec<RankPlacement>> {
-        self.resolve_with(machine, nranks, policy::DEFAULT_MISPLACEMENT)
+        self.resolve_with(machine, nranks, CalibParams::paper_2006().misplacement)
     }
 
     /// [`Scheme::resolve`] with an explicit first-touch misplacement
@@ -230,7 +230,8 @@ mod tests {
         assert_eq!(a, b);
         // And the default fraction matches the plain resolve path.
         let c = Scheme::Default.resolve(&m, 4).unwrap();
-        let d = Scheme::Default.resolve_with(&m, 4, policy::DEFAULT_MISPLACEMENT).unwrap();
+        let d =
+            Scheme::Default.resolve_with(&m, 4, CalibParams::paper_2006().misplacement).unwrap();
         assert_eq!(c, d);
     }
 

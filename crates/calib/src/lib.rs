@@ -45,22 +45,3 @@ pub use eval::{Evaluation, Evaluator, TargetOutcome};
 pub use search::{fit, FitConfig, FitResult, TrajectoryPoint};
 pub use sensitivity::{elementary_effects, ranking, sweep_field, Effect};
 pub use targets::{registry, Family, Probe, Target, TargetKind};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use corescope_affinity::policy;
-    use corescope_smpi::{LockLayer, MpiProfile};
-
-    /// The paper point must equal the constants it mirrors in the smpi
-    /// and affinity crates — if one side drifts, default-parameter runs
-    /// silently stop matching the shipped calibration.
-    #[test]
-    fn paper_point_matches_smpi_and_affinity_constants() {
-        let p = CalibParams::paper_2006();
-        assert_eq!(p.lock_sysv.to_bits(), LockLayer::SysV.cost().to_bits());
-        assert_eq!(p.lock_usysv.to_bits(), LockLayer::USysV.cost().to_bits());
-        assert_eq!(p.same_socket_boost.to_bits(), MpiProfile::SAME_SOCKET_BW_BOOST.to_bits());
-        assert_eq!(p.misplacement.to_bits(), policy::DEFAULT_MISPLACEMENT.to_bits());
-    }
-}

@@ -3,7 +3,7 @@
 //! benchmark.
 
 use crate::C64;
-use corescope_machine::{ComputePhase, TrafficProfile};
+use corescope_machine::{CalibParams, ComputePhase, TrafficProfile};
 use corescope_smpi::CommWorld;
 
 /// Flop count of an n-point complex FFT (the standard 5·n·log₂n).
@@ -34,7 +34,11 @@ pub fn fft_pass_phase(local_points: f64, global_points: f64, fraction: f64) -> C
     // The pass count follows the *global* transform (pencil lengths do
     // not shrink with the rank count), so parallel FFTs do not gain
     // artificial cache superlinearity.
-    let l2 = corescope_machine::systems::calib::L2_BYTES;
+    // FOUND: this is the shipped 1 MiB L2, not the running machine's nor
+    // the scenario's calibration point's `l2_bytes` (EPYC and HBM cores
+    // have 4 MiB). Reading theirs moves the FFT, NAS FT and AMBER PME
+    // outputs, so it waits for a deliberate re-pin (ROADMAP).
+    let l2 = CalibParams::paper_2006().l2_bytes;
     let sweeps = (global_points * C64 / l2).max(2.0).log2().clamp(1.0, 8.0);
     let touched = fraction * local_points * C64 * sweeps;
     let flops = fraction * 5.0 * local_points * global_points.max(2.0).log2();

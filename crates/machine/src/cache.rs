@@ -90,17 +90,18 @@ pub fn dram_demand(cache: &CacheSpec, profile: &TrafficProfile, latency: f64) ->
 mod tests {
     use super::*;
     use crate::spec::CacheSpec;
-    use crate::systems::calib;
+    use crate::CalibParams;
 
     fn k8() -> CacheSpec {
+        let p = CalibParams::paper_2006();
         CacheSpec {
-            l1_bytes: calib::L1_BYTES,
-            l2_bytes: calib::L2_BYTES,
-            line_bytes: calib::LINE_BYTES,
-            stream_mlp: calib::STREAM_MLP,
-            random_mlp: calib::RANDOM_MLP,
-            strided_mlp: calib::STRIDED_MLP,
-            lookup_mlp: calib::LOOKUP_MLP,
+            l1_bytes: p.l1_bytes,
+            l2_bytes: p.l2_bytes,
+            line_bytes: p.line_bytes,
+            stream_mlp: p.stream_mlp,
+            random_mlp: p.random_mlp,
+            strided_mlp: p.strided_mlp,
+            lookup_mlp: p.lookup_mlp,
         }
     }
 
@@ -156,7 +157,7 @@ mod tests {
         let p = TrafficProfile::lookup(1e8, 1e9);
         let d = dram_demand(&k8(), &p, LAT);
         // No ×8 amplification: bytes shrink only by the resident slice.
-        let hit = calib::L2_BYTES / 1e9;
+        let hit = CalibParams::paper_2006().l2_bytes / 1e9;
         assert!((d.bytes - 1e8 * (1.0 - hit)).abs() < 1.0);
         let random = dram_demand(&k8(), &TrafficProfile::random(1e8, 1e9), LAT);
         let stream = dram_demand(&k8(), &TrafficProfile::stream(1e8), LAT);

@@ -1,16 +1,22 @@
-//! Runtime calibration parameters: every DESIGN §6 constant as a value.
+//! The calibration point: every DESIGN §6 constant as a value.
 //!
-//! The compile-time constants in [`crate::systems::calib`] (and their
-//! smpi/affinity counterparts) pin the machine model to the shipped
-//! 2006-era calibration. [`CalibParams`] lifts each of them into a field
-//! with documented bounds so a machine — and the MPI substrate on top of
-//! it — can be built from *any* parameter point: the calibration search
-//! in `corescope-calib` walks this box, and
-//! [`CalibParams::paper_2006`] reproduces the shipped constants exactly
-//! (bit-for-bit, so default-parameter runs are byte-identical to the
-//! pre-parameterized code).
-
-use crate::systems::{calib, modern};
+//! [`CalibParams::paper_2006`] is the one place a shipped calibration
+//! value is written; the machine presets, the MPI profiles, the default
+//! placement policy and the kernel models all read it from there. Each
+//! field carries documented bounds, so a machine — and the MPI substrate
+//! on top of it — can be built from *any* parameter point: the
+//! calibration search in `corescope-calib` walks this box.
+//!
+//! Sources for the 2006 values: AMD Software Optimization Guide for AMD
+//! Athlon 64 and Opteron Processors (pub. 25112, 2004) for core and cache
+//! parameters, published STREAM and lmbench results for DDR-400 Opterons
+//! for the memory numbers, and the paper's own Figures 13–15 for the MPI
+//! lock costs and copy boost. The four modern axes are anchored on
+//! Bergstrom's NUMA-STREAM study (arXiv:1103.3225) for multi-die
+//! on-package scaling and on RZBENCH (arXiv:0712.3389) for the
+//! per-generation memory-tier ladder; fixed per-generation constants
+//! (cross-package links, tier idle latencies) belong to
+//! `corescope-topo::generations`.
 
 /// One point in the calibration box: every tunable constant of the
 /// machine, MPI, and placement models.
@@ -21,7 +27,8 @@ use crate::systems::{calib, modern};
 /// so the struct is `Copy` and totally ordered per-field.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibParams {
-    /// Double-precision flops per cycle (K8 SSE2: 2). Bounds [1, 4].
+    /// Double-precision flops per cycle (K8 SSE2, 1 add + 1 mul: 2).
+    /// Bounds [1, 4].
     pub flops_per_cycle: f64,
     /// L1 data cache bytes (64 KiB). Bounds [16 KiB, 256 KiB].
     pub l1_bytes: f64,
@@ -29,18 +36,22 @@ pub struct CalibParams {
     pub l2_bytes: f64,
     /// Cache line bytes (64). Bounds [32, 128].
     pub line_bytes: f64,
-    /// Outstanding line fills under hardware prefetch (8). Bounds [2, 16].
+    /// Outstanding line fills under hardware prefetch, streaming access
+    /// (8). Bounds [2, 16].
     pub stream_mlp: f64,
     /// Outstanding line fills for dependent random access (1.6).
     /// Bounds [1, 4].
     pub random_mlp: f64,
-    /// Outstanding line fills for prefetch-defeating strides (2).
-    /// Bounds [1, 4].
+    /// Outstanding line fills for prefetch-defeating strides such as FFT
+    /// butterflies and transposes (2). Bounds [1, 4].
     pub strided_mlp: f64,
-    /// Sustained DDR-400 controller bandwidth, bytes/s (4.2e9).
-    /// Bounds [2e9, 6.4e9] (6.4 GB/s is the interface peak).
+    /// Sustained dual-channel DDR-400 bandwidth per controller, bytes/s
+    /// (4.2e9). The interface peak is 6.4 GB/s; real streaming on a 2006
+    /// Opteron tops out near 4.2 GB/s (bank conflicts, refresh,
+    /// read/write turnaround). Bounds [2e9, 6.4e9].
     pub dram_bandwidth: f64,
-    /// Idle local DRAM latency, seconds (70 ns). Bounds [40 ns, 150 ns].
+    /// Idle local DRAM latency on K8, row-hit mix, seconds (70 ns).
+    /// Bounds [40 ns, 150 ns].
     pub dram_latency: f64,
     /// Usable coherent-HT bandwidth per direction, bytes/s (2e9).
     /// Bounds [0.5e9, 4e9].
@@ -48,44 +59,63 @@ pub struct CalibParams {
     /// Per-hop HyperTransport latency, seconds (55 ns).
     /// Bounds [20 ns, 120 ns].
     pub ht_hop_latency: f64,
-    /// Fixed coherence probe cost, seconds (25 ns). Bounds [0, 100 ns].
+    /// Fixed coherence probe cost on any multi-socket K8, seconds
+    /// (25 ns). Bounds [0, 100 ns].
     pub probe_base: f64,
-    /// Probe cost per hop of topology diameter, seconds (45 ns).
-    /// Bounds [0, 120 ns].
+    /// Probe cost per hop of topology diameter, seconds (45 ns). On the
+    /// 8-socket ladder (diameter 4) every access pays ~205 ns of probing,
+    /// halving single-core streaming bandwidth — the paper's headline
+    /// Longs observation. Bounds [0, 120 ns].
     pub probe_per_hop: f64,
     /// Probe-fabric capacity on two-socket machines, bytes/s of DRAM
-    /// traffic (1e12 — effectively unlimited). Bounds [1e10, 1e13].
+    /// traffic (1e12 — effectively unlimited: the direct HT link services
+    /// probes as fast as the controllers generate them).
+    /// Bounds [1e10, 1e13].
     pub probe_capacity_small: f64,
-    /// Probe-fabric capacity on the eight-socket ladder, bytes/s (14e9).
+    /// Probe-fabric capacity on the eight-socket ladder, bytes/s of
+    /// aggregate DRAM traffic (14e9). Beyond it probe responses queue —
+    /// the reason "adding the second core resulted in an overall decrease
+    /// ... in per socket (overall) \[STREAM\] performance" on Longs.
     /// Bounds [5e9, 1e12]; the top of the box is "effectively
     /// unlimited", the no-fabric counterfactual the ablation sweeps to.
     pub probe_capacity_ladder: f64,
-    /// Per-message SysV semaphore cost, seconds (2.4 µs).
+    /// Per-message SysV semaphore cost, seconds (2.4 µs: two semop
+    /// syscalls at ~1.2 µs each on a 2006 kernel).
     /// Bounds [0.5 µs, 10 µs].
     pub lock_sysv: f64,
     /// Per-message user-space spin-lock cost, seconds (0.12 µs).
     /// Bounds [0.01 µs, 1 µs].
     pub lock_usysv: f64,
-    /// Intra-socket shared-memory copy bandwidth boost (1.12, the
-    /// paper's "approximately 10 to 13%"). Bounds [1.0, 1.5].
+    /// Shared-memory copy bandwidth boost for messages that stay within
+    /// one multi-core socket instead of crossing coherent HyperTransport
+    /// (1.12, the paper's "approximately 10 to 13%"). Bounds [1.0, 1.5].
     pub same_socket_boost: f64,
-    /// Fraction of pages the default first-touch policy leaves on the
-    /// wrong node (0.10). Bounds [0, 0.5].
+    /// Fraction of pages the default (unbound) first-touch policy leaves
+    /// on the wrong node (0.10): early allocations made before the load
+    /// balancer settles tasks, shared mappings, and pages touched by rank
+    /// 0 during setup. Bounds [0, 0.5].
     pub misplacement: f64,
-    /// Outstanding line fills for dependent table lookups (3).
-    /// Bounds [1, 8].
+    /// Outstanding line fills for dependent table lookups (3). Each
+    /// XSBench-style lookup is a short independent binary-search chain,
+    /// so a K8 overlaps a few across lookups — above pure pointer
+    /// chasing, far below prefetched streams. Bounds [1, 8].
     pub lookup_mlp: f64,
-    /// Extra row-buffer-miss/TLB latency per dependent table lookup,
-    /// seconds (60 ns). Bounds [0, 200 ns].
+    /// Extra latency per dependent table lookup on top of the routed
+    /// access latency, seconds (60 ns): row-buffer misses (random
+    /// addresses almost never hit the open DRAM row) plus TLB walks over
+    /// a multi-GiB table. Bounds [0, 200 ns].
     pub lookup_latency: f64,
     /// Usable on-package (die-to-die) link bandwidth per direction on
-    /// the chiplet generations, bytes/s (45e9). Bounds [10e9, 200e9].
+    /// the chiplet generations, bytes/s (45e9, an Infinity-Fabric-class
+    /// link). Bounds [10e9, 200e9].
     pub onpkg_bandwidth: f64,
-    /// Per-hop latency of an on-package link, seconds (30 ns).
+    /// Per-hop latency of an on-package link, seconds (30 ns — the
+    /// chiplet NUMA factor is far milder than 2006 HyperTransport's).
     /// Bounds [5 ns, 100 ns].
     pub onpkg_latency: f64,
     /// Sustained DRAM bandwidth per chiplet-attached controller pair on
-    /// the modern generations, bytes/s (32e9). Bounds [10e9, 128e9].
+    /// the modern generations, bytes/s (32e9: two DDR channels of a
+    /// modern 8-channel socket). Bounds [10e9, 128e9].
     pub tier_dram_bandwidth: f64,
     /// Sustained bandwidth of an on-package HBM stack presented as its
     /// own memory node, bytes/s (600e9). Bounds [100e9, 1600e9].
@@ -203,43 +233,38 @@ calib_fields! {
 }
 
 impl CalibParams {
-    /// The shipped 2006 calibration: every field equals the constant it
-    /// replaces, bit-for-bit. Building a system from this point yields a
-    /// spec identical to the preset builders.
+    /// The shipped 2006 calibration, the one place each shipped value is
+    /// written (see the field docs for each value's rationale). The
+    /// modern-generation axes (`onpkg_*`, `tier_*`) ride along: the 2006
+    /// presets never read them, so "paper_2006" still describes every
+    /// field the 2006 machines consume.
     pub fn paper_2006() -> Self {
         Self {
-            flops_per_cycle: calib::FLOPS_PER_CYCLE,
-            l1_bytes: calib::L1_BYTES,
-            l2_bytes: calib::L2_BYTES,
-            line_bytes: calib::LINE_BYTES,
-            stream_mlp: calib::STREAM_MLP,
-            random_mlp: calib::RANDOM_MLP,
-            strided_mlp: calib::STRIDED_MLP,
-            dram_bandwidth: calib::DDR400_SUSTAINED_BW,
-            dram_latency: calib::DRAM_LATENCY,
-            ht_bandwidth: calib::HT_BANDWIDTH,
-            ht_hop_latency: calib::HT_HOP_LATENCY,
-            probe_base: calib::PROBE_BASE,
-            probe_per_hop: calib::PROBE_PER_HOP,
-            probe_capacity_small: calib::PROBE_CAPACITY_SMALL,
-            probe_capacity_ladder: calib::PROBE_CAPACITY_LADDER,
-            // smpi: LockLayer::{SysV, USysV} costs and the same-socket
-            // copy boost (cross-checked by smpi/calib tests).
+            flops_per_cycle: 2.0,
+            l1_bytes: 64.0 * 1024.0,
+            l2_bytes: 1024.0 * 1024.0,
+            line_bytes: 64.0,
+            stream_mlp: 8.0,
+            random_mlp: 1.6,
+            strided_mlp: 2.0,
+            dram_bandwidth: 4.2e9,
+            dram_latency: 70e-9,
+            ht_bandwidth: 2.0e9,
+            ht_hop_latency: 55e-9,
+            probe_base: 25e-9,
+            probe_per_hop: 45e-9,
+            probe_capacity_small: 1e12,
+            probe_capacity_ladder: 14e9,
             lock_sysv: 2.4e-6,
             lock_usysv: 0.12e-6,
             same_socket_boost: 1.12,
-            // affinity: policy::DEFAULT_MISPLACEMENT (cross-checked by a
-            // corescope-calib test).
             misplacement: 0.10,
-            lookup_mlp: calib::LOOKUP_MLP,
-            lookup_latency: calib::LOOKUP_LATENCY,
-            // corescope-topo: the modern-generation axes. The 2006
-            // presets never read them, so "paper_2006" still describes
-            // every field the 2006 machines consume.
-            onpkg_bandwidth: modern::ONPKG_BANDWIDTH,
-            onpkg_latency: modern::ONPKG_LATENCY,
-            tier_dram_bandwidth: modern::TIER_DRAM_BANDWIDTH,
-            tier_hbm_bandwidth: modern::TIER_HBM_BANDWIDTH,
+            lookup_mlp: 3.0,
+            lookup_latency: 60e-9,
+            onpkg_bandwidth: 45e9,
+            onpkg_latency: 30e-9,
+            tier_dram_bandwidth: 32e9,
+            tier_hbm_bandwidth: 600e9,
         }
     }
 
@@ -304,26 +329,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_point_matches_the_shipped_constants() {
-        let p = CalibParams::paper_2006();
-        assert_eq!(p.dram_latency.to_bits(), calib::DRAM_LATENCY.to_bits());
-        assert_eq!(p.ht_bandwidth.to_bits(), calib::HT_BANDWIDTH.to_bits());
-        assert_eq!(p.probe_capacity_ladder.to_bits(), calib::PROBE_CAPACITY_LADDER.to_bits());
-        assert_eq!(p.stream_mlp.to_bits(), calib::STREAM_MLP.to_bits());
-    }
-
-    #[test]
     fn paper_point_is_inside_the_box() {
         assert!(CalibParams::paper_2006().in_bounds());
-    }
-
-    #[test]
-    fn modern_axes_match_the_shipped_constants() {
-        let p = CalibParams::paper_2006();
-        assert_eq!(p.onpkg_bandwidth.to_bits(), modern::ONPKG_BANDWIDTH.to_bits());
-        assert_eq!(p.onpkg_latency.to_bits(), modern::ONPKG_LATENCY.to_bits());
-        assert_eq!(p.tier_dram_bandwidth.to_bits(), modern::TIER_DRAM_BANDWIDTH.to_bits());
-        assert_eq!(p.tier_hbm_bandwidth.to_bits(), modern::TIER_HBM_BANDWIDTH.to_bits());
     }
 
     #[test]

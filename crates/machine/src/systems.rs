@@ -1,5 +1,8 @@
-//! Preset machine specifications matching Table 1 of the paper, plus the
-//! calibration constants they share.
+//! Preset machine specifications matching Table 1 of the paper. Every
+//! calibrated value they use comes from a [`CalibParams`] point (the
+//! shipped one is [`CalibParams::paper_2006`]); only the Table 1 facts —
+//! clock, core and socket counts, node memory, the HT wiring — are
+//! written here.
 //!
 //! | Name  | Opteron | GHz | Cores/socket | Sockets | Memory    |
 //! |-------|---------|-----|--------------|---------|-----------|
@@ -12,91 +15,8 @@ use crate::spec::{
     CacheSpec, CoherenceSpec, CoreSpec, LinkEdge, LinkSpec, MachineSpec, MemorySpec,
 };
 
-/// Calibration constants for 2006-era AMD Opteron (K8) systems.
-///
-/// Sources: AMD Software Optimization Guide for AMD Athlon 64 and Opteron
-/// Processors (pub. 25112, 2004) for core/cache parameters; published
-/// STREAM and lmbench results for DDR-400 Opterons for the memory numbers.
-pub mod calib {
-    /// Double-precision flops per cycle on K8 (SSE2: 1 add + 1 mul).
-    pub const FLOPS_PER_CYCLE: f64 = 2.0;
-    /// L1 data cache: 64 KiB.
-    pub const L1_BYTES: f64 = 64.0 * 1024.0;
-    /// Unified L2: 1 MiB.
-    pub const L2_BYTES: f64 = 1024.0 * 1024.0;
-    /// Cache line: 64 B.
-    pub const LINE_BYTES: f64 = 64.0;
-    /// Outstanding line fills under hardware prefetch (streaming access).
-    pub const STREAM_MLP: f64 = 8.0;
-    /// Outstanding line fills for dependent random access.
-    pub const RANDOM_MLP: f64 = 1.6;
-    /// Outstanding line fills for prefetch-defeating strided access
-    /// (FFT butterflies, transposes).
-    pub const STRIDED_MLP: f64 = 2.0;
-    /// Outstanding line fills for dependent table lookups (XSBench-style
-    /// cross-section search). Each lookup is a short independent binary-
-    /// search chain, so a K8 overlaps a few across lookups — above pure
-    /// pointer chasing, far below prefetched streams.
-    pub const LOOKUP_MLP: f64 = 3.0;
-    /// Extra latency per dependent table lookup on top of the routed
-    /// access latency: row-buffer misses (random addresses almost never
-    /// hit the open DRAM row) plus TLB walks over a multi-GiB table.
-    /// ~60 ns against the ~70 ns row-hit idle latency.
-    pub const LOOKUP_LATENCY: f64 = 60e-9;
-    /// Dual-channel DDR-400 *sustained* bandwidth per controller. The
-    /// interface peak is 6.4 GB/s; real streaming on a 2006 Opteron tops
-    /// out near 4.2 GB/s (bank conflicts, refresh, read/write turnaround).
-    pub const DDR400_SUSTAINED_BW: f64 = 4.2e9;
-    /// Idle local DRAM latency (row hit mix) on K8: ~70 ns.
-    pub const DRAM_LATENCY: f64 = 70e-9;
-    /// Usable coherent-HT bandwidth per direction: ~2 GB/s.
-    pub const HT_BANDWIDTH: f64 = 2.0e9;
-    /// Per-hop HT latency: ~55 ns.
-    pub const HT_HOP_LATENCY: f64 = 55e-9;
-    /// Fixed coherence probe cost on any multi-socket K8: ~25 ns.
-    pub const PROBE_BASE: f64 = 25e-9;
-    /// Additional probe cost per hop of topology diameter: ~45 ns.
-    /// On the 8-socket ladder (diameter 4) this makes every access pay
-    /// ~205 ns of probing, halving single-core streaming bandwidth —
-    /// the paper's headline Longs observation.
-    pub const PROBE_PER_HOP: f64 = 45e-9;
-    /// Probe-fabric capacity on two-socket machines: effectively
-    /// unlimited (the direct HT link services probes as fast as the
-    /// controllers generate them).
-    pub const PROBE_CAPACITY_SMALL: f64 = 1e12;
-    /// Probe-fabric capacity on the eight-socket ladder: ~14 GB/s of
-    /// aggregate DRAM traffic. Beyond this, probe responses queue — the
-    /// reason "adding the second core resulted in an overall decrease
-    /// ... in per socket (overall) \[STREAM\] performance" on Longs.
-    pub const PROBE_CAPACITY_LADDER: f64 = 14e9;
-    /// One gibibyte, for memory sizes.
-    pub const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
-}
-
-/// Calibration constants for the two post-2006 machines that
-/// `corescope-topo` builds (the EPYC-like chiplet node and the HBM-tiered
-/// node).
-///
-/// Sources: Bergstrom's NUMA-STREAM study (arXiv:1103.3225) for
-/// multi-die on-package STREAM/latency scaling, and RZBENCH
-/// (arXiv:0712.3389) for the per-generation memory-tier bandwidth
-/// ladder. Only the four values that are calibration *axes* live here;
-/// fixed per-generation constants (cross-package links, tier idle
-/// latencies) belong to `corescope-topo::generations`.
-pub mod modern {
-    /// Usable on-package (die-to-die) interconnect bandwidth per
-    /// direction: ~45 GB/s for an Infinity-Fabric-class link.
-    pub const ONPKG_BANDWIDTH: f64 = 45e9;
-    /// Per-hop latency of an on-package link: ~30 ns — the chiplet NUMA
-    /// factor is far milder than 2006 HyperTransport's 55 ns.
-    pub const ONPKG_LATENCY: f64 = 30e-9;
-    /// Sustained DRAM bandwidth per chiplet-attached controller pair:
-    /// ~32 GB/s (two DDR channels of a modern 8-channel socket).
-    pub const TIER_DRAM_BANDWIDTH: f64 = 32e9;
-    /// Sustained bandwidth of an on-package HBM stack presented as its
-    /// own memory node: ~600 GB/s.
-    pub const TIER_HBM_BANDWIDTH: f64 = 600e9;
-}
+/// One gibibyte, for memory sizes.
+pub const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 
 fn k8_cache(p: &CalibParams) -> CacheSpec {
     CacheSpec {
@@ -140,7 +60,7 @@ pub fn tiger() -> MachineSpec {
 pub fn tiger_with(p: &CalibParams) -> MachineSpec {
     MachineSpec {
         name: "tiger".into(),
-        sockets: vec![4.0 * calib::GIB; 2],
+        sockets: vec![4.0 * GIB; 2],
         cores_per_socket: 1,
         core: CoreSpec { frequency_hz: 2.2e9, flops_per_cycle: p.flops_per_cycle },
         cache: k8_cache(p),
@@ -169,7 +89,7 @@ pub fn dmz() -> MachineSpec {
 pub fn dmz_with(p: &CalibParams) -> MachineSpec {
     MachineSpec {
         name: "dmz".into(),
-        sockets: vec![2.0 * calib::GIB; 2],
+        sockets: vec![2.0 * GIB; 2],
         cores_per_socket: 2,
         core: CoreSpec { frequency_hz: 2.2e9, flops_per_cycle: p.flops_per_cycle },
         cache: k8_cache(p),
@@ -212,7 +132,7 @@ pub fn longs_with(p: &CalibParams) -> MachineSpec {
     }
     MachineSpec {
         name: "longs".into(),
-        sockets: vec![4.0 * calib::GIB; 8],
+        sockets: vec![4.0 * GIB; 8],
         cores_per_socket: 2,
         core: CoreSpec { frequency_hz: 1.8e9, flops_per_cycle: p.flops_per_cycle },
         cache: k8_cache(p),

@@ -83,7 +83,7 @@ impl Placement {
     /// Propagates mapping errors (typically [`Error::InvalidPlacement`]
     /// when the machine cannot host `nranks` under this placement).
     pub fn resolve(self, machine: &Machine, nranks: usize) -> Result<Vec<RankPlacement>> {
-        self.resolve_with(machine, nranks, policy::DEFAULT_MISPLACEMENT)
+        self.resolve_with(machine, nranks, CalibParams::paper_2006().misplacement)
     }
 
     /// [`Placement::resolve`] with an explicit first-touch misplacement

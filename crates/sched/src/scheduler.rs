@@ -322,26 +322,10 @@ impl Scheduler {
             .collect()
     }
 
-    /// Runs one scenario through cache + single-flight: a batch of one,
-    /// without the batch bookkeeping.
+    /// Runs one scenario through cache + single-flight: a batch of one.
     pub fn run_one(&self, scenario: &Scenario) -> Result<Completed> {
-        self.scenarios.fetch_add(1, Ordering::Relaxed);
-        let digest = scenario.digest();
-        let outcome = match self.cache.get(digest) {
-            Some((result, tier)) => {
-                let done = Completed { result, tier, digest };
-                self.answered([(scenario, &done)]);
-                Ok(done)
-            }
-            None => self.run_miss(scenario, digest),
-        };
-        if outcome.is_err() {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(sink) = &self.store {
-            sink.flush();
-        }
-        outcome
+        let mut outcomes = self.run_batch(std::slice::from_ref(scenario));
+        outcomes.pop().expect("a batch of one has one outcome")
     }
 
     /// Counts cache hits by tier and offers them to the campaign store in

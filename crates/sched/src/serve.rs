@@ -112,11 +112,6 @@ pub struct ServeStats {
     pub bad_requests: usize,
     /// Requests the engine rejected (invalid scenario, failed run).
     pub engine_errors: usize,
-    /// Cache entry writes that failed ([`crate::CacheError::Unwritable`]
-    /// territory: read-only mount, disk full). The service keeps
-    /// answering from memory and recompute; the counter surfaces the
-    /// degradation in the drain summary instead of burying it.
-    pub cache_unwritable: usize,
 }
 
 /// Why admission refused a request.
@@ -552,7 +547,6 @@ impl Server {
             too_large: self.counters.too_large.load(Ordering::Relaxed),
             bad_requests: self.counters.bad_requests.load(Ordering::Relaxed),
             engine_errors: self.counters.engine_errors.load(Ordering::Relaxed),
-            cache_unwritable: self.sched.cache_stats().unwritable,
         }
     }
 
@@ -574,11 +568,13 @@ impl Server {
             s.bad_requests,
             s.engine_errors,
         );
-        if s.cache_unwritable > 0 {
+        let unwritable = self.sched.cache_stats().unwritable;
+        if unwritable > 0 {
             // A counted warning, not a failure: the service stays up on
-            // an unwritable cache, but the operator should know every
-            // engine run is being recomputed instead of persisted.
-            line.push_str(&format!(", cache unwritable {} (degraded)", s.cache_unwritable));
+            // an unwritable cache (read-only mount, disk full), but the
+            // operator should know every engine run is being recomputed
+            // instead of persisted.
+            line.push_str(&format!(", cache unwritable {unwritable} (degraded)"));
         }
         line
     }

@@ -113,7 +113,7 @@ fn garbage_frames_get_typed_responses_and_the_connection_survives() {
         assert!(lines[1].contains("\"kind\":\"bad-request\""), "{}", lines[1]);
         assert!(lines[2].starts_with("{\"ok\":true"), "{}", lines[2]);
         // A healthy cache never trips the degradation warning.
-        assert_eq!(rig.server.stats().cache_unwritable, 0);
+        assert_eq!(rig.server.scheduler().cache_stats().unwritable, 0);
         assert!(!rig.server.summary().contains("cache unwritable"), "{}", rig.server.summary());
         rig.stop();
     });
@@ -142,8 +142,8 @@ fn unwritable_cache_is_a_counted_warning_not_a_failure() {
         }
         // …but the failed entry writes are counted and surfaced in the
         // drain summary as a typed, greppable warning.
-        let stats = rig.server.stats();
-        assert_eq!(stats.cache_unwritable, 2, "one failed write per engine run: {stats:?}");
+        let stats = rig.server.scheduler().cache_stats();
+        assert_eq!(stats.unwritable, 2, "one failed write per engine run: {stats:?}");
         let summary = rig.server.summary();
         assert!(summary.contains("cache unwritable 2 (degraded)"), "{summary}");
         rig.stop();

@@ -10,6 +10,11 @@
 //! * the SysV semaphore sub-layer adds microseconds per message ("the
 //!   high cost of the Linux implementation of the SystemV semaphore"),
 //!   while USysV spin locks cost ~100 ns.
+//!
+//! The per-implementation overhead, copy, eager and handshake values are
+//! written in [`MpiImpl::profile_with`]; the lock costs and the
+//! same-socket copy boost come from the calibration point
+//! ([`CalibParams::paper_2006`] for [`MpiImpl::profile`]).
 
 use corescope_machine::CalibParams;
 use std::fmt;
@@ -24,15 +29,6 @@ pub enum LockLayer {
 }
 
 impl LockLayer {
-    /// Per-message lock overhead in seconds.
-    pub fn cost(self) -> f64 {
-        match self {
-            // Two semop syscalls at ~1.2 us each on a 2006 kernel.
-            LockLayer::SysV => 2.4e-6,
-            LockLayer::USysV => 0.12e-6,
-        }
-    }
-
     /// Lowercase runtime-option name as used in the paper's figures.
     pub const fn key(self) -> &'static str {
         match self {
@@ -74,53 +70,31 @@ impl MpiImpl {
         }
     }
 
-    /// The implementation's cost profile.
+    /// The implementation's cost profile at the shipped calibration.
     pub fn profile(self) -> MpiProfile {
-        match self {
-            // High per-message software overhead, strong large-message
-            // copy path.
-            MpiImpl::Mpich2 => MpiProfile {
-                overhead: 3.2e-6,
-                copy_bw: 1.45e9,
-                eager_threshold: 128.0 * 1024.0,
-                rendezvous_handshake: 1.0e-6,
-                lock_sysv: LockLayer::SysV.cost(),
-                lock_usysv: LockLayer::USysV.cost(),
-                same_socket_boost: MpiProfile::SAME_SOCKET_BW_BOOST,
-            },
-            // Lowest small-message overhead, weakest bulk copy.
-            MpiImpl::Lam => MpiProfile {
-                overhead: 0.7e-6,
-                copy_bw: 1.0e9,
-                eager_threshold: 64.0 * 1024.0,
-                rendezvous_handshake: 1.4e-6,
-                lock_sysv: LockLayer::SysV.cost(),
-                lock_usysv: LockLayer::USysV.cost(),
-                same_socket_boost: MpiProfile::SAME_SOCKET_BW_BOOST,
-            },
-            // Middle overhead, good intermediate-size streaming.
-            MpiImpl::OpenMpi => MpiProfile {
-                overhead: 1.4e-6,
-                copy_bw: 1.3e9,
-                eager_threshold: 64.0 * 1024.0,
-                rendezvous_handshake: 1.2e-6,
-                lock_sysv: LockLayer::SysV.cost(),
-                lock_usysv: LockLayer::USysV.cost(),
-                same_socket_boost: MpiProfile::SAME_SOCKET_BW_BOOST,
-            },
-        }
+        self.profile_with(&CalibParams::paper_2006())
     }
 
-    /// The implementation's profile with the lock costs and same-socket
-    /// boost taken from a calibration point instead of the shipped
-    /// constants. `CalibParams::paper_2006()` reproduces
-    /// [`MpiImpl::profile`] exactly.
+    /// The implementation's cost profile with the lock costs and
+    /// same-socket boost taken from a calibration point.
     pub fn profile_with(self, p: &CalibParams) -> MpiProfile {
+        let (overhead, copy_bw, eager_threshold, rendezvous_handshake) = match self {
+            // High per-message software overhead, strong large-message
+            // copy path.
+            MpiImpl::Mpich2 => (3.2e-6, 1.45e9, 128.0 * 1024.0, 1.0e-6),
+            // Lowest small-message overhead, weakest bulk copy.
+            MpiImpl::Lam => (0.7e-6, 1.0e9, 64.0 * 1024.0, 1.4e-6),
+            // Middle overhead, good intermediate-size streaming.
+            MpiImpl::OpenMpi => (1.4e-6, 1.3e9, 64.0 * 1024.0, 1.2e-6),
+        };
         MpiProfile {
+            overhead,
+            copy_bw,
+            eager_threshold,
+            rendezvous_handshake,
             lock_sysv: p.lock_sysv,
             lock_usysv: p.lock_usysv,
             same_socket_boost: p.same_socket_boost,
-            ..self.profile()
         }
     }
 }
@@ -144,28 +118,20 @@ pub struct MpiProfile {
     pub eager_threshold: f64,
     /// Extra handshake cost for rendezvous messages, seconds.
     pub rendezvous_handshake: f64,
-    /// Per-message [`LockLayer::SysV`] cost in seconds (calibratable;
-    /// defaults to [`LockLayer::cost`]).
+    /// Per-message [`LockLayer::SysV`] cost in seconds
+    /// ([`CalibParams::lock_sysv`]).
     pub lock_sysv: f64,
-    /// Per-message [`LockLayer::USysV`] cost in seconds (calibratable;
-    /// defaults to [`LockLayer::cost`]).
+    /// Per-message [`LockLayer::USysV`] cost in seconds
+    /// ([`CalibParams::lock_usysv`]).
     pub lock_usysv: f64,
     /// Intra-socket copy bandwidth boost this profile applies
-    /// (calibratable; defaults to
-    /// [`MpiProfile::SAME_SOCKET_BW_BOOST`]).
+    /// ([`CalibParams::same_socket_boost`]).
     pub same_socket_boost: f64,
 }
 
 impl MpiProfile {
-    /// Intra-node bandwidth boost for messages that stay *within* one
-    /// multi-core socket (shared L2-adjacent path instead of crossing
-    /// coherent HyperTransport). The paper measures "approximately 10 to
-    /// 13%" — we use 12%.
-    pub const SAME_SOCKET_BW_BOOST: f64 = 1.12;
-
     /// Per-message cost of a lock sub-layer under this profile's
-    /// calibration. Equals [`LockLayer::cost`] for profiles built by
-    /// [`MpiImpl::profile`].
+    /// calibration.
     pub fn lock_cost(&self, lock: LockLayer) -> f64 {
         match lock {
             LockLayer::SysV => self.lock_sysv,
@@ -180,8 +146,9 @@ mod tests {
 
     #[test]
     fn sysv_is_microseconds_usysv_is_not() {
-        assert!(LockLayer::SysV.cost() > 1e-6);
-        assert!(LockLayer::USysV.cost() < 0.5e-6);
+        let p = CalibParams::paper_2006();
+        assert!(p.lock_sysv > 1e-6);
+        assert!(p.lock_usysv < 0.5e-6);
     }
 
     #[test]
@@ -215,24 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn profiles_carry_the_shipped_calibration() {
-        for imp in MpiImpl::all() {
-            let p = imp.profile();
-            assert_eq!(p.lock_cost(LockLayer::SysV), LockLayer::SysV.cost());
-            assert_eq!(p.lock_cost(LockLayer::USysV), LockLayer::USysV.cost());
-            assert_eq!(p.same_socket_boost, MpiProfile::SAME_SOCKET_BW_BOOST);
-        }
-    }
-
-    #[test]
-    fn profile_with_paper_point_matches_profile() {
-        let point = CalibParams::paper_2006();
-        for imp in MpiImpl::all() {
-            assert_eq!(imp.profile_with(&point), imp.profile());
-        }
-    }
-
-    #[test]
     fn profile_with_overrides_lock_costs() {
         let mut point = CalibParams::paper_2006();
         point.lock_sysv = 5.0e-6;
@@ -240,6 +189,8 @@ mod tests {
         let p = MpiImpl::Lam.profile_with(&point);
         assert_eq!(p.lock_cost(LockLayer::SysV), 5.0e-6);
         assert_eq!(p.same_socket_boost, 1.25);
+        // The axis left alone keeps the shipped value.
+        assert_eq!(p.lock_cost(LockLayer::USysV), CalibParams::paper_2006().lock_usysv);
         // Non-calibrated fields still come from the base profile.
         assert_eq!(p.overhead, MpiImpl::Lam.profile().overhead);
     }

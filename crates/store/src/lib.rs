@@ -107,18 +107,6 @@ pub struct Corruption {
     pub reason: String,
 }
 
-impl Corruption {
-    /// The typed error equivalent, for callers that treat corruption as
-    /// fatal rather than skippable.
-    pub fn to_error(&self) -> StoreError {
-        StoreError::Corrupt {
-            segment: self.segment.clone(),
-            offset: self.offset,
-            reason: self.reason.clone(),
-        }
-    }
-}
-
 /// Every way the store can fail, each with enough context to act on.
 #[derive(Debug)]
 pub enum StoreError {
@@ -368,8 +356,6 @@ mod tests {
         assert_eq!(report.corrupt.len(), 1, "{report:?}");
         assert_eq!(report.corrupt[0].segment, "seg-00000001.css");
         assert_eq!(report.corrupt[0].offset as usize, header + 2 * frame_len);
-        let err = report.corrupt[0].to_error();
-        assert!(matches!(err, StoreError::Corrupt { offset, .. } if offset > 0));
         // The other five rows survive; the damaged one is gone until
         // the campaign reruns it.
         assert_eq!(store.rows_committed(), 5);

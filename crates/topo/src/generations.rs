@@ -10,7 +10,7 @@
 //! calibration box is a typed [`corescope_machine::Error::InvalidSpec`].
 
 use corescope_machine::spec::LinkEdge;
-use corescope_machine::systems::{self, calib};
+use corescope_machine::systems::{self, GIB};
 use corescope_machine::{
     CacheSpec, CalibParams, CoherenceSpec, CoreSpec, Error, LinkSpec, Machine, MachineSpec,
     MemorySpec,
@@ -75,8 +75,6 @@ pub mod fixed {
     /// Fabric hop latency to the HBM stack.
     pub const HBM_FABRIC_LATENCY: f64 = 10e-9;
 }
-
-const GIB: f64 = calib::GIB;
 
 /// A request named a machine generation that does not exist. Carries
 /// the requested string so `repro --machine` can report it next to the
