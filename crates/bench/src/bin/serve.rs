@@ -37,8 +37,11 @@
 
 use corescope_harness::serve_artifact_runner;
 use corescope_sched::{ResultCache, Scheduler, ServeConfig, Server};
+use std::io::{BufReader, ErrorKind, Read};
 use std::path::PathBuf;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::Duration;
 
 struct Options {
     jobs: usize,
@@ -139,6 +142,65 @@ mod signals {
     }
 }
 
+/// Stdin with the TCP path's read timeout. A thread reads stdin into a
+/// bounded channel and `read` waits for the next piece at most
+/// [`StdinPipe::IDLE`], reporting `TimedOut` when none comes. The server
+/// then answers a partial batch while the writer keeps stdin open, and
+/// notices SIGTERM without waiting for input, exactly as on a socket.
+struct StdinPipe {
+    pieces: Receiver<std::io::Result<Vec<u8>>>,
+    piece: Vec<u8>,
+    at: usize,
+}
+
+impl StdinPipe {
+    /// The TCP connections' read timeout.
+    const IDLE: Duration = Duration::from_millis(100);
+    /// Pieces read ahead of the server, so a fast writer is held back
+    /// after `DEPTH` reads of at most 8 KiB.
+    const DEPTH: usize = 16;
+
+    fn spawn() -> Self {
+        let (tx, pieces) = mpsc::sync_channel(Self::DEPTH);
+        // Detached, not joined: after a SIGTERM the reader may sit in a
+        // read only EOF ends, and the process exits without it.
+        std::thread::spawn(move || {
+            let mut stdin = std::io::stdin().lock();
+            let mut buf = vec![0u8; 8 * 1024];
+            loop {
+                let piece = match stdin.read(&mut buf) {
+                    Ok(0) => return,
+                    Ok(n) => Ok(buf[..n].to_vec()),
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(e) => Err(e),
+                };
+                let failed = piece.is_err();
+                if tx.send(piece).is_err() || failed {
+                    return;
+                }
+            }
+        });
+        Self { pieces, piece: Vec::new(), at: 0 }
+    }
+}
+
+impl Read for StdinPipe {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.at == self.piece.len() {
+            self.piece = match self.pieces.recv_timeout(Self::IDLE) {
+                Ok(piece) => piece?,
+                Err(RecvTimeoutError::Timeout) => return Err(ErrorKind::TimedOut.into()),
+                Err(RecvTimeoutError::Disconnected) => return Ok(0),
+            };
+            self.at = 0;
+        }
+        let n = buf.len().min(self.piece.len() - self.at);
+        buf[..n].copy_from_slice(&self.piece[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
 #[cfg(not(unix))]
 mod signals {
     use std::sync::atomic::AtomicBool;
@@ -176,9 +238,8 @@ fn main() {
 
     let outcome = match &options.listen {
         None => {
-            let stdin = std::io::stdin().lock();
             let mut stdout = std::io::stdout().lock();
-            server.serve_io(stdin, &mut stdout, "stdin")
+            server.serve_io(BufReader::new(StdinPipe::spawn()), &mut stdout, "stdin")
         }
         Some(addr) => match std::net::TcpListener::bind(addr) {
             Ok(listener) => {

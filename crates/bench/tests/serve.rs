@@ -1,7 +1,8 @@
 //! End-to-end tests for the `corescope-serve` and `repro` binaries:
 //! NDJSON protocol, cache warm-up across processes, concurrent TCP
-//! clients, SIGTERM drain, cross-process cache single-flight, and the
-//! determinism guarantee that `--jobs N` never changes a byte of output.
+//! clients, SIGTERM drain, stdin-mode idle replies, cross-process cache
+//! single-flight, and the determinism guarantee that `--jobs N` never
+//! changes a byte of output.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -179,6 +180,47 @@ fn sigterm_drains_an_inflight_request_before_exiting() {
     std::io::Read::read_to_string(&mut stderr, &mut tail).expect("read summaries");
     assert!(tail.contains("serve:"), "serve summary printed: {tail}");
     assert!(tail.contains("sched:"), "sched summary printed: {tail}");
+}
+
+#[test]
+fn stdin_mode_answers_a_partial_batch_while_stdin_stays_open() {
+    use std::time::{Duration, Instant};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_corescope-serve"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn corescope-serve");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let (tx, replies) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        for line in stdout.lines() {
+            let Ok(line) = line else { return };
+            if tx.send(line).is_err() {
+                return;
+            }
+        }
+    });
+    writeln!(stdin, "{BSP}").expect("send request");
+    stdin.flush().expect("flush request");
+    // One line of a 32-line batch, and stdin stays open: the idle read
+    // timeout, not EOF or a full batch, must release the reply.
+    let reply = replies.recv_timeout(Duration::from_secs(2)).expect("reply while stdin is open");
+    assert!(reply.starts_with("{\"ok\":true,\"digest\":\""), "reply: {reply}");
+    // SIGTERM drains without waiting for more input either.
+    sigterm(&child);
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll corescope-serve") {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "SIGTERM must end stdin mode with stdin open");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "drain must exit cleanly: {status:?}");
+    drop(stdin);
+    reader.join().expect("stdout reader");
 }
 
 #[test]

@@ -10,8 +10,8 @@
 use crate::cache;
 use crate::error::{Error, Result};
 use crate::faults::{FaultKind, FaultPlan};
-use crate::flow::{Bottleneck, FlowKind, ResourceIndex, ResourceTable, Solver};
-use crate::ids::{CoreId, LinkId, RankId, SocketId};
+use crate::flow::{Bottleneck, FlowKind, ResourceIndex, Solver};
+use crate::ids::{CoreId, RankId};
 use crate::keyhash::KeyHasher;
 use crate::memory::MemoryLayout;
 use crate::program::{ComputePhase, Cursor, MessageCost, Op, Program};
@@ -64,18 +64,8 @@ impl RankPlacement {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Engine<'m> {
+    /// The machine, with the resource table and routes every run borrows.
     machine: &'m Machine,
-    resources: ResourceTable,
-    mc_index: Vec<ResourceIndex>,
-    link_index: Vec<ResourceIndex>,
-    /// Machine-wide coherence-probe fabric (all DRAM traffic shares it on
-    /// multi-socket machines).
-    probe_index: Option<ResourceIndex>,
-    /// Routes of memory traffic (compute phases, checkpoint writes) from a
-    /// core's socket to a NUMA node's controller.
-    phase_routes: RouteTable,
-    /// Routes of message payloads between two ranks' sockets.
-    transfer_routes: RouteTable,
     max_events: usize,
     /// Coordinated checkpoint/restart policy (see [`Engine::with_recovery`]).
     checkpoint: Option<CheckpointPolicy>,
@@ -97,50 +87,7 @@ const ZERO_PROGRESS_LIMIT: usize = 50_000;
 impl<'m> Engine<'m> {
     /// Creates an engine with the machine's nominal resource capacities.
     pub fn new(machine: &'m Machine) -> Self {
-        let mut resources = ResourceTable::new();
-        let spec = machine.spec();
-        let mc_index: Vec<ResourceIndex> = machine
-            .sockets()
-            .map(|s| resources.add(format!("mc:{s}"), spec.memory_of(s.index()).controller_bw))
-            .collect();
-        let topo = machine.topology();
-        let link_index: Vec<ResourceIndex> = (0..topo.num_links())
-            .map(|l| {
-                let (a, b) = topo.link_endpoints(LinkId::new(l));
-                let bw = spec.link_of(topo.edge_of(LinkId::new(l))).bandwidth;
-                resources.add(format!("link:{a}->{b}"), bw)
-            })
-            .collect();
-        let probe_index = (machine.num_compute_sockets() > 1)
-            .then(|| resources.add("coherence-probe", spec.coherence.probe_capacity));
-        // Memory traffic: the node's controller, the links to it, then the
-        // probe fabric.
-        let phase_routes = RouteTable::new(machine, |_, dst, links, route| {
-            route.push(mc_index[dst.index()]);
-            route.extend(links.iter().map(|l| link_index[l.index()]));
-            route.extend(probe_index);
-        });
-        // Shared-memory copies read the source socket's controller, cross
-        // the links, write the destination's controller, and probe the
-        // fabric like any other coherent memory access.
-        let transfer_routes = RouteTable::new(machine, |src, dst, links, route| {
-            route.push(mc_index[src.index()]);
-            route.extend(links.iter().map(|l| link_index[l.index()]));
-            route.push(mc_index[dst.index()]);
-            route.extend(probe_index);
-        });
-        Self {
-            machine,
-            resources,
-            mc_index,
-            link_index,
-            probe_index,
-            phase_routes,
-            transfer_routes,
-            max_events: 20_000_000,
-            checkpoint: None,
-            retry: None,
-        }
+        Self { machine, max_events: 20_000_000, checkpoint: None, retry: None }
     }
 
     /// The machine this engine simulates.
@@ -255,7 +202,7 @@ impl<'m> Engine<'m> {
             Ok(faults) => Sim::new(self, placements, programs, faults, trace).run(),
             Err(e) => Observed {
                 result: Err(e),
-                metrics: RunMetrics::new(programs.len(), self.resources.len()),
+                metrics: RunMetrics::new(programs.len(), self.machine.resources().len()),
                 end_time: 0.0,
                 trace: None,
             },
@@ -316,31 +263,30 @@ impl<'m> Engine<'m> {
     /// machine spec gives the resource, so restores and repeated degrades
     /// never compound.
     fn resolve_fault(&self, kind: FaultKind) -> Result<ResolvedFault> {
+        let fabric = &self.machine.fabric;
         let scaled = |index: ResourceIndex, factor: f64| ResolvedFault::SetCapacity {
             index,
-            capacity: self.resources.get(index).capacity * factor,
+            capacity: fabric.resources.capacity(index) * factor,
         };
         let probe = || {
-            self.probe_index.ok_or_else(|| {
+            fabric.probe.ok_or_else(|| {
                 Error::InvalidSpec("probe fault on a machine without a probe fabric".to_string())
             })
         };
         Ok(match kind {
-            FaultKind::LinkDegrade { link, factor } => {
-                scaled(self.link_index[link.index()], factor)
-            }
-            FaultKind::LinkRestore { link } => scaled(self.link_index[link.index()], 1.0),
+            FaultKind::LinkDegrade { link, factor } => scaled(fabric.links[link.index()], factor),
+            FaultKind::LinkRestore { link } => scaled(fabric.links[link.index()], 1.0),
             FaultKind::ControllerThrottle { socket, factor } => {
-                scaled(self.mc_index[socket.index()], factor)
+                scaled(fabric.mc[socket.index()], factor)
             }
-            FaultKind::ControllerRestore { socket } => scaled(self.mc_index[socket.index()], 1.0),
+            FaultKind::ControllerRestore { socket } => scaled(fabric.mc[socket.index()], 1.0),
             FaultKind::ProbeBrownout { factor } => scaled(probe()?, factor),
             FaultKind::ProbeRestore => scaled(probe()?, 1.0),
             FaultKind::RankStall { rank } => ResolvedFault::Stall(rank.index()),
             FaultKind::RankResume { rank } => ResolvedFault::Resume(rank.index()),
             FaultKind::RankKill { rank } => ResolvedFault::Kill(rank.index()),
             FaultKind::LinkFail { link } => {
-                ResolvedFault::FailLink { index: self.link_index[link.index()] }
+                ResolvedFault::FailLink { index: fabric.links[link.index()] }
             }
         })
     }
@@ -392,55 +338,6 @@ enum ResolvedFault {
     FailLink {
         index: ResourceIndex,
     },
-}
-
-/// Resource routes for every ordered pair of sockets, built once per
-/// engine. Routes depend only on the fixed topology — faults change
-/// capacities, never routes — so flow starts look them up instead of
-/// walking the routing tables.
-#[derive(Debug, Clone)]
-struct RouteTable {
-    sockets: usize,
-    /// Every pair's route, concatenated.
-    flat: Vec<ResourceIndex>,
-    /// Pair `src * sockets + dst`'s slice of `flat`, or `None` when the
-    /// topology has no path between the two sockets.
-    spans: Vec<Option<(usize, usize)>>,
-}
-
-impl RouteTable {
-    /// Builds the table; `build(src, dst, links, route)` appends the
-    /// resources for one pair, given the directed links between them.
-    fn new(
-        machine: &Machine,
-        mut build: impl FnMut(SocketId, SocketId, &[LinkId], &mut Vec<ResourceIndex>),
-    ) -> Self {
-        let sockets = machine.num_sockets();
-        let mut flat = Vec::new();
-        let mut spans = Vec::with_capacity(sockets * sockets);
-        for src in machine.sockets() {
-            for dst in machine.sockets() {
-                spans.push(machine.topology().route(src, dst).ok().map(|links| {
-                    let start = flat.len();
-                    build(src, dst, &links, &mut flat);
-                    (start, flat.len())
-                }));
-            }
-        }
-        Self { sockets, flat, spans }
-    }
-
-    /// The route from `src` to `dst`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Disconnected`] when the topology has no path.
-    fn get(&self, src: SocketId, dst: SocketId) -> Result<&[ResourceIndex]> {
-        match self.spans[src.index() * self.sockets + dst.index()] {
-            Some((start, end)) => Ok(&self.flat[start..end]),
-            None => Err(Error::Disconnected { src: src.index(), dst: dst.index() }),
-        }
-    }
 }
 
 /// Unmatched sends (transfer indices) or receives (rank indices) for one
@@ -626,7 +523,7 @@ enum FlowOwner {
     Checkpoint(usize),
 }
 
-/// A live flow. Its route is borrowed from the engine's [`RouteTable`]s,
+/// A live flow. Its route is borrowed from the machine's route tables,
 /// and its kind — its own rate cap in bytes/s and its route, interned by
 /// the run's [`Solver`] when the flow starts — is what a rate solve reads.
 #[derive(Debug, Clone)]
@@ -666,9 +563,10 @@ struct Sim<'a, 'm> {
     engine: &'a Engine<'m>,
     placements: &'a [RankPlacement],
     programs: &'a [Program],
-    /// The run's own capacity view: starts as a copy of the engine's
-    /// nominal table and is mutated in place as scheduled faults fire.
-    resources: ResourceTable,
+    /// The run's own capacity of every resource: starts as a copy of the
+    /// machine's nominal capacities and is mutated in place as scheduled
+    /// faults fire. Names are read from the machine.
+    capacities: Vec<f64>,
     /// Time-sorted fault schedule; `next_fault` is the cursor into it.
     faults: Vec<ScheduledFault>,
     next_fault: usize,
@@ -726,11 +624,13 @@ impl<'a, 'm> Sim<'a, 'm> {
         trace: TraceConfig,
     ) -> Self {
         let n = programs.len();
+        let capacities = engine.machine.resources().capacities().to_vec();
+        let num_resources = capacities.len();
         Self {
             engine,
             placements,
             programs,
-            resources: engine.resources.clone(),
+            capacities,
             faults,
             next_fault: 0,
             stalled: RankSet::new(n),
@@ -747,7 +647,7 @@ impl<'a, 'm> Sim<'a, 'm> {
             pending_sends: MatchMap::default(),
             pending_recvs: MatchMap::default(),
             barrier_arrived: 0,
-            metrics: RunMetrics::new(n, engine.resources.len()),
+            metrics: RunMetrics::new(n, num_resources),
             rates_dirty: false,
             solver: Solver::new(),
             trace: trace.is_on().then(|| {
@@ -762,7 +662,7 @@ impl<'a, 'm> Sim<'a, 'm> {
                     routed: Vec::new(),
                 })
             }),
-            failed_resources: vec![false; engine.resources.len()],
+            failed_resources: vec![false; num_resources],
             snapshot: None,
             next_ckpt_at: None,
             ckpt_flows_pending: 0,
@@ -786,9 +686,9 @@ impl<'a, 'm> Sim<'a, 'm> {
             self.trace_close_span(rank);
         }
         let trace = self.trace.take().map(|t| {
-            let table = &self.engine.resources;
+            let table = self.engine.machine.resources();
             RunTrace {
-                resource_names: (0..table.len()).map(|r| table.get(r).name.clone()).collect(),
+                resource_names: (0..table.len()).map(|r| table.name(r).to_string()).collect(),
                 num_ranks: self.programs.len(),
                 intervals: t.intervals,
                 spans: t.spans,
@@ -877,7 +777,7 @@ impl<'a, 'm> Sim<'a, 'm> {
         let now = self.now;
         let Some(trace) = self.trace.as_deref_mut() else { return };
         let dt = t1 - now;
-        let n = self.resources.len();
+        let n = self.capacities.len();
         let TraceState { load, routed, .. } = trace;
         load.clear();
         load.resize(n, 0.0);
@@ -891,7 +791,7 @@ impl<'a, 'm> Sim<'a, 'm> {
         }
         let utilization = (0..n)
             .map(|r| {
-                let cap = self.resources.get(r).capacity;
+                let cap = self.capacities[r];
                 if cap > 0.0 {
                     (load[r] / cap).min(1.0)
                 } else if routed[r] {
@@ -985,7 +885,7 @@ impl<'a, 'm> Sim<'a, 'm> {
             }
             match fault {
                 ResolvedFault::SetCapacity { index, capacity } => {
-                    self.resources.set_capacity(index, capacity);
+                    self.capacities[index] = capacity;
                     if capacity > 0.0 {
                         // A restore heals a severed link: new transfers
                         // route over it again.
@@ -1011,7 +911,7 @@ impl<'a, 'm> Sim<'a, 'm> {
                     }
                 }
                 ResolvedFault::FailLink { index } => {
-                    self.resources.set_capacity(index, 0.0);
+                    self.capacities[index] = 0.0;
                     self.failed_resources[index] = true;
                     self.rates_dirty = true;
                     self.detect_lost_transfers(index)?;
@@ -1029,7 +929,7 @@ impl<'a, 'm> Sim<'a, 'm> {
             if f.rate > 0.0 {
                 continue;
             }
-            if let Some(&r) = f.route.iter().find(|&&r| self.resources.get(r).capacity <= 0.0) {
+            if let Some(&r) = f.route.iter().find(|&&r| self.capacities[r] <= 0.0) {
                 let rank = match f.owner {
                     FlowOwner::Phase(rank) => rank,
                     FlowOwner::Transfer(t) => self.transfers[t].src,
@@ -1038,7 +938,7 @@ impl<'a, 'm> Sim<'a, 'm> {
                 return Error::RankStalled {
                     rank: RankId::new(rank),
                     at_time: self.now,
-                    resource: Some(self.resources.get(r).name.clone()),
+                    resource: Some(self.resource_name(r)),
                 };
             }
         }
@@ -1170,7 +1070,7 @@ impl<'a, 'm> Sim<'a, 'm> {
                     continue;
                 }
                 let route =
-                    self.engine.phase_routes.get(src_socket, machine.socket_of_node(node))?;
+                    machine.fabric.phase_routes.get(src_socket, machine.socket_of_node(node))?;
                 self.check_route(route)?;
                 self.add_flow(FlowOwner::Phase(rank), route, demand.self_cap * frac, bytes);
                 pending += 1;
@@ -1283,19 +1183,17 @@ impl<'a, 'm> Sim<'a, 'm> {
         }
         let s_src = machine.socket_of(self.placements[src].core);
         let s_dst = machine.socket_of(self.placements[dst].core);
-        let route = self.engine.transfer_routes.get(s_src, s_dst)?;
+        let route = machine.fabric.transfer_routes.get(s_src, s_dst)?;
         // A transfer asked to start over a severed link goes back to the
         // retry queue instead of erroring — the sender cannot know the
         // path is down until its failure detector fires.
-        if let Some(&dead) = route.iter().find(|&&r| self.resources.get(r).capacity <= 0.0) {
+        if let Some(&dead) = route.iter().find(|&&r| self.capacities[r] <= 0.0) {
             if self.failed_resources[dead] {
                 if let Some(retry) = self.engine.retry.clone() {
                     return self.schedule_retry(t, &retry);
                 }
             }
-            return Err(Error::ZeroCapacityRoute {
-                resource: self.resources.get(dead).name.clone(),
-            });
+            return Err(Error::ZeroCapacityRoute { resource: self.resource_name(dead) });
         }
         let flow = self.add_flow(FlowOwner::Transfer(t), route, cap.min(1e12), bytes);
         self.transfers[t].state = TransferState::Flowing { flow };
@@ -1348,13 +1246,15 @@ impl<'a, 'm> Sim<'a, 'm> {
     }
 
     fn check_route(&self, route: &[ResourceIndex]) -> Result<()> {
-        for &r in route {
-            let res = self.resources.get(r);
-            if res.capacity <= 0.0 {
-                return Err(Error::ZeroCapacityRoute { resource: res.name.clone() });
-            }
+        match route.iter().find(|&&r| self.capacities[r] <= 0.0) {
+            Some(&dead) => Err(Error::ZeroCapacityRoute { resource: self.resource_name(dead) }),
+            None => Ok(()),
         }
-        Ok(())
+    }
+
+    /// The machine's name for resource `r`, for an error message.
+    fn resource_name(&self, r: ResourceIndex) -> String {
+        self.engine.machine.resources().name(r).to_string()
     }
 
     /// Re-solves every live flow's rate. The solver sees the live flows
@@ -1366,7 +1266,8 @@ impl<'a, 'm> Sim<'a, 'm> {
         // The traced path also attributes; attribution is recorded on the
         // side of the same progressive-filling arithmetic, so the rates
         // are bit-identical and tracing cannot perturb the simulation.
-        let (rates, attribution) = self.solver.fill(&self.resources, live, self.trace.is_some())?;
+        let (rates, attribution) =
+            self.solver.fill(&self.capacities, live, self.trace.is_some())?;
         if let Some(trace) = self.trace.as_deref_mut() {
             trace.flow_bottleneck.clear();
             trace.flow_bottleneck.resize(self.flows.len(), Bottleneck::FlowCap);
@@ -1571,8 +1472,8 @@ impl<'a, 'm> Sim<'a, 'm> {
                     continue;
                 }
                 let route =
-                    self.engine.phase_routes.get(src_socket, machine.socket_of_node(node))?;
-                if route.iter().any(|&r| self.resources.get(r).capacity <= 0.0) {
+                    machine.fabric.phase_routes.get(src_socket, machine.socket_of_node(node))?;
+                if route.iter().any(|&r| self.capacities[r] <= 0.0) {
                     self.next_ckpt_at = Some(self.now + policy.interval);
                     return Ok(());
                 }
@@ -1695,7 +1596,7 @@ impl<'a, 'm> Sim<'a, 'm> {
         self.now = resumed_at;
         self.rates_dirty = true;
         self.metrics.recoveries += 1;
-        let num_resources = self.resources.len();
+        let num_resources = self.capacities.len();
         if let Some(trace) = self.trace.as_deref_mut() {
             trace.recoveries.push(RecoveryStamp {
                 rank: RankId::new(rank),
@@ -1766,7 +1667,7 @@ impl<'a, 'm> Sim<'a, 'm> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::NumaNodeId;
+    use crate::ids::{LinkId, NumaNodeId, SocketId};
     use crate::systems;
     use crate::traffic::TrafficProfile;
 

@@ -27,22 +27,18 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// Index of a resource in a [`ResourceTable`].
 pub type ResourceIndex = usize;
 
-/// A named, capacity-limited shared resource.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Resource {
-    /// Human-readable name ("mc:socket0", "link:socket0->socket1").
-    pub name: String,
-    /// Capacity in bytes/s.
-    pub capacity: f64,
-}
-
-/// The set of shared resources in a machine.
+/// The shared resources of a machine: a name and a capacity in bytes/s
+/// each, indexed by [`ResourceIndex`].
 ///
-/// Built once per simulation; failure-injection tests may degrade
-/// individual capacities with [`ResourceTable::set_capacity`].
+/// A [`Machine`](crate::Machine) builds its table once. A run copies only
+/// the capacities, which faults change, and reads names from the machine;
+/// failure-injection tests may degrade individual capacities with
+/// [`ResourceTable::set_capacity`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResourceTable {
-    resources: Vec<Resource>,
+    /// Human-readable names ("mc:socket0", "link:socket0->socket1").
+    names: Vec<String>,
+    capacities: Vec<f64>,
 }
 
 impl ResourceTable {
@@ -53,28 +49,39 @@ impl ResourceTable {
 
     /// Adds a resource and returns its index.
     pub fn add(&mut self, name: impl Into<String>, capacity: f64) -> ResourceIndex {
-        self.resources.push(Resource { name: name.into(), capacity });
-        self.resources.len() - 1
+        self.names.push(name.into());
+        self.capacities.push(capacity);
+        self.capacities.len() - 1
     }
 
     /// Number of resources.
     pub fn len(&self) -> usize {
-        self.resources.len()
+        self.capacities.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.resources.is_empty()
+        self.capacities.is_empty()
     }
 
-    /// The resource at `index`.
-    pub fn get(&self, index: ResourceIndex) -> &Resource {
-        &self.resources[index]
+    /// The name of the resource at `index`.
+    pub fn name(&self, index: ResourceIndex) -> &str {
+        &self.names[index]
+    }
+
+    /// The capacity of the resource at `index`, in bytes/s.
+    pub fn capacity(&self, index: ResourceIndex) -> f64 {
+        self.capacities[index]
+    }
+
+    /// Every resource's capacity, by index.
+    pub fn capacities(&self) -> &[f64] {
+        &self.capacities
     }
 
     /// Overrides a resource's capacity (failure injection / what-if).
     pub fn set_capacity(&mut self, index: ResourceIndex, capacity: f64) {
-        self.resources[index].capacity = capacity;
+        self.capacities[index] = capacity;
     }
 }
 
@@ -153,8 +160,8 @@ pub fn solve_maxmin_attributed(
 fn solve_once(table: &ResourceTable, flows: &[FlowSpec], attribute: bool) -> Result<Solver> {
     let mut solver = Solver::new();
     solver.write_specs(flows, attribute);
-    solver.gather(table)?;
-    solver.progressive_fill(table, attribute);
+    solver.gather(table.capacities())?;
+    solver.progressive_fill(table.capacities(), attribute);
     Ok(solver)
 }
 
@@ -237,7 +244,7 @@ impl Solver {
         flows: impl IntoIterator<Item = &'f FlowSpec>,
     ) -> Result<&[f64]> {
         self.write_specs(flows, false);
-        Ok(self.solve_key(table, false)?.0)
+        Ok(self.solve_key(table.capacities(), false)?.0)
     }
 
     /// Like [`Solver::solve`], also reporting which limit froze each flow
@@ -252,7 +259,7 @@ impl Solver {
         flows: impl IntoIterator<Item = &'f FlowSpec>,
     ) -> Result<(&[f64], &[Bottleneck])> {
         self.write_specs(flows, true);
-        self.solve_key(table, true)
+        self.solve_key(table.capacities(), true)
     }
 
     /// Successful solves so far.
@@ -272,19 +279,19 @@ impl Solver {
         self.kinds.intern(cap, route)
     }
 
-    /// Solves for flows of the given kinds and returns the rates in input
-    /// order, plus each flow's bottleneck when `attribute` is set (an
-    /// empty slice otherwise).
+    /// Solves for flows of the given kinds over resources of the given
+    /// capacities and returns the rates in input order, plus each flow's
+    /// bottleneck when `attribute` is set (an empty slice otherwise).
     pub(crate) fn fill(
         &mut self,
-        table: &ResourceTable,
+        capacities: &[f64],
         kinds: impl IntoIterator<Item = FlowKind>,
         attribute: bool,
     ) -> Result<(&[f64], &[Bottleneck])> {
         self.key.clear();
         self.key.push(u32::from(attribute));
         self.key.extend(kinds.into_iter().map(|k| k.0));
-        self.solve_key(table, attribute)
+        self.solve_key(capacities, attribute)
     }
 
     /// Interns `flows` and writes the problem into `key`.
@@ -298,10 +305,10 @@ impl Solver {
     /// Answers the problem in `key` from the memo, or fills and stores it.
     fn solve_key(
         &mut self,
-        table: &ResourceTable,
+        capacities: &[f64],
         attribute: bool,
     ) -> Result<(&[f64], &[Bottleneck])> {
-        self.memo.track(table);
+        self.memo.track(capacities);
         let hash = key_hash(&self.key);
         // A stored key passed validation under a table of the same
         // capacities, so a hit needs none.
@@ -310,18 +317,19 @@ impl Solver {
             self.reused += 1;
             return Ok(self.memo.answer(entry));
         }
-        self.gather(table)?;
+        self.gather(capacities)?;
         self.solves += 1;
-        self.progressive_fill(table, attribute);
+        self.progressive_fill(capacities, attribute);
         self.memo.insert(hash, &self.key, &self.rates, &self.attribution);
         Ok((&self.rates, &self.attribution))
     }
 
-    /// Validates the kinds in `key` against `table`, in flow order, and
-    /// gathers their caps and route spans into `caps` and `spans`.
-    fn gather(&mut self, table: &ResourceTable) -> Result<()> {
+    /// Validates the kinds in `key` against a table of
+    /// `capacities.len()` resources, in flow order, and gathers their caps
+    /// and route spans into `caps` and `spans`.
+    fn gather(&mut self, capacities: &[f64]) -> Result<()> {
         let Self { kinds, key, caps, spans, .. } = self;
-        let resources = table.resources.len();
+        let resources = capacities.len();
         caps.clear();
         spans.clear();
         for (i, &id) in key[1..].iter().enumerate() {
@@ -336,11 +344,10 @@ impl Solver {
     /// Progressive filling over the gathered problem: leaves the rates in
     /// `rates` and, when `attribute` is set, each flow's bottleneck in
     /// `attribution`.
-    fn progressive_fill(&mut self, table: &ResourceTable, attribute: bool) {
+    fn progressive_fill(&mut self, capacities: &[f64], attribute: bool) {
         let Self {
             kinds, caps, spans, unfixed, routed, remaining, usage, rates, attribution, ..
         } = self;
-        let resources = &table.resources;
         let n = caps.len();
         let route = |i: usize| &kinds.routes[spans[i].0..spans[i].1];
 
@@ -351,9 +358,9 @@ impl Solver {
             attribution.resize(n, Bottleneck::FlowCap);
         }
 
-        if usage.len() < resources.len() {
-            usage.resize(resources.len(), 0);
-            remaining.resize(resources.len(), 0.0);
+        if usage.len() < capacities.len() {
+            usage.resize(capacities.len(), 0);
+            remaining.resize(capacities.len(), 0.0);
         }
         // Exactly-zero-cap flows are frozen from the start and never
         // count. Tiny-but-positive caps are real rate limits and must
@@ -371,7 +378,7 @@ impl Solver {
             for &r in route(i) {
                 if usage[r] == 0 {
                     routed.push(r);
-                    remaining[r] = resources[r].capacity;
+                    remaining[r] = capacities[r];
                 }
                 usage[r] += 1;
             }
@@ -414,7 +421,7 @@ impl Solver {
                 // counted after the flows frozen earlier in this pass).
                 let mut saturated: Option<ResourceIndex> = None;
                 for &r in route(i) {
-                    if remaining[r] <= resources[r].capacity * REL_EPS {
+                    if remaining[r] <= capacities[r] * REL_EPS {
                         let more_contended = saturated.is_none_or(|s| usage[r] > usage[s]);
                         if more_contended {
                             saturated = Some(r);
@@ -621,17 +628,16 @@ fn offset(at: usize) -> u32 {
 }
 
 impl Memo {
-    /// Empties the memo unless `table` has the capacities its entries were
+    /// Empties the memo unless `capacities` are the ones its entries were
     /// filled under.
-    fn track(&mut self, table: &ResourceTable) {
-        let resources = &table.resources;
-        if resources.len() == self.capacities.len()
-            && resources.iter().zip(&self.capacities).all(|(r, &c)| r.capacity.to_bits() == c)
+    fn track(&mut self, capacities: &[f64]) {
+        if capacities.len() == self.capacities.len()
+            && capacities.iter().zip(&self.capacities).all(|(c, &bits)| c.to_bits() == bits)
         {
             return;
         }
         self.capacities.clear();
-        self.capacities.extend(resources.iter().map(|r| r.capacity.to_bits()));
+        self.capacities.extend(capacities.iter().map(|c| c.to_bits()));
         self.entries.clear();
         self.keys.clear();
         self.rates.clear();
@@ -801,7 +807,7 @@ mod tests {
             }
         }
         for (r, &u) in used.iter().enumerate() {
-            assert!(u <= t.get(r).capacity * (1.0 + 1e-9), "resource {r} oversubscribed: {u}");
+            assert!(u <= t.capacity(r) * (1.0 + 1e-9), "resource {r} oversubscribed: {u}");
         }
     }
 
@@ -953,7 +959,7 @@ mod tests {
     #[test]
     fn memo_matches_keys_exactly_not_by_hash() {
         let mut memo = Memo::default();
-        memo.track(&table(&[1.0]));
+        memo.track(&[1.0]);
         memo.insert(7, &[0, 1, 2], &[1.0], &[]);
         assert!(memo.find(7, &[0, 1, 2]).is_some());
         assert!(memo.find(7, &[0, 1, 3]).is_none(), "a shared hash is not a match");

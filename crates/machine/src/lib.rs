@@ -35,6 +35,7 @@
 pub mod cache;
 pub mod engine;
 pub mod error;
+mod fabric;
 pub mod faults;
 pub mod flow;
 pub mod ids;
@@ -65,11 +66,17 @@ pub use topology::Topology;
 pub use trace::{RecoveryStamp, RunTrace, TraceConfig};
 pub use traffic::{AccessPattern, TrafficProfile};
 
+use fabric::Fabric;
+use flow::ResourceTable;
 use std::fmt;
 
-/// A fully-resolved simulated machine: spec plus derived topology/routing.
+/// A fully-resolved simulated machine: its spec, plus everything derived
+/// from the spec alone — the topology, the shared resources and the route
+/// of every socket pair over them, and the memory latency from every
+/// socket to every NUMA node.
 ///
-/// `Machine` is immutable once constructed; simulations borrow it.
+/// `Machine` is immutable once constructed; simulations borrow it, so a
+/// run rebuilds none of it.
 ///
 /// ```
 /// use corescope_machine::{systems, Machine};
@@ -80,6 +87,10 @@ use std::fmt;
 pub struct Machine {
     spec: MachineSpec,
     topology: Topology,
+    fabric: Fabric,
+    /// `latency[socket * num_sockets + node]`: see
+    /// [`Machine::memory_latency`].
+    latency: Vec<f64>,
 }
 
 impl Machine {
@@ -102,7 +113,12 @@ impl Machine {
     pub fn try_new(spec: MachineSpec) -> Result<Self> {
         spec.validate()?;
         let topology = Topology::from_spec(&spec)?;
-        Ok(Self { spec, topology })
+        let fabric = Fabric::new(&spec, &topology);
+        let n = topology.num_sockets();
+        let latency = (0..n * n)
+            .map(|i| route_latency(&spec, &topology, SocketId::new(i / n), SocketId::new(i % n)))
+            .collect();
+        Ok(Self { spec, topology, fabric, latency })
     }
 
     /// The machine's static specification.
@@ -113,6 +129,15 @@ impl Machine {
     /// The derived link topology and routing tables.
     pub fn topology(&self) -> &Topology {
         &self.topology
+    }
+
+    /// The shared resources traffic contends for, with their names and
+    /// nominal capacities: every socket's memory controller, then every
+    /// directed link, then the coherence-probe fabric on multi-socket
+    /// machines. Engine metrics and traces index resources like this
+    /// table.
+    pub fn resources(&self) -> &ResourceTable {
+        &self.fabric.resources
     }
 
     /// Total number of cores in the machine. Cores live only on compute
@@ -197,24 +222,29 @@ impl Machine {
     /// uniform machines keep the original closed form (bit-identical
     /// floats for the 2006 presets, whose probe term also sees
     /// `num_compute_sockets == num_sockets`).
+    ///
+    /// The machine tabulates it per (socket, node) pair when it is built.
     pub fn memory_latency(&self, core: CoreId, node: NumaNodeId) -> f64 {
-        let src = self.socket_of(core);
-        let dst = self.socket_of_node(node);
-        let spec = &self.spec;
-        let probe =
-            spec.coherence.probe_latency(self.num_compute_sockets(), self.topology.diameter());
-        if spec.is_uniform() {
-            let hops = self.topology.hops(src, dst) as f64;
-            return spec.memory.idle_latency + hops * spec.link.hop_latency + probe;
-        }
-        let mut latency = spec.memory_of(dst.index()).idle_latency;
-        if let Ok(route) = self.topology.route(src, dst) {
-            for link in route {
-                latency += spec.link_of(self.topology.edge_of(link)).hop_latency;
-            }
-        }
-        latency + probe
+        let src = self.socket_of(core).index();
+        self.latency[src * self.num_sockets() + self.socket_of_node(node).index()]
     }
+}
+
+/// [`Machine::memory_latency`] from socket `src` to the memory of socket
+/// `dst`, walking the route.
+fn route_latency(spec: &MachineSpec, topology: &Topology, src: SocketId, dst: SocketId) -> f64 {
+    let probe = spec.coherence.probe_latency(spec.num_compute_sockets(), topology.diameter());
+    if spec.is_uniform() {
+        let hops = topology.hops(src, dst) as f64;
+        return spec.memory.idle_latency + hops * spec.link.hop_latency + probe;
+    }
+    let mut latency = spec.memory_of(dst.index()).idle_latency;
+    if let Ok(route) = topology.route(src, dst) {
+        for link in route {
+            latency += spec.link_of(topology.edge_of(link)).hop_latency;
+        }
+    }
+    latency + probe
 }
 
 impl fmt::Display for Machine {

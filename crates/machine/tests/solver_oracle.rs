@@ -71,7 +71,7 @@ fn check_certificate(
         prop_assert!(rate <= f.cap * (1.0 + TOL), "rate {rate} over cap {}", f.cap);
     }
     for (r, &u) in used.iter().enumerate() {
-        let cap = table.get(r).capacity;
+        let cap = table.capacity(r);
         prop_assert!(u <= cap * (1.0 + TOL), "resource {r} over capacity: {u} > {cap}");
     }
     for (i, (f, &rate)) in flows.iter().zip(rates).enumerate() {
@@ -81,7 +81,7 @@ fn check_certificate(
         // Not at its cap: some saturated route resource must bottleneck
         // it, i.e. no flow crossing that resource runs faster.
         let bottlenecked = f.route.iter().any(|&r| {
-            let cap = table.get(r).capacity;
+            let cap = table.capacity(r);
             let saturated = used[r] >= cap * (1.0 - TOL);
             let fastest = flows
                 .iter()
@@ -131,7 +131,7 @@ proptest! {
         for (f, b) in flows.iter().zip(&attribution) {
             if let corescope_machine::Bottleneck::Resource(r) = *b {
                 prop_assert!(f.route.contains(&r));
-                let cap = table.get(r).capacity;
+                let cap = table.capacity(r);
                 prop_assert!(used[r] >= cap * (1.0 - TOL), "resource {r} not saturated");
             }
         }
@@ -185,7 +185,7 @@ fn reference_solve(
     let flows = flows.iter();
 
     caps.clear();
-    caps.extend((0..table.len()).map(|r| table.get(r).capacity));
+    caps.extend((0..table.len()).map(|r| table.capacity(r)));
     let mut n = 0;
     for (i, f) in flows.clone().enumerate() {
         if !f.cap.is_finite() || f.cap < 0.0 {
@@ -511,7 +511,7 @@ proptest! {
             if scaled == 0 {
                 let r = r % table.len();
                 let factor = [0.0, 0.5, 2.0][usize::from(factor)];
-                table.set_capacity(r, table.get(r).capacity * factor);
+                table.set_capacity(r, table.capacity(r) * factor);
             }
             check_fresh(&mut solver, &table, &sets[set % sets.len()], attribute)?;
         }

@@ -36,6 +36,7 @@ pub mod encode;
 pub mod executor;
 pub mod fidelity;
 pub mod json;
+mod machines;
 pub mod scenario;
 pub mod scheduler;
 pub mod serve;

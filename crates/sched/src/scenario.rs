@@ -13,6 +13,7 @@
 use crate::encode::{const_run, ConstRun, Digest, Encoder};
 use crate::fidelity::Fidelity;
 use crate::json::{self, Value};
+use crate::machines;
 use corescope_affinity::{os_scatter, policy, Scheme};
 use corescope_apps::md::{AmberBenchmark, AmberMethod, LammpsBenchmark};
 use corescope_apps::ocean::PopModel;
@@ -916,11 +917,17 @@ impl Scenario {
     /// size, or more ranks (parked ones included) than the machine has
     /// cores.
     pub fn validate(&self) -> Result<()> {
+        self.validate_with(|| machines::machine(self.system, &self.params).num_cores())
+    }
+
+    /// [`Scenario::validate`], reading the machine's core count from
+    /// `cores` once the calibration point is known to be in bounds.
+    fn validate_with(&self, cores: impl FnOnce() -> usize) -> Result<()> {
         if self.nranks == 0 {
             return Err(Error::InvalidSpec("scenario needs at least one rank".to_string()));
         }
         self.check_params()?;
-        let cores = self.system.spec_with(&self.params).num_cores();
+        let cores = cores();
         if self.nranks + self.parked > cores {
             return Err(Error::InvalidSpec(format!(
                 "{} ranks and {} parked exceed the {cores} cores of {}",
@@ -1058,7 +1065,9 @@ impl Scenario {
     /// in a typed error, and (with [`TraceConfig::on`]) a full
     /// [`corescope_machine::RunTrace`]. This is the one lowering of a
     /// scenario to an engine run; [`Scenario::run`] is this with tracing
-    /// off, and tracing never changes the outcome.
+    /// off, and tracing never changes the outcome. The machine comes from
+    /// a process-wide memo keyed by the system and the calibration
+    /// point's bits, so runs at one point share one build of it.
     ///
     /// # Errors
     ///
@@ -1066,7 +1075,7 @@ impl Scenario {
     /// [`Observed::result`].
     pub fn observe(&self, trace: TraceConfig) -> Result<Observed> {
         self.check_params()?;
-        let machine = self.system.machine_with(&self.params);
+        let machine = machines::machine(self.system, &self.params);
         Ok(self.lower(&machine)?.observe(&self.faults, trace))
     }
 
@@ -1092,7 +1101,7 @@ impl Scenario {
         /// silent; this 15% surcharge stands in for their scheduler
         /// noise.
         const PARKED_OVERHEAD: f64 = 1.15;
-        self.validate()?;
+        self.validate_with(|| machine.num_cores())?;
         let mut placements = self.placement.resolve_with(
             machine,
             self.nranks + self.parked,

@@ -344,6 +344,39 @@ mod tests {
     }
 
     #[test]
+    fn latency_table_matches_the_route_walk_on_every_system() {
+        // Every float is summed in route order, as a walk would sum it.
+        for g in Generation::all() {
+            let m = g.machine();
+            let (spec, topo) = (m.spec(), m.topology());
+            let probe = spec.coherence.probe_latency(m.num_compute_sockets(), topo.diameter());
+            for core in m.cores() {
+                let src = m.socket_of(core);
+                for node in m.nodes() {
+                    let dst = m.socket_of_node(node);
+                    let walked = if spec.is_uniform() {
+                        let hops = topo.hops(src, dst) as f64;
+                        spec.memory.idle_latency + hops * spec.link.hop_latency + probe
+                    } else {
+                        let mut latency = spec.memory_of(dst.index()).idle_latency;
+                        for link in topo.route(src, dst).unwrap() {
+                            latency += spec.link_of(topo.edge_of(link)).hop_latency;
+                        }
+                        latency + probe
+                    };
+                    let tabled = m.memory_latency(core, node);
+                    assert_eq!(
+                        tabled.to_bits(),
+                        walked.to_bits(),
+                        "{} core {core} node {node}",
+                        g.key()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn epyc_structure() {
         let m = Generation::Epyc.machine();
         assert_eq!(m.num_cores(), 32);
