@@ -84,7 +84,7 @@ pub fn sweep_field(
     let batch = values
         .iter()
         .map(|&v| {
-            let mut p = base.scenario.params;
+            let mut p = *base.scenario.params;
             axis.field().write(&mut p, v);
             base.clone().at(p)
         })

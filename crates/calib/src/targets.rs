@@ -1062,7 +1062,7 @@ mod tests {
         let p = Probe::StreamBw { system: System::Dmz, nranks: 2, per_core: false };
         let obs = p.observables(&params, Fidelity::Quick);
         assert_eq!(obs.len(), 1);
-        assert_eq!(obs[0].scenario.params, params);
+        assert_eq!(*obs[0].scenario.params, params);
         assert_eq!(obs[0].scenario.fidelity, Fidelity::Quick);
     }
 }

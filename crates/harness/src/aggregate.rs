@@ -12,7 +12,7 @@
 //! byte-diffs against.
 
 use crate::report::{Cell, RowShapeError, Table};
-use corescope_store::Row;
+use corescope_store::{DigestMap, DigestState, Row};
 use std::collections::hash_map::{Entry, HashMap};
 
 /// The axes a campaign summary groups by: one summary row per distinct
@@ -67,7 +67,7 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 pub fn group_rows(rows: &[Row]) -> Vec<GroupSummary> {
     // Last-wins dedup in input order: each digest keeps one slot, which
     // later rows overwrite.
-    let mut slot: HashMap<u128, usize> = HashMap::with_capacity(rows.len());
+    let mut slot = DigestMap::with_capacity_and_hasher(rows.len(), DigestState::default());
     let mut latest: Vec<&Row> = Vec::with_capacity(rows.len());
     for row in rows {
         match slot.entry(row.digest) {

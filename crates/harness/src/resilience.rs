@@ -22,14 +22,16 @@
 //! Each workload is one [`Scenario`]. The healthy and degraded runs of
 //! every campaign go through the scheduler as one batch (and its cache);
 //! the brownout, kill and stall runs add their fault plans to the same
-//! scenario and run traced through [`Scenario::observe`].
+//! scenario and run untraced through [`Scenario::observe`], whose fault
+//! stamps say which faults fired and when.
 
 use crate::context::makespans;
 use crate::observe::{cg, dmz_stream, pingpong};
 use crate::report::{Cell, Table};
 use corescope_kernels::cg::CgClass;
 use corescope_machine::engine::RunReport;
-use corescope_machine::{Error, FaultPlan, LinkId, Machine, RankId, Result, RunTrace, TraceConfig};
+use corescope_machine::trace::FaultStamp;
+use corescope_machine::{Error, FaultPlan, LinkId, Machine, RankId, Result, TraceConfig};
 use corescope_sched::{Fidelity, Scenario, Scheduler, System};
 
 /// The resource class a campaign degrades — chosen per workload to match
@@ -135,17 +137,16 @@ struct CampaignRow {
     degraded: f64,
     kill: String,
     stall: String,
-    /// Fault events stamped into traces vs. events scheduled, across the
-    /// brownout, kill, and stall runs.
+    /// Fault events stamped by the engine vs. events scheduled, across
+    /// the brownout, kill, and stall runs.
     stamped: usize,
     scheduled: usize,
 }
 
-/// Checks a traced run's fault stamps against the plan that drove it:
-/// every scheduled event must appear, in order, with its scheduled time,
-/// fired no earlier than scheduled. Returns the stamp count.
-fn check_stamps(scenario: &str, plan: &FaultPlan, trace: Option<&RunTrace>) -> Result<usize> {
-    let stamps = trace.map(|t| t.faults.as_slice()).unwrap_or(&[]);
+/// Checks a run's fault stamps against the plan that drove it: every
+/// scheduled event must appear, in order, with its scheduled time, fired
+/// no earlier than scheduled. Returns the stamp count.
+fn check_stamps(scenario: &str, plan: &FaultPlan, stamps: &[FaultStamp]) -> Result<usize> {
     let events = plan.events();
     if stamps.len() != events.len() {
         return Err(invariant_violation(
@@ -174,8 +175,8 @@ fn check_stamps(scenario: &str, plan: &FaultPlan, trace: Option<&RunTrace>) -> R
 }
 
 /// Runs every campaign: the healthy and permanently degraded runs of all
-/// of them as one scheduler batch, then each campaign's traced brownout,
-/// kill and stall runs.
+/// of them as one scheduler batch, then each campaign's brownout, kill
+/// and stall runs.
 fn run_campaigns(cs: &[Campaign], sched: &Scheduler) -> Result<Vec<CampaignRow>> {
     let batch: Vec<Scenario> = cs
         .iter()
@@ -194,12 +195,12 @@ fn run_campaign(c: &Campaign, healthy: f64, degraded: f64) -> Result<CampaignRow
     let machine = c.scenario.system.machine();
     let mut stamped = 0;
     let mut scheduled = 0;
-    // Every faulted run is traced, so the campaign can verify the
-    // *sequence* of faults that fired — not just the bare
-    // `faults_applied` count.
+    // The engine stamps every fault that fires, so the campaign can
+    // verify the *sequence* of faults — not just the bare
+    // `faults_applied` count — without tracing the run.
     let mut observe = |plan: FaultPlan| {
-        let observed = c.scenario.clone().with_faults(plan.clone()).observe(TraceConfig::on())?;
-        stamped += check_stamps(c.name, &plan, observed.trace.as_ref())?;
+        let observed = c.scenario.clone().with_faults(plan.clone()).observe(TraceConfig::off())?;
+        stamped += check_stamps(c.name, &plan, &observed.faults)?;
         scheduled += plan.events().len();
         Ok::<_, Error>(observed)
     };

@@ -12,7 +12,6 @@ use crate::error::{Error, Result};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::flow::{Bottleneck, FlowKind, ResourceIndex, Solver};
 use crate::ids::{CoreId, RankId};
-use crate::keyhash::KeyHasher;
 use crate::memory::MemoryLayout;
 use crate::program::{ComputePhase, Cursor, MessageCost, Op, Program};
 use crate::recovery::{CheckpointPolicy, CheckpointTarget, RetryPolicy};
@@ -24,8 +23,7 @@ use crate::Machine;
 
 pub use crate::metrics::{RunMetrics, RunReport};
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::BuildHasherDefault;
+use std::collections::VecDeque;
 
 /// Where a rank runs and where its pages live.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,6 +202,7 @@ impl<'m> Engine<'m> {
                 result: Err(e),
                 metrics: RunMetrics::new(programs.len(), self.machine.resources().len()),
                 end_time: 0.0,
+                faults: Vec::new(),
                 trace: None,
             },
         }
@@ -308,6 +307,9 @@ pub struct Observed {
     pub metrics: RunMetrics,
     /// Engine time when the run ended (successfully or not).
     pub end_time: f64,
+    /// Fault events that fired, in firing order, traced or not. A traced
+    /// run's [`RunTrace::faults`] is this same list.
+    pub faults: Vec<FaultStamp>,
     /// The time-resolved trace, when tracing was enabled.
     pub trace: Option<RunTrace>,
 }
@@ -340,54 +342,29 @@ enum ResolvedFault {
     },
 }
 
-/// Unmatched sends (transfer indices) or receives (rank indices) for one
-/// `(src, dst, tag)` key, in posting order. Nearly every key holds a
-/// single entry — tags are fresh per message — so that case is stored
-/// inline.
+/// Unmatched sends (transfer indices) or receives (rank indices), one
+/// FIFO of `(src, tag, value)` per receiving rank, in posting order. The
+/// first entry with a key's source and tag is the oldest of its
+/// `(src, dst, tag)` key, so matching is FIFO per key; a rank that
+/// receives in the order its messages were sent matches at the head.
 #[derive(Debug, Clone)]
-enum MatchQueue {
-    One(usize),
-    Many(VecDeque<usize>),
-}
+struct MatchQueues(Vec<VecDeque<(usize, u64, usize)>>);
 
-/// Unmatched operations per `(src, dst, tag)`. A key is removed as soon
-/// as its queue empties, so the map holds only what is outstanding.
-type MatchMap = HashMap<(usize, usize, u64), MatchQueue, BuildHasherDefault<KeyHasher>>;
-
-/// Appends `value` to `key`'s FIFO.
-fn push_match(map: &mut MatchMap, key: (usize, usize, u64), value: usize) {
-    use std::collections::hash_map::Entry;
-    match map.entry(key) {
-        Entry::Vacant(slot) => {
-            slot.insert(MatchQueue::One(value));
-        }
-        Entry::Occupied(mut slot) => match slot.get_mut() {
-            MatchQueue::One(first) => {
-                let first = *first;
-                slot.insert(MatchQueue::Many(VecDeque::from([first, value])));
-            }
-            MatchQueue::Many(queue) => queue.push_back(value),
-        },
+impl MatchQueues {
+    fn new(ranks: usize) -> Self {
+        Self(vec![VecDeque::new(); ranks])
     }
-}
 
-/// Pops the oldest entry of `key`'s FIFO, removing the key once empty.
-fn pop_match(map: &mut MatchMap, key: (usize, usize, u64)) -> Option<usize> {
-    use std::collections::hash_map::Entry;
-    let Entry::Occupied(mut slot) = map.entry(key) else { return None };
-    match slot.get_mut() {
-        MatchQueue::One(value) => {
-            let value = *value;
-            slot.remove();
-            Some(value)
-        }
-        MatchQueue::Many(queue) => {
-            let value = queue.pop_front();
-            if queue.is_empty() {
-                slot.remove();
-            }
-            value
-        }
+    /// Appends `value` under `(src, dst, tag)`.
+    fn push(&mut self, (src, dst, tag): (usize, usize, u64), value: usize) {
+        self.0[dst].push_back((src, tag, value));
+    }
+
+    /// Removes and returns the oldest value under `(src, dst, tag)`.
+    fn pop(&mut self, (src, dst, tag): (usize, usize, u64)) -> Option<usize> {
+        let queue = &mut self.0[dst];
+        let at = queue.iter().position(|&(s, t, _)| s == src && t == tag)?;
+        queue.remove(at).map(|(_, _, value)| value)
     }
 }
 
@@ -450,7 +427,6 @@ struct TraceState {
     /// Bottleneck attribution per flow slot, refreshed at every rate
     /// solve (indexed like `Sim::flows`).
     flow_bottleneck: Vec<Bottleneck>,
-    faults: Vec<FaultStamp>,
     recoveries: Vec<RecoveryStamp>,
     /// Per-resource load and "some flow routes here" of the interval
     /// being recorded; scratch reused by every interval.
@@ -554,8 +530,8 @@ struct SimSnapshot<'a> {
     transfers: Vec<Transfer>,
     free_transfers: Vec<usize>,
     starting_transfers: Vec<usize>,
-    pending_sends: MatchMap,
-    pending_recvs: MatchMap,
+    pending_sends: MatchQueues,
+    pending_recvs: MatchQueues,
     barrier_arrived: usize,
 }
 
@@ -570,6 +546,8 @@ struct Sim<'a, 'm> {
     /// Time-sorted fault schedule; `next_fault` is the cursor into it.
     faults: Vec<ScheduledFault>,
     next_fault: usize,
+    /// The faults that fired, in firing order (kept across rollbacks).
+    fired: Vec<FaultStamp>,
     /// Ranks frozen by an unresumed [`FaultKind::RankStall`]. A stalled
     /// rank finishes its current operation but dispatches nothing.
     stalled: RankSet,
@@ -591,10 +569,10 @@ struct Sim<'a, 'm> {
     /// Transfers in the `Starting` state (the only ones with a timer), so
     /// the event scan walks only those.
     starting_transfers: Vec<usize>,
-    /// FIFO of unmatched send transfer-indices per (src, dst, tag).
-    pending_sends: MatchMap,
-    /// FIFO of unmatched receives per (src, dst, tag).
-    pending_recvs: MatchMap,
+    /// Unmatched send transfer-indices, FIFO per (src, dst, tag).
+    pending_sends: MatchQueues,
+    /// Unmatched receives, FIFO per (src, dst, tag).
+    pending_recvs: MatchQueues,
     barrier_arrived: usize,
     metrics: RunMetrics,
     rates_dirty: bool,
@@ -633,6 +611,7 @@ impl<'a, 'm> Sim<'a, 'm> {
             capacities,
             faults,
             next_fault: 0,
+            fired: Vec::new(),
             stalled: RankSet::new(n),
             now: 0.0,
             cursors: vec![Cursor::default(); n],
@@ -644,8 +623,8 @@ impl<'a, 'm> Sim<'a, 'm> {
             transfers: Vec::new(),
             free_transfers: Vec::new(),
             starting_transfers: Vec::new(),
-            pending_sends: MatchMap::default(),
-            pending_recvs: MatchMap::default(),
+            pending_sends: MatchQueues::new(n),
+            pending_recvs: MatchQueues::new(n),
             barrier_arrived: 0,
             metrics: RunMetrics::new(n, num_resources),
             rates_dirty: false,
@@ -656,7 +635,6 @@ impl<'a, 'm> Sim<'a, 'm> {
                     spans: Vec::new(),
                     open: vec![None; n],
                     flow_bottleneck: Vec::new(),
-                    faults: Vec::new(),
                     recoveries: Vec::new(),
                     load: Vec::new(),
                     routed: Vec::new(),
@@ -692,7 +670,7 @@ impl<'a, 'm> Sim<'a, 'm> {
                 num_ranks: self.programs.len(),
                 intervals: t.intervals,
                 spans: t.spans,
-                faults: t.faults,
+                faults: self.fired.clone(),
                 recoveries: t.recoveries,
                 end_time: self.now,
             }
@@ -703,7 +681,7 @@ impl<'a, 'm> Sim<'a, 'm> {
             rank_finish: self.finish,
             metrics: self.metrics,
         });
-        Observed { result, metrics, end_time: self.now, trace }
+        Observed { result, metrics, end_time: self.now, faults: self.fired, trace }
     }
 
     fn run_loop(&mut self) -> Result<f64> {
@@ -880,9 +858,7 @@ impl<'a, 'm> Sim<'a, 'm> {
             }
             self.next_fault += 1;
             self.metrics.faults_applied += 1;
-            if let Some(trace) = self.trace.as_deref_mut() {
-                trace.faults.push(FaultStamp { scheduled: at, fired: self.now, kind });
-            }
+            self.fired.push(FaultStamp { scheduled: at, fired: self.now, kind });
             match fault {
                 ResolvedFault::SetCapacity { index, capacity } => {
                     self.capacities[index] = capacity;
@@ -1123,12 +1099,12 @@ impl<'a, 'm> Sim<'a, 'm> {
 
         // Match an already-posted receive, if any.
         let key = (rank, dst, tag);
-        if pop_match(&mut self.pending_recvs, key).is_some() {
+        if self.pending_recvs.pop(key).is_some() {
             let at = (self.now + cost.setup).max(self.now);
             self.transfers[idx].state = TransferState::Starting { at };
             self.starting_transfers.push(idx);
         } else {
-            push_match(&mut self.pending_sends, key, idx);
+            self.pending_sends.push(key, idx);
         }
 
         if cost.rendezvous {
@@ -1148,7 +1124,7 @@ impl<'a, 'm> Sim<'a, 'm> {
             )));
         }
         let key = (src, rank, tag);
-        match pop_match(&mut self.pending_sends, key) {
+        match self.pending_sends.pop(key) {
             Some(t) => {
                 let begin =
                     (self.transfers[t].send_post + self.transfers[t].cost.setup).max(self.now);
@@ -1162,7 +1138,7 @@ impl<'a, 'm> Sim<'a, 'm> {
                 }
             }
             None => {
-                push_match(&mut self.pending_recvs, key, rank);
+                self.pending_recvs.push(key, rank);
                 self.set_status(rank, Status::RecvBlocked);
             }
         }

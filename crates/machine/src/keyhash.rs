@@ -2,11 +2,10 @@
 
 use std::hash::Hasher;
 
-/// Multiply-rotate hasher for integer keys: the engine's message-matching
-/// keys (rank indices and message tags) and the rate solver's flow kinds
-/// (cap bits and resource indices) and memo keys (kind ids). The keys come from the simulated
-/// programs, never bytes from outside the process, so SipHash's flooding
-/// resistance buys nothing here.
+/// Multiply-rotate hasher for integer keys: the rate solver's flow kinds
+/// (cap bits and resource indices) and memo keys (kind ids). The keys
+/// come from the simulated programs, never bytes from outside the
+/// process, so SipHash's flooding resistance buys nothing here.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct KeyHasher(u64);
 

@@ -167,3 +167,29 @@ fn messages_pending_at_a_checkpoint_survive_the_rollback() {
     }
     assert!((report.finish_of(RankId::new(1)) - recvs[2].t1).abs() < 1e-12);
 }
+
+#[test]
+fn a_long_queue_of_eager_sends_matches_inside_the_event_budget() {
+    let m = Machine::new(systems::dmz());
+    let engine = Engine::new(&m);
+    // 10⁵ eager sends, each with its own tag, are all posted before rank 1
+    // posts its first receive; it then receives them in send order.
+    const MESSAGES: u64 = 100_000;
+    let mut p0 = Program::new();
+    for tag in 0..MESSAGES {
+        p0.send(RankId::new(1), 64.0, tag, eager());
+    }
+    let mut p1 = Program::new();
+    p1.delay(1.0);
+    for tag in 0..MESSAGES {
+        p1.recv(RankId::new(0), tag);
+    }
+    let report = engine
+        .run(&[placement(&m, 0), placement(&m, 2)], &[p0, p1])
+        .expect("the run ends inside the default event budget");
+    assert_eq!(report.metrics.messages_sent, vec![MESSAGES as usize, 0]);
+    // The bits and events of the per-key hash-map matcher this FIFO
+    // replaced.
+    assert_eq!(report.makespan.to_bits(), 0x3ff1_0624_dd2f_d740);
+    assert_eq!(report.metrics.events, 200_001);
+}

@@ -62,7 +62,8 @@ use crate::scenario::ScenarioResult;
 use crate::sink::{result_row, row_result};
 use corescope_store::frame::{self, Step, Walker, SCAN_CHUNK};
 use corescope_store::lockfile::{LockError, LockFile};
-use std::collections::{HashMap, HashSet};
+use corescope_store::DigestMap;
+use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Write};
 use std::os::unix::fs::FileExt;
@@ -147,15 +148,15 @@ const MAX_ENTRY_FRAME: usize = frame::FRAME_HEADER + MAX_ENTRY_PAYLOAD;
 /// The bounded memory tier: two generations, newest first.
 #[derive(Debug)]
 struct Generations {
-    current: HashMap<u128, ScenarioResult>,
-    previous: HashMap<u128, ScenarioResult>,
+    current: DigestMap<ScenarioResult>,
+    previous: DigestMap<ScenarioResult>,
     /// Size at which `current` rotates: [`GENERATION`], smaller in tests.
     limit: usize,
 }
 
 impl Generations {
     fn new(limit: usize) -> Self {
-        Self { current: HashMap::new(), previous: HashMap::new(), limit }
+        Self { current: DigestMap::default(), previous: DigestMap::default(), limit }
     }
 
     /// Looks `key` up; a hit in `previous` moves the entry to `current`.
@@ -224,7 +225,7 @@ impl Pack {
     fn scan(
         &mut self,
         no: u32,
-        index: &mut HashMap<u128, Loc>,
+        index: &mut DigestMap<Loc>,
         counters: &Counters,
     ) -> std::io::Result<()> {
         let file = Arc::clone(&self.file);
@@ -306,7 +307,7 @@ struct DiskState {
     packs: Vec<Pack>,
     /// The file names of `packs`, so a rescan opens only new ones.
     names: HashSet<String>,
-    index: HashMap<u128, Loc>,
+    index: DigestMap<Loc>,
     writer: Option<Writer>,
     /// The `n` of the next `pack-<pid>-<n>.css` this cache tries.
     next_pack: u64,

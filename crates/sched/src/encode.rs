@@ -35,8 +35,11 @@
 //! of multiplies drops.
 //!
 //! Most of a scenario's bytes are fixed at compile time: every field
-//! name, with its length, and every variant key. Such a constant run of
-//! `k` bytes `s` folds in one multiply-add, by the identity
+//! name, with its length and the field's type byte, and every variant
+//! key. A field's head (`be64(len) ‖ name ‖ type byte`) is one constant
+//! run, and so is a whole tag field (head ‖ `be64(len) ‖ key`) once the
+//! variant is known. Such a constant run of `k` bytes `s` folds in one
+//! multiply-add, by the identity
 //!
 //! ```text
 //! fold(h, s) = h·P^k + C_s[h mod 256]   (mod 2^128, P = FNV_PRIME)
@@ -48,10 +51,11 @@
 //! induction over the bytes, folding `s` adds to `h·P^k` a sum of
 //! `δ_i·P^(k−i)` whose every term depends only on `h mod 256`: that sum
 //! is `C_s[h mod 256]`, a 256-entry table a `const fn` builds at compile
-//! time (`ConstRun`). The small-integer fold above is the same argument
-//! for a run of zero bytes, whose table is all zeros. Both are exact:
-//! the digest of every stream is bit for bit that of FNV-1a over its
-//! bytes.
+//! time (`ConstRun`), one table per distinct run. Every field of a
+//! scenario thus folds its constant part in one table step. The
+//! small-integer fold above is the same argument for a run of zero
+//! bytes, whose table is all zeros. Both are exact: the digest of every
+//! stream is bit for bit that of FNV-1a over its bytes.
 
 use std::fmt;
 
@@ -106,64 +110,139 @@ impl fmt::Display for Digest {
     }
 }
 
-/// A length-prefixed string of the stream, `be64(len) ‖ bytes`: a field
-/// name, a string value or a variant key. Any `str`-like value folds
-/// byte by byte; a compile-time constant run folds in one multiply-add.
-pub trait Text {
-    /// The state after folding `be64(len) ‖ bytes` from `h`.
-    fn fold_into(&self, h: u128) -> u128;
+/// A field name as the stream writes it: the head `be64(len) ‖ name ‖
+/// type byte` every field starts with. Any `str`-like name folds byte by
+/// byte; a compile-time constant run folds in one multiply-add.
+pub trait Name {
+    /// The state after folding the head of a field of type `ty` from `h`.
+    fn fold_head(&self, h: u128, ty: u8) -> u128;
 }
 
-impl<T: AsRef<str> + ?Sized> Text for T {
-    fn fold_into(&self, h: u128) -> u128 {
-        fold_text(h, self.as_ref().as_bytes())
+impl<T: AsRef<str> + ?Sized> Name for T {
+    fn fold_head(&self, h: u128, ty: u8) -> u128 {
+        fold(fold_text(h, self.as_ref().as_bytes()), &[ty])
     }
 }
 
-/// A string known at compile time, as a constant run of the stream:
-/// `be64(len) ‖ bytes` folded in one step by the identity in the module
-/// docs. Build one per string with [`const_run!`].
+/// The bytes a [`ConstRun`] stands for: `be64(len) ‖ name ‖ ty`, then
+/// `be64(len) ‖ value` when the field's value is constant too.
+#[derive(Debug)]
+struct Pieces {
+    name: &'static [u8],
+    ty: u8,
+    value: Option<&'static [u8]>,
+}
+
+impl Pieces {
+    /// The number of bytes on the stream.
+    const fn len(&self) -> usize {
+        let value = match self.value {
+            Some(value) => 8 + value.len(),
+            None => 0,
+        };
+        8 + self.name.len() + 1 + value
+    }
+
+    /// FNV-1a over the pieces' bytes from state `h`.
+    const fn fold(&self, h: u128) -> u128 {
+        let h = fold(fold_text(h, self.name), &[self.ty]);
+        match self.value {
+            Some(value) => fold_text(h, value),
+            None => h,
+        }
+    }
+}
+
+/// A run of the stream known at compile time, folded in one step by the
+/// identity in the module docs: a field's head (name and type byte), or
+/// a whole field whose value is constant as well (a tag with its variant
+/// key, a string field with a fixed string). Build one per run with
+/// [`const_run!`].
+///
+/// Release builds keep only the table. It holds no pointer, so the
+/// compiler places it in read-only data that needs no relocation and is
+/// paged in only when a digest reads it.
 pub(crate) struct ConstRun {
-    bytes: &'static [u8],
-    /// `FNV_PRIME^k` for the run's `k = 8 + len` bytes.
+    /// `FNV_PRIME^k` for the run's `k` bytes.
     mul: u128,
     /// `C[l] = fold(l) − l·FNV_PRIME^k`: what folding the run from a
     /// state with low byte `l` adds to `h·FNV_PRIME^k`.
     add: [u128; 256],
+    /// What the table stands for, for the per-step check.
+    #[cfg(any(test, debug_assertions))]
+    pieces: Pieces,
 }
 
 impl ConstRun {
-    /// The run of `bytes`, tabulated.
-    pub(crate) const fn new(bytes: &'static [u8]) -> Self {
-        let mul = FNV_PRIME.wrapping_pow(8 + bytes.len() as u32);
+    /// The run `be64(len) ‖ name ‖ ty`, followed by `be64(len) ‖ value`
+    /// when `value` is given, tabulated.
+    pub(crate) const fn new(name: &'static [u8], ty: u8, value: Option<&'static [u8]>) -> Self {
+        let pieces = Pieces { name, ty, value };
+        let mul = FNV_PRIME.wrapping_pow(pieces.len() as u32);
         let mut add = [0u128; 256];
         let mut l = 0;
         while l < 256 {
             let h = l as u128;
-            add[l] = fold_text(h, bytes).wrapping_sub(h.wrapping_mul(mul));
+            add[l] = pieces.fold(h).wrapping_sub(h.wrapping_mul(mul));
             l += 1;
         }
-        Self { bytes, mul, add }
+        Self {
+            mul,
+            add,
+            #[cfg(any(test, debug_assertions))]
+            pieces,
+        }
     }
-}
 
-impl Text for ConstRun {
+    /// The state after folding the run from `h`: one table step.
     fn fold_into(&self, h: u128) -> u128 {
         let next = h.wrapping_mul(self.mul).wrapping_add(self.add[h as u8 as usize]);
         // Debug builds and unit tests check every table step against the
         // byte fold it stands for.
-        if cfg!(any(test, debug_assertions)) {
-            assert_eq!(next, fold_text(h, self.bytes), "constant run {:?}", self.bytes);
-        }
+        #[cfg(any(test, debug_assertions))]
+        assert_eq!(next, self.pieces.fold(h), "constant run {:?}", self.pieces);
         next
+    }
+
+    /// The variant key a whole tag run ends with, for checks that the
+    /// run belongs to the variant folding it.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn value(&self) -> Option<&'static [u8]> {
+        self.pieces.value
     }
 }
 
-/// `&'static ConstRun` for a string known at compile time: the table is
-/// built by the compiler and promoted to read-only data.
+impl Name for ConstRun {
+    // `ty` is read only by the check.
+    #[cfg_attr(not(any(test, debug_assertions)), allow(unused_variables))]
+    fn fold_head(&self, h: u128, ty: u8) -> u128 {
+        #[cfg(any(test, debug_assertions))]
+        assert!(
+            self.pieces.ty == ty && self.pieces.value.is_none(),
+            "constant run {:?} is not the head of a {:?} field",
+            self.pieces,
+            ty as char
+        );
+        self.fold_into(h)
+    }
+}
+
+/// `&'static ConstRun` for a run known at compile time: the table is
+/// built by the compiler into a `static`, so it has one copy however
+/// many codegen units inline the code that reads it (a promoted constant
+/// gets one per unit). `const_run!(name, ty)` is a field head;
+/// `const_run!(name, ty, value)` is a whole field with a constant value.
+/// Write each distinct run once.
 macro_rules! const_run {
-    ($text:expr) => {{
-        const RUN: $crate::encode::ConstRun = $crate::encode::ConstRun::new($text.as_bytes());
+    ($name:expr, $ty:expr) => {
+        $crate::encode::const_run!(@run $name, $ty, None)
+    };
+    ($name:expr, $ty:expr, $value:expr) => {
+        $crate::encode::const_run!(@run $name, $ty, Some($value.as_bytes()))
+    };
+    (@run $name:expr, $ty:expr, $value:expr) => {{
+        static RUN: $crate::encode::ConstRun =
+            $crate::encode::ConstRun::new($name.as_bytes(), $ty, $value);
         &RUN
     }};
 }
@@ -172,9 +251,10 @@ pub(crate) use const_run;
 /// Canonical byte encoder: append-only, field-tagged, length-prefixed,
 /// hashed as it goes.
 ///
-/// Every name, string and variant key is a [`Text`]: a `&str` folds byte
-/// by byte, the reference fold, and a compile-time constant run folds in
-/// one step to the same state.
+/// Every field name is a [`Name`]: a `&str` folds byte by byte, the
+/// reference fold, and a compile-time constant run folds its head in one
+/// step to the same state. Within the crate, a whole constant field folds
+/// in one step too.
 #[derive(Debug, Clone)]
 pub struct Encoder {
     state: u128,
@@ -200,67 +280,63 @@ impl Encoder {
         Self { state: prefix.0 }
     }
 
-    fn byte(&mut self, b: u8) {
-        self.state = fold(self.state, &[b]);
-    }
-
     fn raw_u64(&mut self, v: u64) {
         self.state = fold_u64(self.state, v);
     }
 
-    fn text(&mut self, text: &(impl Text + ?Sized)) {
-        self.state = text.fold_into(self.state);
+    fn head(&mut self, name: &(impl Name + ?Sized), ty: u8) {
+        self.state = name.fold_head(self.state, ty);
     }
 
     /// A named unsigned integer field.
-    pub fn u64(&mut self, name: &(impl Text + ?Sized), v: u64) -> &mut Self {
-        self.text(name);
-        self.byte(b'u');
+    pub fn u64(&mut self, name: &(impl Name + ?Sized), v: u64) -> &mut Self {
+        self.head(name, b'u');
         self.raw_u64(v);
         self
     }
 
     /// A named `usize` field (encoded as u64).
-    pub fn usize(&mut self, name: &(impl Text + ?Sized), v: usize) -> &mut Self {
+    pub fn usize(&mut self, name: &(impl Name + ?Sized), v: usize) -> &mut Self {
         self.u64(name, v as u64)
     }
 
     /// A named float field, encoded by bit pattern so `-0.0` and `0.0`
     /// (and every NaN payload) stay distinguishable and the encoding is
     /// exact.
-    pub fn f64(&mut self, name: &(impl Text + ?Sized), v: f64) -> &mut Self {
-        self.text(name);
-        self.byte(b'f');
+    pub fn f64(&mut self, name: &(impl Name + ?Sized), v: f64) -> &mut Self {
+        self.head(name, b'f');
         self.raw_u64(v.to_bits());
         self
     }
 
     /// A named string field.
-    pub fn str(&mut self, name: &(impl Text + ?Sized), v: &(impl Text + ?Sized)) -> &mut Self {
-        self.text(name);
-        self.byte(b's');
-        self.text(v);
+    pub fn str(&mut self, name: &(impl Name + ?Sized), v: &str) -> &mut Self {
+        self.head(name, b's');
+        self.state = fold_text(self.state, v.as_bytes());
         self
     }
 
     /// A named enum-discriminant field: the variant's stable key string.
-    pub fn tag(
-        &mut self,
-        name: &(impl Text + ?Sized),
-        variant: &(impl Text + ?Sized),
-    ) -> &mut Self {
-        self.text(name);
-        self.byte(b't');
-        self.text(variant);
+    pub fn tag(&mut self, name: &(impl Name + ?Sized), variant: &str) -> &mut Self {
+        self.head(name, b't');
+        self.state = fold_text(self.state, variant.as_bytes());
+        self
+    }
+
+    /// A field known whole at compile time, in one table step: a tag
+    /// with its variant key, or a string field with a fixed value.
+    pub(crate) fn constant(&mut self, run: &ConstRun) -> &mut Self {
+        #[cfg(any(test, debug_assertions))]
+        assert!(run.pieces.value.is_some(), "constant run {:?} is only a head", run.pieces);
+        self.state = run.fold_into(self.state);
         self
     }
 
     /// Opens a named list of `len` elements; callers then encode each
     /// element's fields. The length prefix keeps adjacent lists from
     /// bleeding into one another.
-    pub fn list(&mut self, name: &(impl Text + ?Sized), len: usize) -> &mut Self {
-        self.text(name);
-        self.byte(b'l');
+    pub fn list(&mut self, name: &(impl Name + ?Sized), len: usize) -> &mut Self {
+        self.head(name, b'l');
         self.raw_u64(len as u64);
         self
     }
@@ -480,15 +556,16 @@ mod tests {
             proptest::prop_assert_eq!(enc.digest(), bytes.fnv());
         }
 
-        /// A constant run folds to the state the byte fold of
-        /// `be64(len) ‖ bytes` reaches, from random states: strings of
-        /// 0–64 bytes, random or all `0x00` or all `0xff`, and the empty
-        /// string.
+        /// A head run folds to the state the byte fold of
+        /// `be64(len) ‖ bytes ‖ ty` reaches, from random states: names of
+        /// 0–64 bytes, random or all `0x00` or all `0xff`, the empty name,
+        /// and every type byte.
         #[test]
         fn encoder_parity_const_runs(
             states in proptest::collection::vec((0u64..=u64::MAX, 0u64..=u64::MAX), 1..16),
             fill in 0u8..3,
             raw in proptest::collection::vec(0u8..=255, 0..65),
+            ty in 0u8..=255,
         ) {
             let bytes = match fill {
                 0 => raw,
@@ -497,12 +574,69 @@ mod tests {
             };
             let mut stream = (bytes.len() as u64).to_be_bytes().to_vec();
             stream.extend_from_slice(&bytes);
-            let run = ConstRun::new(Box::leak(bytes.into_boxed_slice()));
-            let empty = ConstRun::new(b"");
+            stream.push(ty);
+            let run = ConstRun::new(Box::leak(bytes.into_boxed_slice()), ty, None);
+            let empty = ConstRun::new(b"", ty, None);
             for &(high, low) in &states {
                 let h = (high as u128) << 64 | low as u128;
                 proptest::prop_assert_eq!(run.fold_into(h), fold(h, &stream));
-                proptest::prop_assert_eq!(empty.fold_into(h), fold(h, &[0; 8]));
+                let mut zeros = [0; 9];
+                zeros[8] = ty;
+                proptest::prop_assert_eq!(empty.fold_into(h), fold(h, &zeros));
+            }
+        }
+
+        /// Merged runs — a head followed by a constant value — fold, one
+        /// after another from a random state, to the state of the byte
+        /// fold over their pieces: names and values of 0–40 random bytes,
+        /// every type byte, with and without a value. Where name and value
+        /// are text, [`Encoder::constant`] matches [`Encoder::tag`] and
+        /// [`Encoder::str`].
+        #[test]
+        fn encoder_parity_merged_runs(
+            (high, low) in (0u64..=u64::MAX, 0u64..=u64::MAX),
+            fields in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0u8..=255, 0..41),
+                    0u8..=255,
+                    proptest::option::of(proptest::collection::vec(0u8..=255, 0..41)),
+                    0usize..41,
+                    0usize..41,
+                    0u8..=255,
+                ),
+                0..24,
+            ),
+        ) {
+            let start = (high as u128) << 64 | low as u128;
+            let mut h = start;
+            let mut stream = Vec::new();
+            for (name, ty, value, name_len, value_len, seed) in fields {
+                stream.extend_from_slice(&(name.len() as u64).to_be_bytes());
+                stream.extend_from_slice(&name);
+                stream.push(ty);
+                if let Some(value) = &value {
+                    stream.extend_from_slice(&(value.len() as u64).to_be_bytes());
+                    stream.extend_from_slice(value);
+                }
+                let value: Option<&'static [u8]> = value.map(|v| &*Box::leak(v.into_boxed_slice()));
+                h = ConstRun::new(Box::leak(name.into_boxed_slice()), ty, value).fold_into(h);
+                proptest::prop_assert_eq!(h, fold(start, &stream));
+
+                let (name, key) = (text(name_len, seed), text(value_len, seed.wrapping_add(3)));
+                let leak = |s: &String| &*Box::leak(s.clone().into_boxed_str().into_boxed_bytes());
+                for ty in [b't', b's'] {
+                    let run = ConstRun::new(leak(&name), ty, Some(leak(&key)));
+                    let mut by_byte = Encoder::resume(Digest(h));
+                    if ty == b't' {
+                        by_byte.tag(&name, &key);
+                    } else {
+                        by_byte.str(&name, &key);
+                    }
+                    proptest::prop_assert_eq!(
+                        Encoder::resume(Digest(h)).constant(&run).digest(),
+                        by_byte.digest()
+                    );
+                }
             }
         }
     }

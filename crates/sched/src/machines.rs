@@ -17,9 +17,13 @@ type Key = (System, [u64; CalibParams::FIELDS.len()]);
 
 /// Built machines by `(system, params bits)`. Holds at most
 /// [`MachineMemo::CAP`] and starts over when full, so a process that
-/// meets unboundedly many points keeps a bounded memo.
+/// meets unboundedly many points keeps a bounded memo. In front of the
+/// map, each system's slot holds the last point's shared parameters and
+/// machine, so scenarios that share their point's [`Arc`] are answered
+/// by one pointer comparison.
 #[derive(Default)]
 struct MachineMemo {
+    slots: [Option<(Arc<CalibParams>, Arc<Machine>)>; System::all().len()],
     map: HashMap<Key, Arc<Machine>>,
 }
 
@@ -38,16 +42,26 @@ impl MachineMemo {
     ///
     /// Panics as [`System::machine_with`] does on a point that builds no
     /// valid spec; an in-bounds point always builds one.
-    fn get(&mut self, system: System, params: &CalibParams) -> Arc<Machine> {
+    fn get(&mut self, system: System, params: &Arc<CalibParams>) -> Arc<Machine> {
+        let slot = &mut self.slots[system as usize];
+        if let Some((last, machine)) = slot {
+            if Arc::ptr_eq(last, params) {
+                return Arc::clone(machine);
+            }
+        }
         let key = (system, params.to_bits());
-        if let Some(machine) = self.map.get(&key) {
-            return Arc::clone(machine);
-        }
-        if self.map.len() >= Self::CAP {
-            self.map.clear();
-        }
-        let machine = Arc::new(system.machine_with(params));
-        self.map.insert(key, Arc::clone(&machine));
+        let machine = match self.map.get(&key) {
+            Some(machine) => Arc::clone(machine),
+            None => {
+                if self.map.len() >= Self::CAP {
+                    self.map.clear();
+                }
+                let machine = Arc::new(system.machine_with(params));
+                self.map.insert(key, Arc::clone(&machine));
+                machine
+            }
+        };
+        *slot = Some((Arc::clone(params), Arc::clone(&machine)));
         machine
     }
 }
@@ -57,7 +71,7 @@ impl MachineMemo {
 static MACHINES: LazyLock<Mutex<MachineMemo>> = LazyLock::new(Mutex::default);
 
 /// The machine of `system` at `params`, from the process-wide memo.
-pub(crate) fn machine(system: System, params: &CalibParams) -> Arc<Machine> {
+pub(crate) fn machine(system: System, params: &Arc<CalibParams>) -> Arc<Machine> {
     // Every update leaves the map valid (a panic while building leaves
     // it as it was, or empty), so a poisoned lock still guards a memo.
     MACHINES.lock().unwrap_or_else(PoisonError::into_inner).get(system, params)
@@ -126,7 +140,7 @@ mod tests {
             }
         }
         let observed = |s: &Scenario| s.observe(TraceConfig::off()).and_then(|o| o.result);
-        MACHINES.lock().unwrap_or_else(PoisonError::into_inner).map.clear();
+        *MACHINES.lock().unwrap_or_else(PoisonError::into_inner) = MachineMemo::default();
         let cold: Vec<_> = scenarios.iter().map(observed).collect();
         let warm: Vec<_> = scenarios.iter().map(observed).collect();
         for (i, want) in expected.iter().enumerate() {
@@ -136,7 +150,7 @@ mod tests {
         // Two workers sharing the memo, cleared first so they build it.
         // Tests on other threads may fill it meanwhile; that changes which
         // run builds a machine, never a result.
-        MACHINES.lock().unwrap_or_else(PoisonError::into_inner).map.clear();
+        *MACHINES.lock().unwrap_or_else(PoisonError::into_inner) = MachineMemo::default();
         let batch = Scheduler::new(2).run_batch(&scenarios);
         for (i, (outcome, want)) in batch.into_iter().zip(&expected).enumerate() {
             let got = outcome.map(|done| done.result).map_err(|e| e.to_string());
@@ -152,13 +166,16 @@ mod tests {
         let base = params.dram_latency;
         for i in 0..=MachineMemo::CAP {
             params.dram_latency = base * (1.0 + i as f64 * 1e-6);
-            let machine = memo.get(System::Longs, &params);
+            let machine = memo.get(System::Longs, &Arc::new(params));
             let fresh = System::Longs.machine_with(&params);
             assert_eq!(machine.spec(), fresh.spec());
             assert!(memo.map.len() <= MachineMemo::CAP);
         }
         assert_eq!(memo.map.len(), 1, "a full memo starts over");
-        let again = memo.get(System::Longs, &params);
-        assert!(Arc::ptr_eq(&again, &memo.get(System::Longs, &params)), "a warm point is shared");
+        let again = memo.get(System::Longs, &Arc::new(params));
+        assert!(
+            Arc::ptr_eq(&again, &memo.get(System::Longs, &Arc::new(params))),
+            "a warm point is shared"
+        );
     }
 }

@@ -37,13 +37,14 @@ use corescope_kernels::xslookup::XsParams;
 use corescope_machine::engine::{Observed, RankPlacement};
 use corescope_machine::{
     CalibParams, CheckpointPolicy, CheckpointTarget, ComputePhase, Error, FaultEvent, FaultKind,
-    FaultPlan, LinkId, Machine, MachineSpec, NumaNodeId, RankId, Result, RetryPolicy, RunReport,
-    SocketId, TraceConfig, TrafficProfile,
+    FaultPlan, LinkId, LinkSpec, Machine, MachineSpec, MemorySpec, NumaNodeId, RankId, Result,
+    RetryPolicy, RunReport, SocketId, TraceConfig, TrafficProfile,
 };
 use corescope_smpi::{CommWorld, LockLayer, MpiImpl};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::{Arc, LazyLock};
 
 /// The evaluation machines: the paper's Table 1 systems plus the
 /// modern `corescope-topo` generations.
@@ -142,20 +143,21 @@ fn lock_parse(s: &str) -> Option<LockLayer> {
     [LockLayer::SysV, LockLayer::USysV].into_iter().find(|l| l.key() == s)
 }
 
-/// A scenario axis folded into the digest stream as its stable key.
+/// A scenario axis folded into the digest stream as a tag field: its
+/// name, type byte and stable key as one constant run.
 trait Keyed {
-    /// The key's constant run.
-    fn key_run(self) -> &'static ConstRun;
+    /// The whole tag field's constant run.
+    fn tag_run(self) -> &'static ConstRun;
 }
 
 /// Implements [`Keyed`] from each variant's own `const fn` key, one
-/// `static` table per variant, so a run cannot drift from its key.
+/// table per variant, so a run cannot drift from its key.
 macro_rules! keyed {
-    ($($ty:ident by $key:path { $($variant:ident),+ })+) => {$(
+    ($($ty:ident as $name:literal by $key:path { $($variant:ident),+ })+) => {$(
         impl Keyed for $ty {
-            fn key_run(self) -> &'static ConstRun {
+            fn tag_run(self) -> &'static ConstRun {
                 match self {
-                    $($ty::$variant => const_run!($key($ty::$variant)),)+
+                    $($ty::$variant => const_run!($name, b't', $key($ty::$variant)),)+
                 }
             }
         }
@@ -163,22 +165,52 @@ macro_rules! keyed {
 }
 
 keyed! {
-    System by System::key { Tiger, Dmz, Longs, Epyc, Hbm }
-    Fidelity by Fidelity::key { Full, Quick }
-    Scheme by Scheme::key {
+    System as "system" by System::key { Tiger, Dmz, Longs, Epyc, Hbm }
+    Fidelity as "fidelity" by Fidelity::key { Full, Quick }
+    Scheme as "placement" by Scheme::key {
         Default, OneMpiLocalAlloc, OneMpiMembind, TwoMpiLocalAlloc, TwoMpiMembind, Interleave
     }
-    MpiImpl by mpi_key { Mpich2, Lam, OpenMpi }
-    LockLayer by LockLayer::key { SysV, USysV }
+    MpiImpl as "mpi" by mpi_key { Mpich2, Lam, OpenMpi }
+    LockLayer as "lock" by LockLayer::key { SysV, USysV }
 }
 
 impl Keyed for Placement {
-    fn key_run(self) -> &'static ConstRun {
+    fn tag_run(self) -> &'static ConstRun {
         match self {
-            Placement::Scheme(scheme) => scheme.key_run(),
-            Placement::ScatterLocal => const_run!(Placement::ScatterLocal.key()),
+            Placement::Scheme(scheme) => scheme.tag_run(),
+            Placement::ScatterLocal => {
+                const_run!("placement", b't', Placement::ScatterLocal.key())
+            }
         }
     }
+}
+
+/// What a codec-table field's name folds as for one kind of leaf: the
+/// head run of a plain field, or the whole tag runs of a keyed one.
+trait LeafKind {
+    /// One run, or one per variant.
+    type Runs: ?Sized + 'static;
+    /// A keyed leaf's variant keys, in declaration order.
+    const KEYS: &'static [&'static str] = &[];
+}
+
+/// Unsigned integer leaves (`usize`, `u64`, machine ids): `name ‖ 'u'`.
+struct Uint;
+/// Float leaves: `name ‖ 'f'`.
+struct Float;
+
+impl LeafKind for Uint {
+    type Runs = ConstRun;
+}
+
+impl LeafKind for Float {
+    type Runs = ConstRun;
+}
+
+/// A codec-table field name's runs for leaves of kind `K`: implemented
+/// by the marker types of [`heads`], one per distinct field name.
+trait Heads<K: LeafKind> {
+    fn runs() -> &'static K::Runs;
 }
 
 /// One leaf field of a codec table: how a value is folded into the
@@ -186,15 +218,19 @@ impl Keyed for Placement {
 trait Leaf: Sized {
     /// What a parse error says the field must hold.
     const EXPECTED: &'static str;
-    fn encode(self, name: &'static ConstRun, enc: &mut Encoder);
+    /// The kind of runs a field of this type folds its name as.
+    type Kind: LeafKind;
+    /// Folds the field named by `N` in one table step, then its value.
+    fn encode<N: Heads<Self::Kind>>(self, enc: &mut Encoder);
     fn render(self, out: &mut String);
     fn parse(v: &Value) -> Option<Self>;
 }
 
 impl Leaf for usize {
     const EXPECTED: &'static str = "an integer below 2^53";
-    fn encode(self, name: &'static ConstRun, enc: &mut Encoder) {
-        enc.usize(name, self);
+    type Kind = Uint;
+    fn encode<N: Heads<Uint>>(self, enc: &mut Encoder) {
+        enc.usize(N::runs(), self);
     }
     fn render(self, out: &mut String) {
         let _ = write!(out, "{self}");
@@ -206,8 +242,9 @@ impl Leaf for usize {
 
 impl Leaf for u64 {
     const EXPECTED: &'static str = usize::EXPECTED;
-    fn encode(self, name: &'static ConstRun, enc: &mut Encoder) {
-        enc.u64(name, self);
+    type Kind = Uint;
+    fn encode<N: Heads<Uint>>(self, enc: &mut Encoder) {
+        enc.u64(N::runs(), self);
     }
     fn render(self, out: &mut String) {
         let _ = write!(out, "{self}");
@@ -219,8 +256,9 @@ impl Leaf for u64 {
 
 impl Leaf for f64 {
     const EXPECTED: &'static str = "a number";
-    fn encode(self, name: &'static ConstRun, enc: &mut Encoder) {
-        enc.f64(name, self);
+    type Kind = Float;
+    fn encode<N: Heads<Float>>(self, enc: &mut Encoder) {
+        enc.f64(N::runs(), self);
     }
     fn render(self, out: &mut String) {
         out.push_str(&json::num(self));
@@ -235,8 +273,9 @@ macro_rules! id_leaves {
     ($($id:ident),+) => {$(
         impl Leaf for $id {
             const EXPECTED: &'static str = usize::EXPECTED;
-            fn encode(self, name: &'static ConstRun, enc: &mut Encoder) {
-                self.index().encode(name, enc);
+            type Kind = Uint;
+            fn encode<N: Heads<Uint>>(self, enc: &mut Encoder) {
+                self.index().encode::<N>(enc);
             }
             fn render(self, out: &mut String) {
                 self.index().render(out);
@@ -251,13 +290,22 @@ macro_rules! id_leaves {
 id_leaves!(LinkId, SocketId, RankId);
 
 /// Field-level enums travel as a stable lowercase key: a digest tag and
-/// a JSON string.
+/// a JSON string. The digest folds the field's name, type byte and key
+/// as one run, picked by the variant's position. A type whose keys equal
+/// another's `shares` that type's runs.
 macro_rules! keyed_leaves {
-    ($($ty:ident { $($variant:ident = $key:literal),+ $(,)? })+) => {$(
+    ($($ty:ident $(shares $runs:ident)? { $($variant:ident = $key:literal),+ $(,)? })+) => {$(
+        keyed_leaves!(@kind $ty $(shares $runs)? [$($key),+]);
+
         impl Leaf for $ty {
             const EXPECTED: &'static str = concat!("one of" $(, " \"", $key, "\"")+);
-            fn encode(self, name: &'static ConstRun, enc: &mut Encoder) {
-                enc.tag(name, match self { $($ty::$variant => const_run!($key)),+ });
+            type Kind = keyed_leaves!(@runs $ty $($runs)?);
+            fn encode<N: Heads<Self::Kind>>(self, enc: &mut Encoder) {
+                let run = &N::runs()[self as usize];
+                // The runs are laid out in declaration order.
+                #[cfg(any(test, debug_assertions))]
+                assert_eq!(run.value(), Some(match self { $($ty::$variant => $key),+ }.as_bytes()));
+                enc.constant(run);
             }
             fn render(self, out: &mut String) {
                 let key = match self { $($ty::$variant => $key),+ };
@@ -271,15 +319,105 @@ macro_rules! keyed_leaves {
             }
         }
     )+};
+    (@kind $ty:ident [$($key:literal),+]) => {
+        impl LeafKind for $ty {
+            type Runs = [ConstRun];
+            const KEYS: &'static [&'static str] = &[$($key),+];
+        }
+    };
+    (@kind $ty:ident shares $runs:ident [$($key:literal),+]) => {};
+    (@runs $ty:ident) => { $ty };
+    (@runs $ty:ident $runs:ident) => { $runs };
 }
 
 keyed_leaves! {
     StreamKernel { Copy = "copy", Scale = "scale", Add = "add", Triad = "triad" }
     BlasVariant { Acml = "acml", Vanilla = "vanilla" }
     CgClass { S = "s", A = "a", B = "b", C = "c" }
-    FtClass { S = "s", A = "a", B = "b", C = "c" }
+    FtClass shares CgClass { S = "s", A = "a", B = "b", C = "c" }
     AmberMethod { Pme = "pme", Gb = "gb" }
     LammpsBenchmark { Lj = "lj", Chain = "chain", Eam = "eam" }
+}
+
+/// The whole tag runs `name ‖ 't' ‖ key`, one per key.
+const fn tag_runs<const N: usize>(name: &'static str, keys: &[&'static str]) -> [ConstRun; N] {
+    let mut runs = [const { ConstRun::new(b"", b't', None) }; N];
+    let mut i = 0;
+    while i < N {
+        runs[i] = ConstRun::new(name.as_bytes(), b't', Some(keys[i].as_bytes()));
+        i += 1;
+    }
+    runs
+}
+
+/// Declares a marker type per field name with its runs for each kind of
+/// leaf the codec tables give that name.
+macro_rules! heads {
+    ($($name:ident: $($kind:ident)+;)+) => {$(
+        pub(super) struct $name;
+        $(heads!(@impl $name $kind);)+
+    )+};
+    (@impl $name:ident Uint) => { heads!(@head $name Uint b'u'); };
+    (@impl $name:ident Float) => { heads!(@head $name Float b'f'); };
+    (@head $name:ident $kind:ident $ty:literal) => {
+        impl Heads<$kind> for $name {
+            fn runs() -> &'static ConstRun {
+                const_run!(stringify!($name), $ty)
+            }
+        }
+    };
+    (@impl $name:ident $kind:ident) => {
+        impl Heads<$kind> for $name {
+            fn runs() -> &'static [ConstRun] {
+                static RUNS: [ConstRun; <$kind as LeafKind>::KEYS.len()] =
+                    tag_runs(stringify!($name), <$kind as LeafKind>::KEYS);
+                &RUNS
+            }
+        }
+    };
+}
+
+/// Every codec-table field name, with the kinds of leaf it holds: one
+/// table per distinct run, however many variants share the field.
+#[allow(non_camel_case_types)]
+mod heads {
+    use super::*;
+
+    heads! {
+        steps: Uint;
+        flops_per_step: Float;
+        bytes_per_step: Float;
+        sync_bytes: Float;
+        kernel: StreamKernel;
+        elements_per_rank: Uint;
+        sweeps: Uint;
+        n: Uint;
+        nb: Uint;
+        dgemm_efficiency: Float;
+        reps: Uint;
+        variant: BlasVariant;
+        points_per_rank: Uint;
+        table_words_per_rank: Uint;
+        updates_per_rank: Uint;
+        block_bytes: Float;
+        bytes: Float;
+        class: CgClass;
+        grid_points: Uint Float;
+        nuclides: Uint;
+        lookups_per_rank: Uint;
+        atoms: Uint;
+        method: AmberMethod;
+        bench: LammpsBenchmark;
+        nx: Uint;
+        ny: Uint;
+        nz: Uint;
+        cg_iterations: Uint;
+        threads: Uint;
+        link: Uint;
+        factor: Float;
+        socket: Uint;
+        rank: Uint;
+    }
 }
 
 /// Reads field `name` of a `what` of kind `kind`; the error names all
@@ -294,7 +432,7 @@ fn field<T: Leaf>(v: &Value, what: &str, kind: &str, name: &str) -> std::result:
 trait KindCodec: Sized {
     /// Stable lowercase kind key (JSON and encoding).
     fn kind(&self) -> &'static str;
-    /// The kind key's constant run.
+    /// The kind's whole tag field as one constant run.
     fn kind_run(&self) -> &'static ConstRun;
     /// Folds every field into the digest stream, in table order.
     fn encode_fields(&self, enc: &mut Encoder);
@@ -306,12 +444,13 @@ trait KindCodec: Sized {
 }
 
 /// Generates [`KindCodec`] for an enum from one line per variant:
-/// `Variant = "kind-key" { field, field, … }`. The field list is the
-/// digest order and the JSON key order, and each field's name is both
-/// its digest name and its JSON key. Every pattern lists every field
+/// `Variant = "kind-key" { field, field, … }`. The kind folds as a tag
+/// named `$tag`. The field list is the digest order and the JSON key
+/// order, and each field's name is both its digest name and its JSON
+/// key; its runs come from [`heads`]. Every pattern lists every field
 /// with no `..`, so a line that misses a field does not compile.
 macro_rules! codec_table {
-    ($ty:ident as $what:literal {
+    ($ty:ident as $what:literal tagged $tag:literal {
         $($variant:ident = $key:literal { $($field:ident),* })+
     }) => {
         impl KindCodec for $ty {
@@ -323,14 +462,14 @@ macro_rules! codec_table {
 
             fn kind_run(&self) -> &'static ConstRun {
                 match self {
-                    $($ty::$variant { $($field: _),* } => const_run!($key),)+
+                    $($ty::$variant { $($field: _),* } => const_run!($tag, b't', $key),)+
                 }
             }
 
             fn encode_fields(&self, enc: &mut Encoder) {
                 match *self {
                     $($ty::$variant { $($field),* } => {
-                        $($field.encode(const_run!(stringify!($field)), enc);)*
+                        $($field.encode::<heads::$field>(enc);)*
                     })+
                 }
             }
@@ -606,7 +745,7 @@ pub enum Workload {
     },
 }
 
-codec_table!(Workload as "workload" {
+codec_table!(Workload as "workload" tagged "workload" {
     Bsp = "bsp" { steps, flops_per_step, bytes_per_step, sync_bytes }
     StreamSingle = "stream-single" { kernel, elements_per_rank, sweeps }
     StreamStar = "stream-star" { kernel, elements_per_rank, sweeps }
@@ -637,7 +776,7 @@ codec_table!(Workload as "workload" {
     NasFtHybrid = "nas-ft-hybrid" { class, threads }
 });
 
-codec_table!(FaultKind as "fault" {
+codec_table!(FaultKind as "fault" tagged "kind" {
     LinkDegrade = "link-degrade" { link, factor }
     LinkRestore = "link-restore" { link }
     ControllerThrottle = "controller-throttle" { socket, factor }
@@ -819,8 +958,11 @@ pub struct Scenario {
     pub retry: Option<RetryPolicy>,
     /// The calibration point the machine and MPI substrate are built
     /// from. Part of the identity: every field is folded into the digest,
-    /// so results can never alias across parameter points.
-    pub params: CalibParams,
+    /// so results can never alias across parameter points. Shared: every
+    /// scenario built at [`CalibParams::paper_2006`] holds one process-
+    /// wide instance, so the digest and machine memos answer it by
+    /// pointer.
+    pub params: Arc<CalibParams>,
 }
 
 impl Scenario {
@@ -840,14 +982,14 @@ impl Scenario {
             faults: FaultPlan::new(),
             recovery: None,
             retry: None,
-            params: CalibParams::paper_2006(),
+            params: Arc::clone(&PAPER_2006),
         }
     }
 
     /// Sets the calibration point.
     #[must_use]
     pub fn with_params(mut self, params: CalibParams) -> Self {
-        self.params = params;
+        self.params = shared_params(params);
         self
     }
 
@@ -1002,50 +1144,50 @@ impl Scenario {
     /// `(system, params)` prefix state.
     fn digest_after(&self, prefix: Digest) -> Digest {
         let mut enc = Encoder::resume(prefix);
-        enc.tag(const_run!("system"), self.system.key_run())
-            .tag(const_run!("fidelity"), self.fidelity.key_run())
-            .usize(const_run!("nranks"), self.nranks);
+        enc.constant(self.system.tag_run())
+            .constant(self.fidelity.tag_run())
+            .usize(const_run!("nranks", b'u'), self.nranks);
         // Encoded only when present, so every unparked scenario keeps its
         // digest.
         if self.parked > 0 {
-            enc.usize(const_run!("parked"), self.parked);
+            enc.usize(const_run!("parked", b'u'), self.parked);
         }
-        enc.tag(const_run!("placement"), self.placement.key_run())
-            .tag(const_run!("mpi"), self.mpi.key_run())
-            .tag(const_run!("lock"), self.lock.key_run());
-        enc.tag(const_run!("workload"), self.workload.kind_run());
+        enc.constant(self.placement.tag_run())
+            .constant(self.mpi.tag_run())
+            .constant(self.lock.tag_run())
+            .constant(self.workload.kind_run());
         self.workload.encode_fields(&mut enc);
-        enc.list(const_run!("faults"), self.faults.events().len());
+        enc.list(const_run!("faults", b'l'), self.faults.events().len());
         for event in self.faults.events() {
-            enc.f64(const_run!("at"), event.at).tag(const_run!("kind"), event.kind.kind_run());
+            enc.f64(const_run!("at", b'f'), event.at).constant(event.kind.kind_run());
             event.kind.encode_fields(&mut enc);
         }
         match &self.recovery {
             None => {
-                enc.tag(const_run!("recovery"), const_run!("none"));
+                enc.constant(const_run!("recovery", b't', "none"));
             }
             Some(p) => {
-                enc.tag(const_run!("recovery"), const_run!("checkpoint"))
-                    .f64(const_run!("interval"), p.interval)
-                    .f64(const_run!("bytes_per_rank"), p.bytes_per_rank)
-                    .f64(const_run!("restart_delay"), p.restart_delay);
+                enc.constant(const_run!("recovery", b't', "checkpoint"))
+                    .f64(const_run!("interval", b'f'), p.interval)
+                    .f64(const_run!("bytes_per_rank", b'f'), p.bytes_per_rank)
+                    .f64(const_run!("restart_delay", b'f'), p.restart_delay);
                 match p.target {
-                    CheckpointTarget::OwnLayout => enc.tag(const_run!("target"), const_run!("own")),
-                    CheckpointTarget::Node(node) => enc
-                        .tag(const_run!("target"), const_run!("node"))
-                        .usize(const_run!("node"), node.index()),
+                    CheckpointTarget::OwnLayout => enc.constant(const_run!("target", b't', "own")),
+                    CheckpointTarget::Node(node) => {
+                        enc.constant(const_run!("target", b't', "node")).usize(&NODE, node.index())
+                    }
                 };
             }
         }
         match &self.retry {
             None => {
-                enc.tag(const_run!("retry"), const_run!("none"));
+                enc.constant(const_run!("retry", b't', "none"));
             }
             Some(r) => {
-                enc.tag(const_run!("retry"), const_run!("some"))
-                    .f64(const_run!("detection_timeout"), r.detection_timeout)
-                    .f64(const_run!("backoff"), r.backoff)
-                    .usize(const_run!("max_retries"), r.max_retries);
+                enc.constant(const_run!("retry", b't', "some"))
+                    .f64(const_run!("detection_timeout", b'f'), r.detection_timeout)
+                    .f64(const_run!("backoff", b'f'), r.backoff)
+                    .usize(const_run!("max_retries", b'u'), r.max_retries);
             }
         }
         enc.digest()
@@ -1178,7 +1320,7 @@ impl Scenario {
                 r.max_retries,
             ));
         }
-        if self.params != CalibParams::paper_2006() {
+        if *self.params != CalibParams::paper_2006() {
             let fields: Vec<String> = CalibParams::FIELDS
                 .iter()
                 .map(|f| format!("\"{}\":{}", f.name, json::num(f.read(&self.params))))
@@ -1313,8 +1455,23 @@ impl Scenario {
             faults,
             recovery,
             retry,
-            params,
+            params: shared_params(params),
         })
+    }
+}
+
+/// The process's one [`CalibParams::paper_2006`] instance, shared by
+/// every scenario at the shipped calibration point.
+static PAPER_2006: LazyLock<Arc<CalibParams>> =
+    LazyLock::new(|| Arc::new(CalibParams::paper_2006()));
+
+/// `params` as a scenario holds it: the shared instance when it is the
+/// shipped point bit for bit, a fresh one otherwise.
+fn shared_params(params: CalibParams) -> Arc<CalibParams> {
+    if params.to_bits() == PAPER_2006.to_bits() {
+        Arc::clone(&PAPER_2006)
+    } else {
+        Arc::new(params)
     }
 }
 
@@ -1325,15 +1482,16 @@ type ParamBits = [u64; CalibParams::FIELDS.len()];
 /// Digest prefixes keyed by `(system, params bits)`.
 ///
 /// Each system has a slot holding its last calibration point and prefix.
-/// A batch usually holds one point per system, so nearly every lookup is
-/// one key comparison against the slot. A slot miss, as in a calibration
-/// sweep, falls back to the SipHash map and refills the slot: one key
-/// comparison more than the map alone. The map holds at most
+/// A batch usually holds one point per system, and its scenarios share
+/// that point's [`Arc`], so nearly every lookup is one pointer comparison
+/// against the slot; a point equal bit for bit but held apart costs one
+/// key comparison more. A slot miss, as in a calibration sweep, falls
+/// back to the SipHash map and refills the slot. The map holds at most
 /// [`PrefixMemo::CAP`] points and starts over when full, so a thread
 /// that meets unboundedly many points keeps a bounded memo.
 #[derive(Default)]
 struct PrefixMemo {
-    slots: [Option<(ParamBits, Digest)>; System::all().len()],
+    slots: [Option<(Arc<CalibParams>, ParamBits, Digest)>; System::all().len()],
     map: HashMap<(System, ParamBits), Digest>,
 }
 
@@ -1342,27 +1500,30 @@ impl PrefixMemo {
     /// cleared.
     const CAP: usize = 1024;
 
-    fn get(&mut self, system: System, params: &CalibParams) -> Digest {
-        let bits = params.to_bits();
+    fn get(&mut self, system: System, params: &Arc<CalibParams>) -> Digest {
         let slot = &mut self.slots[system as usize];
-        match slot {
-            Some((last, prefix)) if *last == bits => *prefix,
-            _ => {
-                let prefix = match self.map.get(&(system, bits)) {
-                    Some(&prefix) => prefix,
-                    None => {
-                        if self.map.len() >= Self::CAP {
-                            self.map.clear();
-                        }
-                        let prefix = digest_prefix(system, params);
-                        self.map.insert((system, bits), prefix);
-                        prefix
-                    }
-                };
-                *slot = Some((bits, prefix));
-                prefix
+        if let Some((last, _, prefix)) = slot {
+            if Arc::ptr_eq(last, params) {
+                return *prefix;
             }
         }
+        let bits = params.to_bits();
+        let prefix = match slot {
+            Some((_, last, prefix)) if *last == bits => *prefix,
+            _ => match self.map.get(&(system, bits)) {
+                Some(&prefix) => prefix,
+                None => {
+                    if self.map.len() >= Self::CAP {
+                        self.map.clear();
+                    }
+                    let prefix = digest_prefix(system, params);
+                    self.map.insert((system, bits), prefix);
+                    prefix
+                }
+            },
+        };
+        *slot = Some((Arc::clone(params), bits, prefix));
+        prefix
     }
 }
 
@@ -1373,17 +1534,21 @@ thread_local! {
     static PREFIXES: RefCell<PrefixMemo> = RefCell::new(PrefixMemo::default());
 }
 
-/// Every calibration field name's constant run, in
+/// Every calibration field's head run, `name ‖ 'f'`, in
 /// [`CalibParams::FIELDS`] order.
-static CALIB_NAMES: [ConstRun; CalibParams::FIELDS.len()] = {
-    let mut runs = [const { ConstRun::new(b"") }; CalibParams::FIELDS.len()];
+static CALIB_HEADS: [ConstRun; CalibParams::FIELDS.len()] = {
+    let mut runs = [const { ConstRun::new(b"", b'f', None) }; CalibParams::FIELDS.len()];
     let mut i = 0;
     while i < runs.len() {
-        runs[i] = ConstRun::new(CalibParams::FIELDS[i].name.as_bytes());
+        runs[i] = ConstRun::new(CalibParams::FIELDS[i].name.as_bytes(), b'f', None);
         i += 1;
     }
     runs
 };
+
+/// The `node` head, shared by a checkpoint target and a spec's node
+/// memory.
+static NODE: ConstRun = ConstRun::new(b"node", b'u', None);
 
 /// The digest stream's `(system, params)` prefix: the engine tag, the
 /// machine's full spec and every calibration field. A point that builds
@@ -1391,68 +1556,76 @@ static CALIB_NAMES: [ConstRun; CalibParams::FIELDS.len()] = {
 /// spec's place; it never runs, so its digest keys no result.
 fn digest_prefix(system: System, params: &CalibParams) -> Digest {
     let mut enc = Encoder::new();
-    enc.str(const_run!("engine"), const_run!(crate::ENGINE_TAG));
+    enc.constant(const_run!("engine", b's', crate::ENGINE_TAG));
     match system.try_spec_with(params) {
         Ok(spec) => encode_machine_spec(&mut enc, &spec),
         Err(_) => {
-            enc.tag(const_run!("spec"), const_run!("invalid"));
+            enc.constant(const_run!("spec", b't', "invalid"));
         }
     }
     // The spec covers the machine-side parameters; fold every calib
     // field in explicitly as well so the MPI/placement parameters (and
     // any future field the spec does not surface) are guaranteed to
     // separate digests.
-    enc.list(const_run!("calib"), CalibParams::FIELDS.len());
-    for (field, name) in CalibParams::FIELDS.iter().zip(&CALIB_NAMES) {
-        enc.f64(name, field.read(params));
+    enc.list(const_run!("calib", b'l'), CalibParams::FIELDS.len());
+    for (field, head) in CalibParams::FIELDS.iter().zip(&CALIB_HEADS) {
+        enc.f64(head, field.read(params));
     }
     enc.digest()
 }
 
+/// A memory controller's fields, as the spec and its node overrides
+/// fold them.
+fn encode_memory(enc: &mut Encoder, m: &MemorySpec) {
+    enc.f64(const_run!("memory.controller_bw", b'f'), m.controller_bw)
+        .f64(const_run!("memory.idle_latency", b'f'), m.idle_latency)
+        .f64(const_run!("memory.lookup_latency", b'f'), m.lookup_latency);
+}
+
+/// A link's fields, as the spec and its edge overrides fold them.
+fn encode_link(enc: &mut Encoder, l: &LinkSpec) {
+    enc.f64(const_run!("link.bandwidth", b'f'), l.bandwidth)
+        .f64(const_run!("link.hop_latency", b'f'), l.hop_latency);
+}
+
 fn encode_machine_spec(enc: &mut Encoder, spec: &MachineSpec) {
-    enc.str(const_run!("spec.name"), &spec.name);
-    enc.list(const_run!("spec.sockets"), spec.sockets.len());
+    enc.str(const_run!("spec.name", b's'), &spec.name);
+    enc.list(const_run!("spec.sockets", b'l'), spec.sockets.len());
     for &s in &spec.sockets {
-        enc.f64(const_run!("socket"), s);
+        enc.f64(const_run!("socket", b'f'), s);
     }
-    enc.usize(const_run!("spec.cores_per_socket"), spec.cores_per_socket)
-        .f64(const_run!("core.frequency_hz"), spec.core.frequency_hz)
-        .f64(const_run!("core.flops_per_cycle"), spec.core.flops_per_cycle)
-        .f64(const_run!("cache.l1_bytes"), spec.cache.l1_bytes)
-        .f64(const_run!("cache.l2_bytes"), spec.cache.l2_bytes)
-        .f64(const_run!("cache.line_bytes"), spec.cache.line_bytes)
-        .f64(const_run!("cache.stream_mlp"), spec.cache.stream_mlp)
-        .f64(const_run!("cache.random_mlp"), spec.cache.random_mlp)
-        .f64(const_run!("cache.strided_mlp"), spec.cache.strided_mlp)
-        .f64(const_run!("cache.lookup_mlp"), spec.cache.lookup_mlp)
-        .f64(const_run!("memory.controller_bw"), spec.memory.controller_bw)
-        .f64(const_run!("memory.idle_latency"), spec.memory.idle_latency)
-        .f64(const_run!("memory.lookup_latency"), spec.memory.lookup_latency)
-        .f64(const_run!("link.bandwidth"), spec.link.bandwidth)
-        .f64(const_run!("link.hop_latency"), spec.link.hop_latency)
-        .f64(const_run!("coherence.base_probe"), spec.coherence.base_probe)
-        .f64(const_run!("coherence.per_hop_probe"), spec.coherence.per_hop_probe)
-        .f64(const_run!("coherence.probe_capacity"), spec.coherence.probe_capacity);
-    enc.list(const_run!("spec.edges"), spec.edges.len());
+    enc.usize(const_run!("spec.cores_per_socket", b'u'), spec.cores_per_socket)
+        .f64(const_run!("core.frequency_hz", b'f'), spec.core.frequency_hz)
+        .f64(const_run!("core.flops_per_cycle", b'f'), spec.core.flops_per_cycle)
+        .f64(const_run!("cache.l1_bytes", b'f'), spec.cache.l1_bytes)
+        .f64(const_run!("cache.l2_bytes", b'f'), spec.cache.l2_bytes)
+        .f64(const_run!("cache.line_bytes", b'f'), spec.cache.line_bytes)
+        .f64(const_run!("cache.stream_mlp", b'f'), spec.cache.stream_mlp)
+        .f64(const_run!("cache.random_mlp", b'f'), spec.cache.random_mlp)
+        .f64(const_run!("cache.strided_mlp", b'f'), spec.cache.strided_mlp)
+        .f64(const_run!("cache.lookup_mlp", b'f'), spec.cache.lookup_mlp);
+    encode_memory(enc, &spec.memory);
+    encode_link(enc, &spec.link);
+    enc.f64(const_run!("coherence.base_probe", b'f'), spec.coherence.base_probe)
+        .f64(const_run!("coherence.per_hop_probe", b'f'), spec.coherence.per_hop_probe)
+        .f64(const_run!("coherence.probe_capacity", b'f'), spec.coherence.probe_capacity);
+    enc.list(const_run!("spec.edges", b'l'), spec.edges.len());
     for edge in &spec.edges {
-        enc.usize(const_run!("a"), edge.a).usize(const_run!("b"), edge.b);
+        enc.usize(const_run!("a", b'u'), edge.a).usize(const_run!("b", b'u'), edge.b);
     }
     // Heterogeneous extensions are encoded only when present so that every
     // uniform machine keeps its pre-extension digest.
     if !spec.is_uniform() {
-        enc.usize(const_run!("spec.memory_only_nodes"), spec.memory_only_nodes);
-        enc.list(const_run!("spec.node_memory"), spec.node_memory.len());
+        enc.usize(const_run!("spec.memory_only_nodes", b'u'), spec.memory_only_nodes);
+        enc.list(const_run!("spec.node_memory", b'l'), spec.node_memory.len());
         for (node, m) in &spec.node_memory {
-            enc.usize(const_run!("node"), *node)
-                .f64(const_run!("memory.controller_bw"), m.controller_bw)
-                .f64(const_run!("memory.idle_latency"), m.idle_latency)
-                .f64(const_run!("memory.lookup_latency"), m.lookup_latency);
+            enc.usize(&NODE, *node);
+            encode_memory(enc, m);
         }
-        enc.list(const_run!("spec.edge_links"), spec.edge_links.len());
+        enc.list(const_run!("spec.edge_links", b'l'), spec.edge_links.len());
         for (edge, l) in &spec.edge_links {
-            enc.usize(const_run!("edge"), *edge)
-                .f64(const_run!("link.bandwidth"), l.bandwidth)
-                .f64(const_run!("link.hop_latency"), l.hop_latency);
+            enc.usize(const_run!("edge", b'u'), *edge);
+            encode_link(enc, l);
         }
     }
 }
@@ -1614,28 +1787,28 @@ mod tests {
     #[test]
     fn every_constant_run_folds_like_its_bytes() {
         let states = [0, 1, 0xff, 0x100, 0x6c62272e07bb014262b821756295c58d, u128::MAX];
-        let check = |run: &ConstRun, key: &str| {
+        let check = |run: &ConstRun, name: &str, key: &str| {
             for h in states {
-                let by_table = Encoder::resume(Digest(h)).tag("k", run).digest();
-                let by_byte = Encoder::resume(Digest(h)).tag("k", key).digest();
-                assert_eq!(by_table, by_byte, "{key}");
+                let by_table = Encoder::resume(Digest(h)).constant(run).digest();
+                let by_byte = Encoder::resume(Digest(h)).tag(name, key).digest();
+                assert_eq!(by_table, by_byte, "{name} {key}");
             }
         };
         for system in System::all() {
-            check(system.key_run(), system.key());
+            check(system.tag_run(), "system", system.key());
         }
         for fidelity in [Fidelity::Full, Fidelity::Quick] {
-            check(fidelity.key_run(), fidelity.key());
+            check(fidelity.tag_run(), "fidelity", fidelity.key());
         }
         let schemes = Scheme::all().map(Placement::Scheme);
         for placement in schemes.into_iter().chain([Placement::ScatterLocal]) {
-            check(placement.key_run(), placement.key());
+            check(placement.tag_run(), "placement", placement.key());
         }
         for mpi in MpiImpl::all() {
-            check(mpi.key_run(), mpi_key(mpi));
+            check(mpi.tag_run(), "mpi", mpi_key(mpi));
         }
         for lock in [LockLayer::SysV, LockLayer::USysV] {
-            check(lock.key_run(), lock.key());
+            check(lock.tag_run(), "lock", lock.key());
         }
         let corpus = codec_corpus();
         let single: Vec<Digest> = corpus.iter().map(Scenario::digest).collect();
@@ -1670,7 +1843,8 @@ mod tests {
         let base = params.dram_latency;
         for i in 0..=PrefixMemo::CAP {
             params.dram_latency = base * (1.0 + i as f64 * 1e-6);
-            assert_eq!(memo.get(System::Dmz, &params), digest_prefix(System::Dmz, &params));
+            let shared = Arc::new(params);
+            assert_eq!(memo.get(System::Dmz, &shared), digest_prefix(System::Dmz, &params));
             assert!(memo.map.len() <= PrefixMemo::CAP);
         }
         assert_eq!(memo.map.len(), 1, "a full memo starts over");
@@ -1818,6 +1992,26 @@ mod tests {
         assert_eq!(base.digest(), explicit.digest());
         // Default-point scenarios keep the pre-params JSON shape.
         assert!(!base.to_json().contains("\"params\""));
+    }
+
+    #[test]
+    fn scenarios_at_the_shipped_point_share_one_instance() {
+        assert!(std::mem::size_of::<Scenario>() <= 192, "{}", std::mem::size_of::<Scenario>());
+        let built = bsp(System::Dmz, 4);
+        let explicit = bsp(System::Longs, 2).with_params(CalibParams::paper_2006());
+        let parsed = Scenario::from_json(&json::parse(&built.to_json()).unwrap()).unwrap();
+        assert!(Arc::ptr_eq(&built.params, &explicit.params));
+        assert!(Arc::ptr_eq(&built.params, &parsed.params));
+        let mut moved = CalibParams::paper_2006();
+        moved.dram_latency *= 1.25;
+        let other = built.clone().with_params(moved);
+        assert!(!Arc::ptr_eq(&built.params, &other.params));
+        // A point equal bit for bit but held apart digests the same.
+        let apart = Scenario { params: Arc::new(CalibParams::paper_2006()), ..built.clone() };
+        assert_eq!(Scenario::digests(&[built.clone(), apart.clone(), built]), {
+            let d = apart.digest();
+            vec![d, d, d]
+        });
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::executor;
 use crate::scenario::{Scenario, ScenarioResult};
 use crate::sink::StoreSink;
 use corescope_machine::{Error, Result};
-use std::collections::HashMap;
+use corescope_store::{DigestMap, DigestState};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -155,7 +155,7 @@ pub struct Scheduler {
     jobs: usize,
     cache: ResultCache,
     store: Option<Arc<StoreSink>>,
-    flights: Mutex<HashMap<u128, Arc<Flight>>>,
+    flights: Mutex<DigestMap<Arc<Flight>>>,
     scenarios: AtomicUsize,
     engine_runs: AtomicUsize,
     hits_memory: AtomicUsize,
@@ -179,7 +179,7 @@ impl Scheduler {
             jobs: jobs.max(1),
             cache,
             store: None,
-            flights: Mutex::new(HashMap::new()),
+            flights: Mutex::new(DigestMap::default()),
             scenarios: AtomicUsize::new(0),
             engine_runs: AtomicUsize::new(0),
             hits_memory: AtomicUsize::new(0),
@@ -478,7 +478,8 @@ struct BatchJobs {
 
 impl BatchJobs {
     fn new(digests: &[Digest]) -> Self {
-        let mut job_of_digest: HashMap<u128, usize> = HashMap::new();
+        let mut job_of_digest: DigestMap<usize> =
+            DigestMap::with_capacity_and_hasher(digests.len(), DigestState::default());
         let owner_of: Vec<usize> = digests
             .iter()
             .map(|d| {

@@ -33,11 +33,13 @@
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
+pub mod digest_hash;
 pub mod frame;
 pub mod fsck;
 pub mod lockfile;
 mod store;
 
+pub use digest_hash::{DigestMap, DigestSet, DigestState};
 pub use fsck::{CompactReport, FsckReport};
 pub use store::{Options, RecoveryReport, Store, MANIFEST, QUARANTINE, WRITER_LOCK};
 

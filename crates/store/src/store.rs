@@ -47,11 +47,11 @@
 //! - Reopening never loses a committed row, and a resumed campaign
 //!   skips every committed digest — so resume is just rerun.
 
+use crate::digest_hash::{DigestMap, DigestSet};
 use crate::frame;
 use crate::lockfile::{self, LockError, LockFile};
 use crate::{Corruption, Row, StoreError, Torn};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
@@ -249,9 +249,9 @@ pub struct Store {
     tag: String,
     options: Options,
     segments: Vec<SegmentMeta>,
-    committed: HashSet<u128>,
+    committed: DigestSet,
     buffered: Vec<Row>,
-    buffered_digests: HashSet<u128>,
+    buffered_digests: DigestSet,
     recovery: RecoveryReport,
     rows_committed: u64,
     /// The writer lock; a reader holds none.
@@ -347,9 +347,9 @@ impl Store {
             tag: manifest.tag,
             options,
             segments: manifest.segments,
-            committed: HashSet::new(),
+            committed: DigestSet::default(),
             buffered: Vec::new(),
-            buffered_digests: HashSet::new(),
+            buffered_digests: DigestSet::default(),
             recovery: RecoveryReport::default(),
             rows_committed: 0,
             lock,
@@ -620,7 +620,7 @@ impl Store {
         // Recovery collected every distinct committed digest: the rows
         // out, however often a digest repeats on disk.
         let mut rows: Vec<Row> = Vec::with_capacity(self.committed.len());
-        let mut index: HashMap<u128, usize> = HashMap::new();
+        let mut index: DigestMap<usize> = DigestMap::default();
         for seg in &self.segments {
             let path = self.dir.join(&seg.name);
             let take = |payload: &[u8]| {
